@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race cover bench bench-regression fuzz experiments experiments-full serve-smoke shard-smoke parallel-smoke router-smoke chaos-smoke ingest-smoke clean
+.PHONY: all build test vet race cover bench bench-test bench-regression fuzz experiments experiments-full serve-smoke shard-smoke parallel-smoke router-smoke chaos-smoke ingest-smoke clean
 
 all: build vet test
 
@@ -28,6 +28,13 @@ cover:
 # benches at reduced scale.
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' ./...
+
+# The repository's benchmark (BENCHMARK.json, bench/) is a module of its
+# own, so `go test ./...` above never sees it: its unit tests — the frozen
+# adapter surface check of api_test.go among them — run here. Compare two
+# commits on it with scripts/bench-ab.sh <parent-ref> [pairs].
+bench-test:
+	$(GO) test -C bench ./...
 
 # Re-run the batched-execution experiment against the committed baseline
 # entry in results/dev/bench/data.js and fail on >15% regression of any

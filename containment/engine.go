@@ -3,6 +3,7 @@ package containment
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"github.com/pbitree/pbitree/internal/btree"
@@ -89,6 +90,10 @@ type Engine struct {
 	disk storage.Disk
 	pool *buffer.Pool
 	cfg  Config
+	// scratch is the working memory every join of this engine borrows (see
+	// core.Scratch): empty until the first join needs it, bounded by the
+	// pool size b, owned by the engine's one goroutine like the pool.
+	scratch core.Scratch
 	// docs is the per-document catalog (SaveDocs / Open); nil when the
 	// database predates document tracking or none was supplied.
 	docs []DocInfo
@@ -217,7 +222,7 @@ func (e *Engine) Load(name string, codes []pbicode.Code) (*Relation, error) {
 	r := &Relation{rel: rel, singleHeight: true}
 	first := true
 	firstH := 0
-	need := 0
+	var maxCode pbicode.Code
 	for _, c := range codes {
 		h := c.Height()
 		if h > r.maxHeight {
@@ -228,8 +233,8 @@ func (e *Engine) Load(name string, codes []pbicode.Code) (*Relation, error) {
 		} else if h != firstH {
 			r.singleHeight = false
 		}
-		if m := minTreeHeight(c); m > need {
-			need = m
+		if c > maxCode {
+			maxCode = c
 		}
 	}
 	// Grow the engine's PBiTree height to cover every loaded code. A
@@ -237,7 +242,7 @@ func (e *Engine) Load(name string, codes []pbicode.Code) (*Relation, error) {
 	// taller perfect tree preserves all ancestor relationships, so
 	// growing is always safe, while an undersized height would corrupt
 	// the vertical partitioning's level arithmetic.
-	if need > e.cfg.TreeHeight {
+	if need := minTreeHeight(maxCode); need > e.cfg.TreeHeight {
 		e.cfg.TreeHeight = need
 	}
 	if len(codes) == 0 {
@@ -247,13 +252,10 @@ func (e *Engine) Load(name string, codes []pbicode.Code) (*Relation, error) {
 }
 
 // minTreeHeight returns the smallest PBiTree height whose code space
-// contains c.
+// contains c: the smallest h >= 1 with 2^h - 1 >= c, which is c's bit
+// length.
 func minTreeHeight(c pbicode.Code) int {
-	h := 1
-	for pbicode.NumNodes(h) < uint64(c) {
-		h++
-	}
-	return h
+	return max(1, bits.Len64(uint64(c)))
 }
 
 // LoadDoc stores the code set of every element with the given tag.
@@ -504,6 +506,7 @@ func (e *Engine) join(goCtx context.Context, a, d *Relation, opts JoinOptions, t
 		Stats:             stats,
 		Parallel:          par,
 		NoBatch:           e.cfg.NoBatch || opts.NoBatch,
+		Scratch:           &e.scratch,
 	}
 	if goCtx != nil && goCtx != context.Background() {
 		ctx.Ctx = goCtx
@@ -626,15 +629,7 @@ func (e *Engine) IOStats() IOStats {
 // DropCache flushes and evicts every resident page so the next join starts
 // with a cold buffer pool, the setting the paper's measurements assume.
 func (e *Engine) DropCache() error {
-	if err := e.pool.FlushAll(); err != nil {
-		return err
-	}
-	for id := storage.PageID(0); id < e.disk.NumPages(); id++ {
-		if err := e.pool.Evict(id); err != nil {
-			return err
-		}
-	}
-	return nil
+	return e.pool.EvictAll()
 }
 
 // PoolSize returns the engine's buffer pool size in frames.

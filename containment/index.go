@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/pbitree/pbitree/internal/core"
-	"github.com/pbitree/pbitree/internal/extsort"
 )
 
 // PlanEntry is one candidate algorithm with its predicted cost.
@@ -23,7 +22,7 @@ type PlanEntry struct {
 // differ; Result.Algorithm reports what actually ran.
 func (e *Engine) Explain(a, d *Relation, spec Spec) []PlanEntry {
 	opts := JoinOptions{Spec: spec}
-	ctx := &core.Context{Pool: e.pool, TreeHeight: e.cfg.TreeHeight}
+	ctx := e.coreContext()
 	in := core.Gather(ctx, effectiveSpec(&opts, a, d), a.rel, d.rel)
 	candidates := []core.Algorithm{
 		core.AlgMHCJRollup, core.AlgVPJ, core.AlgStackTree,
@@ -81,8 +80,9 @@ func (e *Engine) Sort(r *Relation) error {
 	}
 	// Keep the relation's name: the sorted copy replaces it (catalog
 	// identity must survive).
-	sorted, err := extsort.SortParallel(e.pool, r.rel, extsort.ByStartEndDesc, e.pool.Size(), r.rel.Name(), nil,
-		extsort.ParallelOpts{Degree: e.cfg.Parallel})
+	ctx := e.coreContext()
+	ctx.Parallel = e.cfg.Parallel
+	sorted, err := core.SortByDoc(ctx, r.rel, r.rel.Name())
 	if err != nil {
 		return err
 	}
@@ -102,7 +102,7 @@ func (e *Engine) BuildStartIndex(r *Relation) error {
 	if r.startIdx != nil {
 		return nil
 	}
-	ctx := &core.Context{Pool: e.pool, TreeHeight: e.cfg.TreeHeight}
+	ctx := e.coreContext()
 	idx, err := core.BuildStartIndex(ctx, r.rel, r.rel.Name()+".idx")
 	if err != nil {
 		return err
@@ -117,7 +117,7 @@ func (e *Engine) BuildIntervalIndex(r *Relation) error {
 	if r.intervalIdx != nil {
 		return nil
 	}
-	ctx := &core.Context{Pool: e.pool, TreeHeight: e.cfg.TreeHeight}
+	ctx := e.coreContext()
 	idx, err := core.BuildIntervalIndex(ctx, r.rel)
 	if err != nil {
 		return err
@@ -131,6 +131,13 @@ func (r *Relation) Sorted() bool { return r.sorted }
 
 // Indexed reports whether the relation has any persistent index.
 func (r *Relation) Indexed() bool { return r.startIdx != nil || r.intervalIdx != nil }
+
+// coreContext returns an execution context over the engine's pool, tree
+// height and working memory, for the operations that run outside Join
+// (sorts, index builds, plan estimates).
+func (e *Engine) coreContext() *core.Context {
+	return &core.Context{Pool: e.pool, TreeHeight: e.cfg.TreeHeight, Scratch: &e.scratch}
+}
 
 // effectiveSpec folds the relations' physical properties into the
 // caller-declared spec.
@@ -153,7 +160,8 @@ func effectiveSpec(opts *JoinOptions, a, d *Relation) core.InputSpec {
 // other measurements.
 func (e *Engine) JoinRegionNative(a, d *Relation) (*Result, error) {
 	stats := &core.Stats{}
-	ctx := &core.Context{Pool: e.pool, TreeHeight: e.cfg.TreeHeight, Stats: stats}
+	ctx := e.coreContext()
+	ctx.Stats = stats
 	ra, err := core.ToRegionRelation(ctx, a.rel, a.rel.Name()+".region")
 	if err != nil {
 		return nil, err

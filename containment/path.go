@@ -30,7 +30,7 @@ func (e *Engine) QueryPath(doc *xmltree.Document, tags ...string) ([]pbicode.Cod
 	if e.cfg.TreeHeight < doc.Height {
 		e.cfg.TreeHeight = doc.Height
 	}
-	ctx := &core.Context{Pool: e.pool, TreeHeight: e.cfg.TreeHeight, Stats: &core.Stats{}}
+	ctx := e.coreContext()
 
 	cur, err := relation.FromCodes(e.pool, "path.0."+tags[0], doc.Codes(tags[0]))
 	if err != nil {

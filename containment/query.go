@@ -1,9 +1,10 @@
 package containment
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/pbitree/pbitree/pbicode"
@@ -88,6 +89,51 @@ func ParsePath(expr string) ([]Step, error) {
 	return steps, nil
 }
 
+// SortDocOrder orders codes as a document traversal would: by region
+// start, ancestors before their descendants. Every coordinator that merges
+// per-partition match sets (a path step here, internal/shard, the network
+// merge of internal/router) produces this one canonical order.
+func SortDocOrder(codes []pbicode.Code) {
+	slices.SortFunc(codes, func(x, y pbicode.Code) int {
+		if c := cmp.Compare(x.Start(), y.Start()); c != 0 {
+			return c
+		}
+		return cmp.Compare(y.Height(), x.Height())
+	})
+}
+
+// Matches collects the descendant side of one path step's join pairs and
+// yields the distinct matched elements in document order — the step's
+// output, and the next step's ancestor set. Every path evaluator (Query
+// here, the solo and sharded chains of internal/qserv and internal/shard)
+// passes Emit as the step's JoinOptions.Emit. One Matches serves all the
+// steps of an evaluation, Reset in between, so the steps share one buffer.
+//
+// There is no hash set: a descendant with several matching ancestors is
+// emitted once per ancestor, so duplicates are dropped by sorting. Most
+// never get that far — the hash-probe joins emit a descendant's pairs back
+// to back, which Emit collapses as they arrive.
+type Matches struct{ codes []pbicode.Code }
+
+// Emit records p's descendant.
+func (m *Matches) Emit(p Pair) error {
+	if n := len(m.codes); n == 0 || m.codes[n-1] != p.D {
+		m.codes = append(m.codes, p.D)
+	}
+	return nil
+}
+
+// Distinct returns the distinct recorded descendants in document order.
+// The slice is the collector's own buffer: valid until the next Reset.
+func (m *Matches) Distinct() []pbicode.Code {
+	SortDocOrder(m.codes)
+	m.codes = slices.Compact(m.codes)
+	return m.codes
+}
+
+// Reset empties the collector for the next step, keeping its buffer.
+func (m *Matches) Reset() { m.codes = m.codes[:0] }
+
 // Query evaluates a path expression over doc and returns the codes of the
 // final step's elements in document order. Each descendant step runs a
 // containment join; each child step the same join with the parent-child
@@ -132,6 +178,7 @@ func (e *Engine) QueryContext(ctx context.Context, doc *xmltree.Document, expr s
 		}
 	}
 
+	var matched Matches
 	for _, st := range steps[1:] {
 		if len(cur) == 0 {
 			return nil, nil
@@ -148,14 +195,10 @@ func (e *Engine) QueryContext(ctx context.Context, doc *xmltree.Document, expr s
 			e.Free(a) //nolint:errcheck // cleanup after earlier error
 			return nil, err
 		}
-		opts := JoinOptions{}
+		matched.Reset() // cur, its previous content, is loaded into a by now
+		opts := JoinOptions{Emit: matched.Emit}
 		if !st.Descendant {
 			opts.Filter = ParentChild(doc)
-		}
-		matched := make(map[pbicode.Code]bool)
-		opts.Emit = func(p Pair) error {
-			matched[p.D] = true
-			return nil
 		}
 		if _, err := e.JoinContext(ctx, a, d, opts); err != nil {
 			// The aborted join already released temp state (on read-only
@@ -171,17 +214,8 @@ func (e *Engine) QueryContext(ctx context.Context, doc *xmltree.Document, expr s
 		if err := e.Free(d); err != nil {
 			return nil, err
 		}
-		cur = cur[:0]
-		for c := range matched {
-			cur = append(cur, c)
-		}
+		cur = matched.Distinct()
 	}
-	sort.Slice(cur, func(i, j int) bool {
-		si, sj := cur[i].Start(), cur[j].Start()
-		if si != sj {
-			return si < sj
-		}
-		return cur[i].Height() > cur[j].Height()
-	})
+	SortDocOrder(cur) // a single-step path never went through Distinct
 	return cur, nil
 }

@@ -1,8 +1,12 @@
 package containment
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
+	"github.com/pbitree/pbitree/pbicode"
 	"github.com/pbitree/pbitree/xmltree"
 )
 
@@ -127,5 +131,42 @@ func TestParsePathSteps(t *testing.T) {
 	}
 	if !steps[2].Descendant || steps[2].Tag != "c" {
 		t.Fatalf("step2 = %+v", steps[2])
+	}
+}
+
+// TestMatchesAgainstMapReference checks the path-step collector against the
+// map-and-sort it replaced, on random pair streams whose duplicates arrive
+// both back to back (what hash-probe joins emit) and out of order (what
+// partitioned and merge joins emit).
+func TestMatchesAgainstMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var m Matches
+	for trial := 0; trial < 200; trial++ {
+		m.Reset()
+		seen := map[pbicode.Code]bool{}
+		distinct := 1 + rng.Intn(60)
+		for i, n := 0, rng.Intn(400); i < n; i++ {
+			d := pbicode.Code(1 + rng.Intn(distinct))
+			for reps := 1 + rng.Intn(3); reps > 0; reps-- {
+				if err := m.Emit(Pair{A: pbicode.Code(1 + rng.Intn(1000)), D: d}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			seen[d] = true
+		}
+		want := make([]pbicode.Code, 0, len(seen))
+		for c := range seen {
+			want = append(want, c)
+		}
+		sort.Slice(want, func(i, j int) bool {
+			si, sj := want[i].Start(), want[j].Start()
+			if si != sj {
+				return si < sj
+			}
+			return want[i].Height() > want[j].Height()
+		})
+		if got := m.Distinct(); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: Distinct = %v, map reference = %v", trial, got, want)
+		}
 	}
 }

@@ -363,11 +363,24 @@ type Iter struct {
 
 // Seek returns an iterator positioned at the first entry with key >= k.
 func (t *Tree) Seek(k uint64) (*Iter, error) {
+	it := new(Iter)
+	if err := t.SeekInto(it, k); err != nil {
+		return nil, err
+	}
+	return it, nil
+}
+
+// SeekInto repositions it at the first entry with key >= k, releasing
+// whatever pin it held. Callers that probe in a loop keep one Iter (the
+// zero value is ready to use) instead of allocating one per Seek. On error
+// the iterator is left closed.
+func (t *Tree) SeekInto(it *Iter, k uint64) error {
+	it.Close()
 	page := t.root
 	for level := t.height; level > 1; level-- {
 		f, err := t.pool.Fetch(page)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		child := childForSeek(f.Data, k)
 		t.pool.Unpin(f, false)
@@ -375,10 +388,10 @@ func (t *Tree) Seek(k uint64) (*Iter, error) {
 	}
 	f, err := t.pool.Fetch(page)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	it := &Iter{t: t, frame: f, pinned: true, idx: lowerBound(f.Data, k)}
-	return it, nil
+	*it = Iter{t: t, frame: f, pinned: true, idx: lowerBound(f.Data, k)}
+	return nil
 }
 
 // Next advances the iterator, reporting false at the end or on error.
@@ -430,8 +443,8 @@ func (it *Iter) Close() {
 
 // Range calls emit for every entry with lo <= key <= hi, in key order.
 func (t *Tree) Range(lo, hi uint64, emit func(key, val uint64) error) error {
-	it, err := t.Seek(lo)
-	if err != nil {
+	var it Iter
+	if err := t.SeekInto(&it, lo); err != nil {
 		return err
 	}
 	defer it.Close()

@@ -454,3 +454,51 @@ func TestDeleteRandomAgainstOracle(t *testing.T) {
 		t.Fatalf("final range mismatch: %d keys vs oracle %d", len(got), len(oracleRange(oracle, lo, hi)))
 	}
 }
+
+// TestSeekIntoReusesIterator repositions one iterator across probes, as
+// the index joins do: each SeekInto releases the previous pin and lands on
+// the first key >= k, without allocating.
+func TestSeekIntoReusesIterator(t *testing.T) {
+	pool := newPool(t, 8)
+	tr, err := New(pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < 600; k += 3 {
+		if err := tr.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var it Iter
+	probe := func() {
+		for _, k := range []uint64{100, 0, 595, 301} {
+			if err := tr.SeekInto(&it, k); err != nil {
+				t.Fatal(err)
+			}
+			want := (k + 2) / 3 * 3
+			if !it.Next() || it.Key() != want {
+				t.Fatalf("SeekInto(%d) -> %d, want %d", k, it.Key(), want)
+			}
+		}
+		if err := tr.SeekInto(&it, 10_000); err != nil {
+			t.Fatal(err)
+		}
+		if it.Next() {
+			t.Fatal("Next past end")
+		}
+		it.Close()
+		if n := pool.PinnedFrames(); n != 0 {
+			t.Fatalf("%d frames pinned after Close", n)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, probe); allocs != 0 {
+		t.Fatalf("repositioning an iterator allocates %.0f objects, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := tr.Range(100, 130, func(k, v uint64) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Range allocates %.0f objects, want 0", allocs)
+	}
+}

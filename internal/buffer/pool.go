@@ -67,6 +67,12 @@ type Pool struct {
 	// algorithm page-granularity cooperative cancellation without touching
 	// the algorithms themselves; unarmed executions pay one nil check.
 	interrupt func() error
+	// slabs is the free list scans draw their page decode buffers from
+	// (TakeSlab / GiveSlab): a finished scan hands its buffer back and the
+	// next scan through this pool reuses it. Like everything else in the
+	// pool it belongs to the pool's one goroutine, so it needs no lock, and
+	// it holds at most b buffers.
+	slabs [][]uint64
 }
 
 // New returns a pool of b frames over disk. b must be at least 1.
@@ -84,6 +90,32 @@ func New(disk storage.Disk, b int) *Pool {
 		p.slots[i].data = make([]byte, disk.PageSize())
 	}
 	return p
+}
+
+// TakeSlab returns a buffer of at least n words from the pool's free list,
+// allocating only when the list has none that large. The content is stale.
+// relation's scanners decode pages into these, typed []uint64 so that this
+// package need not know the record layout.
+func (p *Pool) TakeSlab(n int) []uint64 {
+	if k := len(p.slabs); k > 0 {
+		s := p.slabs[k-1]
+		p.slabs = p.slabs[:k-1]
+		if cap(s) >= n {
+			return s[:cap(s)]
+		}
+		// Too small (a densely compressed page): its replacement below
+		// takes its place on the list when the scan gives it back.
+	}
+	return make([]uint64, n)
+}
+
+// GiveSlab puts a buffer obtained from TakeSlab back on the free list. The
+// list is capped at b buffers — no algorithm within its budget keeps more
+// scans open than it has frames — and anything beyond is left to the GC.
+func (p *Pool) GiveSlab(s []uint64) {
+	if len(p.slabs) < len(p.slots) {
+		p.slabs = append(p.slabs, s)
+	}
 }
 
 // Size returns the number of frames b.
@@ -204,6 +236,29 @@ func (p *Pool) FlushAll() error {
 		if err := p.flushSlot(i); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// EvictAll flushes every dirty page (in FlushAll's order) and then drops
+// every resident page, leaving the pool cold. It fails, after the flush,
+// on the first pinned page. The cost is one walk over the b frames however
+// large the disk is.
+func (p *Pool) EvictAll() error {
+	if err := p.FlushAll(); err != nil {
+		return err
+	}
+	for i := range p.slots {
+		s := &p.slots[i]
+		if s.id == storage.InvalidPageID {
+			continue
+		}
+		if s.pins > 0 {
+			return fmt.Errorf("buffer: evict pinned page %d", s.id)
+		}
+		delete(p.table, s.id)
+		s.id = storage.InvalidPageID
+		s.ref = false
 	}
 	return nil
 }

@@ -389,3 +389,74 @@ func TestNewPanicsOnZeroFrames(t *testing.T) {
 	}()
 	New(storage.NewMemDisk(256, storage.CostModel{}), 0)
 }
+
+func TestPoolEvictAll(t *testing.T) {
+	p, d := newPool(t, 4)
+	var ids []storage.PageID
+	for i := 0; i < 3; i++ {
+		f, err := p.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Data[0] = byte(10 + i)
+		ids = append(ids, f.ID)
+		p.Unpin(f, true)
+	}
+	pinned, err := p.Fetch(ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.EvictAll(); err == nil {
+		t.Fatal("EvictAll dropped a pinned page")
+	}
+	p.Unpin(pinned, false)
+	if err := p.EvictAll(); err != nil {
+		t.Fatal(err)
+	}
+	if p.Resident() != 0 {
+		t.Fatalf("%d pages resident after EvictAll", p.Resident())
+	}
+	// Every dirty page was written back before it was dropped.
+	buf := make([]byte, 256)
+	for i, id := range ids {
+		if err := d.Read(id, buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf[0] != byte(10+i) {
+			t.Fatalf("page %d not flushed by EvictAll", id)
+		}
+	}
+	before := p.Stats()
+	f, err := p.Fetch(ids[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin(f, false)
+	if got := p.Stats().Sub(before); got.Misses != 1 || got.Hits != 0 {
+		t.Fatalf("fetch after EvictAll: %+v, want one miss", got)
+	}
+}
+
+func TestPoolSlabFreeList(t *testing.T) {
+	p, _ := newPool(t, 2)
+	s := p.TakeSlab(64)
+	if len(s) < 64 {
+		t.Fatalf("TakeSlab(64) returned %d words", len(s))
+	}
+	p.GiveSlab(s)
+	if again := p.TakeSlab(64); &again[0] != &s[0] {
+		t.Fatal("TakeSlab did not reuse the slab given back")
+	}
+	// A slab too small for the request is replaced, not returned.
+	p.GiveSlab(s)
+	if big := p.TakeSlab(4096); len(big) < 4096 {
+		t.Fatalf("TakeSlab(4096) returned %d words", len(big))
+	}
+	// The list never holds more slabs than the pool has frames.
+	for i := 0; i < 5; i++ {
+		p.GiveSlab(make([]uint64, 8))
+	}
+	if len(p.slabs) != p.Size() {
+		t.Fatalf("free list holds %d slabs, pool has %d frames", len(p.slabs), p.Size())
+	}
+}

@@ -26,32 +26,19 @@ import (
 // treeCursor walks B+-tree leaf entries as (Start, Code) records.
 type treeCursor struct {
 	t   *btree.Tree
-	it  *btree.Iter
+	it  btree.Iter // repositioned in place by every skip seek
 	rec relation.Rec
 	ok  bool
 	err error
 }
 
-func newTreeCursor(t *btree.Tree) (*treeCursor, error) {
-	c := &treeCursor{t: t}
-	if err := c.seek(0); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 // seek repositions the cursor at the first entry with Start >= k and
 // advances onto it.
 func (c *treeCursor) seek(k uint64) error {
-	if c.it != nil {
-		c.it.Close()
-	}
-	it, err := c.t.Seek(k)
-	if err != nil {
+	if err := c.t.SeekInto(&c.it, k); err != nil {
 		c.ok = false
 		return err
 	}
-	c.it = it
 	c.advance()
 	return c.err
 }
@@ -66,12 +53,6 @@ func (c *treeCursor) advance() {
 	c.err = c.it.Err()
 }
 
-func (c *treeCursor) close() {
-	if c.it != nil {
-		c.it.Close()
-	}
-}
-
 // ADBPlus evaluates the index-assisted stack-tree join over existing
 // B+-trees on A.Start and D.Start (leaf order must be document order,
 // which BuildStartIndex guarantees).
@@ -80,16 +61,15 @@ func ADBPlus(ctx *Context, aIdx, dIdx *btree.Tree, sink Sink) error {
 	sp := ctx.Trace.Start("merge-scan")
 	defer ctx.Trace.End(sp)
 	stats := ctx.stats()
-	ac, err := newTreeCursor(aIdx)
-	if err != nil {
+	ac, dc := treeCursor{t: aIdx}, treeCursor{t: dIdx}
+	defer ac.it.Close()
+	defer dc.it.Close()
+	if err := ac.seek(0); err != nil {
 		return err
 	}
-	defer ac.close()
-	dc, err := newTreeCursor(dIdx)
-	if err != nil {
+	if err := dc.seek(0); err != nil {
 		return err
 	}
-	defer dc.close()
 
 	var st stack
 	for dc.ok {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"github.com/pbitree/pbitree/internal/relation"
@@ -47,7 +49,12 @@ type flatTable struct {
 	used  int     // occupied slots (distinct keys)
 }
 
-func newFlatTable(capacity int64) *flatTable {
+// init empties the table and sizes it for capacity records, reusing the
+// arrays of earlier builds when they are large enough: only the slots this
+// build can touch are cleared, so a small build on a table that once held
+// a large one pays for its own size. The table lives in the engine's
+// Scratch; equiJoin caps build sides at memRecs(b-2), which bounds it.
+func (t *flatTable) init(capacity int64) {
 	if capacity < 0 || capacity > 1<<30 {
 		capacity = 0
 	}
@@ -55,12 +62,18 @@ func newFlatTable(capacity int64) *flatTable {
 	for int64(size) < capacity*2 {
 		size <<= 1
 	}
-	return &flatTable{
-		mask:  uint64(size - 1),
-		slots: make([]flatSlot, size),
-		recs:  make([]relation.Rec, 0, capacity),
-		next:  make([]int32, 0, capacity),
+	if cap(t.slots) < size {
+		t.slots = make([]flatSlot, size)
+	} else {
+		t.slots = t.slots[:size]
+		clear(t.slots)
 	}
+	t.mask = uint64(size - 1)
+	if cap(t.recs) < int(capacity) {
+		t.recs = make([]relation.Rec, 0, capacity)
+		t.next = make([]int32, 0, capacity)
+	}
+	t.recs, t.next, t.used = t.recs[:0], t.next[:0], 0
 }
 
 // grow doubles the slot array and rehashes. Chains live in the arena and
@@ -144,7 +157,8 @@ func fMask(h int) (mask, bit, lowMask uint64) {
 // flat table over (prepped) A, then stream D page slabs, deriving each
 // probe key branch-free.
 func hashJoinBuildABatch(ctx *Context, a, d *relation.Relation, h int, prep aPrep, sink Sink) error {
-	table := newFlatTable(a.NumRecords())
+	table := &ctx.scratch().table
+	table.init(a.NumRecords())
 	as := a.BatchScan()
 	for as.Next() {
 		codes, aux := as.Codes(), as.Aux()
@@ -189,16 +203,15 @@ func hashJoinBuildABatch(ctx *Context, a, d *relation.Relation, h int, prep aPre
 // keyed by FBatch-derived codes of eligible D records, probed with
 // (prepped) A codes.
 func hashJoinBuildDBatch(ctx *Context, a, d *relation.Relation, h int, prep aPrep, sink Sink) error {
-	table := newFlatTable(d.NumRecords())
+	sc := ctx.scratch()
+	table := &sc.table
+	table.init(d.NumRecords())
 	_, _, low := fMask(h)
-	var fkeys []uint64
 	ds := d.BatchScan()
 	for ds.Next() {
 		codes, aux := ds.Codes(), ds.Aux()
-		if cap(fkeys) < len(codes) {
-			fkeys = make([]uint64, len(codes))
-		}
-		fkeys = fkeys[:len(codes)]
+		sc.fkeys = sized(sc.fkeys, len(codes))
+		fkeys := sc.fkeys
 		pbicode.FBatch(fkeys, codes, h)
 		for i, c := range codes {
 			if c&low != 0 {
@@ -235,7 +248,8 @@ func blockEquiJoinBatch(ctx *Context, a, d *relation.Relation, h int, prep aPrep
 	if chunkCap < 1 {
 		chunkCap = 1
 	}
-	table := newFlatTable(int64(chunkCap))
+	table := &ctx.scratch().table
+	table.init(int64(chunkCap))
 	mask, bit, low := fMask(h)
 	var ds relation.BatchScanner
 	join := func() error {
@@ -313,12 +327,10 @@ func hashPartitionBatchA(ctx *Context, rel *relation.Relation, k int, kind strin
 // FBatch-derived join code.
 func hashPartitionBatchD(ctx *Context, rel *relation.Relation, k int, kind string, h int, salt uint64) ([]*relation.Relation, error) {
 	_, _, low := fMask(h)
-	var fkeys []uint64
+	sc := ctx.scratch()
 	return hashPartitionBatch(ctx, rel, k, kind, salt, func(codes, aux []uint64, emit func(relation.Rec, uint64) error) error {
-		if cap(fkeys) < len(codes) {
-			fkeys = make([]uint64, len(codes))
-		}
-		fkeys = fkeys[:len(codes)]
+		sc.fkeys = sized(sc.fkeys, len(codes))
+		fkeys := sc.fkeys
 		pbicode.FBatch(fkeys, codes, h)
 		for i, c := range codes {
 			if c&low == 0 {
@@ -476,7 +488,8 @@ func heightHistogramBatch(rel *relation.Relation) (map[int]int64, error) {
 // branch-free F derivation for each distinct ancestor height, per D page
 // slab.
 func multiHeightProbeJoinBatch(ctx *Context, a, d *relation.Relation, sink Sink) error {
-	table := newFlatTable(a.NumRecords())
+	table := &ctx.scratch().table
+	table.init(a.NumRecords())
 	heightSet := make(map[int]struct{})
 	as := a.BatchScan()
 	for as.Next() {
@@ -522,36 +535,40 @@ func multiHeightProbeJoinBatch(ctx *Context, a, d *relation.Relation, sink Sink)
 // sorted by region Start as before; A streams as page slabs whose regions
 // are derived in one RegionBatch pass, each probing the sorted starts.
 func memProbeJoinBatch(ctx *Context, a, d *relation.Relation, sink Sink) error {
-	recs, err := d.ReadAll()
-	if err != nil {
+	sc := ctx.scratch()
+	recs := sc.recs[:0]
+	defer func() { sc.recs = recs[:0] }()
+	ds := d.BatchScan()
+	for ds.Next() {
+		aux := ds.Aux()
+		for i, c := range ds.Codes() {
+			recs = append(recs, relation.Rec{Code: pbicode.Code(c), Aux: aux[i]})
+		}
+	}
+	if err := ds.Err(); err != nil {
 		return err
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Code.Start() < recs[j].Code.Start() })
-	starts := make([]uint64, len(recs))
-	hts := make([]int, len(recs))
+	slices.SortFunc(recs, func(x, y relation.Rec) int { return cmp.Compare(x.Code.Start(), y.Code.Start()) })
+	sc.dStart = sized(sc.dStart, len(recs))
+	starts := sc.dStart
 	for i, r := range recs {
 		starts[i] = r.Code.Start()
-		hts[i] = r.Code.Height()
 	}
-	var aStarts, aEnds []uint64
 	as := a.BatchScan()
 	for as.Next() {
 		codes, aux := as.Codes(), as.Aux()
-		if cap(aStarts) < len(codes) {
-			aStarts = make([]uint64, len(codes))
-			aEnds = make([]uint64, len(codes))
-		}
-		aStarts, aEnds = aStarts[:len(codes)], aEnds[:len(codes)]
+		sc.starts, sc.ends = sized(sc.starts, len(codes)), sized(sc.ends, len(codes))
+		aStarts, aEnds := sc.starts, sc.ends
 		pbicode.RegionBatch(aStarts, aEnds, codes)
 		for i, c := range codes {
 			ha := bits.TrailingZeros64(c)
-			lo := sort.Search(len(starts), func(j int) bool { return starts[j] >= aStarts[i] })
+			lo, _ := slices.BinarySearch(starts, aStarts[i])
 			if lo == len(starts) || starts[lo] > aEnds[i] {
 				continue
 			}
 			ar := relation.Rec{Code: pbicode.Code(c), Aux: aux[i]}
 			for j := lo; j < len(starts) && starts[j] <= aEnds[i]; j++ {
-				if hts[j] < ha {
+				if bits.TrailingZeros64(uint64(recs[j].Code)) < ha {
 					if err := sink.Emit(ar, recs[j]); err != nil {
 						return err
 					}

@@ -65,6 +65,10 @@ type Context struct {
 	// baseline side of batch-vs-serial equivalence tests. The zero value
 	// means batching is ON: batch is the default execution core.
 	NoBatch bool
+	// Scratch is the working memory the execution borrows from its owner —
+	// the engine, or a parallel worker (see Scratch). Nil means none is
+	// lent: the execution allocates its own on first need.
+	Scratch *Scratch
 
 	tmpSeq int
 }
@@ -245,7 +249,11 @@ func NestedLoop(ctx *Context, a, d *relation.Relation, sink Sink) error {
 	if chunkCap < 1 {
 		chunkCap = 1
 	}
-	chunk := make([]relation.Rec, 0, chunkCap)
+	// The chunk is as large as A fills it, at most chunkCap, and stays with
+	// the scratch for the next join.
+	sc := ctx.scratch()
+	chunk := sized(sc.recs, min(chunkCap, int(a.NumRecords())))[:0]
+	defer func() { sc.recs = chunk[:0] }()
 	join := func() error {
 		if len(chunk) == 0 {
 			return nil

@@ -26,18 +26,13 @@ func SortByDoc(ctx *Context, rel *relation.Relation, name string) (*relation.Rel
 }
 
 // sortWith is the context-aware external sort every sort-backed algorithm
-// goes through: serial extsort at degree 1, parallel run generation at
-// higher degrees, with phase spans either way.
+// goes through, in the execution's working memory: serial extsort at
+// degree 1, parallel run generation at higher degrees, with phase spans
+// either way.
 func sortWith(ctx *Context, rel *relation.Relation, key extsort.KeyFunc, name string) (*relation.Relation, error) {
 	sp := ctx.Trace.StartDetail("sort", name)
-	var out *relation.Relation
-	var err error
-	if ctx.Parallel > 1 {
-		out, err = extsort.SortParallel(ctx.Pool, rel, key, ctx.b(), ctx.tmp(name), ctx.Trace,
-			extsort.ParallelOpts{Degree: ctx.Parallel, Interrupt: interruptOf(ctx)})
-	} else {
-		out, err = extsort.SortTrace(ctx.Pool, rel, key, ctx.b(), ctx.tmp(name), ctx.Trace)
-	}
+	out, err := ctx.scratch().sort.SortParallel(ctx.Pool, rel, key, ctx.b(), ctx.tmp(name), ctx.Trace,
+		extsort.ParallelOpts{Degree: ctx.Parallel, Interrupt: interruptOf(ctx)})
 	ctx.Trace.End(sp)
 	return out, err
 }
@@ -142,9 +137,11 @@ func MPMGJN(ctx *Context, a, d *relation.Relation, sink Sink) error {
 	as := a.Scan()
 	defer as.Close()
 	var mark relation.Pos
+	var ds relation.Scanner // repositioned per ancestor, keeping its buffer
+	defer ds.Close()
 	for as.Next() {
 		ar := as.Rec()
-		ds := d.ScanFrom(mark)
+		ds.ResetFrom(d, mark)
 		read := int64(0)
 		for ds.Next() {
 			dr := ds.Rec()
@@ -162,16 +159,13 @@ func MPMGJN(ctx *Context, a, d *relation.Relation, sink Sink) error {
 			}
 			if dr.Code.Height() < ar.Code.Height() {
 				if err := sink.Emit(ar, dr); err != nil {
-					ds.Close()
 					return err
 				}
 			}
 		}
 		if err := ds.Err(); err != nil {
-			ds.Close()
 			return err
 		}
-		ds.Close()
 		stats.Rescans += read
 	}
 	return as.Err()
@@ -192,6 +186,56 @@ func MPMGJNOnTheFly(ctx *Context, a, d *relation.Relation, sink Sink) error {
 	return MPMGJN(ctx, sa, sd, sink)
 }
 
+// pairList is a singly linked list of pending result pairs inside an
+// ancArena: 1-based node indexes, 0 = empty. Appending a pair and splicing
+// one whole list behind another are both O(1).
+type pairList struct{ head, tail int }
+
+// ancNode is one pending pair and the index of the next one in its list.
+type ancNode struct {
+	pair Pair
+	next int
+}
+
+// ancEntry is one open ancestor on StackTreeAnc's stack.
+type ancEntry struct {
+	rec     relation.Rec
+	self    pairList // (rec, d) results, in d order
+	inherit pairList // results of popped descendants, already ordered
+}
+
+// ancArena is StackTreeAnc's working memory (part of Scratch): every
+// pending pair is a node of one flat arena, and each stack entry's self and
+// inherit lists are chains through it, so popping an entry splices its
+// lists into its parent's instead of copying them and no entry owns a
+// slice of its own.
+type ancArena struct {
+	nodes []ancNode
+	stack []ancEntry
+}
+
+func (ar *ancArena) push(l *pairList, p Pair) {
+	ar.nodes = append(ar.nodes, ancNode{pair: p})
+	idx := len(ar.nodes)
+	if l.tail == 0 {
+		l.head = idx
+	} else {
+		ar.nodes[l.tail-1].next = idx
+	}
+	l.tail = idx
+}
+
+func (ar *ancArena) splice(dst *pairList, src pairList) {
+	switch {
+	case src.head == 0:
+	case dst.tail == 0:
+		*dst = src
+	default:
+		ar.nodes[dst.tail-1].next = src.head
+		dst.tail = src.tail
+	}
+}
+
 // StackTreeAnc evaluates the stack-tree-anc join over document-ordered
 // inputs: same merge as StackTree, but results are delivered ordered by
 // ancestor. Pairs whose ancestor is still open are buffered on the stack
@@ -202,19 +246,19 @@ func StackTreeAnc(ctx *Context, a, d *relation.Relation, sink Sink) error {
 	sink = ctx.Wrap(sink)
 	sp := ctx.Trace.Start("merge-scan")
 	defer ctx.Trace.End(sp)
-	type entry struct {
-		rec     relation.Rec
-		self    []Pair // (rec, d) results, in d order
-		inherit []Pair // results of popped descendants, already ordered
-	}
-	var st []*entry
-	flush := func(e *entry) error {
-		for _, p := range e.self {
-			if err := sink.Emit(relation.Rec{Code: p.A}, relation.Rec{Code: p.D}); err != nil {
-				return err
-			}
+	arena := &ctx.scratch().anc
+	arena.nodes, arena.stack = arena.nodes[:0], arena.stack[:0]
+	// The pending-pair arena is as large as the result while an outermost
+	// ancestor stays open, which no page budget bounds: keep it for the
+	// next join only up to b pages' worth of nodes.
+	defer func() {
+		if cap(arena.nodes) > ctx.memRecs(ctx.b()) {
+			arena.nodes = nil
 		}
-		for _, p := range e.inherit {
+	}()
+	flush := func(l pairList) error {
+		for i := l.head; i != 0; i = arena.nodes[i-1].next {
+			p := arena.nodes[i-1].pair
 			if err := sink.Emit(relation.Rec{Code: p.A}, relation.Rec{Code: p.D}); err != nil {
 				return err
 			}
@@ -222,18 +266,25 @@ func StackTreeAnc(ctx *Context, a, d *relation.Relation, sink Sink) error {
 		return nil
 	}
 	pop := func() error {
-		top := st[len(st)-1]
-		st = st[:len(st)-1]
-		if len(st) == 0 {
-			return flush(top)
+		top := arena.stack[len(arena.stack)-1]
+		arena.stack = arena.stack[:len(arena.stack)-1]
+		if len(arena.stack) == 0 {
+			if err := flush(top.self); err != nil {
+				return err
+			}
+			if err := flush(top.inherit); err != nil {
+				return err
+			}
+			arena.nodes = arena.nodes[:0] // nothing is pending any more
+			return nil
 		}
-		parent := st[len(st)-1]
-		parent.inherit = append(parent.inherit, top.self...)
-		parent.inherit = append(parent.inherit, top.inherit...)
+		parent := &arena.stack[len(arena.stack)-1]
+		arena.splice(&parent.inherit, top.self)
+		arena.splice(&parent.inherit, top.inherit)
 		return nil
 	}
 	popBelow := func(start uint64) error {
-		for len(st) > 0 && st[len(st)-1].rec.Code.End() < start {
+		for len(arena.stack) > 0 && arena.stack[len(arena.stack)-1].rec.Code.End() < start {
 			if err := pop(); err != nil {
 				return err
 			}
@@ -250,7 +301,7 @@ func StackTreeAnc(ctx *Context, a, d *relation.Relation, sink Sink) error {
 			if err := popBelow(ar.Code.Start()); err != nil {
 				return err
 			}
-			st = append(st, &entry{rec: ar})
+			arena.stack = append(arena.stack, ancEntry{rec: ar})
 			hasA = as.Next()
 			continue
 		}
@@ -259,9 +310,9 @@ func StackTreeAnc(ctx *Context, a, d *relation.Relation, sink Sink) error {
 			return err
 		}
 		hd := dr.Code.Height()
-		for _, e := range st {
-			if e.rec.Code.Height() > hd {
-				e.self = append(e.self, Pair{A: e.rec.Code, D: dr.Code})
+		for i := range arena.stack {
+			if e := &arena.stack[i]; e.rec.Code.Height() > hd {
+				arena.push(&e.self, Pair{A: e.rec.Code, D: dr.Code})
 			}
 		}
 		hasD = ds.Next()
@@ -272,7 +323,7 @@ func StackTreeAnc(ctx *Context, a, d *relation.Relation, sink Sink) error {
 	if err := ds.Err(); err != nil {
 		return err
 	}
-	for len(st) > 0 {
+	for len(arena.stack) > 0 {
 		if err := pop(); err != nil {
 			return err
 		}

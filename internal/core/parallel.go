@@ -121,6 +121,12 @@ func (c *Context) runParallel(degree, n int, span string, detail func(i int) str
 		views[w] = storage.NewView(c.Pool.Disk())
 		pools[w] = buffer.New(views[w], bw)
 	}
+	// Each worker goroutine gets the child scratch of its index, made here
+	// before the goroutines exist and touched by that worker alone after.
+	scratches := make([]*Scratch, degree)
+	for w := range scratches {
+		scratches[w] = c.scratch().worker(w)
+	}
 	childStats := make([]*Stats, n)
 	childRoots := make([]*trace.Span, n)
 	errs := make([]error, n)
@@ -146,6 +152,7 @@ func (c *Context) runParallel(degree, n int, span string, detail func(i int) str
 					Stats:             stats,
 					Ctx:               runCtx,
 					Parallel:          1,
+					Scratch:           scratches[w],
 				}
 				if c.Trace != nil {
 					child.Trace = trace.New(span, func() trace.Counters {

@@ -30,15 +30,12 @@ func ToRegionRelation(ctx *Context, rel *relation.Relation, name string) (*relat
 		return nil, err
 	}
 	if ctx.batch() {
-		var starts, ends []uint64
+		sc := ctx.scratch()
 		bs := rel.BatchScan()
 		for bs.Next() {
 			codes := bs.Codes()
-			if cap(starts) < len(codes) {
-				starts = make([]uint64, len(codes))
-				ends = make([]uint64, len(codes))
-			}
-			starts, ends = starts[:len(codes)], ends[:len(codes)]
+			sc.starts, sc.ends = sized(sc.starts, len(codes)), sized(sc.ends, len(codes))
+			starts, ends := sc.starts, sc.ends
 			pbicode.RegionBatch(starts, ends, codes)
 			for i := range codes {
 				if err := app.Append(relation.Rec{Code: pbicode.Code(starts[i]), Aux: ends[i]}); err != nil {

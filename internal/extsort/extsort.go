@@ -9,8 +9,9 @@
 package extsort
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/pbitree/pbitree/internal/buffer"
 	"github.com/pbitree/pbitree/internal/relation"
@@ -26,6 +27,14 @@ func (k Key) Less(l Key) bool {
 		return k[0] < l[0]
 	}
 	return k[1] < l[1]
+}
+
+// compare is the three-way form of Less.
+func (k Key) compare(l Key) int {
+	if c := cmp.Compare(k[0], l[0]); c != 0 {
+		return c
+	}
+	return cmp.Compare(k[1], l[1])
 }
 
 // KeyFunc derives the sort key of a record.
@@ -46,21 +55,46 @@ func ByStart(r relation.Rec) Key { return Key{r.Code.Start(), 0} }
 // ByCode orders by the raw PBiTree code (in-order position).
 func ByCode(r relation.Rec) Key { return Key{uint64(r.Code), 0} }
 
-// Sort sorts in by key into a new relation using at most memPages buffer
-// pages of working memory (memPages >= 3: one input, one output, one
-// spare for merging). The input relation is left untouched.
-func Sort(pool *buffer.Pool, in *relation.Relation, key KeyFunc, memPages int, name string) (*relation.Relation, error) {
-	return SortTrace(pool, in, key, memPages, name, nil)
+// Scratch is the working memory external sorts reuse: the run-generation
+// buffer, the merge heap and the merge's fan-in scanners. Whoever sorts
+// repeatedly — an engine, a parallel join worker — owns one for its
+// lifetime and sorts through its methods; after the first sort of a given
+// size the only allocations left are the output relations' bookkeeping.
+// Nothing is allocated until a sort needs it, the run buffer never exceeds
+// memPages pages of keyed records, and a Scratch belongs to one goroutine
+// at a time (SortParallel hands each run-generation worker a child of its
+// own). The zero value is ready to use.
+type Scratch struct {
+	run      []keyedRec
+	heap     runHeap
+	scanners []relation.Scanner
+	workers  []*Scratch // SortParallel's run-generation workers
 }
 
-// SortTrace is Sort with phase recording: run generation and each merge
-// pass become spans of tr (which may be nil — then this is exactly Sort).
-func SortTrace(pool *buffer.Pool, in *relation.Relation, key KeyFunc, memPages int, name string, tr *trace.Recorder) (*relation.Relation, error) {
+// keyedRec is a record beside its sort key, computed once when the record
+// enters the run buffer rather than twice per comparison.
+type keyedRec struct {
+	key Key
+	rec relation.Rec
+}
+
+// Sort sorts in by key into a new relation using at most memPages buffer
+// pages of working memory (memPages >= 3: one input, one output, one
+// spare for merging). The input relation is left untouched. It is
+// Scratch.Sort over working memory of its own, for one-off sorts.
+func Sort(pool *buffer.Pool, in *relation.Relation, key KeyFunc, memPages int, name string) (*relation.Relation, error) {
+	return new(Scratch).Sort(pool, in, key, memPages, name, nil)
+}
+
+// Sort sorts in by key into a new relation within memPages buffer pages,
+// recording run generation and each merge pass as spans of tr (which may
+// be nil).
+func (s *Scratch) Sort(pool *buffer.Pool, in *relation.Relation, key KeyFunc, memPages int, name string, tr *trace.Recorder) (*relation.Relation, error) {
 	if memPages < 3 {
 		return nil, fmt.Errorf("extsort: need at least 3 memory pages, have %d", memPages)
 	}
 	sp := tr.Start("sort-runs")
-	runs, err := makeRuns(pool, in, key, memPages, name)
+	runs, err := s.makeRuns(pool, in, key, memPages, name)
 	if sp != nil {
 		sp.Detail = fmt.Sprintf("runs=%d", len(runs))
 	}
@@ -71,7 +105,7 @@ func SortTrace(pool *buffer.Pool, in *relation.Relation, key KeyFunc, memPages i
 	if len(runs) == 0 {
 		return relation.New(pool, name), nil
 	}
-	return mergePasses(pool, runs, key, memPages, name, tr)
+	return s.mergePasses(pool, runs, key, memPages, name, tr)
 }
 
 // mergePasses runs (memPages-1)-way merge passes over the sorted runs
@@ -79,7 +113,7 @@ func SortTrace(pool *buffer.Pool, in *relation.Relation, key KeyFunc, memPages i
 // every surviving run is freed. Both the serial and the parallel sort
 // share this — the merge is inherently serial (one output stream), so
 // only run generation differs between them.
-func mergePasses(pool *buffer.Pool, runs []*relation.Relation, key KeyFunc, memPages int, name string, tr *trace.Recorder) (*relation.Relation, error) {
+func (s *Scratch) mergePasses(pool *buffer.Pool, runs []*relation.Relation, key KeyFunc, memPages int, name string, tr *trace.Recorder) (*relation.Relation, error) {
 	fanIn := memPages - 1
 	pass := 0
 	for len(runs) > 1 {
@@ -99,7 +133,7 @@ func mergePasses(pool *buffer.Pool, runs []*relation.Relation, key KeyFunc, memP
 			if hi > len(runs) {
 				hi = len(runs)
 			}
-			merged, err := mergeRuns(pool, runs[lo:hi], key, fmt.Sprintf("%s.p%d.%d", name, pass, lo))
+			merged, err := s.mergeRuns(pool, runs[lo:hi], key, fmt.Sprintf("%s.p%d.%d", name, pass, lo))
 			if err != nil {
 				return fail(err)
 			}
@@ -127,31 +161,60 @@ func freeRuns(runs []*relation.Relation) {
 	}
 }
 
+// sortedRun sorts the keyed records and writes them as one run relation
+// through pool, in the page format of the sort input.
+func sortedRun(pool *buffer.Pool, buf []keyedRec, compress bool, name string) (*relation.Relation, error) {
+	slices.SortFunc(buf, func(x, y keyedRec) int { return x.key.compare(y.key) })
+	run := relation.New(pool, name)
+	run.SetCompress(compress)
+	app := run.NewAppender()
+	for i := range buf {
+		if err := app.Append(buf[i].rec); err != nil {
+			app.Close() //nolint:errcheck // first error wins
+			run.Free()  //nolint:errcheck // cleanup after append error
+			return nil, err
+		}
+	}
+	if err := app.Close(); err != nil {
+		run.Free() //nolint:errcheck // cleanup after append error
+		return nil, err
+	}
+	return run, nil
+}
+
+// runBuffer returns the empty run buffer with room for n records.
+func (s *Scratch) runBuffer(n int) []keyedRec {
+	if cap(s.run) < n {
+		s.run = make([]keyedRec, 0, n)
+	}
+	return s.run[:0]
+}
+
 // makeRuns produces sorted runs of up to memPages pages each.
-func makeRuns(pool *buffer.Pool, in *relation.Relation, key KeyFunc, memPages int, name string) ([]*relation.Relation, error) {
-	perPage := relation.PerPage(pool.PageSize())
-	chunk := memPages * perPage
+func (s *Scratch) makeRuns(pool *buffer.Pool, in *relation.Relation, key KeyFunc, memPages int, name string) ([]*relation.Relation, error) {
+	chunk := memPages * relation.PerPage(pool.PageSize())
+	// Small inputs (a path step's match set) get a buffer of their own
+	// size, not a whole chunk.
+	buf := s.runBuffer(int(min(int64(chunk), in.NumRecords())))
+	defer func() { s.run = buf[:0] }()
 	var runs []*relation.Relation
-	buf := make([]relation.Rec, 0, chunk)
 	flush := func() error {
 		if len(buf) == 0 {
 			return nil
 		}
-		sort.Slice(buf, func(i, j int) bool { return key(buf[i]).Less(key(buf[j])) })
-		run := relation.New(pool, fmt.Sprintf("%s.run%d", name, len(runs)))
-		run.SetCompress(in.Compressed())
-		if err := run.Append(buf...); err != nil {
-			run.Free() //nolint:errcheck // cleanup after append error
+		run, err := sortedRun(pool, buf, in.Compressed(), fmt.Sprintf("%s.run%d", name, len(runs)))
+		if err != nil {
 			return err
 		}
 		runs = append(runs, run)
 		buf = buf[:0]
 		return nil
 	}
-	s := in.Scan()
-	defer s.Close()
-	for s.Next() {
-		buf = append(buf, s.Rec())
+	var sc relation.Scanner
+	sc.Reset(in)
+	defer sc.Close()
+	for sc.Next() {
+		buf = append(buf, keyedRec{key: key(sc.Rec()), rec: sc.Rec()})
 		if len(buf) == chunk {
 			if err := flush(); err != nil {
 				freeRuns(runs)
@@ -159,7 +222,7 @@ func makeRuns(pool *buffer.Pool, in *relation.Relation, key KeyFunc, memPages in
 			}
 		}
 	}
-	if err := s.Err(); err != nil {
+	if err := sc.Err(); err != nil {
 		freeRuns(runs)
 		return nil, err
 	}
@@ -229,7 +292,7 @@ func (h *runHeap) popTop() {
 }
 
 // mergeRuns merges already-sorted runs into one relation.
-func mergeRuns(pool *buffer.Pool, runs []*relation.Relation, key KeyFunc, name string) (*relation.Relation, error) {
+func (s *Scratch) mergeRuns(pool *buffer.Pool, runs []*relation.Relation, key KeyFunc, name string) (*relation.Relation, error) {
 	out := relation.New(pool, name)
 	// Runs inherit the page format of the sort input; the merged output
 	// keeps it (all runs of one sort share a format, so the first speaks
@@ -238,12 +301,13 @@ func mergeRuns(pool *buffer.Pool, runs []*relation.Relation, key KeyFunc, name s
 		out.SetCompress(runs[0].Compressed())
 	}
 	app := out.NewAppender()
-	scanners := make([]*relation.Scanner, len(runs))
+	if cap(s.scanners) < len(runs) {
+		s.scanners = make([]relation.Scanner, len(runs))
+	}
+	scanners := s.scanners[:len(runs)]
 	defer func() {
-		for _, s := range scanners {
-			if s != nil {
-				s.Close()
-			}
+		for i := range scanners {
+			scanners[i].Close()
 		}
 	}()
 	// fail abandons the partially-written output: the caller never sees it.
@@ -252,13 +316,14 @@ func mergeRuns(pool *buffer.Pool, runs []*relation.Relation, key KeyFunc, name s
 		out.Free()  //nolint:errcheck // cleanup after earlier error
 		return nil, err
 	}
-	h := runHeap{items: make([]mergeItem, 0, len(runs))}
+	h := &s.heap
+	h.items = h.items[:0]
 	for i, r := range runs {
-		s := r.Scan()
-		scanners[i] = s
-		if s.Next() {
-			h.items = append(h.items, mergeItem{rec: s.Rec(), key: key(s.Rec()), src: i})
-		} else if err := s.Err(); err != nil {
+		sc := &scanners[i]
+		sc.Reset(r)
+		if sc.Next() {
+			h.items = append(h.items, mergeItem{rec: sc.Rec(), key: key(sc.Rec()), src: i})
+		} else if err := sc.Err(); err != nil {
 			return fail(err)
 		}
 	}
@@ -268,10 +333,10 @@ func mergeRuns(pool *buffer.Pool, runs []*relation.Relation, key KeyFunc, name s
 		if err := app.Append(it.rec); err != nil {
 			return fail(err)
 		}
-		s := scanners[it.src]
-		if s.Next() {
-			h.replaceTop(mergeItem{rec: s.Rec(), key: key(s.Rec()), src: it.src})
-		} else if err := s.Err(); err != nil {
+		sc := &scanners[it.src]
+		if sc.Next() {
+			h.replaceTop(mergeItem{rec: sc.Rec(), key: key(sc.Rec()), src: it.src})
+		} else if err := sc.Err(); err != nil {
 			return fail(err)
 		} else {
 			h.popTop()

@@ -2,7 +2,6 @@ package extsort
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"github.com/pbitree/pbitree/internal/buffer"
@@ -14,7 +13,7 @@ import (
 // ParallelOpts configures SortParallel.
 type ParallelOpts struct {
 	// Degree is the worker count for run generation; <= 1 means the serial
-	// SortTrace path, byte-for-byte.
+	// Sort path, byte-for-byte.
 	Degree int
 	// Interrupt, when non-nil, is installed on every worker pool so
 	// cancellation reaches a fan-out at page granularity, exactly as
@@ -22,7 +21,7 @@ type ParallelOpts struct {
 	Interrupt func() error
 }
 
-// SortParallel is SortTrace with parallel run generation: the input's
+// SortParallel is Sort with parallel run generation: the input's
 // pages are split into fixed chunks of memPages/Degree pages, and each
 // worker sorts its chunks into runs through a private 3-frame buffer pool
 // over a storage.View of the shared disk. The (memPages-1)-way merge
@@ -41,7 +40,7 @@ type ParallelOpts struct {
 // buffers (each worker holds chunkPages worth of records), while the
 // worker pools add 3 transient frames each on top — the same "one frame
 // per stream" slack the serial appender already has.
-func SortParallel(pool *buffer.Pool, in *relation.Relation, key KeyFunc, memPages int, name string, tr *trace.Recorder, opts ParallelOpts) (*relation.Relation, error) {
+func (s *Scratch) SortParallel(pool *buffer.Pool, in *relation.Relation, key KeyFunc, memPages int, name string, tr *trace.Recorder, opts ParallelOpts) (*relation.Relation, error) {
 	if memPages < 3 {
 		return nil, fmt.Errorf("extsort: need at least 3 memory pages, have %d", memPages)
 	}
@@ -50,12 +49,12 @@ func SortParallel(pool *buffer.Pool, in *relation.Relation, key KeyFunc, memPage
 		degree = memPages / 3 // keep every worker at the 3-page floor
 	}
 	if degree <= 1 {
-		return SortTrace(pool, in, key, memPages, name, tr)
+		return s.Sort(pool, in, key, memPages, name, tr)
 	}
 	chunkPages := memPages / degree
 	nChunks := int((in.NumPages() + int64(chunkPages) - 1) / int64(chunkPages))
 	if nChunks <= 1 {
-		return SortTrace(pool, in, key, memPages, name, tr)
+		return s.Sort(pool, in, key, memPages, name, tr)
 	}
 	if degree > nChunks {
 		degree = nChunks
@@ -66,7 +65,7 @@ func SortParallel(pool *buffer.Pool, in *relation.Relation, key KeyFunc, memPage
 		return nil, err
 	}
 	sp := tr.Start("sort-runs")
-	runs, roots, err := makeRunsParallel(pool, in, key, chunkPages, nChunks, degree, name, tr != nil, opts.Interrupt)
+	runs, roots, err := s.makeRunsParallel(pool, in, key, chunkPages, nChunks, degree, name, tr != nil, opts.Interrupt)
 	if sp != nil {
 		sp.Detail = fmt.Sprintf("runs=%d degree=%d", len(runs), degree)
 	}
@@ -80,7 +79,7 @@ func SortParallel(pool *buffer.Pool, in *relation.Relation, key KeyFunc, memPage
 	if len(runs) == 0 {
 		return relation.New(pool, name), nil
 	}
-	return mergePasses(pool, runs, key, memPages, name, tr)
+	return s.mergePasses(pool, runs, key, memPages, name, tr)
 }
 
 // makeRunsParallel sorts the input's page chunks [t*chunkPages,
@@ -90,7 +89,7 @@ func SortParallel(pool *buffer.Pool, in *relation.Relation, key KeyFunc, memPage
 // exactly as if makeRuns had produced them. Returns the runs in chunk
 // order and, when traced, one finished span tree per chunk (also in chunk
 // order).
-func makeRunsParallel(pool *buffer.Pool, in *relation.Relation, key KeyFunc, chunkPages, nChunks, degree int, name string, traced bool, interrupt func() error) ([]*relation.Relation, []*trace.Span, error) {
+func (s *Scratch) makeRunsParallel(pool *buffer.Pool, in *relation.Relation, key KeyFunc, chunkPages, nChunks, degree int, name string, traced bool, interrupt func() error) ([]*relation.Relation, []*trace.Span, error) {
 	runs := make([]*relation.Relation, nChunks)
 	roots := make([]*trace.Span, nChunks)
 	errs := make([]error, nChunks)
@@ -101,12 +100,17 @@ func makeRunsParallel(pool *buffer.Pool, in *relation.Relation, key KeyFunc, chu
 		wpools[w] = buffer.New(views[w], 3)
 		wpools[w].SetInterrupt(interrupt)
 	}
+	// Each worker's run buffer lives in a child scratch only that worker's
+	// goroutine touches, created here before the goroutines start.
+	for len(s.workers) < degree {
+		s.workers = append(s.workers, new(Scratch))
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < degree; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			view, wp := views[w], wpools[w]
+			view, wp, ws := views[w], wpools[w], s.workers[w]
 			for t := w; t < nChunks; t += degree {
 				if errs[t] != nil {
 					continue
@@ -125,7 +129,7 @@ func makeRunsParallel(pool *buffer.Pool, in *relation.Relation, key KeyFunc, chu
 						}
 					})
 				}
-				run, err := sortChunk(pool, wp, in, key, chunkPages, t, name)
+				run, err := ws.sortChunk(pool, wp, in, key, chunkPages, t, name)
 				if root := rec.Finish(); root != nil {
 					root.Detail = fmt.Sprintf("run=%d", t)
 					roots[t] = root
@@ -168,26 +172,25 @@ var errChunkSkipped = fmt.Errorf("extsort: chunk skipped after earlier failure")
 // sortChunk reads the chunk's pages through the worker pool, sorts the
 // records in memory, writes them as one run through the worker pool, and
 // rebinds the finished run to the caller's pool.
-func sortChunk(pool, wp *buffer.Pool, in *relation.Relation, key KeyFunc, chunkPages, t int, name string) (*relation.Relation, error) {
+func (s *Scratch) sortChunk(pool, wp *buffer.Pool, in *relation.Relation, key KeyFunc, chunkPages, t int, name string) (*relation.Relation, error) {
 	lo := t * chunkPages
 	hi := lo + chunkPages
-	s := in.WithPool(wp).ScanPages(lo, hi)
-	defer s.Close()
-	buf := make([]relation.Rec, 0, chunkPages*relation.PerPage(wp.PageSize()))
-	for s.Next() {
-		buf = append(buf, s.Rec())
+	var sc relation.Scanner
+	sc.ResetPages(in.WithPool(wp), lo, hi)
+	defer sc.Close()
+	buf := s.runBuffer(chunkPages * relation.PerPage(wp.PageSize()))
+	for sc.Next() {
+		buf = append(buf, keyedRec{key: key(sc.Rec()), rec: sc.Rec()})
 	}
-	if err := s.Err(); err != nil {
+	s.run = buf[:0] // a densely compressed chunk may have outgrown the estimate
+	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 	if len(buf) == 0 {
 		return nil, nil
 	}
-	sort.Slice(buf, func(i, j int) bool { return key(buf[i]).Less(key(buf[j])) })
-	run := relation.New(wp, fmt.Sprintf("%s.run%d", name, t))
-	run.SetCompress(in.Compressed())
-	if err := run.Append(buf...); err != nil {
-		run.Free() //nolint:errcheck // cleanup after append error
+	run, err := sortedRun(wp, buf, in.Compressed(), fmt.Sprintf("%s.run%d", name, t))
+	if err != nil {
 		return nil, err
 	}
 	// The run was written through the worker pool; push it to disk and

@@ -48,7 +48,7 @@ func TestSortParallelMatchesSerial(t *testing.T) {
 					if err := pin.Append(recs...); err != nil {
 						t.Fatal(err)
 					}
-					got, err := SortParallel(parPool, pin, ByStartEndDesc, memPages, "out", nil,
+					got, err := new(Scratch).SortParallel(parPool, pin, ByStartEndDesc, memPages, "out", nil,
 						ParallelOpts{Degree: degree})
 					if err != nil {
 						t.Fatal(err)
@@ -90,7 +90,7 @@ func TestSortParallelTrace(t *testing.T) {
 		s := disk.Stats()
 		return trace.Counters{Reads: s.Reads, Writes: s.Writes}
 	})
-	out, err := SortParallel(pool, in, ByStartEndDesc, 8, "out", tr, ParallelOpts{Degree: 2})
+	out, err := new(Scratch).SortParallel(pool, in, ByStartEndDesc, 8, "out", tr, ParallelOpts{Degree: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestSortParallelError(t *testing.T) {
 	}
 	baseline := pool.Resident()
 	fd.FailWriteAfter = fd.Stats().Writes + 20
-	_, err := SortParallel(pool, in, ByStartEndDesc, 8, "out", nil, ParallelOpts{Degree: 2})
+	_, err := new(Scratch).SortParallel(pool, in, ByStartEndDesc, 8, "out", nil, ParallelOpts{Degree: 2})
 	if !errors.Is(err, storage.ErrInjected) {
 		t.Fatalf("err = %v, want injected fault", err)
 	}
@@ -163,7 +163,7 @@ func TestSortParallelInterrupt(t *testing.T) {
 	}
 	stop := errors.New("stop")
 	var calls atomic.Int64
-	_, err := SortParallel(pool, in, ByStartEndDesc, 8, "out", nil, ParallelOpts{
+	_, err := new(Scratch).SortParallel(pool, in, ByStartEndDesc, 8, "out", nil, ParallelOpts{
 		Degree: 2,
 		Interrupt: func() error {
 			if calls.Add(1) > 10 {

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"github.com/pbitree/pbitree/containment"
-	"github.com/pbitree/pbitree/internal/shard"
 	"github.com/pbitree/pbitree/pbicode"
 )
 
@@ -76,6 +75,7 @@ func (wk *soloWorker) evalPath(ctx context.Context, tags []string) ([]pbicode.Co
 	// relation loaded from the previous match set.
 	anc := first
 	temp := false
+	var matched containment.Matches
 	for i := 1; i < len(tags); i++ {
 		desc, ok := wk.relation(tags[i])
 		if !ok {
@@ -84,13 +84,8 @@ func (wk *soloWorker) evalPath(ctx context.Context, tags []string) ([]pbicode.Co
 		if err := ctx.Err(); err != nil {
 			return nil, nil, nil, err
 		}
-		matched := make(map[pbicode.Code]bool)
-		an, err := wk.eng.AnalyzeContext(ctx, anc, desc, containment.JoinOptions{
-			Emit: func(p containment.Pair) error {
-				matched[p.D] = true
-				return nil
-			},
-		})
+		matched.Reset() // its previous content is loaded into anc by now
+		an, err := wk.eng.AnalyzeContext(ctx, anc, desc, containment.JoinOptions{Emit: matched.Emit})
 		if temp {
 			if ferr := wk.eng.Free(anc); ferr != nil && err == nil {
 				err = ferr
@@ -99,18 +94,13 @@ func (wk *soloWorker) evalPath(ctx context.Context, tags []string) ([]pbicode.Co
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		res := an.Result
+		cur := matched.Distinct()
 		analyses = append(analyses, an)
 		steps = append(steps, PathStep{
 			Anc: tags[i-1], Desc: tags[i],
-			Algorithm: res.Algorithm, Matches: int64(len(matched)),
+			Algorithm: an.Result.Algorithm, Matches: int64(len(cur)),
 		})
-		cur := make([]pbicode.Code, 0, len(matched))
-		for c := range matched {
-			cur = append(cur, c)
-		}
 		if i == len(tags)-1 {
-			shard.SortDocOrder(cur)
 			return cur, steps, analyses, nil
 		}
 		anc, err = wk.eng.Load("q.path.anc", cur)

@@ -1,9 +1,6 @@
 package relation
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // BatchScanner iterates a relation page-at-a-time, decoding each page's
 // records into two reusable column slabs — codes and aux words as bare
@@ -19,9 +16,7 @@ type BatchScanner struct {
 	r       *Relation
 	pageIdx int
 	endPage int // exclusive page bound; scanEnd sentinel = live tail
-	codes   []uint64
-	aux     []uint64
-	n       int
+	page    pageSlab
 	err     error
 }
 
@@ -31,39 +26,30 @@ func (r *Relation) BatchScan() *BatchScanner {
 }
 
 // BatchScanPages returns a batch scanner over the half-open page range
-// [lo, hi), the slab analogue of ScanPages (parallel workers use it to
+// [lo, hi), clamped to the relation's pages (parallel workers use it to
 // stripe a shared input).
 func (r *Relation) BatchScanPages(lo, hi int) *BatchScanner {
-	if hi > len(r.pages) {
-		hi = len(r.pages)
-	}
-	if lo < 0 {
-		lo = 0
-	}
+	lo, hi = r.clampPages(lo, hi)
 	return &BatchScanner{r: r, pageIdx: lo, endPage: hi}
 }
 
 // Reset repositions the scanner at the start of r, keeping the slabs.
 func (s *BatchScanner) Reset(r *Relation) {
-	*s = BatchScanner{r: r, endPage: scanEnd, codes: s.codes, aux: s.aux}
+	*s = BatchScanner{r: r, endPage: scanEnd, page: pageSlab{buf: s.page.buf}}
 }
 
 // ResetPages repositions the scanner over [lo, hi) of r, keeping the
 // slabs.
 func (s *BatchScanner) ResetPages(r *Relation, lo, hi int) {
-	if hi > len(r.pages) {
-		hi = len(r.pages)
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	*s = BatchScanner{r: r, pageIdx: lo, endPage: hi, codes: s.codes, aux: s.aux}
+	lo, hi = r.clampPages(lo, hi)
+	*s = BatchScanner{r: r, pageIdx: lo, endPage: hi, page: pageSlab{buf: s.page.buf}}
 }
 
 // Next loads the next non-empty page into the slabs, reporting false at
 // the end of the range or on error. After a true Next, Codes and Aux
 // return the page's columns; their contents are valid until the following
-// Next or Reset.
+// Next, Reset or Close. At the end of the range the slabs go back to the
+// pool, as with Scanner.
 func (s *BatchScanner) Next() bool {
 	if s.err != nil {
 		return false
@@ -74,105 +60,35 @@ func (s *BatchScanner) Next() bool {
 			end = len(s.r.pages)
 		}
 		if s.pageIdx >= end {
+			s.page.release(s.r.pool)
 			return false
 		}
-		if err := s.load(); err != nil {
+		if err := s.page.load(s.r, s.pageIdx); err != nil {
 			s.err = fmt.Errorf("relation %s: batch scan: %w", s.r.name, err)
-			s.n = 0
 			return false
 		}
 		s.pageIdx++
-		if s.n > 0 {
+		if len(s.page.codes) > 0 {
 			return true
 		}
 	}
 }
 
-// load fetches the current page, decodes it into the slabs, and unpins.
-func (s *BatchScanner) load() error {
-	f, err := s.r.pool.Fetch(s.r.pages[s.pageIdx])
-	if err != nil {
-		return err
-	}
-	p := f.Data
-	n := pageCount(p)
-	switch pageFormat(p) {
-	case pageFixed:
-		if n > s.r.perPage {
-			n = s.r.perPage
-		}
-		s.grow(n)
-		codes, aux := s.codes[:n], s.aux[:n]
-		for i := 0; i < n; i++ {
-			off := pageHeader + i*RecSize
-			codes[i] = binary.LittleEndian.Uint64(p[off:])
-			aux[i] = binary.LittleEndian.Uint64(p[off+8:])
-		}
-	case pageCompressed:
-		s.grow(n)
-		if err := s.decodeCompressed(p, n); err != nil {
-			s.r.pool.Unpin(f, false)
-			return err
-		}
-	default:
-		s.r.pool.Unpin(f, false)
-		return fmt.Errorf("page %d: unknown page format %d", s.r.pages[s.pageIdx], pageFormat(p))
-	}
-	s.r.pool.Unpin(f, false)
-	s.n = n
-	return nil
-}
-
-func (s *BatchScanner) grow(n int) {
-	if cap(s.codes) < n {
-		want := s.r.perPage
-		if want < n {
-			want = n
-		}
-		s.codes = make([]uint64, want)
-		s.aux = make([]uint64, want)
-	}
-	s.codes = s.codes[:cap(s.codes)]
-	s.aux = s.aux[:cap(s.aux)]
-}
-
-// decodeCompressed is the slab variant of the page decoder: one varint
-// walk filling both columns.
-func (s *BatchScanner) decodeCompressed(p []byte, n int) error {
-	used := pageUsed(p)
-	if pageHeader+used > len(p) {
-		return fmt.Errorf("compressed page claims %d payload bytes of %d", used, len(p)-pageHeader)
-	}
-	data := p[pageHeader : pageHeader+used]
-	codes, aux := s.codes[:n], s.aux[:n]
-	off := 0
-	var code, ax uint64
-	for i := 0; i < n; i++ {
-		u, k := binary.Uvarint(data[off:])
-		if k <= 0 {
-			return fmt.Errorf("compressed page truncated at record %d/%d", i, n)
-		}
-		code += uint64(unzigzag(u))
-		off += k
-		u, k = binary.Uvarint(data[off:])
-		if k <= 0 {
-			return fmt.Errorf("compressed page truncated at record %d/%d", i, n)
-		}
-		ax += uint64(unzigzag(u))
-		off += k
-		codes[i] = code
-		aux[i] = ax
-	}
-	return nil
-}
-
 // Codes returns the code column of the current page. Valid after a true
-// Next, until the following Next or Reset.
-func (s *BatchScanner) Codes() []uint64 { return s.codes[:s.n] }
+// Next, until the following Next, Reset or Close.
+func (s *BatchScanner) Codes() []uint64 { return s.page.codes }
 
 // Aux returns the aux column of the current page, index-aligned with
 // Codes.
-func (s *BatchScanner) Aux() []uint64 { return s.aux[:s.n] }
+func (s *BatchScanner) Aux() []uint64 { return s.page.aux }
 
 // Err returns the first error encountered, if any.
 func (s *BatchScanner) Err() error { return s.err }
+
+// Close ends a scan abandoned before its end, giving the slabs back to the
+// pool (an exhausted scanner already has).
+func (s *BatchScanner) Close() {
+	if s.r != nil {
+		s.page.release(s.r.pool)
+	}
+}

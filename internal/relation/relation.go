@@ -165,14 +165,6 @@ func putRec(p []byte, i int, rec Rec) {
 	binary.LittleEndian.PutUint64(p[off+8:], rec.Aux)
 }
 
-func getRec(p []byte, i int) Rec {
-	off := pageHeader + i*RecSize
-	return Rec{
-		Code: pbicode.Code(binary.LittleEndian.Uint64(p[off:])),
-		Aux:  binary.LittleEndian.Uint64(p[off+8:]),
-	}
-}
-
 func pageCount(p []byte) int       { return int(binary.LittleEndian.Uint16(p)) }
 func setPageCount(p []byte, n int) { binary.LittleEndian.PutUint16(p, uint16(n)) }
 
@@ -184,19 +176,86 @@ func setPageFormat(p []byte, f int) { p[2] = byte(f) }
 func pageUsed(p []byte) int       { return int(binary.LittleEndian.Uint16(p[4:])) }
 func setPageUsed(p []byte, n int) { binary.LittleEndian.PutUint16(p[4:], uint16(n)) }
 
-// decodeCompressed decodes a compressed page's records into buf, which
-// must hold pageCount(p) entries. Deltas are accumulated with wrapping
-// arithmetic, so any uint64 sequence — sorted or adversarial — round-trips
-// exactly (the encoder used the matching wrapping subtraction).
-func decodeCompressed(p []byte, buf []Rec) error {
+// pageSlab is one decoded page: the records' codes and aux words as two
+// columns carved from a single buffer. The buffer comes from the free list
+// of the buffer pool the scan reads through (Pool.TakeSlab) and goes back
+// there when the scan is exhausted or closed, so the thousands of short
+// scans a join opens — one per partition, one per merge run — share a
+// handful of buffers instead of allocating a page-sized one each. Both
+// scanners decode through it.
+type pageSlab struct {
+	buf   []uint64 // backs both columns; nil while no buffer is held
+	codes []uint64 // the current page's codes, one per record
+	aux   []uint64 // the aux words, index-aligned with codes
+}
+
+// load fetches page pageIdx of r, decodes every record into the columns
+// and unpins before returning. Both page formats decode into the same
+// columns; a compressed page can carry more records than perPage, so the
+// buffer is exchanged for a larger one when needed.
+func (ps *pageSlab) load(r *Relation, pageIdx int) error {
+	ps.codes, ps.aux = nil, nil // a failed load leaves no stale records behind
+	f, err := r.pool.Fetch(r.pages[pageIdx])
+	if err != nil {
+		return err
+	}
+	defer r.pool.Unpin(f, false)
+	p := f.Data
 	n := pageCount(p)
+	format := pageFormat(p)
+	switch format {
+	case pageFixed:
+		if n > r.perPage {
+			n = r.perPage
+		}
+	case pageCompressed:
+	default:
+		return fmt.Errorf("page %d: unknown page format %d", r.pages[pageIdx], format)
+	}
+	if len(ps.buf) < 2*n {
+		want := r.perPage
+		if want < n {
+			want = n
+		}
+		ps.buf = r.pool.TakeSlab(2 * want)
+	}
+	half := len(ps.buf) / 2
+	codes, aux := ps.buf[:n], ps.buf[half:half+n]
+	if format == pageFixed {
+		for i := range codes {
+			off := pageHeader + i*RecSize
+			codes[i] = binary.LittleEndian.Uint64(p[off:])
+			aux[i] = binary.LittleEndian.Uint64(p[off+8:])
+		}
+	} else if err := decodeCompressed(p, codes, aux); err != nil {
+		return err
+	}
+	ps.codes, ps.aux = codes, aux
+	return nil
+}
+
+// release empties the columns and gives the buffer back to pool.
+func (ps *pageSlab) release(pool *buffer.Pool) {
+	if ps.buf != nil {
+		pool.GiveSlab(ps.buf)
+	}
+	*ps = pageSlab{}
+}
+
+// decodeCompressed decodes a compressed page's records into the two
+// columns, which must each hold pageCount(p) entries. Deltas are
+// accumulated with wrapping arithmetic, so any uint64 sequence — sorted or
+// adversarial — round-trips exactly (the encoder used the matching
+// wrapping subtraction).
+func decodeCompressed(p []byte, codes, aux []uint64) error {
+	n := len(codes)
 	used := pageUsed(p)
 	if pageHeader+used > len(p) {
 		return fmt.Errorf("compressed page claims %d payload bytes of %d", used, len(p)-pageHeader)
 	}
 	data := p[pageHeader : pageHeader+used]
 	off := 0
-	var code, aux uint64
+	var code, ax uint64
 	for i := 0; i < n; i++ {
 		u, k := binary.Uvarint(data[off:])
 		if k <= 0 {
@@ -208,9 +267,10 @@ func decodeCompressed(p []byte, buf []Rec) error {
 		if k <= 0 {
 			return fmt.Errorf("compressed page truncated at record %d/%d", i, n)
 		}
-		aux += uint64(unzigzag(u))
+		ax += uint64(unzigzag(u))
 		off += k
-		buf[i] = Rec{Code: pbicode.Code(code), Aux: aux}
+		codes[i] = code
+		aux[i] = ax
 	}
 	return nil
 }
@@ -423,18 +483,17 @@ func (r *Relation) WithPool(pool *buffer.Pool) *Relation {
 }
 
 // Scanner iterates a relation's records in storage order. On entering a
-// page it decodes the whole page into a reused record buffer and unpins
-// immediately, so Next is a bounds check and a slice read — no per-record
-// pool traffic, no pin held between calls. The buffer snapshots the page
-// as of the fetch; relations are append-only and never scanned while the
-// same page is being appended to, so the snapshot is exact.
+// page it decodes the whole page into a reused column buffer (pageSlab) and
+// unpins immediately, so Next is a bounds check and two slice reads — no
+// per-record pool traffic, no pin held between calls. The buffer snapshots
+// the page as of the fetch; relations are append-only and never scanned
+// while the same page is being appended to, so the snapshot is exact.
 type Scanner struct {
 	r       *Relation
 	pageIdx int
 	recIdx  int
 	endPage int // exclusive page bound; scanEnd sentinel = live tail
-	buf     []Rec
-	n       int // records decoded from the current page
+	page    pageSlab
 	loaded  bool
 	rec     Rec
 	err     error
@@ -444,22 +503,19 @@ type Scanner struct {
 // than a fixed range.
 const scanEnd = -1
 
-// Scan returns a scanner positioned before the first record.
-func (r *Relation) Scan() *Scanner { return &Scanner{r: r, endPage: scanEnd} }
-
-// ScanPages returns a scanner over the half-open page range [lo, hi) of
-// the relation, in storage order. Parallel sort-run generation uses it to
-// hand each worker a disjoint chunk of the input. hi is clamped to the
-// current page count.
-func (r *Relation) ScanPages(lo, hi int) *Scanner {
+// clampPages clamps the half-open page range [lo, hi) to r's pages.
+func (r *Relation) clampPages(lo, hi int) (int, int) {
 	if hi > len(r.pages) {
 		hi = len(r.pages)
 	}
 	if lo < 0 {
 		lo = 0
 	}
-	return &Scanner{r: r, pageIdx: lo, endPage: hi}
+	return lo, hi
 }
+
+// Scan returns a scanner positioned before the first record.
+func (r *Relation) Scan() *Scanner { return &Scanner{r: r, endPage: scanEnd} }
 
 // Pos identifies a record position within a relation, as reported by
 // Scanner.Pos. The zero Pos is the start of the relation.
@@ -468,33 +524,27 @@ type Pos struct {
 	slot int
 }
 
-// ScanFrom returns a scanner positioned at p, so that the next Next
-// returns the record at p (or the following ones if p's page has been
-// exhausted). Positions must come from a Scanner over the same relation.
-// Merge joins that re-read descendant segments (MPMGJN) use this.
-func (r *Relation) ScanFrom(p Pos) *Scanner {
-	return &Scanner{r: r, pageIdx: p.page, recIdx: p.slot, endPage: scanEnd}
-}
-
 // Pos returns the position of the next record Next would return. Calling
 // it before any Next yields the start position; after Next returned a
 // record, Pos is the position immediately after that record.
 func (s *Scanner) Pos() Pos { return Pos{page: s.pageIdx, slot: s.recIdx} }
 
 // Next advances to the next record, reporting false at the end or on
-// error. The fast path is small enough to inline: a bounds compare and a
-// slice read against the current page's decoded records.
+// error. The fast path is a bounds compare and two slice reads against the
+// current page's decoded columns.
 func (s *Scanner) Next() bool {
-	if s.recIdx < s.n {
-		s.rec = s.buf[s.recIdx]
-		s.recIdx++
+	if i := s.recIdx; i < len(s.page.codes) {
+		s.rec = Rec{Code: pbicode.Code(s.page.codes[i]), Aux: s.page.aux[i]}
+		s.recIdx = i + 1
 		return true
 	}
 	return s.advance()
 }
 
 // advance loads pages until one yields a record at the scan position, the
-// end of the range is reached, or an error occurs.
+// end of the range is reached, or an error occurs. At the end of the range
+// the decode buffer goes back to the pool: an exhausted scanner holds no
+// memory, whether or not its owner remembers to Close it.
 func (s *Scanner) advance() bool {
 	if s.err != nil {
 		return false
@@ -510,84 +560,43 @@ func (s *Scanner) advance() bool {
 			end = len(s.r.pages)
 		}
 		if s.pageIdx >= end {
+			s.page.release(s.r.pool)
 			return false
 		}
-		if err := s.load(); err != nil {
+		if err := s.page.load(s.r, s.pageIdx); err != nil {
 			s.err = fmt.Errorf("relation %s: scan: %w", s.r.name, err)
-			s.n = 0
 			return false
 		}
-		if s.recIdx < s.n {
-			s.rec = s.buf[s.recIdx]
+		s.loaded = true
+		if s.recIdx < len(s.page.codes) {
+			s.rec = Rec{Code: pbicode.Code(s.page.codes[s.recIdx]), Aux: s.page.aux[s.recIdx]}
 			s.recIdx++
 			return true
 		}
 	}
 }
 
-// load fetches the current page, decodes every record into the reused
-// buffer, and unpins before returning. Both page formats decode into the
-// same buffer; compressed pages can carry more records than perPage, so
-// the buffer grows to the page's count when needed.
-func (s *Scanner) load() error {
-	f, err := s.r.pool.Fetch(s.r.pages[s.pageIdx])
-	if err != nil {
-		return err
-	}
-	n := pageCount(f.Data)
-	p := f.Data
-	switch pageFormat(p) {
-	case pageFixed:
-		if n > s.r.perPage {
-			n = s.r.perPage
-		}
-		if cap(s.buf) < n {
-			s.buf = make([]Rec, s.r.perPage)
-		}
-		buf := s.buf[:n]
-		for i := range buf {
-			off := pageHeader + i*RecSize
-			buf[i] = Rec{
-				Code: pbicode.Code(binary.LittleEndian.Uint64(p[off:])),
-				Aux:  binary.LittleEndian.Uint64(p[off+8:]),
-			}
-		}
-	case pageCompressed:
-		if cap(s.buf) < n {
-			s.buf = make([]Rec, n)
-		}
-		if err := decodeCompressed(p, s.buf[:n]); err != nil {
-			s.r.pool.Unpin(f, false)
-			return err
-		}
-	default:
-		s.r.pool.Unpin(f, false)
-		return fmt.Errorf("page %d: unknown page format %d", s.r.pages[s.pageIdx], pageFormat(p))
-	}
-	s.buf = s.buf[:cap(s.buf)]
-	s.r.pool.Unpin(f, false)
-	s.n, s.loaded = n, true
-	return nil
-}
-
-// Reset repositions the scanner at the start of r, reusing the decode
+// Reset repositions the scanner at the start of r, keeping the decode
 // buffer. Join inner loops that rescan a relation per block use it to
-// avoid allocating a fresh Scanner (and buffer) per pass.
-func (s *Scanner) Reset(r *Relation) {
-	*s = Scanner{r: r, endPage: scanEnd, buf: s.buf}
+// avoid allocating a fresh Scanner per pass.
+func (s *Scanner) Reset(r *Relation) { s.ResetFrom(r, Pos{}) }
+
+// ResetFrom repositions the scanner at position p of r, so that the next
+// Next returns the record at p (or the following ones if p's page has been
+// exhausted), keeping the decode buffer. Positions must come from a Scanner
+// over the same relation. Merge joins that re-read descendant segments
+// (MPMGJN) reposition one scanner per ancestor.
+func (s *Scanner) ResetFrom(r *Relation, p Pos) {
+	*s = Scanner{r: r, pageIdx: p.page, recIdx: p.slot, endPage: scanEnd, page: pageSlab{buf: s.page.buf}}
 }
 
 // ResetPages repositions the scanner over the half-open page range
-// [lo, hi) of r, reusing the decode buffer (the resettable form of
-// ScanPages).
+// [lo, hi) of r, in storage order, keeping the decode buffer; hi is clamped
+// to the current page count. Parallel sort-run generation uses it to hand
+// each worker a disjoint chunk of the input.
 func (s *Scanner) ResetPages(r *Relation, lo, hi int) {
-	if hi > len(r.pages) {
-		hi = len(r.pages)
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	*s = Scanner{r: r, pageIdx: lo, endPage: hi, buf: s.buf}
+	lo, hi = r.clampPages(lo, hi)
+	*s = Scanner{r: r, pageIdx: lo, endPage: hi, page: pageSlab{buf: s.page.buf}}
 }
 
 // Rec returns the current record. Valid after a true Next.
@@ -596,12 +605,15 @@ func (s *Scanner) Rec() Rec { return s.rec }
 // Err returns the first error encountered, if any.
 func (s *Scanner) Err() error { return s.err }
 
-// Close releases the scanner's resources. The scanner holds no pin between
-// Next calls, so this is now a no-op kept for callers that abandon a scan
-// early (the historical contract required it).
+// Close ends the scan, giving the decode buffer back to the pool. The
+// scanner holds no pin between Next calls, so an unclosed scanner leaks
+// nothing; closing one that was abandoned early just lets the next scan
+// reuse its buffer.
 func (s *Scanner) Close() {
 	s.loaded = false
-	s.n = 0
+	if s.r != nil {
+		s.page.release(s.r.pool)
+	}
 }
 
 // LayoutInfo summarizes a relation's on-page layout: how many pages use

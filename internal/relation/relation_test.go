@@ -254,8 +254,9 @@ func TestScanFromPos(t *testing.T) {
 	if len(positions) != n+1 {
 		t.Fatalf("positions = %d", len(positions))
 	}
+	var rs Scanner
 	for i, p := range positions {
-		rs := r.ScanFrom(p)
+		rs.ResetFrom(r, p)
 		count := 0
 		want := pbicode.Code(i + 1)
 		for rs.Next() {
@@ -264,7 +265,6 @@ func TestScanFromPos(t *testing.T) {
 			}
 			count++
 		}
-		rs.Close()
 		if count != n-i {
 			t.Fatalf("resume at %d: %d records, want %d", i, count, n-i)
 		}
@@ -293,5 +293,43 @@ func TestIOAccountingThroughPool(t *testing.T) {
 	}
 	if got := d.Stats().Writes; got != 3 {
 		t.Fatalf("writes = %d, want 3", got)
+	}
+}
+
+// TestScannersRecycleSlabs checks that scans draw their decode buffers
+// from the pool's free list and hand them back — at exhaustion, on Close
+// of an abandoned scan — so that a warm sequence of scans allocates none.
+func TestScannersRecycleSlabs(t *testing.T) {
+	pool := newPool(t, 4)
+	r := New(pool, "t")
+	for i := 0; i < 100; i++ {
+		if err := r.Append(Rec{Code: pbicode.Code(i + 1), Aux: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var row Scanner
+	var batch BatchScanner
+	scans := func() {
+		row.Reset(r)
+		n := 0
+		for row.Next() { // runs to exhaustion: the buffer goes back by itself
+			n++
+		}
+		row.ResetFrom(r, Pos{})
+		if !row.Next() {
+			t.Fatal("no first record")
+		}
+		row.Close() // abandoned midway: Close gives the buffer back
+		batch.Reset(r)
+		for batch.Next() {
+			n += len(batch.Codes())
+		}
+		if row.Err() != nil || batch.Err() != nil || n != 200 {
+			t.Fatalf("scanned %d records (errors %v, %v), want 200", n, row.Err(), batch.Err())
+		}
+	}
+	scans() // the first pass allocates the one buffer all of them share
+	if allocs := testing.AllocsPerRun(10, scans); allocs != 0 {
+		t.Fatalf("warm scans allocate %.0f objects, want 0", allocs)
 	}
 }

@@ -23,7 +23,7 @@ import (
 // the two implementations to the same answers. Counts, I/O and predicted
 // I/O sum across shards; algorithm names "+"-join in shard order
 // (shard.MergeAlgo); path-match codes merge into global document order
-// (shard.SortDocOrder); and the response WallTime is the fan-out envelope
+// (containment.SortDocOrder); and the response WallTime is the fan-out envelope
 // measured here, not the per-shard sum.
 
 // statusClientClosedRequest mirrors qserv's 499 convention.
@@ -320,7 +320,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	// Each node returned its shard's first MaxCodes matches in document
 	// order; the global first MaxCodes are a subset of their union.
-	shard.SortDocOrder(codes)
+	containment.SortDocOrder(codes)
 	n := len(codes)
 	if n > rt.cfg.MaxCodes {
 		n = rt.cfg.MaxCodes

@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -301,7 +300,7 @@ func (e *Engine) PathContext(ctx context.Context, tags []string) ([]pbicode.Code
 		}
 		analyses = append(analyses, out.analyses...)
 	}
-	SortDocOrder(codes)
+	containment.SortDocOrder(codes)
 	if err != nil {
 		e.ReleaseTemp() //nolint:errcheck // best-effort cleanup on error
 		return codes, steps, analyses, err
@@ -361,6 +360,7 @@ func (e *Engine) chainShard(ctx context.Context, i int, tags []string) (out *cha
 
 	anc := first
 	temp := false
+	var matched containment.Matches
 	for s := 1; s < len(tags); s++ {
 		desc := rel(tags[s])
 		if desc == nil {
@@ -373,32 +373,24 @@ func (e *Engine) chainShard(ctx context.Context, i int, tags []string) (out *cha
 		if err := ctx.Err(); err != nil {
 			return out, err
 		}
-		matched := make(map[pbicode.Code]bool)
-		an, err := eng.AnalyzeContext(ctx, anc, desc, containment.JoinOptions{
-			Emit: func(p containment.Pair) error {
-				matched[p.D] = true
-				return nil
-			},
-		})
+		matched.Reset() // its previous content is loaded into anc by now
+		an, err := eng.AnalyzeContext(ctx, anc, desc, containment.JoinOptions{Emit: matched.Emit})
 		if temp {
 			if ferr := eng.Free(anc); ferr != nil && err == nil {
 				err = ferr
 			}
 		}
+		cur := matched.Distinct()
 		if an != nil {
 			out.analyses = append(out.analyses, an)
 			if an.Result != nil {
 				out.steps = append(out.steps, stepOut{
-					idx: s - 1, algorithm: an.Result.Algorithm, matches: int64(len(matched)),
+					idx: s - 1, algorithm: an.Result.Algorithm, matches: int64(len(cur)),
 				})
 			}
 		}
 		if err != nil {
 			return out, err
-		}
-		cur := make([]pbicode.Code, 0, len(matched))
-		for c := range matched {
-			cur = append(cur, c)
 		}
 		if s == len(tags)-1 {
 			out.codes = cur
@@ -414,19 +406,4 @@ func (e *Engine) chainShard(ctx context.Context, i int, tags []string) (out *cha
 		temp = true
 	}
 	panic("unreachable")
-}
-
-// SortDocOrder orders codes as a document traversal would: by region
-// start, ancestors before their descendants. Exported because every
-// coordinator that merges per-partition match sets (this package, qserv's
-// solo path evaluator, internal/router's network merge) must produce the
-// same canonical order.
-func SortDocOrder(codes []pbicode.Code) {
-	sort.Slice(codes, func(i, j int) bool {
-		si, sj := codes[i].Start(), codes[j].Start()
-		if si != sj {
-			return si < sj
-		}
-		return codes[i].Height() > codes[j].Height()
-	})
 }

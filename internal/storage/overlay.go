@@ -28,7 +28,10 @@ import (
 //     the base count. Callers must ensure no live data (and no resident
 //     buffer-pool frame) references overlay state first; long-running
 //     servers call it between requests so temporary join state cannot
-//     accumulate.
+//     accumulate. The page buffers themselves are recycled: the next
+//     writes reuse them instead of allocating, so a serving engine's
+//     overlay memory stays at the peak of its largest join instead of
+//     being reallocated (and garbage-collected) on every request.
 //
 // All accesses — base or overlay — feed the same sequential/random
 // accounting and virtual clock as FileDisk, so cost shapes match a
@@ -44,8 +47,14 @@ type OverlayDisk struct {
 	// from the epoch's delta chain that override or extend the base file.
 	// Nil for plain OpenOverlay disks. Never mutated after open, so reads
 	// need no copy.
-	delta    map[PageID][]byte
-	overlay  map[PageID][]byte
+	delta   map[PageID][]byte
+	overlay map[PageID][]byte
+	// free holds the page buffers of released overlays for Write to reuse.
+	// Their content is stale; Write overwrites a whole page, and a page
+	// that was only allocated has no buffer at all, so stale bytes are
+	// never read. Together with overlay it never exceeds the overlay's
+	// high-water mark.
+	free     [][]byte
 	numPages PageID
 	closed   bool
 	sums     *ChecksumSet // nil: no verification (see SetChecksums)
@@ -197,7 +206,11 @@ func (d *OverlayDisk) Write(id PageID, p []byte) error {
 	d.onWrite(id)
 	data, ok := d.overlay[id]
 	if !ok {
-		data = make([]byte, d.pageSize)
+		if n := len(d.free); n > 0 {
+			data, d.free = d.free[n-1], d.free[:n-1]
+		} else {
+			data = make([]byte, d.pageSize)
+		}
 		d.overlay[id] = data
 	}
 	copy(data, p)
@@ -219,11 +232,15 @@ func (d *OverlayDisk) Alloc() (PageID, error) {
 
 // Release drops the overlay, reverting the disk to the base file's state:
 // pages allocated beyond the base disappear and modified base pages read
-// back their on-file content again. I/O counters are unaffected.
+// back their on-file content again. The page buffers move to the free list
+// Write draws from. I/O counters are unaffected.
 func (d *OverlayDisk) Release() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.overlay = map[PageID][]byte{}
+	for _, data := range d.overlay {
+		d.free = append(d.free, data)
+	}
+	clear(d.overlay)
 	d.numPages = d.basePages
 }
 
@@ -249,7 +266,7 @@ func (d *OverlayDisk) Close() error {
 		return nil
 	}
 	d.closed = true
-	d.overlay = nil
+	d.overlay, d.free = nil, nil
 	return d.f.Close()
 }
 

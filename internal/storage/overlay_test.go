@@ -186,3 +186,79 @@ func TestOverlaySharedFile(t *testing.T) {
 		t.Fatalf("d2 pages = %d, want 1", d2.NumPages())
 	}
 }
+
+// TestOverlayRecyclesPages pins down Release's recycling: the released page
+// buffers serve the next round of writes without allocating, and their
+// stale content never shows — not in a page that is only allocated, not in
+// a base page whose copy-on-write copy was released.
+func TestOverlayRecyclesPages(t *testing.T) {
+	const pageSize, fresh = 128, 8
+	path := makeBaseFile(t, pageSize, 2)
+	d, err := OpenOverlay(path, pageSize, CostModel{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	dirty := bytes.Repeat([]byte{0xAA}, pageSize)
+	p := make([]byte, pageSize)
+	// round writes a copy of base page 1 and a few fresh pages.
+	round := func() {
+		if err := d.Write(1, dirty); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < fresh; i++ {
+			id, err := d.Alloc()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Write(id, dirty); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	round()
+	d.Release()
+	if n := d.OverlayPages(); n != 0 {
+		t.Fatalf("overlay holds %d pages after Release", n)
+	}
+
+	// Allocated but not written: zeroes, although a recycled buffer full of
+	// 0xAA is waiting on the free list.
+	id, err := d.Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Read(id, p); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(p, make([]byte, pageSize)) {
+		t.Fatalf("allocated-but-unwritten page reads %x..., want zeroes", p[:4])
+	}
+	// The copy-on-written base page reverted to the file's content.
+	if err := d.Read(1, p); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(p, bytes.Repeat([]byte{1}, pageSize)) {
+		t.Fatalf("base page 1 reads %x... after Release, want the file's 01", p[:4])
+	}
+	d.Release()
+
+	// The second round of the same writes runs on the first round's buffers.
+	if allocs := testing.AllocsPerRun(5, func() { round(); d.Release() }); allocs != 0 {
+		t.Fatalf("a round of overlay writes after Release allocates %.0f objects, want 0", allocs)
+	}
+	// A write lands whole: nothing of the previous tenant shows through.
+	clean := bytes.Repeat([]byte{0x55}, pageSize)
+	if id, err = d.Alloc(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Write(id, clean); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Read(id, p); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(p, clean) {
+		t.Fatalf("page written over a recycled buffer reads %x...", p[:4])
+	}
+}
