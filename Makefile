@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race cover bench bench-test bench-regression fuzz experiments experiments-full serve-smoke shard-smoke parallel-smoke router-smoke chaos-smoke ingest-smoke clean
+.PHONY: all build test vet race cover bench bench-test bench-regression loc fuzz experiments experiments-full serve-smoke shard-smoke parallel-smoke router-smoke chaos-smoke ingest-smoke clean
 
 all: build vet test
 
@@ -36,11 +36,17 @@ bench:
 bench-test:
 	$(GO) test -C bench ./...
 
-# Re-run the batched-execution experiment against the committed baseline
-# entry in results/dev/bench/data.js and fail on >15% regression of any
-# shared metric; skips with a notice when no baseline exists.
+# Re-run the page-format experiment (`pbibench -exp batch`: fixed-width vs
+# delta-compressed pages under the one set of kernels) against the newest
+# committed entry in results/dev/bench/data.js and fail on >15% regression
+# of any shared metric; skips with a notice when no baseline exists.
 bench-regression:
 	./scripts/bench-regression.sh
+
+# Non-test Go lines per top-level package; `scripts/loc.sh HEAD~1` adds
+# the delta against a commit (how "net-negative LOC" criteria are checked).
+loc:
+	./scripts/loc.sh
 
 # Short fuzzing passes over the parser and the coding identities.
 fuzz:

@@ -1,5 +1,5 @@
 // Command pbibench runs the paper's experiments (E1–E8), the ablations
-// (A1–A8), and the batched-execution comparison, and prints the
+// (A1–A8), and the page-format comparison (batch), and prints the
 // corresponding tables and figure series.
 //
 // Usage:

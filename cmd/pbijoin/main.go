@@ -44,7 +44,6 @@ func main() {
 		analyze  = flag.Bool("analyze", false, "EXPLAIN ANALYZE: print the per-phase cost breakdown")
 		shards   = flag.Int("shards", 0, "scatter-gather the join across N region-disjoint in-memory shards (0 = single engine)")
 		parallel = flag.Int("parallel", 0, "intra-engine worker degree for partition fan-outs (composes with -shards; 0/1 = serial)")
-		batch    = flag.Bool("batch", true, "columnar slab execution (=false falls back to record-at-a-time)")
 		compress = flag.Bool("compress", false, "store the inputs in the delta-compressed page layout")
 		timeout  = flag.Duration("timeout", 0, "abort each join after this long (0 = no deadline)")
 	)
@@ -87,7 +86,6 @@ func main() {
 			PageSize:       *pageSize,
 			DiskCost:       containment.DefaultDiskCost,
 			EngineParallel: *parallel,
-			EngineNoBatch:  !*batch,
 			EngineCompress: *compress,
 		}, *shards)
 		if err != nil {
@@ -131,7 +129,6 @@ func main() {
 			PageSize:    *pageSize,
 			DiskCost:    containment.DefaultDiskCost,
 			Parallel:    *parallel,
-			NoBatch:     !*batch,
 			Compress:    *compress,
 		})
 		if err != nil {

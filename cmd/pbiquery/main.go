@@ -38,7 +38,6 @@ func main() {
 		limit    = flag.Int("limit", 10, "result pairs to print (0 = count only)")
 		buffer   = flag.Int("buffer", 500, "buffer pool pages")
 		parallel = flag.Int("parallel", 0, "intra-engine worker degree for partition fan-outs (0/1 = serial)")
-		batch    = flag.Bool("batch", true, "columnar slab execution (=false falls back to record-at-a-time)")
 		analyze  = flag.Bool("analyze", false, "EXPLAIN ANALYZE: print the per-phase cost breakdown (with -anc/-desc)")
 		timeout  = flag.Duration("timeout", 0, "abort the query after this long (0 = no deadline)")
 	)
@@ -81,7 +80,7 @@ func main() {
 	}
 
 	if *path != "" {
-		eng, err := containment.NewEngine(containment.Config{BufferPages: *buffer, TreeHeight: doc.Height, Parallel: *parallel, NoBatch: !*batch})
+		eng, err := containment.NewEngine(containment.Config{BufferPages: *buffer, TreeHeight: doc.Height, Parallel: *parallel})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pbiquery: %v\n", err)
 			os.Exit(1)
@@ -124,7 +123,7 @@ func main() {
 		})
 	}
 
-	eng, err := containment.NewEngine(containment.Config{BufferPages: *buffer, TreeHeight: doc.Height, Parallel: *parallel, NoBatch: !*batch})
+	eng, err := containment.NewEngine(containment.Config{BufferPages: *buffer, TreeHeight: doc.Height, Parallel: *parallel})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pbiquery: %v\n", err)
 		os.Exit(1)

@@ -10,8 +10,8 @@ import (
 // TestCompressedSaveOpenFsck round-trips a database built with
 // Config.Compress through Save/Open: the catalog must carry the format
 // flag, reopened relations must scan identically (joins match the
-// oracle, batch and record-at-a-time), the layout report must show the
-// page savings, and Fsck must verify the compressed pages.
+// oracle), the layout report must show the page savings, and Fsck must
+// verify the compressed pages.
 func TestCompressedSaveOpenFsck(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.pages")
 	rng := rand.New(rand.NewSource(61))
@@ -67,19 +67,17 @@ func TestCompressedSaveOpenFsck(t *testing.T) {
 	if li.Pages >= li.FixedEquivPages {
 		t.Fatalf("no page savings: %d compressed vs %d fixed-equivalent", li.Pages, li.FixedEquivPages)
 	}
-	for _, noBatch := range []bool{false, true} {
-		res, err := e2.Join(a2, d2, JoinOptions{Algorithm: MHCJ, Collect: true, NoBatch: noBatch})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sortPairs(res.Pairs)
-		if len(res.Pairs) != len(want) {
-			t.Fatalf("noBatch=%v: %d pairs, want %d", noBatch, len(res.Pairs), len(want))
-		}
-		for i := range want {
-			if res.Pairs[i] != want[i] {
-				t.Fatalf("noBatch=%v: pair %d mismatch", noBatch, i)
-			}
+	res, err := e2.Join(a2, d2, JoinOptions{Algorithm: MHCJ, Collect: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sortPairs(res.Pairs)
+	if len(res.Pairs) != len(want) {
+		t.Fatalf("%d pairs, want %d", len(res.Pairs), len(want))
+	}
+	for i := range want {
+		if res.Pairs[i] != want[i] {
+			t.Fatalf("pair %d mismatch", i)
 		}
 	}
 

@@ -261,6 +261,28 @@ func TestSingleHeightAutoSelectsSHCJ(t *testing.T) {
 	}
 }
 
+// TestLeafOnlyAncestorSet: Load marks a set of leaves single-height, AUTO
+// routes it to SHCJ, and the join is empty rather than an error — leaves
+// have no proper descendants.
+func TestLeafOnlyAncestorSet(t *testing.T) {
+	e, err := NewEngine(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	a, _ := e.Load("A", []pbicode.Code{1, 3, 5, 7})
+	d, _ := e.Load("D", []pbicode.Code{1, 2, 3, 4, 5, 6, 7})
+	for _, alg := range []Algorithm{Auto, SHCJ} {
+		res, err := e.Join(a, d, JoinOptions{Algorithm: alg, Collect: true})
+		if err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		if res.Algorithm != "SHCJ" || res.Count != 0 || len(res.Pairs) != 0 {
+			t.Fatalf("%v: ran %s with %d pairs, want SHCJ with none", alg, res.Algorithm, res.Count)
+		}
+	}
+}
+
 func TestAlgorithmString(t *testing.T) {
 	if MHCJRollup.String() != "MHCJ+Rollup" || VPJ.String() != "VPJ" {
 		t.Fatal("algorithm names broken")

@@ -56,11 +56,6 @@ type Config struct {
 	// whatever format they were written in — the two formats coexist in
 	// one database, distinguished per page by a header byte.
 	Compress bool
-	// NoBatch disables the columnar slab execution path and runs every
-	// join record-at-a-time (the pre-batch code path). Off by default:
-	// batching changes CPU work only, never page access patterns or
-	// results. JoinOptions.NoBatch forces it per query.
-	NoBatch bool
 }
 
 // DiskCost assigns virtual time per page access (see storage.CostModel).
@@ -302,11 +297,6 @@ type JoinOptions struct {
 	// higher values fan independent partitions out across that many
 	// workers (clamped to the memory budget's 3-page-per-worker floor).
 	Parallel int
-	// NoBatch forces record-at-a-time execution for this join even when
-	// the engine default (Config.NoBatch unset) is the batch path. There
-	// is no per-query way to re-enable batching on a NoBatch engine: the
-	// flag is an escape hatch, not a tuning knob.
-	NoBatch bool
 	// TraceID is the originating request's trace ID, threaded through for
 	// annotation only: fan-out engines (internal/shard) stamp it into
 	// per-shard span details and serving exemplars so distributed traces
@@ -505,7 +495,6 @@ func (e *Engine) join(goCtx context.Context, a, d *Relation, opts JoinOptions, t
 		VPJRootCut:        opts.VPJRootCut,
 		Stats:             stats,
 		Parallel:          par,
-		NoBatch:           e.cfg.NoBatch || opts.NoBatch,
 		Scratch:           &e.scratch,
 	}
 	if goCtx != nil && goCtx != context.Background() {

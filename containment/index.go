@@ -47,12 +47,8 @@ func (e *Engine) Explain(a, d *Relation, spec Spec) []PlanEntry {
 // ExplainString renders Explain as a small table.
 func (e *Engine) ExplainString(a, d *Relation, spec Spec) string {
 	var sb strings.Builder
-	exec := "batch"
-	if e.cfg.NoBatch {
-		exec = "record-at-a-time"
-	}
-	fmt.Fprintf(&sb, "|A|=%d (%d pages)  |D|=%d (%d pages)  b=%d  exec=%s\n",
-		a.Len(), a.Pages(), d.Len(), d.Pages(), e.pool.Size(), exec)
+	fmt.Fprintf(&sb, "|A|=%d (%d pages)  |D|=%d (%d pages)  b=%d\n",
+		a.Len(), a.Pages(), d.Len(), d.Pages(), e.pool.Size())
 	for _, p := range e.Explain(a, d, spec) {
 		mark := " "
 		if p.Chosen {

@@ -35,7 +35,7 @@ func TestBenchDataAppendRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.Append(BenchSuite, entry(i, map[string]float64{"batch/mix/serial": 4e8}))
+		d.Append(BenchSuite, entry(i, map[string]float64{"batch/mix/fixed": 4e8}))
 		if err := d.Save(path); err != nil {
 			t.Fatal(err)
 		}

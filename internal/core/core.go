@@ -15,6 +15,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"github.com/pbitree/pbitree/internal/buffer"
 	"github.com/pbitree/pbitree/internal/relation"
@@ -60,11 +61,6 @@ type Context struct {
 	// goroutine — byte-for-byte the pre-parallel code paths. See
 	// doc/PARALLEL.md for the execution model.
 	Parallel int
-	// NoBatch disables the batched (slab) execution kernels and runs the
-	// record-at-a-time reference paths instead — the escape hatch and the
-	// baseline side of batch-vs-serial equivalence tests. The zero value
-	// means batching is ON: batch is the default execution core.
-	NoBatch bool
 	// Scratch is the working memory the execution borrows from its owner —
 	// the engine, or a parallel worker (see Scratch). Nil means none is
 	// lent: the execution allocates its own on first need.
@@ -72,9 +68,6 @@ type Context struct {
 
 	tmpSeq int
 }
-
-// batch reports whether the batched kernels are enabled.
-func (c *Context) batch() bool { return !c.NoBatch }
 
 // b returns the effective memory budget in pages, at least 3.
 func (c *Context) b() int {
@@ -192,10 +185,11 @@ func (c *Context) Wrap(sink Sink) Sink {
 // height. It costs one relation scan.
 func HeightHistogram(rel *relation.Relation) (map[int]int64, error) {
 	hist := make(map[int]int64)
-	s := rel.Scan()
-	defer s.Close()
+	s := rel.BatchScan()
 	for s.Next() {
-		hist[s.Rec().Code.Height()]++
+		for _, c := range s.Codes() {
+			hist[bits.TrailingZeros64(c)]++
+		}
 	}
 	return hist, s.Err()
 }

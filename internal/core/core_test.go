@@ -172,6 +172,26 @@ func TestSHCJRejectsBadHeight(t *testing.T) {
 	}
 }
 
+// TestSHCJLeafAncestors: a single-height ancestor set of leaves joins to
+// nothing — height-0 nodes have no proper descendants — whether SHCJ is
+// named or AUTO routes the single-height set to it. The explicit
+// SHCJ(h<=0) error above is unaffected.
+func TestSHCJLeafAncestors(t *testing.T) {
+	leaves := []pbicode.Code{1, 3, 5, 7}
+	dCodes := []pbicode.Code{1, 2, 3, 4, 5, 6, 7}
+	want := oracle(leaves, dCodes)
+	for _, alg := range []Algorithm{AlgAuto, AlgSHCJ} {
+		got := runAlgorithm(t, alg.String(), func(ctx *Context, a, d *relation.Relation, s Sink) error {
+			ran, err := Run(ctx, alg, InputSpec{SingleHeightA: true}, a, d, s)
+			if ran != AlgSHCJ {
+				t.Errorf("%v ran %v, want SHCJ", alg, ran)
+			}
+			return err
+		}, 4, 3, leaves, dCodes)
+		samePairs(t, alg.String(), got, want)
+	}
+}
+
 func TestEmptyInputs(t *testing.T) {
 	const h = 10
 	rng := rand.New(rand.NewSource(1))

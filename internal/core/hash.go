@@ -15,6 +15,11 @@ import (
 // evaluation techniques" the paper's section 3.2 leans on, with the
 // textbook 3(‖A‖+‖D‖) I/O when one partitioning pass suffices.
 //
+// Every kernel consumes relation.BatchScanner column slabs — a []uint64 of
+// codes and a []uint64 of aux words per page — and derives join keys with
+// branch-free mask arithmetic, so the per-record work in the hot loops is
+// a few ALU ops and one open-addressing probe.
+//
 // The ancestor side may be transformed on the fly by a prep function; the
 // rollup technique uses this to roll ancestors up to the target height
 // during the very scan that feeds the join, so the "simple strategy" of
@@ -34,54 +39,160 @@ func splitmix64(x uint64) uint64 {
 // original code.
 type aPrep func(relation.Rec) relation.Rec
 
-// hashTable is a chained hash table over an arena: one map entry per
-// distinct key plus two flat slices, instead of a []Rec per key. In-memory
-// join builds over ~100k records allocate a handful of slices rather than
-// tens of thousands of buckets.
-type hashTable struct {
-	head map[pbicode.Code]int32 // key -> 1-based index of the newest entry
-	recs []relation.Rec
-	next []int32 // 1-based index of the previous entry with the same key
+// flatSlot is one open-addressing slot: the join key and the 1-based head
+// of its chain in the arena (0 = empty slot).
+type flatSlot struct {
+	key  uint64
+	head int32
 }
 
-func newHashTable(capacity int64) *hashTable {
+// flatTable is the equijoin hash table: open addressing with linear
+// probing over power-of-two slots, chaining duplicate keys through a flat
+// arena (one slot per distinct key plus two flat slices, instead of a
+// []Rec per key). A probe is a splitmix64 mix plus a short linear scan of
+// 16-byte slots, which is what the probe loop of every equijoin spends its
+// time on.
+type flatTable struct {
+	mask  uint64
+	slots []flatSlot
+	recs  []relation.Rec
+	next  []int32 // 1-based index of the previous entry with the same key
+	used  int     // occupied slots (distinct keys)
+}
+
+// init empties the table and sizes it for capacity records, reusing the
+// arrays of earlier builds when they are large enough: only the slots this
+// build can touch are cleared, so a small build on a table that once held
+// a large one pays for its own size. The table lives in the engine's
+// Scratch; equiJoin caps build sides at memRecs(b-2), which bounds it.
+func (t *flatTable) init(capacity int64) {
 	if capacity < 0 || capacity > 1<<30 {
 		capacity = 0
 	}
-	return &hashTable{
-		head: make(map[pbicode.Code]int32, capacity),
-		recs: make([]relation.Rec, 0, capacity),
-		next: make([]int32, 0, capacity),
+	size := 16
+	for int64(size) < capacity*2 {
+		size <<= 1
+	}
+	if cap(t.slots) < size {
+		t.slots = make([]flatSlot, size)
+	} else {
+		t.slots = t.slots[:size]
+		clear(t.slots)
+	}
+	t.mask = uint64(size - 1)
+	if cap(t.recs) < int(capacity) {
+		t.recs = make([]relation.Rec, 0, capacity)
+		t.next = make([]int32, 0, capacity)
+	}
+	t.recs, t.next, t.used = t.recs[:0], t.next[:0], 0
+}
+
+// grow doubles the slot array and rehashes. Chains live in the arena and
+// are untouched — only the heads move.
+func (t *flatTable) grow() {
+	old := t.slots
+	size := len(old) * 2
+	t.slots = make([]flatSlot, size)
+	t.mask = uint64(size - 1)
+	for _, s := range old {
+		if s.head == 0 {
+			continue
+		}
+		i := splitmix64(s.key) & t.mask
+		for t.slots[i].head != 0 {
+			i = (i + 1) & t.mask
+		}
+		t.slots[i] = s
 	}
 }
 
 // add stores r under key.
-func (t *hashTable) add(key pbicode.Code, r relation.Rec) {
+func (t *flatTable) add(key uint64, r relation.Rec) {
+	if (t.used+1)*2 > len(t.slots) {
+		t.grow()
+	}
 	t.recs = append(t.recs, r)
-	t.next = append(t.next, t.head[key])
-	t.head[key] = int32(len(t.recs))
+	t.next = append(t.next, 0)
+	idx := int32(len(t.recs))
+	i := splitmix64(key) & t.mask
+	for {
+		s := &t.slots[i]
+		if s.head == 0 {
+			s.key, s.head = key, idx
+			t.used++
+			return
+		}
+		if s.key == key {
+			t.next[idx-1] = s.head
+			s.head = idx
+			return
+		}
+		i = (i + 1) & t.mask
+	}
 }
 
-// each calls fn for every record stored under key, newest first.
-func (t *hashTable) each(key pbicode.Code, fn func(relation.Rec) error) error {
-	for i := t.head[key]; i != 0; i = t.next[i-1] {
-		if err := fn(t.recs[i-1]); err != nil {
-			return err
+// probe returns the 1-based head of key's chain, 0 when absent. Walk the
+// chain via next: for i := probe(k); i != 0; i = next[i-1] { recs[i-1] }.
+func (t *flatTable) probe(key uint64) int32 {
+	i := splitmix64(key) & t.mask
+	for {
+		s := t.slots[i]
+		if s.head == 0 {
+			return 0
+		}
+		if s.key == key {
+			return s.head
+		}
+		i = (i + 1) & t.mask
+	}
+}
+
+func (t *flatTable) len() int { return len(t.recs) }
+
+// reset empties the table keeping its capacity (block-join chunk reuse).
+func (t *flatTable) reset() {
+	clear(t.slots)
+	t.recs = t.recs[:0]
+	t.next = t.next[:0]
+	t.used = 0
+}
+
+// fKey holds the constants of the branch-free F derivation at one ancestor
+// height h: F(c,h) = c&mask | bit. low tests eligibility — a descendant
+// participates iff its height is below h, i.e. c&low != 0.
+type fKey struct{ mask, bit, low uint64 }
+
+func fKeyAt(h int) fKey {
+	return fKey{mask: ^uint64(0) << (uint(h) + 1), bit: uint64(1) << uint(h), low: uint64(1)<<uint(h) - 1}
+}
+
+// probeD streams d through a table keyed by ancestor code: each descendant
+// probes with F(d, h) for every ancestor height in keys, in the order
+// given, and meets the whole chain of each hit. It is the D side of the
+// build-A hash join, of every block of the block join, and of the
+// multi-height probe join.
+func probeD(table *flatTable, ds *relation.BatchScanner, keys []fKey, sink Sink) error {
+	for ds.Next() {
+		codes, aux := ds.Codes(), ds.Aux()
+		for i, c := range codes {
+			for _, k := range keys {
+				if c&k.low == 0 {
+					continue // at or above this height: cannot have an ancestor there
+				}
+				idx := table.probe(c&k.mask | k.bit)
+				if idx == 0 {
+					continue
+				}
+				dr := relation.Rec{Code: pbicode.Code(c), Aux: aux[i]}
+				for ; idx != 0; idx = table.next[idx-1] {
+					if err := sink.Emit(table.recs[idx-1], dr); err != nil {
+						return err
+					}
+				}
+			}
 		}
 	}
-	return nil
-}
-
-// len returns the number of stored records.
-func (t *hashTable) len() int { return len(t.recs) }
-
-// dKey returns the equijoin key of a descendant record for ancestor height
-// h, and whether the record can participate at all (it must lie below h).
-func dKey(d relation.Rec, h int) (pbicode.Code, bool) {
-	if d.Code.Height() >= h {
-		return 0, false
-	}
-	return pbicode.F(d.Code, h), true
+	return ds.Err()
 }
 
 // equiJoin evaluates A ⋈_{prep(A).Code = F(D.Code, h)} D into sink. All
@@ -105,74 +216,70 @@ func equiJoin(ctx *Context, a, d *relation.Relation, h int, prep aPrep, sink Sin
 	}
 }
 
-// hashJoinBuildA builds the table on the ancestor side and streams D.
+// hashJoinBuildA builds the table on the (prepped) ancestor side and
+// streams D through it.
 func hashJoinBuildA(ctx *Context, a, d *relation.Relation, h int, prep aPrep, sink Sink) error {
 	sp := ctx.Trace.StartDetail("hash-join", "build=A")
 	defer ctx.Trace.End(sp)
-	if ctx.batch() {
-		return hashJoinBuildABatch(ctx, a, d, h, prep, sink)
-	}
-	table := newHashTable(a.NumRecords())
-	as := a.Scan()
-	defer as.Close()
+	table := &ctx.scratch().table
+	table.init(a.NumRecords())
+	as := a.BatchScan()
 	for as.Next() {
-		r := as.Rec()
-		if prep != nil {
-			r = prep(r)
+		codes, aux := as.Codes(), as.Aux()
+		if prep == nil {
+			for i, c := range codes {
+				table.add(c, relation.Rec{Code: pbicode.Code(c), Aux: aux[i]})
+			}
+		} else {
+			for i, c := range codes {
+				r := prep(relation.Rec{Code: pbicode.Code(c), Aux: aux[i]})
+				table.add(uint64(r.Code), r)
+			}
 		}
-		table.add(r.Code, r)
 	}
 	if err := as.Err(); err != nil {
 		return err
 	}
-	ds := d.Scan()
-	defer ds.Close()
-	for ds.Next() {
-		dr := ds.Rec()
-		key, ok := dKey(dr, h)
-		if !ok {
-			continue
-		}
-		if err := table.each(key, func(ar relation.Rec) error {
-			return sink.Emit(ar, dr)
-		}); err != nil {
-			return err
-		}
-	}
-	return ds.Err()
+	return probeD(table, d.BatchScan(), []fKey{fKeyAt(h)}, sink)
 }
 
-// hashJoinBuildD builds the table on the descendant side (keyed by the
-// derived F code) and streams A.
+// hashJoinBuildD builds the table on the descendant side, keyed by the
+// FBatch-derived codes of the eligible records, and streams (prepped) A.
 func hashJoinBuildD(ctx *Context, a, d *relation.Relation, h int, prep aPrep, sink Sink) error {
 	sp := ctx.Trace.StartDetail("hash-join", "build=D")
 	defer ctx.Trace.End(sp)
-	if ctx.batch() {
-		return hashJoinBuildDBatch(ctx, a, d, h, prep, sink)
-	}
-	table := newHashTable(d.NumRecords())
-	ds := d.Scan()
-	defer ds.Close()
+	sc := ctx.scratch()
+	table := &sc.table
+	table.init(d.NumRecords())
+	low := fKeyAt(h).low
+	ds := d.BatchScan()
 	for ds.Next() {
-		dr := ds.Rec()
-		if key, ok := dKey(dr, h); ok {
-			table.add(key, dr)
+		codes, aux := ds.Codes(), ds.Aux()
+		sc.fkeys = sized(sc.fkeys, len(codes))
+		fkeys := sc.fkeys
+		pbicode.FBatch(fkeys, codes, h)
+		for i, c := range codes {
+			if c&low != 0 {
+				table.add(fkeys[i], relation.Rec{Code: pbicode.Code(c), Aux: aux[i]})
+			}
 		}
 	}
 	if err := ds.Err(); err != nil {
 		return err
 	}
-	as := a.Scan()
-	defer as.Close()
+	as := a.BatchScan()
 	for as.Next() {
-		ar := as.Rec()
-		if prep != nil {
-			ar = prep(ar)
-		}
-		if err := table.each(ar.Code, func(dr relation.Rec) error {
-			return sink.Emit(ar, dr)
-		}); err != nil {
-			return err
+		codes, aux := as.Codes(), as.Aux()
+		for i, c := range codes {
+			ar := relation.Rec{Code: pbicode.Code(c), Aux: aux[i]}
+			if prep != nil {
+				ar = prep(ar)
+			}
+			for idx := table.probe(uint64(ar.Code)); idx != 0; idx = table.next[idx-1] {
+				if err := sink.Emit(ar, table.recs[idx-1]); err != nil {
+					return err
+				}
+			}
 		}
 	}
 	return as.Err()
@@ -200,31 +307,12 @@ func graceJoin(ctx *Context, a, d *relation.Relation, h int, prep aPrep, sink Si
 	}
 
 	psp := ctx.Trace.StartDetail("grace-partition", fmt.Sprintf("k=%d depth=%d", k, depth))
-	var aParts []*relation.Relation
-	var err error
-	if ctx.batch() {
-		aParts, err = hashPartitionBatchA(ctx, a, k, "ha", prep, salt)
-	} else {
-		aParts, err = hashPartition(ctx, a, k, "ha", func(r relation.Rec) (relation.Rec, uint64, bool) {
-			if prep != nil {
-				r = prep(r)
-			}
-			return r, uint64(r.Code), true
-		}, salt)
-	}
+	aParts, err := hashPartitionA(ctx, a, k, prep, salt)
 	if err != nil {
 		ctx.Trace.End(psp)
 		return err
 	}
-	var dParts []*relation.Relation
-	if ctx.batch() {
-		dParts, err = hashPartitionBatchD(ctx, d, k, "hd", h, salt)
-	} else {
-		dParts, err = hashPartition(ctx, d, k, "hd", func(r relation.Rec) (relation.Rec, uint64, bool) {
-			key, ok := dKey(r, h)
-			return r, uint64(key), ok
-		}, salt)
-	}
+	dParts, err := hashPartitionD(ctx, d, k, h, salt)
 	ctx.Trace.End(psp)
 	if err != nil {
 		freeAll(aParts)
@@ -256,11 +344,55 @@ func graceJoin(ctx *Context, a, d *relation.Relation, h int, prep aPrep, sink Si
 	return nil
 }
 
+// hashPartitionA is graceJoin's ancestor-side partitioning pass: every
+// record is kept, keyed by its (prepped) code.
+func hashPartitionA(ctx *Context, rel *relation.Relation, k int, prep aPrep, salt uint64) ([]*relation.Relation, error) {
+	return hashPartition(ctx, rel, k, "ha", salt, func(codes, aux []uint64, emit func(relation.Rec, uint64) error) error {
+		if prep == nil {
+			for i, c := range codes {
+				if err := emit(relation.Rec{Code: pbicode.Code(c), Aux: aux[i]}, c); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		for i, c := range codes {
+			r := prep(relation.Rec{Code: pbicode.Code(c), Aux: aux[i]})
+			if err := emit(r, uint64(r.Code)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// hashPartitionD is graceJoin's descendant-side partitioning pass:
+// eligible records (height below h) keyed by their FBatch-derived join
+// code.
+func hashPartitionD(ctx *Context, rel *relation.Relation, k int, h int, salt uint64) ([]*relation.Relation, error) {
+	low := fKeyAt(h).low
+	sc := ctx.scratch()
+	return hashPartition(ctx, rel, k, "hd", salt, func(codes, aux []uint64, emit func(relation.Rec, uint64) error) error {
+		sc.fkeys = sized(sc.fkeys, len(codes))
+		fkeys := sc.fkeys
+		pbicode.FBatch(fkeys, codes, h)
+		for i, c := range codes {
+			if c&low == 0 {
+				continue
+			}
+			if err := emit(relation.Rec{Code: pbicode.Code(c), Aux: aux[i]}, fkeys[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
 // hashPartition splits rel into k partition relations by hash(key) and
-// returns them. The prep function maps each scanned record to the record
-// to store, its hash key, and whether to keep it at all. Appenders are
-// opened lazily so empty partitions cost nothing.
-func hashPartition(ctx *Context, rel *relation.Relation, k int, kind string, prep func(relation.Rec) (relation.Rec, uint64, bool), salt uint64) ([]*relation.Relation, error) {
+// returns them; page is called once per page slab with an emit that routes
+// one kept record by its hash key. Appenders are opened lazily so empty
+// partitions cost nothing. Partitions inherit the input's page format.
+func hashPartition(ctx *Context, rel *relation.Relation, k int, kind string, salt uint64, page func(codes, aux []uint64, emit func(relation.Rec, uint64) error) error) ([]*relation.Relation, error) {
 	parts := make([]*relation.Relation, k)
 	apps := make([]*relation.Appender, k)
 	for i := range parts {
@@ -285,19 +417,17 @@ func hashPartition(ctx *Context, rel *relation.Relation, k int, kind string, pre
 		freeAll(parts)
 		return nil, err
 	}
-	s := rel.Scan()
-	defer s.Close()
-	for s.Next() {
-		r, kv, ok := prep(s.Rec())
-		if !ok {
-			continue
-		}
+	emit := func(r relation.Rec, kv uint64) error {
 		i := int(splitmix64(kv^salt) % uint64(k))
 		if apps[i] == nil {
 			apps[i] = parts[i].NewAppender()
 			ctx.stats().Partitions++
 		}
-		if err := apps[i].Append(r); err != nil {
+		return apps[i].Append(r)
+	}
+	s := rel.BatchScan()
+	for s.Next() {
+		if err := page(s.Codes(), s.Aux(), emit); err != nil {
 			return fail(err)
 		}
 	}
@@ -321,51 +451,40 @@ func freeAll(parts []*relation.Relation) {
 }
 
 // blockEquiJoin is the terminal fallback: hash chunks of A in memory and
-// rescan D per chunk.
+// rescan D per chunk, through one resettable scanner.
 func blockEquiJoin(ctx *Context, a, d *relation.Relation, h int, prep aPrep, sink Sink) error {
 	sp := ctx.Trace.Start("block-join")
 	defer ctx.Trace.End(sp)
-	if ctx.batch() {
-		return blockEquiJoinBatch(ctx, a, d, h, prep, sink)
-	}
 	chunkCap := ctx.memRecs(ctx.b() - 2)
 	if chunkCap < 1 {
 		chunkCap = 1
 	}
-	table := newHashTable(int64(chunkCap))
+	table := &ctx.scratch().table
+	table.init(int64(chunkCap))
+	keys := []fKey{fKeyAt(h)}
+	var ds relation.BatchScanner
 	join := func() error {
 		if table.len() == 0 {
 			return nil
 		}
-		ds := d.Scan()
-		defer ds.Close()
-		for ds.Next() {
-			dr := ds.Rec()
-			key, ok := dKey(dr, h)
-			if !ok {
-				continue
-			}
-			if err := table.each(key, func(ar relation.Rec) error {
-				return sink.Emit(ar, dr)
-			}); err != nil {
-				return err
-			}
-		}
-		return ds.Err()
+		ds.Reset(d)
+		return probeD(table, &ds, keys, sink)
 	}
-	as := a.Scan()
-	defer as.Close()
+	as := a.BatchScan()
 	for as.Next() {
-		r := as.Rec()
-		if prep != nil {
-			r = prep(r)
-		}
-		table.add(r.Code, r)
-		if table.len() == chunkCap {
-			if err := join(); err != nil {
-				return err
+		codes, aux := as.Codes(), as.Aux()
+		for i, c := range codes {
+			r := relation.Rec{Code: pbicode.Code(c), Aux: aux[i]}
+			if prep != nil {
+				r = prep(r)
 			}
-			table = newHashTable(int64(chunkCap))
+			table.add(uint64(r.Code), r)
+			if table.len() == chunkCap {
+				if err := join(); err != nil {
+					return err
+				}
+				table.reset()
+			}
 		}
 	}
 	if err := as.Err(); err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"github.com/pbitree/pbitree/internal/relation"
 	"github.com/pbitree/pbitree/pbicode"
@@ -25,7 +26,8 @@ func SHCJ(ctx *Context, a, d *relation.Relation, h int, sink Sink) error {
 
 // SHCJAuto runs SHCJ after reading the (single) ancestor height from the
 // first record of a. The caller guarantees a is single-height; an empty a
-// joins to nothing.
+// joins to nothing, and so does a set of leaves: height-0 nodes have no
+// proper descendants.
 func SHCJAuto(ctx *Context, a, d *relation.Relation, sink Sink) error {
 	s := a.Scan()
 	if !s.Next() {
@@ -35,6 +37,9 @@ func SHCJAuto(ctx *Context, a, d *relation.Relation, sink Sink) error {
 	}
 	h := s.Rec().Code.Height()
 	s.Close()
+	if h == 0 {
+		return nil
+	}
 	return SHCJ(ctx, a, d, h, sink)
 }
 
@@ -48,14 +53,7 @@ func MHCJ(ctx *Context, a, d *relation.Relation, sink Sink) error {
 
 func mhcj(ctx *Context, a, d *relation.Relation, sink Sink) error {
 	psp := ctx.Trace.Start("partition")
-	var parts map[int]*relation.Relation
-	var heights []int
-	var err error
-	if ctx.batch() {
-		parts, heights, err = partitionByHeightBatch(ctx, a)
-	} else {
-		parts, heights, err = partitionByHeight(ctx, a)
-	}
+	parts, heights, err := partitionByHeight(ctx, a)
 	if psp != nil {
 		psp.Detail = fmt.Sprintf("heights=%d", len(heights))
 	}
@@ -110,14 +108,7 @@ func mhcj(ctx *Context, a, d *relation.Relation, sink Sink) error {
 // by height plus the heights present in ascending order.
 func partitionByHeight(ctx *Context, rel *relation.Relation) (map[int]*relation.Relation, []int, error) {
 	parts := make(map[int]*relation.Relation)
-	done := make(map[int]bool)
-	// On error, partitions created so far would otherwise leak: the caller
-	// only sees (and frees) a successfully returned map.
-	freeParts := func() {
-		for _, p := range parts {
-			p.Free() //nolint:errcheck // cleanup after earlier error
-		}
-	}
+	var s relation.BatchScanner
 	for {
 		apps := make(map[int]*relation.Appender)
 		closeApps := func() error {
@@ -129,45 +120,47 @@ func partitionByHeight(ctx *Context, rel *relation.Relation) (map[int]*relation.
 			}
 			return first
 		}
+		// fail cleans up on any error: the caller only sees (and frees) a
+		// successfully returned map, so the partitions created so far must
+		// be freed here or they leak.
+		fail := func(err error) (map[int]*relation.Relation, []int, error) {
+			closeApps() //nolint:errcheck // first error wins
+			for _, p := range parts {
+				p.Free() //nolint:errcheck // cleanup after earlier error
+			}
+			return nil, nil, err
+		}
 		deferred := false
-		s := rel.Scan()
+		s.Reset(rel)
 		for s.Next() {
-			r := s.Rec()
-			h := r.Code.Height()
-			if done[h] {
-				continue
-			}
-			ap, ok := apps[h]
-			if !ok {
-				if len(apps)+2 > ctx.b() {
-					deferred = true // another wave picks this height up
-					continue
+			codes, aux := s.Codes(), s.Aux()
+			for i, c := range codes {
+				h := bits.TrailingZeros64(c)
+				ap, ok := apps[h]
+				if !ok {
+					if parts[h] != nil {
+						continue // an earlier wave wrote this height
+					}
+					if len(apps)+2 > ctx.b() {
+						deferred = true // another wave picks this height up
+						continue
+					}
+					parts[h] = relation.New(ctx.Pool, ctx.tmp(fmt.Sprintf("mhcj.h%d", h)))
+					parts[h].SetCompress(rel.Compressed())
+					ap = parts[h].NewAppender()
+					apps[h] = ap
+					ctx.stats().Partitions++
 				}
-				parts[h] = relation.New(ctx.Pool, ctx.tmp(fmt.Sprintf("mhcj.h%d", h)))
-				parts[h].SetCompress(rel.Compressed())
-				ap = parts[h].NewAppender()
-				apps[h] = ap
-				ctx.stats().Partitions++
-			}
-			if err := ap.Append(r); err != nil {
-				s.Close()
-				closeApps() //nolint:errcheck // first error wins
-				freeParts()
-				return nil, nil, err
+				if err := ap.Append(relation.Rec{Code: pbicode.Code(c), Aux: aux[i]}); err != nil {
+					return fail(err)
+				}
 			}
 		}
-		s.Close()
 		if err := s.Err(); err != nil {
-			closeApps() //nolint:errcheck // first error wins
-			freeParts()
-			return nil, nil, err
+			return fail(err)
 		}
 		if err := closeApps(); err != nil {
-			freeParts()
-			return nil, nil, err
-		}
-		for h := range apps {
-			done[h] = true
+			return fail(err) // closing again is harmless
 		}
 		if !deferred {
 			break
@@ -177,12 +170,7 @@ func partitionByHeight(ctx *Context, rel *relation.Relation) (map[int]*relation.
 	for h := range parts {
 		heights = append(heights, h)
 	}
-	// Ascending heights; order does not affect the result set.
-	for i := 1; i < len(heights); i++ {
-		for j := i; j > 0 && heights[j] < heights[j-1]; j-- {
-			heights[j], heights[j-1] = heights[j-1], heights[j]
-		}
-	}
+	slices.Sort(heights)
 	return parts, heights, nil
 }
 
@@ -240,13 +228,7 @@ func mhcjRollup(ctx *Context, a, d *relation.Relation, targetH int, sink Sink) e
 	if targetH <= 0 || knownMax == 0 {
 		if knownMax == 0 {
 			hsp := ctx.Trace.Start("height-scan")
-			var hist map[int]int64
-			var err error
-			if ctx.batch() {
-				hist, err = heightHistogramBatch(a)
-			} else {
-				hist, err = HeightHistogram(a)
-			}
+			hist, err := HeightHistogram(a)
 			ctx.Trace.End(hsp)
 			if err != nil {
 				return err
@@ -293,7 +275,7 @@ func mhcjRollup(ctx *Context, a, d *relation.Relation, targetH int, sink Sink) e
 	defer rolled.Free() //nolint:errcheck // cleanup
 	defer high.Free()   //nolint:errcheck // cleanup
 	rApp, hApp := rolled.NewAppender(), high.NewAppender()
-	if err := rollupSplit(ctx, a, targetH, rApp, hApp); err != nil {
+	if err := rollupSplit(a, targetH, rApp, hApp); err != nil {
 		rApp.Close() //nolint:errcheck // first error wins
 		hApp.Close() //nolint:errcheck // first error wins
 		return err
@@ -329,48 +311,28 @@ func mhcjRollup(ctx *Context, a, d *relation.Relation, targetH int, sink Sink) e
 }
 
 // rollupSplit scans a once, routing records above targetH (with Aux set
-// to their own code) to hApp and everything else, rolled up, to rApp. The
-// batch path derives heights from slab TrailingZeros and rolls up with
-// the branch-free F constants; the serial path is the reference loop.
-func rollupSplit(ctx *Context, a *relation.Relation, targetH int, rApp, hApp *relation.Appender) error {
-	if ctx.batch() {
-		mask := ^uint64(0) << (uint(targetH) + 1)
-		bit := uint64(1) << uint(targetH)
-		s := a.BatchScan()
-		for s.Next() {
-			// Aux of the input is not read: rollPrep (and this loop) set the
-			// output Aux to the original code for the verification filter.
-			for _, c := range s.Codes() {
-				var err error
-				if bits.TrailingZeros64(c) > targetH {
-					err = hApp.Append(relation.Rec{Code: pbicode.Code(c), Aux: c})
-				} else {
-					rolled := c
-					if c&(bit-1) != 0 { // height below target: roll up
-						rolled = c&mask | bit
-					}
-					err = rApp.Append(relation.Rec{Code: pbicode.Code(rolled), Aux: c})
-				}
-				if err != nil {
-					return err
-				}
-			}
-		}
-		return s.Err()
-	}
-	prep := rollPrep(targetH)
-	s := a.Scan()
-	defer s.Close()
+// to their own code) to hApp and everything else, rolled up as rollPrep
+// would, to rApp.
+func rollupSplit(a *relation.Relation, targetH int, rApp, hApp *relation.Appender) error {
+	k := fKeyAt(targetH)
+	s := a.BatchScan()
 	for s.Next() {
-		r := s.Rec()
-		var err error
-		if r.Code.Height() > targetH {
-			err = hApp.Append(relation.Rec{Code: r.Code, Aux: uint64(r.Code)})
-		} else {
-			err = rApp.Append(prep(r))
-		}
-		if err != nil {
-			return err
+		// Aux of the input is not read: the output Aux is the original code,
+		// for the verification filter.
+		for _, c := range s.Codes() {
+			var err error
+			if bits.TrailingZeros64(c) > targetH {
+				err = hApp.Append(relation.Rec{Code: pbicode.Code(c), Aux: c})
+			} else {
+				rolled := c
+				if c&k.low != 0 { // height below target: roll up
+					rolled = c&k.mask | k.bit
+				}
+				err = rApp.Append(relation.Rec{Code: pbicode.Code(rolled), Aux: c})
+			}
+			if err != nil {
+				return err
+			}
 		}
 	}
 	return s.Err()
@@ -378,44 +340,28 @@ func rollupSplit(ctx *Context, a *relation.Relation, targetH int, rApp, hApp *re
 
 // multiHeightProbeJoin joins a memory-resident multi-height ancestor set
 // against d in one scan: a hash table keyed by ancestor code, probed with
-// F(d, h) for each distinct ancestor height — the ancestor-enumeration
-// join only PBiTree codes make possible (each probe key is computed from
-// the descendant's code alone). Results are exact; no verification needed.
+// F(d, h) for each distinct ancestor height in ascending order — the
+// ancestor-enumeration join only PBiTree codes make possible (each probe
+// key is computed from the descendant's code alone). Results are exact; no
+// verification needed.
 func multiHeightProbeJoin(ctx *Context, a, d *relation.Relation, sink Sink) error {
-	if ctx.batch() {
-		return multiHeightProbeJoinBatch(ctx, a, d, sink)
-	}
-	table := newHashTable(a.NumRecords())
-	heightSet := make(map[int]struct{})
-	s := a.Scan()
-	for s.Next() {
-		r := s.Rec()
-		table.add(r.Code, r)
-		heightSet[r.Code.Height()] = struct{}{}
-	}
-	s.Close()
-	if err := s.Err(); err != nil {
-		return err
-	}
-	heights := make([]int, 0, len(heightSet))
-	for h := range heightSet {
-		heights = append(heights, h)
-	}
-	ds := d.Scan()
-	defer ds.Close()
-	for ds.Next() {
-		dr := ds.Rec()
-		hd := dr.Code.Height()
-		for _, h := range heights {
-			if h <= hd {
-				continue
-			}
-			if err := table.each(pbicode.F(dr.Code, h), func(ar relation.Rec) error {
-				return sink.Emit(ar, dr)
-			}); err != nil {
-				return err
-			}
+	table := &ctx.scratch().table
+	table.init(a.NumRecords())
+	var heights uint64 // ancestor heights present, one bit each
+	as := a.BatchScan()
+	for as.Next() {
+		codes, aux := as.Codes(), as.Aux()
+		for i, c := range codes {
+			table.add(c, relation.Rec{Code: pbicode.Code(c), Aux: aux[i]})
+			heights |= 1 << uint(bits.TrailingZeros64(c))
 		}
 	}
-	return ds.Err()
+	if err := as.Err(); err != nil {
+		return err
+	}
+	keys := make([]fKey, 0, bits.OnesCount64(heights))
+	for m := heights; m != 0; m &= m - 1 {
+		keys = append(keys, fKeyAt(bits.TrailingZeros64(m)))
+	}
+	return probeD(table, d.BatchScan(), keys, sink)
 }

@@ -29,38 +29,21 @@ func ToRegionRelation(ctx *Context, rel *relation.Relation, name string) (*relat
 		out.Free()  //nolint:errcheck // cleanup after earlier error
 		return nil, err
 	}
-	if ctx.batch() {
-		sc := ctx.scratch()
-		bs := rel.BatchScan()
-		for bs.Next() {
-			codes := bs.Codes()
-			sc.starts, sc.ends = sized(sc.starts, len(codes)), sized(sc.ends, len(codes))
-			starts, ends := sc.starts, sc.ends
-			pbicode.RegionBatch(starts, ends, codes)
-			for i := range codes {
-				if err := app.Append(relation.Rec{Code: pbicode.Code(starts[i]), Aux: ends[i]}); err != nil {
-					return fail(err)
-				}
-			}
-		}
-		if err := bs.Err(); err != nil {
-			return fail(err)
-		}
-	} else {
-		s := rel.Scan()
-		defer s.Close()
-		for s.Next() {
-			r := s.Rec()
-			if err := app.Append(relation.Rec{
-				Code: pbicode.Code(r.Code.Start()),
-				Aux:  r.Code.End(),
-			}); err != nil {
+	sc := ctx.scratch()
+	bs := rel.BatchScan()
+	for bs.Next() {
+		codes := bs.Codes()
+		sc.starts, sc.ends = sized(sc.starts, len(codes)), sized(sc.ends, len(codes))
+		starts, ends := sc.starts, sc.ends
+		pbicode.RegionBatch(starts, ends, codes)
+		for i := range codes {
+			if err := app.Append(relation.Rec{Code: pbicode.Code(starts[i]), Aux: ends[i]}); err != nil {
 				return fail(err)
 			}
 		}
-		if err := s.Err(); err != nil {
-			return fail(err)
-		}
+	}
+	if err := bs.Err(); err != nil {
+		return fail(err)
 	}
 	if err := app.Close(); err != nil {
 		out.Free() //nolint:errcheck // cleanup after earlier error

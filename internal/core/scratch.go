@@ -7,7 +7,7 @@ import (
 
 // Scratch is the working memory one engine owns for its lifetime and lends
 // to every join it runs through Context.Scratch: the hash table of the
-// equijoins, the key and region slabs of the batch kernels, the record
+// equijoins, the key and region slabs of its kernels, the record
 // chunk of the memory joins, the pending-pair arena of the stack-tree-anc
 // join and the external sort's buffers. The algorithms already size each
 // of these by the b-page budget — a build side never exceeds

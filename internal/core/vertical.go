@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"github.com/pbitree/pbitree/internal/relation"
 	"github.com/pbitree/pbitree/pbicode"
@@ -233,8 +234,7 @@ func vPartition(ctx *Context, rel *relation.Relation, l int, offset uint64, k in
 		return apps[i].Append(r)
 	}
 	cutHeight := h - l - 1 // height of the level-l nodes
-	// route places one record; the batch and serial scan loops below share
-	// it so the partition logic exists once.
+	// route places one record of height rh.
 	route := func(r relation.Rec, rh int) error {
 		if rh >= h {
 			return fmt.Errorf("core: code %v does not fit a PBiTree of height %d (ctx.TreeHeight too small)", r.Code, h)
@@ -274,31 +274,17 @@ func vPartition(ctx *Context, rel *relation.Relation, l int, offset uint64, k in
 		ctx.stats().Replicated += int64(hi - lo)
 		return nil
 	}
-	if ctx.batch() {
-		bs := rel.BatchScan()
-		for bs.Next() {
-			codes, aux := bs.Codes(), bs.Aux()
-			for i, c := range codes {
-				if err := route(relation.Rec{Code: pbicode.Code(c), Aux: aux[i]}, bits.TrailingZeros64(c)); err != nil {
-					return fail(err)
-				}
-			}
-		}
-		if err := bs.Err(); err != nil {
-			return fail(err)
-		}
-	} else {
-		s := rel.Scan()
-		defer s.Close()
-		for s.Next() {
-			r := s.Rec()
-			if err := route(r, r.Code.Height()); err != nil {
+	bs := rel.BatchScan()
+	for bs.Next() {
+		codes, aux := bs.Codes(), bs.Aux()
+		for i, c := range codes {
+			if err := route(relation.Rec{Code: pbicode.Code(c), Aux: aux[i]}, bits.TrailingZeros64(c)); err != nil {
 				return fail(err)
 			}
 		}
-		if err := s.Err(); err != nil {
-			return fail(err)
-		}
+	}
+	if err := bs.Err(); err != nil {
+		return fail(err)
 	}
 	if err := closeApps(); err != nil {
 		freeAll(parts)
@@ -323,36 +309,51 @@ func memoryContainmentJoin(ctx *Context, a, d *relation.Relation, sink Sink) err
 
 // memProbeJoin loads d, sorts it by Start, and probes with each a: the
 // descendants of a are exactly the loaded records with Start in
-// [a.Start, a.End] and height below a's (closed-region semantics).
+// [a.Start, a.End] and height below a's (closed-region semantics). A
+// streams as page slabs whose regions are derived in one RegionBatch pass.
 func memProbeJoin(ctx *Context, a, d *relation.Relation, sink Sink) error {
 	sp := ctx.Trace.Start("mem-join")
 	defer ctx.Trace.End(sp)
-	if ctx.batch() {
-		return memProbeJoinBatch(ctx, a, d, sink)
+	sc := ctx.scratch()
+	recs := sc.recs[:0]
+	defer func() { sc.recs = recs[:0] }()
+	ds := d.BatchScan()
+	for ds.Next() {
+		aux := ds.Aux()
+		for i, c := range ds.Codes() {
+			recs = append(recs, relation.Rec{Code: pbicode.Code(c), Aux: aux[i]})
+		}
 	}
-	recs, err := d.ReadAll()
-	if err != nil {
+	if err := ds.Err(); err != nil {
 		return err
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Code.Start() < recs[j].Code.Start() })
-	starts := make([]uint64, len(recs))
+	slices.SortFunc(recs, func(x, y relation.Rec) int { return cmp.Compare(x.Code.Start(), y.Code.Start()) })
+	sc.dStart = sized(sc.dStart, len(recs))
+	starts := sc.dStart
 	for i, r := range recs {
 		starts[i] = r.Code.Start()
 	}
-	s := a.Scan()
-	defer s.Close()
-	for s.Next() {
-		ar := s.Rec()
-		ha := ar.Code.Height()
-		lo := sort.Search(len(starts), func(i int) bool { return starts[i] >= ar.Code.Start() })
-		end := ar.Code.End()
-		for i := lo; i < len(starts) && starts[i] <= end; i++ {
-			if recs[i].Code.Height() < ha {
-				if err := sink.Emit(ar, recs[i]); err != nil {
-					return err
+	as := a.BatchScan()
+	for as.Next() {
+		codes, aux := as.Codes(), as.Aux()
+		sc.starts, sc.ends = sized(sc.starts, len(codes)), sized(sc.ends, len(codes))
+		aStarts, aEnds := sc.starts, sc.ends
+		pbicode.RegionBatch(aStarts, aEnds, codes)
+		for i, c := range codes {
+			ha := bits.TrailingZeros64(c)
+			lo, _ := slices.BinarySearch(starts, aStarts[i])
+			if lo == len(starts) || starts[lo] > aEnds[i] {
+				continue
+			}
+			ar := relation.Rec{Code: pbicode.Code(c), Aux: aux[i]}
+			for j := lo; j < len(starts) && starts[j] <= aEnds[i]; j++ {
+				if bits.TrailingZeros64(uint64(recs[j].Code)) < ha {
+					if err := sink.Emit(ar, recs[j]); err != nil {
+						return err
+					}
 				}
 			}
 		}
 	}
-	return s.Err()
+	return as.Err()
 }

@@ -72,10 +72,6 @@ type Config struct {
 	// applies per shard engine, so a single query can occupy up to
 	// Shards x Parallel goroutines. 0 or 1 keeps queries serial.
 	Parallel int
-	// NoBatch forces every worker engine onto the record-at-a-time
-	// execution path (containment.Config.NoBatch); off means the default
-	// columnar slab kernels.
-	NoBatch bool
 	// DiskCost models the virtual disk each worker charges (stats only;
 	// no real delays). The zero value disables the clock.
 	DiskCost containment.DiskCost
@@ -296,7 +292,6 @@ func (s *Server) openWorker() (worker, error) {
 			BufferPages:    s.cfg.BufferPages,
 			DiskCost:       s.cfg.DiskCost,
 			EngineParallel: s.cfg.Parallel,
-			EngineNoBatch:  s.cfg.NoBatch,
 		})
 		if err != nil {
 			return nil, err
@@ -321,7 +316,6 @@ func (s *Server) openWorker() (worker, error) {
 		BufferPages: s.cfg.BufferPages,
 		DiskCost:    s.cfg.DiskCost,
 		Parallel:    s.cfg.Parallel,
-		NoBatch:     s.cfg.NoBatch,
 	})
 	if err != nil {
 		return nil, err

@@ -54,10 +54,6 @@ type Config struct {
 	// Parallel — a request can occupy up to Parallel x EngineParallel
 	// goroutines. 0 or 1 keeps every shard serial.
 	EngineParallel int
-	// EngineNoBatch forces each shard engine onto the record-at-a-time
-	// execution path (containment.Config.NoBatch); off means the default
-	// columnar slab kernels.
-	EngineNoBatch bool
 	// EngineCompress makes each shard engine store loaded relations in the
 	// delta-compressed page layout (containment.Config.Compress). Only
 	// meaningful for New — Open reads formats from the shard catalogs.
@@ -146,7 +142,6 @@ func New(cfg Config, n int) (*Engine, error) {
 			DiskCost:    cfg.DiskCost,
 			TreeHeight:  cfg.TreeHeight,
 			Parallel:    cfg.EngineParallel,
-			NoBatch:     cfg.EngineNoBatch,
 			Compress:    cfg.EngineCompress,
 		})
 		if err != nil {
@@ -178,7 +173,6 @@ func Open(manifestPath string, cfg Config) (*Engine, error) {
 			Path:        p,
 			ReadOnly:    cfg.ReadOnly,
 			Parallel:    cfg.EngineParallel,
-			NoBatch:     cfg.EngineNoBatch,
 		})
 		if err != nil {
 			e.Close() //nolint:errcheck // first error wins

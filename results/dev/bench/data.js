@@ -1,5 +1,5 @@
 window.BENCHMARK_DATA = {
-  "lastUpdate": 1786175562029,
+  "lastUpdate": 1790432096621,
   "entries": {
     "Containment join benchmarks": [
       {
@@ -142,6 +142,149 @@ window.BENCHMARK_DATA = {
             "value": 174188041,
             "unit": "ns/op",
             "extra": "pageIO=237 pairs=116660 wall=28.788ms"
+          }
+        ]
+      },
+      {
+        "commit": {
+          "id": "91ce4048c0fb917995b7bc1469de4be7a2ec1b0b",
+          "message": "PR 15 working tree (recorded before commit, on parent 91ce404): one execution path, rows /fixed and /batch differ by page format alone — 2-core sandbox, one shot per row, exp=batch scale=0.02 docscale=0.2 buffer=128 pagesize=4096; elapsed = virtual disk time + wall CPU",
+          "timestamp": "2026-09-26T14:14:56Z"
+        },
+        "date": 1790432096621,
+        "tool": "go",
+        "benches": [
+          {
+            "name": "batch/D1/MHCJ+Rollup/fixed",
+            "value": 27900737,
+            "unit": "ns/op",
+            "extra": "pageIO=61 pairs=1183 wall=5.901ms"
+          },
+          {
+            "name": "batch/D1/MHCJ+Rollup/batch",
+            "value": 12836847,
+            "unit": "ns/op",
+            "extra": "pageIO=12 pairs=1183 wall=637µs"
+          },
+          {
+            "name": "batch/D2/MHCJ+Rollup/fixed",
+            "value": 21662575,
+            "unit": "ns/op",
+            "extra": "pageIO=57 pairs=19 wall=463µs"
+          },
+          {
+            "name": "batch/D2/MHCJ+Rollup/batch",
+            "value": 12769177,
+            "unit": "ns/op",
+            "extra": "pageIO=12 pairs=19 wall=569µs"
+          },
+          {
+            "name": "batch/D3/MHCJ+Rollup/fixed",
+            "value": 21722936,
+            "unit": "ns/op",
+            "extra": "pageIO=57 pairs=8 wall=523µs"
+          },
+          {
+            "name": "batch/D3/MHCJ+Rollup/batch",
+            "value": 12836138,
+            "unit": "ns/op",
+            "extra": "pageIO=12 pairs=8 wall=636µs"
+          },
+          {
+            "name": "batch/D4/MHCJ+Rollup/fixed",
+            "value": 41331526,
+            "unit": "ns/op",
+            "extra": "pageIO=151 pairs=14308 wall=1.332ms"
+          },
+          {
+            "name": "batch/D4/MHCJ+Rollup/batch",
+            "value": 17199044,
+            "unit": "ns/op",
+            "extra": "pageIO=29 pairs=14308 wall=1.599ms"
+          },
+          {
+            "name": "batch/D5/MHCJ+Rollup/fixed",
+            "value": 61518591,
+            "unit": "ns/op",
+            "extra": "pageIO=250 pairs=25274 wall=1.719ms"
+          },
+          {
+            "name": "batch/D5/MHCJ+Rollup/batch",
+            "value": 20892791,
+            "unit": "ns/op",
+            "extra": "pageIO=41 pairs=25274 wall=2.893ms"
+          },
+          {
+            "name": "batch/D6/MHCJ+Rollup/fixed",
+            "value": 20613760,
+            "unit": "ns/op",
+            "extra": "pageIO=52 pairs=2967 wall=414µs"
+          },
+          {
+            "name": "batch/D6/MHCJ+Rollup/batch",
+            "value": 12517393,
+            "unit": "ns/op",
+            "extra": "pageIO=11 pairs=2967 wall=517µs"
+          },
+          {
+            "name": "batch/D7/MHCJ+Rollup/fixed",
+            "value": 65009585,
+            "unit": "ns/op",
+            "extra": "pageIO=266 pairs=28230 wall=2.01ms"
+          },
+          {
+            "name": "batch/D7/MHCJ+Rollup/batch",
+            "value": 21549720,
+            "unit": "ns/op",
+            "extra": "pageIO=44 pairs=28230 wall=2.95ms"
+          },
+          {
+            "name": "batch/D8/MHCJ+Rollup/fixed",
+            "value": 28622981,
+            "unit": "ns/op",
+            "extra": "pageIO=90 pairs=8424 wall=823µs"
+          },
+          {
+            "name": "batch/D8/MHCJ+Rollup/batch",
+            "value": 31838460,
+            "unit": "ns/op",
+            "extra": "pageIO=18 pairs=8424 wall=18.438ms"
+          },
+          {
+            "name": "batch/D9/MHCJ+Rollup/fixed",
+            "value": 36610484,
+            "unit": "ns/op",
+            "extra": "pageIO=72 pairs=8017 wall=12.41ms"
+          },
+          {
+            "name": "batch/D9/MHCJ+Rollup/batch",
+            "value": 20775933,
+            "unit": "ns/op",
+            "extra": "pageIO=14 pairs=8017 wall=8.176ms"
+          },
+          {
+            "name": "batch/D10/MHCJ+Rollup/fixed",
+            "value": 71658089,
+            "unit": "ns/op",
+            "extra": "pageIO=266 pairs=28230 wall=8.658ms"
+          },
+          {
+            "name": "batch/D10/MHCJ+Rollup/batch",
+            "value": 27706704,
+            "unit": "ns/op",
+            "extra": "pageIO=44 pairs=28230 wall=9.107ms"
+          },
+          {
+            "name": "batch/D1-D10 mix/MHCJRollup/fixed",
+            "value": 396651264,
+            "unit": "ns/op",
+            "extra": "pageIO=1322 pairs=116660 wall=34.251ms"
+          },
+          {
+            "name": "batch/D1-D10 mix/MHCJRollup/batch",
+            "value": 190922207,
+            "unit": "ns/op",
+            "extra": "pageIO=237 pairs=116660 wall=45.522ms"
           }
         ]
       }

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Benchmark regression gate: re-run the batched-execution experiment at
-# the exact configuration of the committed baseline entry in
-# results/dev/bench/data.js and fail when any shared metric slowed by
-# more than 15% against it. The committed file is copied to a scratch
+# Benchmark regression gate: re-run the `batch` experiment (the D1-D10
+# joins over fixed-width pages, rows …/fixed, and over delta-compressed
+# pages, rows …/batch — one set of kernels, two page formats) at the exact
+# configuration of the newest committed entry in results/dev/bench/data.js
+# and fail when any metric the two share slowed by more than 15% against
+# it. The committed file is copied to a scratch
 # location first — CI never rewrites checked-in results — and pbibench
 # appends the fresh run there before `-check` compares the two newest
 # entries. Elapsed metrics are virtual disk time (deterministic page
