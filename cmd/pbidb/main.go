@@ -30,6 +30,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 
 	"github.com/pbitree/pbitree/containment"
@@ -274,7 +275,7 @@ func epochs(args []string) {
 		fmt.Printf("pbidb: %s: no epoch family (never ingested into); the page file is the implicit epoch 0\n", *db)
 		return
 	}
-	fmt.Printf("%-7s %-9s %6s %6s  %s\n", "epoch", "kind", "chain", "files", "path")
+	fmt.Printf("%-7s %-9s %6s %6s %6s  %s\n", "epoch", "kind", "chain", "files", "dpages", "path")
 	for _, e := range list.Epochs {
 		kind := "delta"
 		switch {
@@ -287,8 +288,14 @@ func epochs(args []string) {
 		if e.Epoch == list.Current {
 			cur = "  <- current"
 		}
-		fmt.Printf("%-7d %-9s %6d %6d  %s%s\n",
-			e.Epoch, kind, len(e.Chain), len(e.Files), list.Resolve(e), cur)
+		// dpages: pages the epoch's commit wrote into its delta ("-" where
+		// there is no delta, or the manifest predates the count).
+		dpages := "-"
+		if e.DeltaPages > 0 {
+			dpages = strconv.FormatInt(e.DeltaPages, 10)
+		}
+		fmt.Printf("%-7d %-9s %6d %6d %6s  %s%s\n",
+			e.Epoch, kind, len(e.Chain), len(e.Files), dpages, list.Resolve(e), cur)
 	}
 }
 

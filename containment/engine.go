@@ -130,6 +130,9 @@ type Relation struct {
 	// startIdx / intervalIdx are persistent access paths (see index.go).
 	startIdx    *btree.Tree
 	intervalIdx *itree.Tree
+	// shared counts the leading pages LoadOver took over by ID from the
+	// relation it superseded (0 for every other relation).
+	shared int
 }
 
 // Name returns the relation's name.
@@ -140,6 +143,12 @@ func (r *Relation) Len() int64 { return r.rel.NumRecords() }
 
 // Pages returns the number of occupied disk pages, the paper's ‖R‖.
 func (r *Relation) Pages() int64 { return r.rel.NumPages() }
+
+// SharedPages returns how many of those pages LoadOver shares by page ID
+// with the relation it superseded rather than having written them; the
+// other Pages() - SharedPages() are this relation's own. Zero for relations
+// created any other way.
+func (r *Relation) SharedPages() int64 { return int64(r.shared) }
 
 // Codes materializes the relation's codes in storage order. The read goes
 // through the engine's buffer pool and is charged like any scan; the
@@ -202,11 +211,39 @@ func (e *Engine) Close() error {
 
 // Load stores a code set as a relation, honoring Config.Compress.
 func (e *Engine) Load(name string, codes []pbicode.Code) (*Relation, error) {
+	return e.LoadOver(nil, name, codes)
+}
+
+// LoadOver is Load for a code set that supersedes old, a relation of this
+// engine: the result holds exactly what Load(name, codes) would, but the
+// leading pages of old whose records codes repeats at the same ordinals are
+// shared by page ID instead of rewritten, and only the records after them
+// go into new pages. An update that leaves existing codes where they were
+// — what PBiTree's virtual-node gaps are for — therefore costs pages in
+// proportion to the changed suffix, not to the relation. Only closed pages
+// are shared, never old's tail, so no stored page is ever written again:
+// old stays valid, and an epoch that still references those page IDs keeps
+// reading the same bytes (SharedPages reports how many). Codes that share
+// nothing with old — a global re-encode — and a nil old are the same case:
+// a plain load, with no comparison done.
+func (e *Engine) LoadOver(old *Relation, name string, codes []pbicode.Code) (*Relation, error) {
+	var shared []storage.PageID
+	kept := 0
+	if old != nil {
+		if old.rel.Pool() != e.pool {
+			return nil, fmt.Errorf("containment: LoadOver: relation %s belongs to another engine", old.Name())
+		}
+		n, recs, err := old.rel.SharedPrefix(codes)
+		if err != nil {
+			return nil, err
+		}
+		shared, kept = old.rel.Pages()[:n], recs
+	}
 	rel := relation.New(e.pool, name)
 	rel.SetCompress(e.cfg.Compress)
 	app := rel.NewAppender()
-	for i, c := range codes {
-		if err := app.Append(relation.Rec{Code: c, Aux: uint64(i)}); err != nil {
+	for i, c := range codes[kept:] {
+		if err := app.Append(relation.Rec{Code: c, Aux: uint64(kept + i)}); err != nil {
 			app.Close() //nolint:errcheck // first error wins
 			return nil, err
 		}
@@ -214,7 +251,24 @@ func (e *Engine) Load(name string, codes []pbicode.Code) (*Relation, error) {
 	if err := app.Close(); err != nil {
 		return nil, err
 	}
-	r := &Relation{rel: rel, singleHeight: true}
+	if len(shared) > 0 {
+		// The appended pages start on a fresh page of their own, so the
+		// result is the shared page IDs followed by the new ones; its span
+		// is the new records' widened by the shared ones.
+		span, ok := rel.Span()
+		for _, c := range codes[:kept] {
+			if s := c.Start(); !ok || s < span.Start {
+				span.Start = s
+			}
+			if end := c.End(); !ok || end > span.End {
+				span.End = end
+			}
+			ok = true
+		}
+		rel = relation.Attach(e.pool, name, append(shared, rel.Pages()...), int64(len(codes)), span)
+		rel.SetCompress(e.cfg.Compress)
+	}
+	r := &Relation{rel: rel, singleHeight: true, shared: len(shared)}
 	first := true
 	firstH := 0
 	var maxCode pbicode.Code

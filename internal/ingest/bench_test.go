@@ -3,6 +3,7 @@ package ingest
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"testing"
 
 	"github.com/pbitree/pbitree/pbicode"
@@ -123,4 +124,55 @@ func elementAt(s *Store, code uint64) *xmltree.Element {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.forest.ByCode(pbicode.Code(code))
+}
+
+// BenchmarkCommitSmallDoc commits one 12-element document per iteration
+// into a ≈130-page base and reports what a commit writes: pages/commit is
+// the delta's page count, B/commit the size of the delta and catalog files
+// it published. Both should follow the document, not the base — the guard
+// TestCommitWritesChangeNotRelation holds the first to that. The chain is
+// folded every 16 commits, outside the timer, as a serving store's daemon
+// would.
+//
+//	go test -run '^$' -bench BenchmarkCommitSmallDoc -benchtime 64x ./internal/ingest/
+func BenchmarkCommitSmallDoc(b *testing.B) {
+	for _, compress := range []bool{false, true} {
+		name := "fixed"
+		if compress {
+			name = "compressed"
+		}
+		b.Run(name, func(b *testing.B) {
+			base := buildBaseDBFormat(b, b.TempDir(), libraryDocs(10, 100), compress)
+			s, err := Open(Config{DBPath: base, GapAware: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close() //nolint:errcheck
+			var bytes int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := s.Apply([]Op{{Op: "insert_doc", Doc: fmt.Sprintf("small%d", i), XML: smallDoc}})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				for _, ext := range []string{".delta", ".catalog"} {
+					fi, err := os.Stat(res.Path + ext)
+					if err != nil {
+						b.Fatal(err)
+					}
+					bytes += fi.Size()
+				}
+				if i%16 == 15 {
+					if err := s.CompactNow(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(s.Stats().DeltaPages)/float64(b.N), "pages/commit")
+			b.ReportMetric(float64(bytes)/float64(b.N), "B/commit")
+		})
+	}
 }

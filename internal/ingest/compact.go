@@ -77,7 +77,7 @@ func (s *Store) CompactNow() error {
 	// Fold into a ".tmp-" name invisible to the GC scan: a commit may
 	// publish (and sweep unreferenced files) while the fold runs unlocked.
 	tmpPath := filepath.Join(s.dir, fmt.Sprintf(".tmp-compact-%06d.pbidb", dstEpoch))
-	pages, docs, err := s.fold(srcPath, tmpPath)
+	pages, err := s.fold(srcPath, tmpPath)
 	if err != nil {
 		removeDBFiles(tmpPath)
 		return err
@@ -118,7 +118,6 @@ func (s *Store) CompactNow() error {
 	}
 	s.cur = dstPath
 	s.chain = 0
-	_ = docs
 	s.compactions.Add(1)
 	s.compactedPages.Add(uint64(pages))
 	hook := s.onPublish
@@ -132,12 +131,12 @@ func (s *Store) CompactNow() error {
 // fold copies every relation of the source epoch into a fresh writable
 // database at dstPath under the I/O budget and saves it as a version-1
 // catalog. Returns the pages written.
-func (s *Store) fold(srcPath, dstPath string) (int64, int, error) {
+func (s *Store) fold(srcPath, dstPath string) (int64, error) {
 	src, srcRels, err := containment.Open(containment.Config{
 		Path: srcPath, ReadOnly: true, BufferPages: s.cfg.BufferPages,
 	})
 	if err != nil {
-		return 0, 0, fmt.Errorf("ingest: compact: open source: %w", err)
+		return 0, fmt.Errorf("ingest: compact: open source: %w", err)
 	}
 	defer src.Close()
 	dst, err := containment.NewEngine(containment.Config{
@@ -145,7 +144,7 @@ func (s *Store) fold(srcPath, dstPath string) (int64, int, error) {
 		TreeHeight: src.TreeHeight(),
 	})
 	if err != nil {
-		return 0, 0, fmt.Errorf("ingest: compact: create base: %w", err)
+		return 0, fmt.Errorf("ingest: compact: create base: %w", err)
 	}
 	defer dst.Close()
 
@@ -161,20 +160,20 @@ func (s *Store) fold(srcPath, dstPath string) (int64, int, error) {
 	for _, name := range names {
 		codes, err := srcRels[name].Codes()
 		if err != nil {
-			return 0, 0, fmt.Errorf("ingest: compact: read %s: %w", name, err)
+			return 0, fmt.Errorf("ingest: compact: read %s: %w", name, err)
 		}
 		r, err := dst.Load(name, codes)
 		if err != nil {
-			return 0, 0, fmt.Errorf("ingest: compact: write %s: %w", name, err)
+			return 0, fmt.Errorf("ingest: compact: write %s: %w", name, err)
 		}
 		loaded = append(loaded, r)
 		pages += r.Pages()
 		s.throttle(pages, start)
 	}
 	if err := dst.SaveDocs(src.Documents(), loaded...); err != nil {
-		return 0, 0, fmt.Errorf("ingest: compact: save base: %w", err)
+		return 0, fmt.Errorf("ingest: compact: save base: %w", err)
 	}
-	return pages, len(names), nil
+	return pages, nil
 }
 
 // throttle sleeps until cumulative pages written over elapsed time is back

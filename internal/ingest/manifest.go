@@ -50,6 +50,10 @@ type EpochEntry struct {
 	// its owning entry). Retirement GC only deletes files no retained
 	// epoch's Chain or Files references.
 	Chain []string `json:"chain,omitempty"`
+	// DeltaPages is how many pages a delta epoch's commit wrote into its
+	// delta file (0 for base and compacted epochs, and for entries written
+	// before the field existed).
+	DeltaPages int64 `json:"delta_pages,omitempty"`
 }
 
 // Manifest is the epochs directory's swap record: which epochs exist and

@@ -116,6 +116,11 @@ type Stats struct {
 	IdxInserts      uint64 `json:"idx_inserts"`
 	IdxDeletes      uint64 `json:"idx_deletes"`
 	IdxRebuilds     uint64 `json:"idx_rebuilds"`
+	// DeltaPages counts the pages commits wrote into epoch deltas;
+	// SharedPages the pages of re-stored relations that commits took over
+	// by page ID from the previous epoch instead of writing them again.
+	DeltaPages  uint64 `json:"delta_pages"`
+	SharedPages uint64 `json:"shared_pages"`
 }
 
 // docState tracks one live document of the forest by identity (codes may
@@ -123,6 +128,10 @@ type Stats struct {
 type docState struct {
 	name string
 	root *xmltree.Element
+	// elems is the size of root's subtree (the catalog's DocInfo.Elements),
+	// kept current by every op that adds or removes elements so a commit
+	// does not walk the forest to recount it.
+	elems int64
 }
 
 // Store is the live write path over one database's epoch family. All
@@ -163,6 +172,7 @@ type Store struct {
 	compactions, compactAborts          atomic.Uint64
 	compactedPages                      atomic.Uint64
 	idxInserts, idxDeletes, idxRebuilds atomic.Uint64
+	deltaPages, sharedPages             atomic.Uint64
 }
 
 type docSpan struct {
@@ -304,6 +314,8 @@ func (s *Store) Stats() Stats {
 	st.IdxInserts = s.idxInserts.Load()
 	st.IdxDeletes = s.idxDeletes.Load()
 	st.IdxRebuilds = s.idxRebuilds.Load()
+	st.DeltaPages = s.deltaPages.Load()
+	st.SharedPages = s.sharedPages.Load()
 	return st
 }
 
@@ -349,7 +361,7 @@ func (s *Store) reload() error {
 		if !ok {
 			name = fmt.Sprintf("doc-%04d", i)
 		}
-		docs = append(docs, docState{name: name, root: root})
+		docs = append(docs, docState{name: name, root: root, elems: subtreeSize(root)})
 	}
 	s.forest = forest
 	s.docs = docs
@@ -443,6 +455,12 @@ func walk(e *xmltree.Element, fn func(*xmltree.Element)) {
 	for _, c := range e.Children {
 		walk(c, fn)
 	}
+}
+
+func subtreeSize(e *xmltree.Element) int64 {
+	n := int64(0)
+	walk(e, func(*xmltree.Element) { n++ })
+	return n
 }
 
 func subtreeCodes(e *xmltree.Element) []pbicode.Code {
@@ -658,8 +676,12 @@ func (s *Store) apply(rop resolvedOp) error {
 		if err := s.graft(s.forest.Root, root); err != nil {
 			return fmt.Errorf("insert_doc %q: %w", op.Doc, err)
 		}
-		s.docs = append(s.docs, docState{name: op.Doc, root: root})
-		walk(root, func(x *xmltree.Element) { s.dirty[x.Tag] = true })
+		d := docState{name: op.Doc, root: root}
+		walk(root, func(x *xmltree.Element) {
+			s.dirty[x.Tag] = true
+			d.elems++
+		})
+		s.docs = append(s.docs, d)
 		s.rebuildDocSpans()
 		s.inserts.Add(1)
 		return nil
@@ -696,10 +718,15 @@ func (s *Store) apply(rop resolvedOp) error {
 		if !s.alive(parent) {
 			return fmt.Errorf("insert_element: code %d was deleted earlier in the batch", op.Parent)
 		}
+		doc := s.docFor(parent.Code)
+		if doc == nil {
+			return fmt.Errorf("insert_element: code %d lies in no document", op.Parent)
+		}
 		el := &xmltree.Element{Tag: op.Tag}
 		if err := s.graft(parent, el); err != nil {
 			return err
 		}
+		doc.elems++
 		s.dirty[op.Tag] = true
 		s.inserts.Add(1)
 		return nil
@@ -715,6 +742,10 @@ func (s *Store) apply(rop resolvedOp) error {
 		if !s.alive(e) {
 			return fmt.Errorf("delete_element: code %d was deleted earlier in the batch", op.Code)
 		}
+		doc := s.docFor(e.Code)
+		if doc == nil {
+			return fmt.Errorf("delete_element: code %d lies in no document", op.Code)
+		}
 		codes := subtreeCodes(e)
 		walk(e, func(x *xmltree.Element) { s.dirty[x.Tag] = true })
 		if err := s.forest.Delete(e); err != nil {
@@ -723,6 +754,7 @@ func (s *Store) apply(rop resolvedOp) error {
 		if err := s.idxDeleteCodes(codes); err != nil {
 			return err
 		}
+		doc.elems -= int64(len(codes))
 		s.deletes.Add(1)
 		return nil
 
@@ -827,23 +859,27 @@ func (s *Store) commit(applied int, scoped0, global0 uint64) (*CommitResult, fun
 		}
 	}
 	sort.Strings(dirtyTags)
+	var written, shared int64 // pages of the re-stored relations
 	for _, tag := range dirtyTags {
 		codes := s.forest.Codes(tag)
 		if len(codes) == 0 {
 			continue // tag vanished; drop its relation from the catalog
 		}
-		r, err := eng.Load(relPrefix+tag, codes)
+		// Over the stored relation, so that only the pages after the first
+		// changed record are written; the unchanged ones before it are
+		// shared with the current epoch by page ID.
+		r, err := eng.LoadOver(rels[relPrefix+tag], relPrefix+tag, codes)
 		if err != nil {
 			return nil, nil, fmt.Errorf("ingest: load tag %q: %w", tag, err)
 		}
 		keep = append(keep, r)
+		shared += r.SharedPages()
+		written += r.Pages() - r.SharedPages()
 	}
 
-	var docs []containment.DocInfo
-	for _, d := range s.docs {
-		n := int64(0)
-		walk(d.root, func(*xmltree.Element) { n++ })
-		docs = append(docs, containment.DocInfo{Name: d.name, Root: d.root.Code, Elements: n})
+	docs := make([]containment.DocInfo, len(s.docs))
+	for i, d := range s.docs {
+		docs[i] = containment.DocInfo{Name: d.name, Root: d.root.Code, Elements: d.elems}
 	}
 
 	epoch := s.man.Current + 1
@@ -852,9 +888,10 @@ func (s *Store) commit(applied int, scoped0, global0 uint64) (*CommitResult, fun
 		return nil, nil, fmt.Errorf("ingest: save epoch %d: %w", epoch, err)
 	}
 	entry := EpochEntry{
-		Epoch: epoch,
-		Path:  filepath.Base(path),
-		Files: []string{filepath.Base(path) + ".catalog", filepath.Base(path) + ".delta"},
+		Epoch:      epoch,
+		Path:       filepath.Base(path),
+		Files:      []string{filepath.Base(path) + ".catalog", filepath.Base(path) + ".delta"},
+		DeltaPages: written,
 	}
 	for _, f := range append([]string{eng.BasePath()}, eng.DeltaChain()...) {
 		if rel, err := filepath.Rel(s.dir, f); err == nil {
@@ -869,6 +906,8 @@ func (s *Store) commit(applied int, scoped0, global0 uint64) (*CommitResult, fun
 	s.dirty = map[string]bool{}
 	s.dirtyAll = false
 	s.commits.Add(1)
+	s.deltaPages.Add(uint64(written))
+	s.sharedPages.Add(uint64(shared))
 	res := &CommitResult{
 		Epoch: epoch, Path: path, Applied: applied,
 		RenumbersScoped: s.renumScoped.Load() - scoped0,

@@ -20,6 +20,13 @@ import (
 // catalog.
 func buildBaseDB(t testing.TB, dir string, docs map[string]string) string {
 	t.Helper()
+	return buildBaseDBFormat(t, dir, docs, false)
+}
+
+// buildBaseDBFormat is buildBaseDB with the page format chosen: compressed
+// (delta-encoded) pages when compress is set, fixed-width ones otherwise.
+func buildBaseDBFormat(t testing.TB, dir string, docs map[string]string, compress bool) string {
+	t.Helper()
 	coll := xmltree.NewCollection()
 	names := make([]string, 0, len(docs))
 	for name := range docs {
@@ -33,7 +40,7 @@ func buildBaseDB(t testing.TB, dir string, docs map[string]string) string {
 	}
 	path := filepath.Join(dir, "base.pbidb")
 	eng, err := containment.NewEngine(containment.Config{
-		Path: path, PageSize: 512, BufferPages: 64, TreeHeight: coll.Height(),
+		Path: path, PageSize: 512, BufferPages: 64, TreeHeight: coll.Height(), Compress: compress,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -81,28 +88,9 @@ func buildBaseDB(t testing.TB, dir string, docs map[string]string) string {
 func storedTagCodes(t testing.TB, s *Store) map[string][]uint64 {
 	t.Helper()
 	_, path := s.CurrentEpoch()
-	eng, rels, err := containment.Open(containment.Config{Path: path, ReadOnly: true, BufferPages: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng, rels := openEpoch(t, path)
 	defer eng.Close()
-	out := map[string][]uint64{}
-	for name, r := range rels {
-		if !strings.HasPrefix(name, relPrefix) {
-			continue
-		}
-		codes, err := r.Codes()
-		if err != nil {
-			t.Fatal(err)
-		}
-		us := make([]uint64, len(codes))
-		for i, c := range codes {
-			us[i] = uint64(c)
-		}
-		sort.Slice(us, func(i, j int) bool { return us[i] < us[j] })
-		out[strings.TrimPrefix(name, relPrefix)] = us
-	}
-	return out
+	return readTagCodes(t, rels)
 }
 
 // forestTagCodes snapshots the live forest's (tag, code) pairs.
@@ -129,26 +117,7 @@ func forestTagCodes(s *Store) map[string][]uint64 {
 
 func assertStoreMatchesEpoch(t *testing.T, s *Store) {
 	t.Helper()
-	want := forestTagCodes(s)
-	got := storedTagCodes(t, s)
-	if len(got) != len(want) {
-		t.Fatalf("stored %d tag relations, forest has %d: stored=%v forest=%v",
-			len(got), len(want), keys(got), keys(want))
-	}
-	for tag, w := range want {
-		g, ok := got[tag]
-		if !ok {
-			t.Fatalf("tag %q missing from stored epoch", tag)
-		}
-		if len(g) != len(w) {
-			t.Fatalf("tag %q: stored %d codes, forest %d", tag, len(g), len(w))
-		}
-		for i := range g {
-			if g[i] != w[i] {
-				t.Fatalf("tag %q code %d: stored %d forest %d", tag, i, g[i], w[i])
-			}
-		}
-	}
+	sameTagCodes(t, "stored epoch against the forest", storedTagCodes(t, s), forestTagCodes(s))
 }
 
 func keys(m map[string][]uint64) []string {
@@ -428,7 +397,7 @@ func TestCompactionDaemonAndAbort(t *testing.T) {
 	srcEpoch, srcPath := s.man.Current, s.cur
 	s.mu.Unlock()
 	dst := filepath.Join(s.dir, fmt.Sprintf("compact-%06d.pbidb", srcEpoch+1))
-	if _, _, err := s.fold(srcPath, dst); err != nil {
+	if _, err := s.fold(srcPath, dst); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Apply([]Op{{Op: "insert_doc", Doc: "race-b", XML: `<rc><rd/></rc>`}}); err != nil {

@@ -377,6 +377,9 @@ func TestIngestEndpoints(t *testing.T) {
 	if stats.Ingest.Epoch != 1 || stats.Ingest.Requests != 1 || stats.Ingest.Failed < 3 || stats.Ingest.Rejected != 1 {
 		t.Fatalf("/stats ingest: %+v", stats.Ingest)
 	}
+	if stats.Ingest.DeltaPages == 0 {
+		t.Fatalf("/stats ingest: one commit, no delta pages counted: %+v", stats.Ingest)
+	}
 	resp, err = client.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -389,6 +392,8 @@ func TestIngestEndpoints(t *testing.T) {
 		"pbiserve_ingest_rejected_total 1",
 		"pbiserve_worker_swaps_total",
 		"pbiserve_ingest_renumbers_total{scope=\"scoped\"}",
+		"pbiserve_ingest_delta_pages_total",
+		"pbiserve_ingest_shared_pages_total",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics: missing %q", want)

@@ -249,6 +249,10 @@ func (s *Server) writeMetrics(w io.Writer, om bool) {
 	fmt.Fprintf(w, "pbiserve_ingest_renumbers_total{scope=\"global\"} %d\n", ig.RenumbersGlobal)
 	family(w, "pbiserve_ingest_overflow_inserts_total", "Inserts placed in a parent's reserved overflow slot region.", "counter")
 	fmt.Fprintf(w, "pbiserve_ingest_overflow_inserts_total %d\n", ig.OverflowInserts)
+	family(w, "pbiserve_ingest_delta_pages_total", "Pages ingest commits wrote into epoch deltas.", "counter")
+	fmt.Fprintf(w, "pbiserve_ingest_delta_pages_total %d\n", ig.DeltaPages)
+	family(w, "pbiserve_ingest_shared_pages_total", "Pages of re-stored relations that commits shared by page ID with the previous epoch instead of writing.", "counter")
+	fmt.Fprintf(w, "pbiserve_ingest_shared_pages_total %d\n", ig.SharedPages)
 	family(w, "pbiserve_compactions_total", "Delta chains folded into fresh bases by the compaction daemon.", "counter")
 	fmt.Fprintf(w, "pbiserve_compactions_total %d\n", ig.Compactions)
 	family(w, "pbiserve_compact_aborts_total", "Compaction folds discarded because a commit superseded them.", "counter")

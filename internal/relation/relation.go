@@ -455,6 +455,36 @@ func Attach(pool *buffer.Pool, name string, pages []storage.PageID, count int64,
 	}
 }
 
+// SharedPrefix reports how much of r a relation bulk-loaded from codes
+// (Aux = ordinal, as FromCodes writes it) could share by page ID instead of
+// rewriting: the number of r's leading pages whose every record equals the
+// record codes would put at the same ordinal, and the records they hold.
+// The tail page is never counted — it may be partial, and a page that could
+// still be appended to cannot be shared between two relations — so every
+// counted page is closed and safe to Attach as is. The walk goes page by
+// page on each page's own record count, whatever its format, and stops
+// reading at the first page that differs.
+func (r *Relation) SharedPrefix(codes []pbicode.Code) (pages int, recs int, err error) {
+	var ps pageSlab
+	defer ps.release(r.pool)
+	for pages < len(r.pages)-1 {
+		if err := ps.load(r, pages); err != nil {
+			return 0, 0, fmt.Errorf("relation %s: shared prefix: %w", r.name, err)
+		}
+		if recs+len(ps.codes) > len(codes) {
+			break
+		}
+		for i, c := range ps.codes {
+			if c != uint64(codes[recs+i]) || ps.aux[i] != uint64(recs+i) {
+				return pages, recs, nil
+			}
+		}
+		pages++
+		recs += len(ps.codes)
+	}
+	return pages, recs, nil
+}
+
 // FromCodes bulk-loads codes into a new relation, Aux = ordinal.
 func FromCodes(pool *buffer.Pool, name string, codes []pbicode.Code) (*Relation, error) {
 	r := New(pool, name)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"slices"
 )
 
 // This file is the delta layer behind epoch-based serving (internal/ingest,
@@ -39,7 +40,9 @@ const deltaMagic = "PBIDLT1\n"
 const deltaHdrSize = len(deltaMagic) + 4 + 8 + 4
 
 // Delta is one loaded delta file: the pages it overrides or adds, and the
-// logical page count of the disk after applying it.
+// logical page count of the disk after applying it. The page slices of a
+// Delta returned by ReadDelta share one buffer (the file image) and must be
+// treated as read-only.
 type Delta struct {
 	PageSize     int
 	LogicalPages PageID
@@ -62,11 +65,7 @@ func WriteDelta(path string, pageSize int, logicalPages PageID, pages map[PageID
 	}
 	// Deterministic page order keeps delta files byte-stable for a given
 	// page set (and their CRCs comparable across rewrites).
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	slices.Sort(ids)
 	buf := make([]byte, 0, deltaHdrSize+len(ids)*(8+pageSize)+4)
 	buf = append(buf, deltaMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(pageSize))
@@ -119,9 +118,11 @@ func ReadDelta(path string, pageSize int) (*Delta, error) {
 		if id < 0 || id >= logical {
 			return nil, fmt.Errorf("storage: %s: delta page %d outside logical extent %d", path, id, logical)
 		}
-		page := make([]byte, ps)
-		copy(page, rest[off+8:])
-		d.Pages[id] = page
+		// A cap-limited window of the verified file buffer, not a copy: the
+		// delta layer is immutable (OverlayDisk.Read copies out of it, writes
+		// land in the private overlay), and the cap keeps an append from
+		// running into the next entry.
+		d.Pages[id] = rest[off+8 : off+8+ps : off+8+ps]
 	}
 	return d, nil
 }

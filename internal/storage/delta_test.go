@@ -53,6 +53,77 @@ func TestDeltaRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDeltaLayerIsImmutable pins down what lets ReadDelta hand out windows
+// of one file buffer instead of a copy per page: nothing downstream can
+// write through them. OverlayDisk.Read copies out, so scribbling on a read
+// buffer changes nothing; Write lands in the private overlay, so the layer
+// (and any other disk opened over the same chain) keeps the stored bytes;
+// and each window is capped at its page, so even an append cannot run into
+// the neighbouring entry.
+func TestDeltaLayerIsImmutable(t *testing.T) {
+	const ps = 64
+	base := writeBaseFile(t, ps, 2)
+	dp := filepath.Join(filepath.Dir(base), "e1.delta")
+	want := map[PageID][]byte{
+		1: bytes.Repeat([]byte{0x11}, ps),
+		2: bytes.Repeat([]byte{0x22}, ps),
+		3: bytes.Repeat([]byte{0x33}, ps),
+	}
+	if err := WriteDelta(dp, ps, 4, want); err != nil {
+		t.Fatal(err)
+	}
+	d, err := ReadDelta(dp, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, p := range d.Pages {
+		if len(p) != ps || cap(p) != ps {
+			t.Fatalf("page %d: len %d cap %d, want both %d", id, len(p), cap(p), ps)
+		}
+	}
+
+	od, err := OpenOverlayLayered(base, []string{dp}, ps, CostModel{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer od.Close()
+	other, err := OpenOverlayLayered(base, []string{dp}, ps, CostModel{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	read := func(d *OverlayDisk, id PageID) []byte {
+		p := make([]byte, ps)
+		if err := d.Read(id, p); err != nil {
+			t.Fatalf("read page %d: %v", id, err)
+		}
+		return p
+	}
+
+	buf := read(od, 2)
+	clear(buf) // mutate the buffer a read filled
+	if got := read(od, 2); !bytes.Equal(got, want[2]) {
+		t.Fatalf("mutating a read buffer changed the delta layer: %x", got[:4])
+	}
+	if err := od.Write(2, bytes.Repeat([]byte{0xEE}, ps)); err != nil {
+		t.Fatal(err)
+	}
+	if got := read(od, 2); got[0] != 0xEE {
+		t.Fatalf("write not visible through its own overlay: %x", got[0])
+	}
+	for id, w := range want {
+		if got := read(other, id); !bytes.Equal(got, w) {
+			t.Fatalf("page %d changed under a second disk after a write through the first", id)
+		}
+	}
+	od.Release()
+	for id, w := range want {
+		if got := read(od, id); !bytes.Equal(got, w) {
+			t.Fatalf("page %d: Release did not revert to the delta layer's bytes", id)
+		}
+	}
+}
+
 func TestDeltaRejectsOutOfExtentPage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.delta")
 	err := WriteDelta(path, 64, 3, map[PageID][]byte{5: make([]byte, 64)})

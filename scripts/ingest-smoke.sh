@@ -83,7 +83,8 @@ done
 echo "ingest-smoke: checking /metrics ingest families"
 metrics=$(curl -fs "http://$addr/metrics")
 for fam in pbiserve_epoch pbiserve_ingest_requests_total pbiserve_ingest_ops_total \
-           pbiserve_ingest_renumbers_total pbiserve_compactions_total pbiserve_worker_swaps_total; do
+           pbiserve_ingest_renumbers_total pbiserve_ingest_delta_pages_total pbiserve_ingest_shared_pages_total \
+           pbiserve_compactions_total pbiserve_worker_swaps_total; do
     echo "$metrics" | grep -q "^$fam" || { echo "ingest-smoke: /metrics missing $fam" >&2; exit 1; }
 done
 
