@@ -36,8 +36,8 @@ bench:
 bench-test:
 	$(GO) test -C bench ./...
 
-# Re-run the page-format experiment (`pbibench -exp batch`: fixed-width vs
-# delta-compressed pages under the one set of kernels) against the newest
+# Re-run the page-format experiment (`pbibench -exp batch`: the paper's
+# fixed-width pages vs packed pages under the one set of kernels) against the newest
 # committed entry in results/dev/bench/data.js and fail on >15% regression
 # of any shared metric; skips with a notice when no baseline exists.
 bench-regression:
@@ -48,10 +48,12 @@ bench-regression:
 loc:
 	./scripts/loc.sh
 
-# Short fuzzing passes over the parser and the coding identities.
+# Short fuzzing passes over the parser, the coding identities and the heap
+# page decoders (arbitrary page bytes under every format byte).
 fuzz:
 	$(GO) test -fuzz=FuzzCodeRoundtrips -fuzztime=30s ./pbicode
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./xmltree
+	$(GO) test -fuzz=FuzzPageDecode -fuzztime=30s ./internal/relation
 
 # Quick interactive experiment sweep (about a minute).
 experiments:

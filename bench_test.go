@@ -221,8 +221,8 @@ func BenchmarkShardedVsSingleD7(b *testing.B) {
 	})
 }
 
-// BenchmarkBatchJoin runs the DBLP D1-D10 mix over fixed-width pages
-// ("fixed") and over delta-compressed pages ("batch", the name the
+// BenchmarkBatchJoin runs the DBLP D1-D10 mix over the paper's fixed-width
+// pages ("fixed") and over packed pages ("batch", the name the
 // `batch` pbibench experiment records) at an equal, deliberately tight
 // buffer budget: the same kernels, so the two differ by page format alone.
 // The interesting number is the elapsed-ns/op metric (virtual disk time +
@@ -234,11 +234,11 @@ func BenchmarkBatchJoin(b *testing.B) {
 	}
 	queries := workload.DBLPQueries()
 	for _, mode := range []struct {
-		name     string
-		compress bool
+		name  string
+		paper bool
 	}{
-		{"fixed", false},
-		{"batch", true},
+		{"fixed", true},
+		{"batch", false},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			var elapsed, pairs int64
@@ -249,7 +249,7 @@ func BenchmarkBatchJoin(b *testing.B) {
 						PageSize:    1024,
 						BufferPages: 64,
 						DiskCost:    containment.DefaultDiskCost,
-						Compress:    mode.compress,
+						PaperLayout: mode.paper,
 					})
 					if err != nil {
 						b.Fatal(err)

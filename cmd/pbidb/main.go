@@ -61,7 +61,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  pbidb build  -db FILE [-tags a,b] [-compress] doc.xml [doc.xml ...]
+  pbidb build  -db FILE [-tags a,b] doc.xml [doc.xml ...]
   pbidb tags   -db FILE
   pbidb join   -db FILE -anc TAG -desc TAG [-algo NAME] [-buffer N]
   pbidb shard  -db FILE [-shards N] [-out DIR]
@@ -77,7 +77,6 @@ func build(args []string) {
 	db := fs.String("db", "", "database file (required)")
 	tagList := fs.String("tags", "", "comma-separated tags to store (default: every tag)")
 	pageSize := fs.Int("pagesize", 4096, "page size")
-	compress := fs.Bool("compress", false, "store relations in the delta-compressed page layout")
 	fs.Parse(args) //nolint:errcheck // ExitOnError
 	if *db == "" || fs.NArg() == 0 {
 		usage()
@@ -107,7 +106,6 @@ func build(args []string) {
 		Path:       *db,
 		PageSize:   *pageSize,
 		TreeHeight: coll.Height(),
-		Compress:   *compress,
 	})
 	if err != nil {
 		fail(err)

@@ -1,7 +1,10 @@
 // Command pbifsck is the offline integrity checker for persisted pbidb
 // databases: it recomputes every page's CRC32-C and compares it against the
 // checksum sidecar, pinpointing exactly which pages — and which stored
-// relations — are damaged. Run it when a query fails with the "corrupt"
+// relations — are damaged, and it decodes every page a relation owns the way
+// a scan would (fixed, varint or packed, by the page's format byte),
+// reporting a page whose header and payload disagree as INCONSISTENT. Run it
+// when a query fails with the "corrupt"
 // failure class, or routinely after restoring a database from backup.
 //
 // The scanner is epoch-aware: when the named database carries an epoch
@@ -30,6 +33,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"github.com/pbitree/pbitree/containment"
 	"github.com/pbitree/pbitree/internal/ingest"
@@ -123,17 +127,18 @@ func report(rep *containment.FsckReport) {
 	if rep.Epoch > 0 {
 		epoch = fmt.Sprintf(", epoch %d over %d deltas", rep.Epoch, len(rep.Deltas))
 	}
-	formats := ""
-	if rep.CompressedPages > 0 {
-		formats = fmt.Sprintf(", formats: %d fixed / %d compressed", rep.FixedPages, rep.CompressedPages)
-	}
-	if len(rep.Bad) == 0 && deltasOK(rep) && rep.UnknownFormatPages == 0 {
+	formats := fmt.Sprintf(", formats: %d fixed / %d varint / %d packed", rep.FixedPages, rep.VarintPages, rep.PackedPages)
+	inconsistent := rep.UnknownFormatPages > 0 || len(rep.Undecodable) > 0
+	if len(rep.Bad) == 0 && deltasOK(rep) && !inconsistent {
 		fmt.Printf("%s: ok (%d/%d pages verified, page size %d%s%s)\n", rep.Path, rep.Checked, rep.Pages, rep.PageSize, epoch, formats)
 		return
 	}
-	if rep.UnknownFormatPages > 0 {
-		fmt.Printf("%s: INCONSISTENT — %d relation-owned pages carry an unknown format byte%s\n",
-			rep.Path, rep.UnknownFormatPages, formats)
+	if inconsistent {
+		fmt.Printf("%s: INCONSISTENT — %d relation-owned pages carry an unknown format byte, %d do not decode%s\n",
+			rep.Path, rep.UnknownFormatPages, len(rep.Undecodable), formats)
+		for _, b := range rep.Undecodable {
+			fmt.Printf("  page %d (%s): %s\n", b.Page, strings.Join(b.Relations, ", "), b.Error)
+		}
 		if len(rep.Bad) == 0 && deltasOK(rep) {
 			return
 		}
@@ -142,13 +147,7 @@ func report(rep *containment.FsckReport) {
 	for _, b := range rep.Bad {
 		where := "unowned (catalog internals or slack)"
 		if len(b.Relations) > 0 {
-			where = "relations: "
-			for i, r := range b.Relations {
-				if i > 0 {
-					where += ", "
-				}
-				where += r
-			}
+			where = "relations: " + strings.Join(b.Relations, ", ")
 		}
 		fmt.Printf("  page %d: want crc32c %08x, got %08x — %s\n", b.Page, b.Want, b.Got, where)
 	}

@@ -44,7 +44,6 @@ func main() {
 		analyze  = flag.Bool("analyze", false, "EXPLAIN ANALYZE: print the per-phase cost breakdown")
 		shards   = flag.Int("shards", 0, "scatter-gather the join across N region-disjoint in-memory shards (0 = single engine)")
 		parallel = flag.Int("parallel", 0, "intra-engine worker degree for partition fan-outs (composes with -shards; 0/1 = serial)")
-		compress = flag.Bool("compress", false, "store the inputs in the delta-compressed page layout")
 		timeout  = flag.Duration("timeout", 0, "abort each join after this long (0 = no deadline)")
 	)
 	flag.Parse()
@@ -86,7 +85,6 @@ func main() {
 			PageSize:       *pageSize,
 			DiskCost:       containment.DefaultDiskCost,
 			EngineParallel: *parallel,
-			EngineCompress: *compress,
 		}, *shards)
 		if err != nil {
 			fail(err)
@@ -129,7 +127,6 @@ func main() {
 			PageSize:    *pageSize,
 			DiskCost:    containment.DefaultDiskCost,
 			Parallel:    *parallel,
-			Compress:    *compress,
 		})
 		if err != nil {
 			fail(err)

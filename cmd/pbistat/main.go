@@ -11,10 +11,10 @@
 //	pbistat -layout db.pages      (per-relation page-format report)
 //
 // -layout opens a saved database read-only and reports each relation's
-// physical layout: how many of its pages are fixed-width vs
-// delta-compressed, the stored payload bytes per record, and the pages a
-// pure fixed-width layout would need — i.e. the scan-page savings the
-// compressed format buys.
+// physical layout: whether its pages are fixed-width, varint (legacy) or
+// packed, the stored payload bytes per record, and the pages a pure
+// fixed-width layout would need — i.e. the scan-page savings the packed
+// format buys.
 //
 // -docs prints the per-document size breakdown of a corpus (element count
 // and estimated heap pages) — the weights the shard packer balances — and
@@ -260,12 +260,14 @@ func layoutReport(path string) {
 		if err != nil {
 			fail(fmt.Errorf("%s: %w", name, err))
 		}
-		format := "fixed"
-		switch {
-		case li.CompressedPages == li.Pages && li.Pages > 0:
-			format = "compressed"
-		case li.CompressedPages > 0:
-			format = "mixed"
+		format := "mixed"
+		switch li.Pages {
+		case li.FixedPages:
+			format = "fixed"
+		case li.VarintPages:
+			format = "varint"
+		case li.PackedPages:
+			format = "packed"
 		}
 		perRec := 0.0
 		if li.Records > 0 {

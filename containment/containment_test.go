@@ -152,8 +152,10 @@ func TestEngineEmitCallback(t *testing.T) {
 
 func TestEngineFileBacked(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	aCodes := randCodes(rng, 400, 10)
-	dCodes := randCodes(rng, 400, 10)
+	// 3000 elements a side are a dozen packed 512-byte pages each: the
+	// inputs alone are three times the 8-frame pool.
+	aCodes := randCodes(rng, 3000, 14)
+	dCodes := randCodes(rng, 3000, 14)
 	path := filepath.Join(t.TempDir(), "pages.db")
 	e, err := NewEngine(Config{Path: path, PageSize: 512, BufferPages: 8, DiskCost: DefaultDiskCost})
 	if err != nil {
@@ -168,6 +170,9 @@ func TestEngineFileBacked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if a.Pages()+d.Pages() < 3*8 {
+		t.Fatalf("inputs of %d+%d pages do not overflow the pool", a.Pages(), d.Pages())
+	}
 	res, err := e.Join(a, d, JoinOptions{Algorithm: VPJ})
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +180,7 @@ func TestEngineFileBacked(t *testing.T) {
 	if res.Count != int64(len(oracle(aCodes, dCodes))) {
 		t.Fatalf("Count = %d", res.Count)
 	}
-	if res.IO.VirtualTime <= 0 {
+	if res.IO.VirtualTime <= 0 || res.IO.PoolEvictions == 0 {
 		t.Fatal("virtual clock did not advance on a file-backed engine with a tiny pool")
 	}
 }

@@ -50,12 +50,15 @@ type Config struct {
 	// a join may use up to Parallel workers internally while it runs. See
 	// doc/PARALLEL.md.
 	Parallel int
-	// Compress stores newly loaded relations in the delta-compressed page
-	// format: sorted-ish code sequences pack several times more records
-	// per page, cutting every scan's page count. Existing relations keep
-	// whatever format they were written in — the two formats coexist in
-	// one database, distinguished per page by a header byte.
-	Compress bool
+	// PaperLayout makes the engine write the paper's pages — 16-byte
+	// records, 255 to a 4 KiB page — instead of packed ones, which hold
+	// about five times as many: relations it loads, and the partitions,
+	// runs and copies its joins derive from any relation. It exists so that
+	// the experiment harness (internal/benchkit) keeps regenerating the
+	// paper's tables at the paper's records per page; nothing that serves
+	// or stores data sets it. Reading needs no option: every page carries
+	// its format, and pages of all formats coexist in one database.
+	PaperLayout bool
 }
 
 // DiskCost assigns virtual time per page access (see storage.CostModel).
@@ -165,10 +168,6 @@ func (r *Relation) Codes() ([]pbicode.Code, error) {
 	return out, nil
 }
 
-// Compressed reports whether the relation appends delta-compressed pages
-// (set at load time from Config.Compress, or read back from the catalog).
-func (r *Relation) Compressed() bool { return r.rel.Compressed() }
-
 // Layout scans the relation's page headers and returns the physical
 // layout summary: pages per format, records, stored payload bytes, and
 // the fixed-width page count the same records would need (the scan-page
@@ -209,7 +208,7 @@ func (e *Engine) Close() error {
 	return e.disk.Close()
 }
 
-// Load stores a code set as a relation, honoring Config.Compress.
+// Load stores a code set as a relation.
 func (e *Engine) Load(name string, codes []pbicode.Code) (*Relation, error) {
 	return e.LoadOver(nil, name, codes)
 }
@@ -240,7 +239,7 @@ func (e *Engine) LoadOver(old *Relation, name string, codes []pbicode.Code) (*Re
 		shared, kept = old.rel.Pages()[:n], recs
 	}
 	rel := relation.New(e.pool, name)
-	rel.SetCompress(e.cfg.Compress)
+	rel.SetPaperLayout(e.cfg.PaperLayout)
 	app := rel.NewAppender()
 	for i, c := range codes[kept:] {
 		if err := app.Append(relation.Rec{Code: c, Aux: uint64(kept + i)}); err != nil {
@@ -266,7 +265,7 @@ func (e *Engine) LoadOver(old *Relation, name string, codes []pbicode.Code) (*Re
 			ok = true
 		}
 		rel = relation.Attach(e.pool, name, append(shared, rel.Pages()...), int64(len(codes)), span)
-		rel.SetCompress(e.cfg.Compress)
+		rel.SetPaperLayout(e.cfg.PaperLayout)
 	}
 	r := &Relation{rel: rel, singleHeight: true, shared: len(shared)}
 	first := true

@@ -21,7 +21,9 @@ import (
 // verifies lazily, on fetch, and quarantines), Fsck reads every page, so
 // corruption in rarely-queried relations surfaces too.
 
-// FsckBadPage is one page that failed verification.
+// FsckBadPage is one page that failed verification: its checksum
+// (FsckReport.Bad) or, the checksum holding, its decoding
+// (FsckReport.Undecodable, which sets Error and leaves Want and Got zero).
 type FsckBadPage struct {
 	Page int64  `json:"page"`
 	Want uint32 `json:"want"` // recorded checksum
@@ -29,6 +31,8 @@ type FsckBadPage struct {
 	// Relations names the stored relations whose page lists include this
 	// page; empty for pages no relation owns (catalog internals, slack).
 	Relations []string `json:"relations,omitempty"`
+	// Error says how the page fails to decode.
+	Error string `json:"error,omitempty"`
 }
 
 // FsckDelta is the verification result for one delta file of an epoch
@@ -48,13 +52,17 @@ type FsckReport struct {
 	Pages    int64         `json:"pages"`   // pages in the file
 	Checked  int64         `json:"checked"` // pages with a recorded checksum
 	Bad      []FsckBadPage `json:"bad,omitempty"`
-	// FixedPages / CompressedPages tally the relation-owned pages by
-	// their header format byte; UnknownFormatPages counts owned pages
-	// whose format byte matches neither layout (a software-level
-	// inconsistency even when the checksum verifies).
-	FixedPages         int64 `json:"fixed_pages,omitempty"`
-	CompressedPages    int64 `json:"compressed_pages,omitempty"`
-	UnknownFormatPages int64 `json:"unknown_format_pages,omitempty"`
+	// FixedPages / VarintPages / PackedPages tally the relation-owned
+	// pages by their header format byte. Every one of them is decoded as a
+	// scan would decode it: UnknownFormatPages counts owned pages whose
+	// format byte no layout uses, Undecodable lists those whose header and
+	// payload disagree — software-level inconsistencies even when the
+	// checksum verifies.
+	FixedPages         int64         `json:"fixed_pages,omitempty"`
+	VarintPages        int64         `json:"varint_pages,omitempty"`
+	PackedPages        int64         `json:"packed_pages,omitempty"`
+	UnknownFormatPages int64         `json:"unknown_format_pages,omitempty"`
+	Undecodable        []FsckBadPage `json:"undecodable,omitempty"`
 	// Epoch and Deltas are set when the catalog is an epoch (version-2)
 	// database: the page scan above covers the base file, and each delta of
 	// the chain is CRC-verified whole.
@@ -69,7 +77,7 @@ type FsckReport struct {
 // OK reports whether the scan found the database intact (a legacy database
 // with no checksums is not OK — it is unverifiable).
 func (r *FsckReport) OK() bool {
-	if r.NoChecksums || len(r.Bad) > 0 || r.UnknownFormatPages > 0 {
+	if r.NoChecksums || len(r.Bad) > 0 || r.UnknownFormatPages > 0 || len(r.Undecodable) > 0 {
 		return false
 	}
 	for _, d := range r.Deltas {
@@ -101,7 +109,8 @@ func readCatalog(path string) (*catalogFile, error) {
 // lists each mismatching page with the relations that own it. For an epoch
 // (version-2) database the page scan covers the base file the catalog
 // references, and every delta of the chain is additionally verified whole
-// against its trailing CRC. Databases saved before checksums existed
+// against its trailing CRC. Every page a catalogued relation owns — in the
+// base file or in a delta — is also decoded as a scan would decode it. Databases saved before checksums existed
 // return a report with NoChecksums set and no error — they are legacy, not
 // broken.
 func Fsck(path string) (*FsckReport, error) {
@@ -114,6 +123,41 @@ func Fsck(path string) (*FsckReport, error) {
 		pageSize = storage.DefaultPageSize
 	}
 	rep := &FsckReport{Path: path, PageSize: pageSize}
+	owners := map[int64][]string{}
+	for _, entry := range cat.Relations {
+		for _, id := range entry.Pages {
+			owners[id] = append(owners[id], entry.Name)
+		}
+	}
+	for _, rels := range owners {
+		sort.Strings(rels)
+	}
+	// decode tallies one relation-owned page by format and checks that it
+	// decodes. Each page ID is decoded once, in the version the relation
+	// reads: a delta's over an earlier delta's over the base file's.
+	decoded := map[int64]bool{}
+	decode := func(id int64, page []byte) {
+		if len(owners[id]) == 0 || decoded[id] {
+			return
+		}
+		decoded[id] = true
+		format, err := relation.CheckPage(page)
+		switch format {
+		case "fixed":
+			rep.FixedPages++
+		case "varint":
+			rep.VarintPages++
+		case "packed":
+			rep.PackedPages++
+		default:
+			rep.UnknownFormatPages++
+			return
+		}
+		if err != nil {
+			rep.Undecodable = append(rep.Undecodable, FsckBadPage{Page: id, Relations: owners[id], Error: err.Error()})
+		}
+	}
+
 	pagePath := path
 	if cat.Version == catalogVersionEpoch {
 		dir := filepath.Dir(path)
@@ -122,15 +166,19 @@ func Fsck(path string) (*FsckReport, error) {
 		}
 		pagePath = filepath.Join(dir, cat.Base)
 		rep.Epoch = cat.Epoch
-		for _, d := range cat.Deltas {
-			dp := filepath.Join(dir, d)
+		rep.Deltas = make([]FsckDelta, len(cat.Deltas))
+		for i := len(cat.Deltas) - 1; i >= 0; i-- {
+			dp := filepath.Join(dir, cat.Deltas[i])
 			fd := FsckDelta{Path: dp}
-			if pages, _, err := storage.VerifyDelta(dp); err != nil {
+			if d, err := storage.ReadDelta(dp, 0); err != nil {
 				fd.Error = err.Error()
 			} else {
-				fd.Pages, fd.OK = pages, true
+				fd.Pages, fd.OK = len(d.Pages), true
+				for id, page := range d.Pages {
+					decode(int64(id), page)
+				}
 			}
-			rep.Deltas = append(rep.Deltas, fd)
+			rep.Deltas[i] = fd
 		}
 	}
 	if !cat.Checksums {
@@ -140,13 +188,6 @@ func Fsck(path string) (*FsckReport, error) {
 	sums, err := storage.LoadChecksums(pagePath)
 	if err != nil {
 		return nil, fmt.Errorf("containment: %w", err)
-	}
-
-	owners := map[int64][]string{}
-	for _, entry := range cat.Relations {
-		for _, id := range entry.Pages {
-			owners[id] = append(owners[id], entry.Name)
-		}
 	}
 
 	f, err := os.Open(pagePath)
@@ -174,26 +215,17 @@ func Fsck(path string) (*FsckReport, error) {
 			// engine extended it without re-saving): unverifiable tail.
 			continue
 		}
-		if len(owners[id]) > 0 {
-			switch relation.PageFormatName(page) {
-			case "fixed":
-				rep.FixedPages++
-			case "compressed":
-				rep.CompressedPages++
-			default:
-				rep.UnknownFormatPages++
-			}
-		}
 		rep.Checked++
 		want := sums.Sum(storage.PageID(id))
 		got := storage.PageChecksum(page)
-		if got == want {
+		if got != want {
+			// Damaged: reported here, and not also as failing to decode.
+			rep.Bad = append(rep.Bad, FsckBadPage{Page: id, Want: want, Got: got, Relations: owners[id]})
 			continue
 		}
-		rels := append([]string(nil), owners[id]...)
-		sort.Strings(rels)
-		rep.Bad = append(rep.Bad, FsckBadPage{Page: id, Want: want, Got: got, Relations: rels})
+		decode(id, page)
 	}
+	sort.Slice(rep.Undecodable, func(i, j int) bool { return rep.Undecodable[i].Page < rep.Undecodable[j].Page })
 	return rep, nil
 }
 

@@ -215,3 +215,49 @@ func TestOpenRejectsMissingSidecar(t *testing.T) {
 		t.Fatal("open with missing sidecar succeeded")
 	}
 }
+
+// TestFsckFlagsUndecodablePage: a page that passes its checksum and still
+// does not decode — here a packed page whose header claims fewer payload
+// bytes than its blocks need, checksummed as it stands — was written wrong,
+// and Fsck reports it as an inconsistency of the relation that owns it
+// rather than reading the format byte and moving on.
+func TestFsckFlagsUndecodablePage(t *testing.T) {
+	path, _ := buildDB(t)
+	cat, err := readCatalog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var page int64
+	for _, e := range cat.Relations {
+		if e.Name == "D" {
+			page = e.Pages[0]
+		}
+	}
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := make([]byte, 2)
+	off := page*int64(cat.PageSize) + 4 // the header's used-bytes field
+	if _, err := f.ReadAt(used, off); err != nil {
+		t.Fatal(err)
+	}
+	used[0] -= 40
+	if _, err := f.WriteAt(used, off); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if err := AddChecksums(path); err != nil { // checksum the file as it now is
+		t.Fatal(err)
+	}
+	rep, err := Fsck(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OK() || len(rep.Bad) != 0 || len(rep.Undecodable) != 1 {
+		t.Fatalf("fsck: OK %v, %d bad checksums, undecodable %+v; want exactly one undecodable page", rep.OK(), len(rep.Bad), rep.Undecodable)
+	}
+	if u := rep.Undecodable[0]; u.Page != page || len(u.Relations) != 1 || u.Relations[0] != "D" || u.Error == "" {
+		t.Fatalf("undecodable page reported as %+v, want page %d of relation D with a reason", u, page)
+	}
+}

@@ -197,7 +197,7 @@ func (e *Engine) runIndexed(ctx *core.Context, alg core.Algorithm, a, d *Relatio
 	case core.AlgINLJN:
 		// Prefer the cheaper probe direction among available indexes,
 		// mirroring core.INLJN's smaller-outer heuristic.
-		aFirst := a.rel.NumPages() <= d.rel.NumPages()
+		aFirst := a.rel.NumRecords() <= d.rel.NumRecords()
 		if aFirst && d.startIdx != nil {
 			return true, core.INLJNProbeDescendants(ctx, a.rel, d.startIdx, ctx.Wrap(sink))
 		}

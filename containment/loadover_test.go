@@ -51,8 +51,8 @@ func closedPagesWithin(t *testing.T, old *Relation, common int) int {
 }
 
 // TestLoadOverMatchesLoad is the loader's property test: for random code
-// sequences and random edits, in both page formats and at page sizes where
-// a page holds 3 and 255 fixed records, LoadOver(old, …) stores exactly
+// sequences and random edits, in both layouts an engine writes and at page
+// sizes where a page holds 3 and 255 fixed records, LoadOver(old, …) stores exactly
 // what a plain Load stores — records, ordinals, span, height statistics —
 // while sharing exactly the closed pages inside the common prefix and
 // writing to no page old owns.
@@ -87,6 +87,8 @@ func TestLoadOverMatchesLoad(t *testing.T) {
 			return randCodes(rng, len(old), 20)
 		}},
 	}
+	// compress=true is the packed layout every engine writes, compress=false
+	// the paper's fixed-width one.
 	for _, compress := range []bool{false, true} {
 		for _, pageSize := range []int{8 + 3*16, 4096} {
 			t.Run(fmt.Sprintf("compress=%v/page=%d", compress, pageSize), func(t *testing.T) {
@@ -97,7 +99,7 @@ func TestLoadOverMatchesLoad(t *testing.T) {
 					for _, ed := range edits {
 						// Three generations, each loaded over the last, so that
 						// relations LoadOver produced are themselves loaded over.
-						e, err := NewEngine(Config{PageSize: pageSize, BufferPages: 16, Compress: compress})
+						e, err := NewEngine(Config{PageSize: pageSize, BufferPages: 16, PaperLayout: !compress})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -141,7 +143,7 @@ func checkLoadOver(t *testing.T, e *Engine, old *Relation, next []pbicode.Code, 
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
-	ref, err := NewEngine(Config{PageSize: e.cfg.PageSize, BufferPages: 16, Compress: e.cfg.Compress})
+	ref, err := NewEngine(Config{PageSize: e.cfg.PageSize, BufferPages: 16, PaperLayout: e.cfg.PaperLayout})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,8 +183,8 @@ func checkLoadOver(t *testing.T, e *Engine, old *Relation, next []pbicode.Code, 
 		t.Fatalf("%s: maxHeight/singleHeight %d/%v, plain Load %d/%v",
 			what, got.maxHeight, got.singleHeight, want.maxHeight, want.singleHeight)
 	}
-	if got.Compressed() != want.Compressed() {
-		t.Fatalf("%s: Compressed %v, plain Load %v", what, got.Compressed(), want.Compressed())
+	if got.rel.PaperLayout() != want.rel.PaperLayout() {
+		t.Fatalf("%s: PaperLayout %v, plain Load %v", what, got.rel.PaperLayout(), want.rel.PaperLayout())
 	}
 	if e.TreeHeight() < ref.TreeHeight() {
 		t.Fatalf("%s: tree height %d below a plain Load's %d", what, e.TreeHeight(), ref.TreeHeight())

@@ -83,12 +83,10 @@ type catalogEntry struct {
 	MaxHeight    int     `json:"max_height"`
 	SingleHeight bool    `json:"single_height"`
 	Sorted       bool    `json:"sorted"`
-	// Compressed records the relation's append format so reopened
-	// databases keep extending it in kind. Additive: catalogs written
-	// before the delta-compressed layout unmarshal to false (fixed-width),
-	// which is exactly what their pages are. Scanning never consults the
-	// flag — every page carries its own format byte.
-	Compressed bool `json:"compressed,omitempty"`
+	// Earlier catalogs also carry "compressed", the layout the relation
+	// was last appended in. It is neither written nor read any more: every
+	// page carries its own format byte, the only authority on how it is
+	// decoded, and the JSON decoder skips the field.
 }
 
 // catalogPath returns the sidecar path for a page file.
@@ -151,7 +149,6 @@ func (e *Engine) SaveDocs(docs []DocInfo, relations ...*Relation) error {
 			MaxHeight:    r.maxHeight,
 			SingleHeight: r.singleHeight,
 			Sorted:       r.sorted,
-			Compressed:   r.rel.Compressed(),
 		})
 	}
 	// Checksum the freshly synced page file and write the sidecar before
@@ -281,7 +278,7 @@ func Open(cfg Config) (*Engine, map[string]*Relation, error) {
 		}
 		rel := relation.Attach(e.pool, entry.Name, pages, entry.Count,
 			pbicode.Region{Start: entry.MinStart, End: entry.MaxEnd})
-		rel.SetCompress(entry.Compressed)
+		rel.SetPaperLayout(cfg.PaperLayout)
 		rels[entry.Name] = &Relation{
 			rel:          rel,
 			maxHeight:    entry.MaxHeight,

@@ -110,7 +110,9 @@ func runJoin(eng *containment.Engine, ds string, a, d *containment.Relation, alg
 	}, nil
 }
 
-// newEngine builds an engine per the config with the virtual disk enabled.
+// newEngine builds an engine per the config with the virtual disk enabled,
+// storing the paper's 16-byte records: the experiments reproduce the
+// paper's tables, whose every page count is at 255 records per 4 KiB page.
 func (c Config) newEngine(bufferPages int) (*containment.Engine, error) {
 	if bufferPages == 0 {
 		bufferPages = c.BufferPages
@@ -119,6 +121,7 @@ func (c Config) newEngine(bufferPages int) (*containment.Engine, error) {
 		PageSize:    c.PageSize,
 		BufferPages: bufferPages,
 		DiskCost:    containment.DefaultDiskCost,
+		PaperLayout: true,
 	})
 }
 

@@ -81,11 +81,17 @@ func (c *Context) b() int {
 	return b
 }
 
-// perPage returns records per page.
-func (c *Context) perPage() int { return relation.PerPage(c.Pool.PageSize()) }
+// memRecs returns the record capacity of n pages of working memory: n pages
+// of the paper's fixed-width records. Every fits-in-memory decision of the
+// kernels compares record counts against it, never page counts, so the
+// memory a join holds is bounded by b however densely the pages on disk are
+// packed.
+func (c *Context) memRecs(n int) int64 {
+	return int64(n) * int64(relation.PerPage(c.Pool.PageSize()))
+}
 
-// memRecs returns the record capacity of n pages of memory.
-func (c *Context) memRecs(n int) int { return n * c.perPage() }
+// minRecs returns the record count of the smaller input.
+func minRecs(a, d *relation.Relation) int64 { return min(a.NumRecords(), d.NumRecords()) }
 
 // tmp returns a fresh temporary relation name.
 func (c *Context) tmp(kind string) string {
@@ -239,10 +245,7 @@ func NestedLoop(ctx *Context, a, d *relation.Relation, sink Sink) error {
 	sink = ctx.Wrap(sink)
 	sp := ctx.Trace.Start("nested-loop")
 	defer ctx.Trace.End(sp)
-	chunkCap := ctx.memRecs(ctx.b() - 2)
-	if chunkCap < 1 {
-		chunkCap = 1
-	}
+	chunkCap := int(ctx.memRecs(ctx.b() - 2))
 	// The chunk is as large as A fills it, at most chunkCap, and stays with
 	// the scratch for the next join.
 	sc := ctx.scratch()

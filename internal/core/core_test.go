@@ -470,6 +470,44 @@ func TestMPMGJNCountsRescans(t *testing.T) {
 	}
 }
 
+// TestMPMGJNDecodesMarkPageOnce: MPMGJN repositions its descendant scanner
+// once per ancestor. While the mark stays on the page the scanner holds,
+// that must move a cursor — one pool request for the one descendant page,
+// however many ancestors rescan it — not fetch and decode the page again.
+func TestMPMGJNDecodesMarkPageOnce(t *testing.T) {
+	const h = 12
+	rng := rand.New(rand.NewSource(5))
+	// Everything sits in the root's left subtree but one descendant far to
+	// the right, so no ancestor's segment runs off the end of D (a scanner
+	// that reaches the end gives its page back, as every scanner does).
+	left := pbicode.Root(h).LeftChild()
+	aCodes := nodesUnder(rng, left, 200)
+	dCodes := append(nodesUnder(rng, left, 59), pbicode.Code(pbicode.Root(h).Region().End))
+	ctx := newCtx(t, 8, h)
+	a, err := SortByDoc(ctx, load(t, ctx, "A", aCodes), "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := SortByDoc(ctx, load(t, ctx, "D", dCodes), "d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.NumPages() != 1 {
+		t.Fatalf("D has %d pages, want 1", d.NumPages())
+	}
+	before := ctx.Pool.Stats()
+	var sink PairSink
+	if err := MPMGJN(ctx, a, d, &sink); err != nil {
+		t.Fatal(err)
+	}
+	samePairs(t, "mpmgjn", sink.Pairs, oracle(aCodes, dCodes))
+	got := ctx.Pool.Stats().Sub(before)
+	if want := a.NumPages() + 1; got.Hits+got.Misses != want {
+		t.Fatalf("%d pool requests for %d ancestors over one descendant page, want %d (A's pages + 1)",
+			got.Hits+got.Misses, len(aCodes), want)
+	}
+}
+
 func TestADBPlusSkipsViaIndex(t *testing.T) {
 	// A's elements live far left, D's far right except one matching pair:
 	// the skip rules must fire.

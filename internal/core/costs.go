@@ -11,12 +11,21 @@ import "github.com/pbitree/pbitree/internal/relation"
 
 // CostInputs are the statistics the estimator works from.
 type CostInputs struct {
-	// APages / DPages are the page counts ‖A‖ and ‖D‖.
+	// APages / DPages are the page counts ‖A‖ and ‖D‖ on disk: what a scan
+	// of the input, or of a partition or sorted copy written in the same
+	// layout, reads.
 	APages, DPages int64
 	// ARecs / DRecs are the element counts |A| and |D|.
 	ARecs, DRecs int64
 	// B is the buffer budget in pages.
 	B int
+	// PerPage is the number of fixed-width records a page holds — the unit
+	// the kernels count working memory in (Context.memRecs) and the fan-out
+	// of an index leaf, neither of which packs. With it the estimator
+	// sizes build sides, sort runs and indexes from the record counts, as
+	// execution does; 0 means the inputs are in the fixed-width layout
+	// themselves, where the page counts say the same.
+	PerPage int
 	// HeightsA is the number of distinct ancestor heights (k of MHCJ);
 	// 0 means unknown (assume several).
 	HeightsA int
@@ -36,19 +45,31 @@ func Gather(ctx *Context, spec InputSpec, a, d *relation.Relation) CostInputs {
 		APages: a.NumPages(), DPages: d.NumPages(),
 		ARecs: a.NumRecords(), DRecs: d.NumRecords(),
 		B:        ctx.b(),
+		PerPage:  relation.PerPage(ctx.Pool.PageSize()),
 		HeightsA: heights,
 		SortedA:  spec.SortedA, SortedD: spec.SortedD,
 		IndexedA: spec.IndexedA, IndexedD: spec.IndexedD,
 	}
 }
 
-// sortCost estimates external sort I/O: run generation (read + write) plus
-// merge passes of 2R each.
-func sortCost(pages int64, b int) int64 {
+// memPages returns the size of an input in pages of working memory: the
+// pages its records fill at PerPage a page. It is also the leaf count of a
+// B+-tree over them.
+func (in CostInputs) memPages(pages, recs int64) int64 {
+	if in.PerPage <= 0 || recs <= 0 {
+		return pages
+	}
+	return (recs + int64(in.PerPage) - 1) / int64(in.PerPage)
+}
+
+// sortCost estimates the external sort I/O of an input of pages on disk
+// that fills mem pages of working memory: run generation (read + write)
+// plus merge passes of 2·pages each, over runs of b memory pages.
+func sortCost(pages, mem int64, b int) int64 {
 	if pages <= 0 {
 		return 0
 	}
-	runs := (pages + int64(b) - 1) / int64(b)
+	runs := (mem + int64(b) - 1) / int64(b)
 	passes := int64(0)
 	fanIn := int64(b - 1)
 	if fanIn < 2 {
@@ -61,60 +82,68 @@ func sortCost(pages int64, b int) int64 {
 }
 
 // EstimateIO predicts the page I/O of running alg on the inputs, per the
-// section 3.4 formulas. Estimates for data-dependent effects (rescans,
-// index probe fan-out, skew recursion) use the paper's own simplifying
-// assumptions and are documented inline.
+// section 3.4 formulas. Scans are priced in the inputs' pages on disk;
+// whether a side fits in memory, how many runs a sort makes and how many
+// pages an index has are priced from the record counts, as the kernels
+// decide them. Estimates for data-dependent effects (rescans, index probe
+// fan-out, skew recursion) use the paper's own simplifying assumptions and
+// are documented inline.
 func EstimateIO(alg Algorithm, in CostInputs) int64 {
 	a, d := in.APages, in.DPages
+	ma, md := in.memPages(a, in.ARecs), in.memPages(d, in.DRecs)
 	b := int64(in.B)
 	mem := b - 2
 	if mem < 1 {
 		mem = 1
 	}
-	min := a
-	if d < min {
-		min = d
-	}
+	fits := min(ma, md) <= mem
 	switch alg {
 	case AlgNestedLoop:
-		chunks := (a + mem - 1) / mem
+		chunks := (ma + mem - 1) / mem
 		if chunks < 1 {
 			chunks = 1
 		}
 		return a + chunks*d
 	case AlgSHCJ, AlgMHCJRollup, AlgVPJ:
 		// One in-memory pass when a side fits; one partitioning round
-		// otherwise (3(‖A‖+‖D‖), section 3.2/3.3).
-		if min <= mem {
+		// otherwise: 3(‖A‖+‖D‖) in section 3.2/3.3, where the partitions
+		// are written and read back. Only those that leave the pool cost
+		// that: of T pages written while T stream in, the b most recent
+		// stay. In the fixed-width layout a side that does not fit memory
+		// makes T > 2(b−2), so all of T spills and this is the paper's
+		// figure; packed, both inputs can exceed memory in records and
+		// their partitions still sit in a fraction of the pool.
+		if fits {
 			return a + d
 		}
-		return 3 * (a + d)
+		t := a + d
+		return t + 2*min(t, max(0, 2*t-b))
 	case AlgMHCJ:
 		// 5‖A‖ + 3k‖D‖ (section 3.2); unknown k defaults to 4.
 		k := int64(in.HeightsA)
 		if k <= 0 {
 			k = 4
 		}
-		if min <= mem {
+		if fits {
 			return a + k*d
 		}
 		return 5*a + 3*k*d
 	case AlgStackTree, AlgStackTreeAnc, AlgMPMGJN:
 		cost := a + d // the merge (MPMGJN rescans extra; lower bound)
 		if !in.SortedA {
-			cost += sortCost(a, in.B)
+			cost += sortCost(a, ma, in.B)
 		}
 		if !in.SortedD {
-			cost += sortCost(d, in.B)
+			cost += sortCost(d, md, in.B)
 		}
 		return cost
 	case AlgADBPlus:
-		cost := a + d
+		cost := ma + md // the merge walks the index leaves
 		if !in.SortedA || !in.IndexedA {
-			cost += sortCost(a, in.B) + a // sort + bulk-load writes
+			cost += sortCost(a, ma, in.B) + ma // sort + bulk-load writes
 		}
 		if !in.SortedD || !in.IndexedD {
-			cost += sortCost(d, in.B) + d
+			cost += sortCost(d, md, in.B) + md
 		}
 		return cost
 	case AlgINLJN:
@@ -122,21 +151,21 @@ func EstimateIO(alg Algorithm, in CostInputs) int64 {
 		// it is read at most once across all probes; otherwise each probe
 		// pays a root-to-leaf descent (~4 random pages).
 		outerPages, outerRecs := a, in.ARecs
-		innerPages := d
+		innerPages, innerIdx := d, md
 		innerIndexed := in.IndexedD
-		if d < a {
+		if md < ma {
 			outerPages, outerRecs = d, in.DRecs
-			innerPages = a
+			innerPages, innerIdx = a, ma
 			innerIndexed = in.IndexedA
 		}
 		cost := outerPages
-		if innerPages <= mem {
-			cost += innerPages
+		if innerIdx <= mem {
+			cost += innerIdx
 		} else {
 			cost += outerRecs * 4
 		}
 		if !innerIndexed {
-			cost += sortCost(innerPages, in.B) + innerPages
+			cost += sortCost(innerPages, innerIdx, in.B) + innerIdx
 		}
 		return cost
 	default:

@@ -7,19 +7,24 @@ import (
 
 func TestSortCost(t *testing.T) {
 	// Fits in memory: one run, no merge: 2R.
-	if got := sortCost(100, 500); got != 200 {
+	if got := sortCost(100, 100, 500); got != 200 {
 		t.Fatalf("in-memory sort cost = %d", got)
 	}
 	// 4000 pages, 500 buffer: 8 runs, one merge pass: 2R*2.
-	if got := sortCost(4000, 500); got != 16000 {
+	if got := sortCost(4000, 4000, 500); got != 16000 {
 		t.Fatalf("one-pass sort cost = %d", got)
 	}
 	// Tiny buffer: multiple passes.
-	if got := sortCost(1000, 4); got <= 2*1000*2 {
+	if got := sortCost(1000, 1000, 4); got <= 2*1000*2 {
 		t.Fatalf("multi-pass sort cost = %d", got)
 	}
-	if sortCost(0, 10) != 0 {
+	if sortCost(0, 0, 10) != 0 {
 		t.Fatal("empty sort cost")
+	}
+	// Packed five times denser: the same records still make 8 runs of 500
+	// memory pages, but every pass moves a fifth of the pages.
+	if got := sortCost(800, 4000, 500); got != 3200 {
+		t.Fatalf("packed one-pass sort cost = %d", got)
 	}
 }
 
@@ -36,6 +41,23 @@ func TestEstimateIOShapes(t *testing.T) {
 	}
 	if rollup >= st {
 		t.Fatal("partitioning not cheaper than sorting on the paper's setting")
+	}
+	// Packed pages: neither side's million records fit the 498 memory
+	// pages. At 800 pages a side everything written spills from the
+	// 500-page pool, as in the paper; at 100 a side inputs and partitions
+	// fit it together and nothing does; at 150 a side a third of the
+	// partitions, 2·300 − 500 pages, does.
+	packed := CostInputs{APages: 800, DPages: 800, ARecs: 1e6, DRecs: 1e6, B: 500, PerPage: 255}
+	if got := EstimateIO(AlgVPJ, packed); got != 1600+2*1600 {
+		t.Fatalf("packed VPJ = %d", got)
+	}
+	packed.APages, packed.DPages = 100, 100
+	if got := EstimateIO(AlgVPJ, packed); got != 200 {
+		t.Fatalf("packed VPJ within the pool = %d", got)
+	}
+	packed.APages, packed.DPages = 150, 150
+	if got := EstimateIO(AlgMHCJRollup, packed); got != 300+2*100 {
+		t.Fatalf("packed rollup, partitions partly resident = %d", got)
 	}
 	// Pre-sorted inputs flip the comparison.
 	in.SortedA, in.SortedD = true, true
@@ -102,11 +124,13 @@ func TestChooseByCost(t *testing.T) {
 func TestCostModelTracksReality(t *testing.T) {
 	const h = 22
 	rng := rand.New(rand.NewSource(31))
-	// Large enough that nothing fits the 8-frame pool.
+	// Large enough that neither side fits the 16-frame pool's 14 pages of
+	// working memory, small enough that one partitioning round — what the
+	// section 3.4 formulas price — brings every partition under it.
 	aCodes := randCodes(rng, 3000, h, -1)
 	dCodes := randCodes(rng, 3000, h, -1)
 	for _, alg := range []Algorithm{AlgMHCJRollup, AlgVPJ, AlgStackTree} {
-		ctx := newCtx(t, 8, h)
+		ctx := newCtx(t, 16, h)
 		a := load(t, ctx, "A", aCodes)
 		d := load(t, ctx, "D", dCodes)
 		if err := ctx.Pool.FlushAll(); err != nil {

@@ -203,9 +203,9 @@ func probeD(table *flatTable, ds *relation.BatchScanner, keys []fKey, sink Sink)
 func equiJoin(ctx *Context, a, d *relation.Relation, h int, prep aPrep, sink Sink, depth int) error {
 	memCap := ctx.memRecs(ctx.b() - 2)
 	switch {
-	case a.NumRecords() <= int64(memCap):
+	case a.NumRecords() <= memCap:
 		return hashJoinBuildA(ctx, a, d, h, prep, sink)
-	case d.NumRecords() <= int64(memCap):
+	case d.NumRecords() <= memCap:
 		return hashJoinBuildD(ctx, a, d, h, prep, sink)
 	case depth >= 8:
 		// Pathological skew (e.g. one giant duplicate key): stop
@@ -290,11 +290,8 @@ func hashJoinBuildD(ctx *Context, a, d *relation.Relation, h int, prep aPrep, si
 // partitions hold prepped records, so recursion passes a nil prep.
 func graceJoin(ctx *Context, a, d *relation.Relation, h int, prep aPrep, sink Sink, depth int) error {
 	b := ctx.b()
-	minPages := a.NumPages()
-	if p := d.NumPages(); p < minPages {
-		minPages = p
-	}
-	k := int((minPages + int64(b-3)) / int64(b-2))
+	memCap := ctx.memRecs(b - 2)
+	k := int((minRecs(a, d) + memCap - 1) / memCap)
 	if k < 2 {
 		k = 2
 	}
@@ -396,8 +393,7 @@ func hashPartition(ctx *Context, rel *relation.Relation, k int, kind string, sal
 	parts := make([]*relation.Relation, k)
 	apps := make([]*relation.Appender, k)
 	for i := range parts {
-		parts[i] = relation.New(ctx.Pool, ctx.tmp(kind))
-		parts[i].SetCompress(rel.Compressed())
+		parts[i] = relation.NewLike(rel, ctx.Pool, ctx.tmp(kind))
 	}
 	closeApps := func() error {
 		var first error
@@ -455,10 +451,7 @@ func freeAll(parts []*relation.Relation) {
 func blockEquiJoin(ctx *Context, a, d *relation.Relation, h int, prep aPrep, sink Sink) error {
 	sp := ctx.Trace.Start("block-join")
 	defer ctx.Trace.End(sp)
-	chunkCap := ctx.memRecs(ctx.b() - 2)
-	if chunkCap < 1 {
-		chunkCap = 1
-	}
+	chunkCap := int(ctx.memRecs(ctx.b() - 2))
 	table := &ctx.scratch().table
 	table.init(int64(chunkCap))
 	keys := []fKey{fKeyAt(h)}

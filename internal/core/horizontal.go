@@ -111,10 +111,18 @@ func partitionByHeight(ctx *Context, rel *relation.Relation) (map[int]*relation.
 	var s relation.BatchScanner
 	for {
 		apps := make(map[int]*relation.Appender)
+		// Closing an appender allocates its tail page, so the order is
+		// ascending height, not the map's: page IDs, and with them the
+		// sequential-access counters, repeat from run to run.
 		closeApps := func() error {
+			open := make([]int, 0, len(apps))
+			for h := range apps {
+				open = append(open, h)
+			}
+			slices.Sort(open)
 			var first error
-			for _, ap := range apps {
-				if err := ap.Close(); err != nil && first == nil {
+			for _, h := range open {
+				if err := apps[h].Close(); err != nil && first == nil {
 					first = err
 				}
 			}
@@ -145,8 +153,7 @@ func partitionByHeight(ctx *Context, rel *relation.Relation) (map[int]*relation.
 						deferred = true // another wave picks this height up
 						continue
 					}
-					parts[h] = relation.New(ctx.Pool, ctx.tmp(fmt.Sprintf("mhcj.h%d", h)))
-					parts[h].SetCompress(rel.Compressed())
+					parts[h] = relation.NewLike(rel, ctx.Pool, ctx.tmp(fmt.Sprintf("mhcj.h%d", h)))
 					ap = parts[h].NewAppender()
 					apps[h] = ap
 					ctx.stats().Partitions++
@@ -266,10 +273,8 @@ func mhcjRollup(ctx *Context, a, d *relation.Relation, targetH int, sink Sink) e
 	// the (few) higher records go to a side file joined in a single
 	// multi-height pass over D.
 	ssp := ctx.Trace.StartDetail("rollup-split", fmt.Sprintf("h=%d", targetH))
-	rolled := relation.New(ctx.Pool, ctx.tmp("rollup"))
-	high := relation.New(ctx.Pool, ctx.tmp("rollup.high"))
-	rolled.SetCompress(a.Compressed())
-	high.SetCompress(a.Compressed())
+	rolled := relation.NewLike(a, ctx.Pool, ctx.tmp("rollup"))
+	high := relation.NewLike(a, ctx.Pool, ctx.tmp("rollup.high"))
 	// Freed on every exit, including split-scan errors below; the error
 	// paths close both appenders first so Free can discard the tail pages.
 	defer rolled.Free() //nolint:errcheck // cleanup
@@ -299,7 +304,7 @@ func mhcjRollup(ctx *Context, a, d *relation.Relation, targetH int, sink Sink) e
 	if high.NumRecords() == 0 {
 		return nil
 	}
-	if high.NumRecords() <= int64(ctx.memRecs(ctx.b()-2)) {
+	if high.NumRecords() <= ctx.memRecs(ctx.b()-2) {
 		sp := ctx.Trace.Start("multi-probe")
 		err := multiHeightProbeJoin(ctx, high, d, sink)
 		ctx.Trace.End(sp)

@@ -8,24 +8,26 @@ import (
 	"testing"
 
 	"github.com/pbitree/pbitree/internal/relation"
+	"github.com/pbitree/pbitree/internal/relation/relationtest"
 	"github.com/pbitree/pbitree/internal/trace"
 	"github.com/pbitree/pbitree/pbicode"
 )
 
+// pageFormats are the layouts a join input can be stored in: the paper's
+// fixed-width pages, the varint pages earlier versions wrote (read only) and
+// packed pages. Temporaries inherit the layout the input writes — fixed
+// under "fixed", packed otherwise.
+var pageFormats = relationtest.Formats
+
 // loadFmt creates a relation from codes in the requested page format.
-// load always builds fixed-width pages; the kernel matrix needs both
-// layouts.
-func loadFmt(t *testing.T, ctx *Context, name string, codes []pbicode.Code, compress bool) *relation.Relation {
+func loadFmt(t *testing.T, ctx *Context, name string, codes []pbicode.Code, format string) *relation.Relation {
 	t.Helper()
-	rel := relation.New(ctx.Pool, name)
-	rel.SetCompress(compress)
-	app := rel.NewAppender()
+	recs := make([]relation.Rec, len(codes))
 	for i, c := range codes {
-		if err := app.Append(relation.Rec{Code: c, Aux: uint64(i)}); err != nil {
-			t.Fatal(err)
-		}
+		recs[i] = relation.Rec{Code: c, Aux: uint64(i)}
 	}
-	if err := app.Close(); err != nil {
+	rel, err := relationtest.Store(ctx.Pool, name, format, recs)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return rel
@@ -66,8 +68,8 @@ type kernelCase struct {
 // kernelCases lists every join that runs on the slab kernels: the
 // equijoins and hash partitioning (MHCJ, rollup, SHCJ), VPJ's subtree
 // routing, the region conversion, and the sort-backed baseline whose
-// inputs flow through extsort (which must preserve the compressed page
-// format across runs and merges).
+// inputs flow through extsort (which must preserve the page layout
+// across runs and merges).
 func kernelCases() []kernelCase {
 	return []kernelCase{
 		{"MHCJ", MHCJ, -1},
@@ -83,13 +85,13 @@ func kernelCases() []kernelCase {
 // and parallel degree with tracing on, and returns the emitted pairs in
 // emission order plus the finished span tree. It fails the test on a pair
 // count that disagrees with Stats or on a leaked pin.
-func runKernel(t *testing.T, label string, fn joinFunc, b, h, degree int, compress bool, aCodes, dCodes []pbicode.Code) ([]Pair, *trace.Span) {
+func runKernel(t *testing.T, label string, fn joinFunc, b, h, degree int, format string, aCodes, dCodes []pbicode.Code) ([]Pair, *trace.Span) {
 	t.Helper()
 	ctx := newCtx(t, b, h)
 	ctx.Parallel = degree
 	ctx.Trace = trace.New("join", func() trace.Counters { return trace.Counters{} })
-	a := loadFmt(t, ctx, "A", aCodes, compress)
-	d := loadFmt(t, ctx, "D", dCodes, compress)
+	a := loadFmt(t, ctx, "A", aCodes, format)
+	d := loadFmt(t, ctx, "D", dCodes, format)
 	var sink PairSink
 	if err := fn(ctx, a, d, &sink); err != nil {
 		t.Fatalf("%s: %v", label, err)
@@ -131,11 +133,11 @@ func TestKernelsMatchOracleRandom(t *testing.T) {
 		for _, tc := range kernelCases() {
 			aCodes := randCodes(rng, na, h, tc.aFixed)
 			want := oracle(aCodes, dCodes)
-			for _, compress := range []bool{false, true} {
+			for _, format := range pageFormats {
 				for _, b := range []int{4, 24, 64} {
 					for _, degree := range []int{0, 1, 2, 8} {
-						label := fmt.Sprintf("%s(b=%d compress=%v parallel=%d)", tc.name, b, compress, degree)
-						got, _ := runKernel(t, label, tc.fn, b, h, degree, compress, aCodes, dCodes)
+						label := fmt.Sprintf("%s(b=%d format=%s parallel=%d)", tc.name, b, format, degree)
+						got, _ := runKernel(t, label, tc.fn, b, h, degree, format, aCodes, dCodes)
 						samePairs(t, label, got, want)
 					}
 				}
@@ -161,7 +163,7 @@ func nodesUnder(rng *rand.Rand, top pbicode.Code, n int) []pbicode.Code {
 
 // TestFallbackKernels constructs the inputs that reach the equijoin
 // engine's fallback kernels, asserts from the trace that each one ran, and
-// checks the result against the oracle in both page formats. All use b=4:
+// checks the result against the oracle in every page format. All use b=4:
 // a build side holds at most 30 records and a partitioning wave at most
 // two heights.
 func TestFallbackKernels(t *testing.T) {
@@ -205,9 +207,9 @@ func TestFallbackKernels(t *testing.T) {
 		if len(want) == 0 {
 			t.Fatalf("%s: constructed input joins to nothing", tc.name)
 		}
-		for _, compress := range []bool{false, true} {
-			label := fmt.Sprintf("%s(compress=%v)", tc.name, compress)
-			got, root := runKernel(t, label, tc.fn, b, h, 0, compress, tc.a, tc.d)
+		for _, format := range pageFormats {
+			label := fmt.Sprintf("%s(format=%s)", tc.name, format)
+			got, root := runKernel(t, label, tc.fn, b, h, 0, format, tc.a, tc.d)
 			if !hasSpan(root, tc.span, tc.detail) {
 				t.Errorf("%s: trace has no %s[%s] span", label, tc.span, tc.detail)
 			}
@@ -231,7 +233,7 @@ func TestMultiProbeOrderDeterministic(t *testing.T) {
 	rollup := func(ctx *Context, a, d *relation.Relation, s Sink) error { return MHCJRollup(ctx, a, d, 0, s) }
 	var first []Pair
 	for run := 0; run < 5; run++ {
-		got, root := runKernel(t, "multi-probe", rollup, 64, h, 0, false, aCodes, dCodes)
+		got, root := runKernel(t, "multi-probe", rollup, 64, h, 0, "packed", aCodes, dCodes)
 		if !hasSpan(root, "multi-probe", "") {
 			t.Fatal("trace has no multi-probe span")
 		}

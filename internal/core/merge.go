@@ -252,7 +252,7 @@ func StackTreeAnc(ctx *Context, a, d *relation.Relation, sink Sink) error {
 	// ancestor stays open, which no page budget bounds: keep it for the
 	// next join only up to b pages' worth of nodes.
 	defer func() {
-		if cap(arena.nodes) > ctx.memRecs(ctx.b()) {
+		if int64(cap(arena.nodes)) > ctx.memRecs(ctx.b()) {
 			arena.nodes = nil
 		}
 	}()

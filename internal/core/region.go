@@ -21,8 +21,7 @@ import (
 // A2 excludes it from the measured joins (a region system would have
 // stored this layout to begin with).
 func ToRegionRelation(ctx *Context, rel *relation.Relation, name string) (*relation.Relation, error) {
-	out := relation.New(ctx.Pool, name)
-	out.SetCompress(rel.Compressed())
+	out := relation.NewLike(rel, ctx.Pool, name)
 	app := out.NewAppender()
 	fail := func(err error) (*relation.Relation, error) {
 		app.Close() //nolint:errcheck // first error wins

@@ -52,7 +52,11 @@ func TestRegionLayoutSamePageCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	codes := randCodes(rng, 2000, h, -1)
 	ctx := newCtx(t, 8, h)
-	rel := load(t, ctx, "R", codes)
+	// The claim is about the paper's layout: a (Start, End) region record
+	// is the same two words as a (Code, ordinal) one, so the region
+	// baselines scan exactly as many pages. (Packed, the region copy is
+	// the larger: End is no constant stride.)
+	rel := loadFmt(t, ctx, "R", codes, "fixed")
 	reg, err := ToRegionRelation(ctx, rel, "RR")
 	if err != nil {
 		t.Fatal(err)

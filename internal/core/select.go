@@ -90,11 +90,7 @@ func Choose(ctx *Context, spec InputSpec, a, d *relation.Relation) Algorithm {
 	if spec.SingleHeightA {
 		return AlgSHCJ
 	}
-	minPages := a.NumPages()
-	if p := d.NumPages(); p < minPages {
-		minPages = p
-	}
-	if ctx.TreeHeight > 0 && minPages > int64(ctx.b()-2) {
+	if ctx.TreeHeight > 0 && minRecs(a, d) > ctx.memRecs(ctx.b()-2) {
 		return AlgVPJ
 	}
 	return AlgMHCJRollup

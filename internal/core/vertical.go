@@ -36,16 +36,13 @@ func VPJ(ctx *Context, a, d *relation.Relation, sink Sink) error {
 func vpj(ctx *Context, a, d *relation.Relation, sink Sink, minLevel, depth int) error {
 	b := ctx.b()
 	h := ctx.TreeHeight
-	minPages := a.NumPages()
-	if p := d.NumPages(); p < minPages {
-		minPages = p
-	}
-	if minPages == 0 {
+	smaller := minRecs(a, d)
+	if smaller == 0 {
 		return nil
 	}
 	// Cases (a)/(b) of section 3.3: one side fits in memory — the
 	// I/O-optimal ‖A‖+‖D‖ joins apply directly.
-	if minPages <= int64(b-2) {
+	if smaller <= ctx.memRecs(b-2) {
 		return memoryContainmentJoin(ctx, a, d, sink)
 	}
 	lsp := ctx.Trace.StartDetail("vpj-level", fmt.Sprintf("depth=%d", depth))
@@ -76,7 +73,7 @@ func vpj(ctx *Context, a, d *relation.Relation, sink Sink, minLevel, depth int) 
 	}
 	base := anchor.Level(h)
 
-	k0 := (minPages + int64(b-1)) / int64(b)
+	k0 := (smaller + ctx.memRecs(b) - 1) / ctx.memRecs(b)
 	need := 1
 	for int64(1)<<uint(need) < k0 {
 		need++
@@ -150,11 +147,7 @@ func vpj(ctx *Context, a, d *relation.Relation, sink Sink, minLevel, depth int) 
 					ai := aParts[live[t]].WithPool(child.Pool)
 					di := dParts[live[t]].WithPool(child.Pool)
 					ws := child.Wrap(shared)
-					mp := ai.NumPages()
-					if p := di.NumPages(); p < mp {
-						mp = p
-					}
-					if mp <= int64(child.b()-2) {
+					if minRecs(ai, di) <= child.memRecs(child.b()-2) {
 						return memoryContainmentJoin(child, ai, di, ws)
 					}
 					return vpj(child, ai, di, ws, l+1, depth+1)
@@ -167,11 +160,7 @@ func vpj(ctx *Context, a, d *relation.Relation, sink Sink, minLevel, depth int) 
 		if ai.NumRecords() == 0 || di.NumRecords() == 0 {
 			continue
 		}
-		mp := ai.NumPages()
-		if p := di.NumPages(); p < mp {
-			mp = p
-		}
-		if mp <= int64(b-2) {
+		if minRecs(ai, di) <= ctx.memRecs(b-2) {
 			err = memoryContainmentJoin(ctx, ai, di, sink)
 		} else {
 			err = vpj(ctx, ai, di, sink, l+1, depth+1)
@@ -205,8 +194,7 @@ func vPartition(ctx *Context, rel *relation.Relation, l int, offset uint64, k in
 	parts := make([]*relation.Relation, k)
 	apps := make([]*relation.Appender, k)
 	for i := range parts {
-		parts[i] = relation.New(ctx.Pool, ctx.tmp(side))
-		parts[i].SetCompress(rel.Compressed())
+		parts[i] = relation.NewLike(rel, ctx.Pool, ctx.tmp(side))
 	}
 	closeApps := func() error {
 		var first error
@@ -299,8 +287,7 @@ func vPartition(ctx *Context, rel *relation.Relation, l int, offset uint64, k in
 // otherwise MHCJ+Rollup takes over (its hash table then holds the A side,
 // which is the side known to fit).
 func memoryContainmentJoin(ctx *Context, a, d *relation.Relation, sink Sink) error {
-	b := ctx.b()
-	if d.NumPages() <= int64(b-2) {
+	if d.NumRecords() <= ctx.memRecs(ctx.b()-2) {
 		return memProbeJoin(ctx, a, d, sink)
 	}
 	// A fits, D does not: the rollup join's build side is A.

@@ -162,11 +162,10 @@ func freeRuns(runs []*relation.Relation) {
 }
 
 // sortedRun sorts the keyed records and writes them as one run relation
-// through pool, in the page format of the sort input.
-func sortedRun(pool *buffer.Pool, buf []keyedRec, compress bool, name string) (*relation.Relation, error) {
+// through pool, in the page layout the sort input in writes.
+func sortedRun(pool *buffer.Pool, buf []keyedRec, in *relation.Relation, name string) (*relation.Relation, error) {
 	slices.SortFunc(buf, func(x, y keyedRec) int { return x.key.compare(y.key) })
-	run := relation.New(pool, name)
-	run.SetCompress(compress)
+	run := relation.NewLike(in, pool, name)
 	app := run.NewAppender()
 	for i := range buf {
 		if err := app.Append(buf[i].rec); err != nil {
@@ -202,7 +201,7 @@ func (s *Scratch) makeRuns(pool *buffer.Pool, in *relation.Relation, key KeyFunc
 		if len(buf) == 0 {
 			return nil
 		}
-		run, err := sortedRun(pool, buf, in.Compressed(), fmt.Sprintf("%s.run%d", name, len(runs)))
+		run, err := sortedRun(pool, buf, in, fmt.Sprintf("%s.run%d", name, len(runs)))
 		if err != nil {
 			return err
 		}
@@ -293,13 +292,9 @@ func (h *runHeap) popTop() {
 
 // mergeRuns merges already-sorted runs into one relation.
 func (s *Scratch) mergeRuns(pool *buffer.Pool, runs []*relation.Relation, key KeyFunc, name string) (*relation.Relation, error) {
-	out := relation.New(pool, name)
-	// Runs inherit the page format of the sort input; the merged output
-	// keeps it (all runs of one sort share a format, so the first speaks
-	// for all).
-	if len(runs) > 0 {
-		out.SetCompress(runs[0].Compressed())
-	}
+	// Runs inherit the page layout of the sort input; the merged output
+	// keeps it (all runs of one sort share it, so the first speaks for all).
+	out := relation.NewLike(runs[0], pool, name)
 	app := out.NewAppender()
 	if cap(s.scanners) < len(runs) {
 		s.scanners = make([]relation.Scanner, len(runs))

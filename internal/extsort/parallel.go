@@ -51,7 +51,15 @@ func (s *Scratch) SortParallel(pool *buffer.Pool, in *relation.Relation, key Key
 	if degree <= 1 {
 		return s.Sort(pool, in, key, memPages, name, tr)
 	}
+	// A worker's run buffer holds chunkRecs records, memPages/degree pages
+	// of working memory; a chunk is as many of the input's pages as hold
+	// that many at the input's average density (packed pages hold several
+	// times what a page of working memory does).
 	chunkPages := memPages / degree
+	chunkRecs := chunkPages * relation.PerPage(pool.PageSize())
+	if recs := in.NumRecords(); recs > 0 {
+		chunkPages = max(1, min(chunkPages, int(int64(chunkRecs)*in.NumPages()/recs)))
+	}
 	nChunks := int((in.NumPages() + int64(chunkPages) - 1) / int64(chunkPages))
 	if nChunks <= 1 {
 		return s.Sort(pool, in, key, memPages, name, tr)
@@ -65,7 +73,7 @@ func (s *Scratch) SortParallel(pool *buffer.Pool, in *relation.Relation, key Key
 		return nil, err
 	}
 	sp := tr.Start("sort-runs")
-	runs, roots, err := s.makeRunsParallel(pool, in, key, chunkPages, nChunks, degree, name, tr != nil, opts.Interrupt)
+	runs, roots, err := s.makeRunsParallel(pool, in, key, chunkPages, chunkRecs, nChunks, degree, name, tr != nil, opts.Interrupt)
 	if sp != nil {
 		sp.Detail = fmt.Sprintf("runs=%d degree=%d", len(runs), degree)
 	}
@@ -89,7 +97,7 @@ func (s *Scratch) SortParallel(pool *buffer.Pool, in *relation.Relation, key Key
 // exactly as if makeRuns had produced them. Returns the runs in chunk
 // order and, when traced, one finished span tree per chunk (also in chunk
 // order).
-func (s *Scratch) makeRunsParallel(pool *buffer.Pool, in *relation.Relation, key KeyFunc, chunkPages, nChunks, degree int, name string, traced bool, interrupt func() error) ([]*relation.Relation, []*trace.Span, error) {
+func (s *Scratch) makeRunsParallel(pool *buffer.Pool, in *relation.Relation, key KeyFunc, chunkPages, chunkRecs, nChunks, degree int, name string, traced bool, interrupt func() error) ([]*relation.Relation, []*trace.Span, error) {
 	runs := make([]*relation.Relation, nChunks)
 	roots := make([]*trace.Span, nChunks)
 	errs := make([]error, nChunks)
@@ -129,7 +137,7 @@ func (s *Scratch) makeRunsParallel(pool *buffer.Pool, in *relation.Relation, key
 						}
 					})
 				}
-				run, err := ws.sortChunk(pool, wp, in, key, chunkPages, t, name)
+				run, err := ws.sortChunk(pool, wp, in, key, chunkPages, chunkRecs, t, name)
 				if root := rec.Finish(); root != nil {
 					root.Detail = fmt.Sprintf("run=%d", t)
 					roots[t] = root
@@ -172,24 +180,24 @@ var errChunkSkipped = fmt.Errorf("extsort: chunk skipped after earlier failure")
 // sortChunk reads the chunk's pages through the worker pool, sorts the
 // records in memory, writes them as one run through the worker pool, and
 // rebinds the finished run to the caller's pool.
-func (s *Scratch) sortChunk(pool, wp *buffer.Pool, in *relation.Relation, key KeyFunc, chunkPages, t int, name string) (*relation.Relation, error) {
+func (s *Scratch) sortChunk(pool, wp *buffer.Pool, in *relation.Relation, key KeyFunc, chunkPages, chunkRecs, t int, name string) (*relation.Relation, error) {
 	lo := t * chunkPages
 	hi := lo + chunkPages
 	var sc relation.Scanner
 	sc.ResetPages(in.WithPool(wp), lo, hi)
 	defer sc.Close()
-	buf := s.runBuffer(chunkPages * relation.PerPage(wp.PageSize()))
+	buf := s.runBuffer(chunkRecs)
 	for sc.Next() {
 		buf = append(buf, keyedRec{key: key(sc.Rec()), rec: sc.Rec()})
 	}
-	s.run = buf[:0] // a densely compressed chunk may have outgrown the estimate
+	s.run = buf[:0] // a chunk denser than the input's average outgrows the estimate
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 	if len(buf) == 0 {
 		return nil, nil
 	}
-	run, err := sortedRun(wp, buf, in.Compressed(), fmt.Sprintf("%s.run%d", name, t))
+	run, err := sortedRun(wp, buf, in, fmt.Sprintf("%s.run%d", name, t))
 	if err != nil {
 		return nil, err
 	}

@@ -136,13 +136,13 @@ func elementAt(s *Store, code uint64) *xmltree.Element {
 //
 //	go test -run '^$' -bench BenchmarkCommitSmallDoc -benchtime 64x ./internal/ingest/
 func BenchmarkCommitSmallDoc(b *testing.B) {
-	for _, compress := range []bool{false, true} {
-		name := "fixed"
-		if compress {
-			name = "compressed"
+	for _, paper := range []bool{true, false} {
+		name := "packed"
+		if paper {
+			name = "fixed"
 		}
 		b.Run(name, func(b *testing.B) {
-			base := buildBaseDBFormat(b, b.TempDir(), libraryDocs(10, 100), compress)
+			base := buildBaseDBFormat(b, b.TempDir(), libraryDocs(10, 100), paper)
 			s, err := Open(Config{DBPath: base, GapAware: true})
 			if err != nil {
 				b.Fatal(err)

@@ -14,8 +14,9 @@ import (
 )
 
 // libraryDocs returns n documents of books×4+1 elements each over five
-// tags; ten of a hundred books make a base of ≈130 pages at buildBaseDB's
-// 512-byte page (31 fixed records).
+// tags; ten of a hundred books make a base of ≈17 packed pages at
+// buildBaseDB's 512-byte page (≈130 in the fixed-width layout of 31 records
+// a page), ten of seven hundred ≈120.
 func libraryDocs(n, books int) map[string]string {
 	docs := map[string]string{}
 	for i := 0; i < n; i++ {
@@ -127,9 +128,12 @@ func checkEpochAnswers(t *testing.T, what string, eng *containment.Engine, rels 
 // the three epochs, opened fresh, equals the forest as it stood at its
 // commit.
 func TestEpochsShareNothingMutable(t *testing.T) {
+	// compress=false is a base of the fixed-width pages earlier versions
+	// wrote, which the commits extend with packed ones; compress=true is
+	// packed throughout.
 	for _, compress := range []bool{false, true} {
 		t.Run(fmt.Sprintf("compress=%v", compress), func(t *testing.T) {
-			base := buildBaseDBFormat(t, t.TempDir(), libraryDocs(10, 100), compress)
+			base := buildBaseDBFormat(t, t.TempDir(), libraryDocs(10, 100), !compress)
 			s, err := Open(Config{DBPath: base, GapAware: true})
 			if err != nil {
 				t.Fatal(err)
@@ -171,7 +175,7 @@ func TestEpochsShareNothingMutable(t *testing.T) {
 // tag relations, and its delta holds the rewritten tail page and at most
 // one new page of each — not the relations.
 func TestCommitWritesChangeNotRelation(t *testing.T) {
-	base := buildBaseDB(t, t.TempDir(), libraryDocs(10, 100))
+	base := buildBaseDB(t, t.TempDir(), libraryDocs(10, 700))
 	eng, rels, err := containment.Open(containment.Config{Path: base, ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +227,9 @@ func TestCommitWritesChangeNotRelation(t *testing.T) {
 // the forest — the sharing of pages across deltas, and across the fold,
 // leaves nothing dangling.
 func TestEpochChainFsckClean(t *testing.T) {
-	base := buildBaseDB(t, t.TempDir(), libraryDocs(4, 40))
+	// Four documents of 200 books: every tag relation but the roots' spans
+	// several pages, so commits and the fold have closed pages to share.
+	base := buildBaseDB(t, t.TempDir(), libraryDocs(4, 200))
 	s, err := Open(Config{DBPath: base, GapAware: true})
 	if err != nil {
 		t.Fatal(err)

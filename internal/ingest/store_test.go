@@ -23,9 +23,11 @@ func buildBaseDB(t testing.TB, dir string, docs map[string]string) string {
 	return buildBaseDBFormat(t, dir, docs, false)
 }
 
-// buildBaseDBFormat is buildBaseDB with the page format chosen: compressed
-// (delta-encoded) pages when compress is set, fixed-width ones otherwise.
-func buildBaseDBFormat(t testing.TB, dir string, docs map[string]string, compress bool) string {
+// buildBaseDBFormat is buildBaseDB with the page format chosen: the
+// fixed-width pages earlier versions wrote when paper is set — commits on
+// top of such a base then extend its relations with packed pages — packed
+// ones otherwise.
+func buildBaseDBFormat(t testing.TB, dir string, docs map[string]string, paper bool) string {
 	t.Helper()
 	coll := xmltree.NewCollection()
 	names := make([]string, 0, len(docs))
@@ -40,7 +42,7 @@ func buildBaseDBFormat(t testing.TB, dir string, docs map[string]string, compres
 	}
 	path := filepath.Join(dir, "base.pbidb")
 	eng, err := containment.NewEngine(containment.Config{
-		Path: path, PageSize: 512, BufferPages: 64, TreeHeight: coll.Height(), Compress: compress,
+		Path: path, PageSize: 512, BufferPages: 64, TreeHeight: coll.Height(), PaperLayout: paper,
 	})
 	if err != nil {
 		t.Fatal(err)

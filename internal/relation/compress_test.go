@@ -1,4 +1,4 @@
-package relation
+package relation_test
 
 import (
 	"math/rand"
@@ -6,20 +6,38 @@ import (
 	"testing"
 
 	"github.com/pbitree/pbitree/internal/buffer"
+	"github.com/pbitree/pbitree/internal/relation"
+	"github.com/pbitree/pbitree/internal/relation/relationtest"
 	"github.com/pbitree/pbitree/internal/storage"
 	"github.com/pbitree/pbitree/pbicode"
 )
 
-// roundTrip appends recs to a relation with the given compress setting and
-// reads them back through both the row scanner and the batch scanner,
-// failing on any mismatch.
-func roundTrip(t *testing.T, pool *buffer.Pool, name string, compress bool, recs []Rec) *Relation {
+type Rec = relation.Rec
+
+func newPool(t testing.TB, pageSize, b int) *buffer.Pool {
 	t.Helper()
-	r := New(pool, name)
-	r.SetCompress(compress)
-	if err := r.Append(recs...); err != nil {
+	d := storage.NewMemDisk(pageSize, storage.CostModel{})
+	t.Cleanup(func() { d.Close() })
+	return buffer.New(d, b)
+}
+
+var formats = relationtest.Formats
+
+// store writes recs as a relation of the named format.
+func store(t testing.TB, pool *buffer.Pool, name, format string, recs []Rec) *relation.Relation {
+	t.Helper()
+	r, err := relationtest.Store(pool, name, format, recs)
+	if err != nil {
 		t.Fatal(err)
 	}
+	return r
+}
+
+// roundTrip stores recs in the given format and reads them back through
+// both the row scanner and the batch scanner, failing on any mismatch.
+func roundTrip(t *testing.T, pool *buffer.Pool, name, format string, recs []Rec) *relation.Relation {
+	t.Helper()
+	r := store(t, pool, name, format, recs)
 	if r.NumRecords() != int64(len(recs)) {
 		t.Fatalf("NumRecords = %d, want %d", r.NumRecords(), len(recs))
 	}
@@ -52,36 +70,53 @@ func roundTrip(t *testing.T, pool *buffer.Pool, name string, compress bool, recs
 	return r
 }
 
-func TestCompressedRoundTripSorted(t *testing.T) {
-	pool := newPool(t, 8)
-	recs := make([]Rec, 2000)
+// sortedRecs returns n records of ascending codes with gaps below maxGap,
+// Aux = ordinal: the shape of a stored tag relation.
+func sortedRecs(n int, maxGap int, seed int64) []Rec {
+	recs := make([]Rec, n)
 	c := uint64(0)
-	rng := rand.New(rand.NewSource(1))
+	rng := rand.New(rand.NewSource(seed))
 	for i := range recs {
-		c += uint64(rng.Intn(64) + 1)
+		c += uint64(rng.Intn(maxGap) + 1)
 		recs[i] = Rec{Code: pbicode.Code(c), Aux: uint64(i)}
 	}
-	r := roundTrip(t, pool, "sorted", true, recs)
-	li, err := r.Layout()
-	if err != nil {
-		t.Fatal(err)
+	return recs
+}
+
+func TestCompressedRoundTripSorted(t *testing.T) {
+	recs := sortedRecs(2000, 64, 1)
+	pages := map[string]int64{}
+	for _, format := range formats {
+		t.Run(format, func(t *testing.T) {
+			r := roundTrip(t, newPool(t, 256, 8), "sorted", format, recs)
+			li, err := r.Layout()
+			if err != nil {
+				t.Fatal(err)
+			}
+			mine := map[string]int64{"fixed": li.FixedPages, "varint": li.VarintPages, "packed": li.PackedPages}[format]
+			if mine != li.Pages || li.FixedPages+li.VarintPages+li.PackedPages != li.Pages {
+				t.Fatalf("layout: %+v, want all pages %s", li, format)
+			}
+			if li.Records != int64(len(recs)) {
+				t.Fatalf("layout records = %d, want %d", li.Records, len(recs))
+			}
+			if format == "fixed" && li.Pages != li.FixedEquivPages {
+				t.Fatalf("fixed layout: %d pages, %d fixed-equivalent", li.Pages, li.FixedEquivPages)
+			}
+			pages[format] = li.Pages
+		})
 	}
-	if li.CompressedPages != li.Pages || li.FixedPages != 0 {
-		t.Fatalf("layout: %+v, want all pages compressed", li)
-	}
-	if li.Pages >= li.FixedEquivPages {
-		t.Fatalf("sorted small-delta codes did not compress: %d pages vs %d fixed-equivalent", li.Pages, li.FixedEquivPages)
-	}
-	if li.Records != int64(len(recs)) {
-		t.Fatalf("layout records = %d, want %d", li.Records, len(recs))
+	// Aux = ordinal costs the packed layout nothing and the codes one byte
+	// each: it beats the varint layout's two bytes a record, which beat 16.
+	if !(pages["packed"] < pages["varint"] && pages["varint"] < pages["fixed"]) {
+		t.Fatalf("pages per format = %v, want packed < varint < fixed", pages)
 	}
 }
 
-// TestCompressedRoundTripAdversarial drives the wrapping-delta encoder with
-// sequences varints hate: random 64-bit values, alternating extremes, and
-// descending codes. Every one must round-trip exactly.
+// TestCompressedRoundTripAdversarial drives the wrapping-delta layouts with
+// sequences deltas hate: random 64-bit values, alternating extremes, and
+// descending codes. Every one must round-trip exactly in every format.
 func TestCompressedRoundTripAdversarial(t *testing.T) {
-	pool := newPool(t, 8)
 	rng := rand.New(rand.NewSource(2))
 	cases := map[string][]Rec{}
 
@@ -110,17 +145,21 @@ func TestCompressedRoundTripAdversarial(t *testing.T) {
 	cases["descending"] = desc
 
 	for name, recs := range cases {
-		t.Run(name, func(t *testing.T) { roundTrip(t, pool, name, true, recs) })
+		t.Run(name, func(t *testing.T) {
+			for _, format := range formats {
+				t.Run(format, func(t *testing.T) { roundTrip(t, newPool(t, 256, 8), name, format, recs) })
+			}
+		})
 	}
 }
 
 // TestCompressedTailResume closes and reopens appenders mid-page so the
-// compressed tail is resumed by replaying its deltas, including across
-// many one-record Append calls (the RelationSink pattern).
+// packed tail is resumed by decoding it back into the appender's columns,
+// including across many one-record Append calls (the RelationSink pattern),
+// and a resumed page that turns out to be full is left as it was.
 func TestCompressedTailResume(t *testing.T) {
-	pool := newPool(t, 8)
-	r := New(pool, "resume")
-	r.SetCompress(true)
+	pool := newPool(t, 256, 8)
+	r := relation.New(pool, "resume")
 	var want []Rec
 	c := uint64(0)
 	rng := rand.New(rand.NewSource(3))
@@ -140,53 +179,52 @@ func TestCompressedTailResume(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("resumed appends diverge (%d vs %d records)", len(got), len(want))
 	}
+	// The same records through one appender fill the same pages: resuming
+	// neither wastes room nor overfills.
+	one := store(t, newPool(t, 256, 8), "one", "packed", want)
+	if r.NumPages() != one.NumPages() || r.NumPages() < 10 {
+		t.Fatalf("%d pages appended one record at a time, %d at once", r.NumPages(), one.NumPages())
+	}
 }
 
-// TestMixedFormatRelation flips the compress flag mid-life: the relation
-// ends up with fixed pages followed by compressed pages (and back), and
-// scans must stitch them together seamlessly.
+// TestMixedFormatRelation grows one relation through all three layouts —
+// varint pages from an earlier version, then the paper's layout, then
+// packed, then the paper's again — and scans must stitch them together
+// seamlessly, each appender leaving a tail of another layout alone.
 func TestMixedFormatRelation(t *testing.T) {
-	pool := newPool(t, 8)
-	r := New(pool, "mixed")
-	var want []Rec
-	c := uint64(0)
-	rng := rand.New(rand.NewSource(4))
-	for phase := 0; phase < 4; phase++ {
-		r.SetCompress(phase%2 == 1)
-		batch := make([]Rec, 137)
-		for i := range batch {
-			c += uint64(rng.Intn(100) + 1)
-			batch[i] = Rec{Code: pbicode.Code(c), Aux: uint64(len(want) + i)}
-		}
-		if err := r.Append(batch...); err != nil {
+	pool := newPool(t, 256, 8)
+	all := sortedRecs(5*137, 100, 4)
+	r := store(t, pool, "mixed", "varint", all[:137])
+	for phase := 1; phase < 5; phase++ {
+		r.SetPaperLayout(phase%2 == 1)
+		if err := r.Append(all[phase*137 : (phase+1)*137]...); err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, batch...)
 	}
 	got, err := r.ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("mixed-format scan diverges (%d vs %d records)", len(got), len(want))
+	if !reflect.DeepEqual(got, all) {
+		t.Fatalf("mixed-format scan diverges (%d vs %d records)", len(got), len(all))
 	}
 	li, err := r.Layout()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if li.FixedPages == 0 || li.CompressedPages == 0 {
-		t.Fatalf("expected both formats present, got %+v", li)
+	if li.FixedPages == 0 || li.VarintPages == 0 || li.PackedPages == 0 || li.Records != int64(len(all)) {
+		t.Fatalf("expected all three formats present, got %+v", li)
 	}
 }
 
 func TestScannerReset(t *testing.T) {
-	pool := newPool(t, 8)
+	pool := newPool(t, 256, 8)
 	recs := make([]Rec, 300)
 	for i := range recs {
 		recs[i] = Rec{Code: pbicode.Code(2*i + 1), Aux: uint64(i)}
 	}
-	r := roundTrip(t, pool, "reset", false, recs)
-	var s Scanner
+	r := roundTrip(t, pool, "reset", "fixed", recs)
+	var s relation.Scanner
 	for pass := 0; pass < 3; pass++ {
 		s.Reset(r)
 		n := 0
@@ -209,31 +247,24 @@ func TestScannerReset(t *testing.T) {
 	for s.Next() {
 		n++
 	}
-	if per := PerPage(pool.PageSize()); n != per {
+	if per := relation.PerPage(pool.PageSize()); n != per {
 		t.Fatalf("ResetPages(1,2): %d records, want %d", n, per)
 	}
 }
 
 func TestBatchScanPages(t *testing.T) {
-	pool := newPool(t, 8)
-	recs := make([]Rec, 500)
-	c := uint64(0)
-	for i := range recs {
-		c += 3
-		recs[i] = Rec{Code: pbicode.Code(c), Aux: uint64(i)}
-	}
-	for _, compress := range []bool{false, true} {
-		name := "fixed"
-		if compress {
-			name = "compressed"
-		}
-		t.Run(name, func(t *testing.T) {
-			r := roundTrip(t, pool, "pages-"+name, compress, recs)
+	recs := sortedRecs(3000, 1<<20, 5)
+	for _, format := range formats {
+		t.Run(format, func(t *testing.T) {
+			r := roundTrip(t, newPool(t, 256, 8), "pages-"+format, format, recs)
 			// Striped scan over disjoint page ranges must cover every record
 			// exactly once, in order within each stripe.
 			pages := int(r.NumPages())
+			if pages < 6 {
+				t.Fatalf("%d pages: too few to stripe", pages)
+			}
 			var got []Rec
-			var bs BatchScanner
+			var bs relation.BatchScanner
 			for lo := 0; lo < pages; lo += 2 {
 				bs.ResetPages(r, lo, lo+2)
 				for bs.Next() {
@@ -254,34 +285,100 @@ func TestBatchScanPages(t *testing.T) {
 }
 
 // FuzzCompressedPage round-trips fuzz-chosen record sequences through the
-// compressed appender and both scanners.
+// packed appender — at once and one appender per record — and both scanners.
 func FuzzCompressedPage(f *testing.F) {
 	f.Add(uint64(1), uint64(0), uint64(100), uint64(7), uint8(9))
 	f.Add(^uint64(0), ^uint64(0), uint64(1), uint64(0), uint8(50))
+	f.Add(uint64(12345), uint64(9), uint64(0x9e3779b97f4a7c15), uint64(1)<<40, uint8(255))
 	f.Fuzz(func(t *testing.T, seed, auxSeed, stride, auxStride uint64, n uint8) {
-		d := storage.NewMemDisk(256, storage.CostModel{})
-		defer d.Close()
-		pool := buffer.New(d, 8)
-		recs := make([]Rec, int(n)+1)
+		pool := newPool(t, 256, 8)
+		recs := make([]Rec, 3*int(n)+1)
 		c, a := seed, auxSeed
 		for i := range recs {
 			// Code 0 is invalid by the pbicode contract (Appender span
 			// tracking calls Start), so pin the low bit.
 			recs[i] = Rec{Code: pbicode.Code(c | 1), Aux: a}
-			c += stride
+			c += stride * uint64(i%7+1)
 			a -= auxStride
 		}
-		r := New(pool, "fuzz")
-		r.SetCompress(true)
-		if err := r.Append(recs...); err != nil {
-			t.Fatal(err)
-		}
+		r := store(t, pool, "fuzz", "packed", recs)
 		got, err := r.ReadAll()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, recs) {
 			t.Fatalf("fuzz round-trip diverges (%d vs %d records)", len(got), len(recs))
+		}
+		single := relation.New(pool, "fuzz.single")
+		for _, rec := range recs {
+			if err := single.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, err = single.ReadAll(); err != nil || !reflect.DeepEqual(got, recs) {
+			t.Fatalf("one appender per record diverges (%d vs %d records, err %v)", len(got), len(recs), err)
+		}
+		if single.NumPages() != r.NumPages() {
+			t.Fatalf("%d pages one record at a time, %d at once", single.NumPages(), r.NumPages())
+		}
+	})
+}
+
+// FuzzPageDecode attaches arbitrary bytes as a one-page relation, under each
+// format byte and under one no layout uses: a scan must return the records
+// the header claims or an error — never panic, never size a buffer from a
+// count the payload cannot hold.
+func FuzzPageDecode(f *testing.F) {
+	const pageSize = 256
+	// Seeds: a genuine packed page, the same page torn (its last block's
+	// residuals cut short), and a header claiming the uint16 maximum.
+	pool := newPool(f, pageSize, 4)
+	r := store(f, pool, "seed", "packed", sortedRecs(90, 1<<20, 6)[:60])
+	fr, err := pool.Fetch(r.Pages()[0])
+	if err != nil {
+		f.Fatal(err)
+	}
+	whole := append([]byte(nil), fr.Data...)
+	pool.Unpin(fr, false)
+	f.Add(whole, uint8(2))
+	torn := append([]byte(nil), whole...)
+	torn[4] -= 40 // used shrinks: the width bytes now promise more than is there
+	f.Add(torn, uint8(2))
+	wide := append([]byte(nil), whole...)
+	wide[8+16] = 8 // the first block's code width says 8
+	f.Add(wide, uint8(2))
+	f.Add([]byte{0xff, 0xff, 0, 0, 3, 0, 0, 0, 1, 2, 3}, uint8(1))
+	f.Add([]byte{0xff, 0xff}, uint8(0))
+	f.Add(whole, uint8(7))
+
+	f.Fuzz(func(t *testing.T, image []byte, format uint8) {
+		pool := newPool(t, pageSize, 4)
+		fr, err := pool.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(fr.Data, image)
+		fr.Data[2] = format
+		count := int(fr.Data[0]) | int(fr.Data[1])<<8
+		pool.Unpin(fr, true)
+		r := relation.Attach(pool, "fuzz", []storage.PageID{fr.ID}, int64(count), pbicode.Region{})
+		recs, err := r.ReadAll()
+		if err != nil {
+			return
+		}
+		if format > 2 {
+			t.Fatalf("format byte %d decoded %d records", format, len(recs))
+		}
+		if len(recs) != count || count > relation.MaxPageRecs(pageSize) {
+			t.Fatalf("decoded %d records from a header claiming %d", len(recs), count)
+		}
+		bs := r.BatchScan()
+		n := 0
+		for bs.Next() {
+			n += len(bs.Codes())
+		}
+		if bs.Err() != nil || n != count {
+			t.Fatalf("batch scan: %d records, err %v; row scan had %d", n, bs.Err(), count)
 		}
 	})
 }

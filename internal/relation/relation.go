@@ -1,17 +1,18 @@
-// Package relation implements heap files of fixed-width element records over
-// the buffer pool: the unsorted input sets A and D of a containment join,
-// the partition files produced by the partitioning algorithms, and the
-// sorted runs of the external sort all live in relations.
+// Package relation implements heap files of element records over the buffer
+// pool: the unsorted input sets A and D of a containment join, the
+// partition files produced by the partitioning algorithms, and the sorted
+// runs of the external sort all live in relations.
 //
-// A record is 16 bytes: the element's PBiTree code plus an auxiliary word
+// A record is two words: the element's PBiTree code plus an auxiliary word
 // (the element's ordinal in its document, or — in rolled-up relations — the
-// element's original code before rollup). A 4 KiB page holds 255 records,
-// so the paper's 1 M-element sets occupy ~3900 pages against the 500-page
-// buffer pool of the experiments.
+// element's original code before rollup). Pages are written packed (see
+// page.go), about 2 bytes a record on document-ordered codes; in the paper's
+// own layout a record is 16 bytes and a 4 KiB page holds 255, so the paper's
+// 1 M-element sets occupy ~3900 pages against the 500-page buffer pool of
+// the experiments.
 package relation
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"github.com/pbitree/pbitree/internal/buffer"
@@ -27,58 +28,8 @@ type Rec struct {
 	Aux uint64
 }
 
-// RecSize is the on-page size of a record in bytes (fixed-width pages).
+// RecSize is the size of a record in the fixed-width layout, in bytes.
 const RecSize = 16
-
-// pageHeader is the per-page header: bytes [0:2] hold the record count,
-// byte [2] the page format tag, and bytes [4:6] the used payload size of
-// compressed pages. Legacy pages wrote zeros beyond the count, which is
-// why pageFixed must stay 0: every page written before compression landed
-// reads back as fixed-width without rewriting.
-const pageHeader = 8
-
-// Page format tags, stored in the header's format byte. The format is
-// per-page, not per-relation, so fixed and compressed pages coexist in one
-// relation (and one database) freely.
-const (
-	pageFixed      = 0 // fixed-width 16-byte records
-	pageCompressed = 1 // zigzag-varint delta-encoded records
-)
-
-const (
-	// maxCompRec bounds one delta-encoded record: two zigzag varints of up
-	// to 10 bytes each. A compressed page accepts appends while this much
-	// room remains, so no record ever splits across pages.
-	maxCompRec = 2 * binary.MaxVarintLen64
-	// maxPageRecs caps records per page at what the uint16 count holds.
-	// Only reachable on compressed pages (2-byte deltas on a 1 MiB page).
-	maxPageRecs = 1<<16 - 1
-)
-
-// zigzag folds a signed delta into an unsigned varint-friendly form; small
-// magnitudes of either sign encode short.
-func zigzag(d int64) uint64   { return uint64(d<<1) ^ uint64(d>>63) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// PerPage returns the number of records that fit a page of the given size.
-func PerPage(pageSize int) int { return (pageSize - pageHeader) / RecSize }
-
-// PageFormatName classifies a raw page image by its header format byte:
-// "fixed", "compressed", or "" for a byte no known layout uses. Offline
-// tools (pbifsck) use it to tally formats without a Relation handle.
-func PageFormatName(p []byte) string {
-	if len(p) < pageHeader {
-		return ""
-	}
-	switch p[2] {
-	case pageFixed:
-		return "fixed"
-	case pageCompressed:
-		return "compressed"
-	default:
-		return ""
-	}
-}
 
 // Relation is an append-only heap file: an ordered list of pages, each
 // packed with records. The page list is kept in memory (the paper's
@@ -97,22 +48,20 @@ type Relation struct {
 	// partitions balanced on skewed embeddings.
 	minStart uint64
 	maxEnd   uint64
-	// compress selects the page format for future appends: delta-encoded
-	// varint pages when set, fixed-width 16-byte records otherwise. The
-	// flag never rewrites existing pages — each page carries its own
-	// format tag — so flipping it mid-life just changes the tail onward.
-	compress bool
+	// paper makes appends write the paper's fixed-width pages instead of
+	// packed ones. Existing pages are never rewritten — each carries its own
+	// format tag — so the flag only decides what the tail onward looks like.
+	paper bool
 }
 
-// SetCompress selects the page format for subsequent appends: compressed
-// (delta-encoded sorted codes) when on, fixed-width otherwise. Existing
-// pages keep their format; scans handle both transparently.
-func (r *Relation) SetCompress(on bool) { r.compress = on }
+// SetPaperLayout makes subsequent appends write the paper's layout, 16-byte
+// records at 255 per 4 KiB page, instead of packed pages. Existing pages
+// keep their format; scans read every format transparently.
+func (r *Relation) SetPaperLayout(on bool) { r.paper = on }
 
-// Compressed reports whether the relation appends compressed pages.
-// Partitioning and external sort propagate the flag from their inputs to
-// the temporary relations they create.
-func (r *Relation) Compressed() bool { return r.compress }
+// PaperLayout reports whether the relation appends the paper's fixed-width
+// pages.
+func (r *Relation) PaperLayout() bool { return r.paper }
 
 // Span returns the smallest region covering every record appended so far
 // and whether the relation has any records. The bounds are maintained
@@ -127,6 +76,15 @@ func (r *Relation) Span() (pbicode.Region, bool) {
 // New returns an empty relation using pool for all its I/O.
 func New(pool *buffer.Pool, name string) *Relation {
 	return &Relation{name: name, pool: pool, perPage: PerPage(pool.PageSize())}
+}
+
+// NewLike returns an empty relation on pool that writes the page layout src
+// writes: the partitions, sort runs and rolled-up copies of a join inherit
+// their input's.
+func NewLike(src *Relation, pool *buffer.Pool, name string) *Relation {
+	r := New(pool, name)
+	r.paper = src.paper
+	return r
 }
 
 // Name returns the relation's diagnostic name.
@@ -159,40 +117,29 @@ func (r *Relation) Free() error {
 	return nil
 }
 
-func putRec(p []byte, i int, rec Rec) {
-	off := pageHeader + i*RecSize
-	binary.LittleEndian.PutUint64(p[off:], uint64(rec.Code))
-	binary.LittleEndian.PutUint64(p[off+8:], rec.Aux)
-}
-
-func pageCount(p []byte) int       { return int(binary.LittleEndian.Uint16(p)) }
-func setPageCount(p []byte, n int) { binary.LittleEndian.PutUint16(p, uint16(n)) }
-
-func pageFormat(p []byte) int       { return int(p[2]) }
-func setPageFormat(p []byte, f int) { p[2] = byte(f) }
-
-// pageUsed is the payload byte count of a compressed page (bytes beyond
-// the header holding encoded records). Meaningless on fixed pages.
-func pageUsed(p []byte) int       { return int(binary.LittleEndian.Uint16(p[4:])) }
-func setPageUsed(p []byte, n int) { binary.LittleEndian.PutUint16(p[4:], uint16(n)) }
-
 // pageSlab is one decoded page: the records' codes and aux words as two
 // columns carved from a single buffer. The buffer comes from the free list
 // of the buffer pool the scan reads through (Pool.TakeSlab) and goes back
 // there when the scan is exhausted or closed, so the thousands of short
 // scans a join opens — one per partition, one per merge run — share a
-// handful of buffers instead of allocating a page-sized one each. Both
-// scanners decode through it.
+// handful of buffers instead of allocating one each. Every buffer holds the
+// densest page the pool's page size allows, so one fits any page of any
+// format. Both scanners decode through it.
 type pageSlab struct {
-	buf   []uint64 // backs both columns; nil while no buffer is held
-	codes []uint64 // the current page's codes, one per record
-	aux   []uint64 // the aux words, index-aligned with codes
+	buf    []uint64 // backs both columns; nil while no buffer is held
+	codes  []uint64 // the current page's codes, one per record
+	aux    []uint64 // the aux words, index-aligned with codes
+	format int      // the current page's format tag
+}
+
+// takeSlab returns a buffer for the two columns of any page of pool.
+func takeSlab(pool *buffer.Pool) []uint64 {
+	return pool.TakeSlab(2 * MaxPageRecs(pool.PageSize()))
 }
 
 // load fetches page pageIdx of r, decodes every record into the columns
-// and unpins before returning. Both page formats decode into the same
-// columns; a compressed page can carry more records than perPage, so the
-// buffer is exchanged for a larger one when needed.
+// and unpins before returning. All page formats decode into the same
+// columns.
 func (ps *pageSlab) load(r *Relation, pageIdx int) error {
 	ps.codes, ps.aux = nil, nil // a failed load leaves no stale records behind
 	f, err := r.pool.Fetch(r.pages[pageIdx])
@@ -200,37 +147,19 @@ func (ps *pageSlab) load(r *Relation, pageIdx int) error {
 		return err
 	}
 	defer r.pool.Unpin(f, false)
-	p := f.Data
-	n := pageCount(p)
-	format := pageFormat(p)
-	switch format {
-	case pageFixed:
-		if n > r.perPage {
-			n = r.perPage
-		}
-	case pageCompressed:
-	default:
-		return fmt.Errorf("page %d: unknown page format %d", r.pages[pageIdx], format)
+	n, format, err := pageRecords(f.Data)
+	if err != nil {
+		return fmt.Errorf("page %d: %w", r.pages[pageIdx], err)
 	}
-	if len(ps.buf) < 2*n {
-		want := r.perPage
-		if want < n {
-			want = n
-		}
-		ps.buf = r.pool.TakeSlab(2 * want)
+	if ps.buf == nil {
+		ps.buf = takeSlab(r.pool)
 	}
 	half := len(ps.buf) / 2
 	codes, aux := ps.buf[:n], ps.buf[half:half+n]
-	if format == pageFixed {
-		for i := range codes {
-			off := pageHeader + i*RecSize
-			codes[i] = binary.LittleEndian.Uint64(p[off:])
-			aux[i] = binary.LittleEndian.Uint64(p[off+8:])
-		}
-	} else if err := decodeCompressed(p, codes, aux); err != nil {
-		return err
+	if err := decodePage(f.Data, format, codes, aux); err != nil {
+		return fmt.Errorf("page %d: %w", r.pages[pageIdx], err)
 	}
-	ps.codes, ps.aux = codes, aux
+	ps.codes, ps.aux, ps.format = codes, aux, format
 	return nil
 }
 
@@ -242,57 +171,32 @@ func (ps *pageSlab) release(pool *buffer.Pool) {
 	*ps = pageSlab{}
 }
 
-// decodeCompressed decodes a compressed page's records into the two
-// columns, which must each hold pageCount(p) entries. Deltas are
-// accumulated with wrapping arithmetic, so any uint64 sequence — sorted or
-// adversarial — round-trips exactly (the encoder used the matching
-// wrapping subtraction).
-func decodeCompressed(p []byte, codes, aux []uint64) error {
-	n := len(codes)
-	used := pageUsed(p)
-	if pageHeader+used > len(p) {
-		return fmt.Errorf("compressed page claims %d payload bytes of %d", used, len(p)-pageHeader)
-	}
-	data := p[pageHeader : pageHeader+used]
-	off := 0
-	var code, ax uint64
-	for i := 0; i < n; i++ {
-		u, k := binary.Uvarint(data[off:])
-		if k <= 0 {
-			return fmt.Errorf("compressed page truncated at record %d/%d", i, n)
-		}
-		code += uint64(unzigzag(u))
-		off += k
-		u, k = binary.Uvarint(data[off:])
-		if k <= 0 {
-			return fmt.Errorf("compressed page truncated at record %d/%d", i, n)
-		}
-		ax += uint64(unzigzag(u))
-		off += k
-		codes[i] = code
-		aux[i] = ax
-	}
-	return nil
-}
-
-// Appender buffers appends into a pinned tail page, the textbook model of
-// one output frame per stream. Close flushes and unpins the tail; exactly
-// one Appender may be active per relation.
+// Appender adds records at a relation's tail. Exactly one Appender may be
+// active per relation, and the relation must not be scanned until it is
+// closed. Packed pages — the default — are buffered as two columns in a
+// pool slab and encoded when the page is full, which a packedSizer knows
+// exactly without encoding anything; the paper's layout is written in place
+// into a pinned tail frame, the textbook one output frame per stream.
 type Appender struct {
 	r      *Relation
-	frame  buffer.Frame
-	n      int // records in the pinned page
 	active bool
-	// Compressed-page write state: absolute write offset into the page and
-	// the running previous code/aux the next deltas are taken against.
-	off      int
-	prevCode uint64
-	prevAux  uint64
+	n      int // records in the open page
+	// Paper layout: the pinned tail page.
+	frame buffer.Frame
+	// Packed layout: the open page's columns (codes in the first half of
+	// buf, aux in the second), the size they will encode to, whether the
+	// open page is the relation's existing tail being extended rather than
+	// a new page, and whether it has gained a record since it was opened.
+	buf     []uint64
+	room    int // payload bytes of a page
+	size    packedSizer
+	resumed bool
+	dirty   bool
 }
 
 // NewAppender returns an appender positioned at the relation's tail: a
-// partially filled last page is resumed, otherwise a fresh page is
-// allocated on the first Append.
+// partially filled last page of the layout being written is resumed,
+// otherwise a fresh page is started on the first Append.
 func (r *Relation) NewAppender() *Appender { return &Appender{r: r} }
 
 // Append adds one record.
@@ -302,23 +206,7 @@ func (a *Appender) Append(rec Rec) error {
 			return fmt.Errorf("relation %s: append: %w", a.r.name, err)
 		}
 	}
-	if a.r.compress {
-		// Wrapping deltas: exact for arbitrary uint64 sequences, shortest
-		// for the sorted-code relations joins actually produce.
-		var tmp [maxCompRec]byte
-		k := binary.PutUvarint(tmp[:], zigzag(int64(uint64(rec.Code)-a.prevCode)))
-		k += binary.PutUvarint(tmp[k:], zigzag(int64(rec.Aux-a.prevAux)))
-		copy(a.frame.Data[a.off:], tmp[:k])
-		a.off += k
-		a.prevCode, a.prevAux = uint64(rec.Code), rec.Aux
-		a.n++
-		setPageCount(a.frame.Data, a.n)
-		setPageUsed(a.frame.Data, a.off-pageHeader)
-		if a.off+maxCompRec > len(a.frame.Data) || a.n == maxPageRecs {
-			a.r.pool.Unpin(a.frame, true)
-			a.active = false
-		}
-	} else {
+	if a.r.paper {
 		putRec(a.frame.Data, a.n, rec)
 		a.n++
 		setPageCount(a.frame.Data, a.n)
@@ -326,6 +214,21 @@ func (a *Appender) Append(rec Rec) error {
 			a.r.pool.Unpin(a.frame, true)
 			a.active = false
 		}
+	} else {
+		half := len(a.buf) / 2
+		var dc, da int64
+		if a.n > 0 {
+			dc, da = int64(uint64(rec.Code)-a.buf[a.n-1]), int64(rec.Aux-a.buf[half+a.n-1])
+		}
+		if a.n == half || !a.size.add(dc, da, a.room) {
+			if err := a.flush(); err != nil {
+				return fmt.Errorf("relation %s: append: %w", a.r.name, err)
+			}
+			a.size.add(0, 0, a.room) // rec is the next page's base record
+		}
+		a.buf[a.n], a.buf[half+a.n] = uint64(rec.Code), rec.Aux
+		a.n++
+		a.dirty = true
 	}
 	if s := rec.Code.Start(); a.r.count == 0 || s < a.r.minStart {
 		a.r.minStart = s
@@ -337,87 +240,99 @@ func (a *Appender) Append(rec Rec) error {
 	return nil
 }
 
-// open pins the page the next record goes to: the partial tail page when
-// one exists and matches the append format, a freshly allocated page
-// otherwise. A compressed tail is resumed by re-walking its deltas to
-// recover the running previous values; a format-mismatched tail (the
-// relation's compress flag flipped mid-life) is left as-is and a fresh
-// page started.
+// open positions the appender on the page the next record goes to: the
+// relation's partial tail page when it has the layout being written, a new
+// page otherwise (a tail of another layout is left as it is). A paper-layout
+// page is pinned, and allocated here if new; a packed tail is decoded back
+// into the columns and its size replayed, and a new packed page exists only
+// once flush writes it.
 func (a *Appender) open() error {
-	if n := len(a.r.pages); n > 0 {
-		f, err := a.r.pool.Fetch(a.r.pages[n-1])
-		if err != nil {
-			return err
-		}
-		if a.r.compress {
-			if pageFormat(f.Data) == pageCompressed {
-				c := pageCount(f.Data)
-				off := pageHeader + pageUsed(f.Data)
-				if off+maxCompRec <= len(f.Data) && c < maxPageRecs {
-					prevC, prevA, err := walkCompressed(f.Data, c)
-					if err != nil {
-						a.r.pool.Unpin(f, false)
-						return err
-					}
-					a.frame, a.n, a.active = f, c, true
-					a.off, a.prevCode, a.prevAux = off, prevC, prevA
-					return nil
-				}
+	last := len(a.r.pages) - 1
+	if a.r.paper {
+		if last >= 0 {
+			f, err := a.r.pool.Fetch(a.r.pages[last])
+			if err != nil {
+				return err
 			}
-		} else if pageFormat(f.Data) == pageFixed {
-			if c := pageCount(f.Data); c < a.r.perPage {
+			if c := pageCount(f.Data); pageFormat(f.Data) == pageFixed && c < a.r.perPage {
 				a.frame, a.n, a.active = f, c, true
 				return nil
 			}
+			a.r.pool.Unpin(f, false)
 		}
-		a.r.pool.Unpin(f, false)
+		f, err := a.r.pool.NewPage()
+		if err != nil {
+			return err
+		}
+		a.frame, a.n, a.active = f, 0, true
+		a.r.pages = append(a.r.pages, f.ID)
+		return nil
 	}
-	f, err := a.r.pool.NewPage()
-	if err != nil {
+	a.buf = takeSlab(a.r.pool)[:2*MaxPageRecs(a.r.pool.PageSize())]
+	a.room = a.r.pool.PageSize() - pageHeader
+	a.n, a.size, a.resumed, a.dirty, a.active = 0, packedSizer{}, false, false, true
+	if last < 0 {
+		return nil
+	}
+	tail := pageSlab{buf: a.buf}
+	if err := tail.load(a.r, last); err != nil {
 		return err
 	}
-	a.frame, a.n, a.active = f, 0, true
-	a.r.pages = append(a.r.pages, f.ID)
-	if a.r.compress {
-		setPageFormat(f.Data, pageCompressed)
-		a.off, a.prevCode, a.prevAux = pageHeader, 0, 0
+	if tail.format != pagePacked {
+		return nil
 	}
+	for i, c := range tail.codes {
+		var dc, da int64
+		if i > 0 {
+			dc, da = int64(c-tail.codes[i-1]), int64(tail.aux[i]-tail.aux[i-1])
+		}
+		if !a.size.add(dc, da, a.room) {
+			return fmt.Errorf("page %d: packed records exceed their page", a.r.pages[last])
+		}
+	}
+	a.n, a.resumed = len(tail.codes), len(tail.codes) > 0
 	return nil
 }
 
-// walkCompressed replays a compressed page's deltas and returns the last
-// record's code and aux — the values the next appended delta is relative
-// to.
-func walkCompressed(p []byte, n int) (code, aux uint64, err error) {
-	used := pageUsed(p)
-	if pageHeader+used > len(p) {
-		return 0, 0, fmt.Errorf("compressed page claims %d payload bytes of %d", used, len(p)-pageHeader)
-	}
-	data := p[pageHeader : pageHeader+used]
-	off := 0
-	for i := 0; i < n; i++ {
-		u, k := binary.Uvarint(data[off:])
-		if k <= 0 {
-			return 0, 0, fmt.Errorf("compressed page truncated at record %d/%d", i, n)
+// flush encodes the open packed page's records into their page — a new one,
+// or the resumed tail — and leaves the columns empty for the next page. A
+// resumed tail that gained nothing is left alone.
+func (a *Appender) flush() error {
+	if a.n > 0 && a.dirty {
+		var f buffer.Frame
+		var err error
+		if a.resumed {
+			f, err = a.r.pool.Fetch(a.r.pages[len(a.r.pages)-1])
+		} else if f, err = a.r.pool.NewPage(); err == nil {
+			a.r.pages = append(a.r.pages, f.ID)
 		}
-		code += uint64(unzigzag(u))
-		off += k
-		u, k = binary.Uvarint(data[off:])
-		if k <= 0 {
-			return 0, 0, fmt.Errorf("compressed page truncated at record %d/%d", i, n)
+		if err != nil {
+			return err
 		}
-		aux += uint64(unzigzag(u))
-		off += k
+		half := len(a.buf) / 2
+		encodePacked(f.Data, a.buf[:a.n], a.buf[half:half+a.n])
+		a.r.pool.Unpin(f, true)
 	}
-	return code, aux, nil
+	a.n, a.size, a.resumed, a.dirty = 0, packedSizer{}, false, false
+	return nil
 }
 
-// Close unpins the partial tail page, if any. The appender must not be used
-// afterwards.
+// Close writes out the partial tail page, if any. The appender must not be
+// used afterwards.
 func (a *Appender) Close() error {
-	if a.active {
+	if !a.active {
+		return nil
+	}
+	a.active = false
+	if a.r.paper {
 		a.r.pool.Unpin(a.frame, true)
-		a.active = false
+		return nil
+	}
+	err := a.flush()
+	a.r.pool.GiveSlab(a.buf)
+	a.buf = nil
+	if err != nil {
+		return fmt.Errorf("relation %s: append: %w", a.r.name, err)
 	}
 	return nil
 }
@@ -615,8 +530,14 @@ func (s *Scanner) Reset(r *Relation) { s.ResetFrom(r, Pos{}) }
 // Next returns the record at p (or the following ones if p's page has been
 // exhausted), keeping the decode buffer. Positions must come from a Scanner
 // over the same relation. Merge joins that re-read descendant segments
-// (MPMGJN) reposition one scanner per ancestor.
+// (MPMGJN) reposition one scanner per ancestor; when p lies on the page the
+// scanner already holds decoded, only the cursor moves — no fetch, no
+// decode.
 func (s *Scanner) ResetFrom(r *Relation, p Pos) {
+	if s.loaded && s.r == r && s.pageIdx == p.page {
+		s.recIdx, s.endPage = p.slot, scanEnd
+		return
+	}
 	*s = Scanner{r: r, pageIdx: p.page, recIdx: p.slot, endPage: scanEnd, page: pageSlab{buf: s.page.buf}}
 }
 
@@ -647,22 +568,23 @@ func (s *Scanner) Close() {
 }
 
 // LayoutInfo summarizes a relation's on-page layout: how many pages use
-// each format and how the compressed footprint compares to the fixed-width
+// each format and how the stored footprint compares to the fixed-width
 // layout of the same records (pbistat -layout).
 type LayoutInfo struct {
-	Pages           int64 // total pages
-	FixedPages      int64 // fixed-width pages
-	CompressedPages int64 // delta-compressed pages
-	Records         int64 // records counted from page headers
+	Pages       int64 // total pages
+	FixedPages  int64 // the paper's fixed-width pages
+	VarintPages int64 // legacy varint-delta pages
+	PackedPages int64 // packed pages
+	Records     int64 // records counted from page headers
 	// PayloadBytes is the record payload actually stored: count*16 on
-	// fixed pages, the encoded byte count on compressed pages.
+	// fixed pages, the encoded byte count on the others.
 	PayloadBytes int64
 	// FixedEquivPages is how many pages the same records would occupy in
 	// the fixed-width layout — the denominator of the scan-page savings.
 	FixedEquivPages int64
 }
 
-// Layout scans the relation's page headers and returns the layout summary.
+// Layout reads the relation's page headers and returns the layout summary.
 // It fetches every page through the pool, so it costs a full scan's I/O.
 func (r *Relation) Layout() (LayoutInfo, error) {
 	var li LayoutInfo
@@ -672,20 +594,23 @@ func (r *Relation) Layout() (LayoutInfo, error) {
 		if err != nil {
 			return li, fmt.Errorf("relation %s: layout: %w", r.name, err)
 		}
-		n := pageCount(f.Data)
-		switch pageFormat(f.Data) {
-		case pageCompressed:
-			li.CompressedPages++
-			li.PayloadBytes += int64(pageUsed(f.Data))
-		default:
-			li.FixedPages++
-			if n > r.perPage {
-				n = r.perPage
-			}
-			li.PayloadBytes += int64(n * RecSize)
-		}
-		li.Records += int64(n)
+		n, format, err := pageRecords(f.Data)
+		used := int64(pageUsed(f.Data))
 		r.pool.Unpin(f, false)
+		if err != nil {
+			return li, fmt.Errorf("relation %s: layout: page %d: %w", r.name, id, err)
+		}
+		switch format {
+		case pageFixed:
+			li.FixedPages++
+			used = int64(n * RecSize)
+		case pageVarint:
+			li.VarintPages++
+		default:
+			li.PackedPages++
+		}
+		li.PayloadBytes += used
+		li.Records += int64(n)
 	}
 	if r.perPage > 0 {
 		li.FixedEquivPages = (li.Records + int64(r.perPage) - 1) / int64(r.perPage)

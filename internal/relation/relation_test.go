@@ -16,6 +16,31 @@ func newPool(t *testing.T, b int) *buffer.Pool {
 	return buffer.New(d, b)
 }
 
+// bothLayouts runs f once per page layout a relation can write.
+func bothLayouts(t *testing.T, f func(t *testing.T, paper bool)) {
+	for _, paper := range []bool{false, true} {
+		name := "packed"
+		if paper {
+			name = "paper"
+		}
+		t.Run(name, func(t *testing.T) { f(t, paper) })
+	}
+}
+
+// spread returns n records in ascending code order whose gaps are irregular
+// and up to 2^20 wide, so that a packed page needs 3-byte code residuals and
+// a 256-byte page closes after about 70 of them: relations of a few hundred
+// span several pages in either layout.
+func spread(n int) []Rec {
+	recs := make([]Rec, n)
+	c := uint64(0)
+	for i := range recs {
+		c += 1 + uint64(i)*2654435761%(1<<20)
+		recs[i] = Rec{Code: pbicode.Code(c), Aux: uint64(i * 7)}
+	}
+	return recs
+}
+
 func TestPerPage(t *testing.T) {
 	if got := PerPage(256); got != (256-8)/16 {
 		t.Fatalf("PerPage(256) = %d", got)
@@ -26,63 +51,76 @@ func TestPerPage(t *testing.T) {
 }
 
 func TestAppendScanRoundtrip(t *testing.T) {
-	pool := newPool(t, 4)
-	r := New(pool, "t")
-	const n = 100 // several pages at 15 recs/page
-	want := make([]Rec, n)
-	for i := range want {
-		want[i] = Rec{Code: pbicode.Code(i + 1), Aux: uint64(i * 7)}
-	}
-	if err := r.Append(want...); err != nil {
-		t.Fatal(err)
-	}
-	if r.NumRecords() != n {
-		t.Fatalf("NumRecords = %d", r.NumRecords())
-	}
-	if wantPages := int64((n + 14) / 15); r.NumPages() != wantPages {
-		t.Fatalf("NumPages = %d, want %d", r.NumPages(), wantPages)
-	}
-	got, err := r.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != n {
-		t.Fatalf("ReadAll len = %d", len(got))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("rec %d = %+v, want %+v", i, got[i], want[i])
+	bothLayouts(t, func(t *testing.T, paper bool) {
+		pool := newPool(t, 4)
+		r := New(pool, "t")
+		r.SetPaperLayout(paper)
+		const n = 300
+		want := spread(n)
+		if err := r.Append(want...); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if pool.PinnedFrames() != 0 {
-		t.Fatalf("leaked pins: %d", pool.PinnedFrames())
-	}
+		if r.NumRecords() != n {
+			t.Fatalf("NumRecords = %d", r.NumRecords())
+		}
+		// 15 fixed-width records fit a 256-byte page; packed pages hold
+		// several times that, and still more than one page is needed.
+		fixedPages := int64((n + 14) / 15)
+		if paper && r.NumPages() != fixedPages {
+			t.Fatalf("NumPages = %d, want %d", r.NumPages(), fixedPages)
+		}
+		if !paper && (r.NumPages() < 2 || r.NumPages() > fixedPages/3) {
+			t.Fatalf("NumPages = %d packed against %d fixed-width", r.NumPages(), fixedPages)
+		}
+		got, err := r.ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != n {
+			t.Fatalf("ReadAll len = %d", len(got))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("rec %d = %+v, want %+v", i, got[i], want[i])
+			}
+		}
+		if pool.PinnedFrames() != 0 {
+			t.Fatalf("leaked pins: %d", pool.PinnedFrames())
+		}
+	})
 }
 
 func TestAppenderSpansBatches(t *testing.T) {
-	pool := newPool(t, 4)
-	r := New(pool, "t")
-	a := r.NewAppender()
-	for i := 0; i < 20; i++ {
-		if err := a.Append(Rec{Code: pbicode.Code(i + 1)}); err != nil {
+	bothLayouts(t, func(t *testing.T, paper bool) {
+		pool := newPool(t, 4)
+		r := New(pool, "t")
+		r.SetPaperLayout(paper)
+		a := r.NewAppender()
+		for i := 0; i < 20; i++ {
+			if err := a.Append(Rec{Code: pbicode.Code(i + 1)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := a.Close(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// A second appender resumes the partial tail page; records still scan
-	// in append order.
-	if err := r.Append(Rec{Code: 100}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := r.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 21 || got[20].Code != 100 {
-		t.Fatalf("got %d recs, last %v", len(got), got[len(got)-1])
-	}
+		pages := r.NumPages()
+		// A second appender resumes the partial tail page; records still
+		// scan in append order.
+		if err := r.Append(Rec{Code: 100}); err != nil {
+			t.Fatal(err)
+		}
+		if r.NumPages() != pages {
+			t.Fatalf("tail not resumed: %d pages became %d", pages, r.NumPages())
+		}
+		got, err := r.ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 21 || got[20].Code != 100 {
+			t.Fatalf("got %d recs, last %v", len(got), got[len(got)-1])
+		}
+	})
 }
 
 func TestFromCodes(t *testing.T) {
@@ -160,10 +198,11 @@ func TestScanErrorPropagates(t *testing.T) {
 	fd := storage.NewFaultDisk(d)
 	pool := buffer.New(fd, 2)
 	r := New(pool, "t")
-	for i := 0; i < 40; i++ { // several pages
-		if err := r.Append(Rec{Code: pbicode.Code(i + 1)}); err != nil {
-			t.Fatal(err)
-		}
+	if err := r.Append(spread(400)...); err != nil { // several pages
+		t.Fatal(err)
+	}
+	if r.NumPages() < 4 {
+		t.Fatalf("%d pages, the scan needs more than the 2 reads allowed", r.NumPages())
 	}
 	if err := pool.FlushAll(); err != nil {
 		t.Fatal(err)
@@ -234,66 +273,111 @@ func TestSpan(t *testing.T) {
 }
 
 func TestScanFromPos(t *testing.T) {
-	pool := newPool(t, 4)
-	r := New(pool, "t")
-	const n = 50
-	for i := 0; i < n; i++ {
-		if err := r.Append(Rec{Code: pbicode.Code(i + 1)}); err != nil {
+	bothLayouts(t, func(t *testing.T, paper bool) {
+		pool := newPool(t, 4)
+		r := New(pool, "t")
+		r.SetPaperLayout(paper)
+		const n = 200
+		recs := spread(n)
+		if err := r.Append(recs...); err != nil {
 			t.Fatal(err)
 		}
-	}
-	// Record positions as we scan, then resume from each and check the
-	// suffix.
-	var positions []Pos
-	s := r.Scan()
-	positions = append(positions, s.Pos()) // start
-	for s.Next() {
-		positions = append(positions, s.Pos())
-	}
-	s.Close()
-	if len(positions) != n+1 {
-		t.Fatalf("positions = %d", len(positions))
-	}
-	var rs Scanner
-	for i, p := range positions {
-		rs.ResetFrom(r, p)
-		count := 0
-		want := pbicode.Code(i + 1)
-		for rs.Next() {
-			if count == 0 && rs.Rec().Code != want {
-				t.Fatalf("resume at %d: first rec %v, want %v", i, rs.Rec().Code, want)
+		if r.NumPages() < 2 {
+			t.Fatalf("%d pages: resuming across a page boundary is not exercised", r.NumPages())
+		}
+		// Record positions as we scan, then resume from each and check the
+		// suffix. One scanner serves every resume, so consecutive positions
+		// on one page move its cursor without decoding the page again.
+		var positions []Pos
+		s := r.Scan()
+		positions = append(positions, s.Pos()) // start
+		for s.Next() {
+			positions = append(positions, s.Pos())
+		}
+		s.Close()
+		if len(positions) != n+1 {
+			t.Fatalf("positions = %d", len(positions))
+		}
+		var rs Scanner
+		for i, p := range positions {
+			rs.ResetFrom(r, p)
+			count := 0
+			for rs.Next() {
+				if count == 0 && rs.Rec() != recs[i] {
+					t.Fatalf("resume at %d: first rec %v, want %v", i, rs.Rec(), recs[i])
+				}
+				count++
 			}
-			count++
+			if count != n-i {
+				t.Fatalf("resume at %d: %d records, want %d", i, count, n-i)
+			}
 		}
-		if count != n-i {
-			t.Fatalf("resume at %d: %d records, want %d", i, count, n-i)
+	})
+}
+
+// TestResetFromKeepsLoadedPage: repositioning within the page the scanner
+// holds decoded costs no pool request at all — MPMGJN repositions once per
+// ancestor, and used to fetch and decode the mark's page every time.
+func TestResetFromKeepsLoadedPage(t *testing.T) {
+	pool := newPool(t, 4)
+	r := New(pool, "t")
+	recs := spread(60)
+	if err := r.Append(recs...); err != nil {
+		t.Fatal(err)
+	}
+	if r.NumPages() != 1 {
+		t.Fatalf("%d pages, want the one page every reset lands on", r.NumPages())
+	}
+	var s Scanner
+	defer s.Close()
+	s.Reset(r)
+	if !s.Next() {
+		t.Fatal("no first record")
+	}
+	mark := s.Pos()
+	before := pool.Stats()
+	for i := 0; i < 100; i++ {
+		s.ResetFrom(r, mark)
+		if !s.Next() || s.Rec() != recs[1] {
+			t.Fatalf("reset %d: got %+v, want %+v", i, s.Rec(), recs[1])
 		}
+	}
+	if got := pool.Stats().Sub(before); got.Hits+got.Misses != 0 {
+		t.Fatalf("100 resets within the loaded page made %d pool requests, want 0", got.Hits+got.Misses)
 	}
 }
 
 func TestIOAccountingThroughPool(t *testing.T) {
 	// With a pool larger than the relation, appends and scans should cost
-	// exactly one write per page (at flush) and zero reads.
-	d := storage.NewMemDisk(256, storage.CostModel{})
-	pool := buffer.New(d, 16)
-	r := New(pool, "t")
-	for i := 0; i < 45; i++ { // 3 pages
-		if err := r.Append(Rec{Code: pbicode.Code(i + 1)}); err != nil {
+	// exactly one write per page (at flush) and zero reads — also when
+	// every record goes through an appender of its own, each resuming the
+	// tail the last one left.
+	bothLayouts(t, func(t *testing.T, paper bool) {
+		d := storage.NewMemDisk(256, storage.CostModel{})
+		pool := buffer.New(d, 16)
+		r := New(pool, "t")
+		r.SetPaperLayout(paper)
+		for _, rec := range spread(150) {
+			if err := r.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if paper && r.NumPages() != 10 {
+			t.Fatalf("%d pages, want 10 of 15 records", r.NumPages())
+		}
+		if _, err := r.ReadAll(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if _, err := r.ReadAll(); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.Stats().Reads; got != 0 {
-		t.Fatalf("reads with resident pages = %d", got)
-	}
-	if err := pool.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.Stats().Writes; got != 3 {
-		t.Fatalf("writes = %d, want 3", got)
-	}
+		if got := d.Stats().Reads; got != 0 {
+			t.Fatalf("reads with resident pages = %d", got)
+		}
+		if err := pool.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		if got := d.Stats().Writes; got != r.NumPages() || got < 2 {
+			t.Fatalf("writes = %d for %d pages", got, r.NumPages())
+		}
+	})
 }
 
 // TestScannersRecycleSlabs checks that scans draw their decode buffers

@@ -54,10 +54,6 @@ type Config struct {
 	// Parallel — a request can occupy up to Parallel x EngineParallel
 	// goroutines. 0 or 1 keeps every shard serial.
 	EngineParallel int
-	// EngineCompress makes each shard engine store loaded relations in the
-	// delta-compressed page layout (containment.Config.Compress). Only
-	// meaningful for New — Open reads formats from the shard catalogs.
-	EngineCompress bool
 }
 
 // Relation is a sharded element set: one containment.Relation per shard
@@ -142,7 +138,6 @@ func New(cfg Config, n int) (*Engine, error) {
 			DiskCost:    cfg.DiskCost,
 			TreeHeight:  cfg.TreeHeight,
 			Parallel:    cfg.EngineParallel,
-			Compress:    cfg.EngineCompress,
 		})
 		if err != nil {
 			e.Close() //nolint:errcheck // first error wins

@@ -1,5 +1,5 @@
 window.BENCHMARK_DATA = {
-  "lastUpdate": 1790432096621,
+  "lastUpdate": 1791115025249,
   "entries": {
     "Containment join benchmarks": [
       {
@@ -285,6 +285,149 @@ window.BENCHMARK_DATA = {
             "value": 190922207,
             "unit": "ns/op",
             "extra": "pageIO=237 pairs=116660 wall=45.522ms"
+          }
+        ]
+      },
+      {
+        "commit": {
+          "id": "b6acf291aa73bf36af687324e109bf6ad9e58a33",
+          "message": "PR 24 working tree (recorded before commit, on parent b6acf29): rows /batch are packed pages, the layout every writer emits; rows /fixed the paper layout (Config.PaperLayout) — 2-core sandbox, one shot per row, exp=batch scale=0.02 docscale=0.2 buffer=128 pagesize=4096; elapsed = virtual disk time + wall CPU",
+          "timestamp": "2026-10-04T11:57:05Z"
+        },
+        "date": 1791115025249,
+        "tool": "go",
+        "benches": [
+          {
+            "name": "batch/D1/MHCJ+Rollup/fixed",
+            "value": 23090453,
+            "unit": "ns/op",
+            "extra": "pageIO=61 pairs=1183 wall=1.09ms"
+          },
+          {
+            "name": "batch/D1/MHCJ+Rollup/batch",
+            "value": 12329491,
+            "unit": "ns/op",
+            "extra": "pageIO=8 pairs=1183 wall=929µs"
+          },
+          {
+            "name": "batch/D2/MHCJ+Rollup/fixed",
+            "value": 25902440,
+            "unit": "ns/op",
+            "extra": "pageIO=57 pairs=19 wall=4.702ms"
+          },
+          {
+            "name": "batch/D2/MHCJ+Rollup/batch",
+            "value": 12253779,
+            "unit": "ns/op",
+            "extra": "pageIO=8 pairs=19 wall=854µs"
+          },
+          {
+            "name": "batch/D3/MHCJ+Rollup/fixed",
+            "value": 22318275,
+            "unit": "ns/op",
+            "extra": "pageIO=57 pairs=8 wall=1.118ms"
+          },
+          {
+            "name": "batch/D3/MHCJ+Rollup/batch",
+            "value": 11892313,
+            "unit": "ns/op",
+            "extra": "pageIO=8 pairs=8 wall=492µs"
+          },
+          {
+            "name": "batch/D4/MHCJ+Rollup/fixed",
+            "value": 41504975,
+            "unit": "ns/op",
+            "extra": "pageIO=151 pairs=14308 wall=1.505ms"
+          },
+          {
+            "name": "batch/D4/MHCJ+Rollup/batch",
+            "value": 14718766,
+            "unit": "ns/op",
+            "extra": "pageIO=19 pairs=14308 wall=1.119ms"
+          },
+          {
+            "name": "batch/D5/MHCJ+Rollup/fixed",
+            "value": 61128760,
+            "unit": "ns/op",
+            "extra": "pageIO=250 pairs=25274 wall=1.329ms"
+          },
+          {
+            "name": "batch/D5/MHCJ+Rollup/batch",
+            "value": 17205943,
+            "unit": "ns/op",
+            "extra": "pageIO=32 pairs=25274 wall=1.006ms"
+          },
+          {
+            "name": "batch/D6/MHCJ+Rollup/fixed",
+            "value": 20510017,
+            "unit": "ns/op",
+            "extra": "pageIO=52 pairs=2967 wall=310µs"
+          },
+          {
+            "name": "batch/D6/MHCJ+Rollup/batch",
+            "value": 11491077,
+            "unit": "ns/op",
+            "extra": "pageIO=7 pairs=2967 wall=291µs"
+          },
+          {
+            "name": "batch/D7/MHCJ+Rollup/fixed",
+            "value": 64499558,
+            "unit": "ns/op",
+            "extra": "pageIO=266 pairs=28230 wall=1.5ms"
+          },
+          {
+            "name": "batch/D7/MHCJ+Rollup/batch",
+            "value": 17875247,
+            "unit": "ns/op",
+            "extra": "pageIO=34 pairs=28230 wall=1.275ms"
+          },
+          {
+            "name": "batch/D8/MHCJ+Rollup/fixed",
+            "value": 28424340,
+            "unit": "ns/op",
+            "extra": "pageIO=90 pairs=8424 wall=624µs"
+          },
+          {
+            "name": "batch/D8/MHCJ+Rollup/batch",
+            "value": 12749277,
+            "unit": "ns/op",
+            "extra": "pageIO=12 pairs=8424 wall=549µs"
+          },
+          {
+            "name": "batch/D9/MHCJ+Rollup/fixed",
+            "value": 24711161,
+            "unit": "ns/op",
+            "extra": "pageIO=72 pairs=8017 wall=511µs"
+          },
+          {
+            "name": "batch/D9/MHCJ+Rollup/batch",
+            "value": 12239892,
+            "unit": "ns/op",
+            "extra": "pageIO=10 pairs=8017 wall=440µs"
+          },
+          {
+            "name": "batch/D10/MHCJ+Rollup/fixed",
+            "value": 65004757,
+            "unit": "ns/op",
+            "extra": "pageIO=266 pairs=28230 wall=2.005ms"
+          },
+          {
+            "name": "batch/D10/MHCJ+Rollup/batch",
+            "value": 18304899,
+            "unit": "ns/op",
+            "extra": "pageIO=34 pairs=28230 wall=1.705ms"
+          },
+          {
+            "name": "batch/D1-D10 mix/MHCJRollup/fixed",
+            "value": 377094736,
+            "unit": "ns/op",
+            "extra": "pageIO=1322 pairs=116660 wall=14.695ms"
+          },
+          {
+            "name": "batch/D1-D10 mix/MHCJRollup/batch",
+            "value": 141060684,
+            "unit": "ns/op",
+            "extra": "pageIO=172 pairs=116660 wall=8.661ms"
           }
         ]
       }

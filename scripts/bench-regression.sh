@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Benchmark regression gate: re-run the `batch` experiment (the D1-D10
-# joins over fixed-width pages, rows …/fixed, and over delta-compressed
+# joins over the paper's fixed-width pages, rows …/fixed, and over packed
 # pages, rows …/batch — one set of kernels, two page formats) at the exact
 # configuration of the newest committed entry in results/dev/bench/data.js
 # and fail when any metric the two share slowed by more than 15% against
