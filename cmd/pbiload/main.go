@@ -60,6 +60,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/pbitree/pbitree/internal/serve"
 	"github.com/pbitree/pbitree/internal/workload"
 )
 
@@ -284,8 +285,7 @@ func reportIngest(results []result) int {
 	fmt.Printf("pbiload: ingest: %d batches  ok=%d shed=%d failed=%d\n", len(results), ok, shed, failed)
 	if len(lats) > 0 {
 		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		fmt.Printf("pbiload: ingest latency p50=%v p95=%v p99=%v max=%v\n",
-			pct(lats, 0.50), pct(lats, 0.95), pct(lats, 0.99), lats[len(lats)-1].Round(time.Microsecond))
+		fmt.Printf("pbiload: ingest latency %s max=%v\n", quantiles(lats), lats[len(lats)-1].Round(time.Microsecond))
 	}
 	if ok > 0 {
 		fmt.Printf("pbiload: ingest reached epoch %d  renumbers scoped=%d global=%d\n",
@@ -587,8 +587,7 @@ func report(results []result, elapsed time.Duration) int {
 	}
 	if len(lats) > 0 {
 		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		fmt.Printf("pbiload: latency p50=%v p95=%v p99=%v max=%v\n",
-			pct(lats, 0.50), pct(lats, 0.95), pct(lats, 0.99), lats[len(lats)-1])
+		fmt.Printf("pbiload: latency %s max=%v\n", quantiles(lats), lats[len(lats)-1])
 	}
 	return transportErrs + non200
 }
@@ -640,9 +639,8 @@ func reportTargets(bases []string, results []result) {
 		// targets (node vs router, replica vs replica) compare directly.
 		if len(t.lats) > 0 {
 			sort.Slice(t.lats, func(a, b int) bool { return t.lats[a] < t.lats[b] })
-			fmt.Printf("pbiload:   %-32s latency p50=%v p95=%v p99=%v max=%v\n",
-				b, pct(t.lats, 0.50), pct(t.lats, 0.95), pct(t.lats, 0.99),
-				t.lats[len(t.lats)-1].Round(time.Microsecond))
+			fmt.Printf("pbiload:   %-32s latency %s max=%v\n",
+				b, quantiles(t.lats), t.lats[len(t.lats)-1].Round(time.Microsecond))
 		}
 		statuses := make([]int, 0, len(t.byStatus))
 		for status := range t.byStatus {
@@ -679,16 +677,11 @@ func statusClass(status int) string {
 	}
 }
 
-// pct returns the p-quantile of a sorted sample (nearest rank).
-func pct(sorted []time.Duration, p float64) time.Duration {
-	rank := int(p*float64(len(sorted))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank].Round(time.Microsecond)
+// quantiles formats a sorted latency sample's p50/p95/p99 (nearest rank,
+// the servers' own /stats method), rounded to the microsecond.
+func quantiles(sorted []time.Duration) string {
+	q := func(p float64) time.Duration { return serve.Percentile(sorted, p).Round(time.Microsecond) }
+	return fmt.Sprintf("p50=%v p95=%v p99=%v", q(0.50), q(0.95), q(0.99))
 }
 
 // printServerStats surfaces the server-side view: cache hit rate, queue
@@ -701,18 +694,10 @@ func printServerStats(base string) {
 	}
 	defer resp.Body.Close()
 	var s struct {
-		Requests int64 `json:"requests"`
-		Rejected int64 `json:"rejected"`
-		Cache    *struct {
-			Hits    int64   `json:"hits"`
-			Misses  int64   `json:"misses"`
-			HitRate float64 `json:"hit_rate"`
-		} `json:"cache"`
-		Latency struct {
-			P50US int64 `json:"p50_us"`
-			P95US int64 `json:"p95_us"`
-			P99US int64 `json:"p99_us"`
-		} `json:"latency"`
+		Requests   int64              `json:"requests"`
+		Rejected   int64              `json:"rejected"`
+		Cache      *serve.CacheStats  `json:"cache"`
+		Latency    serve.LatencyStats `json:"latency"`
 		Algorithms map[string]struct {
 			Requests int64 `json:"requests"`
 			PageIO   int64 `json:"page_io"`

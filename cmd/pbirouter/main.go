@@ -42,19 +42,15 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"github.com/pbitree/pbitree/internal/router"
+	"github.com/pbitree/pbitree/internal/serve"
 	"github.com/pbitree/pbitree/internal/telemetry"
 )
 
@@ -138,30 +134,13 @@ func main() {
 		fmt.Printf("pbirouter: shard %d: %s\n", si, strings.Join(group, ", "))
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: rt.Handler()}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
 	fmt.Printf("pbirouter: routing %d shards on %s\n", rt.NumShards(), *addr)
-
-	select {
-	case err := <-errc:
+	if err := serve.Run("pbirouter", *addr, rt.Handler(), *drain, func() {
+		fmt.Println("pbirouter: draining in-flight requests...")
+		rt.Drain() // /readyz flips 503 so load balancers stop sending traffic
+	}); err != nil {
 		rt.Close() //nolint:errcheck // exiting anyway
 		fail(err)
-	case <-ctx.Done():
-	}
-
-	fmt.Println("pbirouter: draining in-flight requests...")
-	rt.Drain() // /readyz flips 503 so load balancers stop sending traffic
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		fmt.Fprintf(os.Stderr, "pbirouter: shutdown: %v\n", err)
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintf(os.Stderr, "pbirouter: serve: %v\n", err)
 	}
 	if err := rt.Close(); err != nil {
 		telw.Close() //nolint:errcheck // the router error wins

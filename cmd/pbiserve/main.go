@@ -48,20 +48,16 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"github.com/pbitree/pbitree/containment"
 	"github.com/pbitree/pbitree/internal/ingest"
 	"github.com/pbitree/pbitree/internal/qserv"
+	"github.com/pbitree/pbitree/internal/serve"
 	"github.com/pbitree/pbitree/internal/telemetry"
 )
 
@@ -179,31 +175,13 @@ func main() {
 		fmt.Printf("pbiserve: live ingest enabled, serving epoch %d (%s)\n", epoch, path)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: qs.Handler()}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
 	fmt.Printf("pbiserve: serving %s on %s\n", *db, *addr)
-
-	select {
-	case err := <-errc:
-		// Listener failed before any signal.
+	if err := serve.Run("pbiserve", *addr, qs.Handler(), *drain, func() {
+		fmt.Println("pbiserve: draining in-flight queries...")
+		qs.Drain() // /readyz flips 503 so routers and load balancers stop sending traffic
+	}); err != nil {
 		qs.Close() //nolint:errcheck // exiting anyway
 		fail(err)
-	case <-ctx.Done():
-	}
-
-	fmt.Println("pbiserve: draining in-flight queries...")
-	qs.Drain() // /readyz flips 503 so routers and load balancers stop sending traffic
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		fmt.Fprintf(os.Stderr, "pbiserve: shutdown: %v\n", err)
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintf(os.Stderr, "pbiserve: serve: %v\n", err)
 	}
 	// All handlers have returned; engines are safe to close now. The ingest
 	// store closes first (drain already refused new batches; this stops the

@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/pbitree/pbitree/internal/serve"
 )
 
 // TestCancellationDrainsPool fires a burst of concurrent requests,
@@ -62,7 +64,7 @@ func TestCancellationDrainsPool(t *testing.T) {
 			}
 			resp.Body.Close()
 			switch resp.StatusCode {
-			case http.StatusOK, statusClientClosedRequest,
+			case http.StatusOK, serve.StatusClientClosedRequest,
 				http.StatusGatewayTimeout, http.StatusServiceUnavailable:
 			default:
 				t.Errorf("request %d: unexpected status %d", i, resp.StatusCode)

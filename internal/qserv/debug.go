@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"github.com/pbitree/pbitree/containment"
+	"github.com/pbitree/pbitree/internal/serve"
 )
 
 // This file implements GET /debug/trace: run one query uncached with
@@ -58,7 +59,7 @@ func (s *Server) handleDebugTraceID(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, "no retained trace %q (evicted or never recorded)", id)
 		return
 	}
-	writeJSON(w, mustJSON(rec))
+	serve.WriteJSON(w, rec)
 }
 
 // handleDebugTrace serves GET /debug/trace.
@@ -102,7 +103,7 @@ func (s *Server) traceJoin(w http.ResponseWriter, r *http.Request, anc, desc, al
 			algoName, strings.Join(containment.AlgorithmNames(), ", "))
 		return
 	}
-	qctx, cancel, err := s.requestContext(r)
+	qctx, cancel, err := serve.RequestContext(r, s.cfg.QueryTimeout)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -137,27 +138,22 @@ func (s *Server) traceJoin(w http.ResponseWriter, r *http.Request, anc, desc, al
 	s.met.recordJoin(an.Result)
 	s.met.recordPhases(an.Result.Algorithm, an.Phases, traceID)
 	s.keepTrace(traceID, "//"+anc+"//"+desc, an)
-	writeJSON(w, mustJSON(traceResponse{
+	serve.WriteJSON(w, traceResponse{
 		TraceID: w.Header().Get("X-Trace-Id"),
 		Query:   "//" + anc + "//" + desc,
 		Joins:   []traceSpanSet{spanSet(anc, desc, an)},
-	}))
+	})
 }
 
 // traceQuery analyzes a descendant-axis path query, one span tree per join
 // step.
 func (s *Server) traceQuery(w http.ResponseWriter, r *http.Request, expr string) {
-	steps, err := containment.ParsePath(expr)
+	canon, tags, err := CanonicalPath(expr)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	canon, tags, err := CanonicalPath(steps)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	qctx, cancel, err := s.requestContext(r)
+	qctx, cancel, err := serve.RequestContext(r, s.cfg.QueryTimeout)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -199,5 +195,5 @@ func (s *Server) traceQuery(w http.ResponseWriter, r *http.Request, expr string)
 		resp.Joins = append(resp.Joins, set)
 	}
 	s.keepTrace(resp.TraceID, canon, analyses...)
-	writeJSON(w, mustJSON(resp))
+	serve.WriteJSON(w, resp)
 }

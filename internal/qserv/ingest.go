@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 
 	"github.com/pbitree/pbitree/internal/ingest"
+	"github.com/pbitree/pbitree/internal/serve"
+	"github.com/pbitree/pbitree/internal/telemetry"
 )
 
 // This file is the serving tier's side of the live ingest subsystem
@@ -160,8 +162,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "ingest body needs a non-empty ops array")
 		return
 	}
-	if th := telemetryFrom(r.Context()); th != nil {
-		th.query = fmt.Sprintf("ingest:%d ops", len(req.Ops))
+	if rec := telemetry.FromContext(r.Context()); rec != nil {
+		rec.Query = fmt.Sprintf("ingest:%d ops", len(req.Ops))
 	}
 	res, err := s.ing.store.Apply(req.Ops)
 	if err != nil {
@@ -179,7 +181,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	s.ing.requests.Add(1)
 	s.stampEpoch(w, res.Epoch)
-	writeJSON(w, mustJSON(res))
+	serve.WriteJSON(w, res)
 }
 
 // EpochsResponse is the GET /epochs payload.
@@ -211,7 +213,7 @@ func (s *Server) handleEpochs(w http.ResponseWriter, r *http.Request) {
 		Stats:       s.ing.store.Stats(),
 		WorkerSwaps: s.ing.swaps.Load(),
 	}
-	writeJSON(w, mustJSON(resp))
+	serve.WriteJSON(w, resp)
 }
 
 // ingestStatsBlock is the /stats ingest block: the store's own snapshot

@@ -1,26 +1,17 @@
 package qserv
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/pbitree/pbitree/containment"
+	"github.com/pbitree/pbitree/internal/serve"
 )
 
 // latWindow is the number of most recent request latencies retained for
-// percentile estimation. A fixed ring keeps the cost per request O(1) and
-// the estimate representative of current load rather than all of history.
+// the /stats percentiles.
 const latWindow = 8192
-
-// latBuckets are the cumulative histogram bounds (seconds) /metrics
-// exports for request latency: log-spaced from 100µs to 10s, covering
-// cache hits through multi-pass joins on the virtual disk.
-var latBuckets = []float64{
-	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
-	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
-}
 
 // metrics aggregates everything /stats reports: request counters, a
 // sliding latency window, and per-algorithm physical-cost totals summed
@@ -40,31 +31,11 @@ type metrics struct {
 	panics         atomic.Int64 // panics recovered during query execution
 	engineRecycles atomic.Int64 // poisoned engines discarded and replaced
 
-	mu   sync.Mutex
-	ring [latWindow]time.Duration
-	n    int // samples in ring (≤ latWindow)
-	next int // ring write position
+	lat *serve.Latency // request latency, trace IDs as exemplars
 
-	// hist counts latencies per latBuckets bound (non-cumulative; the
-	// Prometheus writer accumulates), histSum / histCount the running sum
-	// and count over all of history.
-	hist      []int64 // len(latBuckets)+1; last slot = +Inf overflow
-	histSum   time.Duration
-	histCount int64
-	// histEx holds each bucket's most recent observation with the trace ID
-	// that produced it — the exemplars the OpenMetrics exposition attaches
-	// so a latency outlier links straight to its distributed trace.
-	histEx []exemplar // len(latBuckets)+1, aligned with hist
-
+	mu     sync.Mutex // guards algs and phases
 	algs   map[string]*algTotals
 	phases map[phaseKey]*phaseTotals
-}
-
-// exemplar pairs a recent observation with the originating request's trace
-// ID.
-type exemplar struct {
-	TraceID string
-	Value   float64
 }
 
 // phaseKey identifies one per-phase metric series. Both components come
@@ -111,8 +82,7 @@ type algSnapshot struct {
 func newMetrics() *metrics {
 	return &metrics{
 		start:  time.Now(),
-		hist:   make([]int64, len(latBuckets)+1),
-		histEx: make([]exemplar, len(latBuckets)+1),
+		lat:    serve.NewLatency(latWindow),
 		algs:   map[string]*algTotals{},
 		phases: map[phaseKey]*phaseTotals{},
 	}
@@ -122,27 +92,7 @@ func newMetrics() *metrics {
 // ID as the bucket's exemplar.
 func (m *metrics) observe(d time.Duration, traceID string) {
 	m.requests.Add(1)
-	m.mu.Lock()
-	m.ring[m.next] = d
-	m.next = (m.next + 1) % latWindow
-	if m.n < latWindow {
-		m.n++
-	}
-	sec := d.Seconds()
-	slot := len(latBuckets) // +Inf
-	for i, bound := range latBuckets {
-		if sec <= bound {
-			slot = i
-			break
-		}
-	}
-	m.hist[slot]++
-	m.histSum += d
-	m.histCount++
-	if traceID != "" {
-		m.histEx[slot] = exemplar{TraceID: traceID, Value: sec}
-	}
-	m.mu.Unlock()
+	m.lat.Observe(d, traceID)
 }
 
 // recordPhases folds one analyzed join's self-attributed phase costs into
@@ -184,49 +134,6 @@ func (m *metrics) recordJoin(res *containment.Result) {
 	t.VirtualTime += res.IO.VirtualTime
 	t.WallTime += res.IO.WallTime
 	m.mu.Unlock()
-}
-
-// latencyStats is the /stats latency block (microseconds).
-type latencyStats struct {
-	Samples int   `json:"samples"`
-	P50US   int64 `json:"p50_us"`
-	P95US   int64 `json:"p95_us"`
-	P99US   int64 `json:"p99_us"`
-	MaxUS   int64 `json:"max_us"`
-}
-
-// percentile returns the p-quantile (0 < p ≤ 1) of a sorted sample using
-// the nearest-rank method.
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(p*float64(len(sorted))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
-}
-
-// latencySnapshot sorts a copy of the current window and extracts the
-// reported percentiles.
-func (m *metrics) latencySnapshot() latencyStats {
-	m.mu.Lock()
-	sample := make([]time.Duration, m.n)
-	copy(sample, m.ring[:m.n])
-	m.mu.Unlock()
-	sort.Slice(sample, func(i, j int) bool { return sample[i] < sample[j] })
-	s := latencyStats{Samples: len(sample)}
-	if len(sample) > 0 {
-		s.P50US = percentile(sample, 0.50).Microseconds()
-		s.P95US = percentile(sample, 0.95).Microseconds()
-		s.P99US = percentile(sample, 0.99).Microseconds()
-		s.MaxUS = sample[len(sample)-1].Microseconds()
-	}
-	return s
 }
 
 // algSnapshots converts the per-algorithm totals for JSON.

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"github.com/pbitree/pbitree/containment"
+	"github.com/pbitree/pbitree/internal/shard"
 	"github.com/pbitree/pbitree/pbicode"
 )
 
@@ -21,11 +22,15 @@ import (
 // document's structure and text, which a stored database does not retain;
 // those are rejected at validation with a pointer to pbiquery.
 
-// CanonicalPath validates a parsed expression for serving and returns its
-// canonical form (the cache key component) and the step tags. Exported so
-// internal/router normalizes and validates path queries identically to
-// the nodes it fronts.
-func CanonicalPath(steps []containment.Step) (string, []string, error) {
+// CanonicalPath parses and validates a path expression for serving and
+// returns its canonical form (the cache key component) and the step tags.
+// Exported so internal/router normalizes and validates path queries
+// identically to the nodes it fronts.
+func CanonicalPath(expr string) (string, []string, error) {
+	steps, err := containment.ParsePath(expr)
+	if err != nil {
+		return "", nil, err
+	}
 	tags := make([]string, len(steps))
 	var sb strings.Builder
 	for i, st := range steps {
@@ -43,14 +48,8 @@ func CanonicalPath(steps []containment.Step) (string, []string, error) {
 }
 
 // PathStep reports one join step of a path evaluation (the /query steps
-// block). Exported so internal/router can decode node responses against
-// the same wire contract it re-serves.
-type PathStep struct {
-	Anc       string `json:"anc"`
-	Desc      string `json:"desc"`
-	Algorithm string `json:"algorithm"`
-	Matches   int64  `json:"matches"`
-}
+// block): one type for solo, sharded and routed serving.
+type PathStep = shard.PathStep
 
 // evalPath runs the join chain for tags on one solo worker. It returns
 // the final match set in document order plus per-step join reports. Each

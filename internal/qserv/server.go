@@ -27,7 +27,6 @@ package qserv
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -44,6 +43,7 @@ import (
 
 	"github.com/pbitree/pbitree/containment"
 	"github.com/pbitree/pbitree/internal/ingest"
+	"github.com/pbitree/pbitree/internal/serve"
 	"github.com/pbitree/pbitree/internal/shard"
 	"github.com/pbitree/pbitree/internal/telemetry"
 	"github.com/pbitree/pbitree/internal/trace"
@@ -172,17 +172,12 @@ type Server struct {
 	all      []worker
 	workers  chan worker
 	admit    chan struct{}
-	cache    *resultCache // nil when disabled
+	cache    *serve.Cache // nil when disabled
 	met      *metrics
 	traces   *trace.Store // recent query traces for /debug/trace/{id}
-	mux      *http.ServeMux
-	handler  http.Handler // mux wrapped with trace-ID / access-log middleware
+	handler  http.Handler // endpoint mux behind serve.Middleware
 	rels     []RelationInfo
 	ing      *ingestState // nil without Config.Ingest
-
-	traceBase uint32        // per-process trace-ID prefix (start time)
-	traceSeq  atomic.Uint64 // per-request trace-ID suffix
-	logMu     sync.Mutex    // serializes AccessLog writes
 
 	// draining flips when Drain is called: /readyz answers 503 so probers
 	// (routers, load balancers) stop routing here, while /healthz stays 200
@@ -209,6 +204,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		workers: make(chan worker, cfg.Workers),
 		admit:   make(chan struct{}, cfg.Workers+cfg.QueueDepth),
+		cache:   serve.NewCache(cfg.CacheEntries),
 		met:     newMetrics(),
 		traces:  trace.NewStore(cfg.TraceRing),
 	}
@@ -230,9 +226,6 @@ func New(cfg Config) (*Server, error) {
 		// target; workers notice on their next acquire and swap over.
 		cfg.Ingest.SetOnPublish(s.ing.adopt)
 	}
-	if cfg.CacheEntries > 0 {
-		s.cache = newResultCache(cfg.CacheEntries)
-	}
 	for i := 0; i < cfg.Workers; i++ {
 		wk, err := s.openWorker()
 		if err != nil {
@@ -244,29 +237,37 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.rels = s.all[0].relationInfos()
 
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/join", s.handleJoin)
-	s.mux.HandleFunc("/query", s.handleQuery)
-	s.mux.HandleFunc("/relations", s.handleRelations)
-	s.mux.HandleFunc("/stats", s.handleStats)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/debug/trace", s.handleDebugTrace)
-	s.mux.HandleFunc("/debug/trace/", s.handleDebugTraceID)
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/readyz", s.handleReadyz)
+	mux := http.NewServeMux()
+	mux.HandleFunc("/join", s.handleJoin)
+	mux.HandleFunc("/query", s.handleQuery)
+	mux.HandleFunc("/relations", s.handleRelations)
+	mux.HandleFunc("/stats", s.handleStats)
+	mux.HandleFunc("/metrics", serve.MetricsHandler(s.writeMetrics))
+	mux.HandleFunc("/debug/trace", s.handleDebugTrace)
+	mux.HandleFunc("/debug/trace/", s.handleDebugTraceID)
+	mux.HandleFunc("/healthz", serve.Healthz)
+	mux.HandleFunc("/readyz", s.handleReadyz)
 	if s.ing != nil {
-		s.mux.HandleFunc("/ingest", s.handleIngest)
-		s.mux.HandleFunc("/epochs", s.handleEpochs)
+		mux.HandleFunc("/ingest", s.handleIngest)
+		mux.HandleFunc("/epochs", s.handleEpochs)
 	}
 	if cfg.EnablePprof {
-		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
-		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-	s.traceBase = uint32(time.Now().UnixNano())
-	s.handler = s.instrument(s.mux)
+	s.handler = (&serve.Middleware{
+		IDFormat:  "%08x-%08x",
+		IDPrefix:  uint32(time.Now().UnixNano()),
+		Panics:    &s.met.panics,
+		Errors:    &s.met.errors,
+		AccessLog: cfg.AccessLog,
+		Telemetry: cfg.Telemetry,
+		Recorded:  recordedEndpoint,
+		Stamp:     s.stampTelemetry,
+	}).Wrap(mux)
 	return s, nil
 }
 
@@ -324,138 +325,9 @@ func (s *Server) openWorker() (worker, error) {
 }
 
 // Handler returns the server's HTTP handler: the endpoint mux behind the
-// trace-ID and access-log middleware.
+// request middleware (serve.Middleware: trace IDs, panic barrier, access
+// log, telemetry).
 func (s *Server) Handler() http.Handler { return s.handler }
-
-// nextTraceID returns a process-unique request identifier: a per-process
-// prefix (start-time entropy) plus a monotonic sequence number.
-func (s *Server) nextTraceID() string {
-	return fmt.Sprintf("%08x-%08x", s.traceBase, s.traceSeq.Add(1))
-}
-
-// IncomingTraceID extracts a propagated X-Trace-Id header (exported for
-// internal/router, which applies the same sanitation rule), accepting only
-// IDs that are safe to echo into headers and JSON logs (short, printable,
-// no whitespace or quotes). Anything else is treated as absent.
-func IncomingTraceID(r *http.Request) string {
-	id := r.Header.Get("X-Trace-Id")
-	if id == "" || len(id) > 64 {
-		return ""
-	}
-	for _, c := range id {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9':
-		case c == '-' || c == '_' || c == '.' || c == ':' || c == '/':
-		default:
-			return ""
-		}
-	}
-	return id
-}
-
-// statusWriter captures the status code and body size a handler produced.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	bytes  int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	n, err := w.ResponseWriter.Write(p)
-	w.bytes += n
-	return n, err
-}
-
-// accessRecord is one structured request-log line.
-type accessRecord struct {
-	TS         string `json:"ts"`
-	TraceID    string `json:"trace_id"`
-	Method     string `json:"method"`
-	Path       string `json:"path"`
-	Query      string `json:"query,omitempty"`
-	Status     int    `json:"status"`
-	DurationUS int64  `json:"duration_us"`
-	Bytes      int    `json:"bytes"`
-	Cache      string `json:"cache,omitempty"`
-}
-
-// instrument wraps the mux: every request gets a trace ID (echoed in the
-// X-Trace-Id response header) and, when Config.AccessLog is set, one JSON
-// log line on completion. It is also the last-resort panic barrier: query
-// handlers recover engine panics themselves (see guard) so the borrowed
-// engine can be quarantined, but a panic anywhere else still becomes a 500
-// here instead of net/http tearing the connection down without a response.
-func (s *Server) instrument(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		// An upstream coordinator (internal/router) propagates its trace ID
-		// so one user request correlates across the router's and every
-		// node's access logs. Absent or unusable, mint a fresh one.
-		id := IncomingTraceID(r)
-		if id == "" {
-			id = s.nextTraceID()
-		}
-		w.Header().Set("X-Trace-Id", id)
-		sw := &statusWriter{ResponseWriter: w}
-		// The telemetry sidecar gets exactly one record per query request:
-		// the handler fills the execution half into a context-threaded
-		// holder; the envelope half (status, duration, cache) is known here.
-		var th *telemetryHolder
-		if s.cfg.Telemetry != nil && recordedEndpoint(r.URL.Path) {
-			th = &telemetryHolder{}
-			r = r.WithContext(context.WithValue(r.Context(), telemetryCtxKey{}, th))
-		}
-		func() {
-			defer func() {
-				if v := recover(); v != nil {
-					s.met.panics.Add(1)
-					if sw.status == 0 {
-						s.writeError(sw, http.StatusInternalServerError, "internal error: %v", v)
-					}
-				}
-			}()
-			next.ServeHTTP(sw, r)
-		}()
-		status := sw.status
-		if status == 0 {
-			status = http.StatusOK
-		}
-		if th != nil {
-			s.emitTelemetry(th, id, r.URL.Path, r.URL.RawQuery,
-				status, sw.Header().Get("X-Cache") == "hit", start)
-		}
-		if s.cfg.AccessLog == nil {
-			return
-		}
-		line, err := json.Marshal(accessRecord{
-			TS:         start.UTC().Format(time.RFC3339Nano),
-			TraceID:    id,
-			Method:     r.Method,
-			Path:       r.URL.Path,
-			Query:      r.URL.RawQuery,
-			Status:     status,
-			DurationUS: time.Since(start).Microseconds(),
-			Bytes:      sw.bytes,
-			Cache:      sw.Header().Get("X-Cache"),
-		})
-		if err != nil {
-			return
-		}
-		s.logMu.Lock()
-		s.cfg.AccessLog.Write(append(line, '\n')) //nolint:errcheck // logging is best-effort
-		s.logMu.Unlock()
-	})
-}
 
 // Relations returns the stored relations' catalog metadata.
 func (s *Server) Relations() []RelationInfo { return s.rels }
@@ -582,32 +454,15 @@ func (s *Server) replaceWorker() {
 	}
 }
 
-// errorResponse is the JSON error envelope. Class carries the
-// containment.FailureClass vocabulary ("canceled", "deadline", "storage",
-// "corrupt", "internal") on execution failures so clients and smoke tests
-// can assert on the failure kind without parsing the message; plain
-// request errors (400s and the like) leave it empty.
-type errorResponse struct {
-	Error string `json:"error"`
-	Class string `json:"class,omitempty"`
-}
-
+// writeError answers a request error (no failure class) and counts it.
 func (s *Server) writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	s.met.errors.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(errorResponse{Error: fmt.Sprintf(format, args...)}) //nolint:errcheck // best-effort error body
+	serve.WriteError(w, status, "", format, args...)
 }
 
-// writePayload sends a rendered JSON payload, marking cache disposition.
+// writePayload sends a rendered JSON answer and records its latency.
 func (s *Server) writePayload(w http.ResponseWriter, payload []byte, cached bool, start time.Time) {
-	w.Header().Set("Content-Type", "application/json")
-	if cached {
-		w.Header().Set("X-Cache", "hit")
-	} else {
-		w.Header().Set("X-Cache", "miss")
-	}
-	w.Write(payload) //nolint:errcheck // client gone; nothing to do
+	serve.WritePayload(w, http.StatusOK, payload, cached)
 	s.met.observe(time.Since(start), w.Header().Get("X-Trace-Id"))
 }
 
@@ -618,43 +473,11 @@ func (s *Server) overloaded(w http.ResponseWriter) {
 		"server saturated: %d executing, %d queued", s.cfg.Workers, s.cfg.QueueDepth)
 }
 
-// statusClientClosedRequest is the non-standard 499 status (nginx
-// convention) for requests abandoned by the client before completion.
-const statusClientClosedRequest = 499
-
-// requestContext derives the execution context of one request: the
-// client's connection context (so disconnects cancel the running join),
-// bounded by Config.QueryTimeout and/or an explicit ?timeout= parameter.
-// An explicit timeout is clamped to the server's QueryTimeout when one is
-// configured. The returned cancel must always be called.
-func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc, error) {
-	timeout := s.cfg.QueryTimeout
-	if v := r.URL.Query().Get("timeout"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d <= 0 {
-			return nil, nil, fmt.Errorf("invalid timeout %q (want a positive Go duration, e.g. 500ms)", v)
-		}
-		if timeout == 0 || d < timeout {
-			timeout = d
-		}
-	}
-	if timeout > 0 {
-		ctx, cancel := context.WithTimeout(r.Context(), timeout)
-		return ctx, cancel, nil
-	}
-	return r.Context(), func() {}, nil
-}
-
 // writeClassified renders the error envelope with the failure class named,
 // so the wire carries the vocabulary and not just prose.
 func (s *Server) writeClassified(w http.ResponseWriter, status int, class containment.FailureClass, format string, args ...any) {
 	s.met.errors.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(errorResponse{ //nolint:errcheck // best-effort error body
-		Error: fmt.Sprintf(format, args...),
-		Class: class.String(),
-	})
+	serve.WriteError(w, status, class.String(), format, args...)
 }
 
 // writeFailure answers a failed execution, classifying the error into the
@@ -674,7 +497,7 @@ func (s *Server) writeFailure(w http.ResponseWriter, what string, err error) {
 		s.writeClassified(w, http.StatusGatewayTimeout, class, "%s timed out: %v", what, err)
 	case containment.FailCanceled:
 		s.met.canceled.Add(1)
-		s.writeClassified(w, statusClientClosedRequest, class, "%s canceled by client", what)
+		s.writeClassified(w, serve.StatusClientClosedRequest, class, "%s canceled by client", what)
 	case containment.FailCorrupt:
 		s.met.corrupt.Add(1)
 		s.writeClassified(w, http.StatusInternalServerError, class,
@@ -756,9 +579,6 @@ type JoinResponse struct {
 	Spans   *trace.WireSpan `json:"spans,omitempty"`
 }
 
-// wantSpans reports whether the request opted into span export.
-func wantSpans(r *http.Request) bool { return r.URL.Query().Get("spans") == "1" }
-
 // keepTrace converts executed joins' span trees to the wire shape, stores
 // them in the trace ring under the request's trace ID (retrievable via
 // GET /debug/trace/{id}), and returns them. Partial analyses from aborted
@@ -804,7 +624,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 			algoName, strings.Join(containment.AlgorithmNames(), ", "))
 		return
 	}
-	qctx, cancel, err := s.requestContext(r)
+	qctx, cancel, err := serve.RequestContext(r, s.cfg.QueryTimeout)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -817,15 +637,13 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		s.writeFailure(w, "join", err)
 		return
 	}
-	spans := wantSpans(r)
+	spans := serve.WantSpans(r)
 	key := fmt.Sprintf("join\x00%s\x00%s\x00%d", anc, desc, alg)
-	// ?spans=1 bypasses the result cache entirely (no lookup, no store):
-	// cached payloads are byte-identical across requests, so embedding a
-	// span tree would replay another request's execution under this trace
-	// ID. Like /debug/trace, the flag exists to observe execution.
+	// ?spans=1 bypasses the result cache entirely (no lookup, no store);
+	// like /debug/trace, the flag exists to observe execution.
 	if !spans {
 		lookupKey, epoch := s.epochKey(key)
-		if payload, ok := s.lookup(lookupKey); ok {
+		if payload, ok := s.cache.Get(lookupKey); ok {
 			s.stampEpoch(w, epoch)
 			s.writePayload(w, payload, true, start)
 			return
@@ -865,9 +683,9 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	s.met.recordJoin(res)
 	s.met.recordPhases(res.Algorithm, an.Phases, traceID)
 	ws := s.keepTrace(traceID, query, an)
-	if th := telemetryFrom(r.Context()); th != nil {
-		th.query = query
-		th.fillFromAnalyses([]*containment.Analysis{an}, ws)
+	if rec := telemetry.FromContext(r.Context()); rec != nil {
+		rec.Query = query
+		fillTelemetry(rec, []*containment.Analysis{an}, ws)
 	}
 	resp := JoinResponse{
 		Anc: anc, Desc: desc,
@@ -883,12 +701,12 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 			resp.Spans = ws[0]
 		}
 	}
-	payload := mustJSON(resp)
+	payload := serve.MustJSON(resp)
 	if !spans {
 		// Stored under the epoch the borrowed worker actually executed
 		// against (a swap may have landed between lookup and acquire), so a
 		// cached payload always matches its key's epoch.
-		s.store(s.storeKey(wk.epoch(), key), payload)
+		s.cache.Put(s.storeKey(wk.epoch(), key), payload)
 	}
 	s.writePayload(w, payload, false, start)
 }
@@ -944,17 +762,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	steps, err := containment.ParsePath(expr)
+	canon, tags, err := CanonicalPath(expr)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	canon, tags, err := CanonicalPath(steps)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	qctx, cancel, err := s.requestContext(r)
+	qctx, cancel, err := serve.RequestContext(r, s.cfg.QueryTimeout)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -964,11 +777,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeFailure(w, "path query", err)
 		return
 	}
-	spans := wantSpans(r)
+	spans := serve.WantSpans(r)
 	key := fmt.Sprintf("path\x00%s\x00%d", canon, limit)
 	if !spans {
 		lookupKey, epoch := s.epochKey(key)
-		if payload, ok := s.lookup(lookupKey); ok {
+		if payload, ok := s.cache.Get(lookupKey); ok {
 			s.stampEpoch(w, epoch)
 			s.writePayload(w, payload, true, start)
 			return
@@ -1015,9 +828,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		io.Add(res.IO)
 	}
 	ws := s.keepTrace(traceID, canon, analyses...)
-	if th := telemetryFrom(r.Context()); th != nil {
-		th.query = canon
-		th.fillFromAnalyses(analyses, ws)
+	if rec := telemetry.FromContext(r.Context()); rec != nil {
+		rec.Query = canon
+		fillTelemetry(rec, analyses, ws)
 	}
 	if spans {
 		resp.TraceID = traceID
@@ -1034,23 +847,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	for i := 0; i < n; i++ {
 		resp.Codes[i] = uint64(codes[i])
 	}
-	payload := mustJSON(resp)
+	payload := serve.MustJSON(resp)
 	if !spans {
-		s.store(s.storeKey(wk.epoch(), key), payload)
+		s.cache.Put(s.storeKey(wk.epoch(), key), payload)
 	}
 	s.writePayload(w, payload, false, start)
 }
 
-// writeJSON sends an uncached JSON body without touching the query
-// metrics (introspection endpoints stay out of the latency window).
-func writeJSON(w http.ResponseWriter, payload []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(payload) //nolint:errcheck // client gone; nothing to do
-}
-
 // handleRelations serves GET /relations.
 func (s *Server) handleRelations(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, mustJSON(s.rels))
+	serve.WriteJSON(w, s.rels)
 }
 
 // queueStats is the /stats admission block.
@@ -1116,8 +922,8 @@ type statsResponse struct {
 	Panics         int64                  `json:"panics"`
 	EngineRecycles int64                  `json:"engine_recycles"`
 	Queue          queueStats             `json:"queue"`
-	Cache          *cacheStats            `json:"cache,omitempty"`
-	Latency        latencyStats           `json:"latency"`
+	Cache          *serve.CacheStats      `json:"cache,omitempty"`
+	Latency        serve.LatencyStats     `json:"latency"`
 	Algorithms     map[string]algSnapshot `json:"algorithms"`
 	Shards         []shardStat            `json:"shards,omitempty"`
 	Ingest         *ingestStatsBlock      `json:"ingest,omitempty"`
@@ -1140,24 +946,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Workers: s.cfg.Workers, Busy: s.met.busy.Load(),
 			Depth: s.met.queued.Load(), Capacity: s.cfg.QueueDepth,
 		},
-		Latency:    s.met.latencySnapshot(),
+		Cache:      s.cache.Stats(),
+		Latency:    s.met.lat.Snapshot(),
 		Algorithms: s.met.algSnapshots(),
 		Shards:     s.shardSnapshot(),
+		Ingest:     s.ingestSnapshot(),
 	}
-	if s.cache != nil {
-		cs := s.cache.snapshot()
-		resp.Cache = &cs
-	}
-	resp.Ingest = s.ingestSnapshot()
-	writeJSON(w, mustJSON(resp))
-}
-
-// handleHealthz serves GET /healthz — pure liveness: the process is up
-// and handling HTTP. Deliberately trivial; routing decisions belong to
-// /readyz.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Write([]byte(`{"status":"ok"}`)) //nolint:errcheck // best effort
+	serve.WriteJSON(w, resp)
 }
 
 // handleReadyz serves GET /readyz — readiness: whether this server should
@@ -1189,27 +984,3 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // requests keep executing. Call it before http.Server.Shutdown so probers
 // observe the drain window instead of abrupt connection refusals.
 func (s *Server) Drain() { s.draining.Store(true) }
-
-// lookup consults the cache when enabled.
-func (s *Server) lookup(key string) ([]byte, bool) {
-	if s.cache == nil {
-		return nil, false
-	}
-	return s.cache.get(key)
-}
-
-// store populates the cache when enabled.
-func (s *Server) store(key string, payload []byte) {
-	if s.cache != nil {
-		s.cache.put(key, payload)
-	}
-}
-
-// mustJSON marshals a response struct; the structs here cannot fail.
-func mustJSON(v any) []byte {
-	data, err := json.Marshal(v)
-	if err != nil {
-		panic(err)
-	}
-	return append(data, '\n')
-}

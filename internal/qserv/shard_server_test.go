@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/pbitree/pbitree/containment"
+	"github.com/pbitree/pbitree/internal/serve/servetest"
 	"github.com/pbitree/pbitree/internal/shard"
 	"github.com/pbitree/pbitree/xmltree"
 )
@@ -189,6 +190,7 @@ func TestShardedServingEquivalence(t *testing.T) {
 
 	// /metrics carries the shard gauge and per-shard labelled series.
 	_, metBody, _ := get(t, client, tsShard.URL+"/metrics")
+	servetest.Lint(t, metBody, false)
 	for _, want := range []string{
 		fmt.Sprintf("pbiserve_shards %d\n", nShards),
 		`pbiserve_shard_page_reads_total{shard="0"}`,

@@ -1,45 +1,16 @@
 package qserv
 
 import (
-	"context"
-	"time"
-
 	"github.com/pbitree/pbitree/containment"
 	"github.com/pbitree/pbitree/internal/shard"
 	"github.com/pbitree/pbitree/internal/telemetry"
 	"github.com/pbitree/pbitree/internal/trace"
 )
 
-// This file feeds the persistent query-telemetry sidecar
-// (internal/telemetry): one record per completed /join or /query request.
-// The record is assembled in two halves — the instrument middleware knows
-// the envelope (trace ID, status, duration, cache disposition) and the
-// handler knows the execution (algorithm, phases, predicted vs actual
-// I/O) — joined by a holder the middleware threads through the request
-// context. Handlers fill what they learn; the middleware enqueues exactly
-// once, whatever the outcome.
-
-// telemetryHolder carries the execution half of one request's telemetry
-// record from the handler to the middleware. Single-goroutine access: the
-// handler writes, then the middleware reads after the handler returns.
-type telemetryHolder struct {
-	query       string
-	algorithm   string
-	pageIO      int64
-	predictedIO int64
-	ioRatio     float64
-	phases      []telemetry.Phase
-	spans       []*trace.WireSpan
-}
-
-type telemetryCtxKey struct{}
-
-// telemetryFrom returns the request's holder, nil when telemetry is off or
-// the endpoint is not recorded.
-func telemetryFrom(ctx context.Context) *telemetryHolder {
-	th, _ := ctx.Value(telemetryCtxKey{}).(*telemetryHolder)
-	return th
-}
+// This file is the node's half of the query-telemetry sidecar
+// (internal/telemetry): which requests are recorded, what the handlers
+// fill into a request's record, and the fields the node stamps on it. The
+// serve middleware threads the record and emits it.
 
 // recordedEndpoint reports whether path produces telemetry records —
 // queries and ingest batches; introspection endpoints stay out of the
@@ -48,32 +19,22 @@ func recordedEndpoint(path string) bool {
 	return path == "/join" || path == "/query" || path == "/ingest"
 }
 
-// telemetryOutcome classifies a finished request's HTTP status (plus cache
-// disposition) into the record's outcome vocabulary — the shared
-// telemetry.Outcome mapping, aliased so call sites here read naturally.
-func telemetryOutcome(status int, cached bool) string {
-	return telemetry.Outcome(status, cached)
-}
-
-// fillFromAnalyses folds executed joins into the holder: summed I/O and
-// prediction, flattened self-attributed phases, and — when the sidecar may
-// keep span trees (slow-query capture armed) or the caller already built
-// them — the wire spans themselves.
-func (th *telemetryHolder) fillFromAnalyses(analyses []*containment.Analysis, spans []*trace.WireSpan) {
-	if th == nil {
-		return
-	}
+// fillTelemetry folds executed joins into a request's record: summed I/O
+// and prediction, flattened self-attributed phases, and — when the sidecar
+// may keep span trees (slow-query capture armed) or the caller already
+// built them — the wire spans themselves.
+func fillTelemetry(rec *telemetry.Record, analyses []*containment.Analysis, spans []*trace.WireSpan) {
 	for _, an := range analyses {
 		if an == nil {
 			continue
 		}
 		if res := an.Result; res != nil {
-			th.algorithm = shard.MergeAlgo(th.algorithm, res.Algorithm)
-			th.pageIO += res.IO.Total()
-			th.predictedIO += res.PredictedIO
+			rec.Algorithm = shard.MergeAlgo(rec.Algorithm, res.Algorithm)
+			rec.PageIO += res.IO.Total()
+			rec.PredictedIO += res.PredictedIO
 		}
 		for _, p := range an.Phases {
-			th.phases = append(th.phases, telemetry.Phase{
+			rec.Phases = append(rec.Phases, telemetry.Phase{
 				Name:      p.Name,
 				Detail:    p.Detail,
 				Depth:     p.Depth,
@@ -85,41 +46,13 @@ func (th *telemetryHolder) fillFromAnalyses(analyses []*containment.Analysis, sp
 			})
 		}
 	}
-	if th.predictedIO > 0 {
-		th.ioRatio = float64(th.pageIO) / float64(th.predictedIO)
-	}
-	th.spans = spans
+	rec.Spans = spans
 }
 
-// emitTelemetry builds and enqueues the request's record. Non-blocking:
-// the writer drops on a full queue rather than stalling the response path.
-func (s *Server) emitTelemetry(th *telemetryHolder, traceID, endpoint, rawQuery string, status int, cached bool, start time.Time) {
-	w := s.cfg.Telemetry
-	if w == nil {
-		return
-	}
-	rec := &telemetry.Record{
-		TS:       start.UTC().Format(time.RFC3339Nano),
-		TraceID:  traceID,
-		Endpoint: endpoint,
-		Status:   status,
-		Outcome:  telemetryOutcome(status, cached),
-		WallUS:   time.Since(start).Microseconds(),
-	}
+// stampTelemetry names the ingest epoch current as a record is emitted, so
+// latency or I/O shifts correlate with epoch swaps and compactions.
+func (s *Server) stampTelemetry(rec *telemetry.Record) {
 	if s.ing != nil {
 		rec.Epoch, _ = s.ing.current()
 	}
-	if th != nil {
-		rec.Query = th.query
-		rec.Algorithm = th.algorithm
-		rec.PageIO = th.pageIO
-		rec.PredictedIO = th.predictedIO
-		rec.IORatio = th.ioRatio
-		rec.Phases = th.phases
-		rec.Spans = th.spans
-	}
-	if rec.Query == "" {
-		rec.Query = rawQuery
-	}
-	w.Enqueue(rec)
 }

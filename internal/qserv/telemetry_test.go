@@ -6,75 +6,66 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/pbitree/pbitree/internal/serve"
+	"github.com/pbitree/pbitree/internal/serve/servetest"
 )
 
 func TestLatencySnapshotEmptyRing(t *testing.T) {
 	m := newMetrics()
-	s := m.latencySnapshot()
+	s := m.lat.Snapshot()
 	if s.Samples != 0 || s.P50US != 0 || s.P95US != 0 || s.P99US != 0 || s.MaxUS != 0 {
 		t.Fatalf("empty ring snapshot = %+v, want all zero", s)
 	}
-	if got := percentile(nil, 0.99); got != 0 {
+	if got := serve.Percentile(nil, 0.99); got != 0 {
 		t.Fatalf("percentile(nil) = %v, want 0", got)
 	}
 }
 
+// TestObserveHistogram checks that a served request's latency lands in the
+// request counter, the /stats window and the /metrics histogram, with its
+// trace ID as the bucket's exemplar.
 func TestObserveHistogram(t *testing.T) {
 	m := newMetrics()
-	m.observe(50*time.Microsecond, "t1")  // ≤ 0.0001 → slot 0
-	m.observe(400*time.Microsecond, "t2") // ≤ 0.0005 → slot 2
-	m.observe(20*time.Second, "t3")       // beyond the last bound → +Inf slot
-	if m.hist[0] != 1 || m.hist[2] != 1 || m.hist[len(latBuckets)] != 1 {
-		t.Fatalf("bucket slots = %v", m.hist)
+	m.observe(50*time.Microsecond, "t1")  // ≤ 0.0001 → first bucket
+	m.observe(400*time.Microsecond, "t2") // ≤ 0.0005 → third bucket
+	m.observe(20*time.Second, "t3")       // beyond the last bound → +Inf only
+	if got := m.requests.Load(); got != 3 {
+		t.Fatalf("requests = %d, want 3", got)
 	}
-	if m.histCount != 3 {
-		t.Fatalf("histCount = %d, want 3", m.histCount)
+	var buf bytes.Buffer
+	serve.Family(&buf, "h", "test histogram", "histogram")
+	m.lat.WriteHistogram(&buf, "h", "", true)
+	buf.WriteString("# EOF\n")
+	samples, _ := servetest.Lint(t, buf.Bytes(), true)
+	for series, want := range map[string]float64{
+		`h_bucket{le="0.0001"}`:  1,
+		`h_bucket{le="0.00025"}`: 1,
+		`h_bucket{le="0.0005"}`:  2,
+		`h_bucket{le="10"}`:      2,
+		`h_bucket{le="+Inf"}`:    3,
+		"h_count":                3,
+	} {
+		if samples[series] != want {
+			t.Errorf("%s = %v, want %v", series, samples[series], want)
+		}
 	}
-	want := 50*time.Microsecond + 400*time.Microsecond + 20*time.Second
-	if m.histSum != want {
-		t.Fatalf("histSum = %v, want %v", m.histSum, want)
+	if want := (50*time.Microsecond + 400*time.Microsecond + 20*time.Second).Seconds(); samples["h_sum"] != want {
+		t.Errorf("h_sum = %v, want %v", samples["h_sum"], want)
 	}
-	s := m.latencySnapshot()
+	for _, id := range []string{"t1", "t2", "t3"} {
+		if !strings.Contains(buf.String(), fmt.Sprintf("# {trace_id=%q}", id)) {
+			t.Errorf("no exemplar for %s:\n%s", id, buf.String())
+		}
+	}
+	s := m.lat.Snapshot()
 	if s.Samples != 3 || s.MaxUS != (20*time.Second).Microseconds() {
 		t.Fatalf("snapshot after observe = %+v", s)
 	}
-}
-
-// parseExposition splits a Prometheus text page into sample lines
-// (series → value) and the set of families announced with HELP/TYPE,
-// failing the test on any malformed line.
-func parseExposition(t *testing.T, body []byte) (samples map[string]float64, families map[string]string) {
-	t.Helper()
-	samples = map[string]float64{}
-	families = map[string]string{}
-	for _, line := range strings.Split(strings.TrimRight(string(body), "\n"), "\n") {
-		if strings.HasPrefix(line, "# TYPE ") {
-			f := strings.Fields(line)
-			if len(f) != 4 {
-				t.Fatalf("bad TYPE line: %q", line)
-			}
-			families[f[2]] = f[3]
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		f := strings.Fields(line)
-		if len(f) != 2 {
-			t.Fatalf("sample line does not have exactly 2 fields: %q", line)
-		}
-		v, err := strconv.ParseFloat(f[1], 64)
-		if err != nil {
-			t.Fatalf("non-numeric sample value in %q: %v", line, err)
-		}
-		samples[f[0]] = v
-	}
-	return samples, families
 }
 
 // labelValue extracts one label's value from a series name like
@@ -131,7 +122,7 @@ func TestMetricsExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	samples, families := parseExposition(t, buf.Bytes())
+	samples, families := servetest.Lint(t, buf.Bytes(), false)
 
 	for fam, typ := range map[string]string{
 		"pbiserve_uptime_seconds":                   "gauge",
@@ -156,25 +147,6 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if samples["pbiserve_errors_total"] != 0 {
 		t.Errorf("errors_total = %v, want 0", samples["pbiserve_errors_total"])
-	}
-
-	// Histogram consistency: the +Inf bucket equals _count, and buckets are
-	// cumulative (monotonically non-decreasing in declaration order).
-	inf := samples[`pbiserve_request_latency_seconds_bucket{le="+Inf"}`]
-	if inf != samples["pbiserve_request_latency_seconds_count"] {
-		t.Errorf("+Inf bucket %v != count %v", inf, samples["pbiserve_request_latency_seconds_count"])
-	}
-	prev := -1.0
-	for _, b := range latBuckets {
-		series := fmt.Sprintf("pbiserve_request_latency_seconds_bucket{le=%q}", formatBound(b))
-		v, ok := samples[series]
-		if !ok {
-			t.Fatalf("missing bucket %s", series)
-		}
-		if v < prev {
-			t.Errorf("bucket %s = %v < previous %v (not cumulative)", series, v, prev)
-		}
-		prev = v
 	}
 
 	// Acceptance invariant: per-phase self-attributed page I/O sums to the
@@ -436,7 +408,7 @@ func TestConcurrentMetricsScrape(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("final scrape: %d", code)
 	}
-	samples, _ := parseExposition(t, body)
+	samples, _ := servetest.Lint(t, body, false)
 	if samples["pbiserve_errors_total"] != 0 {
 		t.Errorf("errors_total = %v after clean run", samples["pbiserve_errors_total"])
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/pbitree/pbitree/internal/serve/servetest"
 	"github.com/pbitree/pbitree/internal/telemetry"
 	"github.com/pbitree/pbitree/internal/trace"
 )
@@ -272,9 +273,8 @@ func TestBlockedTelemetryNeverStallsQueries(t *testing.T) {
 }
 
 // TestOpenMetricsExemplars checks content negotiation: the default
-// exposition stays exactly two fields per sample (parseExposition enforces
-// that elsewhere), while an OpenMetrics Accept header gets exemplars
-// carrying trace IDs and the # EOF terminator.
+// exposition stays exactly two fields per sample, while an OpenMetrics
+// Accept header gets exemplars carrying trace IDs and the # EOF terminator.
 func TestOpenMetricsExemplars(t *testing.T) {
 	db, _ := buildServerDB(t)
 	s, err := New(Config{DBPath: db, Workers: 1, CacheEntries: -1, BufferPages: 32})
@@ -298,7 +298,7 @@ func TestOpenMetricsExemplars(t *testing.T) {
 	if strings.Contains(string(body), "# {") {
 		t.Fatal("default exposition contains exemplars")
 	}
-	parseExposition(t, body)
+	servetest.Lint(t, body, false)
 
 	// OpenMetrics negotiation: exemplars present, trace ID attached, EOF
 	// terminator last.

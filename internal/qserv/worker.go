@@ -135,7 +135,7 @@ func (wk *shardWorker) evalPath(ctx context.Context, tags []string) ([]pbicode.C
 		}
 		stored[i] = name
 	}
-	codes, shardSteps, analyses, err := wk.se.PathContext(ctx, stored)
+	codes, steps, analyses, err := wk.se.PathContext(ctx, stored)
 	if err != nil {
 		var unknown *shard.UnknownRelationError
 		if errors.As(err, &unknown) {
@@ -143,12 +143,9 @@ func (wk *shardWorker) evalPath(ctx context.Context, tags []string) ([]pbicode.C
 		}
 		return nil, nil, nil, err
 	}
-	steps := make([]PathStep, len(shardSteps))
-	for i, st := range shardSteps {
-		steps[i] = PathStep{
-			Anc: tags[i], Desc: tags[i+1],
-			Algorithm: st.Algorithm, Matches: st.Matches,
-		}
+	// The steps name the stored relations; answer in the query's own tags.
+	for i := range steps {
+		steps[i].Anc, steps[i].Desc = tags[i], tags[i+1]
 	}
 	return codes, steps, analyses, nil
 }

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/pbitree/pbitree/internal/qserv"
+	"github.com/pbitree/pbitree/internal/serve"
 )
 
 // failingNode answers every request 503 and counts the hits.
@@ -391,7 +392,7 @@ func TestChaosFaultContainment(t *testing.T) {
 						wrong.Add(1)
 						t.Errorf("206 count=%d missing=%v, want count %d", jr.Count, jr.MissingShards, want)
 					}
-				case http.StatusServiceUnavailable, statusClientClosedRequest, http.StatusGatewayTimeout:
+				case http.StatusServiceUnavailable, serve.StatusClientClosedRequest, http.StatusGatewayTimeout:
 					// Honest failures are fine; wrong answers are not.
 				default:
 					t.Errorf("unexpected status %d", resp.StatusCode)

@@ -13,7 +13,9 @@ import (
 
 	"github.com/pbitree/pbitree/containment"
 	"github.com/pbitree/pbitree/internal/qserv"
+	"github.com/pbitree/pbitree/internal/serve"
 	"github.com/pbitree/pbitree/internal/shard"
+	"github.com/pbitree/pbitree/internal/telemetry"
 	"github.com/pbitree/pbitree/internal/trace"
 	"github.com/pbitree/pbitree/pbicode"
 )
@@ -26,24 +28,17 @@ import (
 // (containment.SortDocOrder); and the response WallTime is the fan-out envelope
 // measured here, not the per-shard sum.
 
-// statusClientClosedRequest mirrors qserv's 499 convention.
-const statusClientClosedRequest = 499
-
-// writeError renders the JSON error envelope (same shape as the nodes').
+// writeError answers a request error (no failure class) and counts it.
 func (rt *Router) writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	rt.met.errors.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(struct {
-		Error string `json:"error"`
-	}{fmt.Sprintf(format, args...)}) //nolint:errcheck // best-effort error body
+	serve.WriteError(w, status, "", format, args...)
 }
 
 // writeUpstreamFailure maps a fan-out failure onto the router's status
 // vocabulary: definitive node statuses forward verbatim, context failures
-// become 504/499 exactly as qserv.Classify would map them on a node, an
-// exhausted shard becomes 503 with Retry-After, and anything else is a
-// 502 (the router itself is fine; upstream was not).
+// become 504/499 with the failure class named, exactly as a node answers
+// them, an exhausted shard becomes 503 with Retry-After, and anything else
+// is a 502 (the router itself is fine; upstream was not).
 func (rt *Router) writeUpstreamFailure(w http.ResponseWriter, what string, err error) {
 	var se *statusError
 	if errors.As(err, &se) {
@@ -56,13 +51,15 @@ func (rt *Router) writeUpstreamFailure(w http.ResponseWriter, what string, err e
 		w.Write(se.body) //nolint:errcheck // best-effort error body
 		return
 	}
-	switch containment.Classify(err) {
+	switch class := containment.Classify(err); class {
 	case containment.FailDeadline:
 		rt.met.timeouts.Add(1)
-		rt.writeError(w, http.StatusGatewayTimeout, "%s timed out: %v", what, err)
+		rt.met.errors.Add(1)
+		serve.WriteError(w, http.StatusGatewayTimeout, class.String(), "%s timed out: %v", what, err)
 	case containment.FailCanceled:
 		rt.met.canceled.Add(1)
-		rt.writeError(w, statusClientClosedRequest, "%s canceled by client", what)
+		rt.met.errors.Add(1)
+		serve.WriteError(w, serve.StatusClientClosedRequest, class.String(), "%s canceled by client", what)
 	default:
 		var ue *unavailableError
 		if errors.As(err, &ue) {
@@ -97,20 +94,11 @@ func (rt *Router) wantPartial(r *http.Request) bool {
 	return rt.cfg.AllowPartial
 }
 
-// writePayload sends a rendered JSON payload, marking cache disposition.
+// writePayload sends a rendered JSON answer and records its latency.
 // status is http.StatusOK for complete answers, http.StatusPartialContent
 // for degraded ones.
 func (rt *Router) writePayload(w http.ResponseWriter, status int, payload []byte, cached bool, start time.Time) {
-	w.Header().Set("Content-Type", "application/json")
-	if cached {
-		w.Header().Set("X-Cache", "hit")
-	} else {
-		w.Header().Set("X-Cache", "miss")
-	}
-	if status != http.StatusOK {
-		w.WriteHeader(status)
-	}
-	w.Write(payload) //nolint:errcheck // client gone; nothing to do
+	serve.WritePayload(w, status, payload, cached)
 	rt.met.observe(time.Since(start))
 }
 
@@ -134,7 +122,7 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 			algoName, strings.Join(containment.AlgorithmNames(), ", "))
 		return
 	}
-	qctx, cancel, err := rt.requestContext(r)
+	qctx, cancel, err := serve.RequestContext(r, rt.cfg.QueryTimeout)
 	if err != nil {
 		rt.writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -146,16 +134,15 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 	}
 	traceID := w.Header().Get("X-Trace-Id")
 	query := "//" + anc + "//" + desc
-	spans := wantSpans(r)
+	spans := serve.WantSpans(r)
 	key := fmt.Sprintf("%d\x00join\x00%s\x00%s\x00%d", rt.epoch.Load(), anc, desc, alg)
 	// ?spans=1 bypasses the cache entirely (no lookup, no store), same rule
-	// as the nodes: cached payloads are byte-identical across requests, so
-	// an embedded span tree would replay another request's execution.
+	// as the nodes (serve.WantSpans).
 	if !spans {
-		if payload, ok := rt.lookup(key); ok {
+		if payload, ok := rt.cache.Get(key); ok {
 			rt.writePayload(w, http.StatusOK, payload, true, start)
 			rt.keepTrace(traceID, query, cacheHitSpan("join", time.Since(start)))
-			telemetryFrom(r.Context()).fill(query, "", 0, 0, nil)
+			fillTelemetry(telemetry.FromContext(r.Context()), query, "", 0, 0, nil)
 			return
 		}
 	}
@@ -215,16 +202,16 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 	}
 	root := rt.keepTrace(traceID, query,
 		stitch("join", time.Since(start), fanWall, time.Since(mergeStart), kids))
-	telemetryFrom(r.Context()).fill(query, merged.Algorithm, merged.PageIO, merged.PredictedIO, root)
+	fillTelemetry(telemetry.FromContext(r.Context()), query, merged.Algorithm, merged.PageIO, merged.PredictedIO, root)
 	if spans {
 		merged.TraceID = traceID
 		merged.Spans = root
 	}
-	payload := mustJSON(merged)
+	payload := serve.MustJSON(merged)
 	// Partial answers never enter the cache: stored payloads are always
 	// complete, so a later full request cannot be served an undercount.
 	if !spans && len(missing) == 0 {
-		rt.store(key, payload)
+		rt.cache.Put(key, payload)
 	}
 	rt.writePayload(w, status, payload, false, start)
 }
@@ -246,17 +233,12 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		rt.writeError(w, http.StatusBadRequest, "path query parameter is required")
 		return
 	}
-	steps, err := containment.ParsePath(expr)
+	canon, _, err := qserv.CanonicalPath(expr)
 	if err != nil {
 		rt.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	canon, _, err := qserv.CanonicalPath(steps)
-	if err != nil {
-		rt.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	qctx, cancel, err := rt.requestContext(r)
+	qctx, cancel, err := serve.RequestContext(r, rt.cfg.QueryTimeout)
 	if err != nil {
 		rt.writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -267,13 +249,13 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	traceID := w.Header().Get("X-Trace-Id")
-	spans := wantSpans(r)
+	spans := serve.WantSpans(r)
 	key := fmt.Sprintf("%d\x00path\x00%s\x00%d", rt.epoch.Load(), canon, rt.cfg.MaxCodes)
 	if !spans {
-		if payload, ok := rt.lookup(key); ok {
+		if payload, ok := rt.cache.Get(key); ok {
 			rt.writePayload(w, http.StatusOK, payload, true, start)
 			rt.keepTrace(traceID, canon, cacheHitSpan("query", time.Since(start)))
-			telemetryFrom(r.Context()).fill(canon, "", 0, 0, nil)
+			fillTelemetry(telemetry.FromContext(r.Context()), canon, "", 0, 0, nil)
 			return
 		}
 	}
@@ -309,13 +291,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.PageIO += qr.PageIO
 		resp.VirtualUS += qr.VirtualUS
-		for i, st := range qr.Steps {
-			for len(resp.Steps) <= i {
-				resp.Steps = append(resp.Steps, qserv.PathStep{Anc: st.Anc, Desc: st.Desc})
-			}
-			resp.Steps[i].Matches += st.Matches
-			resp.Steps[i].Algorithm = shard.MergeAlgo(resp.Steps[i].Algorithm, st.Algorithm)
-		}
+		resp.Steps = shard.MergeSteps(resp.Steps, qr.Steps)
 		kids = append(kids, nodeSpan(rep, qr.Spans...))
 	}
 	// Each node returned its shard's first MaxCodes matches in document
@@ -347,15 +323,15 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	root := rt.keepTrace(traceID, canon,
 		stitch("query", time.Since(start), fanWall, time.Since(mergeStart), kids))
-	telemetryFrom(r.Context()).fill(canon, alg, resp.PageIO, root.PredictedIO, root)
+	fillTelemetry(telemetry.FromContext(r.Context()), canon, alg, resp.PageIO, root.PredictedIO, root)
 	if spans {
 		resp.TraceID = traceID
 		resp.Spans = []*trace.WireSpan{root}
 	}
-	payload := mustJSON(resp)
+	payload := serve.MustJSON(resp)
 	// Partial answers never enter the cache (see handleJoin).
 	if !spans && len(missing) == 0 {
-		rt.store(key, payload)
+		rt.cache.Put(key, payload)
 	}
 	rt.writePayload(w, status, payload, false, start)
 }
@@ -404,14 +380,7 @@ func (rt *Router) handleRelations(w http.ResponseWriter, r *http.Request) {
 		out = append(out, a.info)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(mustJSON(out)) //nolint:errcheck // client gone; nothing to do
-}
-
-// handleHealthz serves GET /healthz — router process liveness only.
-func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Write([]byte(`{"status":"ok"}`)) //nolint:errcheck // best effort
+	serve.WriteJSON(w, out)
 }
 
 // handleReadyz serves GET /readyz: the router can answer queries only
@@ -439,28 +408,4 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.Write([]byte(`{"status":"ready"}`)) //nolint:errcheck // best effort
-}
-
-// lookup consults the epoch-keyed result cache when enabled.
-func (rt *Router) lookup(key string) ([]byte, bool) {
-	if rt.cache == nil {
-		return nil, false
-	}
-	return rt.cache.get(key)
-}
-
-// store populates the cache when enabled.
-func (rt *Router) store(key string, payload []byte) {
-	if rt.cache != nil {
-		rt.cache.put(key, payload)
-	}
-}
-
-// mustJSON marshals a response struct; the structs here cannot fail.
-func mustJSON(v any) []byte {
-	data, err := json.Marshal(v)
-	if err != nil {
-		panic(err)
-	}
-	return append(data, '\n')
 }

@@ -1,8 +1,10 @@
 package router
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,6 +12,8 @@ import (
 	"time"
 
 	"github.com/pbitree/pbitree/internal/qserv"
+	"github.com/pbitree/pbitree/internal/serve"
+	"github.com/pbitree/pbitree/internal/serve/servetest"
 )
 
 // fakeNode is a scripted shard node: fixed /join and /query payloads,
@@ -226,6 +230,64 @@ func TestErrorMapping(t *testing.T) {
 	st, _, _ = get(t, ts.URL+"/join?anc=a&desc=b&algo=nope")
 	if st != http.StatusBadRequest {
 		t.Errorf("unknown algo: status %d, want 400", st)
+	}
+}
+
+// TestRouterErrorsCarryClass checks that errors the router raises itself
+// name their failure class, as the nodes' envelopes do: a deadline that
+// expires before the fan-out is 504 "deadline", a client gone before it is
+// 499 "canceled".
+func TestRouterErrorsCarryClass(t *testing.T) {
+	n0 := newFakeNode(t, qserv.JoinResponse{Algorithm: "mpmgjn", Count: 1}, qserv.QueryResponse{})
+	rt, ts := newTestRouter(t, Config{Topology: [][]string{{n0.ts.URL}}, CacheEntries: -1})
+	var e struct{ Error, Class string }
+
+	st, body, _ := get(t, ts.URL+"/join?anc=a&desc=b&timeout=1ns")
+	if err := json.Unmarshal(body, &e); err != nil {
+		t.Fatal(err)
+	}
+	if st != http.StatusGatewayTimeout || e.Class != "deadline" || e.Error == "" {
+		t.Errorf("?timeout=1ns: status %d body %s, want 504 class deadline", st, body)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/query?path=//a//b", nil).WithContext(ctx))
+	e.Class = ""
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != serve.StatusClientClosedRequest || e.Class != "canceled" {
+		t.Errorf("client gone: status %d body %s, want 499 class canceled", rec.Code, rec.Body)
+	}
+}
+
+// TestRouterOpenMetrics checks /metrics content negotiation: an
+// OpenMetrics scrape gets the 0.0.4 families plus the # EOF terminator.
+func TestRouterOpenMetrics(t *testing.T) {
+	ts, _ := pinnedRouter(t)
+	_, plain, _ := get(t, ts.URL+"/metrics")
+	req, err := http.NewRequest(http.MethodGet, ts.URL+"/metrics", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", "application/openmetrics-text")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	om, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/openmetrics-text") {
+		t.Errorf("Content-Type = %q", ct)
+	}
+	servetest.Lint(t, om, true)
+	if got, want := servetest.Mask(string(om)), servetest.Mask(string(plain))+"# EOF\n"; got != want {
+		t.Fatalf("OpenMetrics page is not the 0.0.4 page plus # EOF:\n%s", got)
 	}
 }
 

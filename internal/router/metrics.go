@@ -4,99 +4,16 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/pbitree/pbitree/internal/qserv"
+	"github.com/pbitree/pbitree/internal/serve"
 )
 
 // latRing is how many recent latencies each window retains. The router
 // keeps one window per node (feeding the adaptive hedging quantile) plus
-// one for its own end-to-end request latency; a fixed ring keeps the cost
-// per sample O(1) and the estimate representative of current behavior.
+// one for its own end-to-end request latency.
 const latRing = 2048
-
-// latBuckets are the cumulative histogram bounds (seconds) /metrics
-// exports — the same grid the nodes use, so router and node latency
-// histograms overlay directly in dashboards.
-var latBuckets = []float64{
-	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
-	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
-}
-
-// latWindow is a sliding latency sample plus an all-of-history histogram.
-// It does no locking of its own: every instance is guarded by its owner's
-// mutex (node.mu for per-node windows, metrics.mu for the router's).
-type latWindow struct {
-	ring [latRing]time.Duration
-	n    int // samples in ring (≤ latRing)
-	next int // ring write position
-
-	hist  []int64 // len(latBuckets)+1, lazily allocated; last slot = +Inf
-	sum   time.Duration
-	count int64
-}
-
-// observe folds one latency sample into the window and histogram.
-func (l *latWindow) observe(d time.Duration) {
-	l.ring[l.next] = d
-	l.next = (l.next + 1) % latRing
-	if l.n < latRing {
-		l.n++
-	}
-	if l.hist == nil {
-		l.hist = make([]int64, len(latBuckets)+1)
-	}
-	sec := d.Seconds()
-	slot := len(latBuckets) // +Inf
-	for i, bound := range latBuckets {
-		if sec <= bound {
-			slot = i
-			break
-		}
-	}
-	l.hist[slot]++
-	l.sum += d
-	l.count++
-}
-
-// sorted returns a sorted copy of the current window.
-func (l *latWindow) sorted() []time.Duration {
-	sample := make([]time.Duration, l.n)
-	copy(sample, l.ring[:l.n])
-	sort.Slice(sample, func(i, j int) bool { return sample[i] < sample[j] })
-	return sample
-}
-
-// quantile estimates the q-quantile of the window (0 with no samples).
-func (l *latWindow) quantile(q float64) time.Duration {
-	return percentile(l.sorted(), q)
-}
-
-// histogram copies the cumulative-histogram state for the /metrics writer.
-func (l *latWindow) histogram() (buckets []int64, sum time.Duration, count int64) {
-	buckets = make([]int64, len(latBuckets)+1)
-	copy(buckets, l.hist)
-	return buckets, l.sum, l.count
-}
-
-// percentile returns the p-quantile (0 < p ≤ 1) of a sorted sample using
-// the nearest-rank method.
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(p*float64(len(sorted))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
-}
 
 // metrics aggregates the router-level counters /stats and /metrics report.
 // Per-node counters live on the nodes themselves.
@@ -120,44 +37,17 @@ type metrics struct {
 	demotions  atomic.Int64 // healthy→unhealthy node transitions
 	promotions atomic.Int64 // unhealthy→healthy node transitions
 
-	mu  sync.Mutex
-	lat latWindow // end-to-end router request latency
+	lat *serve.Latency // end-to-end router request latency
 }
 
 func newMetrics() *metrics {
-	return &metrics{start: time.Now()}
+	return &metrics{start: time.Now(), lat: serve.NewLatency(latRing)}
 }
 
 // observe records one completed request's latency.
 func (m *metrics) observe(d time.Duration) {
 	m.requests.Add(1)
-	m.mu.Lock()
-	m.lat.observe(d)
-	m.mu.Unlock()
-}
-
-// latencyStats is the /stats latency block (microseconds).
-type latencyStats struct {
-	Samples int   `json:"samples"`
-	P50US   int64 `json:"p50_us"`
-	P95US   int64 `json:"p95_us"`
-	P99US   int64 `json:"p99_us"`
-	MaxUS   int64 `json:"max_us"`
-}
-
-// latencySnapshot extracts the reported percentiles from the window.
-func (m *metrics) latencySnapshot() latencyStats {
-	m.mu.Lock()
-	sample := m.lat.sorted()
-	m.mu.Unlock()
-	s := latencyStats{Samples: len(sample)}
-	if len(sample) > 0 {
-		s.P50US = percentile(sample, 0.50).Microseconds()
-		s.P95US = percentile(sample, 0.95).Microseconds()
-		s.P99US = percentile(sample, 0.99).Microseconds()
-		s.MaxUS = sample[len(sample)-1].Microseconds()
-	}
-	return s
+	m.lat.Observe(d, "")
 }
 
 // nodeStat is one node's row in the /stats nodes block.
@@ -203,9 +93,9 @@ type statsResponse struct {
 	BreakerDenials    int64 `json:"breaker_denials"`
 	RetryBudgetDenied int64 `json:"retry_budget_denied"`
 
-	Cache   *cacheStats  `json:"cache,omitempty"`
-	Latency latencyStats `json:"latency"`
-	Nodes   []nodeStat   `json:"nodes"`
+	Cache   *serve.CacheStats  `json:"cache,omitempty"`
+	Latency serve.LatencyStats `json:"latency"`
+	Nodes   []nodeStat         `json:"nodes"`
 }
 
 // nodeStats snapshots every node's row in table order.
@@ -224,17 +114,14 @@ func (rt *Router) nodeStats() []nodeStat {
 			UpstreamHits: nd.upstreamHits.Load(),
 		}
 		st.Breaker, st.BreakerOpens = nd.br.snapshot()
+		lat := nd.lat.Snapshot()
+		st.P50US, st.P95US = lat.P50US, lat.P95US
 		nd.mu.Lock()
-		sample := nd.lat.sorted()
 		st.LastError = nd.lastErr
 		if !nd.lastErrAt.IsZero() {
 			st.LastErrAgoS = time.Since(nd.lastErrAt).Seconds()
 		}
 		nd.mu.Unlock()
-		if len(sample) > 0 {
-			st.P50US = percentile(sample, 0.50).Microseconds()
-			st.P95US = percentile(sample, 0.95).Microseconds()
-		}
 		out = append(out, st)
 	}
 	return out
@@ -264,153 +151,68 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		BreakerDenials:    m.breakerDenials.Load(),
 		RetryBudgetDenied: m.budgetDenials.Load(),
 
-		Latency: m.latencySnapshot(),
+		Cache:   rt.cache.Stats(),
+		Latency: m.lat.Snapshot(),
 		Nodes:   rt.nodeStats(),
 	}
-	if rt.cache != nil {
-		cs := rt.cache.snapshot()
-		resp.Cache = &cs
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(mustJSON(resp)) //nolint:errcheck // client gone; nothing to do
+	serve.WriteJSON(w, resp)
 }
 
-// handleMetrics serves GET /metrics in the Prometheus text exposition
-// format (0.0.4), hand-rendered like the nodes' — the repository stays
-// dependency-free. Node labels come from the topology fixed at startup,
-// never from request input, so series cardinality is bounded.
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	rt.writeMetrics(w)
-}
-
-// family emits the HELP/TYPE preamble of one metric family.
-func family(w io.Writer, name, help, typ string) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-}
-
-// writeHistogram renders one histogram family from copied window state.
-func writeHistogram(w io.Writer, name, labels string, buckets []int64, sum time.Duration, count int64) {
-	var cum int64
-	for i, bound := range latBuckets {
-		cum += buckets[i]
-		if labels == "" {
-			fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, formatBound(bound), cum)
-		} else {
-			fmt.Fprintf(w, "%s_bucket{%s,le=%q} %d\n", name, labels, formatBound(bound), cum)
-		}
-	}
-	cum += buckets[len(latBuckets)]
-	if labels == "" {
-		fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-		fmt.Fprintf(w, "%s_sum %g\n", name, sum.Seconds())
-		fmt.Fprintf(w, "%s_count %d\n", name, count)
-	} else {
-		fmt.Fprintf(w, "%s_bucket{%s,le=\"+Inf\"} %d\n", name, labels, cum)
-		fmt.Fprintf(w, "%s_sum{%s} %g\n", name, labels, sum.Seconds())
-		fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, count)
-	}
-}
-
-// writeMetrics renders every family. Families are always present (HELP and
-// TYPE lines) even before any sample exists, so scrapers and smoke checks
-// see a stable schema.
-func (rt *Router) writeMetrics(w io.Writer) {
+// writeMetrics renders every /metrics family through the serve exposition
+// helpers. Families are always present (HELP and TYPE lines) even before
+// any sample exists, so scrapers see a stable schema. Node labels come
+// from the topology fixed at startup, never from request input, so series
+// cardinality is bounded.
+func (rt *Router) writeMetrics(w io.Writer, om bool) {
 	m := rt.met
 
-	family(w, "pbirouter_uptime_seconds", "Seconds since the router started.", "gauge")
-	fmt.Fprintf(w, "pbirouter_uptime_seconds %g\n", time.Since(m.start).Seconds())
-	bi := qserv.BuildInfo()
-	family(w, "pbirouter_build_info", "Build identity (constant 1; the labels carry the values).", "gauge")
-	fmt.Fprintf(w, "pbirouter_build_info{version=%q,go_version=%q,revision=%q} 1\n",
-		bi.Version, bi.GoVersion, bi.Revision)
-	family(w, "pbirouter_shards", "Shard groups in the node table.", "gauge")
-	fmt.Fprintf(w, "pbirouter_shards %d\n", len(rt.shards))
-	family(w, "pbirouter_epoch", "Node-table epoch (bumps on every health transition).", "gauge")
-	fmt.Fprintf(w, "pbirouter_epoch %d\n", rt.epoch.Load())
+	serve.Metric(w, "pbirouter_uptime_seconds", "Seconds since the router started.", "gauge", time.Since(m.start).Seconds())
+	serve.WriteBuildInfo(w, "pbirouter_build_info", "Build identity (constant 1; the labels carry the values).")
+	serve.Metric(w, "pbirouter_shards", "Shard groups in the node table.", "gauge", len(rt.shards))
+	serve.Metric(w, "pbirouter_epoch", "Node-table epoch (bumps on every health transition).", "gauge", rt.epoch.Load())
 
-	family(w, "pbirouter_requests_total", "Completed router requests (cached or fanned out).", "counter")
-	fmt.Fprintf(w, "pbirouter_requests_total %d\n", m.requests.Load())
-	family(w, "pbirouter_errors_total", "Requests answered with a non-2xx status.", "counter")
-	fmt.Fprintf(w, "pbirouter_errors_total %d\n", m.errors.Load())
-	family(w, "pbirouter_canceled_total", "Requests abandoned by the client before completion (499).", "counter")
-	fmt.Fprintf(w, "pbirouter_canceled_total %d\n", m.canceled.Load())
-	family(w, "pbirouter_timeouts_total", "Requests aborted by deadline expiry (504).", "counter")
-	fmt.Fprintf(w, "pbirouter_timeouts_total %d\n", m.timeouts.Load())
-	family(w, "pbirouter_panics_total", "Panics recovered during request handling.", "counter")
-	fmt.Fprintf(w, "pbirouter_panics_total %d\n", m.panics.Load())
+	serve.Metric(w, "pbirouter_requests_total", "Completed router requests (cached or fanned out).", "counter", m.requests.Load())
+	serve.Metric(w, "pbirouter_errors_total", "Requests answered with a non-2xx status.", "counter", m.errors.Load())
+	serve.Metric(w, "pbirouter_canceled_total", "Requests abandoned by the client before completion (499).", "counter", m.canceled.Load())
+	serve.Metric(w, "pbirouter_timeouts_total", "Requests aborted by deadline expiry (504).", "counter", m.timeouts.Load())
+	serve.Metric(w, "pbirouter_panics_total", "Panics recovered during request handling.", "counter", m.panics.Load())
 
-	family(w, "pbirouter_hedge_fires_total", "Hedge timers that fired a secondary replica request.", "counter")
-	fmt.Fprintf(w, "pbirouter_hedge_fires_total %d\n", m.hedgeFires.Load())
-	family(w, "pbirouter_hedge_wins_total", "Shard answers won by the hedge request.", "counter")
-	fmt.Fprintf(w, "pbirouter_hedge_wins_total %d\n", m.hedgeWins.Load())
-	family(w, "pbirouter_failovers_total", "Replica-to-replica retries after a retryable failure.", "counter")
-	fmt.Fprintf(w, "pbirouter_failovers_total %d\n", m.failovers.Load())
-	family(w, "pbirouter_partial_responses_total", "Degraded 206 responses served with shards missing.", "counter")
-	fmt.Fprintf(w, "pbirouter_partial_responses_total %d\n", m.partials.Load())
-	family(w, "pbirouter_breaker_denials_total", "Node launches skipped because the circuit breaker was open.", "counter")
-	fmt.Fprintf(w, "pbirouter_breaker_denials_total %d\n", m.breakerDenials.Load())
-	family(w, "pbirouter_retry_budget_denials_total", "Failover retries denied by the shared retry budget.", "counter")
-	fmt.Fprintf(w, "pbirouter_retry_budget_denials_total %d\n", m.budgetDenials.Load())
-	family(w, "pbirouter_node_demotions_total", "Healthy-to-unhealthy node transitions.", "counter")
-	fmt.Fprintf(w, "pbirouter_node_demotions_total %d\n", m.demotions.Load())
-	family(w, "pbirouter_node_promotions_total", "Unhealthy-to-healthy node transitions.", "counter")
-	fmt.Fprintf(w, "pbirouter_node_promotions_total %d\n", m.promotions.Load())
+	serve.Metric(w, "pbirouter_hedge_fires_total", "Hedge timers that fired a secondary replica request.", "counter", m.hedgeFires.Load())
+	serve.Metric(w, "pbirouter_hedge_wins_total", "Shard answers won by the hedge request.", "counter", m.hedgeWins.Load())
+	serve.Metric(w, "pbirouter_failovers_total", "Replica-to-replica retries after a retryable failure.", "counter", m.failovers.Load())
+	serve.Metric(w, "pbirouter_partial_responses_total", "Degraded 206 responses served with shards missing.", "counter", m.partials.Load())
+	serve.Metric(w, "pbirouter_breaker_denials_total", "Node launches skipped because the circuit breaker was open.", "counter", m.breakerDenials.Load())
+	serve.Metric(w, "pbirouter_retry_budget_denials_total", "Failover retries denied by the shared retry budget.", "counter", m.budgetDenials.Load())
+	serve.Metric(w, "pbirouter_node_demotions_total", "Healthy-to-unhealthy node transitions.", "counter", m.demotions.Load())
+	serve.Metric(w, "pbirouter_node_promotions_total", "Unhealthy-to-healthy node transitions.", "counter", m.promotions.Load())
 
-	var cs cacheStats
-	if rt.cache != nil {
-		cs = rt.cache.snapshot()
+	rt.cache.WriteMetrics(w, "pbirouter", "Merged-result cache")
+
+	serve.Metric(w, "pbirouter_telemetry_records_total", "Telemetry records written by the sidecar.", "counter", rt.cfg.Telemetry.Written())
+	serve.Metric(w, "pbirouter_telemetry_dropped_total", "Telemetry records dropped (queue full or sink stalled).", "counter", rt.cfg.Telemetry.Dropped())
+
+	serve.Family(w, "pbirouter_request_latency_seconds", "End-to-end router request latency.", "histogram")
+	m.lat.WriteHistogram(w, "pbirouter_request_latency_seconds", "", om)
+
+	// Per-node families: one series per replica, every family labelled
+	// alike so a node's series join up in dashboards.
+	labels := make([]string, len(rt.nodes))
+	for i, nd := range rt.nodes {
+		labels[i] = fmt.Sprintf("node=%q,shard=\"%d\"", nd.name(), nd.shard)
 	}
-	family(w, "pbirouter_cache_hits_total", "Merged-result cache hits.", "counter")
-	fmt.Fprintf(w, "pbirouter_cache_hits_total %d\n", cs.Hits)
-	family(w, "pbirouter_cache_misses_total", "Merged-result cache misses.", "counter")
-	fmt.Fprintf(w, "pbirouter_cache_misses_total %d\n", cs.Misses)
-	family(w, "pbirouter_cache_evicted_total", "Merged-result cache LRU evictions.", "counter")
-	fmt.Fprintf(w, "pbirouter_cache_evicted_total %d\n", cs.Evicted)
-	family(w, "pbirouter_cache_entries", "Merged-result cache resident entries.", "gauge")
-	fmt.Fprintf(w, "pbirouter_cache_entries %d\n", cs.Entries)
-
-	family(w, "pbirouter_telemetry_records_total", "Telemetry records written by the sidecar.", "counter")
-	fmt.Fprintf(w, "pbirouter_telemetry_records_total %d\n", rt.cfg.Telemetry.Written())
-	family(w, "pbirouter_telemetry_dropped_total", "Telemetry records dropped (queue full or sink stalled).", "counter")
-	fmt.Fprintf(w, "pbirouter_telemetry_dropped_total %d\n", rt.cfg.Telemetry.Dropped())
-
-	m.mu.Lock()
-	buckets, sum, count := m.lat.histogram()
-	m.mu.Unlock()
-	family(w, "pbirouter_request_latency_seconds", "End-to-end router request latency.", "histogram")
-	writeHistogram(w, "pbirouter_request_latency_seconds", "", buckets, sum, count)
-
-	family(w, "pbirouter_node_healthy", "Node health (1 healthy, 0 demoted).", "gauge")
-	for _, nd := range rt.nodes {
-		v := 0
-		if nd.healthy.Load() {
-			v = 1
+	serve.Series(w, "pbirouter_node_healthy", "Node health (1 healthy, 0 demoted).", "gauge", labels, func(i int) any {
+		if rt.nodes[i].healthy.Load() {
+			return 1
 		}
-		fmt.Fprintf(w, "pbirouter_node_healthy{node=%q,shard=\"%d\"} %d\n", nd.name(), nd.shard, v)
-	}
-	family(w, "pbirouter_node_requests_total", "Proxied requests issued per node.", "counter")
-	for _, nd := range rt.nodes {
-		fmt.Fprintf(w, "pbirouter_node_requests_total{node=%q,shard=\"%d\"} %d\n", nd.name(), nd.shard, nd.requests.Load())
-	}
-	family(w, "pbirouter_node_failures_total", "Retryable node-call failures per node.", "counter")
-	for _, nd := range rt.nodes {
-		fmt.Fprintf(w, "pbirouter_node_failures_total{node=%q,shard=\"%d\"} %d\n", nd.name(), nd.shard, nd.failures.Load())
-	}
-	family(w, "pbirouter_node_hedges_total", "Hedge (secondary) requests issued per node.", "counter")
-	for _, nd := range rt.nodes {
-		fmt.Fprintf(w, "pbirouter_node_hedges_total{node=%q,shard=\"%d\"} %d\n", nd.name(), nd.shard, nd.hedges.Load())
-	}
-	family(w, "pbirouter_node_probe_failures_total", "Failed health probes per node.", "counter")
-	for _, nd := range rt.nodes {
-		fmt.Fprintf(w, "pbirouter_node_probe_failures_total{node=%q,shard=\"%d\"} %d\n", nd.name(), nd.shard, nd.probeFails.Load())
-	}
-	family(w, "pbirouter_node_upstream_cache_hits_total", "Node answers served from the node's own cache.", "counter")
-	for _, nd := range rt.nodes {
-		fmt.Fprintf(w, "pbirouter_node_upstream_cache_hits_total{node=%q,shard=\"%d\"} %d\n", nd.name(), nd.shard, nd.upstreamHits.Load())
-	}
-	family(w, "pbirouter_node_breaker_state", "Circuit-breaker state per node (0 closed, 1 half-open, 2 open; absent when disabled).", "gauge")
-	for _, nd := range rt.nodes {
+		return 0
+	})
+	serve.Series(w, "pbirouter_node_requests_total", "Proxied requests issued per node.", "counter", labels, func(i int) any { return rt.nodes[i].requests.Load() })
+	serve.Series(w, "pbirouter_node_failures_total", "Retryable node-call failures per node.", "counter", labels, func(i int) any { return rt.nodes[i].failures.Load() })
+	serve.Series(w, "pbirouter_node_hedges_total", "Hedge (secondary) requests issued per node.", "counter", labels, func(i int) any { return rt.nodes[i].hedges.Load() })
+	serve.Series(w, "pbirouter_node_probe_failures_total", "Failed health probes per node.", "counter", labels, func(i int) any { return rt.nodes[i].probeFails.Load() })
+	serve.Series(w, "pbirouter_node_upstream_cache_hits_total", "Node answers served from the node's own cache.", "counter", labels, func(i int) any { return rt.nodes[i].upstreamHits.Load() })
+	serve.Family(w, "pbirouter_node_breaker_state", "Circuit-breaker state per node (0 closed, 1 half-open, 2 open; absent when disabled).", "gauge")
+	for i, nd := range rt.nodes {
 		state, _ := nd.br.snapshot()
 		var v int
 		switch state {
@@ -421,24 +223,14 @@ func (rt *Router) writeMetrics(w io.Writer) {
 		case "disabled":
 			continue
 		}
-		fmt.Fprintf(w, "pbirouter_node_breaker_state{node=%q,shard=\"%d\"} %d\n", nd.name(), nd.shard, v)
+		fmt.Fprintf(w, "pbirouter_node_breaker_state{%s} %d\n", labels[i], v)
 	}
-	family(w, "pbirouter_node_breaker_opens_total", "Circuit-breaker open transitions per node.", "counter")
-	for _, nd := range rt.nodes {
-		_, opens := nd.br.snapshot()
-		fmt.Fprintf(w, "pbirouter_node_breaker_opens_total{node=%q,shard=\"%d\"} %d\n", nd.name(), nd.shard, opens)
+	serve.Series(w, "pbirouter_node_breaker_opens_total", "Circuit-breaker open transitions per node.", "counter", labels, func(i int) any {
+		_, opens := rt.nodes[i].br.snapshot()
+		return opens
+	})
+	serve.Family(w, "pbirouter_node_latency_seconds", "Successful node-call latency per node.", "histogram")
+	for i, nd := range rt.nodes {
+		nd.lat.WriteHistogram(w, "pbirouter_node_latency_seconds", labels[i], om)
 	}
-	family(w, "pbirouter_node_latency_seconds", "Successful node-call latency per node.", "histogram")
-	for _, nd := range rt.nodes {
-		nd.mu.Lock()
-		nb, ns, nc := nd.lat.histogram()
-		nd.mu.Unlock()
-		labels := fmt.Sprintf("node=%q,shard=\"%d\"", nd.name(), nd.shard)
-		writeHistogram(w, "pbirouter_node_latency_seconds", labels, nb, ns, nc)
-	}
-}
-
-// formatBound renders a histogram bound the canonical Prometheus way.
-func formatBound(b float64) string {
-	return fmt.Sprintf("%g", b)
 }

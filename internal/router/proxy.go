@@ -142,9 +142,7 @@ func (rt *Router) callNode(ctx context.Context, nd *node, path string, vals url.
 		if r.cache == "hit" {
 			nd.upstreamHits.Add(1)
 		}
-		nd.mu.Lock()
-		nd.lat.observe(lat)
-		nd.mu.Unlock()
+		nd.lat.Observe(lat, "")
 	} else if r.retryable() {
 		nd.failures.Add(1)
 	}
@@ -378,28 +376,6 @@ func (rt *Router) fanout(ctx context.Context, path string, vals url.Values, trac
 	}
 	sort.Ints(missing)
 	return replies, missing, firstErr
-}
-
-// requestContext derives one request's execution context, mirroring
-// qserv's semantics: the client's connection context bounded by
-// Config.QueryTimeout and/or an explicit ?timeout=, the explicit value
-// clamped to the configured one.
-func (rt *Router) requestContext(r *http.Request) (context.Context, context.CancelFunc, error) {
-	timeout := rt.cfg.QueryTimeout
-	if v := r.URL.Query().Get("timeout"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d <= 0 {
-			return nil, nil, fmt.Errorf("invalid timeout %q (want a positive Go duration, e.g. 500ms)", v)
-		}
-		if timeout == 0 || d < timeout {
-			timeout = d
-		}
-	}
-	if timeout > 0 {
-		ctx, cancel := context.WithTimeout(r.Context(), timeout)
-		return ctx, cancel, nil
-	}
-	return r.Context(), func() {}, nil
 }
 
 // cloneValues copies a url.Values so per-attempt mutations (the timeout

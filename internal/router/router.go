@@ -31,9 +31,13 @@
 // budget rides the nodes' existing ?timeout= clamp and its X-Trace-Id
 // header is honored by qserv, so one user request correlates across every
 // access log it touched. Router-level failures map onto the same status
-// vocabulary qserv.FailureClass defines: 499 when the client hung up, 504
-// on deadline expiry, 503 when a shard has no usable replica, and
-// definitive node statuses (400/404/504) forward as-is.
+// vocabulary and failure classes the nodes answer with
+// (containment.FailureClass): 499 "canceled" when the client hung up, 504
+// "deadline" on deadline expiry, 503 when a shard has no usable replica,
+// and definitive node statuses (400/404/504) forward as-is.
+//
+// The HTTP substrate — result cache, latency windows, /metrics rendering,
+// request middleware — is internal/serve, shared with the nodes.
 package router
 
 import (
@@ -46,7 +50,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/pbitree/pbitree/internal/qserv"
+	"github.com/pbitree/pbitree/internal/serve"
 	"github.com/pbitree/pbitree/internal/telemetry"
 	"github.com/pbitree/pbitree/internal/trace"
 )
@@ -205,10 +209,11 @@ type node struct {
 
 	br *breaker // circuit breaker; nil when disabled
 
-	mu        sync.Mutex
+	lat *serve.Latency // recent request latencies (hedging quantile, histogram)
+
+	mu        sync.Mutex // guards lastErr and lastErrAt
 	lastErr   string
 	lastErrAt time.Time
-	lat       latWindow // recent request latencies (hedging quantile, histogram)
 }
 
 // name is the node's metrics/stats identity.
@@ -231,11 +236,10 @@ type Router struct {
 	nodes   []*node   // flat view, probe/metrics order
 	rr      []atomic.Int64
 	client  *http.Client
-	cache   *resultCache // nil when disabled
+	cache   *serve.Cache // nil when disabled
 	budget  *tokenBucket // shared failover retry budget; nil when disabled
 	met     *metrics
 	traces  *trace.Store // recent stitched traces for /debug/trace/{id}
-	mux     *http.ServeMux
 	handler http.Handler
 
 	// epoch counts node-table state transitions (demotions, promotions).
@@ -243,9 +247,7 @@ type Router struct {
 	// fleet become unreachable the moment the view changes.
 	epoch atomic.Int64
 
-	traceBase uint32
-	traceSeq  atomic.Uint64
-	draining  atomic.Bool
+	draining atomic.Bool
 
 	stop     chan struct{}
 	probers  sync.WaitGroup
@@ -263,6 +265,7 @@ func New(cfg Config) (*Router, error) {
 	rt := &Router{
 		cfg:    cfg,
 		client: cfg.Client,
+		cache:  serve.NewCache(cfg.CacheEntries),
 		met:    newMetrics(),
 		traces: trace.NewStore(cfg.TraceRing),
 		rr:     make([]atomic.Int64, len(cfg.Topology)),
@@ -270,9 +273,6 @@ func New(cfg Config) (*Router, error) {
 	}
 	if rt.client == nil {
 		rt.client = &http.Client{}
-	}
-	if cfg.CacheEntries > 0 {
-		rt.cache = newResultCache(cfg.CacheEntries)
 	}
 	rt.budget = newTokenBucket(cfg.RetryBudget, cfg.RetryRefill, time.Now())
 	for si, replicas := range cfg.Topology {
@@ -285,7 +285,7 @@ func New(cfg Config) (*Router, error) {
 			if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
 				return nil, fmt.Errorf("router: shard %d replica %d: bad URL %q", si, ri, raw)
 			}
-			nd := &node{url: strings.TrimRight(raw, "/"), shard: si, replica: ri}
+			nd := &node{url: strings.TrimRight(raw, "/"), shard: si, replica: ri, lat: serve.NewLatency(latRing)}
 			nd.br = newBreaker(cfg.BreakerThreshold, cfg.BreakerInterval, cfg.BreakerMaxInterval)
 			nd.healthy.Store(true)
 			group = append(group, nd)
@@ -294,17 +294,26 @@ func New(cfg Config) (*Router, error) {
 		rt.shards = append(rt.shards, group)
 	}
 
-	rt.mux = http.NewServeMux()
-	rt.mux.HandleFunc("/join", rt.handleJoin)
-	rt.mux.HandleFunc("/query", rt.handleQuery)
-	rt.mux.HandleFunc("/relations", rt.handleRelations)
-	rt.mux.HandleFunc("/stats", rt.handleStats)
-	rt.mux.HandleFunc("/metrics", rt.handleMetrics)
-	rt.mux.HandleFunc("/debug/trace/", rt.handleDebugTraceID)
-	rt.mux.HandleFunc("/healthz", rt.handleHealthz)
-	rt.mux.HandleFunc("/readyz", rt.handleReadyz)
-	rt.traceBase = uint32(time.Now().UnixNano())
-	rt.handler = rt.instrument(rt.mux)
+	mux := http.NewServeMux()
+	mux.HandleFunc("/join", rt.handleJoin)
+	mux.HandleFunc("/query", rt.handleQuery)
+	mux.HandleFunc("/relations", rt.handleRelations)
+	mux.HandleFunc("/stats", rt.handleStats)
+	mux.HandleFunc("/metrics", serve.MetricsHandler(rt.writeMetrics))
+	mux.HandleFunc("/debug/trace/", rt.handleDebugTraceID)
+	mux.HandleFunc("/healthz", serve.Healthz)
+	mux.HandleFunc("/readyz", rt.handleReadyz)
+	// Router-minted trace IDs carry an "r" so shared logs tell them from
+	// node-minted ones; propagated IDs pass through unchanged.
+	rt.handler = (&serve.Middleware{
+		IDFormat:  "r%07x-%08x",
+		IDPrefix:  uint32(time.Now().UnixNano()) & 0xfffffff,
+		Panics:    &rt.met.panics,
+		Errors:    &rt.met.errors,
+		Telemetry: cfg.Telemetry,
+		Recorded:  recordedEndpoint,
+		Stamp:     func(rec *telemetry.Record) { rec.Node = "router" },
+	}).Wrap(mux)
 
 	if cfg.ProbeInterval > 0 {
 		for _, nd := range rt.nodes {
@@ -334,74 +343,6 @@ func (rt *Router) Close() error {
 	close(rt.stop)
 	rt.probers.Wait()
 	return nil
-}
-
-// nextTraceID mints a router-scoped request identifier. The "r" prefix
-// distinguishes router-minted IDs from node-minted ones in shared logs.
-func (rt *Router) nextTraceID() string {
-	return fmt.Sprintf("r%07x-%08x", rt.traceBase&0xfffffff, rt.traceSeq.Add(1))
-}
-
-// instrument assigns every request a trace ID (honoring a propagated one,
-// same sanitation rule as the nodes) and serves as the panic barrier.
-// When a telemetry writer is configured it also emits exactly one record
-// per /join and /query, mirroring qserv's middleware: the handler fills
-// the execution half into a context-threaded holder, the envelope half
-// (status, duration, cache disposition) is known here.
-func (rt *Router) instrument(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		id := qserv.IncomingTraceID(r)
-		if id == "" {
-			id = rt.nextTraceID()
-		}
-		w.Header().Set("X-Trace-Id", id)
-		sw := &statusWriter{ResponseWriter: w}
-		var th *telemetryHolder
-		if rt.cfg.Telemetry != nil && recordedEndpoint(r.URL.Path) {
-			th = &telemetryHolder{}
-			r = r.WithContext(context.WithValue(r.Context(), telemetryCtxKey{}, th))
-		}
-		func() {
-			defer func() {
-				if v := recover(); v != nil {
-					rt.met.panics.Add(1)
-					if sw.status == 0 {
-						rt.writeError(sw, http.StatusInternalServerError, "internal error: %v", v)
-					}
-				}
-			}()
-			next.ServeHTTP(sw, r)
-		}()
-		if th != nil {
-			status := sw.status
-			if status == 0 {
-				status = http.StatusOK
-			}
-			rt.emitTelemetry(th, id, r.URL.Path, r.URL.RawQuery,
-				status, sw.Header().Get("X-Cache") == "hit", start)
-		}
-	})
-}
-
-// statusWriter captures the status code a handler produced.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(p)
 }
 
 // probeLoop probes one node until Close. The first probe fires after a
@@ -522,9 +463,7 @@ func (rt *Router) hedgeDelay(primary *node) time.Duration {
 	if rt.cfg.HedgeAfter != 0 {
 		return rt.cfg.HedgeAfter // negative means "never" (checked by caller)
 	}
-	primary.mu.Lock()
-	d := primary.lat.quantile(rt.cfg.HedgeQuantile)
-	primary.mu.Unlock()
+	d := primary.lat.Quantile(rt.cfg.HedgeQuantile)
 	if d <= 0 {
 		// No history yet: hedge conservatively rather than not at all.
 		return 5 * rt.cfg.HedgeMin

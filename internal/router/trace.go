@@ -1,12 +1,12 @@
 package router
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"strings"
 	"time"
 
+	"github.com/pbitree/pbitree/internal/serve"
 	"github.com/pbitree/pbitree/internal/telemetry"
 	"github.com/pbitree/pbitree/internal/trace"
 )
@@ -20,10 +20,6 @@ import (
 // trace ID. Stitched traces land in a bounded ring served by
 // GET /debug/trace/{id}, and feed the telemetry sidecar's slow-query
 // capture.
-
-// wantSpans reports whether the request opted into span export — the same
-// ?spans=1 flag the nodes accept, forwarded downstream on fan-out.
-func wantSpans(r *http.Request) bool { return r.URL.Query().Get("spans") == "1" }
 
 // nodeSpan wraps one node reply's span tree(s) in a per-node wire span:
 // the child the router's fanout span hangs each shard's subtree off. Its
@@ -112,58 +108,31 @@ func (rt *Router) handleDebugTraceID(w http.ResponseWriter, r *http.Request) {
 		rt.writeError(w, http.StatusNotFound, "no retained trace %q (evicted or never recorded)", id)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(mustJSON(rec)) //nolint:errcheck // client gone; nothing to do
-}
-
-// telemetryHolder carries the execution half of one routed request's
-// telemetry record from the handler to the instrument middleware.
-// Single-goroutine access: the handler writes, the middleware reads after
-// the handler returns.
-type telemetryHolder struct {
-	query       string
-	algorithm   string
-	pageIO      int64
-	predictedIO int64
-	ioRatio     float64
-	phases      []telemetry.Phase
-	spans       []*trace.WireSpan
-}
-
-type telemetryCtxKey struct{}
-
-// telemetryFrom returns the request's holder, nil when telemetry is off or
-// the endpoint is not recorded.
-func telemetryFrom(ctx context.Context) *telemetryHolder {
-	th, _ := ctx.Value(telemetryCtxKey{}).(*telemetryHolder)
-	return th
+	serve.WriteJSON(w, rec)
 }
 
 // recordedEndpoint reports whether path produces telemetry records —
-// routed queries only, same rule as the nodes.
+// routed queries only.
 func recordedEndpoint(path string) bool {
 	return path == "/join" || path == "/query"
 }
 
-// fill folds one merged request into the holder. Phases flatten the
-// router-level spans plus each node's root (depth ≤ 2) — the per-node
-// breakdown lives in the node's own telemetry; the router's record keeps
-// the cross-node shape compact.
-func (th *telemetryHolder) fill(query, algorithm string, pageIO, predictedIO int64, root *trace.WireSpan) {
-	if th == nil {
+// fillTelemetry folds one merged request into its telemetry record (nil
+// when telemetry is off). Phases flatten the router-level spans plus each
+// node's root (depth ≤ 2) — the per-node breakdown lives in the node's own
+// telemetry; the router's record keeps the cross-node shape compact.
+func fillTelemetry(rec *telemetry.Record, query, algorithm string, pageIO, predictedIO int64, root *trace.WireSpan) {
+	if rec == nil {
 		return
 	}
-	th.query = query
-	th.algorithm = algorithm
-	th.pageIO = pageIO
-	th.predictedIO = predictedIO
-	if predictedIO > 0 {
-		th.ioRatio = float64(pageIO) / float64(predictedIO)
-	}
+	rec.Query = query
+	rec.Algorithm = algorithm
+	rec.PageIO = pageIO
+	rec.PredictedIO = predictedIO
 	if root == nil {
 		return
 	}
-	th.spans = []*trace.WireSpan{root}
+	rec.Spans = []*trace.WireSpan{root}
 	root.Walk(func(ws *trace.WireSpan, depth int) {
 		if depth > 2 {
 			return
@@ -172,7 +141,7 @@ func (th *telemetryHolder) fill(query, algorithm string, pageIO, predictedIO int
 		if ws.Node != "" && depth > 0 {
 			detail = strings.TrimSpace(detail + " " + ws.Node)
 		}
-		th.phases = append(th.phases, telemetry.Phase{
+		rec.Phases = append(rec.Phases, telemetry.Phase{
 			Name:      ws.Name,
 			Detail:    detail,
 			Depth:     depth,
@@ -183,36 +152,4 @@ func (th *telemetryHolder) fill(query, algorithm string, pageIO, predictedIO int
 			Pairs:     ws.Pairs,
 		})
 	})
-}
-
-// emitTelemetry builds and enqueues one routed request's record.
-// Non-blocking: the writer drops on a full queue rather than stalling the
-// response path.
-func (rt *Router) emitTelemetry(th *telemetryHolder, traceID, endpoint, rawQuery string, status int, cached bool, start time.Time) {
-	w := rt.cfg.Telemetry
-	if w == nil {
-		return
-	}
-	rec := &telemetry.Record{
-		TS:       start.UTC().Format(time.RFC3339Nano),
-		TraceID:  traceID,
-		Node:     "router",
-		Endpoint: endpoint,
-		Status:   status,
-		Outcome:  telemetry.Outcome(status, cached),
-		WallUS:   time.Since(start).Microseconds(),
-	}
-	if th != nil {
-		rec.Query = th.query
-		rec.Algorithm = th.algorithm
-		rec.PageIO = th.pageIO
-		rec.PredictedIO = th.predictedIO
-		rec.IORatio = th.ioRatio
-		rec.Phases = th.phases
-		rec.Spans = th.spans
-	}
-	if rec.Query == "" {
-		rec.Query = rawQuery
-	}
-	w.Enqueue(rec)
 }

@@ -2,8 +2,8 @@ package router
 
 import (
 	"encoding/json"
-	"fmt"
 	"math/rand"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -127,22 +127,19 @@ func TestRouterCacheHitTrace(t *testing.T) {
 	rt, ts := newTestRouter(t, Config{Topology: topo, CacheEntries: 8})
 
 	get(t, ts.URL+"/join?anc=section&desc=figure")
-	status, _, cache := get(t, ts.URL+"/join?anc=section&desc=figure")
-	if status != 200 || cache != "hit" {
-		t.Fatalf("second join: status %d cache %q, want 200/hit", status, cache)
+	resp, err := http.Get(ts.URL + "/join?anc=section&desc=figure")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 200 || resp.Header.Get("X-Cache") != "hit" {
+		t.Fatalf("second join: status %d cache %q, want 200/hit", resp.StatusCode, resp.Header.Get("X-Cache"))
 	}
 	// The hit's trace ID differs from the miss's; look it up in the ring.
-	var hit *trace.Record
-	for i := 1; i <= 4 && hit == nil; i++ {
-		// Trace IDs are sequential per process: scan the few minted so far.
-		id := fmt.Sprintf("r%07x-%08x", rt.traceBase&0xfffffff, i)
-		if rec := rt.traces.Get(id); rec != nil && len(rec.Spans) == 1 &&
-			len(rec.Spans[0].Children) == 1 && rec.Spans[0].Children[0].Name == "cache" {
-			hit = rec
-		}
-	}
-	if hit == nil {
-		t.Fatal("no cache-hit trace found in the ring")
+	hit := rt.traces.Get(resp.Header.Get("X-Trace-Id"))
+	if hit == nil || len(hit.Spans) != 1 || len(hit.Spans[0].Children) != 1 ||
+		hit.Spans[0].Children[0].Name != "cache" {
+		t.Fatalf("no cache-hit trace in the ring: %+v", hit)
 	}
 	if hit.Node != "router" || hit.Query != "//section//figure" {
 		t.Fatalf("cache-hit record: node=%q query=%q", hit.Node, hit.Query)

@@ -231,14 +231,32 @@ func (e *Engine) AnalyzeContext(ctx context.Context, a, d *Relation, opts contai
 	return containment.NewAnalysis(res, root), nil
 }
 
-// PathStep reports one join step of a sharded path evaluation, summed
-// across shards.
+// PathStep reports one join step of a path evaluation: the /query steps
+// block of pbiserve and pbirouter, and a sharded evaluation's per-step
+// report. Merged across shards (MergeSteps), Algorithm lists the names
+// that ran, "+"-joined when they differ, and Matches is the total distinct
+// descendant matches.
 type PathStep struct {
-	Anc, Desc string
-	// Algorithm names that ran across shards, "+"-joined when they differ.
-	Algorithm string
-	// Matches is the total distinct descendant matches.
-	Matches int64
+	Anc       string `json:"anc"`
+	Desc      string `json:"desc"`
+	Algorithm string `json:"algorithm"`
+	Matches   int64  `json:"matches"`
+}
+
+// MergeSteps folds one shard's step reports, in chain order, into merged:
+// matches sum, algorithm names "+"-join in shard order (MergeAlgo). A step
+// no earlier shard reached is appended. Exported for the network-level
+// coordinator (internal/router), which merges per-node /query steps with
+// the semantics this package uses in process.
+func MergeSteps(merged, steps []PathStep) []PathStep {
+	for i, st := range steps {
+		if i == len(merged) {
+			merged = append(merged, PathStep{Anc: st.Anc, Desc: st.Desc})
+		}
+		merged[i].Matches += st.Matches
+		merged[i].Algorithm = MergeAlgo(merged[i].Algorithm, st.Algorithm)
+	}
+	return merged
 }
 
 // UnknownRelationError reports a path tag with no stored relation on any
@@ -291,13 +309,7 @@ func (e *Engine) PathContext(ctx context.Context, tags []string) ([]pbicode.Code
 		e.totals[i].Add(io)
 		e.totMu.Unlock()
 		codes = append(codes, out.codes...)
-		for _, st := range out.steps {
-			for len(steps) <= st.idx {
-				steps = append(steps, PathStep{Anc: tags[len(steps)], Desc: tags[len(steps)+1]})
-			}
-			steps[st.idx].Matches += st.matches
-			steps[st.idx].Algorithm = MergeAlgo(steps[st.idx].Algorithm, st.algorithm)
-		}
+		steps = MergeSteps(steps, out.steps)
 		analyses = append(analyses, out.analyses...)
 	}
 	containment.SortDocOrder(codes)
@@ -308,17 +320,10 @@ func (e *Engine) PathContext(ctx context.Context, tags []string) ([]pbicode.Code
 	return codes, steps, analyses, nil
 }
 
-// stepOut is one shard's report for one chain step.
-type stepOut struct {
-	idx       int
-	algorithm string
-	matches   int64
-}
-
 // chainOut is one shard's contribution to a path evaluation.
 type chainOut struct {
 	codes    []pbicode.Code
-	steps    []stepOut
+	steps    []PathStep
 	analyses []*containment.Analysis
 }
 
@@ -384,8 +389,9 @@ func (e *Engine) chainShard(ctx context.Context, i int, tags []string) (out *cha
 		if an != nil {
 			out.analyses = append(out.analyses, an)
 			if an.Result != nil {
-				out.steps = append(out.steps, stepOut{
-					idx: s - 1, algorithm: an.Result.Algorithm, matches: int64(len(cur)),
+				out.steps = append(out.steps, PathStep{
+					Anc: tags[s-1], Desc: tags[s],
+					Algorithm: an.Result.Algorithm, Matches: int64(len(cur)),
 				})
 			}
 		}

@@ -16,6 +16,7 @@ package telemetry
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -102,6 +103,49 @@ func Outcome(status int, cached bool) string {
 	default:
 		return "error"
 	}
+}
+
+// A served request's record is assembled in two halves: the serving
+// middleware knows the envelope (trace ID, endpoint, status, duration,
+// cache disposition) and the handler knows the execution (query,
+// algorithm, phases, actual and predicted I/O). The middleware puts an
+// empty record in the request context, the handler fills what it learns,
+// and Emit adds the envelope once the handler returns — so every recorded
+// request yields exactly one record, whatever the outcome.
+
+type ctxKey struct{}
+
+// NewContext returns ctx carrying rec, the record of the request ctx
+// belongs to.
+func NewContext(ctx context.Context, rec *Record) context.Context {
+	return context.WithValue(ctx, ctxKey{}, rec)
+}
+
+// FromContext returns the request's record for the handler to fill, nil
+// when telemetry is off or the endpoint is not recorded.
+func FromContext(ctx context.Context) *Record {
+	rec, _ := ctx.Value(ctxKey{}).(*Record)
+	return rec
+}
+
+// Emit completes a handler-filled record with its request's envelope and
+// enqueues it. The query defaults to the raw query string when the handler
+// named none; the I/O ratio is actual over predicted when a prediction
+// exists.
+func (w *Writer) Emit(rec *Record, traceID, endpoint, rawQuery string, status int, cached bool, start time.Time) {
+	rec.TS = start.UTC().Format(time.RFC3339Nano)
+	rec.TraceID = traceID
+	rec.Endpoint = endpoint
+	rec.Status = status
+	rec.Outcome = Outcome(status, cached)
+	rec.WallUS = time.Since(start).Microseconds()
+	if rec.Query == "" {
+		rec.Query = rawQuery
+	}
+	if rec.PredictedIO > 0 {
+		rec.IORatio = float64(rec.PageIO) / float64(rec.PredictedIO)
+	}
+	w.Enqueue(rec)
 }
 
 // Config sizes a Writer. Zero values take the defaults noted per field.
