@@ -48,12 +48,14 @@ bench-regression:
 loc:
 	./scripts/loc.sh
 
-# Short fuzzing passes over the parser, the coding identities and the heap
-# page decoders (arbitrary page bytes under every format byte).
+# Short fuzzing passes over the parsers (documents and path expressions),
+# the coding identities and the heap page decoders (arbitrary page bytes
+# under every format byte).
 fuzz:
 	$(GO) test -fuzz=FuzzCodeRoundtrips -fuzztime=30s ./pbicode
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./xmltree
 	$(GO) test -fuzz=FuzzPageDecode -fuzztime=30s ./internal/relation
+	$(GO) test -run=FuzzParsePath -fuzz=FuzzParsePath -fuzztime=30s ./internal/qserv
 
 # Quick interactive experiment sweep (about a minute).
 experiments:

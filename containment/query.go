@@ -102,21 +102,20 @@ func SortDocOrder(codes []pbicode.Code) {
 	})
 }
 
-// Matches collects the descendant side of one path step's join pairs and
+// matches collects the descendant side of one path step's join pairs and
 // yields the distinct matched elements in document order — the step's
-// output, and the next step's ancestor set. Every path evaluator (Query
-// here, the solo and sharded chains of internal/qserv and internal/shard)
-// passes Emit as the step's JoinOptions.Emit. One Matches serves all the
-// steps of an evaluation, Reset in between, so the steps share one buffer.
+// output, and the next step's ancestor set. Chain passes Emit as each
+// step's JoinOptions.Emit; one collector serves all the steps of a chain,
+// Reset in between, so the steps share one buffer.
 //
 // There is no hash set: a descendant with several matching ancestors is
 // emitted once per ancestor, so duplicates are dropped by sorting. Most
 // never get that far — the hash-probe joins emit a descendant's pairs back
 // to back, which Emit collapses as they arrive.
-type Matches struct{ codes []pbicode.Code }
+type matches struct{ codes []pbicode.Code }
 
 // Emit records p's descendant.
-func (m *Matches) Emit(p Pair) error {
+func (m *matches) Emit(p Pair) error {
 	if n := len(m.codes); n == 0 || m.codes[n-1] != p.D {
 		m.codes = append(m.codes, p.D)
 	}
@@ -125,14 +124,98 @@ func (m *Matches) Emit(p Pair) error {
 
 // Distinct returns the distinct recorded descendants in document order.
 // The slice is the collector's own buffer: valid until the next Reset.
-func (m *Matches) Distinct() []pbicode.Code {
+func (m *matches) Distinct() []pbicode.Code {
 	SortDocOrder(m.codes)
 	m.codes = slices.Compact(m.codes)
 	return m.codes
 }
 
 // Reset empties the collector for the next step, keeping its buffer.
-func (m *Matches) Reset() { m.codes = m.codes[:0] }
+func (m *matches) Reset() { m.codes = m.codes[:0] }
+
+// ChainStep is one step of a containment-join chain: the join of the
+// previous step's distinct matches (the anchor, for the first step) with
+// Desc.
+type ChainStep struct {
+	// Desc is the step's candidate descendants. Nil means none — a shard
+	// that holds no element of the tag — so the step matches nothing.
+	Desc *Relation
+	// Filter restricts the step's pairs (JoinOptions.Filter): nil for the
+	// // axis, ParentChild(doc) for /.
+	Filter func(Pair) bool
+}
+
+// StepReport is one chain step's outcome.
+type StepReport struct {
+	// Analysis is the step's EXPLAIN ANALYZE: partial when the step
+	// failed, nil when the chain ended before the step ran.
+	Analysis *Analysis
+	// Matches counts the step's distinct matched descendants.
+	Matches int64
+}
+
+// Chain evaluates anchor//steps[0]//steps[1]//... — the paper's
+// decomposition of a structural query into a chain of containment joins
+// (§1) — and returns the final step's distinct matches in document order
+// plus one report per step. It is the one path evaluator: pbiquery's
+// QueryContext, qserv's solo worker and the sharded engine's per-shard
+// chains all call it, so they share its rules:
+//
+//   - the caller resolves every relation before the chain runs;
+//   - each step is one AnalyzeContext under Auto selection, whose
+//     ancestor set is the previous step's matches loaded as a temporary
+//     relation and freed after its join;
+//   - an empty set (or a nil anchor or Desc) ends the chain, and the
+//     steps after it report Matches 0 with a nil Analysis;
+//   - on error the reports made so far come back, the failed step's
+//     partial Analysis included. Cancellation is noticed by the join at
+//     its next page request, so that Analysis is annotated "canceled" or
+//     "canceled (deadline)".
+//
+// With no steps the result is the anchor's own codes. The anchor and the
+// step relations stay the caller's to free.
+func (e *Engine) Chain(ctx context.Context, anchor *Relation, steps []ChainStep) ([]pbicode.Code, []StepReport, error) {
+	reps := make([]StepReport, len(steps))
+	if anchor == nil {
+		return nil, reps, nil
+	}
+	if len(steps) == 0 {
+		codes, err := anchor.Codes()
+		SortDocOrder(codes)
+		return codes, reps, err
+	}
+	var matched matches
+	var cur []pbicode.Code
+	anc, n := anchor, anchor.Len()
+	for i, st := range steps {
+		if n == 0 || st.Desc == nil {
+			return nil, reps, nil
+		}
+		if anc == nil {
+			var err error
+			if anc, err = e.Load("q.path.anc", cur); err != nil {
+				return nil, reps[:i], err
+			}
+		}
+		matched.Reset() // cur, its previous content, is loaded into anc by now
+		an, err := e.AnalyzeContext(ctx, anc, st.Desc, JoinOptions{Emit: matched.Emit, Filter: st.Filter})
+		if anc != anchor {
+			// An aborted join has already released temp state; freeing
+			// again is a harmless no-op.
+			if ferr := e.Free(anc); ferr != nil && err == nil {
+				err = ferr
+			}
+		}
+		anc = nil
+		cur = matched.Distinct()
+		n = int64(len(cur))
+		reps[i] = StepReport{Analysis: an, Matches: n}
+		if err != nil {
+			return nil, reps[:i+1], err
+		}
+	}
+	return cur, reps, nil
+}
 
 // Query evaluates a path expression over doc and returns the codes of the
 // final step's elements in document order. Each descendant step runs a
@@ -142,80 +225,52 @@ func (e *Engine) Query(doc *xmltree.Document, expr string) ([]pbicode.Code, erro
 	return e.QueryContext(context.Background(), doc, expr)
 }
 
-// QueryContext is Query with cooperative cancellation: each step's join
-// runs under ctx (see JoinContext), and ctx is also checked between
-// steps, so a multi-join path aborts promptly. Classify the error to
-// distinguish cancellation from faults.
-func (e *Engine) QueryContext(ctx context.Context, doc *xmltree.Document, expr string) ([]pbicode.Code, error) {
+// QueryContext is Query with cooperative cancellation: it loads every
+// step's candidates from doc and runs them through Chain under ctx, so a
+// multi-join path aborts promptly. Classify the error to distinguish
+// cancellation from faults.
+func (e *Engine) QueryContext(ctx context.Context, doc *xmltree.Document, expr string) (codes []pbicode.Code, err error) {
 	steps, err := ParsePath(expr)
 	if err != nil {
 		return nil, err
 	}
-	candidates := func(st Step) []pbicode.Code {
-		if st.PredChild == "" {
-			return doc.Codes(st.Tag)
+	rels := make([]*Relation, 0, len(steps))
+	defer func() {
+		for _, r := range rels {
+			if ferr := e.Free(r); ferr != nil && err == nil {
+				codes, err = nil, ferr
+			}
 		}
-		return doc.CodesWhere(st.Tag, func(el *xmltree.Element) bool {
-			for _, c := range el.Children {
-				if c.Tag == st.PredChild && c.Text == st.PredValue {
-					return true
+	}()
+	chain := make([]ChainStep, len(steps)-1)
+	for i, st := range steps {
+		cands := doc.Codes(st.Tag)
+		if st.PredChild != "" {
+			cands = doc.CodesWhere(st.Tag, func(el *xmltree.Element) bool {
+				for _, c := range el.Children {
+					if c.Tag == st.PredChild && c.Text == st.PredValue {
+						return true
+					}
 				}
-			}
-			return false
-		})
-	}
-
-	// First step anchors the chain.
-	first := steps[0]
-	var cur []pbicode.Code
-	if first.Descendant {
-		cur = candidates(first)
-	} else if doc.Root.Tag == first.Tag {
-		for _, c := range candidates(first) {
-			if c == doc.Root.Code {
-				cur = []pbicode.Code{c}
-			}
+				return false
+			})
 		}
-	}
-
-	var matched Matches
-	for _, st := range steps[1:] {
-		if len(cur) == 0 {
-			return nil, nil
+		if i == 0 && !st.Descendant {
+			// A leading / anchors the chain at the document root.
+			cands = slices.DeleteFunc(slices.Clone(cands), func(c pbicode.Code) bool { return c != doc.Root.Code })
 		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		a, err := e.Load("q.anc", cur)
+		r, err := e.Load(fmt.Sprintf("q.%d", i), cands)
 		if err != nil {
 			return nil, err
 		}
-		d, err := e.Load("q.desc", candidates(st))
-		if err != nil {
-			e.Free(a) //nolint:errcheck // cleanup after earlier error
-			return nil, err
+		rels = append(rels, r)
+		if i > 0 {
+			chain[i-1] = ChainStep{Desc: r}
+			if !st.Descendant {
+				chain[i-1].Filter = ParentChild(doc)
+			}
 		}
-		matched.Reset() // cur, its previous content, is loaded into a by now
-		opts := JoinOptions{Emit: matched.Emit}
-		if !st.Descendant {
-			opts.Filter = ParentChild(doc)
-		}
-		if _, err := e.JoinContext(ctx, a, d, opts); err != nil {
-			// The aborted join already released temp state (on read-only
-			// engines that includes these freshly loaded inputs); freeing
-			// them again is a harmless no-op.
-			e.Free(a) //nolint:errcheck // cleanup after earlier error
-			e.Free(d) //nolint:errcheck // cleanup after earlier error
-			return nil, err
-		}
-		if err := e.Free(a); err != nil {
-			return nil, err
-		}
-		if err := e.Free(d); err != nil {
-			return nil, err
-		}
-		cur = matched.Distinct()
 	}
-	SortDocOrder(cur) // a single-step path never went through Distinct
-	return cur, nil
+	codes, _, err = e.Chain(ctx, rels[0], chain)
+	return codes, err
 }

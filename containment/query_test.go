@@ -1,6 +1,8 @@
 package containment
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"slices"
 	"sort"
@@ -140,7 +142,7 @@ func TestParsePathSteps(t *testing.T) {
 // partitioned and merge joins emit).
 func TestMatchesAgainstMapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var m Matches
+	var m matches
 	for trial := 0; trial < 200; trial++ {
 		m.Reset()
 		seen := map[pbicode.Code]bool{}
@@ -168,5 +170,68 @@ func TestMatchesAgainstMapReference(t *testing.T) {
 		if got := m.Distinct(); !slices.Equal(got, want) {
 			t.Fatalf("trial %d: Distinct = %v, map reference = %v", trial, got, want)
 		}
+	}
+}
+
+// TestChainRules pins Engine.Chain's contract: one report per step, an
+// empty set or a nil relation ends the chain with the rest reported empty,
+// a failed step's partial Analysis comes back, and codes are in document
+// order.
+func TestChainRules(t *testing.T) {
+	doc, err := xmltree.ParseString("<r><a><b><c/></b><c/></a><a><b/><c/></a><c/></r>", xmltree.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(Config{BufferPages: 32, TreeHeight: doc.Height})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	rel := map[string]*Relation{}
+	for _, tag := range []string{"a", "b", "c", "x"} {
+		if rel[tag], err = e.Load(tag, doc.Codes(tag)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+
+	codes, reps, err := e.Chain(ctx, rel["a"], []ChainStep{{Desc: rel["b"]}, {Desc: rel["c"]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reps) != 2 || reps[0].Matches != 2 || reps[1].Matches != 1 || reps[0].Analysis == nil || reps[1].Analysis == nil {
+		t.Fatalf("//a//b//c reports %+v", reps)
+	}
+	if want := doc.Codes("c")[:1]; !slices.Equal(codes, want) {
+		t.Fatalf("//a//b//c = %v, want %v", codes, want)
+	}
+
+	codes, reps, err = e.Chain(ctx, rel["a"], nil)
+	if err != nil || !slices.Equal(codes, doc.Codes("a")) || len(reps) != 0 {
+		t.Fatalf("//a = %v %v %v", codes, reps, err)
+	}
+
+	for _, steps := range [][]ChainStep{
+		{{Desc: rel["x"]}, {Desc: rel["c"]}},
+		{{Desc: nil}, {Desc: rel["c"]}},
+		{{Desc: rel["b"]}, {Desc: rel["a"]}, {Desc: rel["c"]}},
+	} {
+		codes, reps, err = e.Chain(ctx, rel["a"], steps)
+		if err != nil || codes != nil || len(reps) != len(steps) || reps[len(reps)-1] != (StepReport{}) {
+			t.Fatalf("emptying chain: codes %v reps %+v err %v", codes, reps, err)
+		}
+	}
+	if _, reps, _ = e.Chain(ctx, nil, []ChainStep{{Desc: rel["c"]}}); len(reps) != 1 || reps[0] != (StepReport{}) {
+		t.Fatalf("nil anchor reports %+v", reps)
+	}
+
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	_, reps, err = e.Chain(canceled, rel["a"], []ChainStep{{Desc: rel["b"]}, {Desc: rel["c"]}})
+	if !errors.Is(err, context.Canceled) || len(reps) != 1 || reps[0].Analysis == nil || reps[0].Analysis.Root().Detail != "canceled" {
+		t.Fatalf("canceled chain: err %v reports %+v", err, reps)
+	}
+	if err := e.ReleaseTemp(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -188,11 +188,9 @@ func (s *Server) traceQuery(w http.ResponseWriter, r *http.Request, expr string)
 	for i, an := range analyses {
 		s.met.recordJoin(an.Result)
 		s.met.recordPhases(an.Result.Algorithm, an.Phases, resp.TraceID)
-		set := spanSet("", "", an)
-		if i < len(stepInfo) {
-			set.Anc, set.Desc = stepInfo[i].Anc, stepInfo[i].Desc
-		}
-		resp.Joins = append(resp.Joins, set)
+		// The analyses are the steps that ran, a prefix of the chain: one
+		// per step on sharded workers too, each shard's tree under it.
+		resp.Joins = append(resp.Joins, spanSet(stepInfo[i].Anc, stepInfo[i].Desc, an))
 	}
 	s.keepTrace(resp.TraceID, canon, analyses...)
 	serve.WriteJSON(w, resp)

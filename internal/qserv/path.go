@@ -51,64 +51,30 @@ func CanonicalPath(expr string) (string, []string, error) {
 // block): one type for solo, sharded and routed serving.
 type PathStep = shard.PathStep
 
-// evalPath runs the join chain for tags on one solo worker. It returns
-// the final match set in document order plus per-step join reports. Each
-// step runs under Engine.AnalyzeContext, so callers get the per-phase
-// breakdown for telemetry alongside the ordinary result, and the chain
-// aborts as soon as ctx is canceled (the failed step's temps are released
-// by the caller's releaseTemp). Sharded serving runs the same chain per
-// shard instead (shard.Engine.PathContext via shardWorker.evalPath).
+// evalPath runs the join chain for tags on one solo worker: every tag is
+// resolved first, so an unknown one is a 404 before any join runs, then
+// containment.Engine.Chain evaluates the chain, one AnalyzeContext per
+// step. It returns the final match set in document order, one PathStep
+// per join (len(tags)-1 of them), and the steps' analyses in chain order
+// — partial ones too when the chain fails, for the caller's trace. The
+// failed step's temps are released by the caller's releaseTemp. Sharded
+// serving runs the same chain per shard (shardWorker.evalPath).
 func (wk *soloWorker) evalPath(ctx context.Context, tags []string) ([]pbicode.Code, []PathStep, []*containment.Analysis, error) {
-	first, ok := wk.relation(tags[0])
-	if !ok {
-		return nil, nil, nil, &unknownRelationError{tags[0]}
-	}
-	if len(tags) == 1 {
-		codes, err := first.Codes()
-		return codes, nil, nil, err
-	}
-
-	var steps []PathStep
-	var analyses []*containment.Analysis
-	// anc is the stored first relation for step 1, then a temporary
-	// relation loaded from the previous match set.
-	anc := first
-	temp := false
-	var matched containment.Matches
-	for i := 1; i < len(tags); i++ {
-		desc, ok := wk.relation(tags[i])
+	rels := make([]*containment.Relation, len(tags))
+	for i, tag := range tags {
+		r, ok := wk.relation(tag)
 		if !ok {
-			return nil, nil, nil, &unknownRelationError{tags[i]}
+			return nil, nil, nil, &unknownRelationError{tag}
 		}
-		if err := ctx.Err(); err != nil {
-			return nil, nil, nil, err
-		}
-		matched.Reset() // its previous content is loaded into anc by now
-		an, err := wk.eng.AnalyzeContext(ctx, anc, desc, containment.JoinOptions{Emit: matched.Emit})
-		if temp {
-			if ferr := wk.eng.Free(anc); ferr != nil && err == nil {
-				err = ferr
-			}
-		}
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		cur := matched.Distinct()
-		analyses = append(analyses, an)
-		steps = append(steps, PathStep{
-			Anc: tags[i-1], Desc: tags[i],
-			Algorithm: an.Result.Algorithm, Matches: int64(len(cur)),
-		})
-		if i == len(tags)-1 {
-			return cur, steps, analyses, nil
-		}
-		anc, err = wk.eng.Load("q.path.anc", cur)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		temp = true
+		rels[i] = r
 	}
-	panic("unreachable")
+	chain := make([]containment.ChainStep, len(tags)-1)
+	for i := range chain {
+		chain[i].Desc = rels[i+1]
+	}
+	codes, reps, err := wk.eng.Chain(ctx, rels[0], chain)
+	steps, analyses := shard.PathSteps(tags, reps)
+	return codes, steps, analyses, err
 }
 
 // unknownRelationError distinguishes "no such relation" (a 404) from

@@ -2,7 +2,6 @@ package qserv
 
 import (
 	"context"
-	"errors"
 	"sort"
 	"strings"
 
@@ -26,7 +25,8 @@ type worker interface {
 	// resolving tag names ("figure" or "tag:figure"). A missing tag
 	// returns *unknownRelationError (the 404 path).
 	analyze(ctx context.Context, anc, desc string, opts containment.JoinOptions) (*containment.Analysis, error)
-	// evalPath runs a descendant-axis chain; see path.go.
+	// evalPath runs a descendant-axis chain through
+	// containment.Engine.Chain; see path.go.
 	evalPath(ctx context.Context, tags []string) ([]pbicode.Code, []PathStep, []*containment.Analysis, error)
 	// releaseTemp drops per-request temporary state (between requests).
 	releaseTemp() error
@@ -136,18 +136,11 @@ func (wk *shardWorker) evalPath(ctx context.Context, tags []string) ([]pbicode.C
 		stored[i] = name
 	}
 	codes, steps, analyses, err := wk.se.PathContext(ctx, stored)
-	if err != nil {
-		var unknown *shard.UnknownRelationError
-		if errors.As(err, &unknown) {
-			err = &unknownRelationError{strings.TrimPrefix(unknown.Name, "tag:")}
-		}
-		return nil, nil, nil, err
-	}
 	// The steps name the stored relations; answer in the query's own tags.
 	for i := range steps {
 		steps[i].Anc, steps[i].Desc = tags[i], tags[i+1]
 	}
-	return codes, steps, analyses, nil
+	return codes, steps, analyses, err
 }
 
 func (wk *shardWorker) releaseTemp() error { return wk.se.ReleaseTemp() }

@@ -354,9 +354,11 @@ func TestChaosFaultContainment(t *testing.T) {
 				}
 				ctx, cancel := context.WithCancel(context.Background())
 				if rng.Intn(5) == 0 {
-					// A scripted client abandon mid-flight.
+					// A scripted client abandon mid-flight. The delay is
+					// drawn here: rng belongs to this goroutine.
+					delay := time.Duration(rng.Intn(3)) * time.Millisecond
 					go func() {
-						time.Sleep(time.Duration(rng.Intn(3)) * time.Millisecond)
+						time.Sleep(delay)
 						cancel()
 					}()
 				}

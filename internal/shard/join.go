@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -76,11 +77,10 @@ func (e *Engine) join(ctx context.Context, a, d *Relation, opts containment.Join
 	if a == nil || d == nil {
 		return nil, nil, fmt.Errorf("shard: nil relation")
 	}
-	// The user's Emit sees pairs from all shards; serialize it. Collect is
-	// handled per shard and merged below (shard order, not global document
-	// order — identical multiset, cheaper than a global sort).
+	// The user's Emit sees pairs from all shards; serialize it. Collected
+	// pairs merge in shard order, not global document order — identical
+	// multiset, cheaper than a global sort.
 	shardOpts := opts
-	shardOpts.Collect = false
 	if opts.Emit != nil {
 		var emitMu sync.Mutex
 		userEmit := opts.Emit
@@ -92,58 +92,58 @@ func (e *Engine) join(ctx context.Context, a, d *Relation, opts containment.Join
 	}
 
 	outs := make([]*containment.Result, len(e.shards))
-	roots := make([]*trace.Span, len(e.shards))
-	pairs := make([][]containment.Pair, len(e.shards))
+	var roots []*trace.Span
+	if traced {
+		roots = make([]*trace.Span, len(e.shards))
+	}
 	start := time.Now()
 	err := e.runShards(ctx, func(cctx context.Context, i int) error {
 		ai, di := a.per[i], d.per[i]
 		if ai == nil || di == nil {
 			return nil // the shard holds no codes of one side: no pairs possible
 		}
-		so := shardOpts
-		if opts.Collect {
-			so.Collect = true
-		}
-		var res *containment.Result
-		var err error
-		if traced {
-			var an *containment.Analysis
-			an, err = e.shards[i].AnalyzeContext(cctx, ai, di, so)
-			if an != nil {
-				res = an.Result
-				if root := an.Root(); root != nil {
-					// The per-shard span carries the originating request's
-					// trace ID (when the caller threaded one through), so
-					// distributed traces and /metrics exemplars correlate
-					// shard-local phases with the external request.
-					tag := fmt.Sprintf("shard=%d", i)
-					if opts.TraceID != "" {
-						tag = fmt.Sprintf("shard=%d trace=%s", i, opts.TraceID)
-					}
-					if root.Detail != "" {
-						root.Detail = tag + " " + root.Detail
-					} else {
-						root.Detail = tag
-					}
-					roots[i] = root
-				}
-			}
-		} else {
-			res, err = e.shards[i].JoinContext(cctx, ai, di, so)
-		}
 		// Partial results from aborted shards still merge: the coordinator
 		// reports the I/O actually performed, like a solo engine does.
-		outs[i] = res
-		if res != nil {
-			pairs[i] = res.Pairs
+		if !traced {
+			res, err := e.shards[i].JoinContext(cctx, ai, di, shardOpts)
+			outs[i] = res
+			return err
+		}
+		an, err := e.shards[i].AnalyzeContext(cctx, ai, di, shardOpts)
+		if an != nil {
+			outs[i], roots[i] = an.Result, an.Root()
 		}
 		return err
 	})
-	wall := time.Since(start)
+	merged, root := e.merge(outs, roots, opts.TraceID, time.Since(start))
+	if opts.Collect {
+		for _, out := range outs {
+			if out != nil {
+				merged.Pairs = append(merged.Pairs, out.Pairs...)
+			}
+		}
+	}
+	if err != nil {
+		// Per-shard joins release their own temps on error; shards that
+		// finished before a sibling failed may still hold overlay pages
+		// from loaded inputs on read-only engines. Sweep them all.
+		e.ReleaseTemp() //nolint:errcheck // best-effort cleanup on error
+		return merged, root, err
+	}
+	return merged, root, nil
+}
 
+// merge folds the per-shard executions of one join — outs and, when
+// traced, their root spans, both indexed by shard — into one Result and
+// one span tree, and adds each shard's I/O to its running total. Counts
+// and I/O add, except WallTime: the shards ran concurrently, so it is
+// wall, the fan-out envelope (VirtualTime keeps the sum — the virtual
+// disk models aggregate I/O work, the quantity the paper's model
+// predicts). Algorithm names "+"-join in shard order (MergeAlgo), and
+// each shard's root, labeled with its index, becomes a child of one
+// "join [sharded n=N]" root.
+func (e *Engine) merge(outs []*containment.Result, roots []*trace.Span, traceID string, wall time.Duration) (*containment.Result, *trace.Span) {
 	merged := &containment.Result{}
-	var algos []string
-	seen := map[string]bool{}
 	for i, out := range outs {
 		if out == nil {
 			continue
@@ -155,41 +155,33 @@ func (e *Engine) join(ctx context.Context, a, d *Relation, opts containment.Join
 		merged.IndexProbes += out.IndexProbes
 		merged.PredictedIO += out.PredictedIO
 		merged.IO.Add(out.IO)
-		if opts.Collect {
-			merged.Pairs = append(merged.Pairs, pairs[i]...)
-		}
-		if out.Algorithm != "" && !seen[out.Algorithm] {
-			seen[out.Algorithm] = true
-			algos = append(algos, out.Algorithm)
-		}
+		merged.Algorithm = MergeAlgo(merged.Algorithm, out.Algorithm)
 		e.totMu.Lock()
 		e.totals[i].Add(out.IO)
 		e.totMu.Unlock()
 	}
-	// Shards ran concurrently: the envelope is the honest wall time, not
-	// the per-shard sum (VirtualTime keeps the sum — the virtual disk
-	// models aggregate I/O work, the quantity the paper's model predicts).
 	merged.IO.WallTime = wall
-	merged.Algorithm = strings.Join(algos, "+")
-
-	var root *trace.Span
-	if traced {
-		kept := roots[:0:0]
-		for _, r := range roots {
-			if r != nil {
-				kept = append(kept, r)
-			}
+	if roots == nil {
+		return merged, nil
+	}
+	for i, root := range roots {
+		if root == nil {
+			continue
 		}
-		root = trace.Merge("join", fmt.Sprintf("sharded n=%d", len(e.shards)), wall, kept...)
+		// The per-shard span carries the originating request's trace ID
+		// (when the caller threaded one through), so distributed traces
+		// and /metrics exemplars correlate shard-local phases with the
+		// external request.
+		tag := fmt.Sprintf("shard=%d", i)
+		if traceID != "" {
+			tag += " trace=" + traceID
+		}
+		if root.Detail != "" {
+			tag += " " + root.Detail
+		}
+		root.Detail = tag
 	}
-	if err != nil {
-		// Per-shard joins release their own temps on error; shards that
-		// finished before a sibling failed may still hold overlay pages
-		// from loaded inputs on read-only engines. Sweep them all.
-		e.ReleaseTemp() //nolint:errcheck // best-effort cleanup on error
-		return merged, root, err
-	}
-	return merged, root, nil
+	return merged, trace.Merge("join", fmt.Sprintf("sharded n=%d", len(e.shards)), wall, roots...)
 }
 
 // Join evaluates a ◁ d across all shards and merges the per-shard results:
@@ -243,11 +235,11 @@ type PathStep struct {
 	Matches   int64  `json:"matches"`
 }
 
-// MergeSteps folds one shard's step reports, in chain order, into merged:
-// matches sum, algorithm names "+"-join in shard order (MergeAlgo). A step
-// no earlier shard reached is appended. Exported for the network-level
+// MergeSteps folds one node's step reports, in chain order, into merged:
+// matches sum, algorithm names "+"-join in node order (MergeAlgo). A step
+// no earlier node reported is appended. Exported for the network-level
 // coordinator (internal/router), which merges per-node /query steps with
-// the semantics this package uses in process.
+// the semantics PathContext merges per-shard steps with.
 func MergeSteps(merged, steps []PathStep) []PathStep {
 	for i, st := range steps {
 		if i == len(merged) {
@@ -257,6 +249,23 @@ func MergeSteps(merged, steps []PathStep) []PathStep {
 		merged[i].Algorithm = MergeAlgo(merged[i].Algorithm, st.Algorithm)
 	}
 	return merged
+}
+
+// PathSteps converts a chain's step reports over tags into one PathStep
+// per report and the analyses that ran, in chain order — a prefix of the
+// steps, since a chain that ends early runs no later step. Solo serving
+// and PathContext share it.
+func PathSteps(tags []string, reps []containment.StepReport) ([]PathStep, []*containment.Analysis) {
+	steps := make([]PathStep, len(reps))
+	var analyses []*containment.Analysis
+	for i, r := range reps {
+		steps[i] = PathStep{Anc: tags[i], Desc: tags[i+1], Matches: r.Matches}
+		if r.Analysis != nil {
+			steps[i].Algorithm = r.Analysis.Result.Algorithm
+			analyses = append(analyses, r.Analysis)
+		}
+	}
+	return steps, analyses
 }
 
 // UnknownRelationError reports a path tag with no stored relation on any
@@ -269,62 +278,70 @@ func (e *UnknownRelationError) Error() string {
 
 // PathContext evaluates a descendant-axis chain (tags[0]//tags[1]//...)
 // across the shards and returns the final match set in document order,
-// per-step reports, and every shard's per-step EXPLAIN ANALYZE.
+// one PathStep per join, and one EXPLAIN ANALYZE per step that ran.
 //
-// Each shard runs the whole chain independently — correct because every
-// containment pair, hence every chain of them, lies within one document,
-// and documents never span shards. The per-shard chains fan out under the
-// same bounded pool and cancellation rules as JoinContext.
+// Each shard runs the whole chain independently through
+// containment.Engine.Chain — correct because every containment pair, hence
+// every chain of them, lies within one document, and documents never span
+// shards. The per-shard chains fan out under the same bounded pool and
+// cancellation rules as JoinContext. Step s then merges the shards'
+// step-s reports as a sharded join merges its shards: its Analysis holds
+// each shard's span tree under one "join [sharded n=N]" root. Its
+// WallTime is the slowest shard's, as the chains share no step boundary
+// to measure an envelope at.
 func (e *Engine) PathContext(ctx context.Context, tags []string) ([]pbicode.Code, []PathStep, []*containment.Analysis, error) {
 	if len(tags) == 0 {
 		return nil, nil, nil, fmt.Errorf("shard: empty path")
 	}
-	for _, t := range tags {
-		if _, ok := e.rels[t]; !ok {
+	rels := make([]*Relation, len(tags))
+	for i, t := range tags {
+		r, ok := e.rels[t]
+		if !ok {
 			return nil, nil, nil, &UnknownRelationError{t}
 		}
+		rels[i] = r
 	}
 
-	outs := make([]*chainOut, len(e.shards))
+	codes := make([][]pbicode.Code, len(e.shards))
+	reps := make([][]containment.StepReport, len(e.shards))
 	err := e.runShards(ctx, func(cctx context.Context, i int) error {
-		out, err := e.chainShard(cctx, i, tags)
-		outs[i] = out
+		chain := make([]containment.ChainStep, len(tags)-1)
+		for s := range chain {
+			chain[s].Desc = rels[s+1].per[i]
+		}
+		var err error
+		codes[i], reps[i], err = e.shards[i].Chain(cctx, rels[0].per[i], chain)
 		return err
 	})
 
-	var codes []pbicode.Code
-	steps := make([]PathStep, 0, len(tags)-1)
-	var analyses []*containment.Analysis
-	for i, out := range outs {
-		if out == nil {
-			continue
-		}
-		var io containment.IOStats
-		for _, an := range out.analyses {
-			if an.Result != nil {
-				io.Add(an.Result.IO)
+	merged := make([]containment.StepReport, len(tags)-1)
+	for s := range merged {
+		outs := make([]*containment.Result, len(e.shards))
+		roots := make([]*trace.Span, len(e.shards))
+		var wall time.Duration
+		ran := false
+		for i, r := range reps {
+			if s >= len(r) {
+				continue // the shard failed before this step
+			}
+			merged[s].Matches += r[s].Matches
+			if an := r[s].Analysis; an != nil {
+				outs[i], roots[i] = an.Result, an.Root()
+				wall = max(wall, an.Result.IO.WallTime)
+				ran = true
 			}
 		}
-		e.totMu.Lock()
-		e.totals[i].Add(io)
-		e.totMu.Unlock()
-		codes = append(codes, out.codes...)
-		steps = MergeSteps(steps, out.steps)
-		analyses = append(analyses, out.analyses...)
+		if ran {
+			merged[s].Analysis = containment.NewAnalysis(e.merge(outs, roots, "", wall))
+		}
 	}
-	containment.SortDocOrder(codes)
+	all := slices.Concat(codes...)
+	containment.SortDocOrder(all)
+	steps, analyses := PathSteps(tags, merged)
 	if err != nil {
 		e.ReleaseTemp() //nolint:errcheck // best-effort cleanup on error
-		return codes, steps, analyses, err
 	}
-	return codes, steps, analyses, nil
-}
-
-// chainOut is one shard's contribution to a path evaluation.
-type chainOut struct {
-	codes    []pbicode.Code
-	steps    []PathStep
-	analyses []*containment.Analysis
+	return all, steps, analyses, err
 }
 
 // MergeAlgo accumulates a distinct algorithm name into a "+"-joined list —
@@ -345,71 +362,4 @@ func MergeAlgo(list, name string) string {
 		return list
 	}
 	return list + "+" + name
-}
-
-// chainShard runs the full chain on shard i (the per-shard mirror of
-// qserv's solo path evaluator).
-func (e *Engine) chainShard(ctx context.Context, i int, tags []string) (out *chainOut, err error) {
-	out = &chainOut{}
-	eng := e.shards[i]
-	rel := func(tag string) *containment.Relation { return e.rels[tag].per[i] }
-
-	first := rel(tags[0])
-	if first == nil {
-		return out, nil // shard holds none of the anchor tag: contributes nothing
-	}
-	if len(tags) == 1 {
-		out.codes, err = first.Codes()
-		return out, err
-	}
-
-	anc := first
-	temp := false
-	var matched containment.Matches
-	for s := 1; s < len(tags); s++ {
-		desc := rel(tags[s])
-		if desc == nil {
-			// No descendants of this tag on the shard: the chain dies here.
-			if temp {
-				return out, eng.Free(anc)
-			}
-			return out, nil
-		}
-		if err := ctx.Err(); err != nil {
-			return out, err
-		}
-		matched.Reset() // its previous content is loaded into anc by now
-		an, err := eng.AnalyzeContext(ctx, anc, desc, containment.JoinOptions{Emit: matched.Emit})
-		if temp {
-			if ferr := eng.Free(anc); ferr != nil && err == nil {
-				err = ferr
-			}
-		}
-		cur := matched.Distinct()
-		if an != nil {
-			out.analyses = append(out.analyses, an)
-			if an.Result != nil {
-				out.steps = append(out.steps, PathStep{
-					Anc: tags[s-1], Desc: tags[s],
-					Algorithm: an.Result.Algorithm, Matches: int64(len(cur)),
-				})
-			}
-		}
-		if err != nil {
-			return out, err
-		}
-		if s == len(tags)-1 {
-			out.codes = cur
-			return out, nil
-		}
-		if len(cur) == 0 {
-			return out, nil
-		}
-		anc, err = eng.Load("q.path.anc", cur)
-		if err != nil {
-			return out, err
-		}
-		temp = true
-	}
-	panic("unreachable")
 }
