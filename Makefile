@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race cover bench bench-test bench-regression loc fuzz experiments experiments-full serve-smoke shard-smoke parallel-smoke router-smoke chaos-smoke ingest-smoke clean
+.PHONY: all build test vet race cover bench bench-test loc fuzz experiments experiments-full serve-smoke shard-smoke router-smoke chaos-smoke ingest-smoke clean
 
 all: build vet test
 
@@ -36,26 +36,23 @@ bench:
 bench-test:
 	$(GO) test -C bench ./...
 
-# Re-run the page-format experiment (`pbibench -exp batch`: the paper's
-# fixed-width pages vs packed pages under the one set of kernels) against the newest
-# committed entry in results/dev/bench/data.js and fail on >15% regression
-# of any shared metric; skips with a notice when no baseline exists.
-bench-regression:
-	./scripts/bench-regression.sh
-
 # Non-test Go lines per top-level package; `scripts/loc.sh HEAD~1` adds
 # the delta against a commit (how "net-negative LOC" criteria are checked).
 loc:
 	./scripts/loc.sh
 
-# Short fuzzing passes over the parsers (documents and path expressions),
-# the coding identities and the heap page decoders (arbitrary page bytes
-# under every format byte).
+# Short fuzzing passes over every native fuzz target: the parsers
+# (documents and path expressions), the coding identities, document
+# update streams, the packed appender round trip and the heap page
+# decoders (arbitrary page bytes under every format byte). Each -fuzz
+# regex is anchored, since go test refuses one that matches two targets.
 fuzz:
-	$(GO) test -fuzz=FuzzCodeRoundtrips -fuzztime=30s ./pbicode
-	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./xmltree
-	$(GO) test -fuzz=FuzzPageDecode -fuzztime=30s ./internal/relation
-	$(GO) test -run=FuzzParsePath -fuzz=FuzzParsePath -fuzztime=30s ./internal/qserv
+	$(GO) test -run='^$$' -fuzz='^FuzzCodeRoundtrips$$' -fuzztime=30s ./pbicode
+	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=30s ./xmltree
+	$(GO) test -run='^$$' -fuzz='^FuzzUpdates$$' -fuzztime=30s ./xmltree
+	$(GO) test -run='^$$' -fuzz='^FuzzPageDecode$$' -fuzztime=30s ./internal/relation
+	$(GO) test -run='^$$' -fuzz='^FuzzCompressedPage$$' -fuzztime=30s ./internal/relation
+	$(GO) test -run='^$$' -fuzz='^FuzzParsePath$$' -fuzztime=30s ./internal/qserv
 
 # Quick interactive experiment sweep (about a minute).
 experiments:
@@ -71,11 +68,6 @@ serve-smoke:
 # unsharded server over the same data.
 shard-smoke:
 	./scripts/shard-smoke.sh
-
-# End-to-end intra-engine parallelism check: serial, -parallel and
-# -shards+-parallel servers must serve identical answers (doc/PARALLEL.md).
-parallel-smoke:
-	./scripts/parallel-smoke.sh
 
 # Multi-node serving check: pbirouter over per-shard pbiserve nodes must
 # match a solo server, survive a replica kill, and 503 a dead shard

@@ -12,11 +12,10 @@ import (
 // the partitions into a single equijoin with nothing to fan out) at
 // intra-engine degrees 1, 2 and 4 on identical engines. Every degree must produce the same
 // pair count (parallel execution is answer-preserving by construction);
-// the interesting number is wall time, which on a >=4-core host
-// approaches a cores-bounded speedup — on a 1-core host the parallel
-// runs only measure fan-out coordination overhead.
-// results/BENCH_parallel.json records a snapshot with the host core
-// count.
+// the interesting number is wall time, and the host's core count bounds
+// what it can show: with one core the parallel runs measure fan-out
+// coordination overhead only. No benchmark workload runs degree > 1, so
+// this is the one measurement of it.
 func BenchmarkParallelVsSerialJoin(b *testing.B) {
 	const h = 16
 	aCodes := randomCodes(60000, h)

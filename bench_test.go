@@ -7,14 +7,11 @@
 package pbitree
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
 	"github.com/pbitree/pbitree/containment"
 	"github.com/pbitree/pbitree/internal/benchkit"
-	"github.com/pbitree/pbitree/internal/shard"
-	"github.com/pbitree/pbitree/internal/workload"
 	"github.com/pbitree/pbitree/pbicode"
 	"github.com/pbitree/pbitree/xmltree"
 )
@@ -108,183 +105,6 @@ func BenchmarkA7PipelinedPaths(b *testing.B) { runExperiment(b, benchkit.A7) }
 // BenchmarkA8VPJAnchoring compares LCA-relative vs root-relative VPJ cut
 // levels (this implementation's documented deviation from Algorithm 5).
 func BenchmarkA8VPJAnchoring(b *testing.B) { runExperiment(b, benchkit.A8) }
-
-// BenchmarkShardedVsSingleD7 times the D7-style //article//author join on
-// an 8-document DBLP corpus twice: on one engine over the whole corpus,
-// and through a 4-shard scatter-gather shard.Engine (internal/shard) with
-// the documents LPT-packed by element weight. Both runs produce identical
-// pair counts (document-disjoint sharding is exact); the interesting
-// number is wall time, which on a >=4-core host approaches a
-// cores-bounded speedup (on a 1-core host the sharded run only measures
-// coordination overhead). results/BENCH_shard.json records a snapshot
-// with the host core count.
-func BenchmarkShardedVsSingleD7(b *testing.B) {
-	const nDocs = 8
-	coll := xmltree.NewCollection()
-	for i := 0; i < nDocs; i++ {
-		doc, err := workload.GenerateDBLP(workload.DBLPParams{
-			Articles:      600 + 150*i,
-			Inproceedings: 400 + 100*i,
-			Seed:          int64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := coll.AddTree(fmt.Sprintf("doc-%d", i), doc.Root); err != nil {
-			b.Fatal(err)
-		}
-	}
-	names := coll.Names()
-	perDoc := map[string][][]pbicode.Code{}
-	for _, tag := range []string{"article", "author"} {
-		sets := make([][]pbicode.Code, len(names))
-		for i, name := range names {
-			codes, err := coll.CodesIn(name, tag)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sets[i] = codes
-		}
-		perDoc[tag] = sets
-	}
-	var want int64 = -1
-	check := func(b *testing.B, count int64) {
-		b.Helper()
-		if want < 0 {
-			want = count
-		} else if count != want {
-			b.Fatalf("pair count %d, want %d", count, want)
-		}
-	}
-
-	b.Run("single", func(b *testing.B) {
-		eng, err := containment.NewEngine(containment.Config{
-			BufferPages: 256, PageSize: 4096, TreeHeight: coll.Height(),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer eng.Close()
-		a, err := eng.Load("article", coll.Codes("article"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		d, err := eng.Load("author", coll.Codes("author"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := eng.Join(a, d, containment.JoinOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			check(b, res.Count)
-		}
-	})
-	b.Run("sharded-4", func(b *testing.B) {
-		const nShards = 4
-		se, err := shard.New(shard.Config{
-			BufferPages: 256, PageSize: 4096, TreeHeight: coll.Height(),
-		}, nShards)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer se.Close()
-		weights := make([]int64, len(names))
-		for i := range names {
-			weights[i] = int64(len(perDoc["article"][i]) + len(perDoc["author"][i]))
-		}
-		for g, idxs := range shard.Pack(weights, nShards) {
-			for _, tag := range []string{"article", "author"} {
-				var codes []pbicode.Code
-				for _, i := range idxs {
-					codes = append(codes, perDoc[tag][i]...)
-				}
-				if err := se.LoadShard(g, tag, codes); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		a, _ := se.Relation("article")
-		d, _ := se.Relation("author")
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := se.Join(a, d, containment.JoinOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			check(b, res.Count)
-		}
-	})
-}
-
-// BenchmarkBatchJoin runs the DBLP D1-D10 mix over the paper's fixed-width
-// pages ("fixed") and over packed pages ("batch", the name the
-// `batch` pbibench experiment records) at an equal, deliberately tight
-// buffer budget: the same kernels, so the two differ by page format alone.
-// The interesting number is the elapsed-ns/op metric (virtual disk time +
-// wall CPU); go test's own ns/op includes dataset generation.
-func BenchmarkBatchJoin(b *testing.B) {
-	doc, err := workload.GenerateDBLP(workload.DBLP(0.05, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	queries := workload.DBLPQueries()
-	for _, mode := range []struct {
-		name  string
-		paper bool
-	}{
-		{"fixed", true},
-		{"batch", false},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			var elapsed, pairs int64
-			for i := 0; i < b.N; i++ {
-				elapsed, pairs = 0, 0
-				for _, q := range queries {
-					eng, err := containment.NewEngine(containment.Config{
-						PageSize:    1024,
-						BufferPages: 64,
-						DiskCost:    containment.DefaultDiskCost,
-						PaperLayout: mode.paper,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					a, err := eng.LoadDoc(doc, q.AncTag)
-					if err != nil {
-						b.Fatal(err)
-					}
-					d, err := eng.LoadDoc(doc, q.DescTag)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := eng.DropCache(); err != nil {
-						b.Fatal(err)
-					}
-					eng.ResetIOStats()
-					res, err := eng.Join(a, d, containment.JoinOptions{Algorithm: containment.MHCJRollup})
-					if err != nil {
-						b.Fatal(err)
-					}
-					elapsed += int64(res.IO.VirtualTime + res.IO.WallTime)
-					pairs += res.Count
-					if err := eng.Close(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			if pairs == 0 {
-				b.Fatal("no pairs")
-			}
-			b.ReportMetric(float64(elapsed), "elapsed-ns/op")
-			b.ReportMetric(float64(pairs), "pairs")
-		})
-	}
-}
 
 // --- Coding-scheme micro-benchmarks (§2, §2.3 and ablation A2) ---
 

@@ -81,10 +81,10 @@ func main() {
 	)
 	if *shards > 0 {
 		se, err := shard.New(shard.Config{
-			BufferPages:    *buffer,
-			PageSize:       *pageSize,
-			DiskCost:       containment.DefaultDiskCost,
-			EngineParallel: *parallel,
+			BufferPages: *buffer,
+			PageSize:    *pageSize,
+			DiskCost:    containment.DefaultDiskCost,
+			Parallel:    *parallel,
 		}, *shards)
 		if err != nil {
 			fail(err)

@@ -207,20 +207,24 @@ func TestEngineJoinDoc(t *testing.T) {
 	}
 }
 
-func TestEngineBufferOverride(t *testing.T) {
-	e, err := NewEngine(Config{BufferPages: 32})
+// TestEngineSmallPool: a join's memory budget is the engine's pool, and
+// a four-page pool still answers exactly.
+func TestEngineSmallPool(t *testing.T) {
+	e, err := NewEngine(Config{BufferPages: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
 	rng := rand.New(rand.NewSource(5))
-	a, _ := e.Load("A", randCodes(rng, 200, 8))
-	d, _ := e.Load("D", randCodes(rng, 200, 8))
-	if _, err := e.Join(a, d, JoinOptions{BufferPages: 64}); err == nil {
-		t.Fatal("override above pool size accepted")
-	}
-	if _, err := e.Join(a, d, JoinOptions{BufferPages: 4, Algorithm: MHCJRollup}); err != nil {
+	aCodes, dCodes := randCodes(rng, 200, 8), randCodes(rng, 200, 8)
+	a, _ := e.Load("A", aCodes)
+	d, _ := e.Load("D", dCodes)
+	res, err := e.Join(a, d, JoinOptions{Algorithm: MHCJRollup})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if want := int64(len(oracle(aCodes, dCodes))); res.Count != want {
+		t.Fatalf("Count = %d, want %d", res.Count, want)
 	}
 }
 

@@ -41,14 +41,13 @@ type Config struct {
 	// database file at once; that is the foundation of concurrent serving
 	// (see internal/qserv).
 	ReadOnly bool
-	// Parallel is the engine's default intra-query worker degree: how many
+	// Parallel is the engine's intra-query worker degree: how many
 	// goroutines a single join may fan its independent partitions out to
 	// (MHCJ per-height equijoins, VPJ per-subtree joins, external-sort run
 	// generation). 0 or 1 means serial execution, the pre-parallel code
-	// path. JoinOptions.Parallel overrides it per query. The engine's
-	// external contract is unchanged: one goroutine calls its methods, and
-	// a join may use up to Parallel workers internally while it runs. See
-	// doc/PARALLEL.md.
+	// path. The engine's external contract is unchanged: one goroutine
+	// calls its methods, and a join may use up to Parallel workers
+	// internally while it runs. See doc/PARALLEL.md.
 	Parallel int
 	// PaperLayout makes the engine write the paper's pages — 16-byte
 	// records, 255 to a 4 KiB page — instead of packed ones, which hold
@@ -326,10 +325,6 @@ type JoinOptions struct {
 	Collect bool
 	// Emit, when non-nil, receives every result pair as it is produced.
 	Emit func(Pair) error
-	// BufferPages overrides the engine's pool budget b for this join
-	// (must not exceed the pool size; used by the buffer-sweep
-	// experiments).
-	BufferPages int
 	// RollupTarget forces MHCJ+Rollup's target height (0 = the paper's
 	// simple strategy: the ancestor set's maximum height).
 	RollupTarget int
@@ -345,11 +340,6 @@ type JoinOptions struct {
 	// levels instead of LCA-relative ones (ablation A8 only; degrades on
 	// skewed document embeddings).
 	VPJRootCut bool
-	// Parallel overrides the engine's Config.Parallel worker degree for
-	// this join: 0 keeps the engine default, 1 forces serial execution,
-	// higher values fan independent partitions out across that many
-	// workers (clamped to the memory budget's 3-page-per-worker floor).
-	Parallel int
 	// TraceID is the originating request's trace ID, threaded through for
 	// annotation only: fan-out engines (internal/shard) stamp it into
 	// per-shard span details and serving exemplars so distributed traces
@@ -532,22 +522,14 @@ func (e *Engine) snapCounters(stats *core.Stats) func() trace.Counters {
 // reflecting the partial execution (counters, I/O, a root span annotated
 // "canceled"/"error"), and the engine's temporary join state is released.
 func (e *Engine) join(goCtx context.Context, a, d *Relation, opts JoinOptions, traced bool) (*Result, *trace.Span, error) {
-	if opts.BufferPages > e.pool.Size() {
-		return nil, nil, fmt.Errorf("containment: BufferPages %d exceeds pool size %d", opts.BufferPages, e.pool.Size())
-	}
 	stats := &core.Stats{}
-	par := opts.Parallel
-	if par == 0 {
-		par = e.cfg.Parallel
-	}
 	ctx := &core.Context{
 		Pool:              e.pool,
-		B:                 opts.BufferPages,
 		TreeHeight:        e.cfg.TreeHeight,
 		MaxAncestorHeight: a.maxHeight,
 		VPJRootCut:        opts.VPJRootCut,
 		Stats:             stats,
-		Parallel:          par,
+		Parallel:          e.cfg.Parallel,
 		Scratch:           &e.scratch,
 	}
 	if goCtx != nil && goCtx != context.Background() {

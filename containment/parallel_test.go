@@ -8,7 +8,7 @@ import (
 )
 
 // TestJoinParallelMatchesSerial is the public-API equivalence property:
-// JoinOptions.Parallel must change nothing about the answer. Every
+// Config.Parallel must change nothing about the answer. Every
 // algorithm (the fan-out ones, Auto's dispatch, and the sort-backed
 // baselines whose external sorts parallelize) is run at degrees 1, 2 and 8
 // against its serial result on randomized multi-height inputs.
@@ -22,7 +22,7 @@ func TestJoinParallelMatchesSerial(t *testing.T) {
 			Auto, NestedLoop, MHCJ, MHCJRollup, VPJ, INLJN, StackTree, StackTreeAnc, MPMGJN, ADBPlus,
 		} {
 			for _, degree := range []int{1, 2, 8} {
-				e, err := NewEngine(Config{PageSize: 512, BufferPages: 32})
+				e, err := NewEngine(Config{PageSize: 512, BufferPages: 32, Parallel: degree})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -34,7 +34,7 @@ func TestJoinParallelMatchesSerial(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := e.Join(a, d, JoinOptions{Algorithm: alg, Parallel: degree, Collect: true})
+				res, err := e.Join(a, d, JoinOptions{Algorithm: alg, Collect: true})
 				if err != nil {
 					t.Fatalf("%v(parallel=%d): %v", alg, degree, err)
 				}
@@ -58,9 +58,8 @@ func TestJoinParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestEngineConfigParallelDefault checks the engine-level default: a
-// Config.Parallel degree applies to every join, and a per-join
-// JoinOptions.Parallel overrides it — both still producing the serial
+// TestEngineConfigParallelDefault checks that a Config.Parallel degree
+// applies to every join of the engine, each still producing the serial
 // answer.
 func TestEngineConfigParallelDefault(t *testing.T) {
 	rng := rand.New(rand.NewSource(102))
@@ -81,8 +80,8 @@ func TestEngineConfigParallelDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, opts := range []JoinOptions{
-		{Algorithm: MHCJ},              // inherits Config.Parallel = 4
-		{Algorithm: MHCJ, Parallel: 2}, // per-join override
+		{Algorithm: MHCJ},
+		{Algorithm: VPJ},
 	} {
 		n, err := Count(aCodes, dCodes)
 		if err != nil {

@@ -1,6 +1,6 @@
 // Package benchkit is the experiment harness: it regenerates every table
 // and figure of the paper's evaluation (section 4) — E1 through E8 — plus
-// the ablations DESIGN.md calls out (A1–A4). Each experiment returns
+// the ablations DESIGN.md calls out (A1–A8). Each experiment returns
 // structured rows and can render them as the paper's tables; cmd/pbibench
 // and the repository's benchmarks drive the same code.
 //

@@ -655,83 +655,14 @@ func A8(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// Batch measures the page format alone on the ten DBLP joins D1-D10, at an
-// equal buffer budget: the same slab kernels run once over the paper's
-// fixed-width pages (rows "/fixed") and once over packed pages, what every
-// database is written in (rows "/batch" — the name the committed bench
-// history gates, from when this experiment also switched execution cores).
-// Elapsed is virtual disk time plus wall CPU as everywhere in the harness;
-// the difference between the two rows of a query is fewer scanned pages
-// against another decoder, which the IOs and Wall columns report
-// separately.
-func Batch(cfg Config) (*Result, error) {
-	doc, err := workload.GenerateDBLP(workload.DBLP(cfg.DocScale, cfg.Seed))
-	if err != nil {
-		return nil, err
-	}
-	modes := []struct {
-		name  string
-		paper bool
-	}{
-		{"fixed", true},
-		{"batch", false},
-	}
-	res := &Result{ID: "batch", Title: "Fixed-width (paper) vs packed pages, DBLP D1-D10"}
-	totals := make([]Row, len(modes))
-	for _, q := range workload.DBLPQueries() {
-		for m, mode := range modes {
-			eng, err := containment.NewEngine(containment.Config{
-				PageSize:    cfg.PageSize,
-				BufferPages: cfg.BufferPages,
-				DiskCost:    containment.DefaultDiskCost,
-				PaperLayout: mode.paper,
-			})
-			if err != nil {
-				return nil, err
-			}
-			a, d, err := loadDocQuery(eng, doc, q)
-			if err != nil {
-				eng.Close()
-				return nil, fmt.Errorf("%s: %w", q.ID, err)
-			}
-			row, err := runJoin(eng, q.ID, a, d, containment.MHCJRollup, containment.JoinOptions{})
-			if err != nil {
-				eng.Close()
-				return nil, fmt.Errorf("%s/%s: %w", q.ID, mode.name, err)
-			}
-			if err := eng.Close(); err != nil {
-				return nil, err
-			}
-			row.Algorithm += "/" + mode.name
-			if m > 0 && row.Pairs != res.Rows[len(res.Rows)-1].Pairs {
-				return nil, fmt.Errorf("batch: page formats disagree on %s", q.ID)
-			}
-			res.Rows = append(res.Rows, row)
-			t := &totals[m]
-			t.Dataset = "D1-D10 mix"
-			t.Algorithm = "MHCJRollup/" + mode.name
-			t.Elapsed += row.Elapsed
-			t.Wall += row.Wall
-			t.IOs += row.IOs
-			t.SeqIOs += row.SeqIOs
-			t.Pairs += row.Pairs
-			t.FalseHits += row.FalseHits
-			t.Partitions += row.Partitions
-		}
-	}
-	res.Rows = append(res.Rows, totals...)
-	return res, nil
-}
-
 // Experiments maps experiment ids to their runners.
 func Experiments() map[string]func(Config) (*Result, error) {
 	return map[string]func(Config) (*Result, error){
 		"e1": E1, "e2": E2, "e3": E3, "e4": E4,
 		"e5": E5, "e6": E6, "e7": E7, "e8": E8,
 		"a1": A1, "a2": A2, "a3": A3, "a4": A4, "a5": A5, "a6": A6, "a7": A7, "a8": A8,
-		"batch": Batch,
 	}
 }
 
 // Order lists experiment ids in presentation order.
-var Order = []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "batch"}
+var Order = []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8"}

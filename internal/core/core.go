@@ -27,8 +27,6 @@ import (
 type Context struct {
 	// Pool is the buffer pool all I/O goes through.
 	Pool *buffer.Pool
-	// B is the memory budget in pages. Zero means the pool size.
-	B int
 	// TreeHeight is the height H of the PBiTree the element codes come
 	// from; the vertical partitioning join needs it to name partition
 	// levels. Required for VPJ, ignored by the other algorithms.
@@ -69,17 +67,8 @@ type Context struct {
 	tmpSeq int
 }
 
-// b returns the effective memory budget in pages, at least 3.
-func (c *Context) b() int {
-	b := c.B
-	if b <= 0 || b > c.Pool.Size() {
-		b = c.Pool.Size()
-	}
-	if b < 3 {
-		b = 3
-	}
-	return b
-}
+// b returns the memory budget in pages: the pool size, at least 3.
+func (c *Context) b() int { return max(c.Pool.Size(), 3) }
 
 // memRecs returns the record capacity of n pages of working memory: n pages
 // of the paper's fixed-width records. Every fits-in-memory decision of the

@@ -1,6 +1,7 @@
 package qserv
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -221,16 +222,53 @@ func randomForest(t *testing.T, rng *rand.Rand) *xmltree.Collection {
 	return coll
 }
 
-// TestPathOracleDifferential runs random 2-4-tag paths over random
-// forests through every path evaluator — pbiquery's QueryContext, solo
-// serving and sharded serving at 1, 2 and 3 shards — and requires the
-// oracle's codes and per-step matches from each. "z" is stored but never
-// occurs, and the fixed paths end the chain at every position.
+// joinOracle answers //anc//desc over the element tree under root without
+// the join engine: every desc element paired with each of its proper
+// ancestors tagged anc, sorted by ancestor, then descendant.
+func joinOracle(root *xmltree.Element, anc, desc string) []containment.Pair {
+	var out []containment.Pair
+	var walk func(e *xmltree.Element, above []pbicode.Code)
+	walk = func(e *xmltree.Element, above []pbicode.Code) {
+		if e.Tag == desc {
+			for _, a := range above {
+				out = append(out, containment.Pair{A: a, D: e.Code})
+			}
+		}
+		if e.Tag == anc {
+			above = append(above, e.Code)
+		}
+		for _, c := range e.Children {
+			walk(c, above)
+		}
+	}
+	walk(root, nil)
+	sortPairs(out)
+	return out
+}
+
+func sortPairs(ps []containment.Pair) {
+	slices.SortFunc(ps, func(x, y containment.Pair) int {
+		if c := cmp.Compare(x.A, y.A); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.D, y.D)
+	})
+}
+
+// TestPathOracleDifferential runs random 2-4-tag paths and random joins
+// over random forests through every evaluator — pbiquery's QueryContext
+// (paths only), solo serving, solo serving at engine parallelism 4, and
+// sharded serving at 1, 2 and 3 shards and at 2 shards of parallelism 2 —
+// and requires the oracles' answers from each: codes and per-step matches
+// for a path, pairs for a join under each algorithm. "z" is stored but
+// never occurs, and the fixed paths end the chain at every position.
 func TestPathOracleDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	alphabet := []string{"a", "b", "c", "d", "l", "z"}
+	algorithms := []containment.Algorithm{containment.Auto, containment.MHCJ, containment.MHCJRollup, containment.VPJ, containment.StackTree}
 	cfg := containment.Config{PageSize: 512, BufferPages: 32}
-	var found int // paths with a non-empty answer: the forests are not trivial
+	// Paths and joins with a non-empty answer: the forests are not trivial.
+	var found, joined int
 	for f := 0; f < 40; f++ {
 		coll := randomForest(t, rng)
 		cfg.TreeHeight = coll.Height()
@@ -240,19 +278,23 @@ func TestPathOracleDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		soloEng, err := containment.NewEngine(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		solo := &soloWorker{eng: soloEng, rels: map[string]*containment.Relation{}}
-		for _, tag := range alphabet {
-			if solo.rels["tag:"+tag], err = soloEng.Load("tag:"+tag, coll.Codes(tag)); err != nil {
+		newSolo := func(parallel int) worker {
+			c := cfg
+			c.Parallel = parallel
+			eng, err := containment.NewEngine(c)
+			if err != nil {
 				t.Fatal(err)
 			}
+			solo := &soloWorker{eng: eng, rels: map[string]*containment.Relation{}}
+			for _, tag := range alphabet {
+				if solo.rels["tag:"+tag], err = eng.Load("tag:"+tag, coll.Codes(tag)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return solo
 		}
-		workers := []worker{solo}
-		for n := 1; n <= 3; n++ {
-			se, err := shard.New(shard.Config{PageSize: cfg.PageSize, BufferPages: cfg.BufferPages, TreeHeight: cfg.TreeHeight}, n)
+		newSharded := func(n, parallel int) worker {
+			se, err := shard.New(shard.Config{PageSize: cfg.PageSize, BufferPages: cfg.BufferPages, TreeHeight: cfg.TreeHeight, Parallel: parallel}, n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -276,7 +318,33 @@ func TestPathOracleDifferential(t *testing.T) {
 					}
 				}
 			}
-			workers = append(workers, &shardWorker{se: se})
+			return &shardWorker{se: se}
+		}
+		workers := []worker{newSolo(0), newSolo(4), newSharded(1, 0), newSharded(2, 0), newSharded(3, 0), newSharded(2, 2)}
+
+		for j := 0; j < 3; j++ {
+			anc, desc := alphabet[rng.Intn(len(alphabet))], alphabet[rng.Intn(len(alphabet))]
+			want := joinOracle(coll.Document().Root, anc, desc)
+			if len(want) > 0 {
+				joined++
+			}
+			for w, wk := range workers {
+				for _, alg := range algorithms {
+					an, err := wk.analyze(context.Background(), anc, desc, containment.JoinOptions{Algorithm: alg, Collect: true})
+					if err != nil {
+						t.Fatalf("forest %d //%s//%s: evaluator %d %v: %v", f, anc, desc, w, alg, err)
+					}
+					got := an.Result.Pairs
+					sortPairs(got)
+					if !slices.Equal(got, want) || an.Result.Count != int64(len(want)) {
+						t.Fatalf("forest %d //%s//%s: evaluator %d %v: %d pairs (count %d), oracle %d",
+							f, anc, desc, w, alg, len(got), an.Result.Count, len(want))
+					}
+					if err := wk.releaseTemp(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
 		}
 
 		paths := [][]string{{"l", "a", "b"}, {"a", "l", "b"}, {"a", "b", "l", "c"}, {"z", "a"}, {"a", "z", "b"}}
@@ -335,8 +403,8 @@ func TestPathOracleDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if found < 100 {
-		t.Fatalf("only %d paths had matches", found)
+	if found < 100 || joined < 40 {
+		t.Fatalf("only %d paths and %d joins had matches", found, joined)
 	}
 }
 

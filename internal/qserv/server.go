@@ -105,9 +105,6 @@ type Config struct {
 	// only enqueues; the caller owns the writer's lifecycle and closes it
 	// after Shutdown.
 	Telemetry *telemetry.Writer
-	// TraceRing bounds the in-memory ring of recent query traces served
-	// by GET /debug/trace/{id}. 0 means 256; negative disables retention.
-	TraceRing int
 	// Ingest, when non-nil, attaches a live write path (internal/ingest)
 	// over the same database: POST /ingest applies update batches, GET
 	// /epochs reports the epoch family, and queries follow published epochs
@@ -147,9 +144,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxCodes <= 0 {
 		c.MaxCodes = 100
 	}
-	if c.TraceRing == 0 {
-		c.TraceRing = 256
-	}
 	if c.IngestBacklog <= 0 {
 		c.IngestBacklog = 4
 	}
@@ -174,7 +168,7 @@ type Server struct {
 	admit    chan struct{}
 	cache    *serve.Cache // nil when disabled
 	met      *metrics
-	traces   *trace.Store // recent query traces for /debug/trace/{id}
+	traces   *trace.Store // the 256 most recent query traces, for /debug/trace/{id}
 	handler  http.Handler // endpoint mux behind serve.Middleware
 	rels     []RelationInfo
 	ing      *ingestState // nil without Config.Ingest
@@ -206,7 +200,7 @@ func New(cfg Config) (*Server, error) {
 		admit:   make(chan struct{}, cfg.Workers+cfg.QueueDepth),
 		cache:   serve.NewCache(cfg.CacheEntries),
 		met:     newMetrics(),
-		traces:  trace.NewStore(cfg.TraceRing),
+		traces:  trace.NewStore(256),
 	}
 	if cfg.Shards > 0 {
 		s.manifest = shardManifestPath(cfg.DBPath)
@@ -289,10 +283,10 @@ func shardManifestPath(dbPath string) string {
 func (s *Server) openWorker() (worker, error) {
 	if s.cfg.Shards > 0 {
 		se, err := shard.Open(s.manifest, shard.Config{
-			ReadOnly:       true,
-			BufferPages:    s.cfg.BufferPages,
-			DiskCost:       s.cfg.DiskCost,
-			EngineParallel: s.cfg.Parallel,
+			ReadOnly:    true,
+			BufferPages: s.cfg.BufferPages,
+			DiskCost:    s.cfg.DiskCost,
+			Parallel:    s.cfg.Parallel,
 		})
 		if err != nil {
 			return nil, err

@@ -135,9 +135,6 @@ type Config struct {
 	// router only enqueues; the caller owns the writer's lifecycle and
 	// closes it after the HTTP server drains.
 	Telemetry *telemetry.Writer
-	// TraceRing bounds the in-memory ring of recent stitched traces served
-	// by GET /debug/trace/{id}. 0 means 256; negative disables retention.
-	TraceRing int
 }
 
 func (c Config) withDefaults() Config {
@@ -182,9 +179,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryBackoffMax <= 0 {
 		c.RetryBackoffMax = 500 * time.Millisecond
-	}
-	if c.TraceRing == 0 {
-		c.TraceRing = 256
 	}
 	return c
 }
@@ -239,7 +233,7 @@ type Router struct {
 	cache   *serve.Cache // nil when disabled
 	budget  *tokenBucket // shared failover retry budget; nil when disabled
 	met     *metrics
-	traces  *trace.Store // recent stitched traces for /debug/trace/{id}
+	traces  *trace.Store // the 256 most recent stitched traces, for /debug/trace/{id}
 	handler http.Handler
 
 	// epoch counts node-table state transitions (demotions, promotions).
@@ -267,7 +261,7 @@ func New(cfg Config) (*Router, error) {
 		client: cfg.Client,
 		cache:  serve.NewCache(cfg.CacheEntries),
 		met:    newMetrics(),
-		traces: trace.NewStore(cfg.TraceRing),
+		traces: trace.NewStore(256),
 		rr:     make([]atomic.Int64, len(cfg.Topology)),
 		stop:   make(chan struct{}),
 	}

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -23,14 +24,14 @@ import (
 // exactly as PR 3's machinery provides, and every shard's temporary state
 // is released before the merged error returns.
 
-// runShards runs fn for every shard index with at most e.parallel
-// executions in flight. The first error cancels the rest; when both a real
+// runShards runs fn for every shard index with at most
+// min(GOMAXPROCS, shards) executions in flight. The first error cancels the rest; when both a real
 // failure and knock-on cancellations occur, the real failure is reported
 // (cancellation errors only win when nothing else failed).
 func (e *Engine) runShards(ctx context.Context, fn func(ctx context.Context, i int) error) error {
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	sem := make(chan struct{}, e.parallel)
+	sem := make(chan struct{}, min(runtime.GOMAXPROCS(0), len(e.shards)))
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error

@@ -25,7 +25,6 @@ package shard
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -45,15 +44,12 @@ type Config struct {
 	// ReadOnly opens shard page files without write access (see
 	// containment.Config.ReadOnly); required for pooled serving.
 	ReadOnly bool
-	// Parallel bounds how many shards run concurrently per request;
-	// 0 means min(GOMAXPROCS, number of shards).
-	Parallel int
-	// EngineParallel is each shard engine's intra-query worker degree
+	// Parallel is each shard engine's intra-query worker degree
 	// (containment.Config.Parallel): how many goroutines one shard's join
-	// may fan its partitions out to. It composes multiplicatively with
-	// Parallel — a request can occupy up to Parallel x EngineParallel
-	// goroutines. 0 or 1 keeps every shard serial.
-	EngineParallel int
+	// may fan its partitions out to. 0 or 1 keeps every shard serial.
+	// Shards themselves run min(GOMAXPROCS, number of shards) at a time,
+	// so a request can occupy that many times Parallel goroutines.
+	Parallel int
 }
 
 // Relation is a sharded element set: one containment.Relation per shard
@@ -109,9 +105,8 @@ func (r *Relation) Sorted() bool {
 // containment join surface (Join / JoinContext / Analyze / AnalyzeContext
 // / PathContext). See the package comment for the ownership rule.
 type Engine struct {
-	shards   []*containment.Engine
-	rels     map[string]*Relation
-	parallel int
+	shards []*containment.Engine
+	rels   map[string]*Relation
 	// totals accumulates each shard's cumulative I/O, updated at fan-out
 	// completion. totMu makes Totals the one method safe to call from
 	// another goroutine — servers scrape per-shard counters while a
@@ -137,7 +132,7 @@ func New(cfg Config, n int) (*Engine, error) {
 			BufferPages: cfg.BufferPages,
 			DiskCost:    cfg.DiskCost,
 			TreeHeight:  cfg.TreeHeight,
-			Parallel:    cfg.EngineParallel,
+			Parallel:    cfg.Parallel,
 		})
 		if err != nil {
 			e.Close() //nolint:errcheck // first error wins
@@ -145,7 +140,6 @@ func New(cfg Config, n int) (*Engine, error) {
 		}
 		e.shards = append(e.shards, eng)
 	}
-	e.parallel = boundParallel(cfg.Parallel, n)
 	return e, nil
 }
 
@@ -167,7 +161,7 @@ func Open(manifestPath string, cfg Config) (*Engine, error) {
 			TreeHeight:  cfg.TreeHeight,
 			Path:        p,
 			ReadOnly:    cfg.ReadOnly,
-			Parallel:    cfg.EngineParallel,
+			Parallel:    cfg.Parallel,
 		})
 		if err != nil {
 			e.Close() //nolint:errcheck // first error wins
@@ -184,21 +178,7 @@ func Open(manifestPath string, cfg Config) (*Engine, error) {
 			sr.per[i] = r
 		}
 	}
-	e.parallel = boundParallel(cfg.Parallel, n)
 	return e, nil
-}
-
-func boundParallel(p, n int) int {
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p > n {
-		p = n
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
 }
 
 // LoadShard stores codes as (part of) the named sharded relation on shard

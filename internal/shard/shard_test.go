@@ -108,7 +108,7 @@ func TestShardJoinEquivalence(t *testing.T) {
 		}
 
 		se, err := shard.New(shard.Config{
-			PageSize: 512, BufferPages: 64, TreeHeight: coll.Height(), Parallel: nShards,
+			PageSize: 512, BufferPages: 64, TreeHeight: coll.Height(),
 		}, nShards)
 		if err != nil {
 			t.Fatal(err)
@@ -361,7 +361,7 @@ func TestShardCancelMidFanout(t *testing.T) {
 	const nShards = 4
 	shardOf := []int{0, 1, 2, 3}
 	se, err := shard.New(shard.Config{
-		PageSize: 512, BufferPages: 64, TreeHeight: coll.Height(), Parallel: nShards,
+		PageSize: 512, BufferPages: 64, TreeHeight: coll.Height(),
 	}, nShards)
 	if err != nil {
 		t.Fatal(err)

@@ -11,14 +11,23 @@
 # first on even ones — both sides of a pair with the same seed and the run
 # length BENCHMARK.json fixes. The report gives, per workload and end-to-end
 # metric, each side's median and quartiles over the pairs, the change of the
-# median, how many pairs the change won, and two verdicts:
+# median, how many pairs the change won, and a verdict, the first of these
+# that applies:
 #
-#   REGRESSED  the change's median is worse than the parent's by more than
-#              the bound BENCHMARK.json fixes for the metric;
-#   gain       the change won at least nine tenths of the pairs (ties count
-#              for neither) and the medians differ by more than the distance
-#              between the parent's quartiles — the rule a claimed gain has
-#              to meet.
+#   REGRESSED   the change's median is worse than the parent's by more than
+#               the bound BENCHMARK.json fixes for the metric;
+#   gain        over at least ten pairs, the change won at least nine tenths
+#               of them (ties count for neither) and the medians differ by
+#               more than the distance between the parent's quartiles — the
+#               rule a claimed gain has to meet;
+#   unresolved  the parent's quartiles lie further apart, relative to its
+#               median, than the bound, so the runs cannot tell a change of
+#               that size from noise — unless every change run beats every
+#               parent run.
+#
+# With one pair the quartiles coincide, so a single pair is never
+# unresolved: that is the form CI runs, where only counters that repeat
+# run to run are gated.
 #
 # Needs jq. Raw results (one JSON line per run) and the runs' logs stay in
 # the directory printed at the end. About pairs x workloads x 1 minute.
@@ -95,8 +104,11 @@ for w in "${workloads[@]}"; do
             | (($c | quantile(0.5)) - ($p | quantile(0.5))) as $d
             | ($p | quantile(0.5)) as $base
             | (($p | quantile(0.75)) - ($p | quantile(0.25))) as $iqr
+            | (if $dir > 0 then ($c | min) > ($p | max) else ($c | max) < ($p | min) end) as $apart
             | (if $base != 0 and -$d * $dir / ($base | fabs) > $e.bound then "  REGRESSED (bound \($e.bound * 100)%)"
-               elif $won >= 0.9 * ($p | length) and $d * $dir > $iqr then "  gain"
+               elif ($p | length) >= 10 and $won >= 0.9 * ($p | length) and $d * $dir > $iqr then "  gain"
+               elif $base != 0 and $iqr / ($base | fabs) > $e.bound and ($apart | not)
+               then "  unresolved (parent spread \($iqr / ($base | fabs) * 100 | fmt)% > bound \($e.bound * 100)%)"
                else "" end) as $verdict
             | "\($e.name) (\($e.unit), \($e.better) is better): \($p | summary) -> \($c | summary)"
               + "  \(if $base != 0 then ($d / $base * 100 | fmt) else "n/a" end)%  won \($won) lost \($lost)\($verdict)")'
