@@ -2,6 +2,7 @@ package qserv
 
 import (
 	"net/http"
+	"net/url"
 	"strings"
 
 	"github.com/pbitree/pbitree/containment"
@@ -72,9 +73,9 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	anc, desc, expr := q.Get("anc"), q.Get("desc"), q.Get("query")
 	switch {
 	case expr != "":
-		s.traceQuery(w, r, expr)
+		s.traceQuery(w, r, q, expr)
 	case anc != "" && desc != "":
-		s.traceJoin(w, r, anc, desc, q.Get("algo"))
+		s.traceJoin(w, r, q, anc, desc)
 	default:
 		s.writeError(w, http.StatusBadRequest, "pass anc+desc (a join) or query (a path expression)")
 	}
@@ -96,14 +97,15 @@ func spanSet(anc, desc string, an *containment.Analysis) traceSpanSet {
 }
 
 // traceJoin analyzes one containment join and returns its span tree.
-func (s *Server) traceJoin(w http.ResponseWriter, r *http.Request, anc, desc, algoName string) {
+func (s *Server) traceJoin(w http.ResponseWriter, r *http.Request, q url.Values, anc, desc string) {
+	algoName := q.Get("algo")
 	alg, ok := containment.ParseAlgorithm(algoName)
 	if !ok {
 		s.writeError(w, http.StatusBadRequest, "unknown algorithm %q (accepted: %s)",
 			algoName, strings.Join(containment.AlgorithmNames(), ", "))
 		return
 	}
-	qctx, cancel, err := serve.RequestContext(r, s.cfg.QueryTimeout)
+	qctx, cancel, err := serve.RequestContext(r, q, s.cfg.QueryTimeout)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -147,13 +149,13 @@ func (s *Server) traceJoin(w http.ResponseWriter, r *http.Request, anc, desc, al
 
 // traceQuery analyzes a descendant-axis path query, one span tree per join
 // step.
-func (s *Server) traceQuery(w http.ResponseWriter, r *http.Request, expr string) {
+func (s *Server) traceQuery(w http.ResponseWriter, r *http.Request, q url.Values, expr string) {
 	canon, tags, err := CanonicalPath(expr)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	qctx, cancel, err := serve.RequestContext(r, s.cfg.QueryTimeout)
+	qctx, cancel, err := serve.RequestContext(r, q, s.cfg.QueryTimeout)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return

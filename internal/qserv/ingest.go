@@ -91,24 +91,15 @@ func (s *Server) freshen(wk worker) worker {
 	return fresh
 }
 
-// epochKey scopes a cache key to the current epoch (pass-through without
-// an ingest store) and reports the epoch used.
-func (s *Server) epochKey(key string) (string, int64) {
+// servingEpoch is the adopted epoch a cache lookup is keyed by (0 without
+// an ingest store). An answer is stored under the borrowed worker's epoch
+// instead, which a concurrent publish may have moved past.
+func (s *Server) servingEpoch() int64 {
 	if s.ing == nil {
-		return key, 0
+		return 0
 	}
 	epoch, _ := s.ing.current()
-	return fmt.Sprintf("e%d\x00%s", epoch, key), epoch
-}
-
-// storeKey scopes a cache key to the epoch the answer was computed
-// against — the borrowed worker's stamp, not the adopted epoch, which a
-// concurrent publish may have moved past it.
-func (s *Server) storeKey(epoch int64, key string) string {
-	if s.ing == nil {
-		return key
-	}
-	return fmt.Sprintf("e%d\x00%s", epoch, key)
+	return epoch
 }
 
 // stampEpoch names the answering epoch on the response; ingest-serving

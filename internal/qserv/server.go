@@ -253,8 +253,7 @@ func New(cfg Config) (*Server, error) {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	s.handler = (&serve.Middleware{
-		IDFormat:  "%08x-%08x",
-		IDPrefix:  uint32(time.Now().UnixNano()),
+		IDPrefix:  fmt.Sprintf("%08x-", uint32(time.Now().UnixNano())),
 		Panics:    &s.met.panics,
 		Errors:    &s.met.errors,
 		AccessLog: cfg.AccessLog,
@@ -599,6 +598,19 @@ func (s *Server) keepTrace(traceID, query string, analyses ...*containment.Analy
 	return spans
 }
 
+// cacheKey is the result-cache key of one query: the epoch it was answered
+// against (0 without an ingest store), its kind ("join" or "path"), its
+// parts and its number (the algorithm, or the codes limit), in one
+// allocation.
+func cacheKey(epoch int64, kind, a, b string, n int) string {
+	var buf [128]byte
+	k := strconv.AppendInt(buf[:0], epoch, 10)
+	for _, part := range [...]string{kind, a, b} {
+		k = append(append(k, 0), part...)
+	}
+	return string(strconv.AppendInt(append(k, 0), int64(n), 10))
+}
+
 // handleJoin serves GET /join?anc=TAG&desc=TAG[&algo=NAME].
 func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
@@ -606,19 +618,20 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	anc, desc := r.URL.Query().Get("anc"), r.URL.Query().Get("desc")
+	q := r.URL.Query()
+	anc, desc := q.Get("anc"), q.Get("desc")
 	if anc == "" || desc == "" {
 		s.writeError(w, http.StatusBadRequest, "anc and desc query parameters are required")
 		return
 	}
-	algoName := r.URL.Query().Get("algo")
+	algoName := q.Get("algo")
 	alg, ok := containment.ParseAlgorithm(algoName)
 	if !ok {
 		s.writeError(w, http.StatusBadRequest, "unknown algorithm %q (accepted: %s)",
 			algoName, strings.Join(containment.AlgorithmNames(), ", "))
 		return
 	}
-	qctx, cancel, err := serve.RequestContext(r, s.cfg.QueryTimeout)
+	qctx, cancel, err := serve.RequestContext(r, q, s.cfg.QueryTimeout)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -631,13 +644,12 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		s.writeFailure(w, "join", err)
 		return
 	}
-	spans := serve.WantSpans(r)
-	key := fmt.Sprintf("join\x00%s\x00%s\x00%d", anc, desc, alg)
+	spans := serve.WantSpans(q)
 	// ?spans=1 bypasses the result cache entirely (no lookup, no store);
 	// like /debug/trace, the flag exists to observe execution.
 	if !spans {
-		lookupKey, epoch := s.epochKey(key)
-		if payload, ok := s.cache.Get(lookupKey); ok {
+		epoch := s.servingEpoch()
+		if payload, ok := s.cache.Get(cacheKey(epoch, "join", anc, desc, int(alg))); ok {
 			s.stampEpoch(w, epoch)
 			s.writePayload(w, payload, true, start)
 			return
@@ -700,7 +712,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		// Stored under the epoch the borrowed worker actually executed
 		// against (a swap may have landed between lookup and acquire), so a
 		// cached payload always matches its key's epoch.
-		s.cache.Put(s.storeKey(wk.epoch(), key), payload)
+		s.cache.Put(cacheKey(wk.epoch(), "join", anc, desc, int(alg)), payload)
 	}
 	s.writePayload(w, payload, false, start)
 }
@@ -741,13 +753,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	expr := r.URL.Query().Get("path")
+	q := r.URL.Query()
+	expr := q.Get("path")
 	if expr == "" {
 		s.writeError(w, http.StatusBadRequest, "path query parameter is required")
 		return
 	}
 	limit := s.cfg.MaxCodes
-	if v := r.URL.Query().Get("limit"); v != "" {
+	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 || n > maxCodesLimit {
 			s.writeError(w, http.StatusBadRequest,
@@ -756,12 +769,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	canon, tags, err := CanonicalPath(expr)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	qctx, cancel, err := serve.RequestContext(r, s.cfg.QueryTimeout)
+	qctx, cancel, err := serve.RequestContext(r, q, s.cfg.QueryTimeout)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -771,15 +779,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeFailure(w, "path query", err)
 		return
 	}
-	spans := serve.WantSpans(r)
-	key := fmt.Sprintf("path\x00%s\x00%d", canon, limit)
+	spans := serve.WantSpans(q)
+	// A hit is keyed by the expression as sent, so it is never parsed:
+	// only answers are stored, and an answer is a function of the
+	// expression. Two spellings of one path take two entries.
 	if !spans {
-		lookupKey, epoch := s.epochKey(key)
-		if payload, ok := s.cache.Get(lookupKey); ok {
+		epoch := s.servingEpoch()
+		if payload, ok := s.cache.Get(cacheKey(epoch, "path", expr, "", limit)); ok {
 			s.stampEpoch(w, epoch)
 			s.writePayload(w, payload, true, start)
 			return
 		}
+	}
+	canon, tags, err := CanonicalPath(expr)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 
 	wk, release, aerr := s.acquire(qctx)
@@ -843,7 +858,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	payload := serve.MustJSON(resp)
 	if !spans {
-		s.cache.Put(s.storeKey(wk.epoch(), key), payload)
+		s.cache.Put(cacheKey(wk.epoch(), "path", expr, "", limit), payload)
 	}
 	s.writePayload(w, payload, false, start)
 }

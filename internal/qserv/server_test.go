@@ -18,7 +18,7 @@ import (
 
 // buildServerDB persists a database with three tag relations and returns
 // its path plus the document it came from.
-func buildServerDB(t *testing.T) (string, *xmltree.Document) {
+func buildServerDB(t testing.TB) (string, *xmltree.Document) {
 	t.Helper()
 	var sb strings.Builder
 	sb.WriteString("<doc>")

@@ -84,8 +84,8 @@ func (rt *Router) writeUpstreamFailure(w http.ResponseWriter, what string, err e
 // lower bounds (document-disjoint sharding: no shard can affect another's
 // matches), but they are opt-in because a silent undercount is worse than
 // an honest 503 for clients that need totals.
-func (rt *Router) wantPartial(r *http.Request) bool {
-	switch r.URL.Query().Get("partial") {
+func (rt *Router) wantPartial(q url.Values) bool {
+	switch q.Get("partial") {
 	case "1":
 		return true
 	case "0":
@@ -110,19 +110,20 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 		rt.writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	anc, desc := r.URL.Query().Get("anc"), r.URL.Query().Get("desc")
+	q := r.URL.Query()
+	anc, desc := q.Get("anc"), q.Get("desc")
 	if anc == "" || desc == "" {
 		rt.writeError(w, http.StatusBadRequest, "anc and desc query parameters are required")
 		return
 	}
-	algoName := r.URL.Query().Get("algo")
+	algoName := q.Get("algo")
 	alg, ok := containment.ParseAlgorithm(algoName)
 	if !ok {
 		rt.writeError(w, http.StatusBadRequest, "unknown algorithm %q (accepted: %s)",
 			algoName, strings.Join(containment.AlgorithmNames(), ", "))
 		return
 	}
-	qctx, cancel, err := serve.RequestContext(r, rt.cfg.QueryTimeout)
+	qctx, cancel, err := serve.RequestContext(r, q, rt.cfg.QueryTimeout)
 	if err != nil {
 		rt.writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -134,8 +135,8 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 	}
 	traceID := w.Header().Get("X-Trace-Id")
 	query := "//" + anc + "//" + desc
-	spans := serve.WantSpans(r)
-	key := fmt.Sprintf("%d\x00join\x00%s\x00%s\x00%d", rt.epoch.Load(), anc, desc, alg)
+	spans := serve.WantSpans(q)
+	key := strconv.FormatInt(rt.epoch.Load(), 10) + "\x00join\x00" + anc + "\x00" + desc + "\x00" + strconv.Itoa(int(alg))
 	// ?spans=1 bypasses the cache entirely (no lookup, no store), same rule
 	// as the nodes (serve.WantSpans).
 	if !spans {
@@ -147,15 +148,17 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	vals := url.Values{"anc": {anc}, "desc": {desc}}
+	// Encoded once for every shard and attempt, in url.Values.Encode order.
+	target := "/join?"
 	if algoName != "" {
-		vals.Set("algo", algoName)
+		target += "algo=" + url.QueryEscape(algoName) + "&"
 	}
+	target += "anc=" + url.QueryEscape(anc) + "&desc=" + url.QueryEscape(desc)
 	if spans {
-		vals.Set("spans", "1")
+		target += "&spans=1"
 	}
 	fanStart := time.Now()
-	replies, missing, ferr := rt.fanout(qctx, "/join", vals, traceID, rt.wantPartial(r))
+	replies, missing, ferr := rt.fanout(qctx, target, traceID, rt.wantPartial(q))
 	fanWall := time.Since(fanStart)
 	if ferr != nil {
 		rt.writeUpstreamFailure(w, "join", ferr)
@@ -228,17 +231,13 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		rt.writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	expr := r.URL.Query().Get("path")
+	q := r.URL.Query()
+	expr := q.Get("path")
 	if expr == "" {
 		rt.writeError(w, http.StatusBadRequest, "path query parameter is required")
 		return
 	}
-	canon, _, err := qserv.CanonicalPath(expr)
-	if err != nil {
-		rt.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	qctx, cancel, err := serve.RequestContext(r, rt.cfg.QueryTimeout)
+	qctx, cancel, err := serve.RequestContext(r, q, rt.cfg.QueryTimeout)
 	if err != nil {
 		rt.writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -249,23 +248,29 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	traceID := w.Header().Get("X-Trace-Id")
-	spans := serve.WantSpans(r)
-	key := fmt.Sprintf("%d\x00path\x00%s\x00%d", rt.epoch.Load(), canon, rt.cfg.MaxCodes)
+	spans := serve.WantSpans(q)
+	// Keyed by the path as sent, as at the nodes: a hit is never parsed.
+	key := strconv.FormatInt(rt.epoch.Load(), 10) + "\x00path\x00" + expr
 	if !spans {
 		if payload, ok := rt.cache.Get(key); ok {
 			rt.writePayload(w, http.StatusOK, payload, true, start)
-			rt.keepTrace(traceID, canon, cacheHitSpan("query", time.Since(start)))
-			fillTelemetry(telemetry.FromContext(r.Context()), canon, "", 0, 0, nil)
+			rt.keepTrace(traceID, expr, cacheHitSpan("query", time.Since(start)))
+			fillTelemetry(telemetry.FromContext(r.Context()), expr, "", 0, 0, nil)
 			return
 		}
 	}
+	canon, _, err := qserv.CanonicalPath(expr)
+	if err != nil {
+		rt.writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 
-	vals := url.Values{"path": {canon}, "limit": {strconv.Itoa(rt.cfg.MaxCodes)}}
+	target := "/query?limit=" + strconv.Itoa(rt.cfg.MaxCodes) + "&path=" + url.QueryEscape(canon)
 	if spans {
-		vals.Set("spans", "1")
+		target += "&spans=1"
 	}
 	fanStart := time.Now()
-	replies, missing, ferr := rt.fanout(qctx, "/query", vals, traceID, rt.wantPartial(r))
+	replies, missing, ferr := rt.fanout(qctx, target, traceID, rt.wantPartial(q))
 	fanWall := time.Since(fanStart)
 	if ferr != nil {
 		rt.writeUpstreamFailure(w, "path query", ferr)
@@ -342,7 +347,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleRelations(w http.ResponseWriter, r *http.Request) {
 	// The catalog is metadata, not a query: a partial union would misstate
 	// the corpus, so /relations never serves degraded.
-	replies, _, err := rt.fanout(r.Context(), "/relations", url.Values{}, w.Header().Get("X-Trace-Id"), false)
+	replies, _, err := rt.fanout(r.Context(), "/relations", w.Header().Get("X-Trace-Id"), false)
 	if err != nil {
 		rt.writeUpstreamFailure(w, "relations", err)
 		return

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -96,24 +97,25 @@ func (rt *Router) retryAfterHint(cands []*node) time.Duration {
 	return min
 }
 
-// callNode issues one GET to a node, propagating the trace ID and the
-// remaining deadline budget (via the node's ?timeout= clamp).
-func (rt *Router) callNode(ctx context.Context, nd *node, path string, vals url.Values, traceID string, hedged bool) nodeReply {
+// callNode issues one GET for target (path and encoded query) to a node,
+// propagating the trace ID and the remaining deadline budget (via the
+// node's ?timeout= clamp).
+func (rt *Router) callNode(ctx context.Context, nd *node, target, traceID string, hedged bool) nodeReply {
 	nd.requests.Add(1)
 	if hedged {
 		nd.hedges.Add(1)
 	}
-	vals = cloneValues(vals)
+	u := nd.url + target
 	if deadline, ok := ctx.Deadline(); ok {
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
 			return nodeReply{nd: nd, err: context.DeadlineExceeded, hedged: hedged}
 		}
-		vals.Set("timeout", remaining.Round(time.Microsecond).String())
-	}
-	u := nd.url + path
-	if enc := vals.Encode(); enc != "" {
-		u += "?" + enc
+		sep := "&"
+		if !strings.Contains(target, "?") {
+			sep = "?"
+		}
+		u += sep + "timeout=" + url.QueryEscape(remaining.Round(time.Microsecond).String())
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
@@ -160,7 +162,7 @@ func (rt *Router) callNode(ctx context.Context, nd *node, path string, vals url.
 // The first definitive response wins and cancels the others. On exhaustion
 // the error is an *unavailableError carrying a breaker-derived Retry-After
 // hint (or the ctx error when the caller's context died).
-func (rt *Router) callShard(ctx context.Context, si int, path string, vals url.Values, traceID string) (nodeReply, error) {
+func (rt *Router) callShard(ctx context.Context, si int, target, traceID string) (nodeReply, error) {
 	cands := rt.candidates(si)
 	actx, acancel := context.WithCancel(ctx)
 	defer acancel()
@@ -180,7 +182,7 @@ func (rt *Router) callShard(ctx context.Context, si int, path string, vals url.V
 			}
 			inflight++
 			go func() {
-				results <- rt.callNode(actx, nd, path, vals, traceID, hedged)
+				results <- rt.callNode(actx, nd, target, traceID, hedged)
 			}()
 			return true
 		}
@@ -310,11 +312,11 @@ func decodeError(body []byte) string {
 	return ""
 }
 
-// fanout runs the same request against every shard concurrently and
-// returns the per-shard replies (index = shard). Like shard.Engine's
-// in-process fan-out, the first error cancels the remaining shards, and a
-// real failure is reported in preference to the knock-on cancellations it
-// causes.
+// fanout runs the same request (target: path and encoded query) against
+// every shard concurrently and returns the per-shard replies (index =
+// shard). Like shard.Engine's in-process fan-out, the first error cancels
+// the remaining shards, and a real failure is reported in preference to
+// the knock-on cancellations it causes.
 //
 // With partial set (degraded serving), an exhausted shard — one where
 // every replica failed or was breaker-denied — does not abort the request:
@@ -323,7 +325,7 @@ func decodeError(body []byte) string {
 // gone) still abort: partiality only covers availability, never
 // correctness. When every shard is missing the request fails with the
 // first shard's unavailableError rather than returning an empty "answer".
-func (rt *Router) fanout(ctx context.Context, path string, vals url.Values, traceID string, partial bool) ([]nodeReply, []int, error) {
+func (rt *Router) fanout(ctx context.Context, target, traceID string, partial bool) ([]nodeReply, []int, error) {
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	replies := make([]nodeReply, len(rt.shards))
@@ -346,7 +348,7 @@ func (rt *Router) fanout(ctx context.Context, path string, vals url.Values, trac
 		wg.Add(1)
 		go func(si int) {
 			defer wg.Done()
-			r, err := rt.callShard(cctx, si, path, vals, traceID)
+			r, err := rt.callShard(cctx, si, target, traceID)
 			if err == nil && r.status != http.StatusOK {
 				err = &statusError{status: r.status, body: r.body}
 			}
@@ -376,14 +378,4 @@ func (rt *Router) fanout(ctx context.Context, path string, vals url.Values, trac
 	}
 	sort.Ints(missing)
 	return replies, missing, firstErr
-}
-
-// cloneValues copies a url.Values so per-attempt mutations (the timeout
-// budget) never race across goroutines.
-func cloneValues(v url.Values) url.Values {
-	out := make(url.Values, len(v)+1)
-	for k, vs := range v {
-		out[k] = append([]string(nil), vs...)
-	}
-	return out
 }

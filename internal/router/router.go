@@ -300,8 +300,7 @@ func New(cfg Config) (*Router, error) {
 	// Router-minted trace IDs carry an "r" so shared logs tell them from
 	// node-minted ones; propagated IDs pass through unchanged.
 	rt.handler = (&serve.Middleware{
-		IDFormat:  "r%07x-%08x",
-		IDPrefix:  uint32(time.Now().UnixNano()) & 0xfffffff,
+		IDPrefix:  fmt.Sprintf("r%07x-", uint32(time.Now().UnixNano())&0xfffffff),
 		Panics:    &rt.met.panics,
 		Errors:    &rt.met.errors,
 		Telemetry: cfg.Telemetry,

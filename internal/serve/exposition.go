@@ -73,12 +73,6 @@ func Exemplar(om bool, traceID string, value float64) string {
 	return fmt.Sprintf(" # {trace_id=%q} %g", traceID, value)
 }
 
-// formatBound renders a histogram bound the canonical Prometheus way
-// (shortest float representation).
-func formatBound(b float64) string {
-	return fmt.Sprintf("%g", b)
-}
-
 // WriteBuildInfo emits the build_info gauge family name: constant 1, the
 // labels carrying the main module's version, the toolchain and the VCS
 // revision ("unknown" when the binary was built without VCS stamping).

@@ -147,7 +147,7 @@ func (l *Latency) WriteHistogram(w io.Writer, name, labels string, om bool) {
 	var cum int64
 	for i, bound := range buckets[:] {
 		cum += hist[i]
-		fmt.Fprintf(w, "%s_bucket{%sle=%q} %d%s\n", name, le, formatBound(bound), cum,
+		fmt.Fprintf(w, "%s_bucket{%sle=\"%g\"} %d%s\n", name, le, bound, cum,
 			Exemplar(om, ex[i].traceID, ex[i].value))
 	}
 	cum += hist[len(buckets)]

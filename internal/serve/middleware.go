@@ -2,9 +2,9 @@ package serve
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,10 +29,9 @@ import (
 //     here;
 //   - writes one JSON access-log line.
 type Middleware struct {
-	// IDFormat renders a minted trace ID from IDPrefix (per-process
-	// entropy: the start time) and the request's sequence number.
-	IDFormat string
-	IDPrefix uint32
+	// IDPrefix (per-process entropy: the start time) and the request's
+	// sequence number, %08x, make a minted trace ID.
+	IDPrefix string
 	// Panics and Errors are the tier's counters the panic barrier bumps.
 	Panics, Errors *atomic.Int64
 	// AccessLog, when non-nil, receives one JSON line per finished
@@ -93,7 +92,9 @@ func (m *Middleware) Wrap(next http.Handler) http.Handler {
 		// one user request correlates across every access log it touched.
 		id := incomingTraceID(r)
 		if id == "" {
-			id = fmt.Sprintf(m.IDFormat, m.IDPrefix, m.seq.Add(1))
+			var buf [16]byte // %08x of the sequence number, one allocation
+			seq := strconv.AppendUint(buf[:0], m.seq.Add(1), 16)
+			id = m.IDPrefix + "00000000"[min(len(seq), 8):] + string(seq)
 		}
 		w.Header().Set("X-Trace-Id", id)
 		sw := &statusWriter{ResponseWriter: w}

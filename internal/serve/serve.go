@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"os"
 	"os/signal"
 	"syscall"
@@ -41,15 +42,18 @@ func WriteError(w http.ResponseWriter, status int, class, format string, args ..
 	json.NewEncoder(w).Encode(errorBody{Error: fmt.Sprintf(format, args...), Class: class}) //nolint:errcheck // best-effort error body
 }
 
+// WritePayload's fixed header values, assigned where Set would allocate:
+// nothing mutates them, and Header.Add on a full slice copies it.
+var jsonType, cacheHit, cacheMiss = []string{"application/json"}, []string{"hit"}, []string{"miss"}
+
 // WritePayload sends a rendered JSON answer, marking its cache disposition
 // in X-Cache. status is 200 for a complete answer (the router answers a
 // degraded one 206).
 func WritePayload(w http.ResponseWriter, status int, payload []byte, cached bool) {
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h["Content-Type"], h["X-Cache"] = jsonType, cacheMiss
 	if cached {
-		w.Header().Set("X-Cache", "hit")
-	} else {
-		w.Header().Set("X-Cache", "miss")
+		h["X-Cache"] = cacheHit
 	}
 	if status != http.StatusOK {
 		w.WriteHeader(status)
@@ -81,14 +85,14 @@ func Healthz(w http.ResponseWriter, r *http.Request) {
 	w.Write([]byte(`{"status":"ok"}`)) //nolint:errcheck // best effort
 }
 
-// RequestContext derives the execution context of one request: the
-// client's connection context (so a disconnect cancels the work), bounded
-// by limit and/or an explicit ?timeout= parameter. An explicit timeout is
-// clamped to limit when one is configured (limit 0 means no server
-// deadline). The returned cancel must always be called.
-func RequestContext(r *http.Request, limit time.Duration) (context.Context, context.CancelFunc, error) {
+// RequestContext derives the execution context of request r with parsed
+// query q: the client's connection context (a disconnect cancels the work),
+// bounded by limit and/or an explicit ?timeout= parameter, which is clamped
+// to limit when one is configured (limit 0 means no server deadline). The
+// returned cancel must always be called.
+func RequestContext(r *http.Request, q url.Values, limit time.Duration) (context.Context, context.CancelFunc, error) {
 	timeout := limit
-	if v := r.URL.Query().Get("timeout"); v != "" {
+	if v := q.Get("timeout"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil || d <= 0 {
 			return nil, nil, fmt.Errorf("invalid timeout %q (want a positive Go duration, e.g. 500ms)", v)
@@ -104,11 +108,11 @@ func RequestContext(r *http.Request, limit time.Duration) (context.Context, cont
 	return r.Context(), func() {}, nil
 }
 
-// WantSpans reports whether the request opted into span export
+// WantSpans reports whether parsed query q opts into span export
 // (?spans=1). Such requests bypass the result cache in both directions:
 // cached payloads are byte-identical across requests, so an embedded span
 // tree would replay another request's execution under this trace ID.
-func WantSpans(r *http.Request) bool { return r.URL.Query().Get("spans") == "1" }
+func WantSpans(q url.Values) bool { return q.Get("spans") == "1" }
 
 // Run serves h on addr until the process receives SIGINT or SIGTERM, then
 // drains: drain runs first (the tier's Drain flips /readyz to 503 so
