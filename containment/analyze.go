@@ -67,12 +67,15 @@ type SpanNode struct {
 	Children  []*SpanNode `json:"children,omitempty"`
 }
 
-// newAnalysis flattens the finished span tree.
+// newAnalysis flattens the finished span tree into Phases, sized once.
 func newAnalysis(res *Result, root *trace.Span) *Analysis {
 	an := &Analysis{Result: res, root: root}
 	if root == nil {
 		return an
 	}
+	n := 0
+	root.Walk(func(*trace.Span, int) { n++ })
+	an.Phases = make([]PhaseIO, 0, n)
 	root.Walk(func(sp *trace.Span, depth int) {
 		self := sp.Self()
 		an.Phases = append(an.Phases, PhaseIO{

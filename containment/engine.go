@@ -91,6 +91,10 @@ type Engine struct {
 	// core.Scratch): empty until the first join needs it, bounded by the
 	// pool size b, owned by the engine's one goroutine like the pool.
 	scratch core.Scratch
+	// matched is Chain's match collector, working memory like scratch: made
+	// by the first chain, kept across chains up to the b-page bound (see
+	// matches).
+	matched *matches
 	// docs is the per-document catalog (SaveDocs / Open); nil when the
 	// database predates document tracking or none was supplied.
 	docs []DocInfo
@@ -451,6 +455,18 @@ func coreAlg(a Algorithm) core.Algorithm {
 	}
 }
 
+// joinState is one join's fixed working state in one allocation: the
+// execution context, its counters, the sink that applies the options, and
+// the copy of the options the sink reads. The join's Result is not part of
+// it: an Analysis outlives its join (the serving trace ring keeps them),
+// and the context points at the engine's pool and working memory.
+type joinState struct {
+	stats core.Stats
+	ctx   core.Context
+	sink  optSink
+	opts  JoinOptions
+}
+
 // optSink adapts JoinOptions to a core.Sink.
 type optSink struct {
 	res  *Result
@@ -522,8 +538,9 @@ func (e *Engine) snapCounters(stats *core.Stats) func() trace.Counters {
 // reflecting the partial execution (counters, I/O, a root span annotated
 // "canceled"/"error"), and the engine's temporary join state is released.
 func (e *Engine) join(goCtx context.Context, a, d *Relation, opts JoinOptions, traced bool) (*Result, *trace.Span, error) {
-	stats := &core.Stats{}
-	ctx := &core.Context{
+	st := &joinState{opts: opts}
+	stats, ctx, sink := &st.stats, &st.ctx, &st.sink
+	*ctx = core.Context{
 		Pool:              e.pool,
 		TreeHeight:        e.cfg.TreeHeight,
 		MaxAncestorHeight: a.maxHeight,
@@ -537,7 +554,7 @@ func (e *Engine) join(goCtx context.Context, a, d *Relation, opts JoinOptions, t
 	}
 	spec := effectiveSpec(&opts, a, d)
 	res := &Result{}
-	sink := &optSink{res: res, opts: &opts}
+	*sink = optSink{res: res, opts: &st.opts}
 
 	// Resolve Auto up front so the cost prediction names the algorithm
 	// that actually runs.
@@ -563,7 +580,7 @@ func (e *Engine) join(goCtx context.Context, a, d *Relation, opts JoinOptions, t
 	// Arm the buffer pool directly (not only inside core.Run) so the
 	// forced-rollup and persistent-index dispatch paths below are equally
 	// cancelable.
-	restore := ctx.ArmPool()
+	prev := ctx.ArmPool()
 	var err error
 	switch {
 	case opts.Algorithm == MHCJRollup && opts.RollupTarget > 0:
@@ -578,7 +595,7 @@ func (e *Engine) join(goCtx context.Context, a, d *Relation, opts JoinOptions, t
 			alg, err = core.Run(ctx, alg, spec, a.rel, d.rel, sink)
 		}
 	}
-	restore()
+	ctx.DisarmPool(prev)
 	wall := time.Since(start)
 	io := e.disk.Stats().Sub(before)
 	poolIO := e.pool.Stats().Sub(poolBefore)

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 
+	"github.com/pbitree/pbitree/internal/relation"
 	"github.com/pbitree/pbitree/pbicode"
 	"github.com/pbitree/pbitree/xmltree"
 )
@@ -105,14 +106,31 @@ func SortDocOrder(codes []pbicode.Code) {
 // matches collects the descendant side of one path step's join pairs and
 // yields the distinct matched elements in document order — the step's
 // output, and the next step's ancestor set. Chain passes Emit as each
-// step's JoinOptions.Emit; one collector serves all the steps of a chain,
-// Reset in between, so the steps share one buffer.
+// step's JoinOptions.Emit. One collector serves every chain an engine runs
+// (Engine.matched), Reset before each step, so a warm chain's steps append
+// into a buffer that no longer grows. Like the stack-tree-anc arena, a
+// buffer past b pages' worth of records is dropped when its chain ends
+// (release), so an engine keeps at most that much between chains.
 //
 // There is no hash set: a descendant with several matching ancestors is
 // emitted once per ancestor, so duplicates are dropped by sorting. Most
 // never get that far — the hash-probe joins emit a descendant's pairs back
 // to back, which Emit collapses as they arrive.
-type matches struct{ codes []pbicode.Code }
+type matches struct {
+	codes []pbicode.Code
+	// emit is Emit bound once, for JoinOptions.Emit. It points back at the
+	// collector, which is why that is an object of its own: an Engine that
+	// reached itself could never be finalized, and the serving tests watch
+	// retired engines get collected through their finalizers.
+	emit func(Pair) error
+}
+
+// newMatches returns an empty collector.
+func newMatches() *matches {
+	m := &matches{}
+	m.emit = m.Emit
+	return m
+}
 
 // Emit records p's descendant.
 func (m *matches) Emit(p Pair) error {
@@ -132,6 +150,13 @@ func (m *matches) Distinct() []pbicode.Code {
 
 // Reset empties the collector for the next step, keeping its buffer.
 func (m *matches) Reset() { m.codes = m.codes[:0] }
+
+// release ends a chain: it drops a buffer larger than maxKeep codes.
+func (m *matches) release(maxKeep int) {
+	if cap(m.codes) > maxKeep {
+		m.codes = nil
+	}
+}
 
 // ChainStep is one step of a containment-join chain: the join of the
 // previous step's distinct matches (the anchor, for the first step) with
@@ -173,7 +198,9 @@ type StepReport struct {
 //     "canceled (deadline)".
 //
 // With no steps the result is the anchor's own codes. The anchor and the
-// step relations stay the caller's to free.
+// step relations stay the caller's to free. The returned codes are the
+// caller's: a slice of their own, which no later call of the engine
+// touches.
 func (e *Engine) Chain(ctx context.Context, anchor *Relation, steps []ChainStep) ([]pbicode.Code, []StepReport, error) {
 	reps := make([]StepReport, len(steps))
 	if anchor == nil {
@@ -184,7 +211,11 @@ func (e *Engine) Chain(ctx context.Context, anchor *Relation, steps []ChainStep)
 		SortDocOrder(codes)
 		return codes, reps, err
 	}
-	var matched matches
+	if e.matched == nil {
+		e.matched = newMatches()
+	}
+	matched := e.matched
+	defer matched.release(e.pool.Size() * relation.PerPage(e.pool.PageSize()))
 	var cur []pbicode.Code
 	anc, n := anchor, anchor.Len()
 	for i, st := range steps {
@@ -198,7 +229,7 @@ func (e *Engine) Chain(ctx context.Context, anchor *Relation, steps []ChainStep)
 			}
 		}
 		matched.Reset() // cur, its previous content, is loaded into anc by now
-		an, err := e.AnalyzeContext(ctx, anc, st.Desc, JoinOptions{Emit: matched.Emit, Filter: st.Filter})
+		an, err := e.AnalyzeContext(ctx, anc, st.Desc, JoinOptions{Emit: matched.emit, Filter: st.Filter})
 		if anc != anchor {
 			// An aborted join has already released temp state; freeing
 			// again is a harmless no-op.
@@ -214,7 +245,9 @@ func (e *Engine) Chain(ctx context.Context, anchor *Relation, steps []ChainStep)
 			return nil, reps[:i+1], err
 		}
 	}
-	return cur, reps, nil
+	out := make([]pbicode.Code, len(cur))
+	copy(out, cur)
+	return out, reps, nil
 }
 
 // Query evaluates a path expression over doc and returns the codes of the

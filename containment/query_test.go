@@ -235,3 +235,44 @@ func TestChainRules(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestChainResultIsCallers pins Chain's result contract: the codes are the
+// caller's, an exactly-sized slice of their own. The engine's match
+// collector is reused by its next chain, which must leave the first
+// result as it was.
+func TestChainResultIsCallers(t *testing.T) {
+	doc, err := xmltree.ParseString("<r><a><b><c/></b><c/></a><a><b/><c/></a><c/></r>", xmltree.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(Config{BufferPages: 32, TreeHeight: doc.Height})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	rel := map[string]*Relation{}
+	for _, tag := range []string{"a", "b", "c"} {
+		if rel[tag], err = e.Load(tag, doc.Codes(tag)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	first, _, err := e.Chain(ctx, rel["a"], []ChainStep{{Desc: rel["c"]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := doc.Codes("c")[:3]
+	if !slices.Equal(first, want) || cap(first) != len(first) {
+		t.Fatalf("//a//c = %v (cap %d), want %v exactly sized", first, cap(first), want)
+	}
+	second, _, err := e.Chain(ctx, rel["a"], []ChainStep{{Desc: rel["b"]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(second, doc.Codes("b")) {
+		t.Fatalf("//a//b = %v, want %v", second, doc.Codes("b"))
+	}
+	if !slices.Equal(first, want) {
+		t.Fatalf("the second chain rewrote the first's result: %v, want %v", first, want)
+	}
+}

@@ -35,6 +35,14 @@ func (s Stats) Sub(t Stats) Stats {
 	}
 }
 
+// Interrupter is the check a pool polls before every page request while
+// it is installed (SetInterrupt): a non-nil error from Canceled aborts the
+// request. A join execution installs its own context, which answers
+// whether the request it serves was canceled.
+type Interrupter interface {
+	Canceled() error
+}
+
 // Frame is a pinned page in the pool. Data aliases the pool's frame memory
 // and is valid until the matching Unpin; callers that modified Data must
 // unpin with dirty = true.
@@ -66,7 +74,7 @@ type Pool struct {
 	// Join executions arm it with their cancellation check, giving every
 	// algorithm page-granularity cooperative cancellation without touching
 	// the algorithms themselves; unarmed executions pay one nil check.
-	interrupt func() error
+	interrupt Interrupter
 	// slabs is the free list scans draw their page decode buffers from
 	// (TakeSlab / GiveSlab): a finished scan hands its buffer back and the
 	// next scan through this pool reuses it. Like everything else in the
@@ -142,15 +150,15 @@ func (p *Pool) Absorb(s Stats) {
 	p.stats.Flushes += s.Flushes
 }
 
-// SetInterrupt installs f as the pool's interrupt check and returns the
+// SetInterrupt installs i as the pool's interrupt check and returns the
 // previous one (nil if none), so nested executions can save and restore it.
-// While installed, f runs before every Fetch and NewPage; a non-nil return
-// aborts that request with the error. Cleanup paths (Unpin, Evict, Discard,
-// FlushAll) are deliberately exempt so an interrupted join can always
-// release its pages and temp relations.
-func (p *Pool) SetInterrupt(f func() error) func() error {
+// While installed, i is polled before every Fetch and NewPage; a non-nil
+// return aborts that request with the error. Cleanup paths (Unpin, Evict,
+// Discard, FlushAll) are deliberately exempt so an interrupted join can
+// always release its pages and temp relations.
+func (p *Pool) SetInterrupt(i Interrupter) Interrupter {
 	prev := p.interrupt
-	p.interrupt = f
+	p.interrupt = i
 	return prev
 }
 
@@ -167,7 +175,7 @@ func (p *Pool) ResetStats() { p.stats = Stats{} }
 // is not resident.
 func (p *Pool) Fetch(id storage.PageID) (Frame, error) {
 	if p.interrupt != nil {
-		if err := p.interrupt(); err != nil {
+		if err := p.interrupt.Canceled(); err != nil {
 			return Frame{}, err
 		}
 	}
@@ -199,7 +207,7 @@ func (p *Pool) Fetch(id storage.PageID) (Frame, error) {
 // frame. The page is marked dirty so it reaches disk even if untouched.
 func (p *Pool) NewPage() (Frame, error) {
 	if p.interrupt != nil {
-		if err := p.interrupt(); err != nil {
+		if err := p.interrupt.Canceled(); err != nil {
 			return Frame{}, err
 		}
 	}

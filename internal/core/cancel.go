@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+
+	"github.com/pbitree/pbitree/internal/buffer"
 )
 
 // ErrCanceled is returned (wrapped) by every join algorithm when the
@@ -47,15 +49,21 @@ func (c *Context) Canceled() error {
 	}
 }
 
-// ArmPool installs the context's cancellation check as the buffer pool's
-// interrupt, giving every page access cancellation granularity, and
-// returns a restore function that reinstates the previous interrupt.
-// With no context attached it is a no-op. Arming nests safely: inner
-// executions save and restore the outer interrupt.
-func (c *Context) ArmPool() func() {
+// ArmPool installs the context as the buffer pool's interrupt, so its
+// cancellation check runs before every page access, and returns the
+// interrupt it replaced for DisarmPool to reinstate. With no context
+// attached it is a no-op. Arming nests safely: inner executions save and
+// restore the outer interrupt. Neither call allocates.
+func (c *Context) ArmPool() (prev buffer.Interrupter) {
 	if c.Ctx == nil {
-		return func() {}
+		return nil
 	}
-	prev := c.Pool.SetInterrupt(c.Canceled)
-	return func() { c.Pool.SetInterrupt(prev) }
+	return c.Pool.SetInterrupt(c)
+}
+
+// DisarmPool reinstates the interrupt ArmPool replaced.
+func (c *Context) DisarmPool(prev buffer.Interrupter) {
+	if c.Ctx != nil {
+		c.Pool.SetInterrupt(prev)
+	}
 }

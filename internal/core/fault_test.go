@@ -245,9 +245,9 @@ func TestJoinsCancelCleanly(t *testing.T) {
 			if at == 0 {
 				cancel() // canceled before the join even starts
 			}
-			restore := ctx.ArmPool()
+			prev := ctx.ArmPool()
 			err = fn(ctx, a, dd, &CountSink{})
-			restore()
+			ctx.DisarmPool(prev)
 			cancel()
 			// A join whose whole working set is already resident may finish
 			// without another page request; otherwise cancellation must

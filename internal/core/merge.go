@@ -1,6 +1,7 @@
 package core
 
 import (
+	"github.com/pbitree/pbitree/internal/buffer"
 	"github.com/pbitree/pbitree/internal/extsort"
 	"github.com/pbitree/pbitree/internal/relation"
 )
@@ -39,11 +40,11 @@ func sortWith(ctx *Context, rel *relation.Relation, key extsort.KeyFunc, name st
 
 // interruptOf returns the cancellation poll for worker pools, nil when the
 // context is uncancelable.
-func interruptOf(ctx *Context) func() error {
+func interruptOf(ctx *Context) buffer.Interrupter {
 	if ctx.Ctx == nil {
 		return nil
 	}
-	return ctx.Canceled
+	return ctx
 }
 
 // stack is the ancestor stack shared by the merge joins: a chain of nested

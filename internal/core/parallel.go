@@ -167,9 +167,9 @@ func (c *Context) runParallel(degree, n int, span string, detail func(i int) str
 						}
 					})
 				}
-				restore := child.ArmPool()
+				prev := child.ArmPool()
 				err := fn(child, i)
-				restore()
+				child.DisarmPool(prev)
 				if root := child.Trace.Finish(); root != nil {
 					root.Detail = detail(i)
 					childRoots[i] = root

@@ -276,9 +276,9 @@ func TestParallelCancelMidFanOut(t *testing.T) {
 			if at == 0 {
 				cancel()
 			}
-			restore := ctx.ArmPool()
+			prev := ctx.ArmPool()
 			err = fn(ctx, a, dd, &CountSink{})
-			restore()
+			ctx.DisarmPool(prev)
 			cancel()
 			if err != nil {
 				if !errors.Is(err, ErrCanceled) {

@@ -102,7 +102,7 @@ func Run(ctx *Context, alg Algorithm, spec InputSpec, a, d *relation.Relation, s
 	// Arm the buffer pool with the context's cancellation check for the
 	// duration of the execution; every algorithm below becomes cancelable
 	// at page granularity without further plumbing.
-	defer ctx.ArmPool()()
+	defer ctx.DisarmPool(ctx.ArmPool())
 	if alg == AlgAuto {
 		alg = Choose(ctx, spec, a, d)
 	}

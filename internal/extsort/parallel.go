@@ -18,7 +18,7 @@ type ParallelOpts struct {
 	// Interrupt, when non-nil, is installed on every worker pool so
 	// cancellation reaches a fan-out at page granularity, exactly as
 	// core.Context.ArmPool does for the serial path.
-	Interrupt func() error
+	Interrupt buffer.Interrupter
 }
 
 // SortParallel is Sort with parallel run generation: the input's
@@ -97,7 +97,7 @@ func (s *Scratch) SortParallel(pool *buffer.Pool, in *relation.Relation, key Key
 // exactly as if makeRuns had produced them. Returns the runs in chunk
 // order and, when traced, one finished span tree per chunk (also in chunk
 // order).
-func (s *Scratch) makeRunsParallel(pool *buffer.Pool, in *relation.Relation, key KeyFunc, chunkPages, chunkRecs, nChunks, degree int, name string, traced bool, interrupt func() error) ([]*relation.Relation, []*trace.Span, error) {
+func (s *Scratch) makeRunsParallel(pool *buffer.Pool, in *relation.Relation, key KeyFunc, chunkPages, chunkRecs, nChunks, degree int, name string, traced bool, interrupt buffer.Interrupter) ([]*relation.Relation, []*trace.Span, error) {
 	runs := make([]*relation.Relation, nChunks)
 	roots := make([]*trace.Span, nChunks)
 	errs := make([]error, nChunks)

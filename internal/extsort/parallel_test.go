@@ -152,6 +152,11 @@ func TestSortParallelError(t *testing.T) {
 	}
 }
 
+// interruptFunc adapts a function to buffer.Interrupter.
+type interruptFunc func() error
+
+func (f interruptFunc) Canceled() error { return f() }
+
 // TestSortParallelInterrupt checks that a worker-pool interrupt aborts the
 // fan-out with the interrupt's error.
 func TestSortParallelInterrupt(t *testing.T) {
@@ -165,12 +170,12 @@ func TestSortParallelInterrupt(t *testing.T) {
 	var calls atomic.Int64
 	_, err := new(Scratch).SortParallel(pool, in, ByStartEndDesc, 8, "out", nil, ParallelOpts{
 		Degree: 2,
-		Interrupt: func() error {
+		Interrupt: interruptFunc(func() error {
 			if calls.Add(1) > 10 {
 				return stop
 			}
 			return nil
-		},
+		}),
 	})
 	if !errors.Is(err, stop) {
 		t.Fatalf("err = %v, want interrupt error", err)

@@ -139,7 +139,7 @@ func (s *Server) traceJoin(w http.ResponseWriter, r *http.Request, q url.Values,
 	}
 	s.met.recordJoin(an.Result)
 	s.met.recordPhases(an.Result.Algorithm, an.Phases, traceID)
-	s.keepTrace(traceID, "//"+anc+"//"+desc, an)
+	s.keepTrace(traceID, "//"+anc+"//"+desc, false, an)
 	serve.WriteJSON(w, traceResponse{
 		TraceID: w.Header().Get("X-Trace-Id"),
 		Query:   "//" + anc + "//" + desc,
@@ -194,6 +194,6 @@ func (s *Server) traceQuery(w http.ResponseWriter, r *http.Request, q url.Values
 		// per step on sharded workers too, each shard's tree under it.
 		resp.Joins = append(resp.Joins, spanSet(stepInfo[i].Anc, stepInfo[i].Desc, an))
 	}
-	s.keepTrace(resp.TraceID, canon, analyses...)
+	s.keepTrace(resp.TraceID, canon, false, analyses...)
 	serve.WriteJSON(w, resp)
 }

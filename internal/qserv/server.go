@@ -572,13 +572,31 @@ type JoinResponse struct {
 	Spans   *trace.WireSpan `json:"spans,omitempty"`
 }
 
-// keepTrace converts executed joins' span trees to the wire shape, stores
-// them in the trace ring under the request's trace ID (retrievable via
-// GET /debug/trace/{id}), and returns them. Partial analyses from aborted
-// executions keep their partial trees — those are the interesting ones.
-func (s *Server) keepTrace(traceID, query string, analyses ...*containment.Analysis) []*trace.WireSpan {
+// nodeTrace is one executed request's trace as the ring keeps it: the
+// joins' analyses, whose finished span trees and predicted I/O are all a
+// rendering needs. GET /debug/trace/{id} builds the wire shape when it
+// reads the entry.
+type nodeTrace struct {
+	id, query string
+	at        time.Time
+	analyses  []*containment.Analysis
+}
+
+func (t *nodeTrace) ID() string { return t.id }
+
+func (t *nodeTrace) Record() *trace.Record {
+	return &trace.Record{
+		TraceID: t.id,
+		TS:      t.at.UTC().Format(time.RFC3339Nano),
+		Query:   t.query,
+		Spans:   t.spans(),
+	}
+}
+
+// spans renders the joins' span trees in the wire shape.
+func (t *nodeTrace) spans() []*trace.WireSpan {
 	var spans []*trace.WireSpan
-	for _, an := range analyses {
+	for _, an := range t.analyses {
 		if an == nil {
 			continue
 		}
@@ -586,16 +604,36 @@ func (s *Server) keepTrace(traceID, query string, analyses ...*containment.Analy
 			spans = append(spans, ws)
 		}
 	}
-	if len(spans) == 0 {
+	return spans
+}
+
+// keepTrace stores executed joins' traces in the ring under the request's
+// trace ID (retrievable via GET /debug/trace/{id}), which renders them when
+// read. Partial analyses from aborted executions keep their partial trees —
+// those are the interesting ones. With render set the wire spans are also
+// built now and returned, for a request that asked for them (?spans=1) or
+// whose telemetry record may keep them (wantWire); otherwise keepTrace
+// returns nil.
+func (s *Server) keepTrace(traceID, query string, render bool, analyses ...*containment.Analysis) []*trace.WireSpan {
+	t := &nodeTrace{id: traceID, query: query, at: time.Now(), analyses: analyses}
+	for _, an := range analyses {
+		if an != nil && an.Root() != nil {
+			s.traces.Put(t)
+			break
+		}
+	}
+	if !render {
 		return nil
 	}
-	s.traces.Put(&trace.Record{
-		TraceID: traceID,
-		TS:      time.Now().UTC().Format(time.RFC3339Nano),
-		Query:   query,
-		Spans:   spans,
-	})
-	return spans
+	return t.spans()
+}
+
+// wantWire reports whether a request needs its joins' wire spans as it
+// finishes: it asked for them (?spans=1), or the telemetry sidecar captures
+// slow queries' span trees and its record (nil when telemetry is off) may
+// be one.
+func (s *Server) wantWire(spans bool, rec *telemetry.Record) bool {
+	return spans || (rec != nil && s.cfg.Telemetry.SlowQuery() > 0)
 }
 
 // cacheKey is the result-cache key of one query: the epoch it was answered
@@ -646,8 +684,10 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	}
 	spans := serve.WantSpans(q)
 	// ?spans=1 bypasses the result cache entirely (no lookup, no store);
-	// like /debug/trace, the flag exists to observe execution.
-	if !spans {
+	// like /debug/trace, the flag exists to observe execution. A node
+	// without a cache builds no key.
+	cached := !spans && s.cache != nil
+	if cached {
 		epoch := s.servingEpoch()
 		if payload, ok := s.cache.Get(cacheKey(epoch, "join", anc, desc, int(alg))); ok {
 			s.stampEpoch(w, epoch)
@@ -681,15 +721,16 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	})
 	query := "//" + anc + "//" + desc
 	if err != nil {
-		s.keepTrace(traceID, query, an)
+		s.keepTrace(traceID, query, false, an)
 		recycle = s.finishJoinError(w, "join", err)
 		return
 	}
 	res := an.Result
 	s.met.recordJoin(res)
 	s.met.recordPhases(res.Algorithm, an.Phases, traceID)
-	ws := s.keepTrace(traceID, query, an)
-	if rec := telemetry.FromContext(r.Context()); rec != nil {
+	rec := telemetry.FromContext(r.Context())
+	ws := s.keepTrace(traceID, query, s.wantWire(spans, rec), an)
+	if rec != nil {
 		rec.Query = query
 		fillTelemetry(rec, []*containment.Analysis{an}, ws)
 	}
@@ -708,7 +749,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	payload := serve.MustJSON(resp)
-	if !spans {
+	if cached {
 		// Stored under the epoch the borrowed worker actually executed
 		// against (a swap may have landed between lookup and acquire), so a
 		// cached payload always matches its key's epoch.
@@ -783,7 +824,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// A hit is keyed by the expression as sent, so it is never parsed:
 	// only answers are stored, and an answer is a function of the
 	// expression. Two spellings of one path take two entries.
-	if !spans {
+	cached := !spans && s.cache != nil
+	if cached {
 		epoch := s.servingEpoch()
 		if payload, ok := s.cache.Get(cacheKey(epoch, "path", expr, "", limit)); ok {
 			s.stampEpoch(w, epoch)
@@ -824,7 +866,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return qerr
 	})
 	if err != nil {
-		s.keepTrace(traceID, canon, analyses...)
+		s.keepTrace(traceID, canon, false, analyses...)
 		recycle = s.finishJoinError(w, "path query", err)
 		return
 	}
@@ -836,8 +878,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.met.recordPhases(res.Algorithm, an.Phases, traceID)
 		io.Add(res.IO)
 	}
-	ws := s.keepTrace(traceID, canon, analyses...)
-	if rec := telemetry.FromContext(r.Context()); rec != nil {
+	rec := telemetry.FromContext(r.Context())
+	ws := s.keepTrace(traceID, canon, s.wantWire(spans, rec), analyses...)
+	if rec != nil {
 		rec.Query = canon
 		fillTelemetry(rec, analyses, ws)
 	}
@@ -857,7 +900,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		resp.Codes[i] = uint64(codes[i])
 	}
 	payload := serve.MustJSON(resp)
-	if !spans {
+	if cached {
 		s.cache.Put(cacheKey(wk.epoch(), "path", expr, "", limit), payload)
 	}
 	s.writePayload(w, payload, false, start)

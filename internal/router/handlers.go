@@ -136,13 +136,15 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 	traceID := w.Header().Get("X-Trace-Id")
 	query := "//" + anc + "//" + desc
 	spans := serve.WantSpans(q)
-	key := strconv.FormatInt(rt.epoch.Load(), 10) + "\x00join\x00" + anc + "\x00" + desc + "\x00" + strconv.Itoa(int(alg))
 	// ?spans=1 bypasses the cache entirely (no lookup, no store), same rule
-	// as the nodes (serve.WantSpans).
-	if !spans {
+	// as the nodes (serve.WantSpans). A router without a cache builds no key.
+	var key string
+	cached := !spans && rt.cache != nil
+	if cached {
+		key = strconv.FormatInt(rt.epoch.Load(), 10) + "\x00join\x00" + anc + "\x00" + desc + "\x00" + strconv.Itoa(int(alg))
 		if payload, ok := rt.cache.Get(key); ok {
 			rt.writePayload(w, http.StatusOK, payload, true, start)
-			rt.keepTrace(traceID, query, cacheHitSpan("join", time.Since(start)))
+			rt.keepHit(traceID, "join", query, start)
 			fillTelemetry(telemetry.FromContext(r.Context()), query, "", 0, 0, nil)
 			return
 		}
@@ -166,8 +168,11 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 	}
 	mergeStart := time.Now()
 	merged := qserv.JoinResponse{Anc: anc, Desc: desc}
-	kids := make([]*trace.WireSpan, 0, len(replies))
-	for _, rep := range replies {
+	var subs [][]*trace.WireSpan // each shard's node spans, under ?spans=1
+	if spans {
+		subs = make([][]*trace.WireSpan, len(replies))
+	}
+	for si, rep := range replies {
 		if rep.nd == nil { // shard skipped by degraded serving
 			continue
 		}
@@ -184,10 +189,8 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 		merged.PredictedIO += jr.PredictedIO
 		merged.VirtualUS += jr.VirtualUS
 		merged.Algorithm = shard.MergeAlgo(merged.Algorithm, jr.Algorithm)
-		if jr.Spans != nil {
-			kids = append(kids, nodeSpan(rep, jr.Spans))
-		} else {
-			kids = append(kids, nodeSpan(rep))
+		if spans && jr.Spans != nil {
+			subs[si] = []*trace.WireSpan{jr.Spans}
 		}
 	}
 	// Shards ran concurrently: the envelope is the honest wall time, like
@@ -199,13 +202,14 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 		merged.MissingShards = missing
 		status = http.StatusPartialContent
 		rt.met.partials.Add(1)
-		for _, si := range missing {
-			kids = append(kids, missingSpan(si))
-		}
 	}
-	root := rt.keepTrace(traceID, query,
-		stitch("join", time.Since(start), fanWall, time.Since(mergeStart), kids))
-	fillTelemetry(telemetry.FromContext(r.Context()), query, merged.Algorithm, merged.PageIO, merged.PredictedIO, root)
+	rec := telemetry.FromContext(r.Context())
+	root := rt.keepTrace(&routedTrace{
+		id: traceID, what: "join", query: query,
+		wall: time.Since(start), fanWall: fanWall, mergeWall: time.Since(mergeStart),
+		replies: replies, missing: missing, subs: subs,
+	}, spans || rec != nil)
+	fillTelemetry(rec, query, merged.Algorithm, merged.PageIO, merged.PredictedIO, root)
 	if spans {
 		merged.TraceID = traceID
 		merged.Spans = root
@@ -213,7 +217,7 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 	payload := serve.MustJSON(merged)
 	// Partial answers never enter the cache: stored payloads are always
 	// complete, so a later full request cannot be served an undercount.
-	if !spans && len(missing) == 0 {
+	if cached && len(missing) == 0 {
 		rt.cache.Put(key, payload)
 	}
 	rt.writePayload(w, status, payload, false, start)
@@ -250,11 +254,13 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	traceID := w.Header().Get("X-Trace-Id")
 	spans := serve.WantSpans(q)
 	// Keyed by the path as sent, as at the nodes: a hit is never parsed.
-	key := strconv.FormatInt(rt.epoch.Load(), 10) + "\x00path\x00" + expr
-	if !spans {
+	var key string
+	cached := !spans && rt.cache != nil
+	if cached {
+		key = strconv.FormatInt(rt.epoch.Load(), 10) + "\x00path\x00" + expr
 		if payload, ok := rt.cache.Get(key); ok {
 			rt.writePayload(w, http.StatusOK, payload, true, start)
-			rt.keepTrace(traceID, expr, cacheHitSpan("query", time.Since(start)))
+			rt.keepHit(traceID, "query", expr, start)
 			fillTelemetry(telemetry.FromContext(r.Context()), expr, "", 0, 0, nil)
 			return
 		}
@@ -279,8 +285,11 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	mergeStart := time.Now()
 	resp := qserv.QueryResponse{Path: canon}
 	var codes []pbicode.Code
-	kids := make([]*trace.WireSpan, 0, len(replies))
-	for _, rep := range replies {
+	var subs [][]*trace.WireSpan // each shard's node spans, under ?spans=1
+	if spans {
+		subs = make([][]*trace.WireSpan, len(replies))
+	}
+	for si, rep := range replies {
 		if rep.nd == nil { // shard skipped by degraded serving
 			continue
 		}
@@ -291,13 +300,20 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		resp.Count += qr.Count
+		if codes == nil {
+			// Shards are alike in size: room for every shard's list as long
+			// as the first one's.
+			codes = make([]pbicode.Code, 0, len(qr.Codes)*len(replies))
+		}
 		for _, c := range qr.Codes {
 			codes = append(codes, pbicode.Code(c))
 		}
 		resp.PageIO += qr.PageIO
 		resp.VirtualUS += qr.VirtualUS
 		resp.Steps = shard.MergeSteps(resp.Steps, qr.Steps)
-		kids = append(kids, nodeSpan(rep, qr.Spans...))
+		if spans {
+			subs[si] = qr.Spans
+		}
 	}
 	// Each node returned its shard's first MaxCodes matches in document
 	// order; the global first MaxCodes are a subset of their union.
@@ -318,24 +334,27 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		resp.MissingShards = missing
 		status = http.StatusPartialContent
 		rt.met.partials.Add(1)
-		for _, si := range missing {
-			kids = append(kids, missingSpan(si))
+	}
+	rec := telemetry.FromContext(r.Context())
+	root := rt.keepTrace(&routedTrace{
+		id: traceID, what: "query", query: canon,
+		wall: time.Since(start), fanWall: fanWall, mergeWall: time.Since(mergeStart),
+		replies: replies, missing: missing, subs: subs,
+	}, spans || rec != nil)
+	if rec != nil {
+		var alg string
+		for _, st := range resp.Steps {
+			alg = shard.MergeAlgo(alg, st.Algorithm)
 		}
+		fillTelemetry(rec, canon, alg, resp.PageIO, root.PredictedIO, root)
 	}
-	var alg string
-	for _, st := range resp.Steps {
-		alg = shard.MergeAlgo(alg, st.Algorithm)
-	}
-	root := rt.keepTrace(traceID, canon,
-		stitch("query", time.Since(start), fanWall, time.Since(mergeStart), kids))
-	fillTelemetry(telemetry.FromContext(r.Context()), canon, alg, resp.PageIO, root.PredictedIO, root)
 	if spans {
 		resp.TraceID = traceID
 		resp.Spans = []*trace.WireSpan{root}
 	}
 	payload := serve.MustJSON(resp)
 	// Partial answers never enter the cache (see handleJoin).
-	if !spans && len(missing) == 0 {
+	if cached && len(missing) == 0 {
 		rt.cache.Put(key, payload)
 	}
 	rt.writePayload(w, status, payload, false, start)

@@ -163,7 +163,8 @@ func (rt *Router) callNode(ctx context.Context, nd *node, target, traceID string
 // the error is an *unavailableError carrying a breaker-derived Retry-After
 // hint (or the ctx error when the caller's context died).
 func (rt *Router) callShard(ctx context.Context, si int, target, traceID string) (nodeReply, error) {
-	cands := rt.candidates(si)
+	var buf [8]*node
+	cands := rt.candidates(si, buf[:])
 	actx, acancel := context.WithCancel(ctx)
 	defer acancel()
 
@@ -312,6 +313,40 @@ func decodeError(body []byte) string {
 	return ""
 }
 
+// fanState is one fan-out's shared state, written by its per-shard
+// goroutines under mu: what they all capture, in one allocation.
+type fanState struct {
+	wg        sync.WaitGroup
+	mu        sync.Mutex
+	cancel    context.CancelFunc
+	firstErr  error
+	missing   []int
+	firstSkip *unavailableError
+}
+
+// fail records err, preferring a real failure over the knock-on
+// cancellations it causes, and cancels the remaining shards.
+func (f *fanState) fail(err error) {
+	f.mu.Lock()
+	if f.firstErr == nil ||
+		(containment.Classify(f.firstErr) == containment.FailCanceled &&
+			containment.Classify(err) != containment.FailCanceled) {
+		f.firstErr = err
+	}
+	f.mu.Unlock()
+	f.cancel()
+}
+
+// skip records an exhausted shard that degraded serving leaves out.
+func (f *fanState) skip(si int, ue *unavailableError) {
+	f.mu.Lock()
+	f.missing = append(f.missing, si)
+	if f.firstSkip == nil || ue.shard < f.firstSkip.shard {
+		f.firstSkip = ue
+	}
+	f.mu.Unlock()
+}
+
 // fanout runs the same request (target: path and encoded query) against
 // every shard concurrently and returns the per-shard replies (index =
 // shard). Like shard.Engine's in-process fan-out, the first error cancels
@@ -326,28 +361,15 @@ func decodeError(body []byte) string {
 // correctness. When every shard is missing the request fails with the
 // first shard's unavailableError rather than returning an empty "answer".
 func (rt *Router) fanout(ctx context.Context, target, traceID string, partial bool) ([]nodeReply, []int, error) {
+	f := &fanState{}
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	f.cancel = cancel
 	replies := make([]nodeReply, len(rt.shards))
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	var missing []int
-	var firstSkip *unavailableError
-	report := func(err error) {
-		mu.Lock()
-		if firstErr == nil ||
-			(containment.Classify(firstErr) == containment.FailCanceled &&
-				containment.Classify(err) != containment.FailCanceled) {
-			firstErr = err
-		}
-		mu.Unlock()
-		cancel()
-	}
 	for si := range rt.shards {
-		wg.Add(1)
+		f.wg.Add(1)
 		go func(si int) {
-			defer wg.Done()
+			defer f.wg.Done()
 			r, err := rt.callShard(cctx, si, target, traceID)
 			if err == nil && r.status != http.StatusOK {
 				err = &statusError{status: r.status, body: r.body}
@@ -358,24 +380,19 @@ func (rt *Router) fanout(ctx context.Context, target, traceID string, partial bo
 			}
 			var ue *unavailableError
 			if partial && errors.As(err, &ue) {
-				mu.Lock()
-				missing = append(missing, si)
-				if firstSkip == nil || ue.shard < firstSkip.shard {
-					firstSkip = ue
-				}
-				mu.Unlock()
-				return // degraded: skip this shard, let the others finish
+				f.skip(si, ue) // degraded: skip this shard, let the others finish
+				return
 			}
-			report(err)
+			f.fail(err)
 		}(si)
 	}
-	wg.Wait()
-	if firstErr == nil {
-		firstErr = ctx.Err()
+	f.wg.Wait()
+	if f.firstErr == nil {
+		f.firstErr = ctx.Err()
 	}
-	if firstErr == nil && len(missing) > 0 && len(missing) == len(rt.shards) {
-		firstErr = firstSkip // nothing answered: that is not a partial result
+	if f.firstErr == nil && len(f.missing) > 0 && len(f.missing) == len(rt.shards) {
+		f.firstErr = f.firstSkip // nothing answered: that is not a partial result
 	}
-	sort.Ints(missing)
-	return replies, missing, firstErr
+	sort.Ints(f.missing)
+	return replies, f.missing, f.firstErr
 }

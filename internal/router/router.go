@@ -45,6 +45,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -426,28 +427,38 @@ func (rt *Router) demoteNow(nd *node, msg string) {
 	rt.setHealthy(nd, false, msg)
 }
 
-// candidates orders shard si's replicas for one request: healthy replicas
-// first, rotated by a per-shard round-robin cursor so load spreads across
-// replicas, then unhealthy ones as last resorts (the prober may simply
-// not have noticed a recovery yet, and a stale "down" view must not turn
-// into a false 503 while a live replica exists).
-func (rt *Router) candidates(si int) []*node {
+// candidates orders shard si's replicas for one request into buf: healthy
+// replicas first, rotated by a per-shard round-robin cursor so load spreads
+// across replicas, then unhealthy ones as last resorts (the prober may
+// simply not have noticed a recovery yet, and a stale "down" view must not
+// turn into a false 503 while a live replica exists). Callers pass a stack
+// array's slice, used when it holds the shard's replicas.
+func (rt *Router) candidates(si int, buf []*node) []*node {
 	reps := rt.shards[si]
 	start := int(rt.rr[si].Add(1))
 	if start < 0 {
 		start = -start
 	}
-	healthy := make([]*node, 0, len(reps))
-	var down []*node
-	for k := 0; k < len(reps); k++ {
-		nd := reps[(start+k)%len(reps)]
-		if nd.healthy.Load() {
-			healthy = append(healthy, nd)
+	n := len(reps)
+	out := buf[:0]
+	if cap(out) < n {
+		out = make([]*node, 0, n)
+	}
+	out = out[:n]
+	// One health read per replica: healthy ones fill from the front, the
+	// rest from the back, whose order the final reversal restores.
+	h, d := 0, n
+	for k := 0; k < n; k++ {
+		if nd := reps[(start+k)%n]; nd.healthy.Load() {
+			out[h] = nd
+			h++
 		} else {
-			down = append(down, nd)
+			d--
+			out[d] = nd
 		}
 	}
-	return append(healthy, down...)
+	slices.Reverse(out[h:])
+	return out
 }
 
 // hedgeDelay picks how long primary may run before a hedge fires against

@@ -73,20 +73,84 @@ func cacheHitSpan(what string, wall time.Duration) *trace.WireSpan {
 	return root
 }
 
-// keepTrace deposits one stitched trace in the ring under its trace ID and
-// hands the root back for the response envelope / telemetry holder.
-func (rt *Router) keepTrace(traceID, query string, root *trace.WireSpan) *trace.WireSpan {
-	if root == nil {
+// routedTrace is one routed request's trace as the ring keeps it: the
+// router's own timings and the fan-out's replies — per shard, the node
+// that answered, whether that call was a hedge, the node's cache
+// disposition and the call's latency. GET /debug/trace/{id} stitches it
+// into the wire shape when it reads the entry.
+type routedTrace struct {
+	id, what, query string
+	at              time.Time
+	wall            time.Duration
+	// hit marks a router-cache hit: no fan-out ran, and the fields below
+	// are zero.
+	hit                bool
+	fanWall, mergeWall time.Duration
+	// replies is indexed by shard, with their bodies dropped; a shard
+	// skipped by degraded serving has no node and is listed in missing.
+	replies []nodeReply
+	missing []int
+	// subs, set only under ?spans=1, holds each shard's node span trees
+	// (indexed like replies), hung under that shard's node span.
+	subs [][]*trace.WireSpan
+}
+
+func (t *routedTrace) ID() string { return t.id }
+
+func (t *routedTrace) Record() *trace.Record {
+	return &trace.Record{
+		TraceID: t.id,
+		TS:      t.at.UTC().Format(time.RFC3339Nano),
+		Node:    "router",
+		Query:   t.query,
+		Spans:   []*trace.WireSpan{t.root()},
+	}
+}
+
+// root stitches the trace's root span.
+func (t *routedTrace) root() *trace.WireSpan {
+	if t.hit {
+		return cacheHitSpan(t.what, t.wall)
+	}
+	kids := make([]*trace.WireSpan, 0, len(t.replies))
+	for si, rep := range t.replies {
+		if rep.nd == nil {
+			continue
+		}
+		var sub []*trace.WireSpan
+		if t.subs != nil {
+			sub = t.subs[si]
+		}
+		kids = append(kids, nodeSpan(rep, sub...))
+	}
+	for _, si := range t.missing {
+		kids = append(kids, missingSpan(si))
+	}
+	return stitch(t.what, t.wall, t.fanWall, t.mergeWall, kids)
+}
+
+// keepTrace stores one routed request's trace in the ring under its trace
+// ID; the ring stitches it when read. The replies' bodies are dropped, as
+// the trace keeps no payload. With render set the stitched root is also
+// built now and returned, for a request that asked for spans or whose
+// telemetry record (nil when telemetry is off) is filled from the tree;
+// otherwise keepTrace returns nil.
+func (rt *Router) keepTrace(t *routedTrace, render bool) *trace.WireSpan {
+	t.at = time.Now()
+	for i := range t.replies {
+		t.replies[i].body = nil
+	}
+	rt.traces.Put(t)
+	if !render {
 		return nil
 	}
-	rt.traces.Put(&trace.Record{
-		TraceID: traceID,
-		TS:      time.Now().UTC().Format(time.RFC3339Nano),
-		Node:    "router",
-		Query:   query,
-		Spans:   []*trace.WireSpan{root},
-	})
-	return root
+	return t.root()
+}
+
+// keepHit stores the trace of a router-cache hit, which no telemetry
+// record is filled from.
+func (rt *Router) keepHit(traceID, what, query string, start time.Time) {
+	rt.keepTrace(&routedTrace{id: traceID, what: what, query: query, wall: time.Since(start), hit: true}, false)
 }
 
 // handleDebugTraceID serves GET /debug/trace/{id}: the stitched multi-node

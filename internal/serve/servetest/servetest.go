@@ -1,7 +1,8 @@
 // Package servetest checks the HTTP surface of the serving tiers in
 // tests. /metrics is rendered by hand, so Lint holds every page to the
-// exposition format's rules instead of trusting it; Mask, KeyPaths and
-// Golden pin a page's bytes and a JSON payload's shape across refactors.
+// exposition format's rules instead of trusting it; Mask, MaskTrace,
+// KeyPaths and Golden pin a page's bytes and a JSON payload's shape across
+// refactors.
 package servetest
 
 import (
@@ -138,6 +139,29 @@ func Mask(body string) string {
 		lines[i] = series + " " + value + exemplar
 	}
 	return strings.Join(lines, "\n")
+}
+
+// MaskTrace blanks, in a decoded trace record (GET /debug/trace/{id}) or
+// span tree, the fields two executions of one query differ in however
+// equal their work: ts, trace_id and every span's wall_ns read "masked".
+// It rewrites v in place and returns it.
+func MaskTrace(v any) any {
+	switch x := v.(type) {
+	case map[string]any:
+		for k, e := range x {
+			switch k {
+			case "ts", "trace_id", "wall_ns":
+				x[k] = "masked"
+			default:
+				x[k] = MaskTrace(e)
+			}
+		}
+	case []any:
+		for i, e := range x {
+			x[i] = MaskTrace(e)
+		}
+	}
+	return v
 }
 
 // KeyPaths lists every key path of a JSON object, sorted: nested objects

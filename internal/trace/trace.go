@@ -111,16 +111,14 @@ func (s *Span) SelfWall() time.Duration {
 }
 
 // Walk visits the span and its descendants in pre-order, passing the
-// nesting depth (0 for the receiver).
-func (s *Span) Walk(fn func(sp *Span, depth int)) {
-	var walk func(sp *Span, depth int)
-	walk = func(sp *Span, depth int) {
-		fn(sp, depth)
-		for _, c := range sp.Children {
-			walk(c, depth+1)
-		}
+// nesting depth (0 for the receiver). It allocates nothing.
+func (s *Span) Walk(fn func(sp *Span, depth int)) { s.walk(fn, 0) }
+
+func (s *Span) walk(fn func(sp *Span, depth int), depth int) {
+	fn(s, depth)
+	for _, c := range s.Children {
+		c.walk(fn, depth+1)
 	}
-	walk(s, 0)
 }
 
 // Merge assembles a parent span over independently recorded children —

@@ -135,10 +135,16 @@ func TestRecordRender(t *testing.T) {
 	}
 }
 
+// stored is an Entry that is an already rendered Record.
+type stored Record
+
+func (r *stored) ID() string      { return r.TraceID }
+func (r *stored) Record() *Record { return (*Record)(r) }
+
 func TestStoreEvictsOldest(t *testing.T) {
 	s := NewStore(3)
 	for i := 0; i < 5; i++ {
-		s.Put(&Record{TraceID: fmt.Sprintf("t%d", i)})
+		s.Put(&stored{TraceID: fmt.Sprintf("t%d", i)})
 	}
 	if s.Len() != 3 {
 		t.Fatalf("len = %d, want 3", s.Len())
@@ -154,7 +160,7 @@ func TestStoreEvictsOldest(t *testing.T) {
 		}
 	}
 	// Replacing an existing ID must not consume a slot.
-	s.Put(&Record{TraceID: "t4", Query: "updated"})
+	s.Put(&stored{TraceID: "t4", Query: "updated"})
 	if s.Len() != 3 {
 		t.Fatalf("len after replace = %d, want 3", s.Len())
 	}
@@ -165,18 +171,18 @@ func TestStoreEvictsOldest(t *testing.T) {
 
 func TestStoreDisabledAndNil(t *testing.T) {
 	var nilStore *Store
-	nilStore.Put(&Record{TraceID: "x"})
+	nilStore.Put(&stored{TraceID: "x"})
 	if nilStore.Get("x") != nil || nilStore.Len() != 0 {
 		t.Fatal("nil store must be inert")
 	}
 	off := NewStore(0)
-	off.Put(&Record{TraceID: "x"})
+	off.Put(&stored{TraceID: "x"})
 	if off.Get("x") != nil || off.Len() != 0 {
 		t.Fatal("capacity<=0 store must be inert")
 	}
 	s := NewStore(4)
 	s.Put(nil)
-	s.Put(&Record{})
+	s.Put(&stored{})
 	if s.Len() != 0 {
 		t.Fatal("nil/ID-less records must be dropped")
 	}
