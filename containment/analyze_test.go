@@ -154,7 +154,7 @@ func TestAnalyzeRenderGolden(t *testing.T) {
 	got := an.Render(false)
 	want := strings.Join([]string{
 		"EXPLAIN ANALYZE  algorithm=MHCJ  pairs=32",
-		"predicted I/O: 5 pages   actual I/O: 0 pages (0 reads + 0 writes)",
+		"predicted I/O: 3 pages   actual I/O: 0 pages (0 reads + 0 writes)",
 		"PHASE                                 PAGES    READS   WRITES      VIRT-IO  POOL-HIT      PAIRS",
 		"join                                      0        0        0           0s         -          0",
 		"  partition [heights=2]                   0        0        0           0s    100.0%          0",

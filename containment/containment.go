@@ -108,8 +108,6 @@ type Spec struct {
 	SortedA, SortedD bool
 	// IndexedA / IndexedD: persistent Start indexes exist.
 	IndexedA, IndexedD bool
-	// SingleHeightA: every ancestor element is at one PBiTree height.
-	SingleHeightA bool
 }
 
 // Join evaluates the containment join of two code sets in memory and

@@ -2,6 +2,7 @@ package containment
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/bits"
 	"time"
@@ -95,9 +96,13 @@ type Engine struct {
 	// by the first chain, kept across chains up to the b-page bound (see
 	// matches).
 	matched *matches
-	// docs is the per-document catalog (SaveDocs / Open); nil when the
-	// database predates document tracking or none was supplied.
-	docs []DocInfo
+	// docs is the per-document catalog (SaveDocs / Open) as the catalog
+	// stores it, a JSON array that Documents decodes; nil when the database
+	// predates document tracking or none was supplied.
+	docs json.RawMessage
+	// heightFloor is Config.TreeHeight as Open was given it: Advance grows
+	// the tree height from it to each epoch's, as Open would.
+	heightFloor int
 	// base / deltas / epoch / checksums describe how Open resolved the
 	// database: the base page file, the epoch delta chain layered over it
 	// (nil for a self-contained v1 database), the publication sequence
@@ -126,10 +131,12 @@ func (e *Engine) BasePath() string { return e.base }
 // Relation is a stored element set owned by an Engine.
 type Relation struct {
 	rel *relation.Relation
-	// maxHeight of loaded codes (catalog statistic for rollup).
-	maxHeight int
-	// singleHeight is true when all codes share one height.
-	singleHeight bool
+	// heights is the set of PBiTree heights the codes occupy, one bit per
+	// height (the catalog statistic behind AUTO's single-height test,
+	// MHCJ's k and the rollup target; see core.Context.AncestorHeights).
+	// Zero for an empty relation, and for one read from a catalog that
+	// predates the statistic: joins then pre-scan it.
+	heights uint64
 	// sorted is true when the relation is stored in document order
 	// (after Engine.Sort).
 	sorted bool
@@ -270,20 +277,10 @@ func (e *Engine) LoadOver(old *Relation, name string, codes []pbicode.Code) (*Re
 		rel = relation.Attach(e.pool, name, append(shared, rel.Pages()...), int64(len(codes)), span)
 		rel.SetPaperLayout(e.cfg.PaperLayout)
 	}
-	r := &Relation{rel: rel, singleHeight: true, shared: len(shared)}
-	first := true
-	firstH := 0
+	r := &Relation{rel: rel, shared: len(shared)}
 	var maxCode pbicode.Code
 	for _, c := range codes {
-		h := c.Height()
-		if h > r.maxHeight {
-			r.maxHeight = h
-		}
-		if first {
-			firstH, first = h, false
-		} else if h != firstH {
-			r.singleHeight = false
-		}
+		r.heights |= 1 << uint(c.Height())
 		if c > maxCode {
 			maxCode = c
 		}
@@ -295,9 +292,6 @@ func (e *Engine) LoadOver(old *Relation, name string, codes []pbicode.Code) (*Re
 	// the vertical partitioning's level arithmetic.
 	if need := minTreeHeight(maxCode); need > e.cfg.TreeHeight {
 		e.cfg.TreeHeight = need
-	}
-	if len(codes) == 0 {
-		r.singleHeight = false
 	}
 	return r, nil
 }
@@ -329,8 +323,8 @@ type JoinOptions struct {
 	Collect bool
 	// Emit, when non-nil, receives every result pair as it is produced.
 	Emit func(Pair) error
-	// RollupTarget forces MHCJ+Rollup's target height (0 = the paper's
-	// simple strategy: the ancestor set's maximum height).
+	// RollupTarget forces MHCJ+Rollup's target height (0 = chosen from the
+	// heights the ancestor set occupies; see core.MHCJRollup).
 	RollupTarget int
 	// CostBased makes Auto pick by the section 3.4 I/O cost model
 	// instead of the Table 1 rules (the paper's section 6 direction).
@@ -541,13 +535,13 @@ func (e *Engine) join(goCtx context.Context, a, d *Relation, opts JoinOptions, t
 	st := &joinState{opts: opts}
 	stats, ctx, sink := &st.stats, &st.ctx, &st.sink
 	*ctx = core.Context{
-		Pool:              e.pool,
-		TreeHeight:        e.cfg.TreeHeight,
-		MaxAncestorHeight: a.maxHeight,
-		VPJRootCut:        opts.VPJRootCut,
-		Stats:             stats,
-		Parallel:          e.cfg.Parallel,
-		Scratch:           &e.scratch,
+		Pool:            e.pool,
+		TreeHeight:      e.cfg.TreeHeight,
+		AncestorHeights: a.heights,
+		VPJRootCut:      opts.VPJRootCut,
+		Stats:           stats,
+		Parallel:        e.cfg.Parallel,
+		Scratch:         &e.scratch,
 	}
 	if goCtx != nil && goCtx != context.Background() {
 		ctx.Ctx = goCtx

@@ -1,10 +1,9 @@
 package containment
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
+	"slices"
 
 	"github.com/pbitree/pbitree/internal/storage"
 )
@@ -17,8 +16,10 @@ import (
 // lands in the engine's private overlay, the base is never touched — and
 // calls SaveEpoch to freeze the overlay as epoch N+1's delta. Queries keep
 // serving epoch N throughout; the swap to N+1 is a manifest update, not a
-// file mutation. Compaction (internal/ingest) periodically folds a long
-// chain back into a fresh self-contained database, restarting the chain.
+// file mutation, and an engine serving N moves onto N+1 with Advance, which
+// reads the one new delta instead of reopening the chain. Compaction
+// (internal/ingest) periodically folds a long chain back into a fresh
+// self-contained database, restarting the chain; engines reopen onto it.
 
 // SaveEpoch freezes the engine's current state as an epoch database at
 // path: path+".delta" receives every page the engine has written or
@@ -34,7 +35,9 @@ import (
 // nothing but committed data: call ReleaseTemp after any query work before
 // applying the update batch. Both the delta and the catalog are written
 // via tmp+rename; a crash between the two leaves a delta without a catalog,
-// which nothing references and compaction's GC removes.
+// which nothing references and compaction's GC removes. Afterwards the
+// engine is at the new epoch, as if Advance had moved it there, and the
+// relations passed in are that epoch's.
 func (e *Engine) SaveEpoch(path string, epoch int64, docs []DocInfo, relations ...*Relation) error {
 	od, ok := e.disk.(*storage.OverlayDisk)
 	if !ok {
@@ -52,6 +55,11 @@ func (e *Engine) SaveEpoch(path string, epoch int64, docs []DocInfo, relations .
 		return fmt.Errorf("containment: write epoch delta: %w", err)
 	}
 
+	cat, err := e.newCatalog(catalogVersionEpoch, docs, relations)
+	if err != nil {
+		return err
+	}
+	cat.Epoch, cat.Checksums = epoch, e.checksums
 	dir := filepath.Dir(path)
 	relTo := func(target string) (string, error) {
 		rel, err := filepath.Rel(dir, target)
@@ -60,14 +68,6 @@ func (e *Engine) SaveEpoch(path string, epoch int64, docs []DocInfo, relations .
 		}
 		return rel, nil
 	}
-	cat := catalogFile{
-		Version:    catalogVersionEpoch,
-		PageSize:   e.cfg.PageSize,
-		TreeHeight: e.cfg.TreeHeight,
-		Epoch:      epoch,
-		Checksums:  e.checksums,
-	}
-	var err error
 	if cat.Base, err = relTo(e.base); err != nil {
 		return err
 	}
@@ -78,48 +78,84 @@ func (e *Engine) SaveEpoch(path string, epoch int64, docs []DocInfo, relations .
 		}
 		cat.Deltas = append(cat.Deltas, rel)
 	}
-	for _, d := range docs {
-		cat.Documents = append(cat.Documents, catalogDoc{
-			Name: d.Name, Root: uint64(d.Root), Elements: d.Elements,
-		})
-	}
-	seen := map[string]bool{}
-	for _, r := range relations {
-		if seen[r.rel.Name()] {
-			return fmt.Errorf("containment: duplicate relation name %q in catalog", r.rel.Name())
-		}
-		seen[r.rel.Name()] = true
-		pages := r.rel.Pages()
-		ids := make([]int64, len(pages))
-		for i, p := range pages {
-			ids[i] = int64(p)
-		}
-		span, _ := r.rel.Span()
-		cat.Relations = append(cat.Relations, catalogEntry{
-			Name:         r.rel.Name(),
-			Pages:        ids,
-			Count:        r.rel.NumRecords(),
-			MinStart:     span.Start,
-			MaxEnd:       span.End,
-			MaxHeight:    r.maxHeight,
-			SingleHeight: r.singleHeight,
-			Sorted:       r.sorted,
-		})
-	}
-	data, err := json.MarshalIndent(&cat, "", "  ")
-	if err != nil {
+	if err := writeCatalog(path, cat); err != nil {
 		return err
 	}
-	tmp := catalogPath(path) + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	// The engine now reads the epoch it published as one that opened it
+	// would: what the overlay held is the newest layer of its image, and
+	// the buffer pool, whose frames hold those same bytes, stays warm.
+	od.Release()
+	if err := od.AppendDelta(&storage.Delta{PageSize: e.cfg.PageSize, LogicalPages: logical, Pages: snap}); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, catalogPath(path)); err != nil {
-		return err
-	}
-	// Keep the engine's own view coherent with what it just published.
 	e.deltas = append(e.deltas, deltaPath)
 	e.epoch = epoch
-	e.docs = append([]DocInfo(nil), docs...)
+	e.docs = cat.Documents
 	return nil
+}
+
+// Advance moves a read-only engine created by Open onto a later epoch of
+// the same base — the epoch database at path — without reopening: it reads
+// the epoch's catalog and only the delta files the engine's chain lacks,
+// layers them over its disk, and drops from the buffer pool exactly the
+// page IDs those deltas carry. Every other frame, and the engine's working
+// memory, stays warm. Temporary state is released first, as ReleaseTemp
+// does. It returns the epoch's relations; the previous epoch's must not be
+// used again.
+//
+// An epoch over another base (a compaction's), or whose chain does not
+// extend the engine's, cannot be advanced to: the caller opens it instead.
+// On that and every other error the engine is left as it was.
+func (e *Engine) Advance(path string) (map[string]*Relation, error) {
+	od, ok := e.disk.(*storage.OverlayDisk)
+	if !ok || e.base == "" {
+		return nil, fmt.Errorf("containment: Advance requires a read-only engine created by Open")
+	}
+	cat, err := readCatalog(path)
+	if err != nil {
+		return nil, err
+	}
+	base, deltas, err := cat.files(path)
+	if err != nil {
+		return nil, err
+	}
+	n := len(e.deltas)
+	if filepath.Clean(base) != filepath.Clean(e.base) || cat.Checksums != e.checksums ||
+		len(deltas) < n || !slices.Equal(deltas[:n], e.deltas) {
+		return nil, fmt.Errorf("containment: %s is not a later epoch over this engine's base and chain", path)
+	}
+	if cat.PageSize != e.cfg.PageSize {
+		return nil, fmt.Errorf("containment: page size %d differs from the engine's %d", cat.PageSize, e.cfg.PageSize)
+	}
+	if pinned := e.pool.PinnedFrames(); pinned > 0 {
+		return nil, fmt.Errorf("containment: Advance with %d pages pinned", pinned)
+	}
+	layers := make([]*storage.Delta, 0, len(deltas)-n)
+	extent := od.BaseNumPages()
+	for _, dp := range deltas[n:] {
+		d, err := storage.ReadDelta(dp, e.cfg.PageSize)
+		if err != nil {
+			return nil, fmt.Errorf("containment: read epoch delta: %w", err)
+		}
+		layers = append(layers, d)
+		extent = max(extent, d.LogicalPages)
+	}
+	rels, err := e.attach(cat, extent)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.ReleaseTemp(); err != nil {
+		return nil, err
+	}
+	for _, d := range layers {
+		if err := od.AppendDelta(d); err != nil {
+			return nil, err // unreachable: overlay released, page size checked
+		}
+		for id := range d.Pages {
+			e.pool.Discard(id) //nolint:errcheck // nothing is pinned
+		}
+	}
+	e.deltas, e.epoch, e.docs = deltas, cat.Epoch, cat.Documents
+	e.cfg.TreeHeight = max(e.heightFloor, cat.TreeHeight)
+	return rels, nil
 }

@@ -2,11 +2,9 @@ package containment
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"github.com/pbitree/pbitree/internal/relation"
@@ -88,22 +86,6 @@ func (r *FsckReport) OK() bool {
 	return true
 }
 
-// readCatalog loads and version-checks a database's catalog sidecar.
-func readCatalog(path string) (*catalogFile, error) {
-	data, err := os.ReadFile(catalogPath(path))
-	if err != nil {
-		return nil, fmt.Errorf("containment: read catalog: %w", err)
-	}
-	var cat catalogFile
-	if err := json.Unmarshal(data, &cat); err != nil {
-		return nil, fmt.Errorf("containment: parse catalog: %w", err)
-	}
-	if cat.Version != catalogVersion && cat.Version != catalogVersionEpoch {
-		return nil, fmt.Errorf("containment: catalog version %d unsupported", cat.Version)
-	}
-	return &cat, nil
-}
-
 // Fsck scans the database at path: every page of the page file is read and
 // its CRC32-C compared against the checksum sidecar. The returned report
 // lists each mismatching page with the relations that own it. For an epoch
@@ -158,17 +140,15 @@ func Fsck(path string) (*FsckReport, error) {
 		}
 	}
 
-	pagePath := path
+	pagePath, deltaPaths, err := cat.files(path)
+	if err != nil {
+		return nil, err
+	}
 	if cat.Version == catalogVersionEpoch {
-		dir := filepath.Dir(path)
-		if cat.Base == "" {
-			return nil, fmt.Errorf("containment: epoch catalog names no base page file")
-		}
-		pagePath = filepath.Join(dir, cat.Base)
 		rep.Epoch = cat.Epoch
-		rep.Deltas = make([]FsckDelta, len(cat.Deltas))
-		for i := len(cat.Deltas) - 1; i >= 0; i-- {
-			dp := filepath.Join(dir, cat.Deltas[i])
+		rep.Deltas = make([]FsckDelta, len(deltaPaths))
+		for i := len(deltaPaths) - 1; i >= 0; i-- {
+			dp := deltaPaths[i]
 			fd := FsckDelta{Path: dp}
 			if d, err := storage.ReadDelta(dp, 0); err != nil {
 				fd.Error = err.Error()
@@ -254,13 +234,5 @@ func AddChecksums(path string) error {
 		return fmt.Errorf("containment: write checksum sidecar: %w", err)
 	}
 	cat.Checksums = true
-	data, err := json.MarshalIndent(cat, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := catalogPath(path) + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, catalogPath(path))
+	return writeCatalog(path, cat)
 }

@@ -2,6 +2,7 @@ package containment
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 	"time"
@@ -23,12 +24,13 @@ type PlanEntry struct {
 func (e *Engine) Explain(a, d *Relation, spec Spec) []PlanEntry {
 	opts := JoinOptions{Spec: spec}
 	ctx := e.coreContext()
+	ctx.AncestorHeights = a.heights
 	in := core.Gather(ctx, effectiveSpec(&opts, a, d), a.rel, d.rel)
 	candidates := []core.Algorithm{
 		core.AlgMHCJRollup, core.AlgVPJ, core.AlgStackTree,
 		core.AlgMPMGJN, core.AlgADBPlus, core.AlgINLJN, core.AlgNestedLoop,
 	}
-	if a.singleHeight || spec.SingleHeightA {
+	if bits.OnesCount64(a.heights) == 1 {
 		candidates = append(candidates, core.AlgSHCJ)
 	}
 	chosen := core.ChooseByCost(ctx, effectiveSpec(&opts, a, d), a.rel, d.rel)
@@ -139,11 +141,10 @@ func (e *Engine) coreContext() *core.Context {
 // caller-declared spec.
 func effectiveSpec(opts *JoinOptions, a, d *Relation) core.InputSpec {
 	return core.InputSpec{
-		SortedA:       opts.Spec.SortedA || a.sorted,
-		SortedD:       opts.Spec.SortedD || d.sorted,
-		IndexedA:      opts.Spec.IndexedA || a.Indexed(),
-		IndexedD:      opts.Spec.IndexedD || d.startIdx != nil,
-		SingleHeightA: opts.Spec.SingleHeightA || a.singleHeight,
+		SortedA:  opts.Spec.SortedA || a.sorted,
+		SortedD:  opts.Spec.SortedD || d.sorted,
+		IndexedA: opts.Spec.IndexedA || a.Indexed(),
+		IndexedD: opts.Spec.IndexedD || d.startIdx != nil,
 	}
 }
 

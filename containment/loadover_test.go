@@ -179,9 +179,8 @@ func checkLoadOver(t *testing.T, e *Engine, old *Relation, next []pbicode.Code, 
 	if gs != ws || gok != wok {
 		t.Fatalf("%s: span %v/%v, plain Load %v/%v", what, gs, gok, ws, wok)
 	}
-	if got.maxHeight != want.maxHeight || got.singleHeight != want.singleHeight {
-		t.Fatalf("%s: maxHeight/singleHeight %d/%v, plain Load %d/%v",
-			what, got.maxHeight, got.singleHeight, want.maxHeight, want.singleHeight)
+	if got.heights != want.heights {
+		t.Fatalf("%s: heights %b, plain Load %b", what, got.heights, want.heights)
 	}
 	if got.rel.PaperLayout() != want.rel.PaperLayout() {
 		t.Fatalf("%s: PaperLayout %v, plain Load %v", what, got.rel.PaperLayout(), want.rel.PaperLayout())

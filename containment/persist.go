@@ -44,11 +44,14 @@ type catalogFile struct {
 	// Epoch is the publication sequence number of a version-2 catalog.
 	Epoch int64 `json:"epoch,omitempty"`
 	// Documents records the collection's per-document boundaries (root
-	// code, stored-element count). The field is additive: catalogs written
-	// before document tracking simply have none, and joins never consult
-	// it — only the shard splitter (internal/shard.Split) and inspection
-	// tooling do.
-	Documents []catalogDoc `json:"documents,omitempty"`
+	// code, stored-element count) as catalogDocs columns; catalogs written
+	// before those hold an array of catalogDoc objects. The field is
+	// additive: catalogs written before document tracking simply have none,
+	// and joins never consult it — only the shard splitter
+	// (internal/shard.Split), ingest's forest rebuild and inspection tooling
+	// do. It is most of a catalog's bytes, so it is kept undecoded until
+	// Engine.Documents asks.
+	Documents json.RawMessage `json:"documents,omitempty"`
 	// Checksums records that a CRC32-C page-checksum sidecar (path +
 	// ".sums", storage.SumsPath) was written alongside the page file, and
 	// gates on-read verification. Additive like Documents: databases saved
@@ -57,6 +60,16 @@ type catalogFile struct {
 	Checksums bool `json:"checksums,omitempty"`
 }
 
+// catalogDocs is the documents field as catalogs write it: three parallel
+// columns with one entry per document, about half the bytes of one object
+// per document, which is what earlier catalogs hold (catalogDoc).
+type catalogDocs struct {
+	Names    []string `json:"names"`
+	Roots    []uint64 `json:"roots"`
+	Elements []int64  `json:"elements"`
+}
+
+// catalogDoc is one entry of an earlier catalog's documents array.
 type catalogDoc struct {
 	Name     string `json:"name"`
 	Root     uint64 `json:"root"`
@@ -75,14 +88,19 @@ type DocInfo struct {
 }
 
 type catalogEntry struct {
-	Name         string  `json:"name"`
-	Pages        []int64 `json:"pages"`
-	Count        int64   `json:"count"`
-	MinStart     uint64  `json:"min_start"`
-	MaxEnd       uint64  `json:"max_end"`
-	MaxHeight    int     `json:"max_height"`
-	SingleHeight bool    `json:"single_height"`
-	Sorted       bool    `json:"sorted"`
+	Name     string  `json:"name"`
+	Pages    []int64 `json:"pages"`
+	Count    int64   `json:"count"`
+	MinStart uint64  `json:"min_start"`
+	MaxEnd   uint64  `json:"max_end"`
+	// Heights is the relation's height mask (Relation.heights). Additive:
+	// catalogs written before it carry MaxHeight and SingleHeight instead,
+	// which are read but no longer written. From them a single-height
+	// relation's mask is exact; any other's is left to the join's pre-scan.
+	Heights      uint64 `json:"heights,omitempty"`
+	MaxHeight    int    `json:"max_height,omitempty"`
+	SingleHeight bool   `json:"single_height,omitempty"`
+	Sorted       bool   `json:"sorted"`
 	// Earlier catalogs also carry "compressed", the layout the relation
 	// was last appended in. It is neither written nor read any more: every
 	// page carries its own format byte, the only authority on how it is
@@ -117,39 +135,9 @@ func (e *Engine) SaveDocs(docs []DocInfo, relations ...*Relation) error {
 	if err := fd.Sync(); err != nil {
 		return err
 	}
-	cat := catalogFile{
-		Version:    catalogVersion,
-		PageSize:   e.cfg.PageSize,
-		TreeHeight: e.cfg.TreeHeight,
-	}
-	for _, d := range docs {
-		cat.Documents = append(cat.Documents, catalogDoc{
-			Name: d.Name, Root: uint64(d.Root), Elements: d.Elements,
-		})
-	}
-	e.docs = append([]DocInfo(nil), docs...)
-	seen := map[string]bool{}
-	for _, r := range relations {
-		if seen[r.rel.Name()] {
-			return fmt.Errorf("containment: duplicate relation name %q in catalog", r.rel.Name())
-		}
-		seen[r.rel.Name()] = true
-		pages := r.rel.Pages()
-		ids := make([]int64, len(pages))
-		for i, p := range pages {
-			ids[i] = int64(p)
-		}
-		span, _ := r.rel.Span()
-		cat.Relations = append(cat.Relations, catalogEntry{
-			Name:         r.rel.Name(),
-			Pages:        ids,
-			Count:        r.rel.NumRecords(),
-			MinStart:     span.Start,
-			MaxEnd:       span.End,
-			MaxHeight:    r.maxHeight,
-			SingleHeight: r.singleHeight,
-			Sorted:       r.sorted,
-		})
+	cat, err := e.newCatalog(catalogVersion, docs, relations)
+	if err != nil {
+		return err
 	}
 	// Checksum the freshly synced page file and write the sidecar before
 	// the catalog: the catalog's Checksums flag must never assert a sidecar
@@ -163,15 +151,129 @@ func (e *Engine) SaveDocs(docs []DocInfo, relations ...*Relation) error {
 		return fmt.Errorf("containment: write checksum sidecar: %w", err)
 	}
 	cat.Checksums = true
-	data, err := json.MarshalIndent(&cat, "", "  ")
+	if err := writeCatalog(e.cfg.Path, cat); err != nil {
+		return err
+	}
+	e.docs = cat.Documents
+	return nil
+}
+
+// newCatalog builds the catalog of the given documents and relations over
+// the engine's page and tree geometry — the part SaveDocs and SaveEpoch
+// share.
+func (e *Engine) newCatalog(version int, docs []DocInfo, relations []*Relation) (*catalogFile, error) {
+	cat := &catalogFile{Version: version, PageSize: e.cfg.PageSize, TreeHeight: e.cfg.TreeHeight}
+	if len(docs) > 0 {
+		cds := catalogDocs{
+			Names:    make([]string, len(docs)),
+			Roots:    make([]uint64, len(docs)),
+			Elements: make([]int64, len(docs)),
+		}
+		for i, d := range docs {
+			cds.Names[i], cds.Roots[i], cds.Elements[i] = d.Name, uint64(d.Root), d.Elements
+		}
+		raw, err := json.Marshal(&cds)
+		if err != nil {
+			return nil, err
+		}
+		cat.Documents = raw
+	}
+	seen := map[string]bool{}
+	for _, r := range relations {
+		if seen[r.rel.Name()] {
+			return nil, fmt.Errorf("containment: duplicate relation name %q in catalog", r.rel.Name())
+		}
+		seen[r.rel.Name()] = true
+		pages := r.rel.Pages()
+		ids := make([]int64, len(pages))
+		for i, p := range pages {
+			ids[i] = int64(p)
+		}
+		span, _ := r.rel.Span()
+		cat.Relations = append(cat.Relations, catalogEntry{
+			Name:     r.rel.Name(),
+			Pages:    ids,
+			Count:    r.rel.NumRecords(),
+			MinStart: span.Start,
+			MaxEnd:   span.End,
+			Heights:  r.heights,
+			Sorted:   r.sorted,
+		})
+	}
+	return cat, nil
+}
+
+// writeCatalog writes cat as the catalog sidecar of the database at path,
+// via tmp+rename. The JSON is compact: catalogs are read by programs, and
+// jq pretty-prints one for a reader.
+func writeCatalog(path string, cat *catalogFile) error {
+	data, err := json.Marshal(cat)
 	if err != nil {
 		return err
 	}
-	tmp := catalogPath(e.cfg.Path) + ".tmp"
+	tmp := catalogPath(path) + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return err
 	}
-	return os.Rename(tmp, catalogPath(e.cfg.Path))
+	return os.Rename(tmp, catalogPath(path))
+}
+
+// readCatalog loads and version-checks a database's catalog sidecar.
+func readCatalog(path string) (*catalogFile, error) {
+	data, err := os.ReadFile(catalogPath(path))
+	if err != nil {
+		return nil, fmt.Errorf("containment: read catalog: %w", err)
+	}
+	var cat catalogFile
+	if err := json.Unmarshal(data, &cat); err != nil {
+		return nil, fmt.Errorf("containment: parse catalog: %w", err)
+	}
+	if cat.Version != catalogVersion && cat.Version != catalogVersionEpoch {
+		return nil, fmt.Errorf("containment: catalog version %d unsupported", cat.Version)
+	}
+	return &cat, nil
+}
+
+// files resolves the page files of the database at path whose catalog cat
+// is: an epoch catalog's base and delta chain, recorded relative to the
+// catalog's directory; a version-1 catalog is its own base with no chain.
+func (cat *catalogFile) files(path string) (base string, deltas []string, err error) {
+	if cat.Version != catalogVersionEpoch {
+		return path, nil, nil
+	}
+	if cat.Base == "" {
+		return "", nil, fmt.Errorf("containment: epoch catalog names no base page file")
+	}
+	dir := filepath.Dir(path)
+	for _, d := range cat.Deltas {
+		deltas = append(deltas, filepath.Join(dir, d))
+	}
+	return filepath.Join(dir, cat.Base), deltas, nil
+}
+
+// attach attaches the catalog's relations to the engine's pool. Every
+// page ID must lie below extent, the page count of the image the catalog
+// describes.
+func (e *Engine) attach(cat *catalogFile, extent storage.PageID) (map[string]*Relation, error) {
+	rels := make(map[string]*Relation, len(cat.Relations))
+	for _, entry := range cat.Relations {
+		pages := make([]storage.PageID, len(entry.Pages))
+		for i, id := range entry.Pages {
+			if id < 0 || storage.PageID(id) >= extent {
+				return nil, fmt.Errorf("containment: catalog references page %d beyond file (%d pages)", id, extent)
+			}
+			pages[i] = storage.PageID(id)
+		}
+		rel := relation.Attach(e.pool, entry.Name, pages, entry.Count,
+			pbicode.Region{Start: entry.MinStart, End: entry.MaxEnd})
+		rel.SetPaperLayout(e.cfg.PaperLayout)
+		heights := entry.Heights
+		if heights == 0 && entry.SingleHeight {
+			heights = 1 << uint(entry.MaxHeight)
+		}
+		rels[entry.Name] = &Relation{rel: rel, heights: heights, sorted: entry.Sorted}
+	}
+	return rels, nil
 }
 
 // Open reopens a saved file-backed engine: the page file plus its catalog
@@ -186,16 +288,9 @@ func Open(cfg Config) (*Engine, map[string]*Relation, error) {
 	if cfg.Path == "" {
 		return nil, nil, fmt.Errorf("containment: Open requires Config.Path")
 	}
-	data, err := os.ReadFile(catalogPath(cfg.Path))
+	cat, err := readCatalog(cfg.Path)
 	if err != nil {
-		return nil, nil, fmt.Errorf("containment: read catalog: %w", err)
-	}
-	var cat catalogFile
-	if err := json.Unmarshal(data, &cat); err != nil {
-		return nil, nil, fmt.Errorf("containment: parse catalog: %w", err)
-	}
-	if cat.Version != catalogVersion && cat.Version != catalogVersionEpoch {
-		return nil, nil, fmt.Errorf("containment: catalog version %d unsupported", cat.Version)
+		return nil, nil, err
 	}
 	if cat.Version == catalogVersionEpoch && !cfg.ReadOnly {
 		return nil, nil, fmt.Errorf("containment: epoch catalogs open read-only (writes go through ingest commits, not in-place)")
@@ -209,30 +304,19 @@ func Open(cfg Config) (*Engine, map[string]*Relation, error) {
 	if cfg.BufferPages == 0 {
 		cfg.BufferPages = 1024
 	}
-	if cfg.TreeHeight < cat.TreeHeight {
-		cfg.TreeHeight = cat.TreeHeight
-	}
+	floor := cfg.TreeHeight
+	cfg.TreeHeight = max(floor, cat.TreeHeight)
 	cost := storage.CostModel{Random: cfg.DiskCost.Random, Sequential: cfg.DiskCost.Sequential}
+	// An epoch catalog's pages live in its base file plus the delta chain.
+	basePath, deltaPaths, err := cat.files(cfg.Path)
+	if err != nil {
+		return nil, nil, err
+	}
 	// Page-integrity verification is version-gated on the catalog flag:
 	// databases saved before checksums existed have no flag, no sidecar,
 	// and open exactly as before. When the flag is set the sidecar is
 	// mandatory — a catalog asserting checksums with the sidecar missing
 	// is itself an integrity failure, not a legacy database.
-	// An epoch catalog's pages live in its base file plus the delta chain,
-	// all recorded relative to the catalog's directory; a v1 catalog is its
-	// own base with no chain.
-	basePath := cfg.Path
-	var deltaPaths []string
-	if cat.Version == catalogVersionEpoch {
-		dir := filepath.Dir(cfg.Path)
-		if cat.Base == "" {
-			return nil, nil, fmt.Errorf("containment: epoch catalog names no base page file")
-		}
-		basePath = filepath.Join(dir, cat.Base)
-		for _, d := range cat.Deltas {
-			deltaPaths = append(deltaPaths, filepath.Join(dir, d))
-		}
-	}
 	var sums *storage.ChecksumSet
 	if cat.Checksums {
 		var err error
@@ -258,33 +342,14 @@ func Open(cfg Config) (*Engine, map[string]*Relation, error) {
 		disk = fd
 	}
 	e := &Engine{
-		disk: disk, pool: buffer.New(disk, cfg.BufferPages), cfg: cfg,
+		disk: disk, pool: buffer.New(disk, cfg.BufferPages), cfg: cfg, heightFloor: floor,
 		base: basePath, deltas: deltaPaths, epoch: cat.Epoch, checksums: cat.Checksums,
+		docs: cat.Documents,
 	}
-	for _, d := range cat.Documents {
-		e.docs = append(e.docs, DocInfo{
-			Name: d.Name, Root: pbicode.Code(d.Root), Elements: d.Elements,
-		})
-	}
-	rels := make(map[string]*Relation, len(cat.Relations))
-	for _, entry := range cat.Relations {
-		pages := make([]storage.PageID, len(entry.Pages))
-		for i, id := range entry.Pages {
-			if id < 0 || storage.PageID(id) >= disk.NumPages() {
-				e.Close() //nolint:errcheck // best-effort cleanup
-				return nil, nil, fmt.Errorf("containment: catalog references page %d beyond file (%d pages)", id, disk.NumPages())
-			}
-			pages[i] = storage.PageID(id)
-		}
-		rel := relation.Attach(e.pool, entry.Name, pages, entry.Count,
-			pbicode.Region{Start: entry.MinStart, End: entry.MaxEnd})
-		rel.SetPaperLayout(cfg.PaperLayout)
-		rels[entry.Name] = &Relation{
-			rel:          rel,
-			maxHeight:    entry.MaxHeight,
-			singleHeight: entry.SingleHeight,
-			sorted:       entry.Sorted,
-		}
+	rels, err := e.attach(cat, disk.NumPages())
+	if err != nil {
+		e.Close() //nolint:errcheck // best-effort cleanup
+		return nil, nil, err
 	}
 	return e, rels, nil
 }
@@ -292,9 +357,30 @@ func Open(cfg Config) (*Engine, map[string]*Relation, error) {
 // Documents returns the per-document catalog stored with the database —
 // the boundaries SaveDocs recorded, or what Open read back — in document
 // order. Nil when the database predates document tracking (or was saved
-// with plain Save); such databases cannot be split by pbidb shard.
+// with plain Save); such databases cannot be split by pbidb shard. The
+// catalog's array is decoded here, on each call, and nowhere else.
 func (e *Engine) Documents() []DocInfo {
-	return append([]DocInfo(nil), e.docs...)
+	if len(e.docs) > 0 && e.docs[0] == '[' {
+		var old []catalogDoc
+		if json.Unmarshal(e.docs, &old) != nil {
+			return nil
+		}
+		docs := make([]DocInfo, len(old))
+		for i, d := range old {
+			docs[i] = DocInfo{Name: d.Name, Root: pbicode.Code(d.Root), Elements: d.Elements}
+		}
+		return docs
+	}
+	var cds catalogDocs
+	if len(e.docs) == 0 || json.Unmarshal(e.docs, &cds) != nil ||
+		len(cds.Roots) != len(cds.Names) || len(cds.Elements) != len(cds.Names) {
+		return nil
+	}
+	docs := make([]DocInfo, len(cds.Names))
+	for i, name := range cds.Names {
+		docs[i] = DocInfo{Name: name, Root: pbicode.Code(cds.Roots[i]), Elements: cds.Elements[i]}
+	}
+	return docs
 }
 
 // ReadOnly reports whether the engine was opened with Config.ReadOnly.

@@ -1,9 +1,16 @@
 package containment
 
 import (
+	"bytes"
+	"encoding/json"
+	"math/bits"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"github.com/pbitree/pbitree/pbicode"
 )
 
 func TestSaveAndOpen(t *testing.T) {
@@ -112,4 +119,102 @@ func TestOpenErrors(t *testing.T) {
 	if _, _, err := Open(Config{Path: filepath.Join(t.TempDir(), "missing")}); err == nil {
 		t.Fatal("Open of missing catalog accepted")
 	}
+}
+
+// TestOpenReadsEarlierCatalogs writes a catalog compactly, with height
+// masks and columnar documents, then rewrites it the way earlier versions
+// did — indented, max_height/single_height instead of heights, one object
+// per document — and checks both open to the same documents and joins: a
+// single-height relation's mask is recovered exactly, any other's is left
+// to the join's pre-scan.
+func TestOpenReadsEarlierCatalogs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "db.pages")
+	rng := rand.New(rand.NewSource(61))
+	aCodes, dCodes := randCodes(rng, 400, 10), randCodes(rng, 400, 10)
+	single := []pbicode.Code{pbicode.G(1, 6, 10), pbicode.G(5, 6, 10), pbicode.G(9, 6, 10)}
+	docs := []DocInfo{{Name: "d0", Root: 3, Elements: 7}, {Name: "d1", Root: 12, Elements: 9}}
+	e, err := NewEngine(Config{Path: path, PageSize: 512, BufferPages: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved []*Relation
+	for name, codes := range map[string][]pbicode.Code{"A": aCodes, "D": dCodes, "S": single} {
+		r, err := e.Load(name, codes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		saved = append(saved, r)
+	}
+	if err := e.SaveDocs(docs, saved...); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(catalogPath(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.ContainsRune(data, '\n') || !bytes.Contains(data, []byte(`"heights"`)) || bytes.Contains(data, []byte(`"max_height"`)) {
+		t.Fatalf("catalog not compact with height masks: %s", data)
+	}
+
+	check := func(what string, wantSingle, wantMulti bool) {
+		t.Helper()
+		e, rels, err := Open(Config{Path: path, BufferPages: 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		if got := e.Documents(); !slices.Equal(got, docs) {
+			t.Fatalf("%s: documents %+v, want %+v", what, got, docs)
+		}
+		if got := rels["S"].heights; got != 1<<3 {
+			t.Fatalf("%s: single-height mask %b, want %b", what, got, 1<<3)
+		}
+		if known := rels["A"].heights != 0; known != wantMulti {
+			t.Fatalf("%s: multi-height mask known = %v, want %v", what, known, wantMulti)
+		}
+		res, err := e.Join(rels["S"], rels["D"], JoinOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (res.Algorithm == SHCJ.String()) != wantSingle {
+			t.Fatalf("%s: single-height set ran %s", what, res.Algorithm)
+		}
+		res, err = e.Join(rels["A"], rels["D"], JoinOptions{Algorithm: MHCJRollup, Collect: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := oracle(aCodes, dCodes)
+		sortPairs(res.Pairs)
+		if !slices.Equal(res.Pairs, want) {
+			t.Fatalf("%s: rollup answered %d pairs, oracle %d", what, len(res.Pairs), len(want))
+		}
+	}
+	check("compact catalog", true, true)
+
+	var cat map[string]any
+	if err := json.Unmarshal(data, &cat); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range cat["relations"].([]any) {
+		entry := r.(map[string]any)
+		h := uint64(entry["heights"].(float64))
+		delete(entry, "heights")
+		entry["max_height"] = bits.Len64(h) - 1
+		entry["single_height"] = bits.OnesCount64(h) == 1
+	}
+	var objs []map[string]any
+	for _, d := range docs {
+		objs = append(objs, map[string]any{"name": d.Name, "root": uint64(d.Root), "elements": d.Elements})
+	}
+	cat["documents"] = objs
+	if data, err = json.MarshalIndent(cat, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(catalogPath(path), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	check("earlier catalog", true, false)
 }

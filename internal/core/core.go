@@ -31,11 +31,13 @@ type Context struct {
 	// from; the vertical partitioning join needs it to name partition
 	// levels. Required for VPJ, ignored by the other algorithms.
 	TreeHeight int
-	// MaxAncestorHeight, when non-zero, is a known upper bound on the
-	// heights of ancestor-set elements (catalog statistics, as the paper
-	// assumes for the rollup target choice). When zero, MHCJ+Rollup
-	// discovers it with an extra scan whose I/O is charged normally.
-	MaxAncestorHeight int
+	// AncestorHeights, when non-zero, is the set of PBiTree heights the
+	// ancestor set occupies, one bit per height (catalog statistics, as the
+	// paper assumes for the rollup target choice; see HeightMask). The
+	// selectors read a single-height set and MHCJ's k from it, and
+	// MHCJ+Rollup its target. When zero, MHCJ+Rollup discovers it with an
+	// extra scan whose I/O is charged normally.
+	AncestorHeights uint64
 	// VPJRootCut makes VPJ choose cut levels relative to the tree root,
 	// as the paper's Algorithm 5 literally states, instead of relative to
 	// the data's LCA (this implementation's default). Exists for ablation
@@ -78,6 +80,10 @@ func (c *Context) b() int { return max(c.Pool.Size(), 3) }
 func (c *Context) memRecs(n int) int64 {
 	return int64(n) * int64(relation.PerPage(c.Pool.PageSize()))
 }
+
+// singleHeightA reports whether the ancestor set is known to occupy exactly
+// one height, SHCJ's precondition.
+func (c *Context) singleHeightA() bool { return bits.OnesCount64(c.AncestorHeights) == 1 }
 
 // minRecs returns the record count of the smaller input.
 func minRecs(a, d *relation.Relation) int64 { return min(a.NumRecords(), d.NumRecords()) }
@@ -176,53 +182,46 @@ func (c *Context) Wrap(sink Sink) Sink {
 	return countingSink{sink: sink, stats: c.stats(), ctx: c}
 }
 
-// HeightHistogram scans rel and returns counts of records per PBiTree
-// height. It costs one relation scan.
-func HeightHistogram(rel *relation.Relation) (map[int]int64, error) {
-	hist := make(map[int]int64)
+// HeightHistogram scans rel and returns its count of records at each
+// PBiTree height. It costs one relation scan.
+func HeightHistogram(rel *relation.Relation) ([64]int64, error) {
+	var hist [64]int64
 	s := rel.BatchScan()
 	for s.Next() {
 		for _, c := range s.Codes() {
-			hist[bits.TrailingZeros64(c)]++
+			hist[bits.TrailingZeros64(c)&63]++
 		}
 	}
 	return hist, s.Err()
 }
 
-// maxHeight returns the largest key of a height histogram, -1 when empty.
-func maxHeight(hist map[int]int64) int {
-	maxH := -1
-	for h := range hist {
-		if h > maxH {
-			maxH = h
+// heightMask returns the set of heights a histogram holds records at, one
+// bit per height: the statistic a catalog keeps (Context.AncestorHeights).
+func heightMask(hist *[64]int64) uint64 {
+	var m uint64
+	for h, n := range hist {
+		if n > 0 {
+			m |= 1 << uint(h)
 		}
 	}
-	return maxH
+	return m
 }
 
 // quantileHeight returns the smallest height h such that at least frac of
 // the histogram's mass lies at or below h.
-func quantileHeight(hist map[int]int64, frac float64) int {
+func quantileHeight(hist *[64]int64, frac float64) int {
 	var total int64
-	maxH := 0
-	for h, n := range hist {
+	for _, n := range hist {
 		total += n
-		if h > maxH {
-			maxH = h
-		}
-	}
-	if total == 0 {
-		return 0
 	}
 	want := int64(float64(total) * frac)
 	var cum int64
-	for h := 0; h <= maxH; h++ {
-		cum += hist[h]
-		if cum >= want {
+	for h, n := range hist {
+		if cum += n; cum >= want {
 			return h
 		}
 	}
-	return maxH
+	return 63
 }
 
 // NestedLoop is the naive block nested-loop containment join: it loads

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -182,7 +183,8 @@ func TestSHCJLeafAncestors(t *testing.T) {
 	want := oracle(leaves, dCodes)
 	for _, alg := range []Algorithm{AlgAuto, AlgSHCJ} {
 		got := runAlgorithm(t, alg.String(), func(ctx *Context, a, d *relation.Relation, s Sink) error {
-			ran, err := Run(ctx, alg, InputSpec{SingleHeightA: true}, a, d, s)
+			ctx.AncestorHeights = 1 // every ancestor at height 0
+			ran, err := Run(ctx, alg, InputSpec{}, a, d, s)
 			if ran != AlgSHCJ {
 				t.Errorf("%v ran %v, want SHCJ", alg, ran)
 			}
@@ -322,14 +324,10 @@ func TestMHCJRollupUsesCatalogHeight(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	aCodes := randCodes(rng, 300, h, -1)
 	dCodes := randCodes(rng, 300, h, -1)
-	maxH := 0
-	for _, c := range aCodes {
-		if hh := c.Height(); hh > maxH {
-			maxH = hh
-		}
-	}
 	ctx := newCtx(t, 8, h)
-	ctx.MaxAncestorHeight = maxH
+	for _, c := range aCodes {
+		ctx.AncestorHeights |= 1 << uint(c.Height())
+	}
 	a := load(t, ctx, "A", aCodes)
 	d := load(t, ctx, "D", dCodes)
 	var sink PairSink
@@ -337,6 +335,43 @@ func TestMHCJRollupUsesCatalogHeight(t *testing.T) {
 		t.Fatal(err)
 	}
 	samePairs(t, "rollup-catalog", sink.Pairs, oracle(aCodes, dCodes))
+}
+
+// TestRollupNearRootTail joins an ancestor set whose body sits at one
+// height and whose tail (5 % of the records) sits far above it, across a
+// run of empty heights — the shape inserted documents give a collection.
+// Rolling the body up to the tail would verify a false hit per body record
+// under each tail key; the target rule keeps the body at its own height and
+// probes the tail exactly, so the join has no false hits at all, whether
+// the heights come from the catalog or from a pre-scan.
+func TestRollupNearRootTail(t *testing.T) {
+	const h = 14
+	rng := rand.New(rand.NewSource(21))
+	aCodes := randCodes(rng, 950, h, 2)
+	for i := 0; i < 50; i++ {
+		aCodes = append(aCodes, randCodes(rng, 1, h, 8+i%2)...)
+	}
+	dCodes := randCodes(rng, 2000, h, -1)
+	want := runAlgorithm(t, "nlj", NestedLoop, 128, h, aCodes, dCodes)
+	for _, catalog := range []bool{false, true} {
+		ctx := newCtx(t, 128, h) // A fits in memory
+		if int64(len(aCodes)) > ctx.memRecs(ctx.b()-2) {
+			t.Fatal("A does not fit in memory")
+		}
+		if catalog {
+			ctx.AncestorHeights = 1<<2 | 1<<8 | 1<<9
+		}
+		a := load(t, ctx, "A", aCodes)
+		d := load(t, ctx, "D", dCodes)
+		var sink PairSink
+		if err := MHCJRollup(ctx, a, d, 0, &sink); err != nil {
+			t.Fatal(err)
+		}
+		samePairs(t, fmt.Sprintf("rollup(catalog=%v)", catalog), sink.Pairs, want)
+		if ctx.Stats.FalseHits != 0 {
+			t.Errorf("catalog=%v: %d false hits, want 0", catalog, ctx.Stats.FalseHits)
+		}
+	}
 }
 
 func TestVPJReplicationCounted(t *testing.T) {
@@ -541,19 +576,22 @@ func TestChooseImplementsTable1(t *testing.T) {
 	big := load(t, ctx, "big", randCodes(rng, 2000, 10, -1))
 	small := load(t, ctx, "small", randCodes(rng, 5, 10, -1))
 	cases := []struct {
-		spec InputSpec
-		a, d *relation.Relation
-		want Algorithm
+		spec    InputSpec
+		heights uint64 // Context.AncestorHeights
+		a, d    *relation.Relation
+		want    Algorithm
 	}{
-		{InputSpec{IndexedA: true, IndexedD: true}, big, big, AlgINLJN},
-		{InputSpec{SortedA: true, SortedD: true}, big, big, AlgStackTree},
-		{InputSpec{SortedA: true, SortedD: true, IndexedA: true, IndexedD: true}, big, big, AlgADBPlus},
-		{InputSpec{SingleHeightA: true}, big, big, AlgSHCJ},
-		{InputSpec{}, big, big, AlgVPJ},
-		{InputSpec{}, big, small, AlgMHCJRollup},
-		{InputSpec{SortedA: true}, big, big, AlgVPJ}, // one-sided sort is no sort
+		{InputSpec{IndexedA: true, IndexedD: true}, 0, big, big, AlgINLJN},
+		{InputSpec{SortedA: true, SortedD: true}, 0, big, big, AlgStackTree},
+		{InputSpec{SortedA: true, SortedD: true, IndexedA: true, IndexedD: true}, 0, big, big, AlgADBPlus},
+		{InputSpec{}, 1 << 3, big, big, AlgSHCJ},
+		{InputSpec{}, 1<<3 | 1<<5, big, big, AlgVPJ},
+		{InputSpec{}, 0, big, big, AlgVPJ},
+		{InputSpec{}, 0, big, small, AlgMHCJRollup},
+		{InputSpec{SortedA: true}, 0, big, big, AlgVPJ}, // one-sided sort is no sort
 	}
 	for i, tc := range cases {
+		ctx.AncestorHeights = tc.heights
 		if got := Choose(ctx, tc.spec, tc.a, tc.d); got != tc.want {
 			t.Errorf("case %d: Choose = %v, want %v", i, got, tc.want)
 		}
@@ -626,16 +664,19 @@ func TestHeightHistogram(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[int]int64{0: 2, 1: 2, 2: 1, 5: 1}
-	for h, n := range want {
-		if hist[h] != n {
-			t.Errorf("hist[%d] = %d, want %d", h, hist[h], n)
+	for h, n := range hist {
+		if n != want[h] {
+			t.Errorf("hist[%d] = %d, want %d", h, n, want[h])
 		}
 	}
-	if maxHeight(hist) != 5 {
-		t.Errorf("maxHeight = %d", maxHeight(hist))
+	if m := heightMask(&hist); m != 1<<0|1<<1|1<<2|1<<5 {
+		t.Errorf("heightMask = %b", m)
 	}
-	if maxHeight(map[int]int64{}) != -1 {
-		t.Error("maxHeight(empty) != -1")
+	if q := quantileHeight(&hist, 0.5); q != 1 {
+		t.Errorf("median height = %d, want 1", q)
+	}
+	if hist, err := HeightHistogram(load(t, ctx, "E", nil)); err != nil || heightMask(&hist) != 0 {
+		t.Errorf("empty relation: mask %b, %v", heightMask(&hist), err)
 	}
 }
 

@@ -1,6 +1,10 @@
 package core
 
-import "github.com/pbitree/pbitree/internal/relation"
+import (
+	"math/bits"
+
+	"github.com/pbitree/pbitree/internal/relation"
+)
 
 // This file implements the I/O cost model of section 3.4 — the formulas
 // the paper's discussion uses to argue when the partitioning algorithms
@@ -27,7 +31,7 @@ type CostInputs struct {
 	// themselves, where the page counts say the same.
 	PerPage int
 	// HeightsA is the number of distinct ancestor heights (k of MHCJ);
-	// 0 means unknown (assume several).
+	// 0 means unknown (assume four).
 	HeightsA int
 	// SortedA / SortedD and IndexedA / IndexedD describe what already
 	// exists, removing the corresponding on-the-fly costs.
@@ -35,18 +39,15 @@ type CostInputs struct {
 	IndexedA, IndexedD bool
 }
 
-// Gather fills CostInputs from relations.
+// Gather fills CostInputs from relations and the context's ancestor
+// heights.
 func Gather(ctx *Context, spec InputSpec, a, d *relation.Relation) CostInputs {
-	heights := 0
-	if spec.SingleHeightA {
-		heights = 1
-	}
 	return CostInputs{
 		APages: a.NumPages(), DPages: d.NumPages(),
 		ARecs: a.NumRecords(), DRecs: d.NumRecords(),
 		B:        ctx.b(),
 		PerPage:  relation.PerPage(ctx.Pool.PageSize()),
-		HeightsA: heights,
+		HeightsA: bits.OnesCount64(ctx.AncestorHeights),
 		SortedA:  spec.SortedA, SortedD: spec.SortedD,
 		IndexedA: spec.IndexedA, IndexedD: spec.IndexedD,
 	}
@@ -179,7 +180,7 @@ func EstimateIO(alg Algorithm, in CostInputs) int64 {
 func ChooseByCost(ctx *Context, spec InputSpec, a, d *relation.Relation) Algorithm {
 	in := Gather(ctx, spec, a, d)
 	candidates := []Algorithm{AlgMHCJRollup, AlgStackTree, AlgADBPlus, AlgINLJN, AlgNestedLoop}
-	if spec.SingleHeightA {
+	if ctx.singleHeightA() {
 		candidates = append(candidates, AlgSHCJ)
 	}
 	if ctx.TreeHeight > 0 {

@@ -113,7 +113,8 @@ func TestChooseByCost(t *testing.T) {
 		t.Fatalf("tiny chose %v", alg)
 	}
 	// Single-height unlocks SHCJ, which wins its cost ties.
-	if alg := ChooseByCost(ctx, InputSpec{SingleHeightA: true}, big, big); alg != AlgSHCJ {
+	ctx.AncestorHeights = 1 << 4
+	if alg := ChooseByCost(ctx, InputSpec{}, big, big); alg != AlgSHCJ {
 		t.Fatalf("single-height chose %v", alg)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/pbitree/pbitree/internal/relation"
 	"github.com/pbitree/pbitree/pbicode"
@@ -166,6 +167,15 @@ func fKeyAt(h int) fKey {
 	return fKey{mask: ^uint64(0) << (uint(h) + 1), bit: uint64(1) << uint(h), low: uint64(1)<<uint(h) - 1}
 }
 
+// appendKeys appends the F constants of every height in the mask heights,
+// ascending.
+func appendKeys(keys []fKey, heights uint64) []fKey {
+	for m := heights; m != 0; m &= m - 1 {
+		keys = append(keys, fKeyAt(bits.TrailingZeros64(m)))
+	}
+	return keys
+}
+
 // probeD streams d through a table keyed by ancestor code: each descendant
 // probes with F(d, h) for every ancestor height in keys, in the order
 // given, and meets the whole chain of each hit. It is the D side of the
@@ -204,7 +214,7 @@ func equiJoin(ctx *Context, a, d *relation.Relation, h int, prep aPrep, sink Sin
 	memCap := ctx.memRecs(ctx.b() - 2)
 	switch {
 	case a.NumRecords() <= memCap:
-		return hashJoinBuildA(ctx, a, d, h, prep, sink)
+		return hashJoinBuildA(ctx, a, d, h, 0, prep, sink)
 	case d.NumRecords() <= memCap:
 		return hashJoinBuildD(ctx, a, d, h, prep, sink)
 	case depth >= 8:
@@ -217,8 +227,10 @@ func equiJoin(ctx *Context, a, d *relation.Relation, h int, prep aPrep, sink Sin
 }
 
 // hashJoinBuildA builds the table on the (prepped) ancestor side and
-// streams D through it.
-func hashJoinBuildA(ctx *Context, a, d *relation.Relation, h int, prep aPrep, sink Sink) error {
+// streams D through it, probing F(d, h) and then F(d, t) for every height t
+// in the mask tail, ascending: records prep leaves above h (rollup's tail)
+// are keyed by their own codes and meet exactly their descendants.
+func hashJoinBuildA(ctx *Context, a, d *relation.Relation, h int, tail uint64, prep aPrep, sink Sink) error {
 	sp := ctx.Trace.StartDetail("hash-join", "build=A")
 	defer ctx.Trace.End(sp)
 	table := &ctx.scratch().table
@@ -240,7 +252,9 @@ func hashJoinBuildA(ctx *Context, a, d *relation.Relation, h int, prep aPrep, si
 	if err := as.Err(); err != nil {
 		return err
 	}
-	return probeD(table, d.BatchScan(), []fKey{fKeyAt(h)}, sink)
+	var buf [64]fKey
+	keys := appendKeys(append(buf[:0], fKeyAt(h)), tail)
+	return probeD(table, d.BatchScan(), keys, sink)
 }
 
 // hashJoinBuildD builds the table on the descendant side, keyed by the

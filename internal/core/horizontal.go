@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"strconv"
 
 	"github.com/pbitree/pbitree/internal/relation"
+	"github.com/pbitree/pbitree/internal/trace"
 	"github.com/pbitree/pbitree/pbicode"
 )
 
@@ -219,11 +221,17 @@ func rollPrep(h int) aPrep {
 // collapses the horizontal partitions below h into one. The equijoin then
 // over-matches and the filter drops false hits.
 //
-// targetH <= 0 picks the paper's "simple strategy": roll everything up to
-// the highest ancestor height, leaving a single SHCJ whose rollup happens
-// on the fly during the join's own scan of a — the 3(‖A‖+‖D‖) case. The
-// target comes from ctx.MaxAncestorHeight when set (catalog statistics);
-// otherwise a pre-scan discovers it at the cost of one read of a.
+// targetH <= 0 picks the target from the heights the ancestor set occupies
+// (ctx.AncestorHeights when set, catalog statistics; otherwise a pre-scan
+// at the cost of one read of a). When a fits in memory the target is
+// rollupTarget's: no record rolls up across a run of two or more empty
+// heights, and the heights above the target — a near-root tail — are
+// probed exactly in the same pass, one F key each, so the rollup happens on
+// the fly during the join's own scan of a, the 3(‖A‖+‖D‖) case of the
+// paper's "simple strategy", without collapsing the tail's subtrees onto
+// one join key. When a does not fit, the target over catalog statistics is
+// the highest occupied height, the simple strategy itself, and without
+// statistics the pre-scan's 99th height percentile.
 func MHCJRollup(ctx *Context, a, d *relation.Relation, targetH int, sink Sink) error {
 	return mhcjRollup(ctx, a, d, targetH, ctx.Wrap(sink))
 }
@@ -231,47 +239,59 @@ func MHCJRollup(ctx *Context, a, d *relation.Relation, targetH int, sink Sink) e
 // mhcjRollup is MHCJRollup against an already-wrapped sink, so that
 // composite algorithms (VPJ's fallbacks) do not double-count pairs.
 func mhcjRollup(ctx *Context, a, d *relation.Relation, targetH int, sink Sink) error {
-	knownMax := ctx.MaxAncestorHeight
-	if targetH <= 0 || knownMax == 0 {
-		if knownMax == 0 {
-			hsp := ctx.Trace.Start("height-scan")
-			hist, err := HeightHistogram(a)
-			ctx.Trace.End(hsp)
-			if err != nil {
-				return err
-			}
-			knownMax = maxHeight(hist)
-			if knownMax < 0 { // empty ancestor set
-				return nil
-			}
-			if targetH <= 0 {
-				// Rolling to the maximum height is the paper's simple
-				// strategy, but a single near-root outlier then collapses
-				// every ancestor onto one join key and the equijoin
-				// degenerates toward a cross product. Target the 99th
-				// height percentile instead: concentrated sets (tag sets
-				// span a few heights) still roll to their top, while
-				// outliers keep their own exact partitions.
-				targetH = quantileHeight(hist, 0.99)
-			}
+	heights := ctx.AncestorHeights
+	var hist *[64]int64 // from the pre-scan: a relation without statistics
+	if heights == 0 {
+		hsp := ctx.Trace.Start("height-scan")
+		h, err := HeightHistogram(a)
+		ctx.Trace.End(hsp)
+		if err != nil {
+			return err
 		}
-		if targetH <= 0 {
-			targetH = knownMax // catalog value, trusted concentrated
+		hist, heights = &h, heightMask(&h)
+		if heights == 0 { // an empty ancestor set joins to nothing
+			return nil
+		}
+	}
+	top := bits.Len64(heights) - 1
+	var tail uint64 // heights above an automatic target, probed exactly
+	if targetH <= 0 {
+		switch {
+		case a.NumRecords() <= ctx.memRecs(ctx.b()-2):
+			targetH = rollupTarget(heights)
+			tail = heights &^ (1<<uint(targetH+1) - 1)
+		case hist != nil:
+			// The Grace path without statistics: a single near-root outlier
+			// would collapse every ancestor onto one join key and the
+			// equijoin degenerate toward a cross product. Target the 99th
+			// height percentile instead; the records above it keep exact
+			// partitions (rollupSplit).
+			targetH = quantileHeight(hist, 0.99)
+		default:
+			targetH = top // the Grace path over catalog statistics
 		}
 	}
 	vs := verifySink{sink: sink, stats: ctx.stats()}
-	if targetH >= knownMax {
-		// Simple strategy: everything rolls to one height; a single
-		// equijoin with on-the-fly rollup.
-		sp := ctx.Trace.StartDetail("equijoin", fmt.Sprintf("rollup h=%d", targetH))
-		err := equiJoin(ctx, a, d, targetH, rollPrep(targetH), vs, 0)
+	if targetH >= top || tail != 0 {
+		// Everything at or below targetH rolls to one height during the
+		// join's own scan of a; a single equijoin, plus the tail's keys.
+		var sp *trace.Span
+		if ctx.Trace != nil {
+			sp = ctx.Trace.StartDetail("equijoin", rollupDetail(targetH, tail))
+		}
+		var err error
+		if tail == 0 {
+			err = equiJoin(ctx, a, d, targetH, rollPrep(targetH), vs, 0)
+		} else {
+			err = hashJoinBuildA(ctx, a, d, targetH, tail, rollPrep(targetH), vs)
+		}
 		ctx.Trace.End(sp)
 		return err
 	}
-	// General case: heights above targetH survive the rollup. Split the
-	// scan: records at or below targetH roll into one equijoin input;
-	// the (few) higher records go to a side file joined in a single
-	// multi-height pass over D.
+	// A forced target below the highest height: heights above targetH
+	// survive the rollup. Split the scan: records at or below targetH roll
+	// into one equijoin input; the higher records go to a side file joined
+	// in a single multi-height pass over D.
 	ssp := ctx.Trace.StartDetail("rollup-split", fmt.Sprintf("h=%d", targetH))
 	rolled := relation.NewLike(a, ctx.Pool, ctx.tmp("rollup"))
 	high := relation.NewLike(a, ctx.Pool, ctx.tmp("rollup.high"))
@@ -294,7 +314,7 @@ func mhcjRollup(ctx *Context, a, d *relation.Relation, targetH int, sink Sink) e
 	}
 	ctx.Trace.End(ssp)
 	if rolled.NumRecords() > 0 {
-		sp := ctx.Trace.StartDetail("equijoin", fmt.Sprintf("rollup h=%d", targetH))
+		sp := ctx.Trace.StartDetail("equijoin", rollupDetail(targetH, 0))
 		err := equiJoin(ctx, rolled, d, targetH, nil, vs, 0)
 		ctx.Trace.End(sp)
 		if err != nil {
@@ -310,9 +330,40 @@ func mhcjRollup(ctx *Context, a, d *relation.Relation, targetH int, sink Sink) e
 		ctx.Trace.End(sp)
 		return err
 	}
-	// A heavy above-target tail (the target was a quantile, so this means
-	// an extreme distribution): per-height equijoins as in plain MHCJ.
+	// A heavy above-target tail: per-height equijoins as in plain MHCJ.
 	return mhcj(ctx, high, d, vs)
+}
+
+// rollupTarget returns the automatic rollup target for an ancestor set
+// occupying heights (non-zero): the highest occupied height reachable from
+// the lowest one without crossing a run of two or more empty heights. A
+// record rolled up to it therefore never crosses such a run; the occupied
+// heights above it are the set's tail. A set without such a run rolls to
+// its highest height, the paper's simple strategy.
+func rollupTarget(heights uint64) int {
+	t := bits.TrailingZeros64(heights)
+	for rest := heights >> uint(t+1); rest != 0; {
+		gap := bits.TrailingZeros64(rest) // empty heights before the next occupied one
+		if gap >= 2 {
+			break
+		}
+		t += gap + 1
+		rest >>= uint(gap + 1)
+	}
+	return t
+}
+
+// rollupDetail names a rollup equijoin's span: its target height and the
+// tail heights it probes exactly, if any ("rollup h=26 tail=36").
+func rollupDetail(targetH int, tail uint64) string {
+	var buf [48]byte
+	b := strconv.AppendInt(append(buf[:0], "rollup h="...), int64(targetH), 10)
+	sep := " tail="
+	for m := tail; m != 0; m &= m - 1 {
+		b = strconv.AppendInt(append(b, sep...), int64(bits.TrailingZeros64(m)), 10)
+		sep = ","
+	}
+	return string(b)
 }
 
 // rollupSplit scans a once, routing records above targetH (with Aux set
@@ -364,9 +415,6 @@ func multiHeightProbeJoin(ctx *Context, a, d *relation.Relation, sink Sink) erro
 	if err := as.Err(); err != nil {
 		return err
 	}
-	keys := make([]fKey, 0, bits.OnesCount64(heights))
-	for m := heights; m != 0; m &= m - 1 {
-		keys = append(keys, fKeyAt(bits.TrailingZeros64(m)))
-	}
-	return probeD(table, d.BatchScan(), keys, sink)
+	var buf [64]fKey
+	return probeD(table, d.BatchScan(), appendKeys(buf[:0], heights), sink)
 }

@@ -170,7 +170,6 @@ func TestFallbackKernels(t *testing.T) {
 	const h, b = 12, 4
 	rng := rand.New(rand.NewSource(7))
 	top := pbicode.G(1, 3, h) // a height-8 node
-	rollup := func(ctx *Context, a, d *relation.Relation, s Sink) error { return MHCJRollup(ctx, a, d, 0, s) }
 
 	// One giant duplicate key: no hash splits 100 copies of one ancestor
 	// from 100 of its descendants, so the first grace pass hands the pair
@@ -182,9 +181,10 @@ func TestFallbackKernels(t *testing.T) {
 	// Distinct keys on both sides, 20x the build budget: one partitioning
 	// pass (k <= 3) leaves every pair oversized and the equijoin recurses.
 	wideA := randCodes(rng, 600, h, 4)
-	// A rollup whose above-target tail (under 1% of A, three heights) is
-	// joined by the multi-height probe.
+	// A rollup forced to target 2, whose above-target records (under 1% of
+	// A, three heights) are joined by the multi-height probe.
 	tailA := append(randCodes(rng, 400, h, 2), top, pbicode.F(top, 9), pbicode.F(top, 10))
+	forced := func(ctx *Context, a, d *relation.Relation, s Sink) error { return MHCJRollup(ctx, a, d, 2, s) }
 	// Eleven distinct heights against two partition frames per wave.
 	var tallA []pbicode.Code
 	for fh := 0; fh <= 10; fh++ {
@@ -199,7 +199,7 @@ func TestFallbackKernels(t *testing.T) {
 	}{
 		{"block-join", SHCJAuto, dupA, nodesUnder(rng, top, 100), "block-join", ""},
 		{"grace-recursion", SHCJAuto, wideA, randCodes(rng, 600, h, -1), "grace-partition", "depth=1"},
-		{"multi-probe", rollup, tailA, randCodes(rng, 500, h, -1), "multi-probe", ""},
+		{"multi-probe", forced, tailA, randCodes(rng, 500, h, -1), "multi-probe", ""},
 		{"wave-partition", MHCJ, tallA, randCodes(rng, 300, h, -1), "partition", "heights=11"},
 	}
 	for _, tc := range cases {
@@ -218,9 +218,11 @@ func TestFallbackKernels(t *testing.T) {
 	}
 }
 
-// TestMultiProbeOrderDeterministic pins the emission order of the
-// multi-height probe: one descendant under a chain of six nested tail
-// ancestors meets them in ascending height, the same on every run.
+// TestMultiProbeOrderDeterministic pins the emission order of rollup's
+// exact tail: one descendant under a chain of six nested ancestors, above
+// a run of empty heights the rollup does not cross, meets them in
+// ascending height in the rollup equijoin's own pass (its span names the
+// tail), the same on every run.
 func TestMultiProbeOrderDeterministic(t *testing.T) {
 	const h = 12
 	rng := rand.New(rand.NewSource(11))
@@ -233,9 +235,12 @@ func TestMultiProbeOrderDeterministic(t *testing.T) {
 	rollup := func(ctx *Context, a, d *relation.Relation, s Sink) error { return MHCJRollup(ctx, a, d, 0, s) }
 	var first []Pair
 	for run := 0; run < 5; run++ {
-		got, root := runKernel(t, "multi-probe", rollup, 64, h, 0, "packed", aCodes, dCodes)
-		if !hasSpan(root, "multi-probe", "") {
-			t.Fatal("trace has no multi-probe span")
+		got, root := runKernel(t, "tail", rollup, 64, h, 0, "packed", aCodes, dCodes)
+		if !hasSpan(root, "equijoin", "rollup h=1 tail=6,7,8,9,10,11") {
+			t.Fatal("trace has no equijoin span naming the tail")
+		}
+		if hasSpan(root, "rollup-split", "") || hasSpan(root, "multi-probe", "") {
+			t.Fatal("the tail took a pass of its own")
 		}
 		if run == 0 {
 			first = got

@@ -144,14 +144,14 @@ func (c *Context) runParallel(degree, n int, span string, detail func(i int) str
 				stats := &Stats{}
 				childStats[i] = stats
 				child := &Context{
-					Pool:              wp,
-					TreeHeight:        c.TreeHeight,
-					MaxAncestorHeight: c.MaxAncestorHeight,
-					VPJRootCut:        c.VPJRootCut,
-					Stats:             stats,
-					Ctx:               runCtx,
-					Parallel:          1,
-					Scratch:           scratches[w],
+					Pool:            wp,
+					TreeHeight:      c.TreeHeight,
+					AncestorHeights: c.AncestorHeights,
+					VPJRootCut:      c.VPJRootCut,
+					Stats:           stats,
+					Ctx:             runCtx,
+					Parallel:        1,
+					Scratch:         scratches[w],
 				}
 				if c.Trace != nil {
 					child.Trace = trace.New(span, func() trace.Counters {

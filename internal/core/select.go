@@ -66,14 +66,12 @@ type InputSpec struct {
 	SortedA, SortedD bool
 	// IndexedA / IndexedD: persistent Start indexes exist on the inputs.
 	IndexedA, IndexedD bool
-	// SingleHeightA: all ancestor elements share one PBiTree height.
-	SingleHeightA bool
 }
 
 // Choose implements Table 1 of the paper: indexes without sort order →
 // index nested loop; sort order without indexes → stack-tree; both →
 // ADB+; neither → the partitioning algorithms (SHCJ when the ancestor set
-// is single-height, otherwise MHCJ+Rollup or VPJ — VPJ when the tree
+// is single-height by Context.AncestorHeights, otherwise MHCJ+Rollup or VPJ — VPJ when the tree
 // height is known and neither input fits memory, since it adapts to skew
 // without false hits; rollup otherwise).
 func Choose(ctx *Context, spec InputSpec, a, d *relation.Relation) Algorithm {
@@ -87,7 +85,7 @@ func Choose(ctx *Context, spec InputSpec, a, d *relation.Relation) Algorithm {
 	case indexed:
 		return AlgINLJN
 	}
-	if spec.SingleHeightA {
+	if ctx.singleHeightA() {
 		return AlgSHCJ
 	}
 	if ctx.TreeHeight > 0 && minRecs(a, d) > ctx.memRecs(ctx.b()-2) {

@@ -3,6 +3,7 @@ package ingest
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -380,5 +381,85 @@ func TestCatalogElementsTracked(t *testing.T) {
 	st := s.Stats()
 	if rollbacks == 0 || st.RenumbersGlobal == 0 || st.RenumbersScoped == 0 || st.Deletes == 0 {
 		t.Fatalf("the run missed a case it exists for: %d rollbacks, %+v", rollbacks, st)
+	}
+}
+
+// TestRollupFalseHitsBounded joins ancestor/descendant tag pairs through
+// the catalog after commits that insert documents. Gap-aware encoding puts
+// a new document's elements far above the base's in the code space, so the
+// ancestor sets gain a near-root tail; rolling the base's ancestors up to
+// the tail's height would verify a false hit for every pair of a base
+// ancestor and a descendant under the same tail-height node. AUTO's rollup
+// must keep its false hits within its answer, and answer exactly.
+func TestRollupFalseHitsBounded(t *testing.T) {
+	base := buildBaseDB(t, t.TempDir(), libraryDocs(10, 20))
+	s, err := Open(Config{DBPath: base, GapAware: true, BufferPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close() //nolint:errcheck // test teardown
+	for i := 0; i < 6; i++ {
+		if _, err := s.Apply([]Op{{Op: "insert_doc", Doc: fmt.Sprintf("new%d", i), XML: smallDoc}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, path := s.CurrentEpoch()
+	eng, rels := openEpoch(t, path)
+	defer eng.Close()
+	want := forestTagCodes(s)
+	for _, j := range [][2]string{{"book", "author"}, {"book", "title"}, {"book", "year"}} {
+		res, err := eng.Join(rels[relPrefix+j[0]], rels[relPrefix+j[1]], containment.JoinOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Algorithm != containment.MHCJRollup.String() {
+			t.Fatalf("//%s//%s ran %s, want MHCJ+Rollup", j[0], j[1], res.Algorithm)
+		}
+		if wantN := oracleJoin(want[j[0]], want[j[1]]); res.Count != wantN {
+			t.Fatalf("//%s//%s = %d pairs, oracle %d", j[0], j[1], res.Count, wantN)
+		}
+		if res.FalseHits > res.Count {
+			t.Errorf("//%s//%s verified %d false hits for %d pairs", j[0], j[1], res.FalseHits, res.Count)
+		}
+	}
+}
+
+// TestEpochAdvanceAllocs is the in-process budget for an O(change) epoch
+// swap: an engine advancing onto the next epoch reads one catalog and one
+// delta, so the allocations of one advance may not grow with the database.
+// They are measured over the same commits at two database sizes, the second
+// twice the documents of the first, and may differ by at most 10 %.
+func TestEpochAdvanceAllocs(t *testing.T) {
+	perAdvance := func(docs int) float64 {
+		base := buildBaseDB(t, t.TempDir(), libraryDocs(docs, 20))
+		s, err := Open(Config{DBPath: base, GapAware: true, BufferPages: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close() //nolint:errcheck // test teardown
+		eng, _ := openEpoch(t, base)
+		defer eng.Close()
+		const commits = 8
+		var total uint64
+		var ms runtime.MemStats
+		for i := 0; i < commits; i++ {
+			if _, err := s.Apply([]Op{{Op: "insert_doc", Doc: fmt.Sprintf("new%d", i), XML: smallDoc}}); err != nil {
+				t.Fatal(err)
+			}
+			_, path := s.CurrentEpoch()
+			runtime.ReadMemStats(&ms)
+			before := ms.Mallocs
+			if _, err := eng.Advance(path); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&ms)
+			total += ms.Mallocs - before
+		}
+		return float64(total) / commits
+	}
+	small, large := perAdvance(16), perAdvance(32)
+	t.Logf("allocations per advance: %.1f at 16 documents, %.1f at 32", small, large)
+	if large > small*1.10 {
+		t.Fatalf("an advance allocates %.1f times at 32 documents, %.1f at 16: more than 10 %% growth", large, small)
 	}
 }

@@ -161,6 +161,14 @@ type Store struct {
 	dirty    map[string]bool
 	dirtyAll bool
 	closed   bool
+	// eng is the commit engine, a read-only engine at the epoch database
+	// engPath with that epoch's relations rels. It is kept across commits —
+	// each commit's SaveEpoch leaves it at the epoch it published — so a
+	// commit reads and writes only what changed, through a warm pool. See
+	// engine.
+	eng     *containment.Engine
+	engPath string
+	rels    map[string]*containment.Relation
 
 	onPublish func(epoch int64, path string)
 
@@ -262,7 +270,43 @@ func (s *Store) Close() error {
 	s.mu.Unlock()
 	close(s.stop)
 	<-s.done
+	s.mu.Lock()
+	s.dropEngine()
+	s.mu.Unlock()
 	return nil
+}
+
+// engine returns the commit engine at the current epoch: the kept one when
+// it is there already, advanced onto the current epoch when that extends
+// its chain, and opened afresh otherwise — on first use, and after a
+// compaction brought a new base. Called with mu held.
+func (s *Store) engine() (*containment.Engine, map[string]*containment.Relation, error) {
+	if s.eng != nil && s.engPath != s.cur {
+		if rels, err := s.eng.Advance(s.cur); err == nil {
+			s.rels, s.engPath = rels, s.cur
+		} else {
+			s.dropEngine()
+		}
+	}
+	if s.eng == nil {
+		eng, rels, err := containment.Open(containment.Config{
+			Path: s.cur, ReadOnly: true, BufferPages: s.cfg.BufferPages,
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		s.eng, s.rels, s.engPath = eng, rels, s.cur
+	}
+	return s.eng, s.rels, nil
+}
+
+// dropEngine closes the commit engine; the next engine call opens one.
+// Called with mu held.
+func (s *Store) dropEngine() {
+	if s.eng != nil {
+		s.eng.Close() //nolint:errcheck // read-only: nothing to flush
+		s.eng, s.rels, s.engPath = nil, nil, ""
+	}
 }
 
 // SetOnPublish installs a hook called after every epoch publication
@@ -324,13 +368,10 @@ func (s *Store) Stats() Stats {
 // operation in a batch fails after earlier ones already mutated the
 // forest.
 func (s *Store) reload() error {
-	eng, rels, err := containment.Open(containment.Config{
-		Path: s.cur, ReadOnly: true, BufferPages: s.cfg.BufferPages,
-	})
+	eng, rels, err := s.engine()
 	if err != nil {
 		return fmt.Errorf("ingest: open epoch database: %w", err)
 	}
-	defer eng.Close()
 	var elems []xmltree.TaggedCode
 	for name, r := range rels {
 		if !strings.HasPrefix(name, relPrefix) {
@@ -828,13 +869,18 @@ func (s *Store) Apply(ops []Op) (*CommitResult, error) {
 // commit freezes the mutated forest as the next epoch. Called with mu held;
 // returns the publish hook to run after unlock.
 func (s *Store) commit(applied int, scoped0, global0 uint64) (*CommitResult, func(int64, string), error) {
-	eng, rels, err := containment.Open(containment.Config{
-		Path: s.cur, ReadOnly: true, BufferPages: s.cfg.BufferPages,
-	})
+	eng, rels, err := s.engine()
 	if err != nil {
 		return nil, nil, fmt.Errorf("ingest: reopen current epoch: %w", err)
 	}
-	defer eng.Close()
+	// A commit that fails part-way leaves the engine's overlay, or the
+	// engine itself, past the published epoch: drop it.
+	published := false
+	defer func() {
+		if !published {
+			s.dropEngine()
+		}
+	}()
 
 	liveTags := s.forest.Tags()
 	isDirty := func(tag string) bool { return s.dirtyAll || s.dirty[tag] }
@@ -901,7 +947,12 @@ func (s *Store) commit(applied int, scoped0, global0 uint64) (*CommitResult, fun
 	if err := s.publishLocked(entry); err != nil {
 		return nil, nil, err
 	}
-	s.cur = path
+	published = true
+	s.rels = make(map[string]*containment.Relation, len(keep))
+	for _, r := range keep {
+		s.rels[r.Name()] = r
+	}
+	s.cur, s.engPath = path, path
 	s.chain = len(eng.DeltaChain())
 	s.dirty = map[string]bool{}
 	s.dirtyAll = false

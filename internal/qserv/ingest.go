@@ -22,9 +22,12 @@ import (
 // ever blocking a query on a write. Publication only updates the adopted
 // (epoch, path) pair under a small mutex; each pool worker keeps serving
 // the epoch it was opened against until acquire borrows it, notices the
-// stale stamp and swaps in a fresh engine over the current epoch's
-// database. Queries that raced the swap still get a correct answer — just
-// against the previous epoch, which the X-Epoch response header names.
+// stale stamp and moves it onto the current epoch: its engine advances over
+// the deltas published since, keeping its warm buffer pool, or — after a
+// compaction, which brings a new base — is swapped for a fresh engine over
+// the current epoch's database. Queries that raced the swap still get a
+// correct answer — just against the previous epoch, which the X-Epoch
+// response header names.
 // The result cache needs no flush: keys are epoch-prefixed, so a new
 // epoch's queries miss cleanly and retired epochs' entries age out of the
 // LRU on their own.
@@ -65,14 +68,23 @@ func (ig *ingestState) adopt(epoch int64, path string) {
 	ig.mu.Unlock()
 }
 
-// freshen swaps a stale worker for one opened against the current epoch.
-// Called by acquire with exclusive ownership of wk. On open failure the
-// stale worker keeps serving — availability beats freshness; the swap is
-// retried on its next acquire.
+// freshen moves a stale worker onto the current epoch: its engine advances
+// when the epoch extends its chain (containment.Engine.Advance), and is
+// swapped for one opened against the current epoch otherwise. Called by
+// acquire with exclusive ownership of wk. On open failure the stale worker
+// keeps serving — availability beats freshness; the swap is retried on its
+// next acquire.
 func (s *Server) freshen(wk worker) worker {
-	cur, _ := s.ing.current()
+	cur, path := s.ing.current()
 	if wk.epoch() == cur {
 		return wk
+	}
+	if solo, ok := wk.(*soloWorker); ok {
+		if rels, err := solo.eng.Advance(path); err == nil {
+			solo.rels, solo.ep = rels, cur
+			s.ing.swaps.Add(1)
+			return wk
+		}
 	}
 	fresh, err := s.openWorker()
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -419,4 +420,97 @@ func TestIngestConfigRejectsShards(t *testing.T) {
 	if _, err := New(Config{DBPath: db, Ingest: st, Shards: 2}); err == nil {
 		t.Fatal("New accepted Ingest together with Shards")
 	}
+}
+
+// TestEpochAdvanceMatchesOpen is the differential check of epoch adoption
+// (run under -race by the CI race step): one worker follows k commits and
+// a compaction the way acquire moves it, and after every publication it
+// must answer every key — each ordered pair of stored tags — exactly as an
+// engine freshly opened on the same epoch does. Across commits the worker's engine advances, keeping
+// its pool, so its joins hit pages cached before the advance; the
+// compaction brings a new base, across which it is reopened instead.
+func TestEpochAdvanceMatchesOpen(t *testing.T) {
+	db := buildIngestDB(t, t.TempDir(), ingestBaseDocs())
+	st, err := ingest.Open(ingest.Config{DBPath: db, GapAware: true, BufferPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close() //nolint:errcheck // test teardown
+	s, err := New(Config{DBPath: db, Ingest: st, Workers: 1, CacheEntries: -1, BufferPages: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	batches := []string{
+		`<lib><book><title>n</title></book></lib>`,
+		`<mbox><msg><subj/></msg><msg/></mbox>`,
+		`<shelf><book><title/><title/></book><mbox><msg/></mbox></shelf>`,
+		"compact",
+		`<lib><book/><book><title/></book></lib>`,
+		`<mbox><msg><subj/><subj/></msg></mbox>`,
+	}
+	// answers runs every key on eng and returns the pairs per key and the
+	// pool hits of the whole sweep.
+	answers := func(eng *containment.Engine, rels map[string]*containment.Relation) (map[string][]containment.Pair, int64) {
+		out := map[string][]containment.Pair{}
+		var hits int64
+		for an, a := range rels {
+			for dn, d := range rels {
+				if an == dn {
+					continue
+				}
+				res, err := eng.Join(a, d, containment.JoinOptions{Collect: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sort.Slice(res.Pairs, func(i, j int) bool {
+					p, q := res.Pairs[i], res.Pairs[j]
+					return p.A < q.A || p.A == q.A && p.D < q.D
+				})
+				out[an+"//"+dn] = res.Pairs
+				hits += res.IO.PoolHits
+			}
+		}
+		return out, hits
+	}
+	wk := (<-s.workers).(*soloWorker)
+	answers(wk.eng, wk.rels) // warm the pool
+	for i, batch := range batches {
+		before := wk.eng
+		if batch == "compact" {
+			if err := st.CompactNow(); err != nil {
+				t.Fatal(err)
+			}
+		} else if _, err := st.Apply([]ingest.Op{{Op: "insert_doc", Doc: fmt.Sprintf("n%d", i), XML: batch}}); err != nil {
+			t.Fatal(err)
+		}
+		epoch, path := st.CurrentEpoch()
+		wk = s.freshen(wk).(*soloWorker)
+		if wk.epoch() != epoch {
+			t.Fatalf("step %d: worker at epoch %d, store at %d", i, wk.epoch(), epoch)
+		}
+		if advanced := wk.eng == before; advanced != (batch != "compact") {
+			t.Fatalf("step %d (%s): engine kept = %v", i, batch, advanced)
+		}
+		got, hits := answers(wk.eng, wk.rels)
+		if batch != "compact" && hits == 0 {
+			t.Errorf("step %d: no pool hit after the advance", i)
+		}
+		fresh, rels, err := containment.Open(containment.Config{Path: path, ReadOnly: true, BufferPages: 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := answers(fresh, rels)
+		fresh.Close()
+		if len(got) != len(want) {
+			t.Fatalf("step %d: %d keys answered, a fresh open answers %d", i, len(got), len(want))
+		}
+		for key, w := range want {
+			if g := got[key]; !slices.Equal(g, w) {
+				t.Fatalf("step %d: %s = %d pairs, a fresh open of epoch %d answers %d", i, key, len(g), epoch, len(w))
+			}
+		}
+	}
+	s.workers <- wk
 }

@@ -186,9 +186,9 @@ func TestTraceRingEquivalence(t *testing.T) {
 // engine collectable: traces are kept as the measured span trees and
 // results of their joins, none of which may reach back into the engine's
 // buffer pool or working memory. It fills the ring with misses on one
-// worker, publishes an epoch so the worker's engine is swapped out and
-// closed, and waits for the old engine's finalizer with the ring still
-// full of its traces.
+// worker, publishes an epoch and compacts it — a new base, so the worker's
+// engine is swapped out and closed rather than advanced — and waits for the
+// old engine's finalizer with the ring still full of its traces.
 func TestTraceRingDoesNotPinEngine(t *testing.T) {
 	db := buildIngestDB(t, t.TempDir(), ingestBaseDocs())
 	st, err := ingest.Open(ingest.Config{DBPath: db, GapAware: true, BufferPages: 64})
@@ -224,9 +224,12 @@ func TestTraceRingDoesNotPinEngine(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("ingest: %d: %s", rec.Code, rec.Body)
 	}
+	if err := st.CompactNow(); err != nil {
+		t.Fatal(err)
+	}
 	// The next acquire swaps the stale worker, closing its engine; this
 	// request's trace evicts one of the old engine's.
-	if rec := serveOnce(h, "/join?anc=book&desc=title"); rec.Code != http.StatusOK || rec.Header().Get("X-Epoch") != "1" {
+	if rec := serveOnce(h, "/join?anc=book&desc=title"); rec.Code != http.StatusOK || rec.Header().Get("X-Epoch") != "2" {
 		t.Fatalf("post-ingest join: status %d epoch %q", rec.Code, rec.Header().Get("X-Epoch"))
 	}
 	if n := s.traces.Len(); n != ring {

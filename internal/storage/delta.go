@@ -21,28 +21,37 @@ import (
 //
 // Delta file format (little endian):
 //
-//	offset 0: magic "PBIDLT1\n" (8 bytes)
+//	offset 0: magic "PBIDLT2\n" (8 bytes)
 //	offset 8: page size uint32
 //	offset 12: logical page count uint64 — NumPages of the epoch after
 //	           applying this delta (the chain's high-water mark)
 //	offset 20: entry count uint32
-//	then per entry: page ID uint64 + one page of content
+//	then per entry: page ID uint64 + stored length uint32 + the page's
+//	           content up to its last non-zero byte (the rest reads as
+//	           zeroes: a relation's tail page, most of what a commit writes,
+//	           is mostly empty)
 //	trailing: CRC32-C uint32 over everything before it
+//
+// Files written before stored lengths existed carry magic "PBIDLT1\n" and
+// whole pages without a length; ReadDelta reads both.
 //
 // The trailing CRC makes a damaged delta detectable at load time: unlike
 // base pages (verified lazily per read against the .sums sidecar), a delta
 // is read whole into memory exactly once, so whole-file verification at
 // that moment covers every page it carries.
 
-// deltaMagic identifies a delta page file.
-const deltaMagic = "PBIDLT1\n"
+// deltaMagic identifies a delta page file; deltaMagicV1 one of whole pages.
+const (
+	deltaMagic   = "PBIDLT2\n"
+	deltaMagicV1 = "PBIDLT1\n"
+)
 
 const deltaHdrSize = len(deltaMagic) + 4 + 8 + 4
 
 // Delta is one loaded delta file: the pages it overrides or adds, and the
 // logical page count of the disk after applying it. The page slices of a
-// Delta returned by ReadDelta share one buffer (the file image) and must be
-// treated as read-only.
+// Delta returned by ReadDelta share one buffer and must be treated as
+// read-only.
 type Delta struct {
 	PageSize     int
 	LogicalPages PageID
@@ -66,18 +75,23 @@ func WriteDelta(path string, pageSize int, logicalPages PageID, pages map[PageID
 	// Deterministic page order keeps delta files byte-stable for a given
 	// page set (and their CRCs comparable across rewrites).
 	slices.Sort(ids)
-	buf := make([]byte, 0, deltaHdrSize+len(ids)*(8+pageSize)+4)
+	buf := make([]byte, 0, deltaHdrSize+len(ids)*(12+pageSize)+4)
 	buf = append(buf, deltaMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(pageSize))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(logicalPages))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ids)))
 	for _, id := range ids {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(id))
 		p := pages[id]
 		if len(p) != pageSize {
 			return fmt.Errorf("storage: delta page %d holds %d bytes, want %d", id, len(p), pageSize)
 		}
-		buf = append(buf, p...)
+		n := len(p)
+		for n > 0 && p[n-1] == 0 {
+			n--
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(id))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
+		buf = append(buf, p[:n]...)
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 	tmp := path + ".tmp"
@@ -94,7 +108,11 @@ func ReadDelta(path string, pageSize int) (*Delta, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(buf) < deltaHdrSize+4 || string(buf[:len(deltaMagic)]) != deltaMagic {
+	if len(buf) < deltaHdrSize+4 {
+		return nil, fmt.Errorf("storage: %s: not a delta page file", path)
+	}
+	v1 := string(buf[:len(deltaMagic)]) == deltaMagicV1
+	if !v1 && string(buf[:len(deltaMagic)]) != deltaMagic {
 		return nil, fmt.Errorf("storage: %s: not a delta page file", path)
 	}
 	body, trailer := buf[:len(buf)-4], binary.LittleEndian.Uint32(buf[len(buf)-4:])
@@ -102,27 +120,53 @@ func ReadDelta(path string, pageSize int) (*Delta, error) {
 		return nil, fmt.Errorf("storage: %s: delta checksum mismatch (delta damaged)", path)
 	}
 	ps := int(binary.LittleEndian.Uint32(body[len(deltaMagic):]))
-	if pageSize != 0 && ps != pageSize {
+	if ps <= 0 || pageSize != 0 && ps != pageSize {
 		return nil, fmt.Errorf("storage: %s: delta page size %d, want %d", path, ps, pageSize)
 	}
 	logical := PageID(binary.LittleEndian.Uint64(body[len(deltaMagic)+4:]))
 	count := int(binary.LittleEndian.Uint32(body[len(deltaMagic)+12:]))
 	rest := body[deltaHdrSize:]
-	if len(rest) != count*(8+ps) {
+	if v1 && len(rest) != count*(8+ps) || len(rest) < count*12 {
 		return nil, fmt.Errorf("storage: %s: delta records %d pages but holds %d bytes", path, count, len(rest))
+	}
+	// One zeroed buffer holds every page, each a cap-limited window so an
+	// append cannot run into the next: the delta layer is immutable
+	// (OverlayDisk.Read copies out of it, writes land in the private
+	// overlay). A version-1 file's pages are windows of the verified file
+	// buffer itself.
+	var pages []byte
+	if !v1 {
+		pages = make([]byte, count*ps)
+	}
+	entryHdr := 12 // page ID, stored length
+	if v1 {
+		entryHdr = 8
 	}
 	d := &Delta{PageSize: ps, LogicalPages: logical, Pages: make(map[PageID][]byte, count)}
 	for i := 0; i < count; i++ {
-		off := i * (8 + ps)
-		id := PageID(binary.LittleEndian.Uint64(rest[off:]))
+		if len(rest) < entryHdr {
+			return nil, fmt.Errorf("storage: %s: delta truncated at entry %d", path, i)
+		}
+		id := PageID(binary.LittleEndian.Uint64(rest))
 		if id < 0 || id >= logical {
 			return nil, fmt.Errorf("storage: %s: delta page %d outside logical extent %d", path, id, logical)
 		}
-		// A cap-limited window of the verified file buffer, not a copy: the
-		// delta layer is immutable (OverlayDisk.Read copies out of it, writes
-		// land in the private overlay), and the cap keeps an append from
-		// running into the next entry.
-		d.Pages[id] = rest[off+8 : off+8+ps : off+8+ps]
+		var page []byte
+		if v1 {
+			page, rest = rest[8:8+ps:8+ps], rest[8+ps:]
+		} else {
+			n := int(binary.LittleEndian.Uint32(rest[8:]))
+			if n > ps || len(rest) < 12+n {
+				return nil, fmt.Errorf("storage: %s: delta page %d stores %d bytes of a %d-byte page", path, id, n, ps)
+			}
+			page = pages[i*ps : (i+1)*ps : (i+1)*ps]
+			copy(page, rest[12:12+n])
+			rest = rest[12+n:]
+		}
+		d.Pages[id] = page
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("storage: %s: delta holds %d bytes past its %d pages", path, len(rest), count)
 	}
 	return d, nil
 }
@@ -150,26 +194,45 @@ func OpenOverlayLayered(path string, deltaPaths []string, pageSize int, cost Cos
 	if err != nil {
 		return nil, err
 	}
-	if len(deltaPaths) == 0 {
-		return od, nil
-	}
-	layer := map[PageID][]byte{}
-	logical := od.filePages
 	for _, dp := range deltaPaths {
 		d, err := ReadDelta(dp, od.pageSize)
+		if err == nil {
+			err = od.AppendDelta(d)
+		}
 		if err != nil {
 			od.Close() //nolint:errcheck // the read error wins
 			return nil, err
 		}
-		for id, page := range d.Pages {
-			layer[id] = page
-		}
-		if d.LogicalPages > logical {
-			logical = d.LogicalPages
-		}
 	}
-	od.delta = layer
-	od.basePages = logical
-	od.numPages = logical
 	return od, nil
+}
+
+// AppendDelta layers one more delta over the disk's immutable epoch layer,
+// as the next link of its chain: its pages override or extend the image,
+// and the base extent grows to its logical page count. This is how an
+// engine moves onto the next epoch of the same base without reopening the
+// chain (containment.Engine.Advance). The private overlay must be empty —
+// Release it first — since its allocations would collide with the delta's
+// page IDs. The delta's pages are kept, not copied, and must not change.
+func (d *OverlayDisk) AppendDelta(dl *Delta) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return ErrClosed
+	}
+	if dl.PageSize != d.pageSize {
+		return fmt.Errorf("storage: delta page size %d, disk %d", dl.PageSize, d.pageSize)
+	}
+	if len(d.overlay) > 0 || d.numPages != d.basePages {
+		return fmt.Errorf("storage: append delta over a non-empty overlay")
+	}
+	if d.delta == nil {
+		d.delta = make(map[PageID][]byte, len(dl.Pages))
+	}
+	for id, page := range dl.Pages {
+		d.delta[id] = page
+	}
+	d.basePages = max(d.basePages, dl.LogicalPages)
+	d.numPages = d.basePages
+	return nil
 }

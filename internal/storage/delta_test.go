@@ -2,6 +2,8 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -54,7 +56,7 @@ func TestDeltaRoundTrip(t *testing.T) {
 }
 
 // TestDeltaLayerIsImmutable pins down what lets ReadDelta hand out windows
-// of one file buffer instead of a copy per page: nothing downstream can
+// of one buffer instead of a copy per page: nothing downstream can
 // write through them. OverlayDisk.Read copies out, so scribbling on a read
 // buffer changes nothing; Write lands in the private overlay, so the layer
 // (and any other disk opened over the same chain) keeps the stored bytes;
@@ -265,5 +267,151 @@ func TestOverlayLayeredChecksumsBaseOnly(t *testing.T) {
 	}
 	if err := od.Read(1, p); err != nil {
 		t.Fatalf("delta-layer read hit base verification: %v", err)
+	}
+}
+
+// TestDeltaTrimsZeroTails checks that a delta stores each page only up to
+// its last non-zero byte and reads it back whole — an all-zero page
+// included — and that a file of whole pages, the format before stored
+// lengths, reads the same.
+func TestDeltaTrimsZeroTails(t *testing.T) {
+	const ps = 256
+	pages := map[PageID][]byte{0: make([]byte, ps), 3: make([]byte, ps), 5: make([]byte, ps)}
+	pages[3][0], pages[3][9] = 0x7, 0x9
+	for i := range pages[5] {
+		pages[5][i] = 0x5
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "e.delta")
+	if err := WriteDelta(path, ps, 6, pages); err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(deltaHdrSize + 3*12 + 10 + ps + 4); st.Size() != want {
+		t.Fatalf("delta holds %d bytes, want %d", st.Size(), want)
+	}
+	// The same pages in the earlier layout: page ID and the whole page.
+	v1 := []byte(deltaMagicV1)
+	v1 = binary.LittleEndian.AppendUint32(v1, ps)
+	v1 = binary.LittleEndian.AppendUint64(v1, 6)
+	v1 = binary.LittleEndian.AppendUint32(v1, 3)
+	for _, id := range []PageID{0, 3, 5} {
+		v1 = binary.LittleEndian.AppendUint64(v1, uint64(id))
+		v1 = append(v1, pages[id]...)
+	}
+	v1 = binary.LittleEndian.AppendUint32(v1, crc32.Checksum(v1, castagnoli))
+	v1Path := filepath.Join(dir, "v1.delta")
+	if err := os.WriteFile(v1Path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{path, v1Path} {
+		d, err := ReadDelta(p, ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.LogicalPages != 6 || len(d.Pages) != 3 {
+			t.Fatalf("%s: logical %d, %d pages", p, d.LogicalPages, len(d.Pages))
+		}
+		for id, want := range pages {
+			if got := d.Pages[id]; !bytes.Equal(got, want) || cap(got) != ps {
+				t.Fatalf("%s: page %d reads %x (cap %d)", p, id, got, cap(got))
+			}
+		}
+	}
+}
+
+// TestAppendDelta advances a layered disk by one more delta: the new pages
+// win over the old layer, the extent grows to the delta's, and a disk whose
+// overlay holds pages refuses until it is released.
+func TestAppendDelta(t *testing.T) {
+	const ps = 64
+	base := writeBaseFile(t, ps, 2)
+	dir := filepath.Dir(base)
+	d1, d2 := filepath.Join(dir, "e1.delta"), filepath.Join(dir, "e2.delta")
+	if err := WriteDelta(d1, ps, 3, map[PageID][]byte{2: bytes.Repeat([]byte{0xA1}, ps)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteDelta(d2, ps, 5, map[PageID][]byte{
+		0: bytes.Repeat([]byte{0xB0}, ps), 2: bytes.Repeat([]byte{0xB2}, ps), 4: bytes.Repeat([]byte{0xB4}, ps),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	od, err := OpenOverlayLayered(base, []string{d1}, ps, CostModel{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer od.Close()
+	next, err := ReadDelta(d2, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := od.Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := od.Write(id, make([]byte, ps)); err != nil {
+		t.Fatal(err)
+	}
+	if err := od.AppendDelta(next); err == nil {
+		t.Fatal("AppendDelta over a non-empty overlay succeeded")
+	}
+	od.Release()
+	if err := od.AppendDelta(next); err != nil {
+		t.Fatal(err)
+	}
+	if od.NumPages() != 5 || od.BaseNumPages() != 5 || od.DeltaPages() != 3 {
+		t.Fatalf("extent %d/%d, %d delta pages", od.NumPages(), od.BaseNumPages(), od.DeltaPages())
+	}
+	want := map[PageID]byte{0: 0xB0, 1: 2, 2: 0xB2, 3: 0, 4: 0xB4}
+	buf := make([]byte, ps)
+	for id, b := range want {
+		if err := od.Read(id, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, bytes.Repeat([]byte{b}, ps)) {
+			t.Fatalf("page %d reads %x, want %02x", id, buf, b)
+		}
+	}
+}
+
+// TestDeltaRejectsInconsistentLengths feeds ReadDelta files whose CRC is
+// valid but whose stored lengths do not add up — an entry longer than a
+// page, or one that leaves the next entry's header cut short — and
+// expects errors, not panics.
+func TestDeltaRejectsInconsistentLengths(t *testing.T) {
+	const ps = 64
+	seal := func(body []byte) []byte {
+		return binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, castagnoli))
+	}
+	header := func(count uint32) []byte {
+		b := []byte(deltaMagic)
+		b = binary.LittleEndian.AppendUint32(b, ps)
+		b = binary.LittleEndian.AppendUint64(b, 4)
+		return binary.LittleEndian.AppendUint32(b, count)
+	}
+	entry := func(b []byte, id uint64, n uint32, content int) []byte {
+		b = binary.LittleEndian.AppendUint64(b, id)
+		b = binary.LittleEndian.AppendUint32(b, n)
+		return append(b, make([]byte, content)...)
+	}
+	cases := map[string][]byte{
+		"longer than a page": seal(entry(header(1), 1, ps+1, ps+1)),
+		// The first entry takes the bytes the count check reserved for the
+		// second's header, leaving it 8 of 12.
+		"second header cut short": seal(append(entry(header(2), 1, 12, 12), make([]byte, 8)...)),
+		"bytes past the entries":  seal(append(entry(header(1), 1, 4, 4), 0)),
+	}
+	dir := t.TempDir()
+	for name, data := range cases {
+		path := filepath.Join(dir, "bad.delta")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadDelta(path, ps); err == nil {
+			t.Errorf("%s: ReadDelta accepted the file", name)
+		}
 	}
 }

@@ -45,8 +45,8 @@ type OverlayDisk struct {
 	basePages PageID // immutable extent: file plus delta layer (== filePages without deltas)
 	// delta is the immutable epoch layer (see OpenOverlayLayered): pages
 	// from the epoch's delta chain that override or extend the base file.
-	// Nil for plain OpenOverlay disks. Never mutated after open, so reads
-	// need no copy.
+	// Nil for plain OpenOverlay disks. Its pages are never written; the
+	// map only grows, under mu, as AppendDelta links the next delta.
 	delta   map[PageID][]byte
 	overlay map[PageID][]byte
 	// free holds the page buffers of released overlays for Write to reuse.
@@ -114,9 +114,14 @@ func (d *OverlayDisk) NumPages() PageID {
 	return d.numPages
 }
 
-// BaseNumPages returns the number of pages in the immutable base file.
-// Pages at or beyond this ID exist only in the overlay.
-func (d *OverlayDisk) BaseNumPages() PageID { return d.basePages }
+// BaseNumPages returns the number of pages in the immutable epoch image:
+// the base file plus its delta layer. Pages at or beyond this ID exist
+// only in the overlay.
+func (d *OverlayDisk) BaseNumPages() PageID {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.basePages
+}
 
 // OverlayPages returns the number of pages currently materialized in the
 // overlay (allocations plus copy-on-write copies) — a memory gauge.
@@ -128,7 +133,11 @@ func (d *OverlayDisk) OverlayPages() int {
 
 // DeltaPages returns the number of pages in the immutable epoch delta
 // layer (0 for plain overlays) — a chain-size gauge for compaction policy.
-func (d *OverlayDisk) DeltaPages() int { return len(d.delta) }
+func (d *OverlayDisk) DeltaPages() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.delta)
+}
 
 // OverlaySnapshot returns a copy of the private overlay — every page this
 // disk has written or allocated since open (or the last Release) — along
