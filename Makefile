@@ -43,8 +43,9 @@ loc:
 
 # Short fuzzing passes over every native fuzz target: the parsers
 # (documents and path expressions), the coding identities, document
-# update streams, the packed appender round trip and the heap page
-# decoders (arbitrary page bytes under every format byte). Each -fuzz
+# update streams, the packed appender round trip, the heap page decoders
+# (arbitrary page bytes under every format byte) and the persisted epoch
+# formats (catalogs at every link of a chain, delta files). Each -fuzz
 # regex is anchored, since go test refuses one that matches two targets.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzCodeRoundtrips$$' -fuzztime=30s ./pbicode
@@ -53,6 +54,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzPageDecode$$' -fuzztime=30s ./internal/relation
 	$(GO) test -run='^$$' -fuzz='^FuzzCompressedPage$$' -fuzztime=30s ./internal/relation
 	$(GO) test -run='^$$' -fuzz='^FuzzParsePath$$' -fuzztime=30s ./internal/qserv
+	$(GO) test -run='^$$' -fuzz='^FuzzCatalog$$' -fuzztime=30s ./containment
+	$(GO) test -run='^$$' -fuzz='^FuzzReadDelta$$' -fuzztime=30s ./internal/storage
 
 # Quick interactive experiment sweep (about a minute).
 experiments:

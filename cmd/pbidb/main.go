@@ -292,8 +292,16 @@ func epochs(args []string) {
 		if e.DeltaPages > 0 {
 			dpages = strconv.FormatInt(e.DeltaPages, 10)
 		}
+		// chain: the page files the epoch layers, its base and deltas (the
+		// manifest's chain also lists the catalogs its catalog folds over).
+		chain := 0
+		for _, f := range e.Chain {
+			if !strings.HasSuffix(f, ".catalog") {
+				chain++
+			}
+		}
 		fmt.Printf("%-7d %-9s %6d %6d %6s  %s%s\n",
-			e.Epoch, kind, len(e.Chain), len(e.Files), dpages, list.Resolve(e), cur)
+			e.Epoch, kind, chain, len(e.Files), dpages, list.Resolve(e), cur)
 	}
 }
 

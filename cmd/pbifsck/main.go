@@ -9,10 +9,12 @@
 //
 // The scanner is epoch-aware: when the named database carries an epoch
 // family (a live-ingest pbiserve has published snapshots beside it — see
-// doc/INGEST.md), every published epoch is verified too. An epoch database
-// scans its base page file page-by-page and additionally verifies each
-// delta file of its chain whole against the delta's trailing CRC32-C.
-// Pass -noepochs to scan only the named files.
+// doc/INGEST.md), every published epoch is verified too. An epoch's catalog
+// is first folded over its chain of diff catalogs: a diff that is missing
+// or names the wrong parent epoch is reported as a BROKEN CHAIN naming its
+// file. An epoch database then scans its base page file page-by-page and
+// additionally verifies each delta file of its chain whole against the
+// delta's trailing CRC32-C. Pass -noepochs to scan only the named files.
 //
 // Usage:
 //
@@ -21,8 +23,8 @@
 //	pbifsck -json db.pbidb                machine-readable report
 //	pbifsck -noepochs db.pbidb            skip the epoch family
 //
-// Exit status: 0 when every database verifies clean, 1 on corruption or an
-// unverifiable (legacy, no-checksum) database, 2 on usage or I/O errors.
+// Exit status: 0 when every database verifies clean, 1 on corruption, a
+// broken epoch chain or an unverifiable (legacy, no-checksum) database, 2 on usage or I/O errors.
 // -add trusts the page file as it stands, so run it only on a database
 // believed intact — there is nothing older to verify against.
 package main
@@ -119,6 +121,10 @@ func expandEpochs(path string, skip bool) []string {
 
 // report renders one scan result as text.
 func report(rep *containment.FsckReport) {
+	if rep.Chain != "" {
+		fmt.Printf("%s: BROKEN CHAIN — %s\n", rep.Path, rep.Chain)
+		return
+	}
 	if rep.NoChecksums {
 		fmt.Printf("%s: no checksum sidecar (saved before page integrity landed); run pbifsck -add to protect it\n", rep.Path)
 		return

@@ -2,9 +2,9 @@ package containment
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 
 	"github.com/pbitree/pbitree/internal/btree"
@@ -96,37 +96,43 @@ type Engine struct {
 	// by the first chain, kept across chains up to the b-page bound (see
 	// matches).
 	matched *matches
-	// docs is the per-document catalog (SaveDocs / Open) as the catalog
-	// stores it, a JSON array that Documents decodes; nil when the database
-	// predates document tracking or none was supplied.
-	docs json.RawMessage
+	// docs is the per-document catalog once Documents has decoded and
+	// folded it (docsRead), or SaveDocs or SaveEpoch recorded it.
+	docs     []DocInfo
+	docsRead bool
 	// heightFloor is Config.TreeHeight as Open was given it: Advance grows
 	// the tree height from it to each epoch's, as Open would.
 	heightFloor int
-	// base / deltas / epoch / checksums describe how Open resolved the
-	// database: the base page file, the epoch delta chain layered over it
-	// (nil for a self-contained v1 database), the publication sequence
-	// number, and whether the base carries a checksum sidecar. SaveEpoch
-	// extends the chain; zero values for engines not created by Open.
-	base      string
-	deltas    []string
-	epoch     int64
-	checksums bool
+	// at is the epoch an engine created by Open is at: the database, its
+	// folded catalog and the page files they resolve to. SaveEpoch and
+	// Advance move it; zero for engines not created by Open.
+	at epochState
 }
 
 // Epoch returns the publication sequence number of the opened database: 0
 // for a self-contained (version-1) database, the epoch catalog's number
 // otherwise.
-func (e *Engine) Epoch() int64 { return e.epoch }
+func (e *Engine) Epoch() int64 { return e.at.epoch }
 
 // DeltaChain returns the delta files layered over the base page file, in
 // application order — empty for a self-contained database.
-func (e *Engine) DeltaChain() []string { return append([]string(nil), e.deltas...) }
+func (e *Engine) DeltaChain() []string { return slices.Clone(e.at.deltas) }
+
+// CatalogChain returns the catalog files the engine's epoch folds: the
+// full catalog its chain of diff catalogs ends at, then each diff, its
+// own last — one file for a self-contained database.
+func (e *Engine) CatalogChain() []string {
+	cats := make([]string, len(e.at.catalogs))
+	for i, p := range e.at.catalogs {
+		cats[i] = catalogPath(p)
+	}
+	return cats
+}
 
 // BasePath returns the page file the opened database resolves to: the
-// database path itself for a version-1 catalog, the epoch catalog's base
-// for version 2. Empty for engines not created by Open.
-func (e *Engine) BasePath() string { return e.base }
+// database path itself for a version-1 catalog, the base its epoch chain
+// ends at otherwise. Empty for engines not created by Open.
+func (e *Engine) BasePath() string { return e.at.base }
 
 // Relation is a stored element set owned by an Engine.
 type Relation struct {

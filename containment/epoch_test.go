@@ -1,9 +1,13 @@
 package containment
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/pbitree/pbitree/pbicode"
@@ -19,12 +23,17 @@ func codesOf(us []uint64) []pbicode.Code {
 
 // buildEpochBase builds and saves a small v1 database and returns its path
 // plus the code sets it stored.
-func buildEpochBase(t *testing.T) (string, []uint64, []uint64) {
+func buildEpochBase(t testing.TB) (string, []uint64, []uint64) {
+	return buildEpochBaseN(t, 600)
+}
+
+// buildEpochBaseN is buildEpochBase with n codes per relation.
+func buildEpochBaseN(t testing.TB, n int) (string, []uint64, []uint64) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "base.pbidb")
 	rng := rand.New(rand.NewSource(42))
-	aCodes := randCodes(rng, 600, 12)
-	dCodes := randCodes(rng, 600, 12)
+	aCodes := randCodes(rng, n, 12)
+	dCodes := randCodes(rng, n, 12)
 	e, err := NewEngine(Config{Path: path, PageSize: 512, BufferPages: 32})
 	if err != nil {
 		t.Fatal(err)
@@ -137,8 +146,8 @@ func TestSaveEpochAndReopenChain(t *testing.T) {
 	if got := rels3["A"].Len(); got != int64(len(grown2)) {
 		t.Fatalf("epoch 2 relation A: %d codes, want %d", got, len(grown2))
 	}
-	if len(e3.Documents()) != 1 || e3.Documents()[0].Name != "doc0" {
-		t.Fatalf("epoch 2 documents: %+v", e3.Documents())
+	if docs, err := e3.Documents(); err != nil || len(docs) != 1 || docs[0].Name != "doc0" {
+		t.Fatalf("epoch 2 documents: %+v, %v", docs, err)
 	}
 
 	// Epoch databases: fsck verifies base pages and the delta chain.
@@ -190,4 +199,124 @@ func TestEpochCatalogRefusesWritableOpen(t *testing.T) {
 	if err := we.SaveEpoch(ep, 2, nil); err == nil {
 		t.Fatal("SaveEpoch accepted a writable engine")
 	}
+}
+
+// buildDiffChain commits n epochs over a small buildEpochBase database, each
+// re-storing A with one more code and carrying D over, and returns the
+// base and the epochs' paths.
+func buildDiffChain(t testing.TB, n int) (string, []string) {
+	t.Helper()
+	path, aCodes, _ := buildEpochBaseN(t, 150)
+	e, rels, err := Open(Config{Path: path, BufferPages: 32, ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	var eps []string
+	for i := 1; i <= n; i++ {
+		a, err := e.LoadOver(rels["A"], "A", codesOf(append(slices.Clone(aCodes), aCodes[:i]...)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep := filepath.Join(filepath.Dir(path), fmt.Sprintf("epoch-%06d.pbidb", i))
+		docs := []DocInfo{{Name: "doc", Root: pbicode.Code(aCodes[0]), Elements: int64(i)}}
+		if err := e.SaveEpoch(ep, int64(i), docs, a, rels["D"]); err != nil {
+			t.Fatal(err)
+		}
+		rels["A"] = a
+		eps = append(eps, ep)
+	}
+	return path, eps
+}
+
+// TestBrokenChainNamesItsFile: a diff catalog that is missing, or whose
+// parent is at another epoch than it names, stops Open, Advance and Fsck,
+// and each names the catalog file at fault: nothing answers from a broken
+// chain.
+func TestBrokenChainNamesItsFile(t *testing.T) {
+	_, eps := buildDiffChain(t, 3)
+	follower, _, err := Open(Config{Path: eps[0], BufferPages: 32, ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	broken := func(what, culprit string) {
+		t.Helper()
+		if _, _, err := Open(Config{Path: eps[2], BufferPages: 32, ReadOnly: true}); err == nil || !strings.Contains(err.Error(), culprit) {
+			t.Fatalf("%s: open: %v, want an error naming %s", what, err, culprit)
+		}
+		if _, err := follower.Advance(eps[2]); err == nil || !strings.Contains(err.Error(), culprit) {
+			t.Fatalf("%s: advance: %v, want an error naming %s", what, err, culprit)
+		}
+		rep, err := Fsck(eps[2])
+		if err != nil || rep.OK() || !strings.Contains(rep.Chain, culprit) {
+			t.Fatalf("%s: fsck %+v, %v; want a broken chain naming %s", what, rep, err, culprit)
+		}
+	}
+	cat2 := catalogPath(eps[1])
+	if err := os.Rename(cat2, cat2+".away"); err != nil {
+		t.Fatal(err)
+	}
+	broken("missing diff", cat2)
+	if err := os.Rename(cat2+".away", cat2); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(cat2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cat2, bytes.Replace(data, []byte(`"parent_epoch":1`), []byte(`"parent_epoch":0`), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	broken("mis-parented diff", cat2)
+	if err := os.WriteFile(cat2, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Healed, the chain folds again, and the follower advances over it.
+	if rep, err := Fsck(eps[2]); err != nil || !rep.OK() {
+		t.Fatalf("fsck of the healed chain: %+v, %v", rep, err)
+	}
+	if _, err := follower.Advance(eps[2]); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDocumentsDecodeError: a documents field that does not decode — in a
+// full catalog or in a diff — is an error from Documents, not an empty
+// document list, and the diff's error names its catalog.
+func TestDocumentsDecodeError(t *testing.T) {
+	path, eps := buildDiffChain(t, 2)
+	corrupt := func(file, from, to string) []byte {
+		t.Helper()
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(data, []byte(from)) {
+			t.Fatalf("%s holds no %s", file, from)
+		}
+		if err := os.WriteFile(file, bytes.Replace(data, []byte(from), []byte(to), 1), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	documents := func(what, want string) {
+		t.Helper()
+		e, _, err := Open(Config{Path: eps[1], BufferPages: 32, ReadOnly: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		if docs, err := e.Documents(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: documents %+v, %v; want an error naming %s", what, docs, err, want)
+		}
+	}
+	// The base was saved with no documents; give it columns that disagree.
+	data := corrupt(catalogPath(path), `"relations"`, `"documents":{"names":["a"],"roots":[1,2],"elements":[3]},"relations"`)
+	documents("full catalog", catalogPath(path))
+	if err := os.WriteFile(catalogPath(path), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	corrupt(catalogPath(eps[1]), `"runs":[`, `"runs":[7,`)
+	documents("diff catalog", catalogPath(eps[1]))
 }

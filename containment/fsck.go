@@ -61,11 +61,16 @@ type FsckReport struct {
 	PackedPages        int64         `json:"packed_pages,omitempty"`
 	UnknownFormatPages int64         `json:"unknown_format_pages,omitempty"`
 	Undecodable        []FsckBadPage `json:"undecodable,omitempty"`
-	// Epoch and Deltas are set when the catalog is an epoch (version-2)
-	// database: the page scan above covers the base file, and each delta of
-	// the chain is CRC-verified whole.
+	// Epoch and Deltas are set when the catalog is an epoch database: the
+	// page scan above covers the base file, and each delta of the chain is
+	// CRC-verified whole.
 	Epoch  int64       `json:"epoch,omitempty"`
 	Deltas []FsckDelta `json:"deltas,omitempty"`
+	// Chain is set when the epoch's catalog does not fold: a diff catalog
+	// of its chain is missing, names the wrong parent epoch, or changes
+	// what its parent does not have. It names the catalog file at fault,
+	// and nothing else is checked.
+	Chain string `json:"chain,omitempty"`
 	// NoChecksums marks a database saved before page integrity landed
 	// (catalog flag absent): there is nothing to verify against. Use
 	// AddChecksums to bring such a database under protection.
@@ -75,7 +80,7 @@ type FsckReport struct {
 // OK reports whether the scan found the database intact (a legacy database
 // with no checksums is not OK — it is unverifiable).
 func (r *FsckReport) OK() bool {
-	if r.NoChecksums || len(r.Bad) > 0 || r.UnknownFormatPages > 0 || len(r.Undecodable) > 0 {
+	if r.Chain != "" || r.NoChecksums || len(r.Bad) > 0 || r.UnknownFormatPages > 0 || len(r.Undecodable) > 0 {
 		return false
 	}
 	for _, d := range r.Deltas {
@@ -89,26 +94,32 @@ func (r *FsckReport) OK() bool {
 // Fsck scans the database at path: every page of the page file is read and
 // its CRC32-C compared against the checksum sidecar. The returned report
 // lists each mismatching page with the relations that own it. For an epoch
-// (version-2) database the page scan covers the base file the catalog
-// references, and every delta of the chain is additionally verified whole
-// against its trailing CRC. Every page a catalogued relation owns — in the
-// base file or in a delta — is also decoded as a scan would decode it. Databases saved before checksums existed
-// return a report with NoChecksums set and no error — they are legacy, not
-// broken.
+// database the catalog is first folded over its chain of diff catalogs —
+// a chain that does not fold is reported as Chain — and the page scan
+// covers the base file the chain ends at; every delta of the chain is
+// additionally verified whole against its trailing CRC. Every page a
+// catalogued relation owns — in the base file or in a delta — is also
+// decoded as a scan would decode it. Databases saved before checksums
+// existed return a report with NoChecksums set and no error — they are
+// legacy, not broken.
 func Fsck(path string) (*FsckReport, error) {
 	cat, err := readCatalog(path)
 	if err != nil {
 		return nil, err
 	}
-	pageSize := cat.PageSize
+	at, err := readEpoch(path)
+	if err != nil {
+		return &FsckReport{Path: path, PageSize: cat.PageSize, Epoch: cat.Epoch, Chain: err.Error()}, nil
+	}
+	pageSize := at.pageSize
 	if pageSize <= 0 {
 		pageSize = storage.DefaultPageSize
 	}
 	rep := &FsckReport{Path: path, PageSize: pageSize}
 	owners := map[int64][]string{}
-	for _, entry := range cat.Relations {
-		for _, id := range entry.Pages {
-			owners[id] = append(owners[id], entry.Name)
+	for name, sr := range at.rels {
+		for _, id := range sr.entry.Pages {
+			owners[int64(id)] = append(owners[int64(id)], name)
 		}
 	}
 	for _, rels := range owners {
@@ -140,12 +151,9 @@ func Fsck(path string) (*FsckReport, error) {
 		}
 	}
 
-	pagePath, deltaPaths, err := cat.files(path)
-	if err != nil {
-		return nil, err
-	}
-	if cat.Version == catalogVersionEpoch {
-		rep.Epoch = cat.Epoch
+	pagePath, deltaPaths := at.base, at.deltas
+	if pagePath != at.path {
+		rep.Epoch = at.epoch
 		rep.Deltas = make([]FsckDelta, len(deltaPaths))
 		for i := len(deltaPaths) - 1; i >= 0; i-- {
 			dp := deltaPaths[i]
@@ -161,7 +169,7 @@ func Fsck(path string) (*FsckReport, error) {
 			rep.Deltas[i] = fd
 		}
 	}
-	if !cat.Checksums {
+	if !at.checksums {
 		rep.NoChecksums = true
 		return rep, nil
 	}
@@ -219,7 +227,7 @@ func AddChecksums(path string) error {
 	if err != nil {
 		return err
 	}
-	if cat.Version == catalogVersionEpoch {
+	if cat.Version != catalogVersion {
 		return fmt.Errorf("containment: epoch catalogs inherit checksums from their base database; run AddChecksums on the base")
 	}
 	pageSize := cat.PageSize

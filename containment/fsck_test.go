@@ -50,7 +50,7 @@ func flipByteInRelation(t *testing.T, path, rel string) int64 {
 	var page int64 = -1
 	for _, e := range cat.Relations {
 		if e.Name == rel && len(e.Pages) > 0 {
-			page = e.Pages[0]
+			page = int64(e.Pages[0])
 			break
 		}
 	}
@@ -230,7 +230,7 @@ func TestFsckFlagsUndecodablePage(t *testing.T) {
 	var page int64
 	for _, e := range cat.Relations {
 		if e.Name == "D" {
-			page = e.Pages[0]
+			page = int64(e.Pages[0])
 		}
 	}
 	f, err := os.OpenFile(path, os.O_RDWR, 0)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"github.com/pbitree/pbitree/internal/buffer"
 	"github.com/pbitree/pbitree/internal/relation"
@@ -20,14 +21,19 @@ import (
 // catalog.
 
 // catalogVersion guards the sidecar format. Version 1 is a self-contained
-// database: one page file, one catalog. Version 2 is an epoch catalog (see
-// SaveEpoch and doc/INGEST.md): the pages live in a *base* page file plus
-// an ordered chain of delta files, all referenced by relative path. The
-// version bump is deliberate — binaries that predate epochs refuse a v2
-// catalog outright instead of misreading a layered database as truncated.
+// database: one page file, one catalog. Version 2 is a full epoch catalog,
+// which earlier versions wrote for every epoch: the pages live in a *base*
+// page file plus an ordered chain of delta files, all referenced by
+// relative path. Version 3 is a diff epoch catalog (see SaveEpoch and
+// doc/INGEST.md), what SaveEpoch writes now: only what its epoch changed
+// over its parent epoch's catalog. Versions 1 and 2 are the full catalogs a
+// chain of diffs ends at. Each bump is deliberate — binaries that predate
+// a version refuse it outright instead of misreading a layered database as
+// truncated.
 const (
 	catalogVersion      = 1
 	catalogVersionEpoch = 2
+	catalogVersionDiff  = 3
 )
 
 type catalogFile struct {
@@ -41,8 +47,19 @@ type catalogFile struct {
 	// directory can be moved or copied wholesale.
 	Base   string   `json:"base,omitempty"`
 	Deltas []string `json:"deltas,omitempty"`
-	// Epoch is the publication sequence number of a version-2 catalog.
+	// Epoch is the publication sequence number of an epoch catalog.
 	Epoch int64 `json:"epoch,omitempty"`
+	// Parent, ParentEpoch, Delta and Dropped appear only in version-3
+	// (diff) catalogs. Parent is the database whose catalog this one
+	// changes, relative to this catalog's directory, and ParentEpoch the
+	// epoch that catalog records; Delta is this epoch's own delta file.
+	// Relations then lists only the relations the epoch re-stored (see
+	// catalogEntry.Keep), Dropped those it removed, and Documents, when
+	// present, is a catalogDocDiff.
+	Parent      string   `json:"parent,omitempty"`
+	ParentEpoch int64    `json:"parent_epoch,omitempty"`
+	Delta       string   `json:"delta,omitempty"`
+	Dropped     []string `json:"dropped,omitempty"`
 	// Documents records the collection's per-document boundaries (root
 	// code, stored-element count) as catalogDocs columns; catalogs written
 	// before those hold an array of catalogDoc objects. The field is
@@ -69,6 +86,19 @@ type catalogDocs struct {
 	Elements []int64  `json:"elements"`
 }
 
+// catalogDocDiff is a diff catalog's documents field: its epoch's document
+// list as runs over the parent epoch's. Runs holds (from, n) pairs in
+// order: n documents copied from the parent's list starting at index from,
+// or, with from -1, the next n entries of the columns — documents added,
+// or whose root code or element count changed. A diff whose documents
+// equal its parent's has no documents field at all.
+type catalogDocDiff struct {
+	Runs     []int64  `json:"runs"`
+	Names    []string `json:"names,omitempty"`
+	Roots    []uint64 `json:"roots,omitempty"`
+	Elements []int64  `json:"elements,omitempty"`
+}
+
 // catalogDoc is one entry of an earlier catalog's documents array.
 type catalogDoc struct {
 	Name     string `json:"name"`
@@ -88,11 +118,15 @@ type DocInfo struct {
 }
 
 type catalogEntry struct {
-	Name     string  `json:"name"`
-	Pages    []int64 `json:"pages"`
-	Count    int64   `json:"count"`
-	MinStart uint64  `json:"min_start"`
-	MaxEnd   uint64  `json:"max_end"`
+	Name string `json:"name"`
+	// Keep, in a diff catalog, is how many leading pages of the parent's
+	// relation of the same name this one shares (Engine.LoadOver); Pages
+	// then lists only the pages after them. Zero in full catalogs.
+	Keep     int              `json:"keep,omitempty"`
+	Pages    []storage.PageID `json:"pages"`
+	Count    int64            `json:"count"`
+	MinStart uint64           `json:"min_start"`
+	MaxEnd   uint64           `json:"max_end"`
 	// Heights is the relation's height mask (Relation.heights). Additive:
 	// catalogs written before it carry MaxHeight and SingleHeight instead,
 	// which are read but no longer written. From them a single-height
@@ -135,7 +169,7 @@ func (e *Engine) SaveDocs(docs []DocInfo, relations ...*Relation) error {
 	if err := fd.Sync(); err != nil {
 		return err
 	}
-	cat, err := e.newCatalog(catalogVersion, docs, relations)
+	cat, err := e.newCatalog(docs, relations)
 	if err != nil {
 		return err
 	}
@@ -154,15 +188,14 @@ func (e *Engine) SaveDocs(docs []DocInfo, relations ...*Relation) error {
 	if err := writeCatalog(e.cfg.Path, cat); err != nil {
 		return err
 	}
-	e.docs = cat.Documents
+	e.docs, e.docsRead = slices.Clone(docs), true
 	return nil
 }
 
-// newCatalog builds the catalog of the given documents and relations over
-// the engine's page and tree geometry — the part SaveDocs and SaveEpoch
-// share.
-func (e *Engine) newCatalog(version int, docs []DocInfo, relations []*Relation) (*catalogFile, error) {
-	cat := &catalogFile{Version: version, PageSize: e.cfg.PageSize, TreeHeight: e.cfg.TreeHeight}
+// newCatalog builds the self-contained catalog of the given documents and
+// relations over the engine's page and tree geometry.
+func (e *Engine) newCatalog(docs []DocInfo, relations []*Relation) (*catalogFile, error) {
+	cat := &catalogFile{Version: catalogVersion, PageSize: e.cfg.PageSize, TreeHeight: e.cfg.TreeHeight}
 	if len(docs) > 0 {
 		cds := catalogDocs{
 			Names:    make([]string, len(docs)),
@@ -184,23 +217,33 @@ func (e *Engine) newCatalog(version int, docs []DocInfo, relations []*Relation) 
 			return nil, fmt.Errorf("containment: duplicate relation name %q in catalog", r.rel.Name())
 		}
 		seen[r.rel.Name()] = true
-		pages := r.rel.Pages()
-		ids := make([]int64, len(pages))
-		for i, p := range pages {
-			ids[i] = int64(p)
-		}
-		span, _ := r.rel.Span()
-		cat.Relations = append(cat.Relations, catalogEntry{
-			Name:     r.rel.Name(),
-			Pages:    ids,
-			Count:    r.rel.NumRecords(),
-			MinStart: span.Start,
-			MaxEnd:   span.End,
-			Heights:  r.heights,
-			Sorted:   r.sorted,
-		})
+		cat.Relations = append(cat.Relations, r.entry())
 	}
 	return cat, nil
+}
+
+// entry returns the full catalog entry that records r.
+func (r *Relation) entry() catalogEntry {
+	span, _ := r.rel.Span()
+	return catalogEntry{
+		Name:     r.rel.Name(),
+		Pages:    r.rel.Pages(),
+		Count:    r.rel.NumRecords(),
+		MinStart: span.Start,
+		MaxEnd:   span.End,
+		Heights:  r.heights,
+		Sorted:   r.sorted,
+	}
+}
+
+// normalize rewrites an entry read from an earlier catalog the way current
+// ones record it: a single-height relation's mask from MaxHeight and
+// SingleHeight, any other's left unknown (zero) for the join's pre-scan.
+func (ent *catalogEntry) normalize() {
+	if ent.Heights == 0 && ent.SingleHeight {
+		ent.Heights = 1 << uint(ent.MaxHeight)
+	}
+	ent.MaxHeight, ent.SingleHeight = 0, false
 }
 
 // writeCatalog writes cat as the catalog sidecar of the database at path,
@@ -226,23 +269,23 @@ func readCatalog(path string) (*catalogFile, error) {
 	}
 	var cat catalogFile
 	if err := json.Unmarshal(data, &cat); err != nil {
-		return nil, fmt.Errorf("containment: parse catalog: %w", err)
+		return nil, fmt.Errorf("containment: parse catalog %s: %w", catalogPath(path), err)
 	}
-	if cat.Version != catalogVersion && cat.Version != catalogVersionEpoch {
-		return nil, fmt.Errorf("containment: catalog version %d unsupported", cat.Version)
+	if cat.Version != catalogVersion && cat.Version != catalogVersionEpoch && cat.Version != catalogVersionDiff {
+		return nil, fmt.Errorf("containment: catalog %s: version %d unsupported", catalogPath(path), cat.Version)
 	}
 	return &cat, nil
 }
 
-// files resolves the page files of the database at path whose catalog cat
-// is: an epoch catalog's base and delta chain, recorded relative to the
+// files resolves the page files of the database at path whose full catalog
+// cat is: an epoch catalog's base and delta chain, recorded relative to the
 // catalog's directory; a version-1 catalog is its own base with no chain.
 func (cat *catalogFile) files(path string) (base string, deltas []string, err error) {
 	if cat.Version != catalogVersionEpoch {
 		return path, nil, nil
 	}
 	if cat.Base == "" {
-		return "", nil, fmt.Errorf("containment: epoch catalog names no base page file")
+		return "", nil, fmt.Errorf("containment: epoch catalog %s names no base page file", catalogPath(path))
 	}
 	dir := filepath.Dir(path)
 	for _, d := range cat.Deltas {
@@ -251,33 +294,43 @@ func (cat *catalogFile) files(path string) (base string, deltas []string, err er
 	return filepath.Join(dir, cat.Base), deltas, nil
 }
 
-// attach attaches the catalog's relations to the engine's pool. Every
-// page ID must lie below extent, the page count of the image the catalog
-// describes.
-func (e *Engine) attach(cat *catalogFile, extent storage.PageID) (map[string]*Relation, error) {
-	rels := make(map[string]*Relation, len(cat.Relations))
-	for _, entry := range cat.Relations {
-		pages := make([]storage.PageID, len(entry.Pages))
-		for i, id := range entry.Pages {
-			if id < 0 || storage.PageID(id) >= extent {
-				return nil, fmt.Errorf("containment: catalog references page %d beyond file (%d pages)", id, extent)
+// attach attaches the relations of rels that have none yet — every one
+// after Open's fold, the re-stored ones after Advance's — to the engine's
+// pool. Every page ID must lie below extent, the page count of the image
+// the catalog describes. A relation reads its entry's page list, which
+// nothing modifies.
+func (e *Engine) attach(rels map[string]*storedRel, extent storage.PageID) error {
+	for name, sr := range rels {
+		if sr.r != nil {
+			continue
+		}
+		for _, id := range sr.entry.Pages {
+			if id < 0 || id >= extent {
+				return fmt.Errorf("containment: catalog references page %d beyond file (%d pages)", id, extent)
 			}
-			pages[i] = storage.PageID(id)
 		}
-		rel := relation.Attach(e.pool, entry.Name, pages, entry.Count,
-			pbicode.Region{Start: entry.MinStart, End: entry.MaxEnd})
+		rel := relation.Attach(e.pool, name, sr.entry.Pages, sr.entry.Count,
+			pbicode.Region{Start: sr.entry.MinStart, End: sr.entry.MaxEnd})
 		rel.SetPaperLayout(e.cfg.PaperLayout)
-		heights := entry.Heights
-		if heights == 0 && entry.SingleHeight {
-			heights = 1 << uint(entry.MaxHeight)
-		}
-		rels[entry.Name] = &Relation{rel: rel, heights: heights, sorted: entry.Sorted}
+		sr.r = &Relation{rel: rel, heights: sr.entry.Heights, sorted: sr.entry.Sorted}
 	}
-	return rels, nil
+	return nil
+}
+
+// relations returns the engine's stored relations by name, as a map of the
+// caller's own.
+func (e *Engine) relations() map[string]*Relation {
+	rels := make(map[string]*Relation, len(e.at.rels))
+	for name, sr := range e.at.rels {
+		rels[name] = sr.r
+	}
+	return rels
 }
 
 // Open reopens a saved file-backed engine: the page file plus its catalog
-// sidecar. The returned map holds the persisted relations by name.
+// sidecar — for an epoch database, its catalog folded over the chain of
+// catalogs it changes (see SaveEpoch). The returned map holds the
+// persisted relations by name.
 //
 // With cfg.ReadOnly set, the page file is opened without write access and
 // all writes go to a private in-memory overlay (storage.OverlayDisk), so
@@ -288,46 +341,41 @@ func Open(cfg Config) (*Engine, map[string]*Relation, error) {
 	if cfg.Path == "" {
 		return nil, nil, fmt.Errorf("containment: Open requires Config.Path")
 	}
-	cat, err := readCatalog(cfg.Path)
+	at, err := readEpoch(cfg.Path)
 	if err != nil {
 		return nil, nil, err
 	}
-	if cat.Version == catalogVersionEpoch && !cfg.ReadOnly {
+	if at.base != at.path && !cfg.ReadOnly {
 		return nil, nil, fmt.Errorf("containment: epoch catalogs open read-only (writes go through ingest commits, not in-place)")
 	}
 	if cfg.PageSize == 0 {
-		cfg.PageSize = cat.PageSize
+		cfg.PageSize = at.pageSize
 	}
-	if cfg.PageSize != cat.PageSize {
-		return nil, nil, fmt.Errorf("containment: page size %d differs from saved %d", cfg.PageSize, cat.PageSize)
+	if cfg.PageSize != at.pageSize {
+		return nil, nil, fmt.Errorf("containment: page size %d differs from saved %d", cfg.PageSize, at.pageSize)
 	}
 	if cfg.BufferPages == 0 {
 		cfg.BufferPages = 1024
 	}
 	floor := cfg.TreeHeight
-	cfg.TreeHeight = max(floor, cat.TreeHeight)
+	cfg.TreeHeight = max(floor, at.treeHeight)
 	cost := storage.CostModel{Random: cfg.DiskCost.Random, Sequential: cfg.DiskCost.Sequential}
-	// An epoch catalog's pages live in its base file plus the delta chain.
-	basePath, deltaPaths, err := cat.files(cfg.Path)
-	if err != nil {
-		return nil, nil, err
-	}
 	// Page-integrity verification is version-gated on the catalog flag:
 	// databases saved before checksums existed have no flag, no sidecar,
 	// and open exactly as before. When the flag is set the sidecar is
 	// mandatory — a catalog asserting checksums with the sidecar missing
 	// is itself an integrity failure, not a legacy database.
 	var sums *storage.ChecksumSet
-	if cat.Checksums {
+	if at.checksums {
 		var err error
-		sums, err = storage.LoadChecksums(basePath)
+		sums, err = storage.LoadChecksums(at.base)
 		if err != nil {
 			return nil, nil, fmt.Errorf("containment: catalog records page checksums but the sidecar is unusable: %w", err)
 		}
 	}
 	var disk storage.Disk
 	if cfg.ReadOnly {
-		od, err := storage.OpenOverlayLayered(basePath, deltaPaths, cfg.PageSize, cost)
+		od, err := storage.OpenOverlayLayered(at.base, at.deltas, cfg.PageSize, cost)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -341,46 +389,80 @@ func Open(cfg Config) (*Engine, map[string]*Relation, error) {
 		fd.SetChecksums(sums)
 		disk = fd
 	}
-	e := &Engine{
-		disk: disk, pool: buffer.New(disk, cfg.BufferPages), cfg: cfg, heightFloor: floor,
-		base: basePath, deltas: deltaPaths, epoch: cat.Epoch, checksums: cat.Checksums,
-		docs: cat.Documents,
-	}
-	rels, err := e.attach(cat, disk.NumPages())
-	if err != nil {
+	e := &Engine{disk: disk, pool: buffer.New(disk, cfg.BufferPages), cfg: cfg, heightFloor: floor, at: *at}
+	if err := e.attach(e.at.rels, disk.NumPages()); err != nil {
 		e.Close() //nolint:errcheck // best-effort cleanup
 		return nil, nil, err
 	}
-	return e, rels, nil
+	return e, e.relations(), nil
 }
 
 // Documents returns the per-document catalog stored with the database —
-// the boundaries SaveDocs recorded, or what Open read back — in document
-// order. Nil when the database predates document tracking (or was saved
-// with plain Save); such databases cannot be split by pbidb shard. The
-// catalog's array is decoded here, on each call, and nowhere else.
-func (e *Engine) Documents() []DocInfo {
-	if len(e.docs) > 0 && e.docs[0] == '[' {
+// the boundaries SaveDocs recorded, or what Open read back, with every
+// epoch's changes folded in — in document order. Nil when the database
+// predates document tracking (or was saved with plain Save); such
+// databases cannot be split by pbidb shard. The catalog's columns are
+// decoded on the first call, and the changes of epochs the engine advanced
+// to since on the next; a field that does not decode is an error, and
+// stays one.
+func (e *Engine) Documents() ([]DocInfo, error) {
+	docs, err := e.documents()
+	return slices.Clone(docs), err
+}
+
+// documents is Documents without the copy: the engine's own list.
+func (e *Engine) documents() ([]DocInfo, error) {
+	if !e.docsRead {
+		docs, err := decodeDocs(e.at.docRoot)
+		if err != nil {
+			return nil, fmt.Errorf("containment: document catalog of %s: %w", catalogPath(e.at.catalogs[0]), err)
+		}
+		e.docs, e.docsRead, e.at.docRoot = docs, true, nil
+	}
+	for len(e.at.docDiffs) > 0 {
+		d := e.at.docDiffs[0]
+		docs, err := applyDocDiff(e.docs, d.raw)
+		if err != nil {
+			return nil, fmt.Errorf("containment: document catalog of %s: %w", catalogPath(d.path), err)
+		}
+		e.docs, e.at.docDiffs = docs, e.at.docDiffs[1:]
+	}
+	return e.docs, nil
+}
+
+// decodeDocs decodes a full catalog's documents field: columns, or the
+// array of objects earlier catalogs hold. An absent or null field is no
+// documents.
+func decodeDocs(raw json.RawMessage) ([]DocInfo, error) {
+	if len(raw) > 0 && raw[0] == '[' {
 		var old []catalogDoc
-		if json.Unmarshal(e.docs, &old) != nil {
-			return nil
+		if err := json.Unmarshal(raw, &old); err != nil {
+			return nil, err
 		}
 		docs := make([]DocInfo, len(old))
 		for i, d := range old {
 			docs[i] = DocInfo{Name: d.Name, Root: pbicode.Code(d.Root), Elements: d.Elements}
 		}
-		return docs
+		return docs, nil
 	}
 	var cds catalogDocs
-	if len(e.docs) == 0 || json.Unmarshal(e.docs, &cds) != nil ||
-		len(cds.Roots) != len(cds.Names) || len(cds.Elements) != len(cds.Names) {
-		return nil
+	if len(raw) == 0 {
+		return nil, nil
+	}
+	if err := json.Unmarshal(raw, &cds); err != nil {
+		return nil, err
+	}
+	if len(cds.Roots) != len(cds.Names) || len(cds.Elements) != len(cds.Names) {
+		return nil, fmt.Errorf("columns of %d names, %d roots and %d element counts", len(cds.Names), len(cds.Roots), len(cds.Elements))
+	}
+	if len(cds.Names) == 0 {
+		return nil, nil
 	}
 	docs := make([]DocInfo, len(cds.Names))
 	for i, name := range cds.Names {
 		docs[i] = DocInfo{Name: name, Root: pbicode.Code(cds.Roots[i]), Elements: cds.Elements[i]}
 	}
-	return docs
+	return docs, nil
 }
 
 // ReadOnly reports whether the engine was opened with Config.ReadOnly.

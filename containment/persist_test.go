@@ -166,8 +166,8 @@ func TestOpenReadsEarlierCatalogs(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer e.Close()
-		if got := e.Documents(); !slices.Equal(got, docs) {
-			t.Fatalf("%s: documents %+v, want %+v", what, got, docs)
+		if got, err := e.Documents(); err != nil || !slices.Equal(got, docs) {
+			t.Fatalf("%s: documents %+v (%v), want %+v", what, got, err, docs)
 		}
 		if got := rels["S"].heights; got != 1<<3 {
 			t.Fatalf("%s: single-height mask %b, want %b", what, got, 1<<3)
@@ -217,4 +217,118 @@ func TestOpenReadsEarlierCatalogs(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("earlier catalog", true, false)
+
+	// An epoch as earlier versions wrote every one — a full version-2
+	// catalog — followed by diffs: they fold onto it, the chain passes Fsck,
+	// and an engine opened on the full catalog advances over the diffs.
+	base, rels, err := Open(Config{Path: path, BufferPages: 32, ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown := append(slices.Clone(aCodes), aCodes[:50]...)
+	a1, err := base.LoadOver(rels["A"], "A", grown)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Dir(path)
+	ep1, ep2, ep3 := filepath.Join(dir, "epoch-000001.pbidb"), filepath.Join(dir, "epoch-000002.pbidb"), filepath.Join(dir, "epoch-000003.pbidb")
+	if err := base.SaveEpoch(ep1, 1, docs, a1, rels["D"], rels["S"]); err != nil {
+		t.Fatal(err)
+	}
+	base.Close()
+	writeFullCatalog(t, ep1)
+	e1, rels1, err := Open(Config{Path: ep1, BufferPages: 32, ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grownD := append(slices.Clone(dCodes), dCodes[:30]...)
+	d2, err := e1.LoadOver(rels1["D"], "D", grownD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs2 := append(slices.Clone(docs), DocInfo{Name: "d2", Root: 99, Elements: 1})
+	if err := e1.SaveEpoch(ep2, 2, docs2, rels1["A"], d2, rels1["S"]); err != nil {
+		t.Fatal(err)
+	}
+	if err := e1.SaveEpoch(ep3, 3, docs2[1:], rels1["A"], d2); err != nil { // drops S and d0
+		t.Fatal(err)
+	}
+	e1.Close()
+	want := oracle(grown, grownD)
+	answer := func(what string, e *Engine, rels map[string]*Relation) {
+		t.Helper()
+		if got, err := e.Documents(); err != nil || !slices.Equal(got, docs2[1:]) {
+			t.Fatalf("%s: documents %+v (%v), want %+v", what, got, err, docs2[1:])
+		}
+		if len(rels) != 2 || rels["S"] != nil {
+			t.Fatalf("%s: %d relations, want A and D", what, len(rels))
+		}
+		res, err := e.Join(rels["A"], rels["D"], JoinOptions{Algorithm: MHCJRollup, Collect: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sortPairs(res.Pairs)
+		if !slices.Equal(res.Pairs, want) {
+			t.Fatalf("%s: rollup answered %d pairs, oracle %d", what, len(res.Pairs), len(want))
+		}
+	}
+	e3, rels3, err := Open(Config{Path: ep3, BufferPages: 32, ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer("diffs over a full epoch catalog", e3, rels3)
+	e3.Close()
+	if rep, err := Fsck(ep3); err != nil || !rep.OK() || len(rep.Deltas) != 3 {
+		t.Fatalf("fsck of diffs over a full epoch catalog: %+v, %v", rep, err)
+	}
+	adv, _, err := Open(Config{Path: ep1, BufferPages: 32, ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer adv.Close()
+	advRels, err := adv.Advance(ep3)
+	if err != nil {
+		t.Fatalf("advance over diffs of a full epoch catalog: %v", err)
+	}
+	answer("advanced from a full epoch catalog", adv, advRels)
+}
+
+// writeFullCatalog rewrites the catalog of the epoch at path as the full
+// version-2 catalog earlier versions wrote for every epoch: every relation's
+// page list, the base and the whole delta chain, the documents as columns.
+func writeFullCatalog(t testing.TB, path string) {
+	t.Helper()
+	at, err := readEpoch(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs, err := (&Engine{at: *at}).documents()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := &catalogFile{Version: catalogVersionEpoch, PageSize: at.pageSize, TreeHeight: at.treeHeight, Epoch: at.epoch, Checksums: at.checksums}
+	rel := func(p string) string {
+		r, err := filepath.Rel(filepath.Dir(path), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	cat.Base = rel(at.base)
+	for _, d := range at.deltas {
+		cat.Deltas = append(cat.Deltas, rel(d))
+	}
+	for _, sr := range at.rels {
+		cat.Relations = append(cat.Relations, sr.entry)
+	}
+	var cds catalogDocs
+	for _, d := range docs {
+		cds.Names, cds.Roots, cds.Elements = append(cds.Names, d.Name), append(cds.Roots, uint64(d.Root)), append(cds.Elements, d.Elements)
+	}
+	if cat.Documents, err = json.Marshal(&cds); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeCatalog(path, cat); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -3,6 +3,7 @@ package ingest
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"runtime"
 	"slices"
 	"strings"
@@ -319,7 +320,10 @@ func TestCatalogElementsTracked(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer eng.Close()
-		got := eng.Documents()
+		got, err := eng.Documents()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(got) != len(want) {
 			t.Fatalf("%s: catalog lists %d documents, store has %d", what, len(got), len(want))
 		}
@@ -424,14 +428,30 @@ func TestRollupFalseHitsBounded(t *testing.T) {
 	}
 }
 
+// withUntouched adds to docs one document of n tags no commit of these
+// tests touches.
+func withUntouched(docs map[string]string, n int) map[string]string {
+	var b strings.Builder
+	b.WriteString("<misc>")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "<u%02d/>", i)
+	}
+	b.WriteString("</misc>")
+	docs["misc"] = b.String()
+	return docs
+}
+
 // TestEpochAdvanceAllocs is the in-process budget for an O(change) epoch
-// swap: an engine advancing onto the next epoch reads one catalog and one
-// delta, so the allocations of one advance may not grow with the database.
-// They are measured over the same commits at two database sizes, the second
-// twice the documents of the first, and may differ by at most 10 %.
+// swap: an engine advancing onto the next epoch reads one diff catalog and
+// one delta and attaches the relations the commit re-stored, so the
+// allocations of one advance may grow neither with the documents nor with
+// the relations the commit left alone. They are measured over the same
+// commits on a base of 16 documents and 8 untouched tags, on one of twice
+// the documents, and on one of 64 untouched tags, and may differ by at
+// most 10 %.
 func TestEpochAdvanceAllocs(t *testing.T) {
-	perAdvance := func(docs int) float64 {
-		base := buildBaseDB(t, t.TempDir(), libraryDocs(docs, 20))
+	perAdvance := func(docs, untouched int) float64 {
+		base := buildBaseDB(t, t.TempDir(), withUntouched(libraryDocs(docs, 20), untouched))
 		s, err := Open(Config{DBPath: base, GapAware: true, BufferPages: 64})
 		if err != nil {
 			t.Fatal(err)
@@ -457,9 +477,48 @@ func TestEpochAdvanceAllocs(t *testing.T) {
 		}
 		return float64(total) / commits
 	}
-	small, large := perAdvance(16), perAdvance(32)
-	t.Logf("allocations per advance: %.1f at 16 documents, %.1f at 32", small, large)
-	if large > small*1.10 {
-		t.Fatalf("an advance allocates %.1f times at 32 documents, %.1f at 16: more than 10 %% growth", large, small)
+	small, docs, tags := perAdvance(16, 8), perAdvance(32, 8), perAdvance(16, 64)
+	t.Logf("allocations per advance: %.1f at 16 documents and 8 untouched tags, %.1f at 32 documents, %.1f at 64 untouched tags", small, docs, tags)
+	if docs > small*1.10 {
+		t.Errorf("an advance allocates %.1f times at 32 documents, %.1f at 16: more than 10 %% growth", docs, small)
+	}
+	if tags > small*1.10 {
+		t.Errorf("an advance allocates %.1f times with 64 untouched tags, %.1f with 8: more than 10 %% growth", tags, small)
+	}
+}
+
+// TestCommitCatalogBytes: the catalog a one-document commit writes records
+// only what the commit changed, so its size is independent of the
+// database: at 256 documents, at 64 tags the commit leaves alone, and at
+// both, it stays within 64 bytes of the size at 16 documents and 8 tags
+// (the numbers in it grow by a digit or two).
+func TestCommitCatalogBytes(t *testing.T) {
+	catalogBytes := func(docs, untouched int) int64 {
+		base := buildBaseDB(t, t.TempDir(), withUntouched(libraryDocs(docs, 20), untouched))
+		s, err := Open(Config{DBPath: base, GapAware: true, BufferPages: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close() //nolint:errcheck // test teardown
+		res, err := s.Apply([]Op{{Op: "insert_doc", Doc: "new", XML: smallDoc}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.RenumbersGlobal != 0 {
+			t.Fatalf("the insert re-encoded the collection at %d documents", docs)
+		}
+		st, err := os.Stat(res.Path + ".catalog")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Size()
+	}
+	small := catalogBytes(16, 8)
+	for _, c := range [][2]int{{256, 8}, {16, 64}, {256, 64}} {
+		got := catalogBytes(c[0], c[1])
+		t.Logf("catalog of a one-document commit: %d bytes at %d documents and %d untouched tags, %d at 16 and 8", got, c[0], c[1], small)
+		if got > small+64 {
+			t.Errorf("catalog of a one-document commit: %d bytes at %d documents and %d untouched tags, %d at 16 and 8", got, c[0], c[1], small)
+		}
 	}
 }

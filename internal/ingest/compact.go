@@ -170,7 +170,11 @@ func (s *Store) fold(srcPath, dstPath string) (int64, error) {
 		pages += r.Pages()
 		s.throttle(pages, start)
 	}
-	if err := dst.SaveDocs(src.Documents(), loaded...); err != nil {
+	docs, err := src.Documents()
+	if err != nil {
+		return 0, fmt.Errorf("ingest: compact: %w", err)
+	}
+	if err := dst.SaveDocs(docs, loaded...); err != nil {
 		return 0, fmt.Errorf("ingest: compact: save base: %w", err)
 	}
 	return pages, nil

@@ -10,8 +10,8 @@
 // virtual-node gaps (the paper's §2.3.2 observation, extended with a
 // reserved overflow region in the spirit of Tropashko's nested-intervals
 // gap schemes), and each committed batch is frozen as epoch N+1 — a delta
-// file plus a version-2 catalog layered over the same base (see
-// containment.SaveEpoch). An atomic manifest swap publishes the new epoch;
+// file layered over the same base plus a catalog of what the batch changed
+// over epoch N's (see containment.SaveEpoch). An atomic manifest swap publishes the new epoch;
 // queries that started on epoch N finish on epoch N. When the delta chain
 // grows long, the compaction daemon folds it back into a fresh
 // self-contained database under a configurable I/O budget and the chain
@@ -45,10 +45,11 @@ type EpochEntry struct {
 	// file, catalog and checksum sidecar. Epoch 0 owns nothing — the
 	// original database is never garbage-collected.
 	Files []string `json:"files,omitempty"`
-	// Chain is every file the epoch's page image depends on (base page
-	// file and all deltas, relative; the base's sidecars ride along with
-	// its owning entry). Retirement GC only deletes files no retained
-	// epoch's Chain or Files references.
+	// Chain is every file the epoch depends on (base page file, all
+	// deltas and every catalog its catalog folds over, relative; the
+	// base's checksum sidecar rides along with it). Retirement GC deletes a
+	// pruned entry's Files and Chain that no retained epoch's Chain or
+	// Files references.
 	Chain []string `json:"chain,omitempty"`
 	// DeltaPages is how many pages a delta epoch's commit wrote into its
 	// delta file (0 for base and compacted epochs, and for entries written

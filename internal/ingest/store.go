@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -213,15 +214,6 @@ func Open(cfg Config) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ingest: create epochs dir: %w", err)
 	}
-	// Sweep fold scraps from a compaction that died mid-write; no daemon is
-	// running yet, so nothing here is live.
-	if ents, err := os.ReadDir(dir); err == nil {
-		for _, ent := range ents {
-			if !ent.IsDir() && strings.HasPrefix(ent.Name(), ".tmp-") {
-				os.Remove(filepath.Join(dir, ent.Name())) //nolint:errcheck // best-effort
-			}
-		}
-	}
 	man, err := loadManifest(dir)
 	if err != nil {
 		return nil, err
@@ -236,6 +228,7 @@ func Open(cfg Config) (*Store, error) {
 			return nil, err
 		}
 	}
+	sweepOrphans(dir, man)
 	cur := man.entry(man.Current)
 	if cur == nil {
 		return nil, fmt.Errorf("ingest: manifest current epoch %d has no entry", man.Current)
@@ -392,8 +385,12 @@ func (s *Store) reload() error {
 	}
 	// Match catalog document names to forest roots by root code; roots the
 	// catalog does not name get stable synthetic names.
+	catDocs, err := eng.Documents()
+	if err != nil {
+		return fmt.Errorf("ingest: %w", err)
+	}
 	byRoot := map[pbicode.Code]string{}
-	for _, d := range eng.Documents() {
+	for _, d := range catDocs {
 		byRoot[d.Root] = d.Name
 	}
 	var docs []docState
@@ -939,10 +936,12 @@ func (s *Store) commit(applied int, scoped0, global0 uint64) (*CommitResult, fun
 		Files:      []string{filepath.Base(path) + ".catalog", filepath.Base(path) + ".delta"},
 		DeltaPages: written,
 	}
-	for _, f := range append([]string{eng.BasePath()}, eng.DeltaChain()...) {
-		if rel, err := filepath.Rel(s.dir, f); err == nil {
-			entry.Chain = append(entry.Chain, rel)
+	for _, f := range append(append([]string{eng.BasePath()}, eng.DeltaChain()...), eng.CatalogChain()...) {
+		rel, err := filepath.Rel(s.dir, f)
+		if err != nil {
+			return nil, nil, fmt.Errorf("ingest: epoch %d: chain file %s: %w", epoch, f, err)
 		}
+		entry.Chain = append(entry.Chain, rel)
 	}
 	if err := s.publishLocked(entry); err != nil {
 		return nil, nil, err
@@ -968,8 +967,9 @@ func (s *Store) commit(applied int, scoped0, global0 uint64) (*CommitResult, fun
 }
 
 // publishLocked appends an epoch entry, makes it current, prunes retired
-// epochs past cfg.Keep and garbage-collects their unreferenced files, and
-// swaps the manifest atomically. Called with mu held.
+// epochs past cfg.Keep, deletes the files of the entries pruned that no
+// retained entry references, and swaps the manifest atomically. Called
+// with mu held.
 func (s *Store) publishLocked(entry EpochEntry) error {
 	s.man.Epochs = append(s.man.Epochs, entry)
 	s.man.Current = entry.Epoch
@@ -981,43 +981,71 @@ func (s *Store) publishLocked(entry EpochEntry) error {
 		retainFrom = n - (s.cfg.Keep + 1)
 	}
 	retained := s.man.Epochs[retainFrom:]
-	referenced := map[string]bool{}
-	for _, e := range retained {
-		for _, f := range e.Files {
-			referenced[f] = true
-		}
-		for _, f := range e.Chain {
-			// A chained base page file keeps its sidecars alive too: later
-			// epochs' catalogs re-verify base pages against the .sums file
-			// even after the base's owning entry has aged out.
-			referenced[f] = true
-			referenced[f+".sums"] = true
-			referenced[f+".catalog"] = true
-		}
-		referenced[e.Path] = true
-	}
-	// Scan-based GC: delete every epoch-owned file (epoch-* catalogs and
-	// deltas, compact-* bases) no retained entry references. Scanning —
-	// rather than deleting a dropped entry's files at drop time — also
-	// collects files that outlived their owner through a since-retired
-	// chain reference, and orphans from a crash between delta and catalog
-	// writes. In-progress compactions fold into ".tmp-"-prefixed names and
-	// are never touched; files outside the epochs directory (the original
-	// database) are out of scope by construction.
-	if ents, err := os.ReadDir(s.dir); err == nil {
-		for _, ent := range ents {
-			name := ent.Name()
-			if ent.IsDir() || referenced[name] || strings.HasPrefix(name, ".tmp-") {
-				continue
+	// A pruned entry's files — its own, and the deltas, diff catalogs and
+	// base of its chain — go once no retained entry references them. A
+	// file another entry's chain still needs is a candidate again when
+	// that entry is pruned, so every file goes with the last entry that
+	// references it, and a commit costs the pruned entries' files, not a
+	// scan of the directory. A base page file takes its checksum sidecar
+	// with it.
+	for _, e := range s.man.Epochs[:retainFrom] {
+		for _, files := range [][]string{e.Files, e.Chain} {
+			for _, f := range files {
+				if !collectable(f) || referenced(retained, f) {
+					continue
+				}
+				if os.Remove(filepath.Join(s.dir, f)) == nil {
+					os.Remove(filepath.Join(s.dir, f+".sums")) //nolint:errcheck // GC is best-effort; most files have none
+				}
 			}
-			if !strings.HasPrefix(name, "epoch-") && !strings.HasPrefix(name, "compact-") {
-				continue
-			}
-			os.Remove(filepath.Join(s.dir, name)) //nolint:errcheck // GC is best-effort
 		}
 	}
 	s.man.Epochs = append([]EpochEntry(nil), retained...)
 	return s.man.save(s.dir)
+}
+
+// collectable reports whether name is a file GC may delete: an epoch
+// catalog or delta or a compacted base, or one of their sidecars, inside
+// the epochs directory. In-progress compactions fold into ".tmp-"-prefixed
+// names and are never touched; files outside the epochs directory (the
+// original database) are out of scope by construction.
+func collectable(name string) bool {
+	return !strings.ContainsRune(name, filepath.Separator) &&
+		(strings.HasPrefix(name, "epoch-") || strings.HasPrefix(name, "compact-"))
+}
+
+// referenced reports whether any of entries references the file name: as
+// a file it owns, its database, or a file of its chain. A chained base page
+// file keeps its sidecars alive too: a later epoch re-verifies base pages
+// against the .sums file and folds its catalog even after the base's
+// owning entry has aged out.
+func referenced(entries []EpochEntry, name string) bool {
+	stem := strings.TrimSuffix(strings.TrimSuffix(name, ".sums"), ".catalog")
+	for _, e := range entries {
+		if e.Path == name || slices.Contains(e.Files, name) || slices.Contains(e.Chain, name) || slices.Contains(e.Chain, stem) {
+			return true
+		}
+	}
+	return false
+}
+
+// sweepOrphans deletes what a crash left in the epochs directory: fold
+// scraps of a compaction that died mid-write (".tmp-" names), and epoch
+// files no manifest entry references — a delta whose catalog was never
+// written, or an epoch whose manifest swap never happened. It runs once,
+// at Open, before any daemon: from then on publishLocked collects.
+func sweepOrphans(dir string, man *Manifest) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return
+	}
+	for _, ent := range ents {
+		name := ent.Name()
+		if ent.IsDir() || !strings.HasPrefix(name, ".tmp-") && (!collectable(name) || referenced(man.Epochs, name)) {
+			continue
+		}
+		os.Remove(filepath.Join(dir, name)) //nolint:errcheck // best-effort
+	}
 }
 
 // DocFor reports the name of the document whose region contains code, for

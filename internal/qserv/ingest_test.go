@@ -423,12 +423,15 @@ func TestIngestConfigRejectsShards(t *testing.T) {
 }
 
 // TestEpochAdvanceMatchesOpen is the differential check of epoch adoption
-// (run under -race by the CI race step): one worker follows k commits and
-// a compaction the way acquire moves it, and after every publication it
-// must answer every key — each ordered pair of stored tags — exactly as an
-// engine freshly opened on the same epoch does. Across commits the worker's engine advances, keeping
-// its pool, so its joins hit pages cached before the advance; the
-// compaction brings a new base, across which it is reopened instead.
+// (run under -race by the CI race step): one worker follows commits of
+// every kind and compactions the way acquire moves it, and after every
+// step it must answer every key — each ordered pair of stored tags —
+// exactly as an engine freshly opened on the same epoch does. Across
+// commits the worker's engine advances, keeping its pool, so its joins hit
+// pages cached before the advance; some steps publish two commits, which
+// it folds in one advance. A compaction brings a new base, across which it
+// is reopened instead, also when commits land on both sides of it before
+// the worker moves.
 func TestEpochAdvanceMatchesOpen(t *testing.T) {
 	db := buildIngestDB(t, t.TempDir(), ingestBaseDocs())
 	st, err := ingest.Open(ingest.Config{DBPath: db, GapAware: true, BufferPages: 64})
@@ -436,19 +439,44 @@ func TestEpochAdvanceMatchesOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close() //nolint:errcheck // test teardown
-	s, err := New(Config{DBPath: db, Ingest: st, Workers: 1, CacheEntries: -1, BufferPages: 32})
+	s, err := New(Config{DBPath: db, Workers: 1, Ingest: st, CacheEntries: -1, BufferPages: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
-	batches := []string{
-		`<lib><book><title>n</title></book></lib>`,
-		`<mbox><msg><subj/></msg><msg/></mbox>`,
-		`<shelf><book><title/><title/></book><mbox><msg/></mbox></shelf>`,
-		"compact",
-		`<lib><book/><book><title/></book></lib>`,
-		`<mbox><msg><subj/><subj/></msg></mbox>`,
+	wk := (<-s.workers).(*soloWorker)
+	// code returns the i-th stored code of a tag at the worker's epoch.
+	code := func(tag string, i int) uint64 {
+		codes, err := wk.rels["tag:"+tag].Codes()
+		if err != nil || len(codes) <= i {
+			t.Fatalf("code %d of %s: %v (%d codes)", i, tag, err, len(codes))
+		}
+		return uint64(codes[i])
+	}
+	insert := func(name, xml string) func() []ingest.Op {
+		return func() []ingest.Op { return []ingest.Op{{Op: "insert_doc", Doc: name, XML: xml}} }
+	}
+	compact := func() []ingest.Op { return nil }
+	steps := [][]func() []ingest.Op{
+		{insert("n0", `<lib><book><title>n</title></book></lib>`)},
+		{insert("n1", `<mbox><msg><subj/></msg><msg/></mbox>`)},
+		{insert("n2", `<shelf><book><title/><title/></book><mbox><msg/></mbox></shelf>`),
+			func() []ingest.Op { return []ingest.Op{{Op: "delete_doc", Doc: "n0"}} }},
+		{func() []ingest.Op {
+			return []ingest.Op{
+				{Op: "insert_element", Parent: code("book", 0), Tag: "note"},
+				{Op: "update_element", Code: code("title", 1), Tag: "subj"},
+			}
+		}},
+		{compact},
+		{insert("n3", `<lib><book/><book><title/></book></lib>`)},
+		{func() []ingest.Op {
+			return []ingest.Op{{Op: "delete_doc", Doc: "n1"}, {Op: "insert_doc", Doc: "n4", XML: `<mbox><msg><subj/><subj/></msg></mbox>`}}
+		}},
+		{func() []ingest.Op { return []ingest.Op{{Op: "delete_element", Code: code("note", 0)}} }},
+		{insert("n5", `<lib><book><note/></book></lib>`), compact, insert("n6", `<shelf><book/></shelf>`)},
+		{insert("n7", `<mbox><msg/></mbox>`)},
 	}
 	// answers runs every key on eng and returns the pairs per key and the
 	// pool hits of the whole sweep.
@@ -474,27 +502,31 @@ func TestEpochAdvanceMatchesOpen(t *testing.T) {
 		}
 		return out, hits
 	}
-	wk := (<-s.workers).(*soloWorker)
 	answers(wk.eng, wk.rels) // warm the pool
-	for i, batch := range batches {
+	for i, step := range steps {
 		before := wk.eng
-		if batch == "compact" {
-			if err := st.CompactNow(); err != nil {
-				t.Fatal(err)
+		compacted := false
+		for _, action := range step {
+			ops := action()
+			if ops == nil {
+				if err := st.CompactNow(); err != nil {
+					t.Fatal(err)
+				}
+				compacted = true
+			} else if _, err := st.Apply(ops); err != nil {
+				t.Fatalf("step %d: %v", i, err)
 			}
-		} else if _, err := st.Apply([]ingest.Op{{Op: "insert_doc", Doc: fmt.Sprintf("n%d", i), XML: batch}}); err != nil {
-			t.Fatal(err)
 		}
 		epoch, path := st.CurrentEpoch()
 		wk = s.freshen(wk).(*soloWorker)
 		if wk.epoch() != epoch {
 			t.Fatalf("step %d: worker at epoch %d, store at %d", i, wk.epoch(), epoch)
 		}
-		if advanced := wk.eng == before; advanced != (batch != "compact") {
-			t.Fatalf("step %d (%s): engine kept = %v", i, batch, advanced)
+		if advanced := wk.eng == before; advanced == compacted {
+			t.Fatalf("step %d: engine kept = %v across a compaction = %v", i, advanced, compacted)
 		}
 		got, hits := answers(wk.eng, wk.rels)
-		if batch != "compact" && hits == 0 {
+		if !compacted && hits == 0 {
 			t.Errorf("step %d: no pool hit after the advance", i)
 		}
 		fresh, rels, err := containment.Open(containment.Config{Path: path, ReadOnly: true, BufferPages: 32})

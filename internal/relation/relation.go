@@ -357,12 +357,13 @@ func (r *Relation) Pages() []storage.PageID {
 
 // Attach reconstructs a relation from a persisted catalog entry: the page
 // list plus the cached statistics. The pages must exist on the pool's disk
-// and hold valid heap pages.
+// and hold valid heap pages. The relation takes pages over; the caller
+// must not modify the slice afterwards.
 func Attach(pool *buffer.Pool, name string, pages []storage.PageID, count int64, span pbicode.Region) *Relation {
 	return &Relation{
 		name:     name,
 		pool:     pool,
-		pages:    append([]storage.PageID(nil), pages...),
+		pages:    pages,
 		count:    count,
 		perPage:  PerPage(pool.PageSize()),
 		minStart: span.Start,

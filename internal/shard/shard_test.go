@@ -1,10 +1,13 @@
 package shard_test
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -476,5 +479,36 @@ func TestDiscover(t *testing.T) {
 	regions = shard.Discover(coll.Codes("dblp"), coll.Codes("article"), coll.Codes("author"))
 	if len(regions) != 4 {
 		t.Fatalf("%d regions with doc roots present, want 4", len(regions))
+	}
+}
+
+// TestSplitReportsCorruptDocuments: a document catalog that does not decode
+// is reported as such, not as a database without one.
+func TestSplitReportsCorruptDocuments(t *testing.T) {
+	srcPath := filepath.Join(t.TempDir(), "corpus.db")
+	src, err := containment.NewEngine(containment.Config{Path: srcPath, PageSize: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := src.Load("a", []pbicode.Code{3, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.SaveDocs([]containment.DocInfo{{Name: "d", Root: 3, Elements: 2}}, r); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(srcPath + ".catalog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(srcPath+".catalog", bytes.Replace(data, []byte(`"names":[`), []byte(`"names":[7,`), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = shard.Split(srcPath, 2, filepath.Join(t.TempDir(), "shards"))
+	if err == nil || strings.Contains(err.Error(), "has no document catalog") || !strings.Contains(err.Error(), "document catalog") {
+		t.Fatalf("split over a corrupt document catalog: %v", err)
 	}
 }

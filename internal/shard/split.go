@@ -171,7 +171,10 @@ func Split(srcPath string, n int, outDir string) (*Manifest, error) {
 		return nil, err
 	}
 	defer src.Close() //nolint:errcheck // read-only source
-	docs := src.Documents()
+	docs, err := src.Documents()
+	if err != nil {
+		return nil, fmt.Errorf("shard: %s: %w", srcPath, err)
+	}
 	if len(docs) == 0 {
 		return nil, fmt.Errorf("shard: %s has no document catalog (rebuild it with pbidb build to record document boundaries)", srcPath)
 	}

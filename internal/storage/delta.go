@@ -48,6 +48,11 @@ const (
 
 const deltaHdrSize = len(deltaMagic) + 4 + 8 + 4
 
+// maxDeltaPageSize bounds the page size a delta file may record: a delta's
+// pages are held whole in memory, so a damaged header must not make a small
+// file ask for gigabytes.
+const maxDeltaPageSize = 1 << 20
+
 // Delta is one loaded delta file: the pages it overrides or adds, and the
 // logical page count of the disk after applying it. The page slices of a
 // Delta returned by ReadDelta share one buffer and must be treated as
@@ -120,7 +125,7 @@ func ReadDelta(path string, pageSize int) (*Delta, error) {
 		return nil, fmt.Errorf("storage: %s: delta checksum mismatch (delta damaged)", path)
 	}
 	ps := int(binary.LittleEndian.Uint32(body[len(deltaMagic):]))
-	if ps <= 0 || pageSize != 0 && ps != pageSize {
+	if ps <= 0 || ps > maxDeltaPageSize || pageSize != 0 && ps != pageSize {
 		return nil, fmt.Errorf("storage: %s: delta page size %d, want %d", path, ps, pageSize)
 	}
 	logical := PageID(binary.LittleEndian.Uint64(body[len(deltaMagic)+4:]))

@@ -415,3 +415,55 @@ func TestDeltaRejectsInconsistentLengths(t *testing.T) {
 		}
 	}
 }
+
+// FuzzReadDelta feeds arbitrary bytes to ReadDelta as a delta file, as they
+// are and with their trailing CRC32-C made to match, so that the header and
+// entries are parsed instead of the checksum rejecting them. ReadDelta must
+// only ever return an error, or a delta whose every page is a whole page
+// inside its logical extent.
+func FuzzReadDelta(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "fuzz.delta")
+	page := func(b byte) []byte { return bytes.Repeat([]byte{b}, 64) }
+	for _, pages := range []map[PageID][]byte{nil, {2: page(0xAA), 7: page(0)}, {0: append(page(0)[:60], 1, 2, 3, 4)}} {
+		if err := WriteDelta(path, 64, 10, pages); err != nil {
+			f.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	// A version-1 file: whole pages, no stored lengths.
+	v1 := []byte(deltaMagicV1)
+	v1 = binary.LittleEndian.AppendUint32(v1, 64)
+	v1 = binary.LittleEndian.AppendUint64(v1, 4)
+	v1 = binary.LittleEndian.AppendUint32(v1, 1)
+	v1 = binary.LittleEndian.AppendUint64(v1, 3)
+	v1 = append(v1, page(0x5A)...)
+	f.Add(binary.LittleEndian.AppendUint32(v1, crc32.Checksum(v1, crc32.MakeTable(crc32.Castagnoli))))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sealed := data
+		if len(data) >= 4 {
+			body := data[:len(data)-4]
+			sealed = binary.LittleEndian.AppendUint32(bytes.Clone(body), crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+		}
+		for _, b := range [][]byte{data, sealed} {
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for _, ps := range []int{0, 64} {
+				d, err := ReadDelta(path, ps)
+				if err != nil {
+					continue
+				}
+				for id, p := range d.Pages {
+					if id < 0 || id >= d.LogicalPages || len(p) != d.PageSize {
+						t.Fatalf("page %d of %d bytes in a delta of %d-byte pages and extent %d", id, len(p), d.PageSize, d.LogicalPages)
+					}
+				}
+			}
+		}
+	})
+}
