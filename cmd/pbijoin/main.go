@@ -43,7 +43,6 @@ func main() {
 		compare  = flag.Bool("compare", false, "run all applicable algorithms and compare")
 		analyze  = flag.Bool("analyze", false, "EXPLAIN ANALYZE: print the per-phase cost breakdown")
 		shards   = flag.Int("shards", 0, "scatter-gather the join across N region-disjoint in-memory shards (0 = single engine)")
-		parallel = flag.Int("parallel", 0, "intra-engine worker degree for partition fan-outs (composes with -shards; 0/1 = serial)")
 		timeout  = flag.Duration("timeout", 0, "abort each join after this long (0 = no deadline)")
 	)
 	flag.Parse()
@@ -84,7 +83,6 @@ func main() {
 			BufferPages: *buffer,
 			PageSize:    *pageSize,
 			DiskCost:    containment.DefaultDiskCost,
-			Parallel:    *parallel,
 		}, *shards)
 		if err != nil {
 			fail(err)
@@ -126,7 +124,6 @@ func main() {
 			BufferPages: *buffer,
 			PageSize:    *pageSize,
 			DiskCost:    containment.DefaultDiskCost,
-			Parallel:    *parallel,
 		})
 		if err != nil {
 			fail(err)

@@ -30,16 +30,15 @@ import (
 
 func main() {
 	var (
-		anc      = flag.String("anc", "", "ancestor tag")
-		desc     = flag.String("desc", "", "descendant tag")
-		path     = flag.String("path", "", "path expression, e.g. //a[t=\"v\"]//b (overrides -anc/-desc)")
-		algo     = flag.String("algo", "auto", "algorithm: auto|nlj|shcj|mhcj|rollup|vpj|inljn|stacktree|stackanc|mpmgjn|adb")
-		where    = flag.String("where", "", "ancestor filter childTag=text")
-		limit    = flag.Int("limit", 10, "result pairs to print (0 = count only)")
-		buffer   = flag.Int("buffer", 500, "buffer pool pages")
-		parallel = flag.Int("parallel", 0, "intra-engine worker degree for partition fan-outs (0/1 = serial)")
-		analyze  = flag.Bool("analyze", false, "EXPLAIN ANALYZE: print the per-phase cost breakdown (with -anc/-desc)")
-		timeout  = flag.Duration("timeout", 0, "abort the query after this long (0 = no deadline)")
+		anc     = flag.String("anc", "", "ancestor tag")
+		desc    = flag.String("desc", "", "descendant tag")
+		path    = flag.String("path", "", "path expression, e.g. //a[t=\"v\"]//b (overrides -anc/-desc)")
+		algo    = flag.String("algo", "auto", "algorithm: auto|nlj|shcj|mhcj|rollup|vpj|inljn|stacktree|stackanc|mpmgjn|adb")
+		where   = flag.String("where", "", "ancestor filter childTag=text")
+		limit   = flag.Int("limit", 10, "result pairs to print (0 = count only)")
+		buffer  = flag.Int("buffer", 500, "buffer pool pages")
+		analyze = flag.Bool("analyze", false, "EXPLAIN ANALYZE: print the per-phase cost breakdown (with -anc/-desc)")
+		timeout = flag.Duration("timeout", 0, "abort the query after this long (0 = no deadline)")
 	)
 	flag.Parse()
 	if (*path == "" && (*anc == "" || *desc == "")) || flag.NArg() != 1 {
@@ -80,7 +79,7 @@ func main() {
 	}
 
 	if *path != "" {
-		eng, err := containment.NewEngine(containment.Config{BufferPages: *buffer, TreeHeight: doc.Height, Parallel: *parallel})
+		eng, err := containment.NewEngine(containment.Config{BufferPages: *buffer, TreeHeight: doc.Height})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pbiquery: %v\n", err)
 			os.Exit(1)
@@ -123,7 +122,7 @@ func main() {
 		})
 	}
 
-	eng, err := containment.NewEngine(containment.Config{BufferPages: *buffer, TreeHeight: doc.Height, Parallel: *parallel})
+	eng, err := containment.NewEngine(containment.Config{BufferPages: *buffer, TreeHeight: doc.Height})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pbiquery: %v\n", err)
 		os.Exit(1)

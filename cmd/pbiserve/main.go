@@ -71,7 +71,6 @@ func main() {
 		buffer    = flag.Int("buffer", 256, "buffer pool pages per worker")
 		diskcost  = flag.String("diskcost", "2003", "virtual disk cost model: 2003|none")
 		shards    = flag.Int("shards", 0, "serve a sharded store split by pbidb shard (0 = unsharded)")
-		parallel  = flag.Int("parallel", 0, "intra-query worker degree per engine (composes with -shards; 0/1 = serial)")
 		timeout   = flag.Duration("timeout", 0, "per-query execution deadline, also the ?timeout= clamp (0 = none)")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
 		accesslog = flag.String("accesslog", "", "write JSON request logs to this file (- = stdout)")
@@ -156,7 +155,6 @@ func main() {
 		EnablePprof:   *pprofFlag,
 		QueryTimeout:  *timeout,
 		Shards:        *shards,
-		Parallel:      *parallel,
 		Telemetry:     telw,
 		Ingest:        ist,
 		IngestBacklog: *ingestQueue,

@@ -45,8 +45,6 @@ func main() {
 		docs     = flag.Bool("docs", false, "per-document size breakdown of a corpus")
 		shards   = flag.Int("shards", 0, "with -docs: preview the LPT packing into N shards")
 		pageSize = flag.Int("pagesize", 4096, "with -docs: page size for the page estimate")
-		parallel = flag.Int("parallel", 0, "with -docs: preview the per-worker page budget at this intra-engine degree")
-		buffer   = flag.Int("buffer", 256, "with -docs -parallel: buffer pool pages per engine (pbiserve's default)")
 		layout   = flag.Bool("layout", false, "per-relation page-format report of a saved database (arg: page file)")
 	)
 	flag.Parse()
@@ -60,10 +58,10 @@ func main() {
 	}
 	if *docs {
 		if flag.NArg() == 0 {
-			fmt.Fprintln(os.Stderr, "usage: pbistat -docs [-shards N] [-parallel N [-buffer N]] file.xml [file.xml ...]")
+			fmt.Fprintln(os.Stderr, "usage: pbistat -docs [-shards N] file.xml [file.xml ...]")
 			os.Exit(2)
 		}
-		docBreakdown(flag.Args(), *shards, *pageSize, *parallel, *buffer)
+		docBreakdown(flag.Args(), *shards, *pageSize)
 		return
 	}
 	if flag.NArg() != 1 || (!*tags && (*anc == "" || *desc == "")) {
@@ -139,11 +137,8 @@ func main() {
 // document's element count and estimated heap pages — the weights pbidb
 // shard balance-packs by. With n > 0 it additionally runs the same LPT
 // packer and reports the resulting per-shard loads and balance ratio, so
-// a skewed corpus can be inspected before splitting. With parallel > 0 it
-// also predicts the per-worker page budget an engine of `buffer` pages
-// would carve at that intra-query degree, flagging budgets below the
-// 3-page external-sort floor before anything is served.
-func docBreakdown(paths []string, n, pageSize, parallel, buffer int) {
+// a skewed corpus can be inspected before splitting.
+func docBreakdown(paths []string, n, pageSize int) {
 	coll := xmltree.NewCollection()
 	for _, path := range paths {
 		f, err := os.Open(path)
@@ -192,7 +187,6 @@ func docBreakdown(paths []string, n, pageSize, parallel, buffer int) {
 	}
 	fmt.Printf("%-32s %10d %8d\n", fmt.Sprintf("total (%d documents)", len(names)), total, estPages(total))
 	if n <= 0 {
-		previewWorkerBudget(parallel, buffer)
 		return
 	}
 	loads := make([]int64, n)
@@ -213,28 +207,6 @@ func docBreakdown(paths []string, n, pageSize, parallel, buffer int) {
 		mean := float64(total) / float64(n)
 		fmt.Printf("balance: max/mean = %.2f (1.00 is perfect; the slowest shard bounds the fan-out)\n",
 			float64(maxLoad)/mean)
-	}
-	previewWorkerBudget(parallel, buffer)
-}
-
-// previewWorkerBudget prints the per-worker page budget an engine of
-// `buffer` pool pages would carve at intra-query degree `parallel` —
-// buffer/parallel pages each — and warns when that lands below the 3-page
-// external-sort floor. The engine clamps the effective degree to
-// buffer/3 workers rather than run with starved pools, so a flagged
-// configuration silently uses fewer workers than asked; operators should
-// raise -buffer or lower -parallel instead of relying on the clamp.
-func previewWorkerBudget(parallel, buffer int) {
-	if parallel <= 1 {
-		return
-	}
-	per := buffer / parallel
-	fmt.Printf("\nparallel: %d workers x %d pages each (engine buffer %d)\n", parallel, per, buffer)
-	if per < 3 {
-		max := buffer / 3
-		fmt.Printf("  WARNING: per-worker budget %d is below the 3-page external-sort floor;\n", per)
-		fmt.Printf("  the engine will clamp the degree to %d. Raise -buffer to >= %d or lower -parallel.\n",
-			max, 3*parallel)
 	}
 }
 

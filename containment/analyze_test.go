@@ -54,6 +54,15 @@ func TestAnalyzeSpanSumsToResultIO(t *testing.T) {
 		if pairs != res.Count {
 			t.Errorf("%s: phase pairs sum to %d, Result.Count = %d", res.Algorithm, pairs, res.Count)
 		}
+		var hits, misses int64
+		for _, p := range an.Phases {
+			hits += p.PoolHits
+			misses += p.PoolMisses
+		}
+		if hits != res.IO.PoolHits || misses != res.IO.PoolMisses || hits+misses == 0 {
+			t.Errorf("%s: phase pool counters sum to %d hits + %d misses, Result.IO has %d + %d",
+				res.Algorithm, hits, misses, res.IO.PoolHits, res.IO.PoolMisses)
+		}
 		root := an.SpanTree()
 		if root == nil {
 			t.Fatalf("%s: no span tree", res.Algorithm)

@@ -70,7 +70,7 @@ func TestJoinContextCancel(t *testing.T) {
 	defer eng.Close()
 	a, d := rels["tag:section"], rels["tag:figure"]
 
-	for _, alg := range []Algorithm{Auto, MHCJRollup, StackTree, MPMGJN} {
+	for _, alg := range []Algorithm{Auto, MHCJRollup, VPJ, StackTree, MPMGJN} {
 		ctx, cancel := context.WithCancel(context.Background())
 		emitted := int64(0)
 		res, err := eng.JoinContext(ctx, a, d, JoinOptions{

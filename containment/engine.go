@@ -42,14 +42,6 @@ type Config struct {
 	// database file at once; that is the foundation of concurrent serving
 	// (see internal/qserv).
 	ReadOnly bool
-	// Parallel is the engine's intra-query worker degree: how many
-	// goroutines a single join may fan its independent partitions out to
-	// (MHCJ per-height equijoins, VPJ per-subtree joins, external-sort run
-	// generation). 0 or 1 means serial execution, the pre-parallel code
-	// path. The engine's external contract is unchanged: one goroutine
-	// calls its methods, and a join may use up to Parallel workers
-	// internally while it runs. See doc/PARALLEL.md.
-	Parallel int
 	// PaperLayout makes the engine write the paper's pages — 16-byte
 	// records, 255 to a 4 KiB page — instead of packed ones, which hold
 	// about five times as many: relations it loads, and the partitions,
@@ -75,15 +67,13 @@ var DefaultDiskCost = DiskCost{Random: 10 * time.Millisecond, Sequential: 200 * 
 //
 // An Engine — together with everything reached through it: its buffer
 // pool, its Relations, its scans — is single-threaded at its surface: it
-// must be owned by exactly one goroutine (worker) at a time, and no method
-// is safe to call concurrently with another. With Config.Parallel > 1 a
-// join may fan its independent partitions out across worker goroutines
-// internally while it runs, but that parallelism never escapes the call —
-// by the time a join method returns, its workers are gone. To serve
-// queries in parallel, open one read-only engine per worker over a shared
-// database file (Config.ReadOnly with Open) and multiplex requests across
-// the workers; internal/qserv implements that pattern behind an HTTP
-// server.
+// must be owned by exactly one goroutine (worker) at a time, no method is
+// safe to call concurrently with another, and a join runs on the calling
+// goroutine. To serve queries in parallel, open one read-only engine per
+// worker over a shared database file (Config.ReadOnly with Open) and
+// multiplex requests across the workers; internal/qserv implements that
+// pattern behind an HTTP server. To run one join in parallel, split the
+// database into document-disjoint shards (internal/shard).
 type Engine struct {
 	disk storage.Disk
 	pool *buffer.Pool
@@ -546,7 +536,6 @@ func (e *Engine) join(goCtx context.Context, a, d *Relation, opts JoinOptions, t
 		AncestorHeights: a.heights,
 		VPJRootCut:      opts.VPJRootCut,
 		Stats:           stats,
-		Parallel:        e.cfg.Parallel,
 		Scratch:         &e.scratch,
 	}
 	if goCtx != nil && goCtx != context.Background() {

@@ -79,7 +79,6 @@ func (e *Engine) Sort(r *Relation) error {
 	// Keep the relation's name: the sorted copy replaces it (catalog
 	// identity must survive).
 	ctx := e.coreContext()
-	ctx.Parallel = e.cfg.Parallel
 	sorted, err := core.SortByDoc(ctx, r.rel, r.rel.Name())
 	if err != nil {
 		return err

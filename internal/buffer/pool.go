@@ -138,18 +138,6 @@ func (p *Pool) Disk() storage.Disk { return p.disk }
 // Stats returns the pool counters.
 func (p *Pool) Stats() Stats { return p.stats }
 
-// Absorb folds another pool's counters into this one. A parallel fan-out
-// mounts per-worker pools over the shared disk and absorbs their stats
-// into the parent when the workers finish, so an engine-level bracket
-// around the whole join (containment.IOStats) accounts the workers' cache
-// behavior too. Call it after the worker goroutines have stopped.
-func (p *Pool) Absorb(s Stats) {
-	p.stats.Hits += s.Hits
-	p.stats.Misses += s.Misses
-	p.stats.Evictions += s.Evictions
-	p.stats.Flushes += s.Flushes
-}
-
 // SetInterrupt installs i as the pool's interrupt check and returns the
 // previous one (nil if none), so nested executions can save and restore it.
 // While installed, i is polled before every Fetch and NewPage; a non-nil

@@ -55,15 +55,9 @@ type Context struct {
 	// ErrDeadlineExceeded. Nil means uncancelable, at the cost of one nil
 	// check per page request — the same bargain trace.Recorder strikes.
 	Ctx context.Context
-	// Parallel is the worker degree for the partition fan-outs (MHCJ
-	// per-height equijoins, VPJ per-subtree joins, extsort run
-	// generation). Values <= 1 mean serial execution on the calling
-	// goroutine — byte-for-byte the pre-parallel code paths. See
-	// doc/PARALLEL.md for the execution model.
-	Parallel int
-	// Scratch is the working memory the execution borrows from its owner —
-	// the engine, or a parallel worker (see Scratch). Nil means none is
-	// lent: the execution allocates its own on first need.
+	// Scratch is the working memory the execution borrows from the engine
+	// that owns it (see Scratch). Nil means none is lent: the execution
+	// allocates its own on first need.
 	Scratch *Scratch
 
 	tmpSeq int

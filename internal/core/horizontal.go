@@ -70,22 +70,6 @@ func mhcj(ctx *Context, a, d *relation.Relation, sink Sink) error {
 			}
 		}
 	}()
-	// The per-height equijoins share no state (heights partition A, and a
-	// pair's height is its ancestor's height), so with a parallel degree
-	// they fan out across worker pools, emitting through one serialized
-	// sink into the parent's chain. The deferred free above covers every
-	// partition regardless of which worker joined it.
-	if degree := ctx.parallelDegree(len(heights)); degree > 1 {
-		shared := &lockedSink{sink: sink}
-		return ctx.runParallel(degree, len(heights), "equijoin",
-			func(i int) string { return fmt.Sprintf("h=%d", heights[i]) },
-			func(child *Context, i int) error {
-				h := heights[i]
-				return equiJoin(child,
-					parts[h].WithPool(child.Pool), d.WithPool(child.Pool),
-					h, nil, child.Wrap(shared), 0)
-			})
-	}
 	for _, h := range heights {
 		sp := ctx.Trace.StartDetail("equijoin", fmt.Sprintf("h=%d", h))
 		err := equiJoin(ctx, parts[h], d, h, nil, sink, 0)

@@ -82,13 +82,12 @@ func kernelCases() []kernelCase {
 }
 
 // runKernel evaluates fn over fresh relations in the given page format
-// and parallel degree with tracing on, and returns the emitted pairs in
+// with tracing on, and returns the emitted pairs in
 // emission order plus the finished span tree. It fails the test on a pair
 // count that disagrees with Stats or on a leaked pin.
-func runKernel(t *testing.T, label string, fn joinFunc, b, h, degree int, format string, aCodes, dCodes []pbicode.Code) ([]Pair, *trace.Span) {
+func runKernel(t *testing.T, label string, fn joinFunc, b, h int, format string, aCodes, dCodes []pbicode.Code) ([]Pair, *trace.Span) {
 	t.Helper()
 	ctx := newCtx(t, b, h)
-	ctx.Parallel = degree
 	ctx.Trace = trace.New("join", func() trace.Counters { return trace.Counters{} })
 	a := loadFmt(t, ctx, "A", aCodes, format)
 	d := loadFmt(t, ctx, "D", dCodes, format)
@@ -118,12 +117,11 @@ func hasSpan(root *trace.Span, name, detail string) bool {
 }
 
 // TestKernelsMatchOracleRandom is the core correctness property: for
-// random inputs, every algorithm × page format × memory budget × parallel
-// degree emits exactly the nested-loop oracle's pairs. b=4 forces the
-// grace/block equijoin paths (memory budget of ~30 records) and clamps
-// every fan-out to one worker; b=24 leaves VPJ partitions to fan out;
-// b=64 keeps the in-memory hash builds. Worker contexts must scan temp
-// partitions in the input's format at every degree.
+// random inputs, every algorithm × page format × memory budget emits
+// exactly the nested-loop oracle's pairs. b=4 forces the grace/block
+// equijoin paths (memory budget of ~30 records); b=24 makes VPJ partition
+// its larger inputs; b=64 keeps the in-memory hash builds. Temp partitions must
+// be scanned in the input's format at every budget.
 func TestKernelsMatchOracleRandom(t *testing.T) {
 	const h = 12
 	for seed := int64(0); seed < 4; seed++ {
@@ -135,11 +133,9 @@ func TestKernelsMatchOracleRandom(t *testing.T) {
 			want := oracle(aCodes, dCodes)
 			for _, format := range pageFormats {
 				for _, b := range []int{4, 24, 64} {
-					for _, degree := range []int{0, 1, 2, 8} {
-						label := fmt.Sprintf("%s(b=%d format=%s parallel=%d)", tc.name, b, format, degree)
-						got, _ := runKernel(t, label, tc.fn, b, h, degree, format, aCodes, dCodes)
-						samePairs(t, label, got, want)
-					}
+					label := fmt.Sprintf("%s(b=%d format=%s)", tc.name, b, format)
+					got, _ := runKernel(t, label, tc.fn, b, h, format, aCodes, dCodes)
+					samePairs(t, label, got, want)
 				}
 			}
 		}
@@ -209,7 +205,7 @@ func TestFallbackKernels(t *testing.T) {
 		}
 		for _, format := range pageFormats {
 			label := fmt.Sprintf("%s(format=%s)", tc.name, format)
-			got, root := runKernel(t, label, tc.fn, b, h, 0, format, tc.a, tc.d)
+			got, root := runKernel(t, label, tc.fn, b, h, format, tc.a, tc.d)
 			if !hasSpan(root, tc.span, tc.detail) {
 				t.Errorf("%s: trace has no %s[%s] span", label, tc.span, tc.detail)
 			}
@@ -235,7 +231,7 @@ func TestMultiProbeOrderDeterministic(t *testing.T) {
 	rollup := func(ctx *Context, a, d *relation.Relation, s Sink) error { return MHCJRollup(ctx, a, d, 0, s) }
 	var first []Pair
 	for run := 0; run < 5; run++ {
-		got, root := runKernel(t, "tail", rollup, 64, h, 0, "packed", aCodes, dCodes)
+		got, root := runKernel(t, "tail", rollup, 64, h, "packed", aCodes, dCodes)
 		if !hasSpan(root, "equijoin", "rollup h=1 tail=6,7,8,9,10,11") {
 			t.Fatal("trace has no equijoin span naming the tail")
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"github.com/pbitree/pbitree/internal/buffer"
 	"github.com/pbitree/pbitree/internal/extsort"
 	"github.com/pbitree/pbitree/internal/relation"
 )
@@ -27,24 +26,12 @@ func SortByDoc(ctx *Context, rel *relation.Relation, name string) (*relation.Rel
 }
 
 // sortWith is the context-aware external sort every sort-backed algorithm
-// goes through, in the execution's working memory: serial extsort at
-// degree 1, parallel run generation at higher degrees, with phase spans
-// either way.
+// goes through, in the execution's working memory, with a phase span.
 func sortWith(ctx *Context, rel *relation.Relation, key extsort.KeyFunc, name string) (*relation.Relation, error) {
 	sp := ctx.Trace.StartDetail("sort", name)
-	out, err := ctx.scratch().sort.SortParallel(ctx.Pool, rel, key, ctx.b(), ctx.tmp(name), ctx.Trace,
-		extsort.ParallelOpts{Degree: ctx.Parallel, Interrupt: interruptOf(ctx)})
+	out, err := ctx.scratch().sort.Sort(ctx.Pool, rel, key, ctx.b(), ctx.tmp(name), ctx.Trace)
 	ctx.Trace.End(sp)
 	return out, err
-}
-
-// interruptOf returns the cancellation poll for worker pools, nil when the
-// context is uncancelable.
-func interruptOf(ctx *Context) buffer.Interrupter {
-	if ctx.Ctx == nil {
-		return nil
-	}
-	return ctx
 }
 
 // stack is the ancestor stack shared by the merge joins: a chain of nested

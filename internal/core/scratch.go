@@ -20,9 +20,7 @@ import (
 // A Scratch belongs to one goroutine at a time, like the engine that owns
 // it: no locks, and deliberately no sync.Pool, whose contents the GC may
 // drop at any cycle — the point is that the memory is there on the next
-// join. A parallel fan-out gives each worker goroutine a child Scratch of
-// its own (worker), kept across joins like the parent. The zero value is
-// ready to use.
+// join. The zero value is ready to use.
 type Scratch struct {
 	table  flatTable
 	fkeys  []uint64       // FBatch output, one page of join keys
@@ -32,9 +30,6 @@ type Scratch struct {
 	dStart []uint64       // region starts of recs, for the memory join's probes
 	anc    ancArena
 	sort   extsort.Scratch
-	// workers are the children handed to parallel fan-out workers, indexed
-	// by worker.
-	workers []*Scratch
 }
 
 // scratch returns the execution's working memory. A Context built without
@@ -45,16 +40,6 @@ func (c *Context) scratch() *Scratch {
 		c.Scratch = new(Scratch)
 	}
 	return c.Scratch
-}
-
-// worker returns the child scratch of fan-out worker w, creating the
-// children up to w on first use. Fan-outs call it before starting their
-// goroutines; afterwards each child is touched by its worker alone.
-func (s *Scratch) worker(w int) *Scratch {
-	for len(s.workers) <= w {
-		s.workers = append(s.workers, new(Scratch))
-	}
-	return s.workers[w]
 }
 
 // sized returns s with length n, reusing its array when large enough. The

@@ -125,35 +125,6 @@ func vpj(ctx *Context, a, d *relation.Relation, sink Sink, minLevel, depth int) 
 	}
 	defer freeAll(aParts)
 	defer freeAll(dParts)
-	// The k subtree joins are independent — partitions cover disjoint
-	// code regions, and replicated above-cut ancestors were copied into
-	// every partition they reach — so with a parallel degree the live
-	// pairs fan out across worker pools. Each worker re-decides
-	// memory-fit against its own (smaller) budget; a pair that recurses
-	// does so serially inside its worker. The deferred frees above cover
-	// every partition regardless of outcome.
-	if ctx.Parallel > 1 {
-		live := make([]int, 0, k)
-		for i := 0; i < k; i++ {
-			if aParts[i].NumRecords() > 0 && dParts[i].NumRecords() > 0 {
-				live = append(live, i)
-			}
-		}
-		if degree := ctx.parallelDegree(len(live)); degree > 1 {
-			shared := &lockedSink{sink: sink}
-			return ctx.runParallel(degree, len(live), "vsubjoin",
-				func(t int) string { return fmt.Sprintf("part=%d depth=%d", live[t], depth) },
-				func(child *Context, t int) error {
-					ai := aParts[live[t]].WithPool(child.Pool)
-					di := dParts[live[t]].WithPool(child.Pool)
-					ws := child.Wrap(shared)
-					if minRecs(ai, di) <= child.memRecs(child.b()-2) {
-						return memoryContainmentJoin(child, ai, di, ws)
-					}
-					return vpj(child, ai, di, ws, l+1, depth+1)
-				})
-		}
-	}
 	for i := 0; i < k; i++ {
 		ai, di := aParts[i], dParts[i]
 		// Purge: a partition pair with an empty side yields nothing.

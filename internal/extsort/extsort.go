@@ -57,18 +57,16 @@ func ByCode(r relation.Rec) Key { return Key{uint64(r.Code), 0} }
 
 // Scratch is the working memory external sorts reuse: the run-generation
 // buffer, the merge heap and the merge's fan-in scanners. Whoever sorts
-// repeatedly — an engine, a parallel join worker — owns one for its
-// lifetime and sorts through its methods; after the first sort of a given
-// size the only allocations left are the output relations' bookkeeping.
-// Nothing is allocated until a sort needs it, the run buffer never exceeds
-// memPages pages of keyed records, and a Scratch belongs to one goroutine
-// at a time (SortParallel hands each run-generation worker a child of its
-// own). The zero value is ready to use.
+// repeatedly — an engine — owns one for its lifetime and sorts through its
+// methods; after the first sort of a given size the only allocations left
+// are the output relations' bookkeeping. Nothing is allocated until a sort
+// needs it, the run buffer never exceeds memPages pages of keyed records,
+// and a Scratch belongs to one goroutine at a time. The zero value is
+// ready to use.
 type Scratch struct {
 	run      []keyedRec
 	heap     runHeap
 	scanners []relation.Scanner
-	workers  []*Scratch // SortParallel's run-generation workers
 }
 
 // keyedRec is a record beside its sort key, computed once when the record
@@ -105,15 +103,7 @@ func (s *Scratch) Sort(pool *buffer.Pool, in *relation.Relation, key KeyFunc, me
 	if len(runs) == 0 {
 		return relation.New(pool, name), nil
 	}
-	return s.mergePasses(pool, runs, key, memPages, name, tr)
-}
-
-// mergePasses runs (memPages-1)-way merge passes over the sorted runs
-// until one relation remains. It owns the runs from here on: on error,
-// every surviving run is freed. Both the serial and the parallel sort
-// share this — the merge is inherently serial (one output stream), so
-// only run generation differs between them.
-func (s *Scratch) mergePasses(pool *buffer.Pool, runs []*relation.Relation, key KeyFunc, memPages int, name string, tr *trace.Recorder) (*relation.Relation, error) {
+	// (memPages-1)-way merge passes until one relation remains.
 	fanIn := memPages - 1
 	pass := 0
 	for len(runs) > 1 {

@@ -2,13 +2,16 @@ package extsort
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/pbitree/pbitree/internal/buffer"
 	"github.com/pbitree/pbitree/internal/relation"
 	"github.com/pbitree/pbitree/internal/storage"
+	"github.com/pbitree/pbitree/internal/trace"
 	"github.com/pbitree/pbitree/pbicode"
 )
 
@@ -134,18 +137,26 @@ func TestIsSortedDetectsDisorder(t *testing.T) {
 	}
 }
 
+// TestSortErrorPropagates fails a page allocation during run output: the
+// error surfaces and the resident-page count returns to the pre-sort
+// baseline, so no run survives the failed sort. The pool is sized above
+// the working set so nothing is evicted and a leaked run stays visible.
 func TestSortErrorPropagates(t *testing.T) {
 	d := storage.NewMemDisk(256, storage.CostModel{})
 	fd := storage.NewFaultDisk(d)
-	pool := buffer.New(fd, 4)
+	pool := buffer.New(fd, 512)
 	in := relation.New(pool, "in")
 	rng := rand.New(rand.NewSource(1))
 	if err := in.Append(randomRecs(rng, 600, 16)...); err != nil {
 		t.Fatal(err)
 	}
+	baseline := pool.Resident()
 	fd.FailAllocAfter = int64(fd.Disk.NumPages()) + 5 // fail during run output
 	if _, err := Sort(pool, in, ByStart, 3, "out"); !errors.Is(err, storage.ErrInjected) {
 		t.Fatalf("Sort = %v", err)
+	}
+	if got := pool.Resident(); got != baseline {
+		t.Fatalf("resident pages %d after failed sort, baseline %d", got, baseline)
 	}
 }
 
@@ -182,5 +193,81 @@ func TestSortIOWithinBudget(t *testing.T) {
 	}
 	if out.NumRecords() != n {
 		t.Fatalf("lost records: %d", out.NumRecords())
+	}
+}
+
+// TestSortTrace checks the sort's span tree: one sort-runs span naming the
+// run count, then one sort-merge span per pass in pass order, each with
+// the I/O its phase performed.
+func TestSortTrace(t *testing.T) {
+	pool := newPool(t, 64)
+	rng := rand.New(rand.NewSource(7))
+	in := relation.New(pool, "in")
+	if err := in.Append(randomRecs(rng, 4_000, 16)...); err != nil {
+		t.Fatal(err)
+	}
+	disk := pool.Disk()
+	tr := trace.New("sort", func() trace.Counters {
+		s := disk.Stats()
+		return trace.Counters{Reads: s.Reads, Writes: s.Writes}
+	})
+	// 3 pages of memory over ~270 input pages: ~90 runs, two-way merges.
+	out, err := new(Scratch).Sort(pool, in, ByStartEndDesc, 3, "out", tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Free() //nolint:errcheck
+	root := tr.Finish()
+	if len(root.Children) < 3 || root.Children[0].Name != "sort-runs" {
+		t.Fatalf("want sort-runs then merge passes, got %d children", len(root.Children))
+	}
+	if d := root.Children[0].Detail; !strings.HasPrefix(d, "runs=") || d == "runs=1" {
+		t.Fatalf("sort-runs detail %q, want several runs", d)
+	}
+	for i, ch := range root.Children[1:] {
+		if ch.Name != "sort-merge" || !strings.HasPrefix(ch.Detail, fmt.Sprintf("pass=%d ", i+1)) {
+			t.Fatalf("child %d: %s [%s], want sort-merge pass=%d", i+1, ch.Name, ch.Detail, i+1)
+		}
+		if ch.Total.Writes == 0 {
+			t.Fatalf("merge pass %d: no writes recorded", i+1)
+		}
+	}
+}
+
+// interruptFunc adapts a function to buffer.Interrupter.
+type interruptFunc func() error
+
+func (f interruptFunc) Canceled() error { return f() }
+
+// TestSortInterrupt checks that the pool's interrupt reaches an external
+// sort: a cancellation polled mid-sort aborts it with the interrupt's
+// error, and the runs written so far are freed (the pool is sized as in
+// TestSortErrorPropagates).
+func TestSortInterrupt(t *testing.T) {
+	pool := newPool(t, 512)
+	rng := rand.New(rand.NewSource(11))
+	in := relation.New(pool, "in")
+	if err := in.Append(randomRecs(rng, 3_000, 16)...); err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	baseline := pool.Resident()
+	stop := errors.New("stop")
+	calls := 0
+	pool.SetInterrupt(interruptFunc(func() error {
+		if calls++; calls > 250 {
+			return stop
+		}
+		return nil
+	}))
+	_, err := new(Scratch).Sort(pool, in, ByStartEndDesc, 8, "out", nil)
+	pool.SetInterrupt(nil)
+	if !errors.Is(err, stop) {
+		t.Fatalf("err = %v, want interrupt error", err)
+	}
+	if got := pool.Resident(); got != baseline {
+		t.Fatalf("resident pages %d after interrupted sort, baseline %d", got, baseline)
 	}
 }

@@ -66,12 +66,6 @@ type Config struct {
 	CacheEntries int
 	// BufferPages is each worker's private buffer pool size. 0 means 256.
 	BufferPages int
-	// Parallel is each engine's intra-query worker degree
-	// (containment.Config.Parallel): one query on one worker may fan its
-	// partition joins out across this many goroutines. With Shards it
-	// applies per shard engine, so a single query can occupy up to
-	// Shards x Parallel goroutines. 0 or 1 keeps queries serial.
-	Parallel int
 	// DiskCost models the virtual disk each worker charges (stats only;
 	// no real delays). The zero value disables the clock.
 	DiskCost containment.DiskCost
@@ -285,7 +279,6 @@ func (s *Server) openWorker() (worker, error) {
 			ReadOnly:    true,
 			BufferPages: s.cfg.BufferPages,
 			DiskCost:    s.cfg.DiskCost,
-			Parallel:    s.cfg.Parallel,
 		})
 		if err != nil {
 			return nil, err
@@ -309,7 +302,6 @@ func (s *Server) openWorker() (worker, error) {
 		ReadOnly:    true,
 		BufferPages: s.cfg.BufferPages,
 		DiskCost:    s.cfg.DiskCost,
-		Parallel:    s.cfg.Parallel,
 	})
 	if err != nil {
 		return nil, err

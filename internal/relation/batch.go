@@ -20,14 +20,28 @@ type BatchScanner struct {
 	err     error
 }
 
+// scanEnd marks a batch scanner bounded by the relation's live page count rather
+// than a fixed range.
+const scanEnd = -1
+
+// clampPages clamps the half-open page range [lo, hi) to r's pages.
+func (r *Relation) clampPages(lo, hi int) (int, int) {
+	if hi > len(r.pages) {
+		hi = len(r.pages)
+	}
+	if lo < 0 {
+		lo = 0
+	}
+	return lo, hi
+}
+
 // BatchScan returns a batch scanner positioned before the first page.
 func (r *Relation) BatchScan() *BatchScanner {
 	return &BatchScanner{r: r, endPage: scanEnd}
 }
 
 // BatchScanPages returns a batch scanner over the half-open page range
-// [lo, hi), clamped to the relation's pages (parallel workers use it to
-// stripe a shared input).
+// [lo, hi), clamped to the relation's pages.
 func (r *Relation) BatchScanPages(lo, hi int) *BatchScanner {
 	lo, hi = r.clampPages(lo, hi)
 	return &BatchScanner{r: r, pageIdx: lo, endPage: hi}

@@ -241,15 +241,6 @@ func TestScannerReset(t *testing.T) {
 			t.Fatalf("pass %d: %d records", pass, n)
 		}
 	}
-	// ResetPages over a sub-range.
-	s.ResetPages(r, 1, 2)
-	n := 0
-	for s.Next() {
-		n++
-	}
-	if per := relation.PerPage(pool.PageSize()); n != per {
-		t.Fatalf("ResetPages(1,2): %d records, want %d", n, per)
-	}
 }
 
 func TestBatchScanPages(t *testing.T) {

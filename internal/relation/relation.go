@@ -417,17 +417,6 @@ func FromCodes(pool *buffer.Pool, name string, codes []pbicode.Code) (*Relation,
 	return r, nil
 }
 
-// WithPool returns a read view of the relation bound to another buffer
-// pool: a shallow copy sharing the page list and statistics but performing
-// its I/O through pool. Parallel workers use it to scan a shared input
-// through their private pools; the view must not be appended to or freed
-// while the original is live (the page list is shared).
-func (r *Relation) WithPool(pool *buffer.Pool) *Relation {
-	v := *r
-	v.pool = pool
-	return &v
-}
-
 // Scanner iterates a relation's records in storage order. On entering a
 // page it decodes the whole page into a reused column buffer (pageSlab) and
 // unpins immediately, so Next is a bounds check and two slice reads — no
@@ -438,30 +427,14 @@ type Scanner struct {
 	r       *Relation
 	pageIdx int
 	recIdx  int
-	endPage int // exclusive page bound; scanEnd sentinel = live tail
 	page    pageSlab
 	loaded  bool
 	rec     Rec
 	err     error
 }
 
-// scanEnd marks a scanner bounded by the relation's live page count rather
-// than a fixed range.
-const scanEnd = -1
-
-// clampPages clamps the half-open page range [lo, hi) to r's pages.
-func (r *Relation) clampPages(lo, hi int) (int, int) {
-	if hi > len(r.pages) {
-		hi = len(r.pages)
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	return lo, hi
-}
-
 // Scan returns a scanner positioned before the first record.
-func (r *Relation) Scan() *Scanner { return &Scanner{r: r, endPage: scanEnd} }
+func (r *Relation) Scan() *Scanner { return &Scanner{r: r} }
 
 // Pos identifies a record position within a relation, as reported by
 // Scanner.Pos. The zero Pos is the start of the relation.
@@ -488,8 +461,8 @@ func (s *Scanner) Next() bool {
 }
 
 // advance loads pages until one yields a record at the scan position, the
-// end of the range is reached, or an error occurs. At the end of the range
-// the decode buffer goes back to the pool: an exhausted scanner holds no
+// end of the relation is reached, or an error occurs. At the end the
+// decode buffer goes back to the pool: an exhausted scanner holds no
 // memory, whether or not its owner remembers to Close it.
 func (s *Scanner) advance() bool {
 	if s.err != nil {
@@ -501,11 +474,7 @@ func (s *Scanner) advance() bool {
 			s.pageIdx++
 			s.recIdx = 0
 		}
-		end := s.endPage
-		if end == scanEnd {
-			end = len(s.r.pages)
-		}
-		if s.pageIdx >= end {
+		if s.pageIdx >= len(s.r.pages) {
 			s.page.release(s.r.pool)
 			return false
 		}
@@ -536,19 +505,10 @@ func (s *Scanner) Reset(r *Relation) { s.ResetFrom(r, Pos{}) }
 // decode.
 func (s *Scanner) ResetFrom(r *Relation, p Pos) {
 	if s.loaded && s.r == r && s.pageIdx == p.page {
-		s.recIdx, s.endPage = p.slot, scanEnd
+		s.recIdx = p.slot
 		return
 	}
-	*s = Scanner{r: r, pageIdx: p.page, recIdx: p.slot, endPage: scanEnd, page: pageSlab{buf: s.page.buf}}
-}
-
-// ResetPages repositions the scanner over the half-open page range
-// [lo, hi) of r, in storage order, keeping the decode buffer; hi is clamped
-// to the current page count. Parallel sort-run generation uses it to hand
-// each worker a disjoint chunk of the input.
-func (s *Scanner) ResetPages(r *Relation, lo, hi int) {
-	lo, hi = r.clampPages(lo, hi)
-	*s = Scanner{r: r, pageIdx: lo, endPage: hi, page: pageSlab{buf: s.page.buf}}
+	*s = Scanner{r: r, pageIdx: p.page, recIdx: p.slot, page: pageSlab{buf: s.page.buf}}
 }
 
 // Rec returns the current record. Valid after a true Next.

@@ -18,33 +18,24 @@ import (
 // shard engines through a bounded worker pool, each shard runs the
 // ordinary single-engine join (AUTO selection per shard — shards differ in
 // size and skew, so they may legitimately pick different algorithms), and
-// the coordinator merges results, IOStats and trace spans. Cancellation is
-// first-error-wins: the first shard failure (or the caller's ctx) cancels
-// the shared context, the remaining shards abort at page-I/O granularity
-// exactly as PR 3's machinery provides, and every shard's temporary state
-// is released before the merged error returns.
+// the coordinator merges results, IOStats and trace spans. The first shard
+// failure (or the caller's ctx) cancels the shared context, the remaining
+// shards abort at page-I/O granularity, and every shard's temporary state
+// is released before the error runShards selects returns.
 
 // runShards runs fn for every shard index with at most
-// min(GOMAXPROCS, shards) executions in flight. The first error cancels the rest; when both a real
-// failure and knock-on cancellations occur, the real failure is reported
-// (cancellation errors only win when nothing else failed).
+// min(GOMAXPROCS, shards) executions in flight. The first error cancels the
+// rest. Errors are kept per shard and chosen once every shard has stopped:
+// the first real failure in shard order, else the first cancellation or
+// deadline, else the caller's ctx error. So a knock-on cancellation never
+// hides a real failure, and which failure wins does not depend on arrival
+// order.
 func (e *Engine) runShards(ctx context.Context, fn func(ctx context.Context, i int) error) error {
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	sem := make(chan struct{}, min(runtime.GOMAXPROCS(0), len(e.shards)))
+	errs := make([]error, len(e.shards))
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	report := func(err error) {
-		mu.Lock()
-		if firstErr == nil ||
-			(containment.Classify(firstErr) == containment.FailCanceled &&
-				containment.Classify(err) != containment.FailCanceled) {
-			firstErr = err
-		}
-		mu.Unlock()
-		cancel()
-	}
 	for i := range e.shards {
 		wg.Add(1)
 		go func(i int) {
@@ -58,16 +49,28 @@ func (e *Engine) runShards(ctx context.Context, fn func(ctx context.Context, i i
 			if cctx.Err() != nil {
 				return
 			}
-			if err := fn(cctx, i); err != nil {
-				report(err)
+			if errs[i] = fn(cctx, i); errs[i] != nil {
+				cancel()
 			}
 		}(i)
 	}
 	wg.Wait()
-	if firstErr == nil {
-		firstErr = ctx.Err()
+	var abort error
+	for _, err := range errs {
+		switch containment.Classify(err) {
+		case containment.FailNone:
+		case containment.FailCanceled, containment.FailDeadline:
+			if abort == nil {
+				abort = err
+			}
+		default:
+			return err
+		}
 	}
-	return firstErr
+	if abort != nil {
+		return abort
+	}
+	return ctx.Err()
 }
 
 // join is the shared body of JoinContext and AnalyzeContext: fan out,

@@ -44,12 +44,6 @@ type Config struct {
 	// ReadOnly opens shard page files without write access (see
 	// containment.Config.ReadOnly); required for pooled serving.
 	ReadOnly bool
-	// Parallel is each shard engine's intra-query worker degree
-	// (containment.Config.Parallel): how many goroutines one shard's join
-	// may fan its partitions out to. 0 or 1 keeps every shard serial.
-	// Shards themselves run min(GOMAXPROCS, number of shards) at a time,
-	// so a request can occupy that many times Parallel goroutines.
-	Parallel int
 }
 
 // Relation is a sharded element set: one containment.Relation per shard
@@ -132,7 +126,6 @@ func New(cfg Config, n int) (*Engine, error) {
 			BufferPages: cfg.BufferPages,
 			DiskCost:    cfg.DiskCost,
 			TreeHeight:  cfg.TreeHeight,
-			Parallel:    cfg.Parallel,
 		})
 		if err != nil {
 			e.Close() //nolint:errcheck // first error wins
@@ -161,7 +154,6 @@ func Open(manifestPath string, cfg Config) (*Engine, error) {
 			TreeHeight:  cfg.TreeHeight,
 			Path:        p,
 			ReadOnly:    cfg.ReadOnly,
-			Parallel:    cfg.Parallel,
 		})
 		if err != nil {
 			e.Close() //nolint:errcheck // first error wins

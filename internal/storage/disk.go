@@ -81,14 +81,11 @@ type CostModel struct {
 var DefaultCostModel = CostModel{Random: 10 * time.Millisecond, Sequential: 200 * time.Microsecond}
 
 // Disk is a page store. Implementations in this package are safe for
-// concurrent use: several buffer pools (each still single-threaded) may
-// share one disk, which is what lets a join fan its independent partitions
-// out across worker pools (see internal/core's parallel execution and
-// doc/PARALLEL.md). Accounting is serialized with the data access, so
+// concurrent use. Accounting is serialized with the data access, so
 // Reads/Writes/Allocs totals are exact under concurrency; the
 // sequential-vs-random split and the virtual clock depend on the physical
 // access interleaving and are therefore scheduling-dependent once more
-// than one pool is active.
+// than one buffer pool shares a disk.
 type Disk interface {
 	// PageSize returns the fixed size of every page in bytes.
 	PageSize() int
@@ -144,17 +141,6 @@ func (a *accounting) onWrite(id PageID) {
 func (a *accounting) reset() {
 	a.stats = Stats{}
 	a.last = InvalidPageID - 1
-}
-
-// costModel exposes the disk's cost model to View, which replays the same
-// charging rules on a private counter set. Promoted through embedding on
-// every accounting-backed disk in this package.
-func (a *accounting) costModel() CostModel { return a.cost }
-
-// costModeler is the unexported probe NewView uses to copy a base disk's
-// cost model onto the view's private accounting.
-type costModeler interface {
-	costModel() CostModel
 }
 
 // errPageRange is returned for out-of-range page IDs.
@@ -273,9 +259,7 @@ func (d *MemDisk) Close() error {
 // FileDisk is a Disk backed by a single operating-system file, page i at
 // offset i*PageSize. The mutex covers the whole page operation, file I/O
 // included: the model being charged is a single-spindle disk with one
-// head, so serializing the transfers keeps the accounting coherent — the
-// parallelism this storage layer enables lives in the CPU work between
-// page requests, not in overlapping transfers.
+// head, so serializing the transfers keeps the accounting coherent.
 type FileDisk struct {
 	mu sync.Mutex
 	accounting

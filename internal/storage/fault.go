@@ -14,8 +14,8 @@ var ErrInjected = errors.New("storage: injected fault")
 // pool, heap files, sort, indexes and joins. The fault schedule
 // (FailReadAfter etc., BadPages, OnRead) must be armed before the disk is
 // shared; once operations are in flight only the internal counters mutate,
-// and those are mutex-protected so a FaultDisk can sit under concurrent
-// worker pools like any other Disk.
+// and those are mutex-protected so a FaultDisk is as safe for concurrent
+// use as any other Disk.
 type FaultDisk struct {
 	Disk
 	// FailReadAfter makes the Nth subsequent read (1-based) and all later

@@ -199,23 +199,6 @@ func (r *Recorder) End(sp *Span) {
 	}
 }
 
-// Attach grafts a finished span tree as a child of the innermost open
-// span. Parallel fan-outs record each worker on its own Recorder (over the
-// worker's private pool and disk view) and attach the finished roots to the
-// parent in task order, so the parent tree is deterministic even though the
-// workers ran concurrently. The attached tree's counters are included in
-// whatever the enclosing span's Total already measures only if the parent's
-// snapshot sees them (base-disk counters do; the worker's pool counters are
-// folded in separately via buffer.Pool.Absorb) — see doc/PARALLEL.md for
-// the exact invariants.
-func (r *Recorder) Attach(sp *Span) {
-	if r == nil || sp == nil {
-		return
-	}
-	parent := r.open[len(r.open)-1]
-	parent.Children = append(parent.Children, sp)
-}
-
 // Finish closes every open span including the root and returns the root.
 // The recorder must not be used afterwards.
 func (r *Recorder) Finish() *Span {
