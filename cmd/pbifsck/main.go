@@ -134,16 +134,19 @@ func report(rep *containment.FsckReport) {
 		epoch = fmt.Sprintf(", epoch %d over %d deltas", rep.Epoch, len(rep.Deltas))
 	}
 	formats := fmt.Sprintf(", formats: %d fixed / %d varint / %d packed", rep.FixedPages, rep.VarintPages, rep.PackedPages)
-	inconsistent := rep.UnknownFormatPages > 0 || len(rep.Undecodable) > 0
+	inconsistent := rep.UnknownFormatPages > 0 || len(rep.Undecodable) > 0 || len(rep.Entries) > 0
 	if len(rep.Bad) == 0 && deltasOK(rep) && !inconsistent {
 		fmt.Printf("%s: ok (%d/%d pages verified, page size %d%s%s)\n", rep.Path, rep.Checked, rep.Pages, rep.PageSize, epoch, formats)
 		return
 	}
 	if inconsistent {
-		fmt.Printf("%s: INCONSISTENT — %d relation-owned pages carry an unknown format byte, %d do not decode%s\n",
-			rep.Path, rep.UnknownFormatPages, len(rep.Undecodable), formats)
+		fmt.Printf("%s: INCONSISTENT — %d relation-owned pages carry an unknown format byte, %d do not decode, %d catalog entries disagree with their pages%s\n",
+			rep.Path, rep.UnknownFormatPages, len(rep.Undecodable), len(rep.Entries), formats)
 		for _, b := range rep.Undecodable {
 			fmt.Printf("  page %d (%s): %s\n", b.Page, strings.Join(b.Relations, ", "), b.Error)
+		}
+		for _, en := range rep.Entries {
+			fmt.Printf("  relation %s: %s\n", en.Relation, en.Error)
 		}
 		if len(rep.Bad) == 0 && deltasOK(rep) {
 			return

@@ -274,7 +274,7 @@ func TestLoadOverMixedFormats(t *testing.T) {
 	// shared as they are; the rest is packed.
 	e, a, d = reopen()
 	aCodes = all[:2000]
-	a1, err := e.LoadOver(a, "A", aCodes)
+	a1, err := loadOverList(t, e, a, "A", aCodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestLoadOverMixedFormats(t *testing.T) {
 	// Commit 2 shares across the format boundary: every fixed page and the
 	// closed packed ones.
 	aCodes = all
-	a2, err := e.LoadOver(a, "A", aCodes)
+	a2, err := loadOverList(t, e, a, "A", aCodes)
 	if err != nil {
 		t.Fatal(err)
 	}

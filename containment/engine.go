@@ -142,6 +142,11 @@ type Relation struct {
 	// shared counts the leading pages LoadOver took over by ID from the
 	// relation it superseded (0 for every other relation).
 	shared int
+	// stats[j] is what the catalog records of the records on pages 0..j
+	// besides their number, for the leading pages whose statistics LoadOver
+	// knows: it keeps them for the pages it writes and the pages it shares,
+	// and decodes the others when a commit needs them (see statsThrough).
+	stats []codeStats
 }
 
 // Name returns the relation's name.
@@ -163,15 +168,15 @@ func (r *Relation) SharedPages() int64 { return int64(r.shared) }
 // through the engine's buffer pool and is charged like any scan; the
 // caller is responsible for the result fitting in memory.
 func (r *Relation) Codes() ([]pbicode.Code, error) {
-	recs, err := r.rel.ReadAll()
-	if err != nil {
-		return nil, err
+	out := make([]pbicode.Code, 0, r.Len())
+	s := r.rel.BatchScan()
+	defer s.Close()
+	for s.Next() {
+		for _, c := range s.Codes() {
+			out = append(out, pbicode.Code(c))
+		}
 	}
-	out := make([]pbicode.Code, len(recs))
-	for i, rec := range recs {
-		out[i] = rec.Code
-	}
-	return out, nil
+	return out, s.Err()
 }
 
 // Layout scans the relation's page headers and returns the physical
@@ -205,8 +210,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 	return &Engine{disk: disk, pool: buffer.New(disk, cfg.BufferPages), cfg: cfg}, nil
 }
 
-// Close releases the engine's storage.
+// Close releases the engine's storage and gives its buffer pool's memory
+// to engines opened later.
 func (e *Engine) Close() error {
+	defer e.pool.Release()
 	if err := e.pool.FlushAll(); err != nil {
 		e.disk.Close() //nolint:errcheck // first error wins
 		return err
@@ -216,80 +223,7 @@ func (e *Engine) Close() error {
 
 // Load stores a code set as a relation.
 func (e *Engine) Load(name string, codes []pbicode.Code) (*Relation, error) {
-	return e.LoadOver(nil, name, codes)
-}
-
-// LoadOver is Load for a code set that supersedes old, a relation of this
-// engine: the result holds exactly what Load(name, codes) would, but the
-// leading pages of old whose records codes repeats at the same ordinals are
-// shared by page ID instead of rewritten, and only the records after them
-// go into new pages. An update that leaves existing codes where they were
-// — what PBiTree's virtual-node gaps are for — therefore costs pages in
-// proportion to the changed suffix, not to the relation. Only closed pages
-// are shared, never old's tail, so no stored page is ever written again:
-// old stays valid, and an epoch that still references those page IDs keeps
-// reading the same bytes (SharedPages reports how many). Codes that share
-// nothing with old — a global re-encode — and a nil old are the same case:
-// a plain load, with no comparison done.
-func (e *Engine) LoadOver(old *Relation, name string, codes []pbicode.Code) (*Relation, error) {
-	var shared []storage.PageID
-	kept := 0
-	if old != nil {
-		if old.rel.Pool() != e.pool {
-			return nil, fmt.Errorf("containment: LoadOver: relation %s belongs to another engine", old.Name())
-		}
-		n, recs, err := old.rel.SharedPrefix(codes)
-		if err != nil {
-			return nil, err
-		}
-		shared, kept = old.rel.Pages()[:n], recs
-	}
-	rel := relation.New(e.pool, name)
-	rel.SetPaperLayout(e.cfg.PaperLayout)
-	app := rel.NewAppender()
-	for i, c := range codes[kept:] {
-		if err := app.Append(relation.Rec{Code: c, Aux: uint64(kept + i)}); err != nil {
-			app.Close() //nolint:errcheck // first error wins
-			return nil, err
-		}
-	}
-	if err := app.Close(); err != nil {
-		return nil, err
-	}
-	if len(shared) > 0 {
-		// The appended pages start on a fresh page of their own, so the
-		// result is the shared page IDs followed by the new ones; its span
-		// is the new records' widened by the shared ones.
-		span, ok := rel.Span()
-		for _, c := range codes[:kept] {
-			if s := c.Start(); !ok || s < span.Start {
-				span.Start = s
-			}
-			if end := c.End(); !ok || end > span.End {
-				span.End = end
-			}
-			ok = true
-		}
-		rel = relation.Attach(e.pool, name, append(shared, rel.Pages()...), int64(len(codes)), span)
-		rel.SetPaperLayout(e.cfg.PaperLayout)
-	}
-	r := &Relation{rel: rel, shared: len(shared)}
-	var maxCode pbicode.Code
-	for _, c := range codes {
-		r.heights |= 1 << uint(c.Height())
-		if c > maxCode {
-			maxCode = c
-		}
-	}
-	// Grow the engine's PBiTree height to cover every loaded code. A
-	// configured height is a floor, not a cap: embedding codes in a
-	// taller perfect tree preserves all ancestor relationships, so
-	// growing is always safe, while an undersized height would corrupt
-	// the vertical partitioning's level arithmetic.
-	if need := minTreeHeight(maxCode); need > e.cfg.TreeHeight {
-		e.cfg.TreeHeight = need
-	}
-	return r, nil
+	return e.LoadOver(nil, name, 0, codes)
 }
 
 // minTreeHeight returns the smallest PBiTree height whose code space
@@ -642,17 +576,23 @@ func (e *Engine) JoinDoc(doc *xmltree.Document, ancTag, descTag string, opts Joi
 // Free drops a relation's pages, reclaiming pool frames.
 func (e *Engine) Free(r *Relation) error { return r.rel.Free() }
 
-// ResetIOStats zeroes the engine's disk counters (benchmark harness use).
-func (e *Engine) ResetIOStats() { e.disk.ResetStats() }
+// ResetIOStats zeroes the engine's disk and buffer-pool counters
+// (benchmark harness use).
+func (e *Engine) ResetIOStats() {
+	e.disk.ResetStats()
+	e.pool.ResetStats()
+}
 
-// IOStats returns the disk counters accumulated since the last reset
-// (benchmark harness use; Join results carry per-join deltas already).
+// IOStats returns the disk and buffer-pool counters accumulated since the
+// last reset (benchmark harness use; Join results carry per-join deltas
+// already).
 func (e *Engine) IOStats() IOStats {
-	s := e.disk.Stats()
+	s, p := e.disk.Stats(), e.pool.Stats()
 	return IOStats{
 		Reads: s.Reads, Writes: s.Writes,
 		SeqReads: s.SeqReads, SeqWrites: s.SeqWrites,
 		VirtualTime: s.VirtualIO,
+		PoolHits:    p.Hits, PoolMisses: p.Misses, PoolEvictions: p.Evictions,
 	}
 }
 

@@ -220,7 +220,8 @@ func (at *epochState) fold(ch *epochChain) error {
 // via tmp+rename; a crash between the two leaves a delta without a catalog,
 // which nothing references and ingest's orphan scan removes. Afterwards the
 // engine is at the new epoch, as if Advance had moved it there, and the
-// relations passed in are that epoch's.
+// relations passed in are that epoch's. The engine keeps docs as that
+// epoch's documents, so the caller must not modify the slice afterwards.
 func (e *Engine) SaveEpoch(path string, epoch int64, docs []DocInfo, relations ...*Relation) error {
 	od, ok := e.disk.(*storage.OverlayDisk)
 	if !ok {
@@ -303,7 +304,7 @@ func (e *Engine) SaveEpoch(path string, epoch int64, docs []DocInfo, relations .
 	e.at.deltas = append(e.at.deltas, deltaPath)
 	e.at.catalogs = append(e.at.catalogs, path)
 	e.at.rels = rels
-	e.docs = slices.Clone(docs)
+	e.docs = docs
 	return nil
 }
 
@@ -379,6 +380,36 @@ func (e *Engine) Advance(path string) (map[string]*Relation, error) {
 	return e.relations(), nil
 }
 
+// Inherit warms a read-only engine created by Open from prev, an engine it
+// replaces — one at an epoch over another base, such as the chain a
+// compaction folded, which Advance cannot reach. A compaction stores each
+// relation anew with the same records, and so, page for page, the same
+// bytes at other page IDs: for every relation both engines hold under one
+// name with as many records on as many pages, each page prev's pool holds
+// resident is copied into e's pool as e's page at the same position, if
+// the checksum e's base records for that page matches the bytes. Nothing
+// is read from disk, and e's frames are only filled while free. It returns
+// the pages adopted; on an engine without checksums, none.
+func (e *Engine) Inherit(prev *Engine) int {
+	od, ok := e.disk.(*storage.OverlayDisk)
+	if !ok || e.at.base == "" || prev.at.base == "" {
+		return 0
+	}
+	n := 0
+	for name, sr := range e.at.rels {
+		old := prev.at.rels[name]
+		if old == nil || old.entry.Count != sr.entry.Count || len(old.entry.Pages) != len(sr.entry.Pages) {
+			continue
+		}
+		for i, id := range sr.entry.Pages {
+			if data, ok := prev.pool.Peek(old.entry.Pages[i]); ok && od.BaseHolds(id, data) && e.pool.Adopt(id, data) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // diffDocs encodes next as a catalogDocDiff over prev: runs copied from
 // prev where next repeats its documents, and the others as columns. Nil
 // when next equals prev.
@@ -393,22 +424,14 @@ func diffDocs(prev, next []DocInfo) *catalogDocDiff {
 			dd.Runs = append(dd.Runs, from, n)
 		}
 	}
-	var byName map[string]int // prev's documents by name, made on the first jump
-	want := 0                 // where prev continues
+	find := docFinder{prev: prev}
+	want := 0 // where prev continues
 	for _, doc := range next {
 		j := -1
 		if want < len(prev) && prev[want] == doc {
 			j = want
-		} else {
-			if byName == nil {
-				byName = make(map[string]int, len(prev))
-				for i := len(prev) - 1; i >= 0; i-- {
-					byName[prev[i].Name] = i
-				}
-			}
-			if i, ok := byName[doc.Name]; ok && prev[i] == doc {
-				j = i
-			}
+		} else if i := find.find(doc.Name, want); i >= 0 && prev[i] == doc {
+			j = i
 		}
 		switch {
 		case j >= 0 && from >= 0 && from+n == int64(j):
@@ -432,6 +455,59 @@ func diffDocs(prev, next []DocInfo) *catalogDocDiff {
 	}
 	flush()
 	return dd
+}
+
+// docFinder looks documents of next up by name in prev for diffDocs, with
+// no map for the shape a store's documents change in — prev less some
+// documents, some changed in place, new ones appended: a cursor moves
+// forward over prev, and a name not ahead of it is looked for among the
+// documents it passed over, the removed ones. Once lookups have cost two
+// passes over prev, a map of prev's names serves the rest. With names
+// unique in prev every lookup finds the one document of that name; with
+// duplicates a lookup may find another than the map's first, which only
+// changes the encoding, since diffDocs copies equal documents alone.
+type docFinder struct {
+	prev   []DocInfo
+	at     int   // the cursor
+	passed []int // documents the cursor passed over
+	cost   int   // documents compared so far
+	byName map[string]int
+}
+
+// find returns the index of a document of prev named name, or -1. Documents
+// before want are the ones diffDocs has copied in order, which no later
+// lookup needs.
+func (f *docFinder) find(name string, want int) int {
+	if f.byName == nil && f.cost > 2*len(f.prev) {
+		f.byName = make(map[string]int, len(f.prev))
+		for i := len(f.prev) - 1; i >= 0; i-- {
+			f.byName[f.prev[i].Name] = i
+		}
+	}
+	if f.byName != nil {
+		if i, ok := f.byName[name]; ok {
+			return i
+		}
+		return -1
+	}
+	f.at = max(f.at, want)
+	for i := f.at; i < len(f.prev); i++ {
+		if f.prev[i].Name == name {
+			for k := f.at; k < i; k++ {
+				f.passed = append(f.passed, k)
+			}
+			f.cost += i - f.at + 1
+			f.at = i + 1
+			return i
+		}
+	}
+	f.cost += len(f.prev) - f.at + len(f.passed)
+	for _, k := range f.passed {
+		if f.prev[k].Name == name {
+			return k
+		}
+	}
+	return -1
 }
 
 // applyDocDiff applies a diff catalog's documents field to its parent's

@@ -214,7 +214,7 @@ func buildDiffChain(t testing.TB, n int) (string, []string) {
 	defer e.Close()
 	var eps []string
 	for i := 1; i <= n; i++ {
-		a, err := e.LoadOver(rels["A"], "A", codesOf(append(slices.Clone(aCodes), aCodes[:i]...)))
+		a, err := loadOverList(t, e, rels["A"], "A", codesOf(append(slices.Clone(aCodes), aCodes[:i]...)))
 		if err != nil {
 			t.Fatal(err)
 		}

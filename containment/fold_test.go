@@ -179,7 +179,7 @@ func TestFoldEqualsFull(t *testing.T) {
 			for k, c := range codes {
 				cs[k] = c.code
 			}
-			r, err := ce.LoadOver(rels[tag], tag, cs)
+			r, err := loadOverList(t, ce, rels[tag], tag, cs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,7 +187,7 @@ func TestFoldEqualsFull(t *testing.T) {
 			next[tag] = r
 		}
 		ep := filepath.Join(dir, fmt.Sprintf("epoch-%06d.pbidb", epoch))
-		if err := ce.SaveEpoch(ep, epoch, m.docs, saved...); err != nil {
+		if err := ce.SaveEpoch(ep, epoch, slices.Clone(m.docs), saved...); err != nil { // SaveEpoch keeps the slice
 			t.Fatalf("epoch %d (%s): %v", epoch, what, err)
 		}
 		rels = next

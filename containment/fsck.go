@@ -9,6 +9,7 @@ import (
 
 	"github.com/pbitree/pbitree/internal/relation"
 	"github.com/pbitree/pbitree/internal/storage"
+	"github.com/pbitree/pbitree/pbicode"
 )
 
 // This file is the offline integrity scanner behind cmd/pbifsck: it walks
@@ -43,6 +44,12 @@ type FsckDelta struct {
 	Error string `json:"error,omitempty"`
 }
 
+// FsckEntry is one relation whose catalog entry its pages contradict.
+type FsckEntry struct {
+	Relation string `json:"relation"`
+	Error    string `json:"error"`
+}
+
 // FsckReport is the outcome of one database scan.
 type FsckReport struct {
 	Path     string        `json:"path"`
@@ -71,6 +78,11 @@ type FsckReport struct {
 	// what its parent does not have. It names the catalog file at fault,
 	// and nothing else is checked.
 	Chain string `json:"chain,omitempty"`
+	// Entries lists the relations whose catalog entry says other than their
+	// decoded pages do: record count, region span, or a non-zero height
+	// mask (zero is "unknown"). Only relations whose every page decodes are
+	// compared.
+	Entries []FsckEntry `json:"entries,omitempty"`
 	// NoChecksums marks a database saved before page integrity landed
 	// (catalog flag absent): there is nothing to verify against. Use
 	// AddChecksums to bring such a database under protection.
@@ -80,7 +92,7 @@ type FsckReport struct {
 // OK reports whether the scan found the database intact (a legacy database
 // with no checksums is not OK — it is unverifiable).
 func (r *FsckReport) OK() bool {
-	if r.Chain != "" || r.NoChecksums || len(r.Bad) > 0 || r.UnknownFormatPages > 0 || len(r.Undecodable) > 0 {
+	if r.Chain != "" || r.NoChecksums || len(r.Bad) > 0 || r.UnknownFormatPages > 0 || len(r.Undecodable) > 0 || len(r.Entries) > 0 {
 		return false
 	}
 	for _, d := range r.Deltas {
@@ -99,7 +111,9 @@ func (r *FsckReport) OK() bool {
 // covers the base file the chain ends at; every delta of the chain is
 // additionally verified whole against its trailing CRC. Every page a
 // catalogued relation owns — in the base file or in a delta — is also
-// decoded as a scan would decode it. Databases saved before checksums
+// decoded as a scan would decode it, and each relation's catalog entry —
+// its record count, region span and height mask — compared with what its
+// decoded pages hold (Entries). Databases saved before checksums
 // existed return a report with NoChecksums set and no error — they are
 // legacy, not broken.
 func Fsck(path string) (*FsckReport, error) {
@@ -129,12 +143,13 @@ func Fsck(path string) (*FsckReport, error) {
 	// decodes. Each page ID is decoded once, in the version the relation
 	// reads: a delta's over an earlier delta's over the base file's.
 	decoded := map[int64]bool{}
+	held := map[int64]pageHolds{} // what each page that decodes holds
 	decode := func(id int64, page []byte) {
 		if len(owners[id]) == 0 || decoded[id] {
 			return
 		}
 		decoded[id] = true
-		format, err := relation.CheckPage(page)
+		format, codes, err := relation.CheckPage(page)
 		switch format {
 		case "fixed":
 			rep.FixedPages++
@@ -148,7 +163,13 @@ func Fsck(path string) (*FsckReport, error) {
 		}
 		if err != nil {
 			rep.Undecodable = append(rep.Undecodable, FsckBadPage{Page: id, Relations: owners[id], Error: err.Error()})
+			return
 		}
+		h := pageHolds{n: int64(len(codes))}
+		for _, c := range codes {
+			h.stats.add(pbicode.Code(c))
+		}
+		held[id] = h
 	}
 
 	pagePath, deltaPaths := at.base, at.deltas
@@ -214,7 +235,45 @@ func Fsck(path string) (*FsckReport, error) {
 		decode(id, page)
 	}
 	sort.Slice(rep.Undecodable, func(i, j int) bool { return rep.Undecodable[i].Page < rep.Undecodable[j].Page })
+	for name, sr := range at.rels {
+		if msg, ok := checkEntry(sr.entry, held); ok && msg != "" {
+			rep.Entries = append(rep.Entries, FsckEntry{Relation: name, Error: msg})
+		}
+	}
+	sort.Slice(rep.Entries, func(i, j int) bool { return rep.Entries[i].Relation < rep.Entries[j].Relation })
 	return rep, nil
+}
+
+// pageHolds is what one decoded page holds: its record count and their
+// statistics.
+type pageHolds struct {
+	n     int64
+	stats codeStats
+}
+
+// checkEntry compares a catalog entry with its relation's decoded pages
+// and says how they disagree — empty when they agree. It reports false
+// when a page of the relation did not decode: there is nothing to compare.
+func checkEntry(ent catalogEntry, held map[int64]pageHolds) (string, bool) {
+	var n int64
+	var s codeStats
+	for _, id := range ent.Pages {
+		h, ok := held[int64(id)]
+		if !ok {
+			return "", false
+		}
+		n += h.n
+		s = s.merge(h.stats)
+	}
+	switch {
+	case ent.Count != n:
+		return fmt.Sprintf("catalog counts %d records, pages hold %d", ent.Count, n), true
+	case n > 0 && (ent.MinStart != s.minStart || ent.MaxEnd != s.maxEnd):
+		return fmt.Sprintf("catalog span [%d,%d], records span [%d,%d]", ent.MinStart, ent.MaxEnd, s.minStart, s.maxEnd), true
+	case ent.Heights != 0 && ent.Heights != s.heights:
+		return fmt.Sprintf("catalog height mask %#x, records occupy %#x", ent.Heights, s.heights), true
+	}
+	return "", true
 }
 
 // AddChecksums computes and writes the checksum sidecar for a database

@@ -261,3 +261,50 @@ func TestFsckFlagsUndecodablePage(t *testing.T) {
 		t.Fatalf("undecodable page reported as %+v, want page %d of relation D with a reason", u, page)
 	}
 }
+
+// TestFsckChecksCatalogEntries: Fsck compares what a catalog says of each
+// relation — record count, region span, height mask — with the relation's
+// decoded pages. An epoch catalog whose entry for A claims another max_end
+// is not OK, and the report names A; a zero mask stays "unknown".
+func TestFsckChecksCatalogEntries(t *testing.T) {
+	_, eps := buildDiffChain(t, 2)
+	ep := eps[len(eps)-1]
+	if rep, err := Fsck(ep); err != nil || !rep.OK() || len(rep.Entries) != 0 {
+		t.Fatalf("intact chain: OK %v, entries %+v (%v)", rep.OK(), rep.Entries, err)
+	}
+	edit := func(field string, f func(float64) float64) {
+		t.Helper()
+		data, err := os.ReadFile(catalogPath(ep))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cat map[string]any
+		if err := json.Unmarshal(data, &cat); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range cat["relations"].([]any) {
+			if ent := r.(map[string]any); ent["name"] == "A" {
+				v, _ := ent[field].(float64)
+				ent[field] = f(v)
+			}
+		}
+		if data, err = json.Marshal(cat); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(catalogPath(ep), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	edit("heights", func(float64) float64 { return 0 })
+	if rep, err := Fsck(ep); err != nil || !rep.OK() {
+		t.Fatalf("zero height mask: OK %v, entries %+v (%v); want it read as unknown", rep.OK(), rep.Entries, err)
+	}
+	edit("max_end", func(v float64) float64 { return v + 1 })
+	rep, err := Fsck(ep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OK() || len(rep.Entries) != 1 || rep.Entries[0].Relation != "A" || rep.Entries[0].Error == "" {
+		t.Fatalf("wrong max_end: OK %v, entries %+v; want A named", rep.OK(), rep.Entries)
+	}
+}

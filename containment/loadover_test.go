@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -50,12 +51,41 @@ func closedPagesWithin(t *testing.T, old *Relation, common int) int {
 	return pages
 }
 
+// loadOverList is LoadOver for a caller holding the whole new list: old's
+// records that codes repeats from the start are the ones kept.
+func loadOverList(t testing.TB, e *Engine, old *Relation, name string, codes []pbicode.Code) (*Relation, error) {
+	t.Helper()
+	from := commonPrefix(t, old, codes)
+	return e.LoadOver(old, name, from, codes[from:])
+}
+
+// commonPrefix is how many of old's records, in storage order, codes
+// repeats from the start (0 for a nil old).
+func commonPrefix(t testing.TB, old *Relation, codes []pbicode.Code) int {
+	t.Helper()
+	if old == nil {
+		return 0
+	}
+	oc, err := old.Codes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for n < len(oc) && n < len(codes) && oc[n] == codes[n] {
+		n++
+	}
+	return n
+}
+
 // TestLoadOverMatchesLoad is the loader's property test: for random code
 // sequences and random edits, in both layouts an engine writes and at page
-// sizes where a page holds 3 and 255 fixed records, LoadOver(old, …) stores exactly
-// what a plain Load stores — records, ordinals, span, height statistics —
-// while sharing exactly the closed pages inside the common prefix and
-// writing to no page old owns.
+// sizes where a page holds 3 and 255 fixed records, LoadOver(old, …) stores
+// exactly what a plain Load stores — records, ordinals, span, height
+// statistics — while sharing exactly the closed pages inside the common
+// prefix, as the compare-based SharedPrefix finds them, and writing to no
+// page old owns. The caller's from is the common prefix or anything below
+// it, and old comes with and without the per-page statistics LoadOver
+// keeps and with an unknown height mask, as an earlier catalog leaves it.
 func TestLoadOverMatchesLoad(t *testing.T) {
 	edits := []struct {
 		name string
@@ -113,7 +143,20 @@ func TestLoadOverMatchesLoad(t *testing.T) {
 						}
 						for gen := 0; gen < 3; gen++ {
 							next := ed.edit(rng, codes)
-							old = checkLoadOver(t, e, old, next, fmt.Sprintf("n=%d %s gen %d", n, ed.name, gen))
+							from := commonPrefix(t, old, next)
+							what := fmt.Sprintf("n=%d %s gen %d", n, ed.name, gen)
+							switch rng.Intn(4) {
+							case 0:
+								from = rng.Intn(from + 1)
+								what += fmt.Sprintf(" from %d", from)
+							case 1:
+								old.stats = nil // attached from a catalog
+								what += " no stats"
+							case 2:
+								old.stats, old.heights = nil, 0 // an earlier catalog's entry
+								what += " no mask"
+							}
+							old = checkLoadOver(t, e, old, next, from, what)
 							codes = next
 							shared += old.SharedPages()
 						}
@@ -128,9 +171,10 @@ func TestLoadOverMatchesLoad(t *testing.T) {
 	}
 }
 
-// checkLoadOver loads next over old, compares the result with a plain Load
-// of next into an engine of its own, and returns it.
-func checkLoadOver(t *testing.T, e *Engine, old *Relation, next []pbicode.Code, what string) *Relation {
+// checkLoadOver loads next over old, keeping old's first from records,
+// compares the result with a plain Load of next into an engine of its own,
+// and returns it.
+func checkLoadOver(t *testing.T, e *Engine, old *Relation, next []pbicode.Code, from int, what string) *Relation {
 	t.Helper()
 	oldPages := old.rel.Pages()
 	before := pageImages(t, e, oldPages)
@@ -138,8 +182,12 @@ func checkLoadOver(t *testing.T, e *Engine, old *Relation, next []pbicode.Code, 
 	if err != nil {
 		t.Fatal(err)
 	}
+	oracle, err := old.SharedPrefix(next)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	got, err := e.LoadOver(old, "R", next)
+	got, err := e.LoadOver(old, "R", from, next[from:])
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
@@ -174,19 +222,26 @@ func checkLoadOver(t *testing.T, e *Engine, old *Relation, next []pbicode.Code, 
 	if got.Len() != want.Len() || got.Len() != int64(len(next)) {
 		t.Fatalf("%s: Len %d, plain Load %d, loaded %d", what, got.Len(), want.Len(), len(next))
 	}
-	gs, gok := got.rel.Span()
-	ws, wok := want.rel.Span()
-	if gs != ws || gok != wok {
-		t.Fatalf("%s: span %v/%v, plain Load %v/%v", what, gs, gok, ws, wok)
-	}
-	if got.heights != want.heights {
-		t.Fatalf("%s: heights %b, plain Load %b", what, got.heights, want.heights)
+	ge, we := got.entry(), want.entry()
+	ge.Pages, we.Pages = nil, nil
+	if !reflect.DeepEqual(ge, we) {
+		t.Fatalf("%s: catalog entry %+v, plain Load's %+v", what, ge, we)
 	}
 	if got.rel.PaperLayout() != want.rel.PaperLayout() {
 		t.Fatalf("%s: PaperLayout %v, plain Load %v", what, got.rel.PaperLayout(), want.rel.PaperLayout())
 	}
 	if e.TreeHeight() < ref.TreeHeight() {
 		t.Fatalf("%s: tree height %d below a plain Load's %d", what, e.TreeHeight(), ref.TreeHeight())
+	}
+	// The per-page statistics the result keeps are what decoding its pages
+	// gives.
+	if kept := got.stats; len(kept) > 0 {
+		fresh := &Relation{rel: got.rel}
+		for k := 1; k <= len(kept); k++ {
+			if s, err := fresh.statsThrough(k); err != nil || s != kept[k-1] {
+				t.Fatalf("%s: statistics through page %d kept as %+v, decoded %+v (%v)", what, k, kept[k-1], s, err)
+			}
+		}
 	}
 
 	// Shares exactly the closed pages inside the common prefix...
@@ -196,9 +251,9 @@ func checkLoadOver(t *testing.T, e *Engine, old *Relation, next []pbicode.Code, 
 	}
 	wantShared := closedPagesWithin(t, old, common)
 	gotPages := got.rel.Pages()
-	if int(got.SharedPages()) != wantShared {
-		t.Fatalf("%s: shares %d pages, want %d (old has %d pages, %d common records)",
-			what, got.SharedPages(), wantShared, len(oldPages), common)
+	if int(got.SharedPages()) != wantShared || got.SharedPages() != oracle {
+		t.Fatalf("%s: shares %d pages, want %d, SharedPrefix %d (old has %d pages, %d common records)",
+			what, got.SharedPages(), wantShared, oracle, len(oldPages), common)
 	}
 	if !slices.Equal(gotPages[:wantShared], oldPages[:wantShared]) {
 		t.Fatalf("%s: shared pages %v are not old's leading pages %v", what, gotPages[:wantShared], oldPages[:wantShared])
@@ -241,7 +296,7 @@ func TestLoadOverComparesOrdinals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := checkLoadOver(t, e, old, codes, "sorted old"); got.SharedPages() != 0 {
+	if got := checkLoadOver(t, e, old, codes, len(codes)/2, "sorted old"); got.SharedPages() != 0 {
 		t.Fatalf("shared %d pages whose records carry other ordinals", got.SharedPages())
 	}
 }
@@ -256,7 +311,10 @@ func TestLoadOverForeignRelation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.LoadOver(r, "R", []pbicode.Code{1, 2, 3}); err == nil {
+	if _, err := b.LoadOver(r, "R", 3, nil); err == nil {
 		t.Fatal("LoadOver accepted a relation of another engine")
+	}
+	if _, err := a.LoadOver(r, "R", 4, nil); err == nil {
+		t.Fatal("LoadOver kept more records than the relation has")
 	}
 }

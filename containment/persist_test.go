@@ -226,7 +226,7 @@ func TestOpenReadsEarlierCatalogs(t *testing.T) {
 		t.Fatal(err)
 	}
 	grown := append(slices.Clone(aCodes), aCodes[:50]...)
-	a1, err := base.LoadOver(rels["A"], "A", grown)
+	a1, err := loadOverList(t, base, rels["A"], "A", grown)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestOpenReadsEarlierCatalogs(t *testing.T) {
 		t.Fatal(err)
 	}
 	grownD := append(slices.Clone(dCodes), dCodes[:30]...)
-	d2, err := e1.LoadOver(rels1["D"], "D", grownD)
+	d2, err := loadOverList(t, e1, rels1["D"], "D", grownD)
 	if err != nil {
 		t.Fatal(err)
 	}

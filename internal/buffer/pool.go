@@ -8,6 +8,7 @@ package buffer
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"github.com/pbitree/pbitree/internal/storage"
 )
@@ -15,6 +16,27 @@ import (
 // ErrNoFrames is returned when every frame in the pool is pinned and a new
 // page is requested.
 var ErrNoFrames = errors.New("buffer: all frames pinned")
+
+// ErrReleased is returned for a page requested of a released pool.
+var ErrReleased = errors.New("buffer: pool released")
+
+// frameSets recycles the frame memory of released pools for pools created
+// later, one sync.Pool of *[]byte per size in bytes: a serving tier closes
+// and opens engines at every compaction, each with b frames.
+var frameSets sync.Map
+
+// takeFrames returns n bytes of frame memory, recycled when a released pool
+// left a block of that size. The content is stale: every frame is filled
+// whole before it is read (a disk read, a cleared new page, an adoption).
+func takeFrames(n int) *[]byte {
+	if sp, ok := frameSets.Load(n); ok {
+		if mem, ok := sp.(*sync.Pool).Get().(*[]byte); ok {
+			return mem
+		}
+	}
+	mem := make([]byte, n)
+	return &mem
+}
 
 // Stats counts logical page requests served by the pool.
 type Stats struct {
@@ -75,6 +97,8 @@ type Pool struct {
 	// algorithm page-granularity cooperative cancellation without touching
 	// the algorithms themselves; unarmed executions pay one nil check.
 	interrupt Interrupter
+	// mem backs every frame's data, one block (nil once released).
+	mem *[]byte
 	// slabs is the free list scans draw their page decode buffers from
 	// (TakeSlab / GiveSlab): a finished scan hands its buffer back and the
 	// next scan through this pool reuses it. Like everything else in the
@@ -88,16 +112,31 @@ func New(disk storage.Disk, b int) *Pool {
 	if b < 1 {
 		panic("buffer: pool needs at least one frame")
 	}
+	ps := disk.PageSize()
 	p := &Pool{
 		disk:  disk,
 		slots: make([]slot, b),
 		table: make(map[storage.PageID]int, b),
+		mem:   takeFrames(b * ps),
 	}
 	for i := range p.slots {
 		p.slots[i].id = storage.InvalidPageID
-		p.slots[i].data = make([]byte, disk.PageSize())
+		p.slots[i].data = (*p.mem)[i*ps : (i+1)*ps : (i+1)*ps]
 	}
 	return p
+}
+
+// Release gives the pool's frame memory to pools created later, dropping
+// every resident page without write-back: call it once the pool's disk is
+// closed. Afterwards every page request fails with ErrReleased. A pool with
+// pinned frames keeps its memory.
+func (p *Pool) Release() {
+	if p.mem == nil || p.PinnedFrames() > 0 {
+		return
+	}
+	sp, _ := frameSets.LoadOrStore(len(*p.mem), &sync.Pool{})
+	sp.(*sync.Pool).Put(p.mem)
+	p.mem, p.slots, p.table = nil, nil, map[storage.PageID]int{}
 }
 
 // TakeSlab returns a buffer of at least n words from the pool's free list,
@@ -162,6 +201,9 @@ func (p *Pool) ResetStats() { p.stats = Stats{} }
 // Fetch pins the page id and returns its frame, reading it from disk if it
 // is not resident.
 func (p *Pool) Fetch(id storage.PageID) (Frame, error) {
+	if p.mem == nil {
+		return Frame{}, ErrReleased
+	}
 	if p.interrupt != nil {
 		if err := p.interrupt.Canceled(); err != nil {
 			return Frame{}, err
@@ -194,6 +236,9 @@ func (p *Pool) Fetch(id storage.PageID) (Frame, error) {
 // NewPage allocates a fresh zeroed page on disk, pins it and returns its
 // frame. The page is marked dirty so it reaches disk even if untouched.
 func (p *Pool) NewPage() (Frame, error) {
+	if p.mem == nil {
+		return Frame{}, ErrReleased
+	}
 	if p.interrupt != nil {
 		if err := p.interrupt.Canceled(); err != nil {
 			return Frame{}, err
@@ -298,6 +343,36 @@ func (p *Pool) Discard(id storage.PageID) error {
 	p.slots[i].ref = false
 	p.slots[i].dirty = false
 	return nil
+}
+
+// Peek returns the content of page id if it is resident, without pinning
+// it or counting a request. The bytes alias the frame: read them before
+// the pool is used again.
+func (p *Pool) Peek(id storage.PageID) ([]byte, bool) {
+	i, ok := p.table[id]
+	if !ok {
+		return nil, false
+	}
+	return p.slots[i].data, true
+}
+
+// Adopt makes a clean copy of data resident as page id in a free frame
+// without reading the disk, evicting nothing: the caller vouches that data
+// is what a read of the page would return. It reports false when the page
+// is resident already or no frame is free.
+func (p *Pool) Adopt(id storage.PageID, data []byte) bool {
+	if _, ok := p.table[id]; ok {
+		return false
+	}
+	for i := range p.slots {
+		if p.slots[i].id == storage.InvalidPageID {
+			copy(p.slots[i].data, data)
+			p.install(i, id)
+			p.slots[i].pins = 0
+			return true
+		}
+	}
+	return false
 }
 
 // PinnedFrames returns the number of frames currently pinned (for tests and

@@ -460,3 +460,77 @@ func TestPoolSlabFreeList(t *testing.T) {
 		t.Fatalf("free list holds %d slabs, pool has %d frames", len(p.slabs), p.Size())
 	}
 }
+
+// TestAdoptFillsFreeFramesOnly: Adopt makes a page resident without a read
+// and only in a free frame; Peek sees it without counting a request.
+func TestAdoptFillsFreeFramesOnly(t *testing.T) {
+	disk := storage.NewMemDisk(64, storage.CostModel{})
+	p := New(disk, 2)
+	page := make([]byte, 64)
+	page[0] = 7
+	if !p.Adopt(5, page) || p.Adopt(5, page) {
+		t.Fatal("Adopt: want true for a new page, then false while it is resident")
+	}
+	if !p.Adopt(6, page) || p.Adopt(7, page) {
+		t.Fatal("Adopt: want true while a frame is free, then false")
+	}
+	if data, ok := p.Peek(5); !ok || data[0] != 7 {
+		t.Fatalf("Peek(5) = %v, %v; want the adopted bytes", data[:1], ok)
+	}
+	if _, ok := p.Peek(7); ok {
+		t.Fatal("Peek found a page that was never made resident")
+	}
+	f, err := p.Fetch(6)
+	if err != nil || f.Data[0] != 7 {
+		t.Fatalf("Fetch(6) = %v, %v; want the adopted bytes", f.Data[:1], err)
+	}
+	p.Unpin(f, false)
+	if s := p.Stats(); s.Hits != 1 || s.Misses != 0 || disk.Stats().Reads != 0 {
+		t.Fatalf("stats %+v, %d disk reads; want one hit and no read", s, disk.Stats().Reads)
+	}
+}
+
+// TestReleaseRecyclesFrames: a released pool refuses page requests, and a
+// pool created after it with frames of the same total size gets the
+// released memory instead of allocating; a pool with a pinned frame keeps
+// its memory.
+func TestReleaseRecyclesFrames(t *testing.T) {
+	disk := storage.NewMemDisk(64, storage.CostModel{})
+	p := New(disk, 4)
+	f, err := p.NewPage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Release() // pinned: keeps its memory
+	if p.mem == nil {
+		t.Fatal("Release dropped the memory of a pool with a pinned frame")
+	}
+	p.Unpin(f, true)
+	mem := p.mem
+	p.Release()
+	if _, err := p.Fetch(f.ID); !errors.Is(err, ErrReleased) {
+		t.Fatalf("Fetch after Release: %v, want ErrReleased", err)
+	}
+	if _, err := p.NewPage(); !errors.Is(err, ErrReleased) {
+		t.Fatalf("NewPage after Release: %v, want ErrReleased", err)
+	}
+	// A pool created next with frames of the same total size gets the
+	// block back. sync.Pool may drop what it holds at a collection, and
+	// drops a quarter of it on purpose under the race detector, so a few
+	// tries are allowed.
+	recycled := false
+	for try := 0; try < 20 && !recycled; try++ {
+		q := New(disk, 4)
+		recycled = q.mem == mem
+		if f, err := q.Fetch(f.ID); err != nil {
+			t.Fatal(err)
+		} else {
+			q.Unpin(f, false)
+		}
+		mem = q.mem
+		q.Release()
+	}
+	if !recycled {
+		t.Fatal("pools of a released size always allocated anew")
+	}
+}

@@ -127,52 +127,61 @@ func elementAt(s *Store, code uint64) *xmltree.Element {
 }
 
 // BenchmarkCommitSmallDoc commits one 12-element document per iteration
-// into a ≈130-page base and reports what a commit writes: pages/commit is
-// the delta's page count, B/commit the size of the delta and catalog files
-// it published. Both should follow the document, not the base — the guard
-// TestCommitWritesChangeNotRelation holds the first to that. The chain is
-// folded every 16 commits, outside the timer, as a serving store's daemon
-// would.
+// into a base of ten library documents of 100 or 800 books each (≈17 and
+// ≈130 packed pages at the 512-byte page, 8 times that in the fixed-width
+// layout) and reports what a commit costs and writes: ns/op and B/op are
+// per commit, pages/commit is the delta's page count, B/commit the size of
+// the delta and catalog files it published. All should follow the
+// document, not the base — TestCommitCostIndependentOfBase and
+// TestCommitWritesChangeNotRelation hold them to it — except in the
+// commits that re-encode the whole collection when its root runs out of
+// slots, which renumbers/commit counts. The chain is folded every 16
+// commits, outside the timer, as a serving store's daemon would.
 //
 //	go test -run '^$' -bench BenchmarkCommitSmallDoc -benchtime 64x ./internal/ingest/
 func BenchmarkCommitSmallDoc(b *testing.B) {
 	for _, paper := range []bool{true, false} {
-		name := "packed"
-		if paper {
-			name = "fixed"
-		}
-		b.Run(name, func(b *testing.B) {
-			base := buildBaseDBFormat(b, b.TempDir(), libraryDocs(10, 100), paper)
-			s, err := Open(Config{DBPath: base, GapAware: true})
-			if err != nil {
-				b.Fatal(err)
+		for _, books := range []int{100, 800} {
+			name := "packed"
+			if paper {
+				name = "fixed"
 			}
-			defer s.Close() //nolint:errcheck
-			var bytes int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := s.Apply([]Op{{Op: "insert_doc", Doc: fmt.Sprintf("small%d", i), XML: smallDoc}})
+			b.Run(fmt.Sprintf("%s/books=%d", name, books), func(b *testing.B) {
+				base := buildBaseDBFormat(b, b.TempDir(), libraryDocs(10, books), paper)
+				s, err := Open(Config{DBPath: base, GapAware: true})
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.StopTimer()
-				for _, ext := range []string{".delta", ".catalog"} {
-					fi, err := os.Stat(res.Path + ext)
+				defer s.Close() //nolint:errcheck
+				var bytes int64
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					res, err := s.Apply([]Op{{Op: "insert_doc", Doc: fmt.Sprintf("small%d", i), XML: smallDoc}})
 					if err != nil {
 						b.Fatal(err)
 					}
-					bytes += fi.Size()
-				}
-				if i%16 == 15 {
-					if err := s.CompactNow(); err != nil {
-						b.Fatal(err)
+					b.StopTimer()
+					for _, ext := range []string{".delta", ".catalog"} {
+						fi, err := os.Stat(res.Path + ext)
+						if err != nil {
+							b.Fatal(err)
+						}
+						bytes += fi.Size()
 					}
+					if i%16 == 15 {
+						if err := s.CompactNow(); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.StartTimer()
 				}
-				b.StartTimer()
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(s.Stats().DeltaPages)/float64(b.N), "pages/commit")
-			b.ReportMetric(float64(bytes)/float64(b.N), "B/commit")
-		})
+				b.StopTimer()
+				st := s.Stats()
+				b.ReportMetric(float64(st.DeltaPages)/float64(b.N), "pages/commit")
+				b.ReportMetric(float64(bytes)/float64(b.N), "B/commit")
+				b.ReportMetric(float64(st.RenumbersScoped+st.RenumbersGlobal)/float64(b.N), "renumbers/commit")
+			})
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
@@ -141,14 +142,20 @@ type Store struct {
 	cfg Config
 	dir string // epochs directory
 
-	mu     sync.Mutex
-	man    *Manifest
-	cur    string // current epoch's database path
-	chain  int    // delta-chain length of the current epoch
+	mu    sync.Mutex
+	man   *Manifest
+	cur   string // current epoch's database path
+	chain int    // delta-chain length of the current epoch
+	// forest is the collection as the batch in progress leaves it; the tag
+	// indexes it records as changed (ChangedFrom) since the last commit are
+	// the relations the next commit re-stores, each from the ordinal given.
 	forest *xmltree.Document
-	docs   []docState
-	// docSpans is the interval index over document regions, sorted by
-	// start — DocFor resolves codes to documents with a binary search.
+	// docs are the live documents in catalog order, byName indexes them, and
+	// docSpans is the interval index over their regions, sorted by start —
+	// DocFor resolves codes to documents with a binary search. Each op
+	// updates all three in place.
+	docs     []*docState
+	byName   map[string]*docState
 	docSpans []docSpan
 	// startIdx is the incrementally-maintained B+-tree over every stored
 	// element (key = region start, value = code), the live counterpart of
@@ -158,10 +165,7 @@ type Store struct {
 	idxDisk *storage.MemDisk
 	idxPool *buffer.Pool
 	idx     *btree.Tree
-	// dirty tags since the last commit; dirtyAll after a global re-encode.
-	dirty    map[string]bool
-	dirtyAll bool
-	closed   bool
+	closed  bool
 	// eng is the commit engine, a read-only engine at the epoch database
 	// engPath with that epoch's relations rels. It is kept across commits —
 	// each commit's SaveEpoch leaves it at the epoch it published — so a
@@ -272,21 +276,25 @@ func (s *Store) Close() error {
 // engine returns the commit engine at the current epoch: the kept one when
 // it is there already, advanced onto the current epoch when that extends
 // its chain, and opened afresh otherwise — on first use, and after a
-// compaction brought a new base. Called with mu held.
+// compaction brought a new base, when the fresh engine inherits the pages
+// the old one had resident. Called with mu held.
 func (s *Store) engine() (*containment.Engine, map[string]*containment.Relation, error) {
 	if s.eng != nil && s.engPath != s.cur {
 		if rels, err := s.eng.Advance(s.cur); err == nil {
 			s.rels, s.engPath = rels, s.cur
-		} else {
-			s.dropEngine()
 		}
 	}
-	if s.eng == nil {
+	if s.eng == nil || s.engPath != s.cur {
 		eng, rels, err := containment.Open(containment.Config{
 			Path: s.cur, ReadOnly: true, BufferPages: s.cfg.BufferPages,
 		})
 		if err != nil {
+			s.dropEngine()
 			return nil, nil, err
+		}
+		if s.eng != nil {
+			eng.Inherit(s.eng)
+			s.dropEngine()
 		}
 		s.eng, s.rels, s.engPath = eng, rels, s.cur
 	}
@@ -393,34 +401,57 @@ func (s *Store) reload() error {
 	for _, d := range catDocs {
 		byRoot[d.Root] = d.Name
 	}
-	var docs []docState
-	for i, root := range forest.DocumentRoots() {
+	roots := forest.DocumentRoots()
+	s.docs = make([]*docState, len(roots))
+	s.byName = make(map[string]*docState, len(roots))
+	for i, root := range roots {
 		name, ok := byRoot[root.Code]
 		if !ok {
 			name = fmt.Sprintf("doc-%04d", i)
 		}
-		docs = append(docs, docState{name: name, root: root, elems: subtreeSize(root)})
+		s.docs[i] = &docState{name: name, root: root, elems: subtreeSize(root)}
+		s.byName[name] = s.docs[i]
 	}
 	s.forest = forest
-	s.docs = docs
 	s.chain = len(eng.DeltaChain())
-	s.dirty = map[string]bool{}
-	s.dirtyAll = false
 	s.rebuildDocSpans()
 	s.rebuildIndex()
 	return nil
 }
 
-// rebuildDocSpans refreshes the interval index over document regions.
+// rebuildDocSpans recomputes the interval index over document regions
+// from scratch: on open and after a global re-encode moved every root.
 func (s *Store) rebuildDocSpans() {
 	s.docSpans = s.docSpans[:0]
-	for i := range s.docs {
-		d := &s.docs[i]
-		s.docSpans = append(s.docSpans, docSpan{
-			start: d.root.Code.Start(), end: d.root.Code.End(), doc: d,
-		})
+	for _, d := range s.docs {
+		s.docSpans = append(s.docSpans, docSpan{start: d.root.Code.Start(), end: d.root.Code.End(), doc: d})
 	}
-	sort.Slice(s.docSpans, func(i, j int) bool { return s.docSpans[i].start < s.docSpans[j].start })
+	slices.SortFunc(s.docSpans, func(a, b docSpan) int { return cmp.Compare(a.start, b.start) })
+}
+
+// spanAt returns where the span starting at start is, or would go, in
+// docSpans.
+func (s *Store) spanAt(start uint64) int {
+	i, _ := slices.BinarySearchFunc(s.docSpans, start, func(sp docSpan, start uint64) int { return cmp.Compare(sp.start, start) })
+	return i
+}
+
+// addDoc makes d a live document: last in catalog order, and in the
+// interval index where its region starts.
+func (s *Store) addDoc(d *docState) {
+	s.docs = append(s.docs, d)
+	s.byName[d.name] = d
+	start := d.root.Code.Start()
+	s.docSpans = slices.Insert(s.docSpans, s.spanAt(start), docSpan{start: start, end: d.root.Code.End(), doc: d})
+}
+
+// removeDoc forgets the live document d.
+func (s *Store) removeDoc(d *docState) {
+	s.docs = slices.DeleteFunc(s.docs, func(x *docState) bool { return x == d })
+	delete(s.byName, d.name)
+	if i := s.spanAt(d.root.Code.Start()); i < len(s.docSpans) && s.docSpans[i].doc == d {
+		s.docSpans = slices.Delete(s.docSpans, i, i+1)
+	}
 }
 
 // docFor resolves a code to the document whose region contains it.
@@ -519,34 +550,19 @@ func (s *Store) headroom() int {
 // pure first-fit; gap-aware first-fits within the primary region (the
 // first three quarters) and spills into the reserved overflow quarter only
 // when the primary is exhausted, so bursts on a hot parent defer
-// renumbering instead of forcing it.
-func (s *Store) pickSlot(si xmltree.SlotInfo, after uint64) (uint64, bool) {
-	if si.Capacity == 0 {
-		return 0, false
-	}
+// renumbering instead of forcing it. overflow reports a slot of that
+// quarter.
+func (s *Store) pickSlot(si xmltree.SlotInfo) (slot uint64, overflow, ok bool) {
 	primary := si.Capacity
 	if s.cfg.GapAware && si.Capacity >= 4 {
 		primary = si.Capacity - si.Capacity/4
 	}
-	for slot := after; slot < primary; slot++ {
+	for ; slot < si.Capacity; slot++ {
 		if !si.Used[slot] {
-			return slot, true
+			return slot, slot >= primary, true
 		}
 	}
-	for slot := max64(after, primary); slot < si.Capacity; slot++ {
-		if !si.Used[slot] {
-			s.overflow.Add(1)
-			return slot, true
-		}
-	}
-	return 0, false
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
+	return 0, false, false
 }
 
 // graft inserts a detached subtree under parent, walking the renumber
@@ -567,20 +583,20 @@ func (s *Store) graft(parent *xmltree.Element, root *xmltree.Element) error {
 			if err != nil {
 				return false, err
 			}
-			for after := uint64(0); ; {
-				slot, ok := s.pickSlot(si, after)
-				if !ok {
-					break
-				}
+			if slot, overflow, ok := s.pickSlot(si); ok {
 				err := s.forest.InsertSubtreeSlot(parent, root, hr, slot)
 				if err == nil {
+					if overflow {
+						s.overflow.Add(1)
+					}
 					return true, s.idxInsertSubtree(root)
 				}
 				if !errors.Is(err, xmltree.ErrNoFreeSlot) {
 					return false, err
 				}
-				// Slot too shallow for this subtree; try the next one.
-				after = slot + 1
+				// The free slot is too shallow for the subtree at this
+				// headroom, and so is every other: a parent's child slots
+				// all lie on one level, with the same depth below them.
 			}
 		}
 		return false, nil
@@ -614,7 +630,6 @@ func (s *Store) graft(parent *xmltree.Element, root *xmltree.Element) error {
 		return fmt.Errorf("ingest: no room for subtree under %v: %w", parent.Code, err)
 	}
 	s.renumGlobal.Add(1)
-	s.dirtyAll = true
 	s.rebuildDocSpans()
 	s.rebuildIndex()
 	return nil
@@ -633,25 +648,19 @@ func (s *Store) renumberHeadroom() int {
 }
 
 // renumberScoped re-encodes parent's subtree in place with headroom and
-// patches the dirty set and start index. ErrNoFreeSlot propagates when
-// parent's region is too shallow for the widened subtree — the caller
-// escalates to a global re-encode.
+// patches the start index; parent keeps its code, so no document region
+// moves. ErrNoFreeSlot propagates when parent's region is too shallow for
+// the widened subtree — the caller escalates to a global re-encode.
 func (s *Store) renumberScoped(parent *xmltree.Element) error {
 	old := subtreeCodes(parent)
 	if err := s.forest.RenumberSubtree(parent, s.renumberHeadroom()); err != nil {
 		return err
 	}
 	s.renumScoped.Add(1)
-	s.markSubtreeDirty(parent)
 	if err := s.idxDeleteCodes(old); err != nil {
 		return err
 	}
 	return s.idxInsertSubtree(parent)
-}
-
-func (s *Store) markSubtreeDirty(e *xmltree.Element) {
-	walk(e, func(x *xmltree.Element) { s.dirty[x.Tag] = true })
-	s.rebuildDocSpans()
 }
 
 // resolvedOp pairs an operation with its target element, looked up before
@@ -701,10 +710,8 @@ func (s *Store) apply(rop resolvedOp) error {
 		if op.Doc == "" || op.XML == "" {
 			return fmt.Errorf("insert_doc needs doc and xml")
 		}
-		for _, d := range s.docs {
-			if d.name == op.Doc {
-				return fmt.Errorf("document %q already exists", op.Doc)
-			}
+		if s.byName[op.Doc] != nil {
+			return fmt.Errorf("document %q already exists", op.Doc)
 		}
 		parsed, err := xmltree.ParseString(op.XML, s.cfg.ParseOptions)
 		if err != nil {
@@ -714,36 +721,25 @@ func (s *Store) apply(rop resolvedOp) error {
 		if err := s.graft(s.forest.Root, root); err != nil {
 			return fmt.Errorf("insert_doc %q: %w", op.Doc, err)
 		}
-		d := docState{name: op.Doc, root: root}
-		walk(root, func(x *xmltree.Element) {
-			s.dirty[x.Tag] = true
-			d.elems++
-		})
-		s.docs = append(s.docs, d)
-		s.rebuildDocSpans()
+		s.addDoc(&docState{name: op.Doc, root: root, elems: subtreeSize(root)})
 		s.inserts.Add(1)
 		return nil
 
 	case "delete_doc":
-		for i := range s.docs {
-			if s.docs[i].name != op.Doc {
-				continue
-			}
-			root := s.docs[i].root
-			codes := subtreeCodes(root)
-			walk(root, func(x *xmltree.Element) { s.dirty[x.Tag] = true })
-			if err := s.forest.Delete(root); err != nil {
-				return err
-			}
-			if err := s.idxDeleteCodes(codes); err != nil {
-				return err
-			}
-			s.docs = append(s.docs[:i], s.docs[i+1:]...)
-			s.rebuildDocSpans()
-			s.deletes.Add(1)
-			return nil
+		d := s.byName[op.Doc]
+		if d == nil {
+			return fmt.Errorf("delete_doc: unknown document %q", op.Doc)
 		}
-		return fmt.Errorf("delete_doc: unknown document %q", op.Doc)
+		codes := subtreeCodes(d.root)
+		if err := s.forest.Delete(d.root); err != nil {
+			return err
+		}
+		if err := s.idxDeleteCodes(codes); err != nil {
+			return err
+		}
+		s.removeDoc(d)
+		s.deletes.Add(1)
+		return nil
 
 	case "insert_element":
 		if op.Tag == "" {
@@ -765,7 +761,6 @@ func (s *Store) apply(rop resolvedOp) error {
 			return err
 		}
 		doc.elems++
-		s.dirty[op.Tag] = true
 		s.inserts.Add(1)
 		return nil
 
@@ -785,7 +780,6 @@ func (s *Store) apply(rop resolvedOp) error {
 			return fmt.Errorf("delete_element: code %d lies in no document", op.Code)
 		}
 		codes := subtreeCodes(e)
-		walk(e, func(x *xmltree.Element) { s.dirty[x.Tag] = true })
 		if err := s.forest.Delete(e); err != nil {
 			return err
 		}
@@ -807,12 +801,9 @@ func (s *Store) apply(rop resolvedOp) error {
 		if !s.alive(e) {
 			return fmt.Errorf("update_element: code %d was deleted earlier in the batch", op.Code)
 		}
-		old := e.Tag
 		if err := s.forest.Retag(e, op.Tag); err != nil {
 			return err
 		}
-		s.dirty[old] = true
-		s.dirty[op.Tag] = true
 		s.updates.Add(1)
 		return nil
 
@@ -879,39 +870,24 @@ func (s *Store) commit(applied int, scoped0, global0 uint64) (*CommitResult, fun
 		}
 	}()
 
-	liveTags := s.forest.Tags()
-	isDirty := func(tag string) bool { return s.dirtyAll || s.dirty[tag] }
 	var keep []*containment.Relation
 	for name, r := range rels {
 		tag, isTag := strings.CutPrefix(name, relPrefix)
-		if isTag && isDirty(tag) {
+		if _, changed := s.forest.ChangedFrom(tag); isTag && changed {
 			continue // replaced (or dropped) below
 		}
 		keep = append(keep, r)
 	}
-	var dirtyTags []string
-	if s.dirtyAll {
-		for tag := range liveTags {
-			if tag != s.forest.Root.Tag {
-				dirtyTags = append(dirtyTags, tag)
-			}
-		}
-	} else {
-		for tag := range s.dirty {
-			dirtyTags = append(dirtyTags, tag)
-		}
-	}
-	sort.Strings(dirtyTags)
 	var written, shared int64 // pages of the re-stored relations
-	for _, tag := range dirtyTags {
-		codes := s.forest.Codes(tag)
-		if len(codes) == 0 {
-			continue // tag vanished; drop its relation from the catalog
+	for _, tag := range s.forest.ChangedTags() {
+		from, _ := s.forest.ChangedFrom(tag)
+		if tag == s.forest.Root.Tag || len(s.forest.Elements(tag)) == 0 {
+			continue // not stored, or vanished: drop its relation from the catalog
 		}
-		// Over the stored relation, so that only the pages after the first
-		// changed record are written; the unchanged ones before it are
-		// shared with the current epoch by page ID.
-		r, err := eng.LoadOver(rels[relPrefix+tag], relPrefix+tag, codes)
+		// Over the stored relation, whose first from records the tag's index
+		// still holds: the pages wholly before them are shared with the
+		// current epoch by page ID, and only the rest is written.
+		r, err := eng.LoadOver(rels[relPrefix+tag], relPrefix+tag, from, s.forest.CodesFrom(tag, from))
 		if err != nil {
 			return nil, nil, fmt.Errorf("ingest: load tag %q: %w", tag, err)
 		}
@@ -953,8 +929,7 @@ func (s *Store) commit(applied int, scoped0, global0 uint64) (*CommitResult, fun
 	}
 	s.cur, s.engPath = path, path
 	s.chain = len(eng.DeltaChain())
-	s.dirty = map[string]bool{}
-	s.dirtyAll = false
+	s.forest.ResetChanges()
 	s.commits.Add(1)
 	s.deltaPages.Add(uint64(written))
 	s.sharedPages.Add(uint64(shared))

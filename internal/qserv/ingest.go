@@ -70,7 +70,8 @@ func (ig *ingestState) adopt(epoch int64, path string) {
 
 // freshen moves a stale worker onto the current epoch: its engine advances
 // when the epoch extends its chain (containment.Engine.Advance), and is
-// swapped for one opened against the current epoch otherwise. Called by
+// swapped for one opened against the current epoch otherwise, which
+// inherits the stale engine's resident pages it still reads. Called by
 // acquire with exclusive ownership of wk. On open failure the stale worker
 // keeps serving — availability beats freshness; the swap is retried on its
 // next acquire.
@@ -89,6 +90,13 @@ func (s *Server) freshen(wk worker) worker {
 	fresh, err := s.openWorker()
 	if err != nil {
 		return wk
+	}
+	// Across a compaction the relations keep their bytes at new page IDs:
+	// the fresh engine starts with what the stale one had resident.
+	if a, ok := wk.(*soloWorker); ok {
+		if b, ok := fresh.(*soloWorker); ok {
+			b.eng.Inherit(a.eng)
+		}
 	}
 	s.poolMu.Lock()
 	for i, w := range s.all {

@@ -373,3 +373,29 @@ func FuzzPageDecode(f *testing.F) {
 		}
 	})
 }
+
+// TestFirstRecord: in every format, FirstRecord returns each page's first
+// record as a scan decodes it, without decoding the page.
+func TestFirstRecord(t *testing.T) {
+	recs := make([]Rec, 2000)
+	for i := range recs {
+		recs[i] = Rec{Code: pbicode.Code(3*i*i + 1), Aux: uint64(i)}
+	}
+	for _, format := range formats {
+		r := store(t, newPool(t, 256, 8), "R", format, recs)
+		if r.NumPages() < 3 {
+			t.Fatalf("%s: %d pages; the test wants several", format, r.NumPages())
+		}
+		for i := 0; i < int(r.NumPages()); i++ {
+			s := r.BatchScanPages(i, i+1)
+			if !s.Next() {
+				t.Fatalf("%s: page %d is empty (%v)", format, i, s.Err())
+			}
+			want := Rec{Code: pbicode.Code(s.Codes()[0]), Aux: s.Aux()[0]}
+			s.Close()
+			if got, err := r.FirstRecord(i); err != nil || got != want {
+				t.Fatalf("%s: FirstRecord(%d) = %v, %v; a scan reads %v", format, i, got, err, want)
+			}
+		}
+	}
+}

@@ -136,16 +136,19 @@ func decodePage(p []byte, format int, codes, aux []uint64) error {
 }
 
 // CheckPage decodes a raw heap page image the way a scan would and
-// reports its format name and, if so, how its header and payload disagree.
-// Offline tools (pbifsck) verify catalogued pages with it without a
-// Relation handle.
-func CheckPage(p []byte) (format string, err error) {
+// reports its format name, its records' codes and, if so, how its header
+// and payload disagree. Offline tools (pbifsck) verify catalogued pages
+// with it without a Relation handle.
+func CheckPage(p []byte) (format string, codes []uint64, err error) {
 	n, f, err := pageRecords(p)
 	if err != nil {
-		return PageFormatName(p), err
+		return PageFormatName(p), nil, err
 	}
 	cols := make([]uint64, 2*n)
-	return PageFormatName(p), decodePage(p, f, cols[:n], cols[n:])
+	if err := decodePage(p, f, cols[:n], cols[n:]); err != nil {
+		return PageFormatName(p), nil, err
+	}
+	return PageFormatName(p), cols[:n], nil
 }
 
 func putRec(p []byte, i int, rec Rec) {

@@ -13,6 +13,7 @@
 package relation
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"github.com/pbitree/pbitree/internal/buffer"
@@ -371,6 +372,32 @@ func Attach(pool *buffer.Pool, name string, pages []storage.PageID, count int64,
 	}
 }
 
+// FirstRecord reads the first record of page i without decoding the rest
+// of the page: every format stores it whole (fixed pages all their
+// records, packed pages their base record, varint pages a delta from
+// zero). An empty page's is the zero Rec.
+func (r *Relation) FirstRecord(i int) (Rec, error) {
+	f, err := r.pool.Fetch(r.pages[i])
+	if err != nil {
+		return Rec{}, err
+	}
+	defer r.pool.Unpin(f, false)
+	var code, aux [1]uint64
+	n, format, err := pageRecords(f.Data)
+	switch {
+	case err != nil || n == 0:
+	case format == pageVarint:
+		err = decodeVarint(f.Data[pageHeader:pageHeader+pageUsed(f.Data)], code[:], aux[:])
+	default:
+		code[0] = binary.LittleEndian.Uint64(f.Data[pageHeader:])
+		aux[0] = binary.LittleEndian.Uint64(f.Data[pageHeader+8:])
+	}
+	if err != nil {
+		return Rec{}, fmt.Errorf("relation %s: page %d: %w", r.name, r.pages[i], err)
+	}
+	return Rec{Code: pbicode.Code(code[0]), Aux: aux[0]}, nil
+}
+
 // SharedPrefix reports how much of r a relation bulk-loaded from codes
 // (Aux = ordinal, as FromCodes writes it) could share by page ID instead of
 // rewriting: the number of r's leading pages whose every record equals the
@@ -379,7 +406,9 @@ func Attach(pool *buffer.Pool, name string, pages []storage.PageID, count int64,
 // still be appended to cannot be shared between two relations — so every
 // counted page is closed and safe to Attach as is. The walk goes page by
 // page on each page's own record count, whatever its format, and stops
-// reading at the first page that differs.
+// reading at the first page that differs. It decodes every page it shares:
+// the loaders share by what changed instead (containment's LoadOver), and
+// tests hold them to this reference.
 func (r *Relation) SharedPrefix(codes []pbicode.Code) (pages int, recs int, err error) {
 	var ps pageSlab
 	defer ps.release(r.pool)

@@ -96,6 +96,16 @@ func (cs *ChecksumSet) Update(id PageID, p []byte) {
 	cs.mu.Unlock()
 }
 
+// Matches reports whether p has the checksum recorded for page id, a page
+// in the recorded range that is not quarantined. Unlike Verify it records
+// nothing: a mismatch means p is other content, not a damaged page.
+func (cs *ChecksumSet) Matches(id PageID, p []byte) bool {
+	got := PageChecksum(p)
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	return id >= 0 && int(id) < len(cs.sums) && cs.bad[id] == nil && cs.sums[id] == got
+}
+
 // Verify checks page id's just-read content against the recorded checksum.
 // Pages beyond the recorded range verify trivially (they were written after
 // the checksums were taken, or the file grew legitimately). On mismatch the
@@ -217,7 +227,7 @@ func ComputeFileChecksums(path string, pageSize int) (*ChecksumSet, error) {
 	}
 	n := int(st.Size() / int64(pageSize))
 	cs := NewChecksumSet(n)
-	br := bufio.NewReaderSize(f, 1<<20)
+	br := bufio.NewReaderSize(f, 16*pageSize)
 	page := make([]byte, pageSize)
 	for i := 0; i < n; i++ {
 		if _, err := io.ReadFull(br, page); err != nil {

@@ -198,6 +198,25 @@ func (d *OverlayDisk) Read(id PageID, p []byte) error {
 	return nil
 }
 
+// BaseHolds reports whether p is what Read returns for page id, as the
+// checksums of a base-file page tell: id is a page of the file that no
+// delta layer or write overrides, and p matches its recorded checksum. A
+// disk without checksums vouches for nothing.
+func (d *OverlayDisk) BaseHolds(id PageID, p []byte) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.sums == nil || id < 0 || id >= d.filePages {
+		return false
+	}
+	if _, ok := d.overlay[id]; ok {
+		return false
+	}
+	if _, ok := d.delta[id]; ok {
+		return false
+	}
+	return d.sums.Matches(id, p)
+}
+
 // Write implements Disk. The base file is untouched; the page content is
 // retained in the overlay.
 func (d *OverlayDisk) Write(id PageID, p []byte) error {

@@ -31,13 +31,16 @@ type TaggedCode struct {
 // subset of tags cannot be reconstructed — parent chains would have gaps
 // and containment-preserving grafts could not be guaranteed), except that
 // document roots attach directly to the synthetic root.
+//
+// Each tag's index keeps the order in which elems lists that tag's
+// elements, whatever the order across tags: rebuilt from stored tag
+// relations, a tag's Codes are its relation's codes in storage order.
 func FromCodes(height int, elems []TaggedCode) (*Document, error) {
 	if height < 1 || height > pbicode.MaxHeight {
 		return nil, fmt.Errorf("xmltree: tree height %d out of range [1,%d]", height, pbicode.MaxHeight)
 	}
 	rootCode := pbicode.Root(height)
-	sorted := append([]TaggedCode(nil), elems...)
-	for _, tc := range sorted {
+	for _, tc := range elems {
 		if err := tc.Code.Validate(height); err != nil {
 			return nil, err
 		}
@@ -45,37 +48,38 @@ func FromCodes(height int, elems []TaggedCode) (*Document, error) {
 			return nil, fmt.Errorf("xmltree: element code %v collides with the synthetic collection root", tc.Code)
 		}
 	}
-	// Document order with ancestors first: Start ascending, and among equal
-	// Starts (a node and its leftmost-path descendants) the higher node
-	// precedes.
-	sort.Slice(sorted, func(i, j int) bool {
-		si, sj := sorted[i].Code.Start(), sorted[j].Code.Start()
-		if si != sj {
+	// The elements in document order with ancestors first: Start
+	// ascending, and among equal Starts (a node and its leftmost-path
+	// descendants) the higher node precedes.
+	order := make([]int, len(elems))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(i, j int) bool {
+		ci, cj := elems[order[i]].Code, elems[order[j]].Code
+		if si, sj := ci.Start(), cj.Start(); si != sj {
 			return si < sj
 		}
-		return sorted[i].Code.Height() > sorted[j].Code.Height()
+		return ci.Height() > cj.Height()
 	})
 
 	root := &Element{Tag: collectionRootTag, Code: rootCode}
 	doc := &Document{
 		Root:   root,
 		Height: height,
-		byTag:  make(map[string][]*Element),
-		byCode: make(map[pbicode.Code]*Element),
+		byTag:  map[string][]*Element{collectionRootTag: {root}},
+		byCode: map[pbicode.Code]*Element{rootCode: root},
+		count:  1 + len(elems),
 	}
-	index := func(e *Element) {
-		doc.byTag[e.Tag] = append(doc.byTag[e.Tag], e)
-		doc.byCode[e.Code] = e
-		doc.count++
-	}
-	index(root)
-
+	built := make([]*Element, len(elems))
 	stack := []*Element{root}
-	for _, tc := range sorted {
+	for _, i := range order {
+		tc := elems[i]
 		if doc.byCode[tc.Code] != nil {
 			return nil, fmt.Errorf("xmltree: duplicate element code %v", tc.Code)
 		}
 		e := &Element{Tag: tc.Tag, Code: tc.Code}
+		built[i] = e
 		// Pop until the top encloses e; the synthetic root encloses every
 		// valid code, so the stack never empties.
 		for !pbicode.IsAncestor(stack[len(stack)-1].Code, e.Code) {
@@ -84,8 +88,11 @@ func FromCodes(height int, elems []TaggedCode) (*Document, error) {
 		p := stack[len(stack)-1]
 		e.Parent = p
 		p.Children = append(p.Children, e)
-		index(e)
+		doc.byCode[e.Code] = e
 		stack = append(stack, e)
+	}
+	for _, e := range built {
+		doc.byTag[e.Tag] = append(doc.byTag[e.Tag], e)
 	}
 	return doc, nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -302,7 +303,17 @@ func TestRandomizedUpdateSequences(t *testing.T) {
 				return all[rng.Intn(len(all))]
 			}
 
+			// Every 25 ops the tag indexes become the reference the change
+			// record is checked against (checkChanges).
+			var ref map[string][]pbicode.Code
 			for op := 0; op < 300; op++ {
+				if op%25 == 0 {
+					ref = map[string][]pbicode.Code{}
+					for tag := range doc.Tags() {
+						ref[tag] = doc.Codes(tag)
+					}
+					doc.ResetChanges()
+				}
 				switch rng.Intn(10) {
 				case 0, 1, 2, 3, 4: // insert a leaf child
 					p := pick()
@@ -386,6 +397,7 @@ func TestRandomizedUpdateSequences(t *testing.T) {
 					}
 				}
 				checkInvariants(t, doc)
+				checkChanges(t, doc, ref)
 			}
 
 			// The surviving forest round-trips through FromCodes.
@@ -398,5 +410,56 @@ func TestRandomizedUpdateSequences(t *testing.T) {
 			}
 			checkInvariants(t, rebuilt)
 		})
+	}
+}
+
+// checkChanges holds doc's change record to its contract against ref, the
+// tag indexes at the last ResetChanges: a tag it does not name lists the
+// same codes, and one it names from ordinal i lists the same first i.
+func checkChanges(t *testing.T, doc *Document, ref map[string][]pbicode.Code) {
+	t.Helper()
+	for tag := range doc.Tags() {
+		if _, ok := ref[tag]; !ok {
+			ref[tag] = nil
+		}
+	}
+	for tag, was := range ref {
+		now := doc.Codes(tag)
+		from, ok := doc.ChangedFrom(tag)
+		if !ok {
+			from = len(was)
+			if len(now) != len(was) {
+				t.Fatalf("tag %q: %d codes, %d at the last reset, and no change recorded", tag, len(now), len(was))
+			}
+		}
+		if from > len(was) || from > len(now) || !slices.Equal(now[:from], was[:from]) {
+			t.Fatalf("tag %q changed from %d (recorded: %v): %v, %v at the last reset", tag, from, ok, now, was)
+		}
+		if tail := doc.CodesFrom(tag, from); !slices.Equal(tail, now[from:]) {
+			t.Fatalf("tag %q: CodesFrom(%d) = %v, want %v", tag, from, tail, now[from:])
+		}
+	}
+}
+
+// TestFromCodesKeepsTagOrder: FromCodes lists each tag's elements in the
+// order its input does, not in document order, whatever the order across
+// tags — rebuilt from stored relations, a tag's Codes are its relation's.
+func TestFromCodesKeepsTagOrder(t *testing.T) {
+	col := NewCollection()
+	if err := col.AddDocument("d", strings.NewReader(`<r><a/><a/><b><a/></b></r>`), Options{}); err != nil {
+		t.Fatal(err)
+	}
+	orig := col.Document()
+	as := orig.Codes("a")
+	in := []TaggedCode{{"a", as[2]}, {"b", orig.Codes("b")[0]}, {"a", as[0]}, {"r", orig.Codes("r")[0]}, {"a", as[1]}}
+	doc, err := FromCodes(orig.Height, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := doc.Codes("a"), []pbicode.Code{as[2], as[0], as[1]}; !slices.Equal(got, want) {
+		t.Fatalf("Codes(a) = %v, want the input's order %v", got, want)
+	}
+	if _, ok := doc.ChangedFrom("a"); ok {
+		t.Fatal("a rebuilt document records a change")
 	}
 }

@@ -73,6 +73,7 @@ func (d *Document) InsertChild(parent *Element, tag string) (*Element, error) {
 		Code:   pbicode.G(slotBase+slot, childLevel, d.Height),
 	}
 	parent.Children = append(parent.Children, e)
+	d.note(tag, len(d.byTag[tag]))
 	d.byTag[tag] = append(d.byTag[tag], e)
 	d.byCode[e.Code] = e
 	d.count++
@@ -105,6 +106,7 @@ func (d *Document) Delete(e *Element) error {
 		for i, c := range tagged {
 			if c == x {
 				d.byTag[x.Tag] = append(tagged[:i], tagged[i+1:]...)
+				d.note(x.Tag, i)
 				break
 			}
 		}
@@ -128,16 +130,20 @@ func (d *Document) Retag(e *Element, tag string) error {
 		return fmt.Errorf("xmltree: empty tag")
 	}
 	if e.Tag == tag {
+		// Nothing moves, but the tag counts as touched.
+		d.note(tag, len(d.byTag[tag]))
 		return nil
 	}
 	tagged := d.byTag[e.Tag]
 	for i, c := range tagged {
 		if c == e {
 			d.byTag[e.Tag] = append(tagged[:i], tagged[i+1:]...)
+			d.note(e.Tag, i)
 			break
 		}
 	}
 	e.Tag = tag
+	d.note(tag, len(d.byTag[tag]))
 	d.byTag[tag] = append(d.byTag[tag], e)
 	return nil
 }
@@ -260,6 +266,7 @@ func (d *Document) InsertSubtreeSlot(parent *Element, root *Element, headroom in
 func graftCodes(d *Document, e *Element, n *pbicode.Node, subHeight int, slotAlpha uint64, slotLevel int) {
 	subAlpha, subLevel := n.Code.TopDown(subHeight)
 	e.Code = pbicode.G(slotAlpha<<uint(subLevel)+subAlpha, slotLevel+subLevel, d.Height)
+	d.note(e.Tag, len(d.byTag[e.Tag]))
 	d.byTag[e.Tag] = append(d.byTag[e.Tag], e)
 	d.byCode[e.Code] = e
 	d.count++
@@ -292,10 +299,12 @@ func (d *Document) RenumberSubtree(e *Element, headroom int) error {
 		return ErrNoFreeSlot
 	}
 	// Drop the subtree's old codes, then re-index with the grafted ones.
-	// Tag lists hold element pointers and stay valid; only byCode changes.
+	// Tag lists hold element pointers and stay valid; only byCode changes,
+	// and any tag of the subtree may now hold other codes from ordinal 0.
 	var drop func(*Element)
 	drop = func(x *Element) {
 		delete(d.byCode, x.Code)
+		d.note(x.Tag, 0)
 		for _, c := range x.Children {
 			drop(c)
 		}
@@ -319,7 +328,8 @@ func (d *Document) RenumberSubtree(e *Element, headroom int) error {
 // child ranges get 2^headroom times their minimal size, so subsequent
 // InsertChild calls find free slots even where the old ranges were packed.
 // Every element may receive a new code; indexes and derived code sets must
-// be re-read afterwards.
+// be re-read afterwards. The tag indexes come back in document order, and
+// every tag counts as changed from ordinal 0.
 func (d *Document) Reencode(headroom int) error {
 	mirror := toNode(d.Root)
 	tree, err := pbicode.BinarizeWithHeadroom(mirror, headroom)
@@ -327,12 +337,16 @@ func (d *Document) Reencode(headroom int) error {
 		return err
 	}
 	fresh := &Document{
-		Root:   d.Root,
-		Height: tree.Height,
-		byTag:  make(map[string][]*Element),
-		byCode: make(map[pbicode.Code]*Element),
+		Root:    d.Root,
+		Height:  tree.Height,
+		byTag:   make(map[string][]*Element),
+		byCode:  make(map[pbicode.Code]*Element),
+		changed: d.changed,
 	}
 	copyCodes(d.Root, mirror, fresh)
+	for tag := range fresh.byTag {
+		fresh.note(tag, 0)
+	}
 	*d = *fresh
 	return nil
 }

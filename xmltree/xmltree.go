@@ -14,6 +14,7 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 
 	"github.com/pbitree/pbitree/pbicode"
@@ -66,6 +67,10 @@ type Document struct {
 	byTag  map[string][]*Element
 	byCode map[pbicode.Code]*Element
 	count  int
+	// changed maps each tag whose index an update touched since the last
+	// ResetChanges to the lowest ordinal of its index that may differ: every
+	// element before it is where it was, with the code it had.
+	changed map[string]int
 }
 
 // Parse reads one XML document and encodes it.
@@ -192,7 +197,8 @@ func copyCodes(e *Element, n *pbicode.Node, doc *Document) {
 // NumElements returns the number of nodes in the document tree.
 func (d *Document) NumElements() int { return d.count }
 
-// Elements returns the document-order elements with the given tag.
+// Elements returns the elements with the given tag, in the tag index's
+// order (see Codes).
 func (d *Document) Elements(tag string) []*Element { return d.byTag[tag] }
 
 // Tags returns every distinct tag with its element count.
@@ -207,15 +213,59 @@ func (d *Document) Tags() map[string]int {
 // ByCode returns the element carrying the given code, or nil.
 func (d *Document) ByCode(c pbicode.Code) *Element { return d.byCode[c] }
 
-// Codes returns the PBiTree codes of all elements with the given tag, in
-// document order — the raw input of a containment join.
-func (d *Document) Codes(tag string) []pbicode.Code {
-	es := d.byTag[tag]
+// Codes returns the PBiTree codes of all elements with the given tag — the
+// raw input of a containment join — in the tag index's order. That is
+// document order for a parsed or encoded document. Updates keep it an
+// insertion order instead: an inserted element goes to the end of its
+// tag's index and a deleted one leaves no gap, so once an insert reuses a
+// freed slot, codes are no longer in document order. FromCodes keeps the
+// order its input lists each tag's elements in.
+func (d *Document) Codes(tag string) []pbicode.Code { return d.CodesFrom(tag, 0) }
+
+// CodesFrom returns the codes of the elements with the given tag from
+// ordinal i of the tag's index on: Codes(tag)[i:], without copying the
+// codes before i.
+func (d *Document) CodesFrom(tag string, i int) []pbicode.Code {
+	es := d.byTag[tag][min(i, len(d.byTag[tag])):]
 	out := make([]pbicode.Code, len(es))
 	for i, e := range es {
 		out[i] = e.Code
 	}
 	return out
+}
+
+// ChangedFrom reports whether an update touched the index of the given tag
+// since the last ResetChanges and, if so, the lowest ordinal of it that may
+// differ: Codes(tag)[:i] is what Codes(tag) returned then. An append
+// records the index's old length, a removal the ordinal it removes, and a
+// renumbering 0 for every tag whose codes it may have moved.
+func (d *Document) ChangedFrom(tag string) (i int, ok bool) {
+	i, ok = d.changed[tag]
+	return i, ok
+}
+
+// ChangedTags returns the tags ChangedFrom reports, sorted.
+func (d *Document) ChangedTags() []string {
+	tags := make([]string, 0, len(d.changed))
+	for tag := range d.changed {
+		tags = append(tags, tag)
+	}
+	sort.Strings(tags)
+	return tags
+}
+
+// ResetChanges forgets every change recorded so far: the tag indexes as
+// they stand are the new reference ChangedFrom compares against.
+func (d *Document) ResetChanges() { clear(d.changed) }
+
+// note records that the index of tag may differ from ordinal i on.
+func (d *Document) note(tag string, i int) {
+	if d.changed == nil {
+		d.changed = make(map[string]int)
+	}
+	if old, ok := d.changed[tag]; !ok || i < old {
+		d.changed[tag] = i
+	}
 }
 
 // CodesWhere returns the codes of elements with the given tag that satisfy
