@@ -15,24 +15,35 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"github.com/pbitree/pbitree/internal/benchkit"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it parses args, runs the experiments they name and
+// writes their tables to stdout, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pbibench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp      = flag.String("exp", "all", "comma-separated experiment ids (e1..e8, a1..a8) or 'all'")
-		scale    = flag.Float64("scale", 0.02, "synthetic dataset scale (1.0 = paper: 1e6/1e4 elements)")
-		docScale = flag.Float64("docscale", 0.02, "document scale (1.0 = paper: XMark SF=1, full DBLP)")
-		buffer   = flag.Int("buffer", 500, "buffer pool pages b (paper: 500)")
-		pageSize = flag.Int("pagesize", 4096, "page size in bytes")
-		seed     = flag.Int64("seed", 1, "generator seed")
-		stats    = flag.Bool("stats", false, "also print dataset statistics tables (Table 2(a)-(d))")
-		csv      = flag.Bool("csv", false, "emit CSV rows instead of tables")
+		exp      = fs.String("exp", "all", "comma-separated experiment ids (e1..e8, a1..a8) or 'all'")
+		scale    = fs.Float64("scale", 0.02, "synthetic dataset scale (1.0 = paper: 1e6/1e4 elements)")
+		docScale = fs.Float64("docscale", 0.02, "document scale (1.0 = paper: XMark SF=1, full DBLP)")
+		buffer   = fs.Int("buffer", 500, "buffer pool pages b (paper: 500)")
+		pageSize = fs.Int("pagesize", 4096, "page size in bytes")
+		seed     = fs.Int64("seed", 1, "generator seed")
+		stats    = fs.Bool("stats", false, "also print dataset statistics tables (Table 2(a)-(d))")
+		csv      = fs.Bool("csv", false, "emit CSV rows instead of tables")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	cfg := benchkit.Config{
 		Scale:       *scale,
@@ -40,7 +51,7 @@ func main() {
 		BufferPages: *buffer,
 		PageSize:    *pageSize,
 		Seed:        *seed,
-		Out:         os.Stdout,
+		Out:         stdout,
 	}
 
 	ids := benchkit.Order
@@ -52,22 +63,23 @@ func main() {
 		id = strings.TrimSpace(id)
 		run, ok := registry[id]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "pbibench: unknown experiment %q (have %s)\n", id, strings.Join(benchkit.Order, ", "))
-			os.Exit(2)
+			fmt.Fprintf(stderr, "pbibench: unknown experiment %q (have %s)\n", id, strings.Join(benchkit.Order, ", "))
+			return 2
 		}
 		res, err := run(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pbibench: %s: %v\n", id, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "pbibench: %s: %v\n", id, err)
+			return 1
 		}
 		if *csv {
-			benchkit.RenderCSV(os.Stdout, res)
+			benchkit.RenderCSV(stdout, res)
 			continue
 		}
-		benchkit.Render(os.Stdout, res)
+		benchkit.Render(stdout, res)
 		if *stats {
-			benchkit.RenderStats(os.Stdout, res)
+			benchkit.RenderStats(stdout, res)
 		}
-		benchkit.Summarize(os.Stdout, res)
+		benchkit.Summarize(stdout, res)
 	}
+	return 0
 }

@@ -79,9 +79,10 @@ type FsckReport struct {
 	// and nothing else is checked.
 	Chain string `json:"chain,omitempty"`
 	// Entries lists the relations whose catalog entry says other than their
-	// decoded pages do: record count, region span, or a non-zero height
-	// mask (zero is "unknown"). Only relations whose every page decodes are
-	// compared.
+	// decoded pages do: record count, region span, a non-zero height mask
+	// (zero is "unknown"), or a claim of document order (the sorts on the
+	// fly trust it, so a false one would lose pairs). Only relations whose
+	// every page decodes are compared.
 	Entries []FsckEntry `json:"entries,omitempty"`
 	// NoChecksums marks a database saved before page integrity landed
 	// (catalog flag absent): there is nothing to verify against. Use
@@ -112,10 +113,10 @@ func (r *FsckReport) OK() bool {
 // additionally verified whole against its trailing CRC. Every page a
 // catalogued relation owns — in the base file or in a delta — is also
 // decoded as a scan would decode it, and each relation's catalog entry —
-// its record count, region span and height mask — compared with what its
-// decoded pages hold (Entries). Databases saved before checksums
-// existed return a report with NoChecksums set and no error — they are
-// legacy, not broken.
+// its record count, region span, height mask and order claim — compared
+// with what its decoded pages hold (Entries). Databases saved before
+// checksums existed return a report with NoChecksums set and no error —
+// they are legacy, not broken.
 func Fsck(path string) (*FsckReport, error) {
 	cat, err := readCatalog(path)
 	if err != nil {
@@ -165,9 +166,15 @@ func Fsck(path string) (*FsckReport, error) {
 			rep.Undecodable = append(rep.Undecodable, FsckBadPage{Page: id, Relations: owners[id], Error: err.Error()})
 			return
 		}
-		h := pageHolds{n: int64(len(codes))}
-		for _, c := range codes {
+		h := pageHolds{n: int64(len(codes)), ordered: true}
+		for i, c := range codes {
 			h.stats.add(pbicode.Code(c))
+			if i > 0 && relation.DocLess(pbicode.Code(c), pbicode.Code(codes[i-1])) {
+				h.ordered = false
+			}
+		}
+		if len(codes) > 0 {
+			h.first, h.last = pbicode.Code(codes[0]), pbicode.Code(codes[len(codes)-1])
 		}
 		held[id] = h
 	}
@@ -245,10 +252,13 @@ func Fsck(path string) (*FsckReport, error) {
 }
 
 // pageHolds is what one decoded page holds: its record count and their
-// statistics.
+// statistics, whether they are in document order, and the first and last
+// of them.
 type pageHolds struct {
-	n     int64
-	stats codeStats
+	n           int64
+	stats       codeStats
+	ordered     bool
+	first, last pbicode.Code
 }
 
 // checkEntry compares a catalog entry with its relation's decoded pages
@@ -257,10 +267,18 @@ type pageHolds struct {
 func checkEntry(ent catalogEntry, held map[int64]pageHolds) (string, bool) {
 	var n int64
 	var s codeStats
-	for _, id := range ent.Pages {
+	var prev pbicode.Code // the last record of the pages before
+	disorder := -1        // the first page whose records break document order
+	for i, id := range ent.Pages {
 		h, ok := held[int64(id)]
 		if !ok {
 			return "", false
+		}
+		if disorder < 0 && (!h.ordered || n > 0 && h.n > 0 && relation.DocLess(h.first, prev)) {
+			disorder = i
+		}
+		if h.n > 0 {
+			prev = h.last
 		}
 		n += h.n
 		s = s.merge(h.stats)
@@ -272,6 +290,8 @@ func checkEntry(ent catalogEntry, held map[int64]pageHolds) (string, bool) {
 		return fmt.Sprintf("catalog span [%d,%d], records span [%d,%d]", ent.MinStart, ent.MaxEnd, s.minStart, s.maxEnd), true
 	case ent.Heights != 0 && ent.Heights != s.heights:
 		return fmt.Sprintf("catalog height mask %#x, records occupy %#x", ent.Heights, s.heights), true
+	case ent.Ordered && disorder >= 0:
+		return fmt.Sprintf("catalog claims document order, records leave it on page %d of %d", disorder+1, len(ent.Pages)), true
 	}
 	return "", true
 }

@@ -26,6 +26,7 @@ func FuzzCatalog(f *testing.F) {
 		f.Add(uint8(i), data)
 	}
 	f.Add(uint8(1), bytes.Replace(originals[1], []byte(`"keep":`), []byte(`"keep":9`), 1))
+	f.Add(uint8(3), bytes.ReplaceAll(originals[3], []byte(`"sorted":`), []byte(`"ordered":true,"sorted":`)))
 	f.Add(uint8(0), bytes.Replace(originals[0], []byte(`{"version"`), []byte(`{"dropped":["Z"],"version"`), 1))
 	f.Add(uint8(0), []byte(`{"version":3,"page_size":512,"epoch":3,"parent":"epoch-000002.pbidb","parent_epoch":2,"delta":"epoch-000003.pbidb.delta","relations":[{"name":"A","keep":1,"pages":[99999]}],"documents":{"runs":[0,5]}}`))
 

@@ -49,8 +49,8 @@ func (e *Engine) Explain(a, d *Relation, spec Spec) []PlanEntry {
 // ExplainString renders Explain as a small table.
 func (e *Engine) ExplainString(a, d *Relation, spec Spec) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "|A|=%d (%d pages)  |D|=%d (%d pages)  b=%d\n",
-		a.Len(), a.Pages(), d.Len(), d.Pages(), e.pool.Size())
+	fmt.Fprintf(&sb, "|A|=%d (%d pages%s)  |D|=%d (%d pages%s)  b=%d\n",
+		a.Len(), a.Pages(), a.orderNote(), d.Len(), d.Pages(), d.orderNote(), e.pool.Size())
 	for _, p := range e.Explain(a, d, spec) {
 		mark := " "
 		if p.Chosen {
@@ -71,9 +71,14 @@ func (e *Engine) ExplainString(a, d *Relation, spec Spec) string {
 // Sort replaces the relation's storage order with document order (region
 // Start ascending, ancestors first on ties). Subsequent joins treat it as
 // sorted input: the merge joins skip their on-the-fly sorts. The external
-// sort I/O is charged when Sort runs.
+// sort I/O is charged when Sort runs; a relation stored in document order
+// already (Ordered) is only marked sorted, and nothing is written.
 func (e *Engine) Sort(r *Relation) error {
 	if r.sorted {
+		return nil
+	}
+	if r.rel.Ordered() {
+		r.sorted = true
 		return nil
 	}
 	// Keep the relation's name: the sorted copy replaces it (catalog
@@ -123,8 +128,24 @@ func (e *Engine) BuildIntervalIndex(r *Relation) error {
 	return nil
 }
 
-// Sorted reports whether the relation is stored in document order.
+// Sorted reports whether the relation was sorted into document order
+// (Engine.Sort), which the Table 1 choice of AUTO treats as a sorted input.
 func (r *Relation) Sorted() bool { return r.sorted }
+
+// orderNote is how EXPLAIN marks an input stored in document order, whose
+// sort on the fly is elided.
+func (r *Relation) orderNote() string {
+	if r.Ordered() {
+		return ", ordered"
+	}
+	return ""
+}
+
+// Ordered reports whether the relation's records are stored in document
+// order, as loading them found and the catalog records: the sorts on the
+// fly of the merge and index joins then read it as it is. A relation of a
+// Config.PaperLayout engine never claims it.
+func (r *Relation) Ordered() bool { return r.rel.Ordered() }
 
 // Indexed reports whether the relation has any persistent index.
 func (r *Relation) Indexed() bool { return r.startIdx != nil || r.intervalIdx != nil }

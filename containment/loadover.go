@@ -57,7 +57,9 @@ func (s codeStats) merge(o codeStats) codeStats {
 // page IDs keeps reading the same bytes (SharedPages reports how many). A
 // nil old, with from 0, is a plain load, and so is a sorted old, whose
 // records do not carry their ordinals: its first from records are read and
-// stored anew.
+// stored anew. The result is in document order (Relation.Ordered) when
+// the appends found it so and old was; a seam LoadOver cannot see without
+// another read is left unclaimed (see sharedOrdered).
 func (e *Engine) LoadOver(old *Relation, name string, from int, tail []pbicode.Code) (*Relation, error) {
 	var oldLen int64
 	if old != nil {
@@ -185,7 +187,7 @@ func (e *Engine) LoadOver(old *Relation, name string, from int, tail []pbicode.C
 		// The appended pages start on a fresh page of their own, so the
 		// result is the shared page IDs followed by the new ones.
 		rel = relation.Attach(e.pool, name, append(shared, rel.Pages()...), int64(from+len(tail)),
-			pbicode.Region{Start: total.minStart, End: total.maxEnd})
+			pbicode.Region{Start: total.minStart, End: total.maxEnd}, sharedOrdered(old.rel, rel, redo, kept, from, tail))
 		rel.SetPaperLayout(e.cfg.PaperLayout)
 	}
 	// Grow the engine's PBiTree height to cover every loaded code. A
@@ -198,6 +200,27 @@ func (e *Engine) LoadOver(old *Relation, name string, from int, tail []pbicode.C
 		e.cfg.TreeHeight = need
 	}
 	return &Relation{rel: rel, shared: len(shared), heights: total.heights, stats: stats}, nil
+}
+
+// sharedOrdered says whether the relation LoadOver assembles from old's
+// shared pages, up to ordinal kept, and fresh, the records it stored anew,
+// is in document order. Appending checked fresh, and old's order covers
+// its shared records. What is left is the seam between the two: the last
+// shared record is old's own when fresh begins with redo, old's records
+// re-appended from kept — every pure append does — and tail's when the
+// shared pages reach past from. When the shared pages end exactly at from,
+// the record before the seam lies on a page LoadOver did not read, and the
+// result does not claim order.
+func sharedOrdered(old, fresh *relation.Relation, redo []uint64, kept, from int, tail []pbicode.Code) bool {
+	switch {
+	case !old.Ordered() || !fresh.Ordered():
+		return false
+	case len(redo) > 0 || fresh.NumRecords() == 0:
+		return true
+	case kept > from:
+		return !relation.DocLess(tail[kept-from], tail[kept-from-1])
+	}
+	return false
 }
 
 // boundaryPage finds the page of r that holds ordinal from — the last page

@@ -135,6 +135,10 @@ type catalogEntry struct {
 	MaxHeight    int    `json:"max_height,omitempty"`
 	SingleHeight bool   `json:"single_height,omitempty"`
 	Sorted       bool   `json:"sorted"`
+	// Ordered records that the relation's records are in document order
+	// (Relation.Ordered), which the sorts on the fly then trust: Fsck
+	// verifies the claim. Additive: earlier catalogs read as unordered.
+	Ordered bool `json:"ordered,omitempty"`
 	// Earlier catalogs also carry "compressed", the layout the relation
 	// was last appended in. It is neither written nor read any more: every
 	// page carries its own format byte, the only authority on how it is
@@ -233,6 +237,7 @@ func (r *Relation) entry() catalogEntry {
 		MaxEnd:   span.End,
 		Heights:  r.heights,
 		Sorted:   r.sorted,
+		Ordered:  r.rel.Ordered(),
 	}
 }
 
@@ -310,7 +315,7 @@ func (e *Engine) attach(rels map[string]*storedRel, extent storage.PageID) error
 			}
 		}
 		rel := relation.Attach(e.pool, name, sr.entry.Pages, sr.entry.Count,
-			pbicode.Region{Start: sr.entry.MinStart, End: sr.entry.MaxEnd})
+			pbicode.Region{Start: sr.entry.MinStart, End: sr.entry.MaxEnd}, sr.entry.Ordered)
 		rel.SetPaperLayout(e.cfg.PaperLayout)
 		sr.r = &Relation{rel: rel, heights: sr.entry.Heights, sorted: sr.entry.Sorted}
 	}

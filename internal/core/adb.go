@@ -73,7 +73,7 @@ func ADBPlus(ctx *Context, aIdx, dIdx *btree.Tree, sink Sink) error {
 
 	var st stack
 	for dc.ok {
-		if ac.ok && !docLess(dc.rec, ac.rec) {
+		if ac.ok && !relation.DocLess(dc.rec.Code, ac.rec.Code) {
 			ar := ac.rec
 			if len(st) == 0 && ar.Code.End() < dc.rec.Code.Start() {
 				// Skip a's entire closed subtree: nothing in it can

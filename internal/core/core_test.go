@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -615,10 +616,10 @@ func TestRunAutoMatchesOracle(t *testing.T) {
 			aIn = append([]pbicode.Code(nil), aCodes...)
 			dIn = append([]pbicode.Code(nil), dCodes...)
 			sort.Slice(aIn, func(i, j int) bool {
-				return docLessCodes(aIn[i], aIn[j])
+				return relation.DocLess(aIn[i], aIn[j])
 			})
 			sort.Slice(dIn, func(i, j int) bool {
-				return docLessCodes(dIn[i], dIn[j])
+				return relation.DocLess(dIn[i], dIn[j])
 			})
 		}
 		a := load(t, ctx, "A", aIn)
@@ -630,10 +631,6 @@ func TestRunAutoMatchesOracle(t *testing.T) {
 		}
 		samePairs(t, alg.String(), sink.Pairs, want)
 	}
-}
-
-func docLessCodes(x, y pbicode.Code) bool {
-	return docLess(relation.Rec{Code: x}, relation.Rec{Code: y})
 }
 
 func TestRunUnknownAlgorithm(t *testing.T) {
@@ -701,4 +698,40 @@ func TestRelationSink(t *testing.T) {
 		got = append(got, Pair{A: pbicode.Code(r.Aux), D: r.Code})
 	}
 	samePairs(t, "relation-sink", got, oracle(aCodes, dCodes))
+}
+
+// TestSortByDocElidesOrderedInput: a sort on the fly of a relation already
+// in document order performs no I/O and returns a borrowed relation over
+// the input's pages; freeing it leaves the input readable. An unordered
+// input is sorted, and its sorted copy is ordered.
+func TestSortByDocElidesOrderedInput(t *testing.T) {
+	ctx := newCtx(t, 4, 12)
+	codes := randCodes(rand.New(rand.NewSource(3)), 800, 12, -1)
+	shuffled := load(t, ctx, "S", codes)
+	if shuffled.Ordered() {
+		t.Fatal("random codes claim document order")
+	}
+	sorted, err := SortByDoc(ctx, shuffled, "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sorted.Ordered() || sorted.NumRecords() != shuffled.NumRecords() {
+		t.Fatalf("sorted copy: ordered %v, %d records", sorted.Ordered(), sorted.NumRecords())
+	}
+	disk := ctx.Pool.Disk()
+	before := disk.Stats()
+	again, err := SortByDoc(ctx, sorted, "again")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if io := disk.Stats().Sub(before); io.Reads+io.Writes != 0 || !slices.Equal(again.Pages(), sorted.Pages()) {
+		t.Fatalf("sort of an ordered relation: %d reads, %d writes; shares its pages: %v", io.Reads, io.Writes, slices.Equal(again.Pages(), sorted.Pages()))
+	}
+	if err := again.Free(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := sorted.ReadAll()
+	if err != nil || int64(len(recs)) != shuffled.NumRecords() {
+		t.Fatalf("input after its borrowed sort was freed: %d records (%v)", len(recs), err)
+	}
 }

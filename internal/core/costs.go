@@ -37,6 +37,10 @@ type CostInputs struct {
 	// exists, removing the corresponding on-the-fly costs.
 	SortedA, SortedD   bool
 	IndexedA, IndexedD bool
+	// OrderedA / OrderedD say an input is stored in document order
+	// (relation.Ordered): a sort on the fly of it reads nothing and writes
+	// nothing (SortByDoc), so no sort of it is priced.
+	OrderedA, OrderedD bool
 }
 
 // Gather fills CostInputs from relations and the context's ancestor
@@ -50,6 +54,7 @@ func Gather(ctx *Context, spec InputSpec, a, d *relation.Relation) CostInputs {
 		HeightsA: bits.OnesCount64(ctx.AncestorHeights),
 		SortedA:  spec.SortedA, SortedD: spec.SortedD,
 		IndexedA: spec.IndexedA, IndexedD: spec.IndexedD,
+		OrderedA: a.Ordered(), OrderedD: d.Ordered(),
 	}
 }
 
@@ -80,6 +85,15 @@ func sortCost(pages, mem int64, b int) int64 {
 		passes++
 	}
 	return 2 * pages * (1 + passes)
+}
+
+// sortIO is the sortCost of sorting an input on the fly, which an input
+// already in document order does not pay.
+func (in CostInputs) sortIO(pages, mem int64, ordered bool) int64 {
+	if ordered {
+		return 0
+	}
+	return sortCost(pages, mem, in.B)
 }
 
 // EstimateIO predicts the page I/O of running alg on the inputs, per the
@@ -132,19 +146,19 @@ func EstimateIO(alg Algorithm, in CostInputs) int64 {
 	case AlgStackTree, AlgStackTreeAnc, AlgMPMGJN:
 		cost := a + d // the merge (MPMGJN rescans extra; lower bound)
 		if !in.SortedA {
-			cost += sortCost(a, ma, in.B)
+			cost += in.sortIO(a, ma, in.OrderedA)
 		}
 		if !in.SortedD {
-			cost += sortCost(d, md, in.B)
+			cost += in.sortIO(d, md, in.OrderedD)
 		}
 		return cost
 	case AlgADBPlus:
 		cost := ma + md // the merge walks the index leaves
 		if !in.SortedA || !in.IndexedA {
-			cost += sortCost(a, ma, in.B) + ma // sort + bulk-load writes
+			cost += in.sortIO(a, ma, in.OrderedA) + ma // sort + bulk-load writes
 		}
 		if !in.SortedD || !in.IndexedD {
-			cost += sortCost(d, md, in.B) + md
+			cost += in.sortIO(d, md, in.OrderedD) + md
 		}
 		return cost
 	case AlgINLJN:
@@ -153,11 +167,11 @@ func EstimateIO(alg Algorithm, in CostInputs) int64 {
 		// pays a root-to-leaf descent (~4 random pages).
 		outerPages, outerRecs := a, in.ARecs
 		innerPages, innerIdx := d, md
-		innerIndexed := in.IndexedD
+		innerIndexed, innerOrdered := in.IndexedD, in.OrderedD
 		if md < ma {
 			outerPages, outerRecs = d, in.DRecs
 			innerPages, innerIdx = a, ma
-			innerIndexed = in.IndexedA
+			innerIndexed, innerOrdered = in.IndexedA, in.OrderedA
 		}
 		cost := outerPages
 		if innerIdx <= mem {
@@ -166,7 +180,7 @@ func EstimateIO(alg Algorithm, in CostInputs) int64 {
 			cost += outerRecs * 4
 		}
 		if !innerIndexed {
-			cost += sortCost(innerPages, innerIdx, in.B) + innerIdx
+			cost += in.sortIO(innerPages, innerIdx, innerOrdered) + innerIdx
 		}
 		return cost
 	default:

@@ -10,18 +10,18 @@ import (
 // stack-tree joins of Al-Khalifa et al. Inputs must be in document order —
 // region Start ascending, End descending on ties (a node precedes its
 // leftmost descendant). The *OnTheFly variants sort unsorted inputs first,
-// charging the external-sort I/O exactly as the paper's experiments do.
-
-// docLess orders records in document order and reports whether x precedes
-// y strictly.
-func docLess(x, y relation.Rec) bool {
-	return extsort.ByStartEndDesc(x).Less(extsort.ByStartEndDesc(y))
-}
+// charging the external-sort I/O exactly as the paper's experiments do; an
+// input stored in document order is read as it is.
 
 // SortByDoc sorts rel into document order with the context's memory
 // budget. Baselines use it to sort inputs on the fly. Run generation and
-// merge passes are recorded as phases when tracing is on.
+// merge passes are recorded as phases when tracing is on. A relation
+// already in document order (relation.Ordered) is not sorted: the result
+// borrows its pages, costing no I/O, and freeing it leaves rel intact.
 func SortByDoc(ctx *Context, rel *relation.Relation, name string) (*relation.Relation, error) {
+	if rel.Ordered() {
+		return rel.Borrow(name), nil
+	}
 	return sortWith(ctx, rel, extsort.ByStartEndDesc, name)
 }
 
@@ -74,7 +74,7 @@ func StackTree(ctx *Context, a, d *relation.Relation, sink Sink) error {
 	var st stack
 	hasA, hasD := as.Next(), ds.Next()
 	for hasD {
-		if hasA && !docLess(ds.Rec(), as.Rec()) {
+		if hasA && !relation.DocLess(ds.Rec().Code, as.Rec().Code) {
 			// The ancestor-side element starts first (or ties as the
 			// ancestor): open its region on the stack.
 			ar := as.Rec()
@@ -284,7 +284,7 @@ func StackTreeAnc(ctx *Context, a, d *relation.Relation, sink Sink) error {
 	defer ds.Close()
 	hasA, hasD := as.Next(), ds.Next()
 	for hasD {
-		if hasA && !docLess(ds.Rec(), as.Rec()) {
+		if hasA && !relation.DocLess(ds.Rec().Code, as.Rec().Code) {
 			ar := as.Rec()
 			if err := popBelow(ar.Code.Start()); err != nil {
 				return err

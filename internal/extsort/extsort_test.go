@@ -271,3 +271,29 @@ func TestSortInterrupt(t *testing.T) {
 		t.Fatalf("resident pages %d after interrupted sort, baseline %d", got, baseline)
 	}
 }
+
+// TestDocLessIsSortOrder: relation.DocLess, the order appends check, is
+// the order ByStartEndDesc sorts into, so a sort by it yields a relation
+// that claims document order.
+func TestDocLessIsSortOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	recs := randomRecs(rng, 2000, 10)
+	for i := 1; i < len(recs); i++ {
+		x, y := recs[i-1], recs[i]
+		if got, want := relation.DocLess(x.Code, y.Code), ByStartEndDesc(x).Less(ByStartEndDesc(y)); got != want {
+			t.Fatalf("DocLess(%v, %v) = %v, ByStartEndDesc says %v", x.Code, y.Code, got, want)
+		}
+	}
+	pool := newPool(t, 4)
+	in := relation.New(pool, "in")
+	if err := in.Append(recs...); err != nil {
+		t.Fatal(err)
+	}
+	out, err := Sort(pool, in, ByStartEndDesc, 3, "out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.Ordered() || !out.Ordered() {
+		t.Fatalf("random input ordered %v, its sort ordered %v", in.Ordered(), out.Ordered())
+	}
+}

@@ -87,10 +87,11 @@ func (s *Store) CompactNow() error {
 	if s.closed || s.man.Current != srcEpoch {
 		// A commit published a newer epoch while we folded: our snapshot is
 		// stale. Drop it; the daemon retries against the new current.
+		cur := s.man.Current
 		s.mu.Unlock()
 		removeDBFiles(tmpPath)
 		s.compactAborts.Add(1)
-		return fmt.Errorf("ingest: compaction of epoch %d superseded by epoch %d", srcEpoch, s.man.Current)
+		return fmt.Errorf("ingest: compaction of epoch %d superseded by epoch %d", srcEpoch, cur)
 	}
 	// The v1 catalog is self-contained (page IDs, no embedded paths), so
 	// the database renames atomically into its published name.
@@ -120,11 +121,9 @@ func (s *Store) CompactNow() error {
 	s.chain = 0
 	s.compactions.Add(1)
 	s.compactedPages.Add(uint64(pages))
-	hook := s.onPublish
+	s.published = append(s.published, publication{dstEpoch, dstPath})
 	s.mu.Unlock()
-	if hook != nil {
-		hook(dstEpoch, dstPath)
-	}
+	s.deliver()
 	return nil
 }
 

@@ -20,8 +20,8 @@ import (
 // freed slot. Documents a and b are inserted; then one batch deletes a and
 // inserts c, which takes a's root slot, before b's. The stored book
 // relation lists the base's books, b's and then c's, so c's first book
-// comes after b's last while it starts before it — and the relation does
-// not claim to be sorted.
+// comes after b's last while it starts before it — and the relation claims
+// neither to be sorted nor to be in document order.
 func TestStoredOrderAfterSlotReuse(t *testing.T) {
 	base := buildBaseDB(t, t.TempDir(), libraryDocs(1, 4))
 	s, err := Open(Config{DBPath: base, GapAware: true})
@@ -62,8 +62,9 @@ func TestStoredOrderAfterSlotReuse(t *testing.T) {
 			descents++
 		}
 	}
-	if len(codes) != 12 || descents != 1 || r.Sorted() {
-		t.Fatalf("book: %d codes, %d out of start order, Sorted() %v; want 12, 1, false", len(codes), descents, r.Sorted())
+	if len(codes) != 12 || descents != 1 || r.Sorted() || r.Ordered() {
+		t.Fatalf("book: %d codes, %d out of start order, Sorted() %v, Ordered() %v; want 12, 1, false, false",
+			len(codes), descents, r.Sorted(), r.Ordered())
 	}
 }
 
@@ -245,6 +246,21 @@ func checkRestored(t *testing.T, what string, s *Store, before map[string]*conta
 		}
 		if r.SharedPages() != oracle {
 			t.Fatalf("%s: %s shares %d pages, SharedPrefix finds %d", what, name, r.SharedPages(), oracle)
+		}
+		// A plain Load finds the codes' order exactly; the commit must never
+		// claim an order they are not in, and keeps the claim of an ordered
+		// relation it only appended to.
+		if r.Ordered() && !plain.Ordered() {
+			t.Fatalf("%s: %s claims document order, which its codes are not in", what, name)
+		}
+		if old != nil && old.Ordered() && plain.Ordered() && !r.Ordered() {
+			prev, err := old.Codes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(prev) <= len(want) && slices.Equal(prev, want[:len(prev)]) {
+				t.Fatalf("%s: %s lost its order claim to a pure append", what, name)
+			}
 		}
 	}
 	if restored == 0 {

@@ -176,6 +176,12 @@ type Store struct {
 	rels    map[string]*containment.Relation
 
 	onPublish func(epoch int64, path string)
+	// published holds the publications whose hook has not run yet, in
+	// publication order: each publisher appends its own under mu, then
+	// drains the queue under hookMu (deliver), so hooks run one at a time
+	// and in the order the epochs were published.
+	published []publication
+	hookMu    sync.Mutex
 
 	stop chan struct{}
 	done chan struct{}
@@ -312,12 +318,43 @@ func (s *Store) dropEngine() {
 
 // SetOnPublish installs a hook called after every epoch publication
 // (ingest commit or compaction) with the new epoch and its database path.
-// The hook runs outside the store's lock; the serving tier uses it to swap
-// workers and invalidate epoch-keyed caches.
+// The hook runs outside the store's lock, one call at a time, in
+// publication order — its epochs strictly increase — and a commit or
+// compaction returns only once its own epoch's hook has run. The hook
+// must not apply batches or compact itself. The serving tier uses it to
+// swap workers and invalidate epoch-keyed caches.
 func (s *Store) SetOnPublish(fn func(epoch int64, path string)) {
 	s.mu.Lock()
 	s.onPublish = fn
 	s.mu.Unlock()
+}
+
+// publication is one published epoch awaiting its hook.
+type publication struct {
+	epoch int64
+	path  string
+}
+
+// deliver runs the publish hook for every publication queued so far, in
+// order, and returns once the queue is empty — so the caller's own, queued
+// before it called, has been delivered, by it or by a concurrent
+// publisher. Called without mu held.
+func (s *Store) deliver() {
+	s.hookMu.Lock()
+	defer s.hookMu.Unlock()
+	for {
+		s.mu.Lock()
+		if len(s.published) == 0 {
+			s.mu.Unlock()
+			return
+		}
+		p, hook := s.published[0], s.onPublish
+		s.published = s.published[1:]
+		s.mu.Unlock()
+		if hook != nil {
+			hook(p.epoch, p.path)
+		}
+	}
 }
 
 // CurrentEpoch returns the published epoch number and its database path.
@@ -843,23 +880,21 @@ func (s *Store) Apply(ops []Op) (*CommitResult, error) {
 			return nil, &BatchError{fmt.Errorf("ingest: %w (batch rolled back)", err)}
 		}
 	}
-	res, hook, err := s.commit(len(ops), scoped0, global0)
+	res, err := s.commit(len(ops), scoped0, global0)
 	s.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	if hook != nil {
-		hook(res.Epoch, res.Path)
-	}
+	s.deliver()
 	return res, nil
 }
 
 // commit freezes the mutated forest as the next epoch. Called with mu held;
-// returns the publish hook to run after unlock.
-func (s *Store) commit(applied int, scoped0, global0 uint64) (*CommitResult, func(int64, string), error) {
+// queues the publication for deliver, which the caller runs after unlock.
+func (s *Store) commit(applied int, scoped0, global0 uint64) (*CommitResult, error) {
 	eng, rels, err := s.engine()
 	if err != nil {
-		return nil, nil, fmt.Errorf("ingest: reopen current epoch: %w", err)
+		return nil, fmt.Errorf("ingest: reopen current epoch: %w", err)
 	}
 	// A commit that fails part-way leaves the engine's overlay, or the
 	// engine itself, past the published epoch: drop it.
@@ -889,7 +924,7 @@ func (s *Store) commit(applied int, scoped0, global0 uint64) (*CommitResult, fun
 		// current epoch by page ID, and only the rest is written.
 		r, err := eng.LoadOver(rels[relPrefix+tag], relPrefix+tag, from, s.forest.CodesFrom(tag, from))
 		if err != nil {
-			return nil, nil, fmt.Errorf("ingest: load tag %q: %w", tag, err)
+			return nil, fmt.Errorf("ingest: load tag %q: %w", tag, err)
 		}
 		keep = append(keep, r)
 		shared += r.SharedPages()
@@ -904,7 +939,7 @@ func (s *Store) commit(applied int, scoped0, global0 uint64) (*CommitResult, fun
 	epoch := s.man.Current + 1
 	path := filepath.Join(s.dir, fmt.Sprintf("epoch-%06d.pbidb", epoch))
 	if err := eng.SaveEpoch(path, epoch, docs, keep...); err != nil {
-		return nil, nil, fmt.Errorf("ingest: save epoch %d: %w", epoch, err)
+		return nil, fmt.Errorf("ingest: save epoch %d: %w", epoch, err)
 	}
 	entry := EpochEntry{
 		Epoch:      epoch,
@@ -915,12 +950,12 @@ func (s *Store) commit(applied int, scoped0, global0 uint64) (*CommitResult, fun
 	for _, f := range append(append([]string{eng.BasePath()}, eng.DeltaChain()...), eng.CatalogChain()...) {
 		rel, err := filepath.Rel(s.dir, f)
 		if err != nil {
-			return nil, nil, fmt.Errorf("ingest: epoch %d: chain file %s: %w", epoch, f, err)
+			return nil, fmt.Errorf("ingest: epoch %d: chain file %s: %w", epoch, f, err)
 		}
 		entry.Chain = append(entry.Chain, rel)
 	}
 	if err := s.publishLocked(entry); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	published = true
 	s.rels = make(map[string]*containment.Relation, len(keep))
@@ -938,7 +973,8 @@ func (s *Store) commit(applied int, scoped0, global0 uint64) (*CommitResult, fun
 		RenumbersScoped: s.renumScoped.Load() - scoped0,
 		RenumbersGlobal: s.renumGlobal.Load() - global0,
 	}
-	return res, s.onPublish, nil
+	s.published = append(s.published, publication{epoch, path})
+	return res, nil
 }
 
 // publishLocked appends an epoch entry, makes it current, prunes retired

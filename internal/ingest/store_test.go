@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -508,4 +509,79 @@ func docRootCode(t *testing.T, s *Store, name string) pbicode.Code {
 	}
 	t.Fatalf("no document %q", name)
 	return 0
+}
+
+// TestPublishHooksInOrder races commits against compactions and holds the
+// publish hook to publication order: the epochs it is called with strictly
+// increase, every publication reaches it exactly once, and a commit
+// returns only after its own epoch's hook has run. The hook dawdles a
+// little so that a delivery out of order would have time to overtake it.
+func TestPublishHooksInOrder(t *testing.T) {
+	s, _ := openStore(t, Config{GapAware: true})
+	var mu sync.Mutex
+	var seen []int64
+	s.SetOnPublish(func(epoch int64, _ string) {
+		time.Sleep(50 * time.Microsecond)
+		mu.Lock()
+		seen = append(seen, epoch)
+		mu.Unlock()
+	})
+	const writers, commits = 4, 15
+	var wg sync.WaitGroup
+	errs := make(chan error, writers*commits)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < commits; i++ {
+				doc := fmt.Sprintf("w%d-%d", w, i)
+				res, err := s.Apply([]Op{{Op: "insert_doc", Doc: doc, XML: `<lib><book><title/></book></lib>`}})
+				if err != nil {
+					errs <- err
+					return
+				}
+				mu.Lock()
+				last := seen[len(seen)-1]
+				mu.Unlock()
+				if last < res.Epoch {
+					errs <- fmt.Errorf("commit of epoch %d returned before its hook ran (last hook: epoch %d)", res.Epoch, last)
+				}
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	compacted := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				compacted <- n
+				return
+			default:
+			}
+			if s.CompactNow() == nil {
+				n++
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	compactions := <-compacted
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	cur, _ := s.CurrentEpoch()
+	mu.Lock()
+	defer mu.Unlock()
+	for i := 1; i < len(seen); i++ {
+		if seen[i] <= seen[i-1] {
+			t.Fatalf("hook %d saw epoch %d after epoch %d", i, seen[i], seen[i-1])
+		}
+	}
+	if want := writers*commits + compactions; len(seen) != want || seen[len(seen)-1] != cur {
+		t.Fatalf("%d hook calls ending at epoch %d; want %d (%d commits + %d compactions) ending at %d",
+			len(seen), seen[len(seen)-1], want, writers*commits, compactions, cur)
+	}
 }

@@ -61,10 +61,14 @@ func (ig *ingestState) current() (int64, string) {
 }
 
 // adopt is the store's publish hook: every commit or compaction lands
-// here, and the next acquire of each worker swaps it over.
+// here, and the next acquire of each worker swaps it over. An epoch no
+// newer than the adopted one is ignored, so the serving epoch never moves
+// backwards.
 func (ig *ingestState) adopt(epoch int64, path string) {
 	ig.mu.Lock()
-	ig.epoch, ig.path = epoch, path
+	if epoch > ig.epoch {
+		ig.epoch, ig.path = epoch, path
+	}
 	ig.mu.Unlock()
 }
 

@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -545,4 +546,76 @@ func TestEpochAdvanceMatchesOpen(t *testing.T) {
 		}
 	}
 	s.workers <- wk
+}
+
+// TestIngestEpochNeverBelowAck posts concurrent ingest batches, as many
+// as the ingest backlog admits, and after each acknowledged commit reads
+// through the same server: the X-Epoch a read is answered at must never
+// be older than an epoch a client was already told is committed.
+func TestIngestEpochNeverBelowAck(t *testing.T) {
+	db := buildIngestDB(t, t.TempDir(), ingestBaseDocs())
+	st, err := ingest.Open(ingest.Config{DBPath: db, GapAware: true, BufferPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close() //nolint:errcheck // test teardown
+	s, err := New(Config{DBPath: db, Ingest: st, Workers: 2, QueueDepth: 16, CacheEntries: 64, BufferPages: 32, IngestBacklog: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close() //nolint:errcheck // test teardown
+	// The server's own hook, dawdling a varying while before it adopts, so
+	// that a delivery out of publication order would have time to land
+	// after a newer one.
+	var slow atomic.Int64
+	st.SetOnPublish(func(epoch int64, path string) {
+		time.Sleep(time.Duration(slow.Add(37)%200) * time.Microsecond)
+		s.ing.adopt(epoch, path)
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	client := ts.Client()
+
+	const writers, commits = 4, 10
+	var wg sync.WaitGroup
+	errs := make(chan error, writers*commits)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < commits; i++ {
+				body := fmt.Sprintf(`{"ops":[{"op":"insert_doc","doc":"w%d-%d","xml":"<lib><book><title>x</title></book></lib>"}]}`, w, i)
+				resp, err := client.Post(ts.URL+"/ingest", "application/json", strings.NewReader(body))
+				if err != nil {
+					errs <- err
+					return
+				}
+				rbody, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode == http.StatusServiceUnavailable {
+					continue // shed by the backlog: nothing was committed
+				}
+				var res ingest.CommitResult
+				if resp.StatusCode != http.StatusOK || json.Unmarshal(rbody, &res) != nil {
+					errs <- fmt.Errorf("ingest: status %d: %s", resp.StatusCode, rbody)
+					return
+				}
+				resp, err = client.Get(ts.URL + "/join?anc=book&desc=title")
+				if err != nil {
+					errs <- err
+					return
+				}
+				io.Copy(io.Discard, resp.Body) //nolint:errcheck // only the header matters
+				resp.Body.Close()
+				if got, err := strconv.ParseInt(resp.Header.Get("X-Epoch"), 10, 64); err != nil || got < res.Epoch {
+					errs <- fmt.Errorf("read after the commit of epoch %d answered at X-Epoch %q", res.Epoch, resp.Header.Get("X-Epoch"))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
 }

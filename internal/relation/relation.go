@@ -53,7 +53,37 @@ type Relation struct {
 	// packed ones. Existing pages are never rewritten — each carries its own
 	// format tag — so the flag only decides what the tail onward looks like.
 	paper bool
+	// ordered is whether the records are in document order (see DocLess),
+	// kept by Append at one comparison a record against last, the code of
+	// the last record — when lastKnown: an attached relation's is not known
+	// until an appender reads its tail page, and an append that cannot
+	// compare clears the bit rather than guess.
+	ordered   bool
+	last      pbicode.Code
+	lastKnown bool
+	// borrowed relations read another relation's pages without owning
+	// them (Borrow): Free forgets the pages instead of discarding them.
+	borrowed bool
 }
+
+// DocLess reports whether code x precedes code y in document order: region
+// Start ascending and, on a shared Start, the longer region — the
+// ancestor — first. It is the order of extsort.ByStartEndDesc, the input
+// order of the merge joins.
+func DocLess(x, y pbicode.Code) bool {
+	if sx, sy := x.Start(), y.Start(); sx != sy {
+		return sx < sy
+	}
+	return x.End() > y.End()
+}
+
+// Ordered reports whether the relation's records are in document order:
+// no record precedes the one stored before it by DocLess. The claim is
+// exact for every relation written by appends since New — Append checks
+// each record — and is taken on trust from the caller of Attach. A
+// relation that writes the paper's layout never claims it: the paper's
+// inputs arrive unsorted, and its experiments pay the sort.
+func (r *Relation) Ordered() bool { return r.ordered && !r.paper }
 
 // SetPaperLayout makes subsequent appends write the paper's layout, 16-byte
 // records at 255 per 4 KiB page, instead of packed pages. Existing pages
@@ -76,7 +106,17 @@ func (r *Relation) Span() (pbicode.Region, bool) {
 
 // New returns an empty relation using pool for all its I/O.
 func New(pool *buffer.Pool, name string) *Relation {
-	return &Relation{name: name, pool: pool, perPage: PerPage(pool.PageSize())}
+	return &Relation{name: name, pool: pool, perPage: PerPage(pool.PageSize()), ordered: true}
+}
+
+// Borrow returns a relation named name over r's pages, which it reads
+// without owning them: its Free forgets the pages instead of discarding
+// them, so r stays readable. It is how a sort of a relation already in
+// document order returns its input. It must not be appended to.
+func (r *Relation) Borrow(name string) *Relation {
+	b := *r
+	b.name, b.pages, b.borrowed = name, r.pages[:len(r.pages):len(r.pages)], true
+	return &b
 }
 
 // NewLike returns an empty relation on pool that writes the page layout src
@@ -106,15 +146,20 @@ func (r *Relation) Pool() *buffer.Pool { return r.pool }
 // Free drops the relation's pages from the buffer pool without write-back:
 // the relation is deleted, so dirty resident pages are dead data. The disk
 // space itself is not reclaimed (temporary files are cheap; benchmark runs
-// use a fresh disk).
+// use a fresh disk). A borrowed relation only forgets the pages, which
+// remain its lender's. Either way the relation is empty afterwards, and
+// ordered like a new one.
 func (r *Relation) Free() error {
-	for _, id := range r.pages {
-		if err := r.pool.Discard(id); err != nil {
-			return err
+	if !r.borrowed {
+		for _, id := range r.pages {
+			if err := r.pool.Discard(id); err != nil {
+				return err
+			}
 		}
 	}
 	r.pages = nil
 	r.count = 0
+	r.ordered = true
 	return nil
 }
 
@@ -231,6 +276,10 @@ func (a *Appender) Append(rec Rec) error {
 		a.n++
 		a.dirty = true
 	}
+	if a.r.ordered && a.r.count > 0 && (!a.r.lastKnown || DocLess(rec.Code, a.r.last)) {
+		a.r.ordered = false
+	}
+	a.r.last, a.r.lastKnown = rec.Code, true
 	if s := rec.Code.Start(); a.r.count == 0 || s < a.r.minStart {
 		a.r.minStart = s
 	}
@@ -248,6 +297,9 @@ func (a *Appender) Append(rec Rec) error {
 // into the columns and its size replayed, and a new packed page exists only
 // once flush writes it.
 func (a *Appender) open() error {
+	if a.r.borrowed {
+		return fmt.Errorf("borrowed relation is read-only")
+	}
 	last := len(a.r.pages) - 1
 	if a.r.paper {
 		if last >= 0 {
@@ -278,6 +330,9 @@ func (a *Appender) open() error {
 	tail := pageSlab{buf: a.buf}
 	if err := tail.load(a.r, last); err != nil {
 		return err
+	}
+	if n := len(tail.codes); n > 0 {
+		a.r.last, a.r.lastKnown = pbicode.Code(tail.codes[n-1]), true
 	}
 	if tail.format != pagePacked {
 		return nil
@@ -357,10 +412,12 @@ func (r *Relation) Pages() []storage.PageID {
 }
 
 // Attach reconstructs a relation from a persisted catalog entry: the page
-// list plus the cached statistics. The pages must exist on the pool's disk
-// and hold valid heap pages. The relation takes pages over; the caller
-// must not modify the slice afterwards.
-func Attach(pool *buffer.Pool, name string, pages []storage.PageID, count int64, span pbicode.Region) *Relation {
+// list plus the cached statistics, ordered among them — which the relation
+// then claims on the caller's word, so a caller must have checked it. The
+// pages must exist on the pool's disk and hold valid heap pages. The
+// relation takes pages over; the caller must not modify the slice
+// afterwards.
+func Attach(pool *buffer.Pool, name string, pages []storage.PageID, count int64, span pbicode.Region, ordered bool) *Relation {
 	return &Relation{
 		name:     name,
 		pool:     pool,
@@ -369,6 +426,7 @@ func Attach(pool *buffer.Pool, name string, pages []storage.PageID, count int64,
 		perPage:  PerPage(pool.PageSize()),
 		minStart: span.Start,
 		maxEnd:   span.End,
+		ordered:  ordered || count == 0,
 	}
 }
 

@@ -417,3 +417,116 @@ func TestScannersRecycleSlabs(t *testing.T) {
 		t.Fatalf("warm scans allocate %.0f objects, want 0", allocs)
 	}
 }
+
+// TestOrderedTracksAppends: a relation is in document order while every
+// append follows its predecessor by DocLess, across pages and appenders,
+// and stops claiming it at the first record that does not; Free starts it
+// over. The paper's layout never claims it.
+func TestOrderedTracksAppends(t *testing.T) {
+	bothLayouts(t, func(t *testing.T, paper bool) {
+		r := New(newPool(t, 8), "t")
+		r.SetPaperLayout(paper)
+		if !r.Ordered() && !paper {
+			t.Fatal("empty relation not ordered")
+		}
+		recs := spread(300)
+		if err := r.Append(recs[:150]...); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Append(recs[150:]...); err != nil {
+			t.Fatal(err)
+		}
+		if r.NumPages() < 3 || r.Ordered() == paper {
+			t.Fatalf("%d pages of ascending codes: Ordered() = %v", r.NumPages(), r.Ordered())
+		}
+		// A node and its leftmost descendant share their Start: the
+		// ancestor first is document order, the reverse is not.
+		leaf := (recs[len(recs)-1].Code+1<<22)&^3 + 1 // a left child
+		parent := leaf + 1                            // its parent: Start = leaf
+		if err := r.Append(Rec{Code: parent}, Rec{Code: parent}, Rec{Code: leaf}); err != nil {
+			t.Fatal(err)
+		}
+		if r.Ordered() == paper {
+			t.Fatalf("ancestor, itself, its leftmost leaf: Ordered() = %v", r.Ordered())
+		}
+		if err := r.Append(Rec{Code: parent}); err != nil {
+			t.Fatal(err)
+		}
+		if r.Ordered() {
+			t.Fatal("an ancestor after its descendant still claims document order")
+		}
+		if err := r.Free(); err != nil {
+			t.Fatal(err)
+		}
+		if r.Ordered() == paper {
+			t.Fatalf("after Free: Ordered() = %v", r.Ordered())
+		}
+	})
+}
+
+// TestOrderedAfterAttach: an attached relation claims what its caller
+// says, and an append to it compares against the real last record, which
+// the appender reads from the tail page it resumes.
+func TestOrderedAfterAttach(t *testing.T) {
+	pool := newPool(t, 8)
+	recs := spread(200)
+	for _, tc := range []struct {
+		claim bool
+		next  Rec
+		want  bool
+	}{
+		{false, recs[100], false},
+		{true, recs[100], true},
+		{true, recs[98], false}, // before the real last record
+	} {
+		src := New(pool, "src")
+		if err := src.Append(recs[:100]...); err != nil {
+			t.Fatal(err)
+		}
+		span, _ := src.Span()
+		r := Attach(pool, "r", src.Pages(), src.NumRecords(), span, tc.claim)
+		if r.Ordered() != tc.claim {
+			t.Fatalf("Attach(%v): Ordered() = %v", tc.claim, r.Ordered())
+		}
+		if err := r.Append(tc.next); err != nil {
+			t.Fatal(err)
+		}
+		if r.Ordered() != tc.want {
+			t.Fatalf("Attach(%v) then append %v: Ordered() = %v, want %v", tc.claim, tc.next.Code, r.Ordered(), tc.want)
+		}
+	}
+}
+
+// TestBorrowLeavesLenderReadable: freeing a borrowed relation forgets its
+// pages without discarding them — the lender reads every record still —
+// and a borrowed relation refuses appends.
+func TestBorrowLeavesLenderReadable(t *testing.T) {
+	pool := newPool(t, 4)
+	r := New(pool, "r")
+	recs := spread(300)
+	if err := r.Append(recs...); err != nil {
+		t.Fatal(err)
+	}
+	b := r.Borrow("b")
+	if got, err := b.ReadAll(); err != nil || len(got) != len(recs) || b.Ordered() != r.Ordered() {
+		t.Fatalf("borrowed: %d records (%v), ordered %v", len(got), err, b.Ordered())
+	}
+	if err := b.Append(recs[0]); err == nil {
+		t.Fatal("append to a borrowed relation succeeded")
+	}
+	if err := b.Free(); err != nil {
+		t.Fatal(err)
+	}
+	if b.NumPages() != 0 || b.NumRecords() != 0 {
+		t.Fatal("Free left the borrowed relation non-empty")
+	}
+	got, err := r.ReadAll()
+	if err != nil || len(got) != len(recs) {
+		t.Fatalf("lender after Free of its borrower: %d records (%v), want %d", len(got), err, len(recs))
+	}
+	for i := range recs {
+		if got[i] != recs[i] {
+			t.Fatalf("lender record %d = %+v, want %+v", i, got[i], recs[i])
+		}
+	}
+}

@@ -68,5 +68,5 @@ func Varint(pool *buffer.Pool, name string, recs []relation.Rec) (*relation.Rela
 		binary.LittleEndian.PutUint16(p[4:], uint16(off-header))
 		pool.Unpin(f, true)
 	}
-	return relation.Attach(pool, name, pages, int64(len(recs)), span), nil
+	return relation.Attach(pool, name, pages, int64(len(recs)), span, false), nil
 }
