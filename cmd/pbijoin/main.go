@@ -37,7 +37,7 @@ import (
 
 func main() {
 	var (
-		algo     = flag.String("algo", "auto", "algorithm (auto|cost|nlj|shcj|mhcj|rollup|vpj|inljn|stacktree|stackanc|mpmgjn|adb)")
+		algo     = flag.String("algo", "auto", "algorithm ("+strings.Join(containment.AlgorithmNames(), "|")+")")
 		buffer   = flag.Int("buffer", 500, "buffer pool pages")
 		pageSize = flag.Int("pagesize", 4096, "page size in bytes")
 		compare  = flag.Bool("compare", false, "run all applicable algorithms and compare")
@@ -50,15 +50,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: pbijoin [-algo NAME] [-compare] a.codes d.codes")
 		os.Exit(2)
 	}
-	// "cost" is pbijoin's extra alias: Auto selection by the §3.4 cost
-	// model instead of the Table 1 rules.
-	name := *algo
-	if strings.EqualFold(name, "cost") {
-		name = "auto"
-	}
-	alg, ok := containment.ParseAlgorithm(name)
+	alg, ok := containment.ParseAlgorithm(*algo)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "pbijoin: unknown algorithm %q (accepted: cost, %s)\n",
+		fmt.Fprintf(os.Stderr, "pbijoin: unknown algorithm %q (accepted: %s)\n",
 			*algo, strings.Join(containment.AlgorithmNames(), ", "))
 		os.Exit(2)
 	}
@@ -102,8 +96,7 @@ func main() {
 		}
 		a, _ := se.Relation("A")
 		d, _ := se.Relation("D")
-		fmt.Printf("|A|=%d (%d pages)  |D|=%d (%d pages)  b=%d/shard  shards=%d\n",
-			a.Len(), a.Pages(), d.Len(), d.Pages(), *buffer, *shards)
+		fmt.Printf("%s  b=%d/shard  shards=%d\n", containment.InputHeader(a, d), *buffer, *shards)
 		resetFn = func() error {
 			for i := 0; i < se.NumShards(); i++ {
 				if err := se.Shard(i).DropCache(); err != nil {
@@ -137,8 +130,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		fmt.Printf("|A|=%d (%d pages)  |D|=%d (%d pages)  b=%d\n",
-			a.Len(), a.Pages(), d.Len(), d.Pages(), *buffer)
+		fmt.Printf("%s  b=%d\n", containment.InputHeader(a, d), *buffer)
 		resetFn = func() error {
 			if err := eng.DropCache(); err != nil {
 				return err
@@ -203,7 +195,7 @@ func main() {
 		}
 		return
 	}
-	run(*algo, containment.JoinOptions{Algorithm: alg, CostBased: *algo == "cost"})
+	run(*algo, containment.JoinOptions{Algorithm: alg})
 }
 
 // partition splits both code sets into n disjoint groups: Discover

@@ -33,7 +33,7 @@ func main() {
 		anc     = flag.String("anc", "", "ancestor tag")
 		desc    = flag.String("desc", "", "descendant tag")
 		path    = flag.String("path", "", "path expression, e.g. //a[t=\"v\"]//b (overrides -anc/-desc)")
-		algo    = flag.String("algo", "auto", "algorithm: auto|nlj|shcj|mhcj|rollup|vpj|inljn|stacktree|stackanc|mpmgjn|adb")
+		algo    = flag.String("algo", "auto", "algorithm: "+strings.Join(containment.AlgorithmNames(), "|"))
 		where   = flag.String("where", "", "ancestor filter childTag=text")
 		limit   = flag.Int("limit", 10, "result pairs to print (0 = count only)")
 		buffer  = flag.Int("buffer", 500, "buffer pool pages")

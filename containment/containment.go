@@ -27,8 +27,9 @@ type Pair struct {
 	D pbicode.Code
 }
 
-// Algorithm selects a containment join algorithm. Auto applies the
-// framework's Table 1 selection.
+// Algorithm selects a containment join algorithm. Auto prices the
+// framework's Table 1 candidates with the §3.4 cost model (see
+// Engine.Explain).
 type Algorithm int
 
 // The framework's algorithms.
@@ -102,7 +103,7 @@ func AlgorithmNames() []string {
 }
 
 // Spec describes what is known about the inputs, steering Auto selection
-// (Table 1 of the paper).
+// (Table 1 of the paper, and the sorts the cost model prices).
 type Spec struct {
 	// SortedA / SortedD: inputs are already in document order.
 	SortedA, SortedD bool

@@ -243,7 +243,8 @@ func (e *Engine) LoadDoc(doc *xmltree.Document, tag string) (*Relation, error) {
 
 // JoinOptions configures one join execution.
 type JoinOptions struct {
-	// Algorithm to run; Auto selects per Table 1 using Spec.
+	// Algorithm to run; Auto prices Table 1's candidates and runs the
+	// cheapest, Table 1's own pick on a tie (see Engine.Explain).
 	Algorithm Algorithm
 	// Spec describes the inputs for Auto selection and lets the sorted
 	// merge joins skip their on-the-fly sorts.
@@ -256,9 +257,6 @@ type JoinOptions struct {
 	// RollupTarget forces MHCJ+Rollup's target height (0 = chosen from the
 	// heights the ancestor set occupies; see core.MHCJRollup).
 	RollupTarget int
-	// CostBased makes Auto pick by the section 3.4 I/O cost model
-	// instead of the Table 1 rules (the paper's section 6 direction).
-	CostBased bool
 	// Filter, when non-nil, keeps only pairs it accepts: Result.Count,
 	// Pairs and Emit see the filtered stream. ParentChild builds the
 	// filter for the child axis; arbitrary predicates compose structural
@@ -483,11 +481,7 @@ func (e *Engine) join(goCtx context.Context, a, d *Relation, opts JoinOptions, t
 	// that actually runs.
 	alg := coreAlg(opts.Algorithm)
 	if alg == core.AlgAuto {
-		if opts.CostBased {
-			alg = core.ChooseByCost(ctx, spec, a.rel, d.rel)
-		} else {
-			alg = core.Choose(ctx, spec, a.rel, d.rel)
-		}
+		alg = core.Choose(ctx, spec, a.rel, d.rel).Chosen
 	}
 	res.PredictedIO = core.EstimateIO(alg, core.Gather(ctx, spec, a.rel, d.rel))
 

@@ -43,9 +43,9 @@ func ExampleEngine_Join() {
 	// Output: 2 figures in the Introduction section
 }
 
-// ExampleEngine_QueryPath evaluates a multi-step descendant path as a
-// chain of containment joins.
-func ExampleEngine_QueryPath() {
+// ExampleEngine_Query evaluates a multi-step descendant path as a chain of
+// containment joins.
+func ExampleEngine_Query() {
 	doc, _ := xmltree.ParseString(`<lib>
 	  <book><chapter><figure/></chapter></book>
 	  <book><figure/></book>
@@ -53,7 +53,7 @@ func ExampleEngine_QueryPath() {
 	</lib>`, xmltree.Options{})
 	eng, _ := containment.NewEngine(containment.Config{})
 	defer eng.Close()
-	figures, _ := eng.QueryPath(doc, "book", "chapter", "figure")
+	figures, _ := eng.Query(doc, "//book//chapter//figure")
 	fmt.Println("//book//chapter//figure:", len(figures))
 	// Output: //book//chapter//figure: 1
 }

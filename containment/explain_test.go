@@ -1,6 +1,7 @@
 package containment
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -22,7 +23,7 @@ func TestExplain(t *testing.T) {
 		t.Fatalf("plan entries = %d", len(plan))
 	}
 	// Sorted by predicted cost; exactly one chosen; chosen is among the
-	// cheapest (ties break by preference).
+	// cheapest (Table 1 breaks ties).
 	chosen := 0
 	for i, p := range plan {
 		if i > 0 && p.PredictedIO < plan[i-1].PredictedIO {
@@ -43,8 +44,8 @@ func TestExplain(t *testing.T) {
 	if !strings.Contains(s, "pages") || !strings.Contains(s, "*") {
 		t.Fatalf("ExplainString = %q", s)
 	}
-	// The actual execution agrees with the explained choice.
-	res, err := e.Join(a, d, JoinOptions{CostBased: true})
+	// AUTO runs exactly the explained choice.
+	res, err := e.Join(a, d, JoinOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,9 +121,153 @@ func TestExplainSingleHeight(t *testing.T) {
 	for _, p := range plan {
 		if p.Algorithm == "SHCJ" {
 			found = true
+			// It ties the other partitioning joins, and Table 1 picks it.
+			if !p.Chosen || p.PredictedIO != plan[0].PredictedIO {
+				t.Fatalf("SHCJ not chosen at the least cost: %+v", plan)
+			}
 		}
 	}
 	if !found {
 		t.Fatal("SHCJ missing from a single-height plan")
+	}
+	if res, err := e.Join(a, d, JoinOptions{}); err != nil || res.Algorithm != "SHCJ" {
+		t.Fatalf("AUTO ran %v (%v), Explain starred SHCJ", res, err)
+	}
+}
+
+// TestAutoRunsWhatExplainStars is the matrix of one AUTO: inputs ordered or
+// shuffled, ancestors at one height or many, fitting the pool or spilling
+// it, with persistent indexes or without. In every cell the row Explain
+// stars is what Join runs under Auto, with the oracle's pairs, and it is
+// Table 1's pick wherever that pick is among the cheapest.
+func TestAutoRunsWhatExplainStars(t *testing.T) {
+	const h, b = 16, 16
+	rng := rand.New(rand.NewSource(52))
+	for _, ordered := range []bool{true, false} {
+		for _, single := range []bool{true, false} {
+			for _, spills := range []bool{true, false} {
+				for _, indexed := range []bool{true, false} {
+					n := 200 // fits the 14 pages of working memory: 434 records
+					if spills {
+						n = 3000
+					}
+					aCodes := randCodes(rng, n, h)
+					if single {
+						aCodes = randCodesFixedHeight(n, 3, h)
+					}
+					aOrd, aShuf := docOrdered(t, rng, aCodes)
+					dOrd, dShuf := docOrdered(t, rng, randCodes(rng, n, h))
+					if !ordered {
+						aOrd, dOrd = aShuf, dShuf
+					}
+					cell := fmt.Sprintf("ordered %v, single height %v, spills %v, indexed %v", ordered, single, spills, indexed)
+					e, err := NewEngine(Config{PageSize: 512, BufferPages: b})
+					if err != nil {
+						t.Fatal(err)
+					}
+					a, _ := e.Load("A", aOrd)
+					d, _ := e.Load("D", dOrd)
+					if indexed {
+						if err := e.BuildStartIndex(a); err != nil {
+							t.Fatal(err)
+						}
+						if err := e.BuildStartIndex(d); err != nil {
+							t.Fatal(err)
+						}
+					}
+					// Table 1 as it stood before the cost model priced it.
+					table1 := "MHCJ+Rollup"
+					switch {
+					case indexed:
+						table1 = "INLJN"
+					case single:
+						table1 = "SHCJ"
+					case spills:
+						table1 = "VPJ"
+					}
+					starred, ruleIO := "", int64(-1)
+					plan := e.Explain(a, d, Spec{})
+					for _, p := range plan {
+						if p.Chosen {
+							starred = p.Algorithm
+						}
+						if p.Algorithm == table1 {
+							ruleIO = p.PredictedIO
+						}
+					}
+					if ruleIO == plan[0].PredictedIO && starred != table1 {
+						t.Errorf("%s: Explain stars %s, Table 1's %s is among the cheapest:\n%s", cell, starred, table1, e.ExplainString(a, d, Spec{}))
+					}
+					res, err := e.Join(a, d, JoinOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := e.Join(a, d, JoinOptions{Algorithm: NestedLoop})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Algorithm != starred || res.Count != want.Count {
+						t.Errorf("%s: AUTO ran %s for %d pairs, Explain starred %s, the oracle has %d", cell, res.Algorithm, res.Count, starred, want.Count)
+					}
+					e.Close()
+				}
+			}
+		}
+	}
+}
+
+// TestAutoNamedPlans pins AUTO on the two shapes where the cost model and
+// Table 1 meet on the benchmark's corpus. D4's shape: inputs stored in
+// document order that spill the pool in records but not in packed pages,
+// so that the partitioning joins and STACKTREE all read ‖A‖+‖D‖ once —
+// Table 1 breaks the three-way tie for VPJ. D7's shape: ordered inputs
+// whose partitions would spill too, where STACKTREE's one merge is
+// cheapest and runs without sorting.
+func TestAutoNamedPlans(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		n    int
+		want string
+		tied int
+	}{
+		{"D4-shaped tie", 2000, "VPJ", 3},
+		{"D7-shaped spill", 6000, "STACKTREE", 1},
+	} {
+		rng := rand.New(rand.NewSource(int64(tc.n)))
+		aCodes, _ := docOrdered(t, rng, randCodes(rng, tc.n, 16))
+		dCodes, _ := docOrdered(t, rng, randCodes(rng, tc.n, 16))
+		e, err := NewEngine(Config{PageSize: 512, BufferPages: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, _ := e.Load("A", aCodes)
+		d, _ := e.Load("D", dCodes)
+		plan := e.Explain(a, d, Spec{})
+		tied := 0
+		for _, p := range plan {
+			if p.PredictedIO == plan[0].PredictedIO {
+				tied++
+			}
+		}
+		if tied != tc.tied || plan[0].PredictedIO != a.Pages()+d.Pages() {
+			t.Fatalf("%s: %d candidates at the least cost %d, want %d at ‖A‖+‖D‖ = %d:\n%s",
+				tc.name, tied, plan[0].PredictedIO, tc.tied, a.Pages()+d.Pages(), e.ExplainString(a, d, Spec{}))
+		}
+		if err := e.DropCache(); err != nil {
+			t.Fatal(err)
+		}
+		an, err := e.Analyze(a, d, JoinOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if an.Result.Algorithm != tc.want {
+			t.Fatalf("%s: AUTO ran %s, want %s", tc.name, an.Result.Algorithm, tc.want)
+		}
+		for _, p := range an.Phases {
+			if strings.HasPrefix(p.Name, "sort") {
+				t.Fatalf("%s: AUTO sorted an ordered input (phase %s)", tc.name, p.Name)
+			}
+		}
+		e.Close()
 	}
 }

@@ -174,7 +174,7 @@ func Fsck(path string) (*FsckReport, error) {
 			}
 		}
 		if len(codes) > 0 {
-			h.first, h.last = pbicode.Code(codes[0]), pbicode.Code(codes[len(codes)-1])
+			h.first = pbicode.Code(codes[0])
 		}
 		held[id] = h
 	}
@@ -252,13 +252,13 @@ func Fsck(path string) (*FsckReport, error) {
 }
 
 // pageHolds is what one decoded page holds: its record count and their
-// statistics, whether they are in document order, and the first and last
-// of them.
+// statistics (the last record among them), whether they are in document
+// order, and the first of them.
 type pageHolds struct {
-	n           int64
-	stats       codeStats
-	ordered     bool
-	first, last pbicode.Code
+	n       int64
+	stats   codeStats
+	ordered bool
+	first   pbicode.Code
 }
 
 // checkEntry compares a catalog entry with its relation's decoded pages
@@ -278,7 +278,7 @@ func checkEntry(ent catalogEntry, held map[int64]pageHolds) (string, bool) {
 			disorder = i
 		}
 		if h.n > 0 {
-			prev = h.last
+			prev = h.stats.last
 		}
 		n += h.n
 		s = s.merge(h.stats)

@@ -1,9 +1,9 @@
 package containment
 
 import (
+	"cmp"
 	"fmt"
-	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -17,40 +17,48 @@ type PlanEntry struct {
 	Chosen      bool
 }
 
-// Explain returns the optimizer's view of a join without running it: every
-// applicable algorithm with its §3.4 page I/O prediction, cheapest first,
-// with the cost-based choice marked. Table 1's rule-based choice may
-// differ; Result.Algorithm reports what actually ran.
+// Explain returns AUTO's view of a join without running it: the candidates
+// it prices, each with its §3.4 page I/O prediction, cheapest first, and
+// the one a Join under Auto runs marked — Table 1's pick whenever that is
+// among the cheapest (core.Choose).
 func (e *Engine) Explain(a, d *Relation, spec Spec) []PlanEntry {
 	opts := JoinOptions{Spec: spec}
 	ctx := e.coreContext()
 	ctx.AncestorHeights = a.heights
-	in := core.Gather(ctx, effectiveSpec(&opts, a, d), a.rel, d.rel)
-	candidates := []core.Algorithm{
-		core.AlgMHCJRollup, core.AlgVPJ, core.AlgStackTree,
-		core.AlgMPMGJN, core.AlgADBPlus, core.AlgINLJN, core.AlgNestedLoop,
+	p := core.Choose(ctx, effectiveSpec(&opts, a, d), a.rel, d.rel)
+	out := make([]PlanEntry, p.N)
+	for i, alg := range p.Algs[:p.N] {
+		out[i] = PlanEntry{Algorithm: alg.String(), PredictedIO: p.IO[i], Chosen: alg == p.Chosen}
 	}
-	if bits.OnesCount64(a.heights) == 1 {
-		candidates = append(candidates, core.AlgSHCJ)
-	}
-	chosen := core.ChooseByCost(ctx, effectiveSpec(&opts, a, d), a.rel, d.rel)
-	out := make([]PlanEntry, 0, len(candidates))
-	for _, alg := range candidates {
-		out = append(out, PlanEntry{
-			Algorithm:   alg.String(),
-			PredictedIO: core.EstimateIO(alg, in),
-			Chosen:      alg == chosen,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].PredictedIO < out[j].PredictedIO })
+	slices.SortStableFunc(out, func(x, y PlanEntry) int { return cmp.Compare(x.PredictedIO, y.PredictedIO) })
 	return out
+}
+
+// JoinInput is what EXPLAIN's header reports of a join input: a stored
+// relation, or one sharded across engines (internal/shard).
+type JoinInput interface {
+	Len() int64
+	Pages() int64
+	Ordered() bool
+}
+
+// InputHeader renders the inputs of EXPLAIN's header: each one's elements
+// and pages, marked "ordered" when it is stored in document order, so that
+// AUTO prices no sort of it. ExplainString and the CLIs print this one line.
+func InputHeader(a, d JoinInput) string {
+	note := func(r JoinInput) string {
+		if r.Ordered() {
+			return ", ordered"
+		}
+		return ""
+	}
+	return fmt.Sprintf("|A|=%d (%d pages%s)  |D|=%d (%d pages%s)", a.Len(), a.Pages(), note(a), d.Len(), d.Pages(), note(d))
 }
 
 // ExplainString renders Explain as a small table.
 func (e *Engine) ExplainString(a, d *Relation, spec Spec) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "|A|=%d (%d pages%s)  |D|=%d (%d pages%s)  b=%d\n",
-		a.Len(), a.Pages(), a.orderNote(), d.Len(), d.Pages(), d.orderNote(), e.pool.Size())
+	fmt.Fprintf(&sb, "%s  b=%d\n", InputHeader(a, d), e.pool.Size())
 	for _, p := range e.Explain(a, d, spec) {
 		mark := " "
 		if p.Chosen {
@@ -131,15 +139,6 @@ func (e *Engine) BuildIntervalIndex(r *Relation) error {
 // Sorted reports whether the relation was sorted into document order
 // (Engine.Sort), which the Table 1 choice of AUTO treats as a sorted input.
 func (r *Relation) Sorted() bool { return r.sorted }
-
-// orderNote is how EXPLAIN marks an input stored in document order, whose
-// sort on the fly is elided.
-func (r *Relation) orderNote() string {
-	if r.Ordered() {
-		return ", ordered"
-	}
-	return ""
-}
 
 // Ordered reports whether the relation's records are stored in document
 // order, as loading them found and the catalog records: the sorts on the

@@ -174,6 +174,9 @@ func TestSortedRelationSkipsOnTheFlySort(t *testing.T) {
 	}
 }
 
+// TestCostBasedSelection: AUTO prices its candidates with the §3.4 model,
+// picks a partitioning join for unordered inputs that spill the pool, and
+// records the prediction of what it ran.
 func TestCostBasedSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	aCodes := randCodes(rng, 2000, 12)
@@ -185,12 +188,12 @@ func TestCostBasedSelection(t *testing.T) {
 	defer e.Close()
 	a, _ := e.Load("A", aCodes)
 	d, _ := e.Load("D", dCodes)
-	res, err := e.Join(a, d, JoinOptions{CostBased: true})
+	res, err := e.Join(a, d, JoinOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Algorithm != "MHCJ+Rollup" && res.Algorithm != "VPJ" {
-		t.Fatalf("cost-based chose %s for unsorted inputs", res.Algorithm)
+		t.Fatalf("AUTO chose %s for unsorted inputs", res.Algorithm)
 	}
 	if res.PredictedIO <= 0 {
 		t.Fatal("no prediction recorded")

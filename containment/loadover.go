@@ -10,11 +10,14 @@ import (
 
 // codeStats is what a catalog entry records of a run of codes besides their
 // number: the smallest region covering them and the set of heights they
-// occupy. The zero value is the empty run (every code has a height, so a
-// non-empty run has a non-zero mask).
+// occupy; and the run's last code, which a run that follows it must not
+// start before for the two to be in document order. The zero value is the
+// empty run (every code has a height, so a non-empty run has a non-zero
+// mask).
 type codeStats struct {
 	minStart, maxEnd uint64
 	heights          uint64
+	last             pbicode.Code
 }
 
 func (s *codeStats) add(c pbicode.Code) {
@@ -26,6 +29,7 @@ func (s *codeStats) add(c pbicode.Code) {
 		s.maxEnd = end
 	}
 	s.heights |= 1 << uint(c.Height())
+	s.last = c
 }
 
 func (s codeStats) merge(o codeStats) codeStats {
@@ -35,7 +39,7 @@ func (s codeStats) merge(o codeStats) codeStats {
 	case s.heights == 0:
 		return o
 	}
-	return codeStats{min(s.minStart, o.minStart), max(s.maxEnd, o.maxEnd), s.heights | o.heights}
+	return codeStats{min(s.minStart, o.minStart), max(s.maxEnd, o.maxEnd), s.heights | o.heights, o.last}
 }
 
 // LoadOver stores the code list that supersedes old, a relation of this
@@ -57,9 +61,8 @@ func (s codeStats) merge(o codeStats) codeStats {
 // page IDs keeps reading the same bytes (SharedPages reports how many). A
 // nil old, with from 0, is a plain load, and so is a sorted old, whose
 // records do not carry their ordinals: its first from records are read and
-// stored anew. The result is in document order (Relation.Ordered) when
-// the appends found it so and old was; a seam LoadOver cannot see without
-// another read is left unclaimed (see sharedOrdered).
+// stored anew. The result is in document order (Relation.Ordered) exactly
+// when a plain Load of the list would find it so.
 func (e *Engine) LoadOver(old *Relation, name string, from int, tail []pbicode.Code) (*Relation, error) {
 	var oldLen int64
 	if old != nil {
@@ -164,7 +167,7 @@ func (e *Engine) LoadOver(old *Relation, name string, from int, tail []pbicode.C
 	if k > 0 {
 		if len(old.stats) < k && int64(from) == oldLen && old.heights != 0 {
 			span, _ := old.rel.Span()
-			prefix = codeStats{span.Start, span.End, old.heights}
+			prefix = codeStats{minStart: span.Start, maxEnd: span.End, heights: old.heights}
 		} else {
 			var err error
 			if prefix, err = old.statsThrough(k); err != nil {
@@ -184,10 +187,14 @@ func (e *Engine) LoadOver(old *Relation, name string, from int, tail []pbicode.C
 	}
 	total := prefix.merge(fresh)
 	if k > 0 {
+		ordered, err := old.sharedOrdered(k, rel, redo, kept, from, tail)
+		if err != nil {
+			return nil, err
+		}
 		// The appended pages start on a fresh page of their own, so the
 		// result is the shared page IDs followed by the new ones.
 		rel = relation.Attach(e.pool, name, append(shared, rel.Pages()...), int64(from+len(tail)),
-			pbicode.Region{Start: total.minStart, End: total.maxEnd}, sharedOrdered(old.rel, rel, redo, kept, from, tail))
+			pbicode.Region{Start: total.minStart, End: total.maxEnd}, ordered)
 		rel.SetPaperLayout(e.cfg.PaperLayout)
 	}
 	// Grow the engine's PBiTree height to cover every loaded code. A
@@ -203,24 +210,25 @@ func (e *Engine) LoadOver(old *Relation, name string, from int, tail []pbicode.C
 }
 
 // sharedOrdered says whether the relation LoadOver assembles from old's
-// shared pages, up to ordinal kept, and fresh, the records it stored anew,
-// is in document order. Appending checked fresh, and old's order covers
-// its shared records. What is left is the seam between the two: the last
-// shared record is old's own when fresh begins with redo, old's records
-// re-appended from kept — every pure append does — and tail's when the
-// shared pages reach past from. When the shared pages end exactly at from,
-// the record before the seam lies on a page LoadOver did not read, and the
-// result does not claim order.
-func sharedOrdered(old, fresh *relation.Relation, redo []uint64, kept, from int, tail []pbicode.Code) bool {
+// first k pages, holding its records up to ordinal kept, and fresh, the
+// records it stored anew, is in document order. Appending checked fresh,
+// and old's order covers its shared records. What is left is the seam
+// between the two: the last shared record is old's own when fresh begins
+// with redo, old's records re-appended from kept — every pure append does
+// — and tail's when the shared pages reach past from. When they end
+// exactly at from, it is the last record of old's page k-1, which old's
+// per-page statistics keep (decoded once if it has none yet).
+func (old *Relation) sharedOrdered(k int, fresh *relation.Relation, redo []uint64, kept, from int, tail []pbicode.Code) (bool, error) {
 	switch {
-	case !old.Ordered() || !fresh.Ordered():
-		return false
+	case !old.rel.Ordered() || !fresh.Ordered():
+		return false, nil
 	case len(redo) > 0 || fresh.NumRecords() == 0:
-		return true
+		return true, nil
 	case kept > from:
-		return !relation.DocLess(tail[kept-from], tail[kept-from-1])
+		return !relation.DocLess(tail[kept-from], tail[kept-from-1]), nil
 	}
-	return false
+	s, err := old.statsThrough(k)
+	return err == nil && !relation.DocLess(tail[0], s.last), err
 }
 
 // boundaryPage finds the page of r that holds ordinal from — the last page

@@ -318,3 +318,55 @@ func TestLoadOverForeignRelation(t *testing.T) {
 		t.Fatal("LoadOver kept more records than the relation has")
 	}
 }
+
+// TestLoadOverClaimsOrderAtPageSeam: when the shared pages end exactly at
+// the first changed ordinal, LoadOver compares the last shared record with
+// the first new one. An ordered relation re-stored so claims order when the
+// tail continues it and does not when the tail starts before that record,
+// whether the relation kept its per-page statistics or they are decoded.
+func TestLoadOverClaimsOrderAtPageSeam(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	codes, _ := docOrdered(t, rng, randCodes(rng, 600, 20))
+	codes = slices.Compact(codes)
+	for _, keptStats := range []bool{false, true} {
+		for _, continues := range []bool{true, false} {
+			what := fmt.Sprintf("kept stats %v, tail continues %v", keptStats, continues)
+			e, err := NewEngine(Config{PageSize: 512, BufferPages: 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			old, err := e.Load("R", codes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if keptStats {
+				// A re-store of the same list keeps its pages' statistics.
+				if old, err = e.LoadOver(old, "R", 0, codes); err != nil {
+					t.Fatal(err)
+				}
+				if len(old.stats) != int(old.Pages()) {
+					t.Fatalf("%s: %d of %d pages' statistics kept", what, len(old.stats), old.Pages())
+				}
+			}
+			if !old.Ordered() || old.Pages() < 3 {
+				t.Fatalf("%s: ordered %v over %d pages", what, old.Ordered(), old.Pages())
+			}
+			seam, err := old.rel.FirstRecord(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Drop the record that opens page 2: pages 0 and 1 are shared,
+			// and the tail starts on a page of its own.
+			from := int(seam.Aux)
+			tail := codes[from+1:]
+			if !continues {
+				tail = append([]pbicode.Code{codes[from-2]}, tail...)
+			}
+			got := checkLoadOver(t, e, old, append(slices.Clone(codes[:from]), tail...), from, what)
+			if got.SharedPages() != 2 || got.Ordered() != continues {
+				t.Fatalf("%s: shares %d pages, ordered %v", what, got.SharedPages(), got.Ordered())
+			}
+			e.Close()
+		}
+	}
+}

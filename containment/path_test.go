@@ -9,6 +9,8 @@ import (
 	"github.com/pbitree/pbitree/xmltree"
 )
 
+// TestQueryPathSmall: descendant paths through Engine.Query, the one path
+// evaluator.
 func TestQueryPathSmall(t *testing.T) {
 	doc, err := xmltree.ParseString(`<lib>
 	  <book><chapter><section><figure/></section></chapter></book>
@@ -26,7 +28,7 @@ func TestQueryPathSmall(t *testing.T) {
 	defer e.Close()
 
 	// //book//section//figure: figures inside a section inside a book.
-	got, err := e.QueryPath(doc, "book", "section", "figure")
+	got, err := e.Query(doc, "//book//section//figure")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,15 +36,15 @@ func TestQueryPathSmall(t *testing.T) {
 		t.Fatalf("//book//section//figure = %d, want 2", len(got))
 	}
 	// //book//figure: 3 (one directly under a chapter).
-	n, err := e.CountPath(doc, "book", "figure")
+	got, err = e.Query(doc, "//book//figure")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 3 {
-		t.Fatalf("//book//figure = %d, want 3", n)
+	if len(got) != 3 {
+		t.Fatalf("//book//figure = %d, want 3", len(got))
 	}
 	// Single-step path: just the tag's elements.
-	got, err = e.QueryPath(doc, "figure")
+	got, err = e.Query(doc, "//figure")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,12 +52,12 @@ func TestQueryPathSmall(t *testing.T) {
 		t.Fatalf("//figure = %d", len(got))
 	}
 	// No matches.
-	n, err = e.CountPath(doc, "article", "chapter", "figure")
-	if err != nil || n != 0 {
-		t.Fatalf("dead path = %d, %v", n, err)
+	got, err = e.Query(doc, "//article//chapter//figure")
+	if err != nil || len(got) != 0 {
+		t.Fatalf("dead path = %d, %v", len(got), err)
 	}
 	// Errors.
-	if _, err := e.QueryPath(doc); err == nil {
+	if _, err := e.Query(doc, ""); err == nil {
 		t.Fatal("empty path accepted")
 	}
 }
@@ -81,6 +83,8 @@ func bruteForcePath(doc *xmltree.Document, tags []string) map[pbicode.Code]bool 
 	return cur
 }
 
+// TestQueryPathAgainstBruteForce holds Engine.Query's descendant paths to
+// direct ancestry tests.
 func TestQueryPathAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	var sb strings.Builder
@@ -116,7 +120,7 @@ func TestQueryPathAgainstBruteForce(t *testing.T) {
 		{"b", "b"}, // self-nested tag
 		{"root", "a", "d"},
 	} {
-		got, err := e.QueryPath(doc, path...)
+		got, err := e.Query(doc, "//"+strings.Join(path, "//"))
 		if err != nil {
 			t.Fatalf("%v: %v", path, err)
 		}

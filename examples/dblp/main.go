@@ -99,7 +99,7 @@ func main() {
 	}
 
 	// The same join under different input knowledge: the framework's
-	// Table 1 in action.
+	// Table 1 in action, its picks priced by the §3.4 cost model.
 	fmt.Println("\nTable 1: //article//author under different input knowledge")
 	a, _ := eng.LoadDoc(doc, "article")
 	d, _ := eng.LoadDoc(doc, "author")

@@ -416,8 +416,8 @@ func A2(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// A5 validates the section 3.4 cost model (the basis of the cost-based
-// selector of section 6): predicted vs measured page I/O for every bulk
+// A5 validates the section 3.4 cost model (the basis of AUTO, the
+// cost-based selector of section 6): predicted vs measured page I/O for every bulk
 // algorithm on representative datasets.
 func A5(cfg Config) (*Result, error) {
 	res := &Result{ID: "A5", Title: "Ablation: cost model predicted vs measured page I/O"}
@@ -483,10 +483,12 @@ func A6(cfg Config) (*Result, error) {
 }
 
 // A7 quantifies §3.1's remark that stack-tree output order "is favorable
-// for further containment joins": a multi-step path query run as a
-// pipelined chain of pure merges (every intermediate stays in document
-// order, zero sorting) versus the same chain treating each intermediate
-// as an unsorted set (each step re-partitions via MHCJ+Rollup).
+// for further containment joins": a multi-step path query run through
+// Engine.Query (Chain: every intermediate is loaded in document order, and
+// AUTO prices no sort of an input stored so) versus the same chain
+// treating each intermediate as an unsorted set (each step re-partitions
+// via MHCJ+Rollup). Both run on one engine that records document order —
+// the packed layout: a paper-layout relation never claims it.
 func A7(cfg Config) (*Result, error) {
 	doc, err := workload.GenerateXMark(workload.XMark(cfg.DocScale, cfg.Seed))
 	if err != nil {
@@ -500,18 +502,22 @@ func A7(cfg Config) (*Result, error) {
 	res := &Result{ID: "A7", Title: "Ablation: pipelined (sorted) vs re-partitioned path queries"}
 	for _, path := range paths {
 		label := "//" + strings.Join(path, "//")
-		eng, err := cfg.newEngine(0)
+		eng, err := containment.NewEngine(containment.Config{
+			PageSize:    cfg.PageSize,
+			BufferPages: cfg.BufferPages,
+			DiskCost:    containment.DefaultDiskCost,
+		})
 		if err != nil {
 			return nil, err
 		}
-		// Pipelined: QueryPath chains pure stack-tree merges.
+		// Pipelined: the one path evaluator, under AUTO.
 		if err := eng.DropCache(); err != nil {
 			eng.Close()
 			return nil, err
 		}
 		eng.ResetIOStats()
 		start := time.Now()
-		codes, err := eng.QueryPath(doc, path...)
+		codes, err := eng.Query(doc, label)
 		if err != nil {
 			eng.Close()
 			return nil, err

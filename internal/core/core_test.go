@@ -593,8 +593,26 @@ func TestChooseImplementsTable1(t *testing.T) {
 	}
 	for i, tc := range cases {
 		ctx.AncestorHeights = tc.heights
-		if got := Choose(ctx, tc.spec, tc.a, tc.d); got != tc.want {
-			t.Errorf("case %d: Choose = %v, want %v", i, got, tc.want)
+		if got := table1(ctx, tc.spec, tc.a, tc.d); got != tc.want {
+			t.Errorf("case %d: table1 = %v, want %v", i, got, tc.want)
+		}
+		// AUTO prices Table 1's pick among the candidates and runs it
+		// whenever nothing is cheaper; otherwise it runs the cheapest.
+		p := Choose(ctx, tc.spec, tc.a, tc.d)
+		cost := map[Algorithm]int64{}
+		least := int64(1 << 62)
+		for j, alg := range p.Algs[:p.N] {
+			cost[alg] = p.IO[j]
+			least = min(least, p.IO[j])
+		}
+		rule, ok := cost[tc.want]
+		switch {
+		case !ok:
+			t.Errorf("case %d: Table 1's %v is not among the candidates %v", i, tc.want, p.Algs[:p.N])
+		case rule == least && p.Chosen != tc.want:
+			t.Errorf("case %d: Choose = %v, want Table 1's %v at the least cost %d", i, p.Chosen, tc.want, least)
+		case cost[p.Chosen] != least:
+			t.Errorf("case %d: Choose = %v at %d pages, the cheapest costs %d", i, p.Chosen, cost[p.Chosen], least)
 		}
 	}
 }

@@ -8,10 +8,9 @@ import (
 
 // This file implements the I/O cost model of section 3.4 — the formulas
 // the paper's discussion uses to argue when the partitioning algorithms
-// beat sorting or indexing on the fly — plus the cost-based algorithm
-// choice the paper's section 6 names as the next step beyond the Table 1
-// rules. Costs are page I/O estimates; CPU is deliberately excluded, as in
-// the paper's analysis.
+// beat sorting or indexing on the fly — that AUTO (Choose) prices Table 1's
+// candidates with. Costs are page I/O estimates; CPU is deliberately
+// excluded, as in the paper's analysis.
 
 // CostInputs are the statistics the estimator works from.
 type CostInputs struct {
@@ -186,45 +185,4 @@ func EstimateIO(alg Algorithm, in CostInputs) int64 {
 	default:
 		return 1 << 62
 	}
-}
-
-// ChooseByCost picks the cheapest applicable algorithm by EstimateIO — the
-// cost-based selector of section 6. SHCJ applies only to single-height
-// ancestor sets; VPJ needs the tree height.
-func ChooseByCost(ctx *Context, spec InputSpec, a, d *relation.Relation) Algorithm {
-	in := Gather(ctx, spec, a, d)
-	candidates := []Algorithm{AlgMHCJRollup, AlgStackTree, AlgADBPlus, AlgINLJN, AlgNestedLoop}
-	if ctx.singleHeightA() {
-		candidates = append(candidates, AlgSHCJ)
-	}
-	if ctx.TreeHeight > 0 {
-		candidates = append(candidates, AlgVPJ)
-	}
-	best := candidates[0]
-	bestCost := EstimateIO(best, in)
-	for _, alg := range candidates[1:] {
-		if c := EstimateIO(alg, in); c < bestCost ||
-			(c == bestCost && preferPartitioned(alg, best)) {
-			best, bestCost = alg, c
-		}
-	}
-	return best
-}
-
-// preferPartitioned breaks cost ties toward the partitioning algorithms
-// (no sort order destroyed, better CPU constants on modern hardware).
-func preferPartitioned(alg, over Algorithm) bool {
-	rank := func(x Algorithm) int {
-		switch x {
-		case AlgSHCJ: // exact equijoin, no verification filter
-			return 0
-		case AlgMHCJRollup, AlgVPJ:
-			return 1
-		case AlgStackTree, AlgADBPlus:
-			return 2
-		default:
-			return 3
-		}
-	}
-	return rank(alg) < rank(over)
 }

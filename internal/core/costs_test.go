@@ -98,23 +98,23 @@ func TestChooseByCost(t *testing.T) {
 	big := load(t, ctx, "big", randCodes(rng, 4000, 12, -1))
 	small := load(t, ctx, "small", randCodes(rng, 30, 12, -1))
 	// Unsorted large inputs: a partitioning algorithm must win.
-	switch alg := ChooseByCost(ctx, InputSpec{}, big, big); alg {
+	switch alg := Choose(ctx, InputSpec{}, big, big).Chosen; alg {
 	case AlgMHCJRollup, AlgVPJ:
 	default:
 		t.Fatalf("unsorted big x big chose %v", alg)
 	}
 	// Sorted inputs: the merge join is free of sort cost and wins.
-	if alg := ChooseByCost(ctx, InputSpec{SortedA: true, SortedD: true}, big, big); alg != AlgStackTree && alg != AlgADBPlus {
+	if alg := Choose(ctx, InputSpec{SortedA: true, SortedD: true}, big, big).Chosen; alg != AlgStackTree && alg != AlgADBPlus {
 		t.Fatalf("sorted chose %v", alg)
 	}
-	// Tiny input either way: any a+d algorithm; must not pick nested loop
-	// or MHCJ.
-	if alg := ChooseByCost(ctx, InputSpec{}, small, small); alg == AlgNestedLoop || alg == AlgMHCJ {
+	// Tiny inputs: every partitioning candidate reads ‖A‖+‖D‖ once, and
+	// Table 1 breaks the tie for the rollup.
+	if alg := Choose(ctx, InputSpec{}, small, small).Chosen; alg != AlgMHCJRollup {
 		t.Fatalf("tiny chose %v", alg)
 	}
-	// Single-height unlocks SHCJ, which wins its cost ties.
+	// Single-height unlocks SHCJ, which Table 1 picks on the tie.
 	ctx.AncestorHeights = 1 << 4
-	if alg := ChooseByCost(ctx, InputSpec{}, big, big); alg != AlgSHCJ {
+	if alg := Choose(ctx, InputSpec{}, big, big).Chosen; alg != AlgSHCJ {
 		t.Fatalf("single-height chose %v", alg)
 	}
 }
@@ -148,5 +148,18 @@ func TestCostModelTracksReality(t *testing.T) {
 		if measured < lo || measured > hi {
 			t.Errorf("%v: predicted %d, measured %d (outside 3x)", alg, predicted, measured)
 		}
+	}
+}
+
+// TestChooseAllocatesNothing: AUTO prices its candidates into the Plan's
+// fixed arrays, so choosing costs a join no allocation.
+func TestChooseAllocatesNothing(t *testing.T) {
+	ctx := newCtx(t, 8, 12)
+	rng := rand.New(rand.NewSource(32))
+	a := load(t, ctx, "A", randCodes(rng, 2000, 12, -1))
+	d := load(t, ctx, "D", randCodes(rng, 2000, 12, -1))
+	ctx.AncestorHeights = 1 << 4
+	if n := testing.AllocsPerRun(100, func() { Choose(ctx, InputSpec{}, a, d) }); n != 0 {
+		t.Fatalf("Choose allocates %v times per call", n)
 	}
 }

@@ -17,7 +17,7 @@ type Algorithm int
 
 // The framework's algorithms.
 const (
-	AlgAuto Algorithm = iota // let the framework choose (Table 1)
+	AlgAuto Algorithm = iota // let the framework choose (Choose)
 	AlgNestedLoop
 	AlgSHCJ // requires a single-height ancestor set
 	AlgMHCJ
@@ -68,13 +68,50 @@ type InputSpec struct {
 	IndexedA, IndexedD bool
 }
 
-// Choose implements Table 1 of the paper: indexes without sort order →
-// index nested loop; sort order without indexes → stack-tree; both →
-// ADB+; neither → the partitioning algorithms (SHCJ when the ancestor set
-// is single-height by Context.AncestorHeights, otherwise MHCJ+Rollup or VPJ — VPJ when the tree
-// height is known and neither input fits memory, since it adapts to skew
-// without false hits; rollup otherwise).
-func Choose(ctx *Context, spec InputSpec, a, d *relation.Relation) Algorithm {
+// Plan is AUTO's view of one join: the candidates it priced, Algs[:N],
+// with their section 3.4 page I/O estimates IO[:N] — fixed arrays, so that
+// choosing allocates nothing — and Chosen, the one it runs.
+type Plan struct {
+	Chosen Algorithm
+	Algs   [6]Algorithm
+	IO     [6]int64
+	N      int
+}
+
+// Choose is AUTO, the cost-based optimizer the paper's section 6 names as
+// the next step: it prices Table 1's candidates with the section 3.4 cost
+// model and runs Table 1's own choice whenever that is among the cheapest,
+// the cheapest candidate (the first of equals) otherwise. The candidates
+// are SHCJ when the ancestor set is single-height, MHCJ+Rollup, VPJ when
+// the tree height is known, STACKTREE, ADB+ and INLJN. The model prices an
+// input stored in document order without its sort, which Table 1 cannot
+// see; Table 1 breaks the model's ties, which page counts cannot.
+func Choose(ctx *Context, spec InputSpec, a, d *relation.Relation) Plan {
+	in := Gather(ctx, spec, a, d)
+	rule := table1(ctx, spec, a, d)
+	var p Plan
+	best := 0
+	for _, alg := range [...]Algorithm{AlgSHCJ, AlgMHCJRollup, AlgVPJ, AlgStackTree, AlgADBPlus, AlgINLJN} {
+		if alg == AlgSHCJ && !ctx.singleHeightA() || alg == AlgVPJ && ctx.TreeHeight <= 0 {
+			continue
+		}
+		p.Algs[p.N], p.IO[p.N] = alg, EstimateIO(alg, in)
+		if io := p.IO[p.N]; io < p.IO[best] || io == p.IO[best] && alg == rule {
+			best = p.N
+		}
+		p.N++
+	}
+	p.Chosen = p.Algs[best]
+	return p
+}
+
+// table1 is the paper's Table 1: indexes without sort order → index nested
+// loop; sort order without indexes → stack-tree; both → ADB+; neither →
+// the partitioning algorithms (SHCJ when the ancestor set is single-height
+// by Context.AncestorHeights, otherwise MHCJ+Rollup or VPJ — VPJ when the
+// tree height is known and neither input fits memory, since it adapts to
+// skew without false hits; rollup otherwise).
+func table1(ctx *Context, spec InputSpec, a, d *relation.Relation) Algorithm {
 	sorted := spec.SortedA && spec.SortedD
 	indexed := spec.IndexedA && spec.IndexedD
 	switch {
@@ -102,7 +139,7 @@ func Run(ctx *Context, alg Algorithm, spec InputSpec, a, d *relation.Relation, s
 	// at page granularity without further plumbing.
 	defer ctx.DisarmPool(ctx.ArmPool())
 	if alg == AlgAuto {
-		alg = Choose(ctx, spec, a, d)
+		alg = Choose(ctx, spec, a, d).Chosen
 	}
 	switch alg {
 	case AlgNestedLoop:

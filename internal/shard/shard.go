@@ -79,15 +79,23 @@ func (r *Relation) Pages() int64 {
 	return n
 }
 
-// Sorted reports whether every present shard piece is stored in document
+// Sorted reports whether every present shard piece was sorted into
+// document order (false when the relation is absent everywhere).
+func (r *Relation) Sorted() bool { return r.every((*containment.Relation).Sorted) }
+
+// Ordered reports whether every present shard piece is stored in document
 // order (false when the relation is absent everywhere).
-func (r *Relation) Sorted() bool {
+func (r *Relation) Ordered() bool { return r.every((*containment.Relation).Ordered) }
+
+// every reports whether f holds for every present shard piece, and at least
+// one is present.
+func (r *Relation) every(f func(*containment.Relation) bool) bool {
 	var any bool
 	for _, p := range r.per {
 		if p == nil {
 			continue
 		}
-		if !p.Sorted() {
+		if !f(p) {
 			return false
 		}
 		any = true
