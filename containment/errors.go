@@ -31,8 +31,9 @@ const (
 	FailDeadline
 	// FailStorage: the storage layer failed (I/O error, injected fault).
 	FailStorage
-	// FailCorrupt: a page failed checksum verification — the data on disk
-	// is damaged. Distinct from FailStorage because the right response
+	// FailCorrupt: a page failed checksum verification, or a relation is
+	// not in the document order its catalog entry claims — the data on
+	// disk is damaged. Distinct from FailStorage because the right response
 	// differs: the query must fail (never silently return a wrong answer),
 	// the page stays quarantined, and the operator runs pbifsck rather
 	// than retrying the same replica.
@@ -61,7 +62,8 @@ func (c FailureClass) String() string {
 
 // Classify maps a join error onto its FailureClass. Cancellation is
 // recognized through either vocabulary (core sentinels or context
-// errors); storage failures through storage.ErrInjected and OS-level
+// errors); corruption through storage.ErrCorrupt and core.ErrOrderClaim;
+// storage failures through storage.ErrInjected and OS-level
 // path/filesystem errors.
 func Classify(err error) FailureClass {
 	if err == nil {
@@ -72,7 +74,7 @@ func Classify(err error) FailureClass {
 		return FailDeadline
 	case errors.Is(err, core.ErrCanceled), errors.Is(err, context.Canceled):
 		return FailCanceled
-	case errors.Is(err, storage.ErrCorrupt):
+	case errors.Is(err, storage.ErrCorrupt), errors.Is(err, core.ErrOrderClaim):
 		return FailCorrupt
 	case errors.Is(err, storage.ErrInjected):
 		return FailStorage

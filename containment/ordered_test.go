@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/pbitree/pbitree/internal/relation"
 	"github.com/pbitree/pbitree/pbicode"
 )
 
@@ -74,6 +75,9 @@ func TestOrderedVersusShuffled(t *testing.T) {
 							t.Fatalf("%s: %v left A as %d codes (%v)", name, alg, len(codes), err)
 						}
 					}
+					if inOrder && !paper {
+						kernelsAgree(t, name, e, a, d, ds.algs, true)
+					}
 					// //A//D//D: a chain whose second step's ancestors are the
 					// first step's matches, reloaded as a temp relation.
 					codes, _, err := e.Chain(context.Background(), a, []ChainStep{{Desc: d}, {Desc: d}})
@@ -90,6 +94,126 @@ func TestOrderedVersusShuffled(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMergeKernelsSmallPool is TestOrderedVersusShuffled's kernel
+// differential at b = 4, where a build side holds 62 records: joins over
+// relations in document order partition (Grace and VPJ), build on D, probe
+// rollup's tail and, without height statistics, split the rollup and
+// probe its high records in one pass — each kernel a merge, and each giving
+// the oracle's pairs with the false hits, partitions and page I/O of the
+// hash kernels over the same pages.
+func TestMergeKernelsSmallPool(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	const h = 12
+	var tailA []pbicode.Code // heights 1 and 2, empty 3..5, then 6..8
+	tailA = append(tailA, randCodesFixedHeight(25, 1, h)...)
+	tailA = append(tailA, randCodesFixedHeight(25, 2, h)...)
+	top := pbicode.G(1, 3, h) // a height-8 node
+	tailA = append(tailA, top, pbicode.F(top-1, 6), pbicode.F(top+1, 7))
+	rollups := []Algorithm{MHCJ, MHCJRollup, VPJ}
+	datasets := []struct {
+		name  string
+		a, d  []pbicode.Code
+		algs  []Algorithm
+		stats bool // the relations keep their height statistics
+	}{
+		{"grace", randCodes(rng, 500, h), randCodes(rng, 600, h), rollups, true},
+		{"build-d", randCodesFixedHeight(300, 4, h), randCodes(rng, 40, h), []Algorithm{SHCJ, MHCJRollup, VPJ}, true},
+		{"tail", tailA, randCodes(rng, 600, h), rollups, true},
+		{"split", randCodes(rng, 500, h), randCodes(rng, 600, h), []Algorithm{MHCJRollup}, false},
+	}
+	reached := map[string]bool{}
+	for _, ds := range datasets {
+		aOrd, _ := docOrdered(t, rng, ds.a)
+		dOrd, _ := docOrdered(t, rng, ds.d)
+		e, err := NewEngine(Config{PageSize: 512, BufferPages: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := e.Load("A", aOrd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := e.Load("D", dOrd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ph := range kernelsAgree(t, ds.name, e, a, d, ds.algs, ds.stats) {
+			reached[ph] = true
+		}
+		e.Close()
+	}
+	for _, ph := range []string{"grace-partition", "hash-join[build=A merge]", "hash-join[build=D merge]",
+		"equijoin[rollup h=2 tail=6,7,8]", "rollup-split", "multi-probe[merge]", "vpartition", "mem-join"} {
+		if !reached[ph] {
+			t.Errorf("no join over ordered relations ran %s", ph)
+		}
+	}
+}
+
+// kernelsAgree joins a and d, both in document order, with each of the
+// partitioning joins among algs twice from a cold pool: over relations
+// that claim the order (the merge kernels) and over relations on the same
+// pages that do not (the hash kernels). Both must give the oracle's pairs,
+// the same false hits and partitions, and read and write the same pages.
+// stats keeps the relations' height statistics; without them the rollup
+// pre-scans its ancestors. It returns the phases of the merge runs, as
+// "name[detail]" or "name".
+func kernelsAgree(t *testing.T, name string, e *Engine, a, d *Relation, algs []Algorithm, stats bool) []string {
+	t.Helper()
+	aCodes, err := a.Codes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dCodes, err := d.Codes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := oracle(aCodes, dCodes)
+	twin := func(r *Relation, ordered bool) *Relation {
+		span, _ := r.rel.Span()
+		tw := &Relation{rel: relation.Attach(e.pool, r.Name(), r.rel.Pages(), r.rel.NumRecords(), span, ordered)}
+		if stats {
+			tw.heights = r.heights
+		}
+		return tw
+	}
+	var phases []string
+	for _, alg := range algs {
+		switch alg {
+		case SHCJ, MHCJ, MHCJRollup, VPJ:
+		default:
+			continue
+		}
+		var runs [2]*Result
+		for i, ordered := range []bool{true, false} {
+			if err := e.DropCache(); err != nil {
+				t.Fatal(err)
+			}
+			an, err := e.Analyze(twin(a, ordered), twin(d, ordered), JoinOptions{Algorithm: alg, Collect: true})
+			if err != nil {
+				t.Fatalf("%s: %v (ordered=%v): %v", name, alg, ordered, err)
+			}
+			res := an.Result
+			sortPairs(res.Pairs)
+			if !slices.Equal(res.Pairs, want) {
+				t.Fatalf("%s: %v (ordered=%v): %d pairs, want the oracle's %d", name, alg, ordered, len(res.Pairs), len(want))
+			}
+			runs[i] = res
+			for _, ph := range an.Phases {
+				if ordered {
+					phases = append(phases, ph.Name, ph.Name+"["+ph.Detail+"]")
+				}
+			}
+		}
+		m, s := runs[0], runs[1]
+		if m.FalseHits != s.FalseHits || m.Partitions != s.Partitions || m.IO.Reads != s.IO.Reads || m.IO.Writes != s.IO.Writes {
+			t.Errorf("%s: %v: merge kernels %d false hits, %d partitions, %d+%d page I/O; hash kernels %d, %d, %d+%d",
+				name, alg, m.FalseHits, m.Partitions, m.IO.Reads, m.IO.Writes, s.FalseHits, s.Partitions, s.IO.Reads, s.IO.Writes)
+		}
+	}
+	return phases
 }
 
 // orderedEngine loads a and d into an engine of the given layout, or into
@@ -219,6 +343,102 @@ func TestAnalyzePricesOnlySortsThatRun(t *testing.T) {
 			t.Fatalf("ordered=%v: EXPLAIN header does not say so:\n%s", inOrder, plan)
 		}
 		e.Close()
+	}
+}
+
+// TestFalseOrderClaimNeverAnswersWrongly: relations whose catalog entries
+// claim document order over shuffled pages — the claim Attach takes on
+// trust — make SHCJ, MHCJ+Rollup and VPJ give either the oracle's pairs or
+// an error Classify reports as corrupt, never other pairs. A shuffled build
+// side is hashed from memory; a shuffled side streamed through a merge
+// fails the join (SHCJ over the shuffled D builds on A and streams D).
+func TestFalseOrderClaimNeverAnswersWrongly(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	const h = 12
+	aSingle := randCodesFixedHeight(300, 4, h)
+	aMixed, dCodes := randCodes(rng, 300, h), randCodes(rng, 600, h)
+	for _, tc := range []struct {
+		name         string
+		a            []pbicode.Code
+		algs         []Algorithm
+		shufA, shufD bool
+	}{
+		{"A-shuffled", aSingle, []Algorithm{SHCJ, MHCJRollup, VPJ}, true, false},
+		{"D-shuffled", aSingle, []Algorithm{SHCJ, MHCJRollup, VPJ}, false, true},
+		{"both-shuffled", aMixed, []Algorithm{MHCJRollup, VPJ}, true, true},
+	} {
+		aOrd, aShuf := docOrdered(t, rng, tc.a)
+		dOrd, dShuf := docOrdered(t, rng, dCodes)
+		aCodes, dIn := aOrd, dOrd
+		if tc.shufA {
+			aCodes = aShuf
+		}
+		if tc.shufD {
+			dIn = dShuf
+		}
+		want := oracle(aCodes, dIn)
+		path := filepath.Join(t.TempDir(), "db.pages")
+		cfg := Config{Path: path, PageSize: 512, BufferPages: 16}
+		e, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := e.Load("A", aCodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := e.Load("D", dIn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Save(a, d); err != nil {
+			t.Fatal(err)
+		}
+		e.Close()
+		claimOrder(t, path)
+		e, rels, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rels["A"].Ordered() || !rels["D"].Ordered() {
+			t.Fatalf("%s: the edited catalog's claims did not survive Open", tc.name)
+		}
+		for _, alg := range tc.algs {
+			res, err := e.Join(rels["A"], rels["D"], JoinOptions{Algorithm: alg, Collect: true})
+			switch {
+			case err != nil && Classify(err) != FailCorrupt:
+				t.Errorf("%s: %v: %v, classified %v; want the oracle's pairs or a corrupt error", tc.name, alg, err, Classify(err))
+			case err == nil:
+				sortPairs(res.Pairs)
+				if !slices.Equal(res.Pairs, want) {
+					t.Errorf("%s: %v: %d pairs, want the oracle's %d", tc.name, alg, len(res.Pairs), len(want))
+				}
+			}
+		}
+		e.Close()
+	}
+}
+
+// claimOrder edits the catalog of the database at path so that every
+// relation claims document order.
+func claimOrder(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(catalogPath(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cat map[string]any
+	if err := json.Unmarshal(data, &cat); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range cat["relations"].([]any) {
+		r.(map[string]any)["ordered"] = true
+	}
+	if data, err = json.Marshal(cat); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(catalogPath(path), data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -24,6 +24,27 @@ func benchJoin(b *testing.B, fn joinFunc, n, frames int) {
 		return out
 	}
 	aCodes, dCodes := mk(), mk()
+	benchInputs(b, fn, h, frames, aCodes, dCodes, false)
+}
+
+// benchOrders runs fn over the records as drawn, which no relation claims
+// is in document order (the hash kernels), and over the same records in
+// document order (the merge kernels, on the input and on the partitions it
+// writes) as sub-benchmarks, each reporting ns per result pair besides ns
+// per join.
+func benchOrders(b *testing.B, fn joinFunc, h, frames int, aCodes, dCodes []pbicode.Code) {
+	b.Run("shuffled", func(b *testing.B) { benchInputs(b, fn, h, frames, aCodes, dCodes, false) })
+	b.Run("ordered", func(b *testing.B) { benchInputs(b, fn, h, frames, aCodes, dCodes, true) })
+}
+
+// benchInputs measures fn over aCodes and dCodes, stored as given or in
+// document order, on a fresh disk and pool each iteration.
+func benchInputs(b *testing.B, fn joinFunc, h, frames int, aCodes, dCodes []pbicode.Code, inOrder bool) {
+	b.Helper()
+	if inOrder {
+		aCodes, dCodes = docOrder(aCodes), docOrder(dCodes)
+	}
+	var pairs int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -45,15 +66,31 @@ func benchJoin(b *testing.B, fn joinFunc, n, frames int) {
 			b.Fatal(err)
 		}
 		b.StopTimer()
+		pairs = sink.N
 		d.Close()
 		b.StartTimer()
 	}
+	if pairs > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*pairs), "ns/pair")
+	}
 }
 
+// BenchmarkMHCJRollup100k joins two multi-height sets through the rollup,
+// as drawn and in document order.
 func BenchmarkMHCJRollup100k(b *testing.B) {
-	benchJoin(b, func(ctx *Context, a, d *relation.Relation, s Sink) error {
+	const h = 22
+	rng := rand.New(rand.NewSource(1))
+	mk := func() []pbicode.Code {
+		out := make([]pbicode.Code, 100_000)
+		for i := range out {
+			out[i] = pbicode.Code(rng.Uint64()%pbicode.NumNodes(h) + 1)
+		}
+		return out
+	}
+	aCodes, dCodes := mk(), mk()
+	benchOrders(b, func(ctx *Context, a, d *relation.Relation, s Sink) error {
 		return MHCJRollup(ctx, a, d, 0, s)
-	}, 100_000, 64)
+	}, h, 64, aCodes, dCodes)
 }
 
 func BenchmarkVPJ100k(b *testing.B) { benchJoin(b, VPJ, 100_000, 64) }
@@ -64,7 +101,8 @@ func BenchmarkMPMGJN100k(b *testing.B) { benchJoin(b, MPMGJNOnTheFly, 100_000, 6
 
 func BenchmarkADBPlus100k(b *testing.B) { benchJoin(b, ADBPlusOnTheFly, 100_000, 64) }
 
-// BenchmarkSHCJ100k joins a single-height ancestor set.
+// BenchmarkSHCJ100k joins a single-height ancestor set, as drawn and in
+// document order.
 func BenchmarkSHCJ100k(b *testing.B) {
 	const h = 22
 	rng := rand.New(rand.NewSource(2))
@@ -78,22 +116,7 @@ func BenchmarkSHCJ100k(b *testing.B) {
 	for i := range dCodes {
 		dCodes[i] = pbicode.Code(rng.Uint64()%pbicode.NumNodes(h) + 1)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		d := storage.NewMemDisk(4096, storage.CostModel{})
-		pool := buffer.New(d, 64)
-		ctx := &Context{Pool: pool, TreeHeight: h, Stats: &Stats{}}
-		a, _ := relation.FromCodes(pool, "A", aCodes)
-		dd, _ := relation.FromCodes(pool, "D", dCodes)
-		b.StartTimer()
-		var sink CountSink
-		if err := SHCJ(ctx, a, dd, 8, &sink); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		d.Close()
-		b.StartTimer()
-	}
+	benchOrders(b, func(ctx *Context, a, d *relation.Relation, s Sink) error {
+		return SHCJ(ctx, a, d, 8, s)
+	}, h, 64, aCodes, dCodes)
 }

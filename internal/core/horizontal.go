@@ -309,8 +309,13 @@ func mhcjRollup(ctx *Context, a, d *relation.Relation, targetH int, sink Sink) e
 		return nil
 	}
 	if high.NumRecords() <= ctx.memRecs(ctx.b()-2) {
+		// The multi-height probe join: every height high occupies probed in
+		// one pass over d, exact, so no verification.
 		sp := ctx.Trace.Start("multi-probe")
-		err := multiHeightProbeJoin(ctx, high, d, sink)
+		merged, err := joinBuildA(ctx, high, d, 0, nil, sink)
+		if merged && sp != nil {
+			sp.Detail = "merge"
+		}
 		ctx.Trace.End(sp)
 		return err
 	}
@@ -376,29 +381,4 @@ func rollupSplit(a *relation.Relation, targetH int, rApp, hApp *relation.Appende
 		}
 	}
 	return s.Err()
-}
-
-// multiHeightProbeJoin joins a memory-resident multi-height ancestor set
-// against d in one scan: a hash table keyed by ancestor code, probed with
-// F(d, h) for each distinct ancestor height in ascending order — the
-// ancestor-enumeration join only PBiTree codes make possible (each probe
-// key is computed from the descendant's code alone). Results are exact; no
-// verification needed.
-func multiHeightProbeJoin(ctx *Context, a, d *relation.Relation, sink Sink) error {
-	table := &ctx.scratch().table
-	table.init(a.NumRecords())
-	var heights uint64 // ancestor heights present, one bit each
-	as := a.BatchScan()
-	for as.Next() {
-		codes, aux := as.Codes(), as.Aux()
-		for i, c := range codes {
-			table.add(c, relation.Rec{Code: pbicode.Code(c), Aux: aux[i]})
-			heights |= 1 << uint(bits.TrailingZeros64(c))
-		}
-	}
-	if err := as.Err(); err != nil {
-		return err
-	}
-	var buf [64]fKey
-	return probeD(table, d.BatchScan(), appendKeys(buf[:0], heights), sink)
 }

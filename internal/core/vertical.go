@@ -253,10 +253,10 @@ func vPartition(ctx *Context, rel *relation.Relation, l int, offset uint64, k in
 }
 
 // memoryContainmentJoin is Algorithm 6: when D fits the memory budget it
-// is loaded and sorted by region Start, and each scanned ancestor probes it
-// by binary search (the in-memory index nested loop of the paper);
-// otherwise MHCJ+Rollup takes over (its hash table then holds the A side,
-// which is the side known to fit).
+// is loaded, sorted by region Start unless stored so, and each scanned
+// ancestor probes it by binary search (the in-memory index nested loop of
+// the paper); otherwise MHCJ+Rollup takes over (its build side is then A,
+// the side known to fit).
 func memoryContainmentJoin(ctx *Context, a, d *relation.Relation, sink Sink) error {
 	if d.NumRecords() <= ctx.memRecs(ctx.b()-2) {
 		return memProbeJoin(ctx, a, d, sink)
@@ -265,27 +265,37 @@ func memoryContainmentJoin(ctx *Context, a, d *relation.Relation, sink Sink) err
 	return mhcjRollup(ctx, a, d, 0, sink)
 }
 
-// memProbeJoin loads d, sorts it by Start, and probes with each a: the
+// memProbeJoin loads d, sorted by Start, and probes with each a: the
 // descendants of a are exactly the loaded records with Start in
 // [a.Start, a.End] and height below a's (closed-region semantics). A
 // streams as page slabs whose regions are derived in one RegionBatch pass.
+// A d stored in document order is sorted already; the load checks each
+// record's Start against its predecessor's and sorts only when one goes
+// back, so a false order claim costs the sort and nothing else.
 func memProbeJoin(ctx *Context, a, d *relation.Relation, sink Sink) error {
 	sp := ctx.Trace.Start("mem-join")
 	defer ctx.Trace.End(sp)
 	sc := ctx.scratch()
 	recs := sc.recs[:0]
 	defer func() { sc.recs = recs[:0] }()
+	sorted := true
+	var prev uint64 // Start-1 of the previous record
 	ds := d.BatchScan()
 	for ds.Next() {
 		aux := ds.Aux()
 		for i, c := range ds.Codes() {
+			s := c - c&-c
+			sorted = sorted && s >= prev
+			prev = s
 			recs = append(recs, relation.Rec{Code: pbicode.Code(c), Aux: aux[i]})
 		}
 	}
 	if err := ds.Err(); err != nil {
 		return err
 	}
-	slices.SortFunc(recs, func(x, y relation.Rec) int { return cmp.Compare(x.Code.Start(), y.Code.Start()) })
+	if !sorted {
+		slices.SortFunc(recs, func(x, y relation.Rec) int { return cmp.Compare(x.Code.Start(), y.Code.Start()) })
+	}
 	sc.dStart = sized(sc.dStart, len(recs))
 	starts := sc.dStart
 	for i, r := range recs {

@@ -38,6 +38,11 @@ type Latency struct {
 	// sorted is the scratch quantiles sort the window into, in place under
 	// mu, so a quantile costs no allocation after the first.
 	sorted []time.Duration
+	// q, qv and qAt cache Quantile: the last q asked, its value, and count
+	// when it was computed (-1 before the first).
+	q   float64
+	qv  time.Duration
+	qAt int64
 
 	hist  [len(buckets) + 1]int64 // per bucket, not cumulative; last = +Inf
 	ex    [len(buckets) + 1]exemplar
@@ -45,9 +50,15 @@ type Latency struct {
 	count int64
 }
 
+// quantileRefresh is how many new samples make Quantile sort the window
+// again once it holds that many: the router asks for its hedge delay on
+// every shard call, and a window of thousands moves little in a few dozen
+// samples.
+const quantileRefresh = 64
+
 // NewLatency returns a window over the last window samples.
 func NewLatency(window int) *Latency {
-	return &Latency{ring: make([]time.Duration, window)}
+	return &Latency{ring: make([]time.Duration, window), qAt: -1}
 }
 
 // Observe records one latency; a non-empty traceID becomes its bucket's
@@ -87,10 +98,16 @@ func (l *Latency) sortLocked() []time.Duration {
 }
 
 // Quantile is the window's q-quantile (0 < q ≤ 1), 0 while it is empty.
+// The value is the one a sort of the window gave within the last
+// quantileRefresh samples (exact while the window holds fewer): repeated
+// calls between observations sort nothing.
 func (l *Latency) Quantile(q float64) time.Duration {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return Percentile(l.sortLocked(), q)
+	if q != l.q || l.count != l.qAt && (l.count-l.qAt >= quantileRefresh || l.n < quantileRefresh) {
+		l.q, l.qv, l.qAt = q, Percentile(l.sortLocked(), q), l.count
+	}
+	return l.qv
 }
 
 // LatencyStats is the /stats latency block (microseconds).

@@ -69,6 +69,50 @@ func TestQuantileAllocFree(t *testing.T) {
 	}
 }
 
+// TestQuantileRefresh: once the window holds quantileRefresh samples,
+// Quantile keeps the value of its last sort until quantileRefresh new
+// samples arrive — calls in between, with or without new samples, return
+// it — and then equals a fresh sort of the window again.
+func TestQuantileRefresh(t *testing.T) {
+	const window = 2048
+	l := NewLatency(window)
+	rng := rand.New(rand.NewSource(3))
+	var all []time.Duration
+	observe := func(d time.Duration) {
+		l.Observe(d, "")
+		all = append(all, d)
+	}
+	for i := 0; i < 3000; i++ {
+		observe(time.Duration(rng.ExpFloat64() * float64(time.Millisecond)))
+	}
+	const q = 0.99
+	cached := l.Quantile(q)
+	if want := referenceQuantile(all[len(all)-window:], q); cached != want {
+		t.Fatalf("Quantile = %v, reference %v", cached, want)
+	}
+	for i := 0; i < 3; i++ {
+		if got := l.Quantile(q); got != cached {
+			t.Fatalf("no new samples: Quantile = %v, want the cached %v", got, cached)
+		}
+	}
+	// Samples far above the window's 99th percentile: enough of them to
+	// move it, but the cache holds until quantileRefresh have arrived.
+	for i := 0; i < quantileRefresh-1; i++ {
+		observe(time.Hour)
+		if got := l.Quantile(q); got != cached {
+			t.Fatalf("%d new samples: Quantile = %v, want the cached %v", i+1, got, cached)
+		}
+	}
+	observe(time.Hour)
+	want := referenceQuantile(all[len(all)-window:], q)
+	if want == cached {
+		t.Fatal("the new samples did not move the reference quantile")
+	}
+	if got := l.Quantile(q); got != want {
+		t.Fatalf("after %d new samples: Quantile = %v, want a fresh sort's %v", quantileRefresh, got, want)
+	}
+}
+
 // TestLatencyConcurrent races observers (the request paths) against the
 // readers (hedging, /stats, /metrics); run under -race.
 func TestLatencyConcurrent(t *testing.T) {
