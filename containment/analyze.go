@@ -223,7 +223,7 @@ func hitRate(hits, misses int64) string {
 // snapshot per phase boundary; page I/O and the virtual clock are
 // unaffected, so Result matches what Join would report.
 func (e *Engine) Analyze(a, d *Relation, opts JoinOptions) (*Analysis, error) {
-	res, root, err := e.join(context.Background(), a, d, opts, true)
+	res, root, err := e.join(context.Background(), a, d, opts, true, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -236,7 +236,7 @@ func (e *Engine) Analyze(a, d *Relation, opts JoinOptions) (*Analysis, error) {
 // span tree's root is annotated "canceled", "canceled (deadline)" or
 // "error" — a partial EXPLAIN ANALYZE of the aborted execution.
 func (e *Engine) AnalyzeContext(ctx context.Context, a, d *Relation, opts JoinOptions) (*Analysis, error) {
-	res, root, err := e.join(ctx, a, d, opts, true)
+	res, root, err := e.join(ctx, a, d, opts, true, nil)
 	if err != nil {
 		if res == nil {
 			return nil, err

@@ -389,6 +389,23 @@ type joinState struct {
 	opts  JoinOptions
 }
 
+// descSink is the sink of a Chain step with no filter: it records each
+// matched descendant into m, taking the stack merge's ancestor chains
+// whole (core.ChainSink), so the step makes one call per descendant there
+// instead of one per pair. A count-only join, whose Result.Count is the
+// execution's pair count, runs with core.Discard instead.
+type descSink struct{ m *matches }
+
+func (s descSink) Emit(_, d relation.Rec) error {
+	s.m.add(d.Code)
+	return nil
+}
+
+func (s descSink) EmitChain(_ []relation.Rec, d relation.Rec) error {
+	s.m.add(d.Code)
+	return nil
+}
+
 // optSink adapts JoinOptions to a core.Sink.
 type optSink struct {
 	res  *Result
@@ -413,7 +430,7 @@ func (s *optSink) Emit(a, d relation.Rec) error {
 
 // Join evaluates a ◁ d.
 func (e *Engine) Join(a, d *Relation, opts JoinOptions) (*Result, error) {
-	res, _, err := e.join(context.Background(), a, d, opts, false)
+	res, _, err := e.join(context.Background(), a, d, opts, false, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -427,7 +444,7 @@ func (e *Engine) Join(a, d *Relation, opts JoinOptions) (*Result, error) {
 // error: counters and I/O stats reflect the work done up to the abort.
 // Temporary join state is released before returning on every error path.
 func (e *Engine) JoinContext(ctx context.Context, a, d *Relation, opts JoinOptions) (*Result, error) {
-	res, _, err := e.join(ctx, a, d, opts, false)
+	res, _, err := e.join(ctx, a, d, opts, false, nil)
 	return res, err
 }
 
@@ -459,7 +476,10 @@ func (e *Engine) snapCounters(stats *core.Stats) func() trace.Counters {
 // uncancelable. On error the returned Result and Span are still non-nil,
 // reflecting the partial execution (counters, I/O, a root span annotated
 // "canceled"/"error"), and the engine's temporary join state is released.
-func (e *Engine) join(goCtx context.Context, a, d *Relation, opts JoinOptions, traced bool) (*Result, *trace.Span, error) {
+//
+// into, when non-nil, collects the distinct matched descendants of a join
+// with no Filter, Collect or Emit (a Chain step's).
+func (e *Engine) join(goCtx context.Context, a, d *Relation, opts JoinOptions, traced bool, into *matches) (*Result, *trace.Span, error) {
 	st := &joinState{opts: opts}
 	stats, ctx, sink := &st.stats, &st.ctx, &st.sink
 	*ctx = core.Context{
@@ -476,6 +496,16 @@ func (e *Engine) join(goCtx context.Context, a, d *Relation, opts JoinOptions, t
 	spec := effectiveSpec(&opts, a, d)
 	res := &Result{}
 	*sink = optSink{res: res, opts: &st.opts}
+	// A join whose pairs no option reads takes the stack merge's chains
+	// whole: a Chain step's descendants go to into, a count-only join's
+	// nowhere.
+	var out core.Sink = sink
+	if opts.Filter == nil && !opts.Collect && opts.Emit == nil {
+		out = core.Discard
+		if into != nil {
+			out = descSink{m: into}
+		}
+	}
 
 	// Resolve Auto up front so the cost prediction names the algorithm
 	// that actually runs.
@@ -501,15 +531,15 @@ func (e *Engine) join(goCtx context.Context, a, d *Relation, opts JoinOptions, t
 	var err error
 	switch {
 	case opts.Algorithm == MHCJRollup && opts.RollupTarget > 0:
-		err = core.MHCJRollup(ctx, a.rel, d.rel, opts.RollupTarget, sink)
+		err = core.MHCJRollup(ctx, a.rel, d.rel, opts.RollupTarget, out)
 	default:
 		// Persistent access paths serve the index algorithms without the
 		// on-the-fly build cost; otherwise the framework runs normally
 		// (the merge joins already skip sorting via spec.Sorted*).
 		var handled bool
-		handled, err = e.runIndexed(ctx, alg, a, d, sink)
+		handled, err = e.runIndexed(ctx, alg, a, d, out)
 		if !handled && err == nil {
-			alg, err = core.Run(ctx, alg, spec, a.rel, d.rel, sink)
+			alg, err = core.Run(ctx, alg, spec, a.rel, d.rel, out)
 		}
 	}
 	ctx.DisarmPool(prev)

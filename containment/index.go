@@ -157,11 +157,15 @@ func (e *Engine) coreContext() *core.Context {
 }
 
 // effectiveSpec folds the relations' physical properties into the
-// caller-declared spec.
+// caller-declared spec: a relation sorted by Engine.Sort or stored in
+// document order (Ordered) is a sorted input, so AUTO takes Table 1's
+// sorted row for two of them — the cost model prices their merge at
+// ‖A‖+‖D‖, no more than any other candidate — and the merge joins read
+// them as they are, checking the order as they go.
 func effectiveSpec(opts *JoinOptions, a, d *Relation) core.InputSpec {
 	return core.InputSpec{
-		SortedA:  opts.Spec.SortedA || a.sorted,
-		SortedD:  opts.Spec.SortedD || d.sorted,
+		SortedA:  opts.Spec.SortedA || a.sorted || a.rel.Ordered(),
+		SortedD:  opts.Spec.SortedD || d.sorted || d.rel.Ordered(),
 		IndexedA: opts.Spec.IndexedA || a.Indexed(),
 		IndexedD: opts.Spec.IndexedD || d.startIdx != nil,
 	}

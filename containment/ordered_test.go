@@ -70,6 +70,11 @@ func TestOrderedVersusShuffled(t *testing.T) {
 						if !slices.Equal(res.Pairs, want) {
 							t.Fatalf("%s: %v (%s): %d pairs, want the oracle's %d", name, alg, res.Algorithm, len(res.Pairs), len(want))
 						}
+						// Inputs stored in document order are sorted ones:
+						// AUTO takes Table 1's sorted row.
+						if alg == Auto && a.Ordered() && res.Algorithm != "STACKTREE" {
+							t.Fatalf("%s: AUTO ran %s over ordered inputs, want STACKTREE", name, res.Algorithm)
+						}
 						// The inputs are still there, whole, after the join.
 						if codes, err := a.Codes(); err != nil || !slices.Equal(codes, aCodes) {
 							t.Fatalf("%s: %v left A as %d codes (%v)", name, alg, len(codes), err)
@@ -79,13 +84,26 @@ func TestOrderedVersusShuffled(t *testing.T) {
 						kernelsAgree(t, name, e, a, d, ds.algs, true)
 					}
 					// //A//D//D: a chain whose second step's ancestors are the
-					// first step's matches, reloaded as a temp relation.
-					codes, _, err := e.Chain(context.Background(), a, []ChainStep{{Desc: d}, {Desc: d}})
-					if err != nil {
-						t.Fatalf("%s: chain: %v", name, err)
-					}
-					if wantChain := chainOracle(ds.a, ds.d); !slices.Equal(codes, wantChain) {
-						t.Fatalf("%s: chain gave %d codes, want %d", name, len(codes), len(wantChain))
+					// first step's matches, reloaded as a temp relation — in
+					// document order, so over ordered inputs both steps are
+					// stack merges handing the chain each match once. A
+					// filter that keeps every pair makes the steps see every
+					// pair instead, for the same codes.
+					wantChain := chainOracle(ds.a, ds.d)
+					all := func(Pair) bool { return true }
+					for _, filter := range []func(Pair) bool{nil, all} {
+						codes, reps, err := e.Chain(context.Background(), a, []ChainStep{{Desc: d, Filter: filter}, {Desc: d, Filter: filter}})
+						if err != nil {
+							t.Fatalf("%s: chain (filtered %v): %v", name, filter != nil, err)
+						}
+						if !slices.Equal(codes, wantChain) {
+							t.Fatalf("%s: chain (filtered %v) gave %d codes, want %d", name, filter != nil, len(codes), len(wantChain))
+						}
+						for i, rep := range reps {
+							if rep.Analysis != nil && a.Ordered() && rep.Analysis.Result.Algorithm != "STACKTREE" {
+								t.Fatalf("%s: chain step %d ran %s over ordered inputs, want STACKTREE", name, i, rep.Analysis.Result.Algorithm)
+							}
+						}
 					}
 					if err := e.Close(); err != nil {
 						t.Fatal(err)
@@ -93,6 +111,58 @@ func TestOrderedVersusShuffled(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCountOnlyMatchesCollect: a join whose pairs no option reads — the
+// count-only join, which the stack merge counts a descendant's ancestor
+// chain at a time — counts what collecting the pairs gives, for every
+// algorithm over inputs stored in document order and shuffled; and with a
+// Filter, which sees every pair, the count is the filtered pairs'.
+func TestCountOnlyMatchesCollect(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	const h = 12
+	aOrd, aShuf := docOrdered(t, rng, randCodes(rng, 400, h))
+	dOrd, dShuf := docOrdered(t, rng, randCodes(rng, 700, h))
+	want := oracle(aOrd, dOrd)
+	keep := func(p Pair) bool { return (p.A.Height()+p.D.Height())%2 == 0 }
+	wantKept := int64(0)
+	for _, p := range want {
+		if keep(p) {
+			wantKept++
+		}
+	}
+	for _, inOrder := range []bool{true, false} {
+		aCodes, dCodes := aShuf, dShuf
+		if inOrder {
+			aCodes, dCodes = aOrd, dOrd
+		}
+		e, a, d := orderedEngine(t, false, false, aCodes, dCodes)
+		for _, name := range AlgorithmNames() {
+			alg, _ := ParseAlgorithm(name)
+			if alg == SHCJ {
+				continue // the ancestors are not single-height
+			}
+			for _, filter := range []func(Pair) bool{nil, keep} {
+				wantN := int64(len(want))
+				if filter != nil {
+					wantN = wantKept
+				}
+				count, err := e.Join(a, d, JoinOptions{Algorithm: alg, Filter: filter})
+				if err != nil {
+					t.Fatal(err)
+				}
+				coll, err := e.Join(a, d, JoinOptions{Algorithm: alg, Filter: filter, Collect: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if count.Count != wantN || coll.Count != wantN || int64(len(coll.Pairs)) != wantN {
+					t.Errorf("ordered=%v %s (%s) filtered=%v: count-only %d, collected %d (%d pairs), want %d",
+						inOrder, name, count.Algorithm, filter != nil, count.Count, coll.Count, len(coll.Pairs), wantN)
+				}
+			}
+		}
+		e.Close()
 	}
 }
 
@@ -348,24 +418,28 @@ func TestAnalyzePricesOnlySortsThatRun(t *testing.T) {
 
 // TestFalseOrderClaimNeverAnswersWrongly: relations whose catalog entries
 // claim document order over shuffled pages — the claim Attach takes on
-// trust — make SHCJ, MHCJ+Rollup and VPJ give either the oracle's pairs or
-// an error Classify reports as corrupt, never other pairs. A shuffled build
-// side is hashed from memory; a shuffled side streamed through a merge
-// fails the join (SHCJ over the shuffled D builds on A and streams D).
+// trust — make every join that trusts the claim (the partitioning joins'
+// equijoin merge, the stack, merge and index joins that skip their sort)
+// and AUTO give either the oracle's pairs or an error Classify reports as
+// corrupt, never other pairs. A shuffled build side is hashed from memory;
+// a shuffled side streamed through a merge fails the join (SHCJ over the
+// shuffled D builds on A and streams D), and so does one the stack merge,
+// MPMGJN or an index build reads.
 func TestFalseOrderClaimNeverAnswersWrongly(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	const h = 12
 	aSingle := randCodesFixedHeight(300, 4, h)
 	aMixed, dCodes := randCodes(rng, 300, h), randCodes(rng, 600, h)
+	trusting := []Algorithm{Auto, MHCJRollup, VPJ, StackTree, StackTreeAnc, MPMGJN, INLJN, ADBPlus}
 	for _, tc := range []struct {
 		name         string
 		a            []pbicode.Code
 		algs         []Algorithm
 		shufA, shufD bool
 	}{
-		{"A-shuffled", aSingle, []Algorithm{SHCJ, MHCJRollup, VPJ}, true, false},
-		{"D-shuffled", aSingle, []Algorithm{SHCJ, MHCJRollup, VPJ}, false, true},
-		{"both-shuffled", aMixed, []Algorithm{MHCJRollup, VPJ}, true, true},
+		{"A-shuffled", aSingle, append([]Algorithm{SHCJ}, trusting...), true, false},
+		{"D-shuffled", aSingle, append([]Algorithm{SHCJ}, trusting...), false, true},
+		{"both-shuffled", aMixed, trusting, true, true},
 	} {
 		aOrd, aShuf := docOrdered(t, rng, tc.a)
 		dOrd, dShuf := docOrdered(t, rng, dCodes)

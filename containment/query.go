@@ -105,19 +105,24 @@ func SortDocOrder(codes []pbicode.Code) {
 
 // matches collects the descendant side of one path step's join pairs and
 // yields the distinct matched elements in document order — the step's
-// output, and the next step's ancestor set. Chain passes Emit as each
-// step's JoinOptions.Emit. One collector serves every chain an engine runs
+// output, and the next step's ancestor set. A step with no filter hands it
+// to the join (Engine.join's into), whose stack merge gives it each matched
+// descendant once, in document order; a filtered step passes Emit as the
+// join's JoinOptions.Emit. One collector serves every chain an engine runs
 // (Engine.matched), Reset before each step, so a warm chain's steps append
 // into a buffer that no longer grows. Like the stack-tree-anc arena, a
 // buffer past b pages' worth of records is dropped when its chain ends
 // (release), so an engine keeps at most that much between chains.
 //
-// There is no hash set: a descendant with several matching ancestors is
-// emitted once per ancestor, so duplicates are dropped by sorting. Most
-// never get that far — the hash-probe joins emit a descendant's pairs back
-// to back, which Emit collapses as they arrive.
+// There is no hash set. add keeps a run of one descendant's pairs as one
+// code and notes, at one comparison a code, whether the codes still arrive
+// in document order; only when they did not does Distinct sort them and
+// drop the duplicates.
 type matches struct {
 	codes []pbicode.Code
+	// unsorted is set once a code arrives that does not follow the one
+	// before it in document order.
+	unsorted bool
 	// emit is Emit bound once, for JoinOptions.Emit. It points back at the
 	// collector, which is why that is an object of its own: an Engine that
 	// reached itself could never be finalized, and the serving tests watch
@@ -132,24 +137,39 @@ func newMatches() *matches {
 	return m
 }
 
+// add records a matched descendant.
+func (m *matches) add(c pbicode.Code) {
+	if n := len(m.codes); n > 0 {
+		last := m.codes[n-1]
+		if last == c {
+			return
+		}
+		if !relation.DocLess(last, c) {
+			m.unsorted = true
+		}
+	}
+	m.codes = append(m.codes, c)
+}
+
 // Emit records p's descendant.
 func (m *matches) Emit(p Pair) error {
-	if n := len(m.codes); n == 0 || m.codes[n-1] != p.D {
-		m.codes = append(m.codes, p.D)
-	}
+	m.add(p.D)
 	return nil
 }
 
 // Distinct returns the distinct recorded descendants in document order.
 // The slice is the collector's own buffer: valid until the next Reset.
 func (m *matches) Distinct() []pbicode.Code {
-	SortDocOrder(m.codes)
-	m.codes = slices.Compact(m.codes)
+	if m.unsorted {
+		SortDocOrder(m.codes)
+		m.codes = slices.Compact(m.codes)
+		m.unsorted = false
+	}
 	return m.codes
 }
 
 // Reset empties the collector for the next step, keeping its buffer.
-func (m *matches) Reset() { m.codes = m.codes[:0] }
+func (m *matches) Reset() { m.codes, m.unsorted = m.codes[:0], false }
 
 // release ends a chain: it drops a buffer larger than maxKeep codes.
 func (m *matches) release(maxKeep int) {
@@ -229,7 +249,7 @@ func (e *Engine) Chain(ctx context.Context, anchor *Relation, steps []ChainStep)
 			}
 		}
 		matched.Reset() // cur, its previous content, is loaded into anc by now
-		an, err := e.AnalyzeContext(ctx, anc, st.Desc, JoinOptions{Emit: matched.emit, Filter: st.Filter})
+		an, err := e.chainStep(ctx, anc, st, matched)
 		if anc != anchor {
 			// An aborted join has already released temp state; freeing
 			// again is a harmless no-op.
@@ -248,6 +268,19 @@ func (e *Engine) Chain(ctx context.Context, anchor *Relation, steps []ChainStep)
 	out := make([]pbicode.Code, len(cur))
 	copy(out, cur)
 	return out, reps, nil
+}
+
+// chainStep runs one Chain step under Auto, as AnalyzeContext would,
+// collecting its matched descendants into m: through the join's own
+// collector when the step has no filter, through Emit when every pair must
+// pass the filter first.
+func (e *Engine) chainStep(ctx context.Context, anc *Relation, st ChainStep, m *matches) (*Analysis, error) {
+	opts, into := JoinOptions{}, m
+	if st.Filter != nil {
+		opts, into = JoinOptions{Emit: m.emit, Filter: st.Filter}, nil
+	}
+	res, root, err := e.join(ctx, anc, st.Desc, opts, true, into)
+	return newAnalysis(res, root), err
 }
 
 // Query evaluates a path expression over doc and returns the codes of the

@@ -2,6 +2,8 @@ package benchkit
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
@@ -531,7 +533,7 @@ func A7(cfg Config) (*Result, error) {
 		}
 		eng.ResetIOStats()
 		start = time.Now()
-		n, err := unsortedPath(eng, doc, path)
+		n, err := unsortedPath(eng, doc, path, cfg.Seed)
 		if err != nil {
 			eng.Close()
 			return nil, err
@@ -564,8 +566,12 @@ func pathRow(eng *containment.Engine, dataset, algo string, pairs int64, wall ti
 
 // unsortedPath evaluates the chain treating every intermediate as an
 // unsorted set: each step a fresh MHCJ+Rollup with map-based
-// deduplication, the strategy available without order-aware planning.
-func unsortedPath(eng *containment.Engine, doc *xmltree.Document, tags []string) (int64, error) {
+// deduplication, the strategy available without order-aware planning. The
+// next step loads the set in an order drawn from seed, not in the map's:
+// a packed page holds more records the closer its codes, so the order
+// decides the intermediate's pages, and a map's changes run to run.
+func unsortedPath(eng *containment.Engine, doc *xmltree.Document, tags []string, seed int64) (int64, error) {
+	rng := rand.New(rand.NewSource(seed))
 	cur := doc.Codes(tags[0])
 	for step := 1; step < len(tags); step++ {
 		if len(cur) == 0 {
@@ -600,6 +606,8 @@ func unsortedPath(eng *containment.Engine, doc *xmltree.Document, tags []string)
 		for c := range matched {
 			cur = append(cur, c)
 		}
+		slices.Sort(cur)
+		rng.Shuffle(len(cur), func(i, j int) { cur[i], cur[j] = cur[j], cur[i] })
 	}
 	return int64(len(cur)), nil
 }

@@ -15,6 +15,13 @@ import (
 func benchJoin(b *testing.B, fn joinFunc, n, frames int) {
 	b.Helper()
 	const h = 22
+	aCodes, dCodes := drawCodes(n, h)
+	benchInputs(b, fn, h, frames, aCodes, dCodes, false)
+}
+
+// drawCodes draws the ancestor and descendant codes of the multi-height
+// benchmarks: n each, uniform over a height-h tree, the same every run.
+func drawCodes(n, h int) (aCodes, dCodes []pbicode.Code) {
 	rng := rand.New(rand.NewSource(1))
 	mk := func() []pbicode.Code {
 		out := make([]pbicode.Code, n)
@@ -23,8 +30,7 @@ func benchJoin(b *testing.B, fn joinFunc, n, frames int) {
 		}
 		return out
 	}
-	aCodes, dCodes := mk(), mk()
-	benchInputs(b, fn, h, frames, aCodes, dCodes, false)
+	return mk(), mk()
 }
 
 // benchOrders runs fn over the records as drawn, which no relation claims
@@ -79,15 +85,7 @@ func benchInputs(b *testing.B, fn joinFunc, h, frames int, aCodes, dCodes []pbic
 // as drawn and in document order.
 func BenchmarkMHCJRollup100k(b *testing.B) {
 	const h = 22
-	rng := rand.New(rand.NewSource(1))
-	mk := func() []pbicode.Code {
-		out := make([]pbicode.Code, 100_000)
-		for i := range out {
-			out[i] = pbicode.Code(rng.Uint64()%pbicode.NumNodes(h) + 1)
-		}
-		return out
-	}
-	aCodes, dCodes := mk(), mk()
+	aCodes, dCodes := drawCodes(100_000, h)
 	benchOrders(b, func(ctx *Context, a, d *relation.Relation, s Sink) error {
 		return MHCJRollup(ctx, a, d, 0, s)
 	}, h, 64, aCodes, dCodes)
@@ -95,7 +93,14 @@ func BenchmarkMHCJRollup100k(b *testing.B) {
 
 func BenchmarkVPJ100k(b *testing.B) { benchJoin(b, VPJ, 100_000, 64) }
 
-func BenchmarkStackTree100k(b *testing.B) { benchJoin(b, StackTreeOnTheFly, 100_000, 64) }
+// BenchmarkStackTree100k runs the stack-tree join over records as drawn,
+// which it sorts on the fly, and over the same records in document order,
+// which the batched merge reads as they are.
+func BenchmarkStackTree100k(b *testing.B) {
+	const h = 22
+	aCodes, dCodes := drawCodes(100_000, h)
+	benchOrders(b, StackTreeOnTheFly, h, 64, aCodes, dCodes)
+}
 
 func BenchmarkMPMGJN100k(b *testing.B) { benchJoin(b, MPMGJNOnTheFly, 100_000, 64) }
 

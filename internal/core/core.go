@@ -123,6 +123,28 @@ type Sink interface {
 	Emit(a, d relation.Rec) error
 }
 
+// ChainSink is a Sink that can take all of a descendant's ancestors in one
+// call. StackTree hands such a sink each matched descendant once, in
+// document order, with its ancestor chain, and counts the pairs itself;
+// every other algorithm calls Emit for every pair, as it does for any
+// sink.
+type ChainSink interface {
+	Sink
+	// EmitChain receives d and its proper ancestors, outermost first (at
+	// least one). The slice is the merge's own: valid during the call.
+	EmitChain(anc []relation.Rec, d relation.Rec) error
+}
+
+// Discard is the sink of a join whose pairs nobody reads: it drops them,
+// and the execution's Stats.Pairs counts them. StackTree, handed it,
+// makes no call per descendant at all.
+var Discard ChainSink = discard{}
+
+type discard struct{}
+
+func (discard) Emit(a, d relation.Rec) error                       { return nil }
+func (discard) EmitChain(anc []relation.Rec, d relation.Rec) error { return nil }
+
 // CountSink counts pairs and discards them. The paper's measurements
 // likewise exclude result materialization from algorithm cost.
 type CountSink struct{ N int64 }

@@ -19,15 +19,38 @@ import (
 //     descendant stabs with d.Start.
 
 // btreeSource adapts a document-ordered relation scan to a bulk-load
-// source keyed by region Start with the code as value.
+// source keyed by region Start with the code as value. It checks the order
+// as it reads, so that an input whose order claim is false (SortByDoc does
+// not sort it) fails the build with ErrOrderClaim instead of making a tree
+// whose leaves are out of order.
 type btreeSource struct {
-	s *relation.Scanner
+	rel  *relation.Relation
+	s    *relation.Scanner
+	prev pbicode.Code
+	err  error
 }
 
-func (b btreeSource) Next() bool  { return b.s.Next() }
-func (b btreeSource) Key() uint64 { return b.s.Rec().Code.Start() }
-func (b btreeSource) Val() uint64 { return uint64(b.s.Rec().Code) }
-func (b btreeSource) Err() error  { return b.s.Err() }
+func (b *btreeSource) Next() bool {
+	if !b.s.Next() {
+		return false
+	}
+	c := b.s.Rec().Code
+	if relation.DocLess(c, b.prev) {
+		b.err = orderError(b.rel)
+		return false
+	}
+	b.prev = c
+	return true
+}
+
+func (b *btreeSource) Key() uint64 { return b.s.Rec().Code.Start() }
+func (b *btreeSource) Val() uint64 { return uint64(b.s.Rec().Code) }
+func (b *btreeSource) Err() error {
+	if b.err != nil {
+		return b.err
+	}
+	return b.s.Err()
+}
 
 // BuildStartIndex sorts rel into document order and bulk-loads a B+-tree
 // on region Start (value = code). It returns the tree; the sorted
@@ -42,7 +65,7 @@ func BuildStartIndex(ctx *Context, rel *relation.Relation, name string) (*btree.
 	defer sorted.Free() //nolint:errcheck // cleanup
 	s := sorted.Scan()
 	defer s.Close()
-	return btree.BulkLoad(ctx.Pool, btreeSource{s: s}, 1.0)
+	return btree.BulkLoad(ctx.Pool, &btreeSource{rel: rel, s: s, prev: noneBefore}, 1.0)
 }
 
 // BuildIntervalIndex builds the disk interval tree over rel's regions. The

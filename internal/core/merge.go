@@ -3,6 +3,7 @@ package core
 import (
 	"github.com/pbitree/pbitree/internal/extsort"
 	"github.com/pbitree/pbitree/internal/relation"
+	"github.com/pbitree/pbitree/pbicode"
 )
 
 // This file implements the sort-merge baselines adapted to PBiTree codes
@@ -47,53 +48,221 @@ func (st *stack) popBelow(start uint64) {
 	*st = s
 }
 
+// chain returns the entries that properly contain d: every entry satisfies
+// s.Start <= d.Start <= s.End already, and the entries nest, so their
+// heights fall from the bottom up and the proper ancestors under
+// closed-region semantics are the prefix above d's height — the entries
+// whose lowest set bit, 2^height, is above d's.
+func (st stack) chain(d pbicode.Code) stack {
+	low, n := d&-d, len(st)
+	for n > 0 && st[n-1].Code&-st[n-1].Code <= low {
+		n--
+	}
+	return st[:n]
+}
+
 // emitMatches emits (s, d) for every stack entry that properly contains d.
-// Every entry satisfies s.Start <= d.Start <= s.End already; the height
-// guard selects proper ancestors under closed-region semantics.
 func (st stack) emitMatches(d relation.Rec, sink Sink) error {
-	hd := d.Code.Height()
-	for _, s := range st {
-		if s.Code.Height() > hd {
-			if err := sink.Emit(s, d); err != nil {
-				return err
-			}
+	for _, s := range st.chain(d.Code) {
+		if err := sink.Emit(s, d); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
+// docScan reads a relation a page at a time for the merge joins and checks
+// as it goes that the relation is in the document order they rely on: one
+// DocLess a record, failing with ErrOrderClaim at the first record that
+// precedes the one before it. A claim of order that Attach took on trust
+// is thus never merged past the point where it is found false.
+type docScan struct {
+	rel   *relation.Relation
+	s     *relation.BatchScanner
+	codes []uint64
+	aux   []uint64
+	i     int
+	prev  uint64 // the previous record's code
+	err   error
+}
+
+// noneBefore is a code no code precedes in document order: its region
+// starts at 1, and no region that starts there is longer.
+const noneBefore = 1 << 63
+
+func newDocScan(r *relation.Relation) docScan {
+	return docScan{rel: r, s: r.BatchScan(), i: -1, prev: noneBefore}
+}
+
+// next moves onto the next record, reporting false at the end of the
+// relation or on an error, which err then holds.
+func (c *docScan) next() bool {
+	if c.i++; c.i < len(c.codes) && !relation.DocLess(pbicode.Code(c.codes[c.i]), pbicode.Code(c.prev)) {
+		c.prev = c.codes[c.i]
+		return true
+	}
+	return c.advance()
+}
+
+// advance is next past the end of a page, or onto a record out of order.
+func (c *docScan) advance() bool {
+	for c.i >= len(c.codes) {
+		if !c.s.Next() {
+			return c.fail(c.s.Err())
+		}
+		c.codes, c.aux, c.i = c.s.Codes(), c.s.Aux(), 0
+	}
+	code := c.codes[c.i]
+	if relation.DocLess(pbicode.Code(code), pbicode.Code(c.prev)) {
+		return c.fail(orderError(c.rel))
+	}
+	c.prev = code
+	return true
+}
+
+// fail ends the scan with err (nil at the end of the relation).
+func (c *docScan) fail(err error) bool {
+	c.codes, c.i, c.err = nil, 0, err
+	return false
+}
+
+// code returns the current record's code; rec the whole record.
+func (c *docScan) code() pbicode.Code { return pbicode.Code(c.codes[c.i]) }
+func (c *docScan) rec() relation.Rec {
+	return relation.Rec{Code: pbicode.Code(c.codes[c.i]), Aux: c.aux[c.i]}
+}
+
+// drain reads the rest of the relation, checking its order, when the claim
+// was taken on trust: a merge that stops reading an input early would
+// otherwise never see a record that a false claim put too late — one that
+// belonged before what the merge already joined. A claim its appends made
+// is exact and needs no reading.
+func (c *docScan) drain() error {
+	if c.err == nil && c.codes != nil && c.rel.OrderTrusted() {
+		for c.next() {
+		}
+	}
+	return c.err
+}
+
+func (c *docScan) close() { c.s.Close() }
+
 // StackTree evaluates the stack-tree-desc join over document-ordered
-// inputs: optimal one-pass merge, output ordered by descendant.
+// inputs: the optimal one-pass merge, output ordered by descendant. Both
+// inputs are read a page at a time and checked to be in the order they
+// claim (docScan); a false claim fails the join with ErrOrderClaim. D is
+// read in full, and A too when its order was taken on trust (drain).
+//
+// A sink that takes a descendant's ancestors in one call (ChainSink) gets
+// each matched descendant once, with the stack prefix that contains it;
+// the merge counts its pairs and polls cancellation every 1024 of them, as
+// the counting sink does for every other sink, which sees every pair.
 func StackTree(ctx *Context, a, d *relation.Relation, sink Sink) error {
-	sink = ctx.Wrap(sink)
 	sp := ctx.Trace.Start("merge-scan")
 	defer ctx.Trace.End(sp)
-	as, ds := a.Scan(), d.Scan()
-	defer as.Close()
-	defer ds.Close()
-	var st stack
-	hasA, hasD := as.Next(), ds.Next()
-	for hasD {
-		if hasA && !relation.DocLess(ds.Rec().Code, as.Rec().Code) {
-			// The ancestor-side element starts first (or ties as the
-			// ancestor): open its region on the stack.
-			ar := as.Rec()
-			st.popBelow(ar.Code.Start())
-			st.push(ar)
-			hasA = as.Next()
-			continue
-		}
-		dr := ds.Rec()
-		st.popBelow(dr.Code.Start())
-		if err := st.emitMatches(dr, sink); err != nil {
-			return err
-		}
-		hasD = ds.Next()
+	chains, _ := sink.(ChainSink)
+	if chains == nil {
+		sink = ctx.Wrap(sink)
 	}
-	if err := as.Err(); err != nil {
+	countOnly := sink == Discard
+	stats := ctx.stats()
+	sc := ctx.scratch()
+	st := sc.stack[:0]
+	defer func() { sc.stack = st[:0] }()
+	// The merge compares codes as relation.DocLess does, by c&(c-1),
+	// Start-1, and on a tie by the code itself, larger first; a region
+	// ends at c|(c-1). D's order is checked inline against prevS/prevC;
+	// aS and aC are the next ancestor-side record's, aS all ones once A is
+	// done, which no record reaches. top is the End of the stack's top
+	// entry, all ones when the stack is empty.
+	as := newDocScan(a)
+	defer as.close()
+	aS, aC := ^uint64(0), uint64(0)
+	if as.next() {
+		aC = uint64(as.code())
+		aS = aC & (aC - 1)
+	}
+	top := ^uint64(0)
+	pop := func(upTo uint64) {
+		for top <= upTo {
+			st = st[:len(st)-1]
+			if top = ^uint64(0); len(st) > 0 {
+				c := st[len(st)-1].Code
+				top = uint64(c | (c - 1))
+			}
+		}
+	}
+	prevS, prevC := uint64(0), uint64(noneBefore)
+	ds := d.BatchScan()
+	defer ds.Close()
+	for ds.Next() {
+		codes, aux := ds.Codes(), ds.Aux()
+		for i, c := range codes {
+			s := c & (c - 1)
+			if s < prevS || s == prevS && c > prevC {
+				return orderError(d)
+			}
+			prevS, prevC = s, c
+			// Open every ancestor-side region that starts first (or ties
+			// as the ancestor) and has not ended before d starts, closing
+			// those that end before it. A region that ended before d
+			// contains no later descendant either: it is not opened.
+			for s > aS || s == aS && c <= aC {
+				if end := aC | (aC - 1); end > s {
+					pop(aS)
+					st = append(st, as.rec())
+					top = end
+				}
+				// as.next, its in-page case inlined.
+				if as.i++; as.i < len(as.codes) && !relation.DocLess(pbicode.Code(as.codes[as.i]), pbicode.Code(aC)) {
+					aC = as.codes[as.i]
+					aS, as.prev = aC&(aC-1), aC
+				} else if as.advance() {
+					aC = uint64(as.code())
+					aS = aC & (aC - 1)
+				} else if as.err != nil {
+					return as.err
+				} else {
+					aS, aC = ^uint64(0), 0
+				}
+			}
+			pop(s)
+			if len(st) == 0 {
+				continue
+			}
+			dc := pbicode.Code(c)
+			anc := st.chain(dc)
+			if len(anc) == 0 {
+				continue
+			}
+			if chains == nil {
+				dr := relation.Rec{Code: dc, Aux: aux[i]}
+				for _, ar := range anc {
+					if err := sink.Emit(ar, dr); err != nil {
+						return err
+					}
+				}
+				continue
+			}
+			n := stats.Pairs
+			stats.Pairs += int64(len(anc))
+			if n>>10 != stats.Pairs>>10 {
+				if err := ctx.Canceled(); err != nil {
+					return err
+				}
+			}
+			if countOnly {
+				continue
+			}
+			if err := chains.EmitChain(anc, relation.Rec{Code: dc, Aux: aux[i]}); err != nil {
+				return err
+			}
+		}
+	}
+	if err := ds.Err(); err != nil {
 		return err
 	}
-	return ds.Err()
+	return as.drain()
 }
 
 // StackTreeOnTheFly sorts both inputs into document order (cost charged)
@@ -116,28 +285,44 @@ func StackTreeOnTheFly(ctx *Context, a, d *relation.Relation, sink Sink) error {
 // inputs: for each ancestor it scans the descendant segment within its
 // region, re-reading shared segments for nested ancestors (the rescans the
 // stack-tree join was invented to avoid; Stats.Rescans counts the repeat
-// record reads).
+// record reads). Both inputs are checked to be in the order they claim as
+// they are read, each D record the first time it is; a false claim fails
+// the join with ErrOrderClaim. When D's order was taken on trust, the part
+// no segment reached is read to its end to check it.
 func MPMGJN(ctx *Context, a, d *relation.Relation, sink Sink) error {
 	sink = ctx.Wrap(sink)
 	sp := ctx.Trace.Start("merge-scan")
 	defer ctx.Trace.End(sp)
 	stats := ctx.stats()
-	as := a.Scan()
-	defer as.Close()
+	as := newDocScan(a)
+	defer as.close()
 	var mark relation.Pos
+	var markIdx int64 // the record index of mark
+	// D's records before index seen are checked: last is the last of them,
+	// behind the position after it.
+	var seen int64
+	var last pbicode.Code
+	var behind relation.Pos
 	var ds relation.Scanner // repositioned per ancestor, keeping its buffer
 	defer ds.Close()
-	for as.Next() {
-		ar := as.Rec()
+	for as.next() {
+		ar := as.rec()
 		ds.ResetFrom(d, mark)
-		read := int64(0)
+		idx, read := markIdx, int64(0)
 		for ds.Next() {
 			dr := ds.Rec()
+			if idx == seen {
+				if seen > 0 && relation.DocLess(dr.Code, last) {
+					return orderError(d)
+				}
+				seen, last, behind = seen+1, dr.Code, ds.Pos()
+			}
+			idx++
 			read++
 			if dr.Code.Start() < ar.Code.Start() {
 				// dr can never join later ancestors either (their Starts
 				// are >= ar's): advance the shared mark past it.
-				mark = ds.Pos()
+				mark, markIdx = ds.Pos(), idx
 				read--
 				continue
 			}
@@ -156,7 +341,21 @@ func MPMGJN(ctx *Context, a, d *relation.Relation, sink Sink) error {
 		}
 		stats.Rescans += read
 	}
-	return as.Err()
+	if as.err != nil {
+		return as.err
+	}
+	if !d.OrderTrusted() || seen == 0 || seen == d.NumRecords() {
+		return nil // nothing joined, or every record checked
+	}
+	ds.ResetFrom(d, behind)
+	for ds.Next() {
+		c := ds.Rec().Code
+		if relation.DocLess(c, last) {
+			return orderError(d)
+		}
+		last = c
+	}
+	return ds.Err()
 }
 
 // MPMGJNOnTheFly sorts both inputs (cost charged) and runs MPMGJN.
@@ -225,11 +424,11 @@ func (ar *ancArena) splice(dst *pairList, src pairList) {
 }
 
 // StackTreeAnc evaluates the stack-tree-anc join over document-ordered
-// inputs: same merge as StackTree, but results are delivered ordered by
-// ancestor. Pairs whose ancestor is still open are buffered on the stack
-// (self lists) and cascade through inherit lists on pops, exactly as in
-// Al-Khalifa et al.; buffering is in memory, proportional to the pending
-// result size.
+// inputs, checked as StackTree checks them: same merge, but results are
+// delivered ordered by ancestor. Pairs whose ancestor is still open are
+// buffered on the stack (self lists) and cascade through inherit lists on
+// pops, exactly as in Al-Khalifa et al.; buffering is in memory,
+// proportional to the pending result size.
 func StackTreeAnc(ctx *Context, a, d *relation.Relation, sink Sink) error {
 	sink = ctx.Wrap(sink)
 	sp := ctx.Trace.Start("merge-scan")
@@ -279,21 +478,21 @@ func StackTreeAnc(ctx *Context, a, d *relation.Relation, sink Sink) error {
 		}
 		return nil
 	}
-	as, ds := a.Scan(), d.Scan()
-	defer as.Close()
-	defer ds.Close()
-	hasA, hasD := as.Next(), ds.Next()
+	as, ds := newDocScan(a), newDocScan(d)
+	defer as.close()
+	defer ds.close()
+	hasA, hasD := as.next(), ds.next()
 	for hasD {
-		if hasA && !relation.DocLess(ds.Rec().Code, as.Rec().Code) {
-			ar := as.Rec()
+		if hasA && !relation.DocLess(ds.code(), as.code()) {
+			ar := as.rec()
 			if err := popBelow(ar.Code.Start()); err != nil {
 				return err
 			}
 			arena.stack = append(arena.stack, ancEntry{rec: ar})
-			hasA = as.Next()
+			hasA = as.next()
 			continue
 		}
-		dr := ds.Rec()
+		dr := ds.rec()
 		if err := popBelow(dr.Code.Start()); err != nil {
 			return err
 		}
@@ -303,12 +502,12 @@ func StackTreeAnc(ctx *Context, a, d *relation.Relation, sink Sink) error {
 				arena.push(&e.self, Pair{A: e.rec.Code, D: dr.Code})
 			}
 		}
-		hasD = ds.Next()
+		hasD = ds.next()
 	}
-	if err := as.Err(); err != nil {
-		return err
+	if ds.err != nil {
+		return ds.err
 	}
-	if err := ds.Err(); err != nil {
+	if err := as.drain(); err != nil {
 		return err
 	}
 	for len(arena.stack) > 0 {

@@ -7,9 +7,9 @@ import (
 
 // Scratch is the working memory one engine owns for its lifetime and lends
 // to every join it runs through Context.Scratch: the hash table of the
-// equijoins, the key and region slabs of its kernels, the record
-// chunk of the memory joins, the pending-pair arena of the stack-tree-anc
-// join and the external sort's buffers. The algorithms already size each
+// equijoins, the key and region slabs of its kernels, the record chunk of
+// the memory joins, the stack-tree join's stack, the pending-pair arena of
+// the stack-tree-anc join and the external sort's buffers. The algorithms already size each
 // of these by the b-page budget — a build side never exceeds
 // memRecs(b-2) records, a sort run never exceeds b pages — so what stays
 // resident is bounded by b and the page size, whatever the inputs. Nothing
@@ -28,6 +28,7 @@ type Scratch struct {
 	ends   []uint64       // and ends
 	recs   []relation.Rec // NestedLoop's A chunk, the memory join's loaded D
 	dStart []uint64       // region starts of recs, for the memory join's probes
+	stack  stack          // StackTree's open ancestors
 	anc    ancArena
 	sort   extsort.Scratch
 }

@@ -84,8 +84,12 @@ type Plan struct {
 // the cheapest candidate (the first of equals) otherwise. The candidates
 // are SHCJ when the ancestor set is single-height, MHCJ+Rollup, VPJ when
 // the tree height is known, STACKTREE, ADB+ and INLJN. The model prices an
-// input stored in document order without its sort, which Table 1 cannot
-// see; Table 1 breaks the model's ties, which page counts cannot.
+// input stored in document order (relation.Ordered) without its sort, and
+// the caller's spec reports such an input as sorted (containment folds
+// the bit into SortedA/SortedD), so Table 1 takes its sorted row for two
+// of them: STACKTREE, priced at the ‖A‖+‖D‖ of its merge, which no
+// candidate undercuts. Table 1 breaks the model's ties, which page counts
+// cannot.
 func Choose(ctx *Context, spec InputSpec, a, d *relation.Relation) Plan {
 	in := Gather(ctx, spec, a, d)
 	rule := table1(ctx, spec, a, d)

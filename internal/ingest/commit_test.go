@@ -393,8 +393,9 @@ func TestCatalogElementsTracked(t *testing.T) {
 // a new document's elements far above the base's in the code space, so the
 // ancestor sets gain a near-root tail; rolling the base's ancestors up to
 // the tail's height would verify a false hit for every pair of a base
-// ancestor and a descendant under the same tail-height node. AUTO's rollup
-// must keep its false hits within its answer, and answer exactly.
+// ancestor and a descendant under the same tail-height node. The rollup
+// must keep its false hits within its answer, and answer exactly, as must
+// AUTO, which takes the sorted row for these ordered relations.
 func TestRollupFalseHitsBounded(t *testing.T) {
 	base := buildBaseDB(t, t.TempDir(), libraryDocs(10, 20))
 	s, err := Open(Config{DBPath: base, GapAware: true, BufferPages: 64})
@@ -412,15 +413,18 @@ func TestRollupFalseHitsBounded(t *testing.T) {
 	defer eng.Close()
 	want := forestTagCodes(s)
 	for _, j := range [][2]string{{"book", "author"}, {"book", "title"}, {"book", "year"}} {
-		res, err := eng.Join(rels[relPrefix+j[0]], rels[relPrefix+j[1]], containment.JoinOptions{})
+		a, d := rels[relPrefix+j[0]], rels[relPrefix+j[1]]
+		res, err := eng.Join(a, d, containment.JoinOptions{Algorithm: containment.MHCJRollup})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Algorithm != containment.MHCJRollup.String() {
-			t.Fatalf("//%s//%s ran %s, want MHCJ+Rollup", j[0], j[1], res.Algorithm)
+		auto, err := eng.Join(a, d, containment.JoinOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if wantN := oracleJoin(want[j[0]], want[j[1]]); res.Count != wantN {
-			t.Fatalf("//%s//%s = %d pairs, oracle %d", j[0], j[1], res.Count, wantN)
+		wantN := oracleJoin(want[j[0]], want[j[1]])
+		if res.Count != wantN || auto.Count != wantN {
+			t.Fatalf("//%s//%s = %d pairs by the rollup, %d by AUTO (%s), oracle %d", j[0], j[1], res.Count, auto.Count, auto.Algorithm, wantN)
 		}
 		if res.FalseHits > res.Count {
 			t.Errorf("//%s//%s verified %d false hits for %d pairs", j[0], j[1], res.FalseHits, res.Count)

@@ -14,9 +14,12 @@ import (
 // stored relations: each step is one containment join between the previous
 // step's match set and the next tag's stored element set, exactly the
 // paper's decomposition of structural queries into containment-join
-// chains. Intermediate match sets are unsorted and unindexed — the case
-// the partitioning algorithms exist for — so each step goes through the
-// engine's normal Auto selection.
+// chains. Each step goes through the engine's normal Auto selection.
+// Relations stored in document order, and every intermediate match set,
+// which is loaded in it, are sorted inputs, so such steps take Table 1's
+// sorted row, the stack-tree merge, whose output order §3.1 calls
+// "favorable for further containment joins": it hands each step its
+// matches once, in order.
 //
 // The child axis (/) and equality predicates ([t="v"]) need the source
 // document's structure and text, which a stored database does not retain;

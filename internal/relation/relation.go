@@ -61,6 +61,9 @@ type Relation struct {
 	ordered   bool
 	last      pbicode.Code
 	lastKnown bool
+	// trusted is set when the ordered bit came from Attach's caller rather
+	// than from appends that checked it (OrderTrusted).
+	trusted bool
 	// borrowed relations read another relation's pages without owning
 	// them (Borrow): Free forgets the pages instead of discarding them.
 	borrowed bool
@@ -71,10 +74,12 @@ type Relation struct {
 // ancestor — first. It is the order of extsort.ByStartEndDesc, the input
 // order of the merge joins.
 func DocLess(x, y pbicode.Code) bool {
-	if sx, sy := x.Start(), y.Start(); sx != sy {
+	// x&(x-1) clears x's lowest set bit: Start-1. Of two regions that
+	// start together the longer has the larger code.
+	if sx, sy := x&(x-1), y&(y-1); sx != sy {
 		return sx < sy
 	}
-	return x.End() > y.End()
+	return x > y
 }
 
 // Ordered reports whether the relation's records are in document order:
@@ -84,6 +89,13 @@ func DocLess(x, y pbicode.Code) bool {
 // relation that writes the paper's layout never claims it: the paper's
 // inputs arrive unsorted, and its experiments pay the sort.
 func (r *Relation) Ordered() bool { return r.ordered && !r.paper }
+
+// OrderTrusted reports whether the relation claims document order
+// (Ordered) on the word of Attach's caller, not because its appends
+// checked it. A merge over such a relation checks the order as it reads
+// and reads to the end an input whose unread tail could hide a false
+// claim; a claim its appends made needs neither.
+func (r *Relation) OrderTrusted() bool { return r.Ordered() && r.trusted }
 
 // SetPaperLayout makes subsequent appends write the paper's layout, 16-byte
 // records at 255 per 4 KiB page, instead of packed pages. Existing pages
@@ -159,7 +171,7 @@ func (r *Relation) Free() error {
 	}
 	r.pages = nil
 	r.count = 0
-	r.ordered = true
+	r.ordered, r.trusted = true, false
 	return nil
 }
 
@@ -427,6 +439,7 @@ func Attach(pool *buffer.Pool, name string, pages []storage.PageID, count int64,
 		minStart: span.Start,
 		maxEnd:   span.End,
 		ordered:  ordered || count == 0,
+		trusted:  ordered && count > 0,
 	}
 }
 
