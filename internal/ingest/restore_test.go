@@ -17,11 +17,13 @@ import (
 
 // TestStoredOrderAfterSlotReuse pins the order tag relations are stored
 // in: the order of insertion, not document order, once an insert reuses a
-// freed slot. Documents a and b are inserted; then one batch deletes a and
-// inserts c, which takes a's root slot, before b's. The stored book
-// relation lists the base's books, b's and then c's, so c's first book
-// comes after b's last while it starts before it — and the relation claims
-// neither to be sorted nor to be in document order.
+// freed slot. Documents a and b are inserted, then single-element memo
+// documents take every root slot after b's up to the end of the primary
+// region, so next-fit has nowhere left to append; then one batch deletes a
+// and inserts c, which first-fit puts in a's root slot, before b's. The
+// stored book relation lists the base's books, b's and then c's, so c's
+// first book comes after b's last while it starts before it — and the
+// relation claims neither to be sorted nor to be in document order.
 func TestStoredOrderAfterSlotReuse(t *testing.T) {
 	base := buildBaseDB(t, t.TempDir(), libraryDocs(1, 4))
 	s, err := Open(Config{DBPath: base, GapAware: true})
@@ -30,15 +32,27 @@ func TestStoredOrderAfterSlotReuse(t *testing.T) {
 	}
 	defer s.Close() //nolint:errcheck // test teardown
 	books := "<lib>" + strings.Repeat("<book><title/></book>", 4) + "</lib>"
-	for _, batch := range [][]Op{
-		{{Op: "insert_doc", Doc: "a", XML: books}},
-		{{Op: "insert_doc", Doc: "b", XML: books}},
-		{{Op: "delete_doc", Doc: "a"}, {Op: "insert_doc", Doc: "c", XML: books}},
-	} {
+	apply := func(batch ...Op) {
+		t.Helper()
 		if _, err := s.Apply(batch); err != nil {
 			t.Fatal(err)
 		}
 	}
+	apply(Op{Op: "insert_doc", Doc: "a", XML: books})
+	apply(Op{Op: "insert_doc", Doc: "b", XML: books})
+	for i := 0; ; i++ {
+		s.mu.Lock()
+		si, err := s.forest.Slots(s.forest.Root)
+		s.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if si.Used.Next() >= si.Capacity-si.Capacity/4 {
+			break
+		}
+		apply(Op{Op: "insert_doc", Doc: fmt.Sprintf("memo%d", i), XML: "<memo/>"})
+	}
+	apply(Op{Op: "delete_doc", Doc: "a"}, Op{Op: "insert_doc", Doc: "c", XML: books})
 	if b, c := docRootCode(t, s, "b"), docRootCode(t, s, "c"); c.Start() >= b.Start() {
 		t.Fatalf("c's root starts at %d, b's at %d: c did not reuse a's slot", c.Start(), b.Start())
 	}

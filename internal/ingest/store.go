@@ -34,8 +34,9 @@ type Config struct {
 	// Headroom extra slot levels (2^Headroom× the minimal sibling ranges)
 	// and per-parent slot ranges keep their last quarter as an overflow
 	// region, taken only when the primary region is exhausted. Off, the
-	// naive scheme packs minimally (headroom 0, pure first-fit) — the
-	// baseline the sustained-ingest benchmark compares against.
+	// naive scheme packs minimally (headroom 0, no reserved region) — the
+	// baseline the sustained-ingest benchmark compares against. Both choose
+	// slots next-fit (pickSlot).
 	GapAware bool
 	// Headroom is the slot headroom used by gap-aware re-encodes
 	// (default 2; ignored when GapAware is off).
@@ -583,21 +584,28 @@ func (s *Store) headroom() int {
 	return 0
 }
 
-// pickSlot chooses a sibling slot under the active coding scheme: naive is
-// pure first-fit; gap-aware first-fits within the primary region (the
-// first three quarters) and spills into the reserved overflow quarter only
-// when the primary is exhausted, so bursts on a hot parent defer
-// renumbering instead of forcing it. overflow reports a slot of that
-// quarter.
+// pickSlot chooses a sibling slot under the active coding scheme, next-fit
+// within the primary region: the slot after the highest taken one, so an
+// insert lands after every sibling and a relation that appends its codes
+// stays in document order; once that runs past the primary region, the
+// lowest free slot in it. Gap-aware, the primary region is the first three
+// quarters and the last quarter is reserved as overflow, taken (first-fit)
+// only when the primary is full, so bursts on a hot parent defer
+// renumbering instead of forcing it; naive, the primary region is the
+// whole range. overflow reports a slot of the reserved quarter.
 func (s *Store) pickSlot(si xmltree.SlotInfo) (slot uint64, overflow, ok bool) {
 	primary := si.Capacity
 	if s.cfg.GapAware && si.Capacity >= 4 {
 		primary = si.Capacity - si.Capacity/4
 	}
-	for ; slot < si.Capacity; slot++ {
-		if !si.Used[slot] {
-			return slot, slot >= primary, true
-		}
+	if next := si.Used.Next(); next < primary {
+		return next, false, true
+	}
+	if slot, ok := si.Used.FirstFree(0, primary); ok {
+		return slot, false, true
+	}
+	if slot, ok := si.Used.FirstFree(primary, si.Capacity); ok {
+		return slot, true, true
 	}
 	return 0, false, false
 }

@@ -14,7 +14,7 @@ import (
 // enclose their descendants), so parent links rebuild with a single stack
 // pass and the result is bit-identical to the collection that was stored:
 // the live-ingest write path (internal/ingest) opens a database this way
-// and then applies InsertChild/InsertSubtree/Delete to it directly.
+// and then applies InsertChild/InsertSubtreeSlot/Delete to it directly.
 
 // TaggedCode pairs an element's tag with its PBiTree code — one stored
 // element of a persisted collection.

@@ -123,7 +123,7 @@ func TestInsertSubtreeGraft(t *testing.T) {
 	}
 	graft := sub.Root
 	graft.Parent = nil
-	if err := doc.InsertSubtree(doc.Root, graft, 0); err != nil {
+	if err := graftSubtree(doc, doc.Root, graft, 0); err != nil {
 		t.Fatal(err)
 	}
 	checkInvariants(t, doc)
@@ -159,12 +159,27 @@ func TestInsertSubtreeDepthExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 	deep.Root.Parent = nil
-	if err := doc.InsertSubtree(doc.Root, deep.Root, 0); !errors.Is(err, ErrNoFreeSlot) {
+	if err := graftSubtree(doc, doc.Root, deep.Root, 0); !errors.Is(err, ErrNoFreeSlot) {
 		t.Fatalf("deep graft: err = %v, want ErrNoFreeSlot", err)
 	}
-	// Attached roots and foreign parents are rejected outright.
-	if err := doc.InsertSubtree(doc.Root, doc.Elements("a")[0], 0); err == nil || errors.Is(err, ErrNoFreeSlot) {
+	// Attached roots are rejected outright.
+	if err := doc.InsertSubtreeSlot(doc.Root, doc.Elements("a")[0], 0, 0); err == nil || errors.Is(err, ErrNoFreeSlot) {
 		t.Fatalf("attached root: err = %v", err)
+	}
+	// With headroom the root has free slots, each one level above the
+	// bottom: the deep subtree fits in none of them.
+	if err := doc.Reencode(1); err != nil {
+		t.Fatal(err)
+	}
+	si, err := doc.Slots(doc.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slot := si.Used.Next(); slot >= si.Capacity || si.Depth >= 40 {
+		t.Fatalf("re-encoded root: next slot %d of %d, depth %d", slot, si.Capacity, si.Depth)
+	}
+	if err := doc.InsertSubtreeSlot(doc.Root, deep.Root, 0, si.Used.Next()); !errors.Is(err, ErrNoFreeSlot) {
+		t.Fatalf("deep graft into a free slot: err = %v, want ErrNoFreeSlot", err)
 	}
 	checkInvariants(t, doc)
 }
@@ -178,12 +193,12 @@ func TestSlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if si.Capacity != 4 || len(si.Used) != 3 {
-		t.Fatalf("Slots: capacity %d used %d, want 4/3", si.Capacity, len(si.Used))
+	if si.Capacity != 4 || si.Used.Len() != 3 {
+		t.Fatalf("Slots: capacity %d used %d, want 4/3", si.Capacity, si.Used.Len())
 	}
 	free := uint64(0)
 	for s := uint64(0); s < si.Capacity; s++ {
-		if !si.Used[s] {
+		if !si.Used.Has(s) {
 			free++
 		}
 	}
@@ -362,7 +377,7 @@ func TestRandomizedUpdateSequences(t *testing.T) {
 						t.Fatal(err)
 					}
 					sub.Root.Parent = nil
-					err = doc.InsertSubtree(p, sub.Root, 0)
+					err = graftSubtree(doc, p, sub.Root, 0)
 					if err != nil && !errors.Is(err, ErrNoFreeSlot) {
 						t.Fatal(err)
 					}
@@ -387,7 +402,7 @@ func TestRandomizedUpdateSequences(t *testing.T) {
 						}
 					}
 					strip(e)
-					err := doc.InsertSubtree(p, e, 0)
+					err := graftSubtree(doc, p, e, 0)
 					if err != nil && !errors.Is(err, ErrNoFreeSlot) {
 						t.Fatal(err)
 					}

@@ -53,6 +53,7 @@ func FuzzUpdates(f *testing.F) {
 			if n != doc.NumElements() {
 				t.Fatalf("count %d, walked %d", doc.NumElements(), n)
 			}
+			checkSlots(t, doc)
 		}
 		// pick deterministically maps a byte to a live element.
 		pick := func(b byte) *Element {
@@ -87,7 +88,7 @@ func FuzzUpdates(f *testing.F) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				err = doc.InsertSubtree(pick(arg), sub.Root, 0)
+				err = graftSubtree(doc, pick(arg), sub.Root, 0)
 				if err != nil && !errors.Is(err, ErrNoFreeSlot) {
 					t.Fatal(err)
 				}

@@ -3,6 +3,8 @@ package xmltree
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 
 	"github.com/pbitree/pbitree/pbicode"
 )
@@ -21,57 +23,28 @@ import (
 var ErrNoFreeSlot = errors.New("xmltree: no free sibling slot; re-encode the document")
 
 // InsertChild adds a new element with the given tag under parent,
-// assigning it a PBiTree code from the virtual-node slots next to its
-// siblings. Existing codes never change. The new element is appended to
-// parent.Children and indexed; it starts childless (fresh subtrees under
-// it use the slots of its own virtual subtree).
+// assigning it the lowest free PBiTree slot next to its siblings. Existing
+// codes never change. The new element is appended to parent.Children and
+// indexed; it starts childless (fresh subtrees under it use the slots of
+// its own virtual subtree).
 func (d *Document) InsertChild(parent *Element, tag string) (*Element, error) {
 	if parent == nil {
 		return nil, fmt.Errorf("xmltree: nil parent")
 	}
-	if d.ByCode(parent.Code) != parent {
-		return nil, fmt.Errorf("xmltree: parent is not part of this document")
+	si, err := d.Slots(parent)
+	if err != nil {
+		return nil, err
 	}
-	pAlpha, pLevel := parent.Code.TopDown(d.Height)
-
-	var childLevel int
-	var slotBase, capacity uint64
-	if len(parent.Children) > 0 {
-		// Children sit on one level; their slot range descends from the
-		// parent's position.
-		childLevel = parent.Children[0].Code.Level(d.Height)
-		span := uint(childLevel - pLevel)
-		slotBase = pAlpha << span
-		capacity = 1 << span
-	} else {
-		// A childless parent opens the level just below it: two slots.
-		childLevel = pLevel + 1
-		if childLevel > d.Height-1 {
-			return nil, ErrNoFreeSlot
-		}
-		slotBase = pAlpha << 1
-		capacity = 2
-	}
-
-	used := make(map[uint64]bool, len(parent.Children))
-	for _, c := range parent.Children {
-		alpha, _ := c.Code.TopDown(d.Height)
-		used[alpha-slotBase] = true
-	}
-	slot := uint64(0)
-	for ; slot < capacity; slot++ {
-		if !used[slot] {
-			break
-		}
-	}
-	if slot == capacity {
+	slot, ok := si.Used.FirstFree(0, si.Capacity)
+	if !ok {
 		return nil, ErrNoFreeSlot
 	}
 	e := &Element{
 		Tag:    tag,
 		Parent: parent,
-		Code:   pbicode.G(slotBase+slot, childLevel, d.Height),
+		Code:   pbicode.G(si.Base+slot, si.Level, d.Height),
 	}
+	d.take(parent, slot)
 	parent.Children = append(parent.Children, e)
 	d.note(tag, len(d.byTag[tag]))
 	d.byTag[tag] = append(d.byTag[tag], e)
@@ -90,6 +63,7 @@ func (d *Document) Delete(e *Element) error {
 	if e.Parent == nil {
 		return fmt.Errorf("xmltree: cannot delete the document root")
 	}
+	d.release(e)
 	// Unlink from the parent.
 	siblings := e.Parent.Children
 	for i, c := range siblings {
@@ -102,6 +76,7 @@ func (d *Document) Delete(e *Element) error {
 	var drop func(*Element)
 	drop = func(x *Element) {
 		delete(d.byCode, x.Code)
+		delete(d.slots, x)
 		tagged := d.byTag[x.Tag]
 		for i, c := range tagged {
 			if c == x {
@@ -159,23 +134,64 @@ type SlotInfo struct {
 	Base uint64
 	// Capacity is the number of slots (2^(Level - parent level)).
 	Capacity uint64
-	// Used marks taken slot indices (relative to Base).
-	Used map[uint64]bool
+	// Used is the set of taken slot indices (relative to Base).
+	Used SlotSet
 	// Depth is the number of PBiTree levels available at and below the
 	// child slots (Height - Level): a grafted subtree of binarized height
 	// at most Depth fits.
 	Depth int
 }
 
+// SlotSet is the occupancy of one parent's slot range: the taken slot
+// indices, ascending. The Document keeps it for each parent it has been
+// asked about — a graft or InsertChild adds the slot, a Delete removes it,
+// RenumberSubtree and Reencode drop it — so reading it costs no walk of
+// the parent's children. A SlotSet is a view, valid until the document's
+// next update.
+type SlotSet struct{ taken []uint64 }
+
+// Len returns the number of taken slots.
+func (u SlotSet) Len() int { return len(u.taken) }
+
+// Has reports whether slot is taken.
+func (u SlotSet) Has(slot uint64) bool {
+	_, ok := slices.BinarySearch(u.taken, slot)
+	return ok
+}
+
+// Next returns the slot after the highest taken one (0 when none is): the
+// high-water mark, the slot an append after every sibling takes.
+func (u SlotSet) Next() uint64 {
+	if len(u.taken) == 0 {
+		return 0
+	}
+	return u.taken[len(u.taken)-1] + 1
+}
+
+// FirstFree returns the lowest free slot in [from, to).
+func (u SlotSet) FirstFree(from, to uint64) (uint64, bool) {
+	// taken[i:] are the slots at or after from. They are distinct and
+	// ascending, so taken[i+j]-j never decreases with j, and the first j
+	// with taken[i+j] > from+j ends the run of taken slots from `from` on.
+	i, _ := slices.BinarySearch(u.taken, from)
+	rest := u.taken[i:]
+	j := sort.Search(len(rest), func(j int) bool { return rest[j] > from+uint64(j) })
+	if slot := from + uint64(j); slot < to {
+		return slot, true
+	}
+	return 0, false
+}
+
 // Slots reports the sibling-slot range of parent's children. A childless
 // parent opens the level just below it (two slots); at the bottom of the
-// PBiTree, Capacity is 0.
+// PBiTree, Capacity is 0. The first call for a parent builds its SlotSet
+// from the children; later calls read the kept one.
 func (d *Document) Slots(parent *Element) (SlotInfo, error) {
 	if parent == nil || d.ByCode(parent.Code) != parent {
 		return SlotInfo{}, fmt.Errorf("xmltree: parent is not part of this document")
 	}
 	pAlpha, pLevel := parent.Code.TopDown(d.Height)
-	si := SlotInfo{Used: make(map[uint64]bool, len(parent.Children))}
+	var si SlotInfo
 	if len(parent.Children) > 0 {
 		si.Level = parent.Children[0].Code.Level(d.Height)
 		span := uint(si.Level - pLevel)
@@ -184,51 +200,63 @@ func (d *Document) Slots(parent *Element) (SlotInfo, error) {
 	} else {
 		si.Level = pLevel + 1
 		if si.Level > d.Height-1 {
-			return SlotInfo{Level: si.Level, Depth: 0, Used: si.Used}, nil
+			return SlotInfo{Level: si.Level}, nil
 		}
 		si.Base = pAlpha << 1
 		si.Capacity = 2
 	}
 	si.Depth = d.Height - si.Level
-	for _, c := range parent.Children {
-		alpha, _ := c.Code.TopDown(d.Height)
-		si.Used[alpha-si.Base] = true
-	}
+	si.Used = SlotSet{d.occupancy(parent, si.Base)}
 	return si, nil
 }
 
-// InsertSubtree grafts a whole element tree (root and its descendants;
-// root must be detached) under parent, taking the first free sibling slot
-// deep enough to hold it. The subtree is binarized standalone with the
-// given slot headroom and its codes are translated into the slot's code
-// region; no existing code changes. ErrNoFreeSlot is returned when no slot
-// is free or the PBiTree has too few levels below the slot for the
-// subtree's embedded height.
-func (d *Document) InsertSubtree(parent *Element, root *Element, headroom int) error {
-	if root == nil {
-		return fmt.Errorf("xmltree: nil subtree root")
+// occupancy returns parent's taken slots (relative to base), building
+// them from the children the first time.
+func (d *Document) occupancy(parent *Element, base uint64) []uint64 {
+	if taken, ok := d.slots[parent]; ok {
+		return taken
 	}
-	if root.Parent != nil {
-		return fmt.Errorf("xmltree: subtree root is already attached")
+	taken := make([]uint64, 0, len(parent.Children))
+	for _, c := range parent.Children {
+		alpha, _ := c.Code.TopDown(d.Height)
+		taken = append(taken, alpha-base)
 	}
-	si, err := d.Slots(parent)
-	if err != nil {
-		return err
+	slices.Sort(taken)
+	if d.slots == nil {
+		d.slots = make(map[*Element][]uint64)
 	}
-	for slot := uint64(0); slot < si.Capacity; slot++ {
-		if !si.Used[slot] {
-			err := d.InsertSubtreeSlot(parent, root, headroom, slot)
-			if err == nil || !errors.Is(err, ErrNoFreeSlot) {
-				return err
-			}
-		}
-	}
-	return ErrNoFreeSlot
+	d.slots[parent] = taken
+	return taken
 }
 
-// InsertSubtreeSlot is InsertSubtree with the slot chosen by the caller
-// (an index below Slots(parent).Capacity). A taken slot, or one without
-// enough PBiTree levels below it, fails with ErrNoFreeSlot.
+// take marks slot taken under parent, whose SlotSet Slots has built.
+func (d *Document) take(parent *Element, slot uint64) {
+	taken := d.slots[parent]
+	i, _ := slices.BinarySearch(taken, slot)
+	d.slots[parent] = slices.Insert(taken, i, slot)
+}
+
+// release frees e's slot under its parent, if the parent's SlotSet is kept.
+func (d *Document) release(e *Element) {
+	taken, ok := d.slots[e.Parent]
+	if !ok {
+		return
+	}
+	pAlpha, pLevel := e.Parent.Code.TopDown(d.Height)
+	alpha, level := e.Code.TopDown(d.Height)
+	if i, ok := slices.BinarySearch(taken, alpha-pAlpha<<uint(level-pLevel)); ok {
+		d.slots[e.Parent] = slices.Delete(taken, i, i+1)
+	}
+}
+
+// InsertSubtreeSlot grafts a whole element tree (root and its
+// descendants; root must be detached) under parent at the given sibling
+// slot, an index below Slots(parent).Capacity that the caller chose. The
+// subtree is binarized standalone with the given slot headroom and its
+// codes are translated into the slot's code region; no existing code
+// changes. A taken slot, or one without enough PBiTree levels below it for
+// the subtree's embedded height, fails with ErrNoFreeSlot — and then so
+// would every other slot of parent: they all lie on one level.
 func (d *Document) InsertSubtreeSlot(parent *Element, root *Element, headroom int, slot uint64) error {
 	if root == nil {
 		return fmt.Errorf("xmltree: nil subtree root")
@@ -240,7 +268,7 @@ func (d *Document) InsertSubtreeSlot(parent *Element, root *Element, headroom in
 	if err != nil {
 		return err
 	}
-	if slot >= si.Capacity || si.Used[slot] {
+	if slot >= si.Capacity || si.Used.Has(slot) {
 		return ErrNoFreeSlot
 	}
 	mirror := toNode(root)
@@ -253,6 +281,7 @@ func (d *Document) InsertSubtreeSlot(parent *Element, root *Element, headroom in
 	}
 	slotAlpha := si.Base + slot
 	graftCodes(d, root, mirror, tree.Height, slotAlpha, si.Level)
+	d.take(parent, slot)
 	root.Parent = parent
 	parent.Children = append(parent.Children, root)
 	return nil
@@ -304,6 +333,7 @@ func (d *Document) RenumberSubtree(e *Element, headroom int) error {
 	var drop func(*Element)
 	drop = func(x *Element) {
 		delete(d.byCode, x.Code)
+		delete(d.slots, x)
 		d.note(x.Tag, 0)
 		for _, c := range x.Children {
 			drop(c)

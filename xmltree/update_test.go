@@ -2,6 +2,7 @@ package xmltree
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"github.com/pbitree/pbitree/pbicode"
@@ -29,6 +30,49 @@ func checkInvariants(t *testing.T, d *Document) {
 	if n != d.NumElements() {
 		t.Fatalf("count %d, walked %d", d.NumElements(), n)
 	}
+	checkSlots(t, d)
+}
+
+// checkSlots holds every SlotSet the document keeps to a walk of its
+// parent's children.
+func checkSlots(t testing.TB, d *Document) {
+	t.Helper()
+	for parent, taken := range d.slots {
+		if d.ByCode(parent.Code) != parent {
+			t.Fatalf("slot set kept for %v, no longer in the document", parent.Code)
+		}
+		var want []uint64
+		if len(parent.Children) > 0 {
+			pAlpha, pLevel := parent.Code.TopDown(d.Height)
+			base := pAlpha << uint(parent.Children[0].Code.Level(d.Height)-pLevel)
+			for _, c := range parent.Children {
+				alpha, _ := c.Code.TopDown(d.Height)
+				want = append(want, alpha-base)
+			}
+			slices.Sort(want)
+		}
+		if !slices.Equal(taken, want) {
+			t.Fatalf("slot set of %v is %v, its children take %v", parent.Code, taken, want)
+		}
+	}
+}
+
+// graftSubtree grafts root under parent the way the naive ingest coder
+// does: at the slot after the highest taken one, or else at the lowest
+// free one.
+func graftSubtree(d *Document, parent, root *Element, headroom int) error {
+	si, err := d.Slots(parent)
+	if err != nil {
+		return err
+	}
+	slot := si.Used.Next()
+	if slot >= si.Capacity {
+		var ok bool
+		if slot, ok = si.Used.FirstFree(0, si.Capacity); !ok {
+			return ErrNoFreeSlot
+		}
+	}
+	return d.InsertSubtreeSlot(parent, root, headroom, slot)
 }
 
 func TestInsertChildUsesVirtualSlots(t *testing.T) {
@@ -194,5 +238,33 @@ func TestInsertedElementsJoinCorrectly(t *testing.T) {
 	}
 	if pairs != 2 {
 		t.Fatalf("join pairs = %d, want 2", pairs)
+	}
+}
+
+// TestSlotsAfterRenumber: a scoped renumber packs a parent's children
+// afresh, so the slot set the document kept for the parent does not
+// survive it.
+func TestSlotsAfterRenumber(t *testing.T) {
+	doc, err := ParseString(`<r><a><p/><q/><s/></a><b><c><d><e><f/></e></d></c></b></r>`, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := doc.Elements("a")[0]
+	if _, err := doc.Slots(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := doc.Delete(doc.Elements("p")[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := doc.RenumberSubtree(a, 1); err != nil {
+		t.Fatal(err)
+	}
+	checkInvariants(t, doc)
+	si, err := doc.Slots(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if si.Used.Len() != 2 || !si.Used.Has(0) || si.Used.Next() != 2 {
+		t.Fatalf("after the renumber a's slots are %v, want 0 and 1", si.Used)
 	}
 }

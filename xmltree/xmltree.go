@@ -71,6 +71,9 @@ type Document struct {
 	// ResetChanges to the lowest ordinal of its index that may differ: every
 	// element before it is where it was, with the code it had.
 	changed map[string]int
+	// slots holds, for each parent Slots was asked about, its taken child
+	// slots in ascending order (see SlotSet); updates keep it current.
+	slots map[*Element][]uint64
 }
 
 // Parse reads one XML document and encodes it.
