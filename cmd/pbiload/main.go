@@ -320,6 +320,8 @@ func printEpochStats(base string) {
 			RenumbersScoped uint64 `json:"renumbers_scoped"`
 			RenumbersGlobal uint64 `json:"renumbers_global"`
 			OverflowInserts uint64 `json:"overflow_inserts"`
+			RootGrows       uint64 `json:"root_grows"`
+			TreeHeight      int    `json:"tree_height"`
 			Compactions     uint64 `json:"compactions"`
 		} `json:"stats"`
 	}
@@ -330,8 +332,8 @@ func printEpochStats(base string) {
 	s := e.Stats
 	fmt.Printf("server: epoch %d (chain %d, %d documents), %d commits: %d inserts %d updates %d deletes\n",
 		e.Current, s.ChainLen, s.Documents, s.Commits, s.Inserts, s.Updates, s.Deletes)
-	fmt.Printf("server: renumbers scoped=%d global=%d, overflow inserts=%d, compactions=%d\n",
-		s.RenumbersScoped, s.RenumbersGlobal, s.OverflowInserts, s.Compactions)
+	fmt.Printf("server: renumbers scoped=%d global=%d, overflow inserts=%d, root grows=%d (tree height %d), compactions=%d\n",
+		s.RenumbersScoped, s.RenumbersGlobal, s.OverflowInserts, s.RootGrows, s.TreeHeight, s.Compactions)
 }
 
 // buildMix assembles the request list as target-relative URLs; the load

@@ -224,6 +224,56 @@ func TestCommitWritesChangeNotRelation(t *testing.T) {
 	}
 }
 
+// TestGrowCommitWritesTail: a commit whose document insert grows the
+// collection root writes what the same insert writes into a root grown
+// beforehand — the tail pages of the relations it appends to, and no page
+// more: the grow moves no stored code, so no relation is re-stored for it.
+func TestGrowCommitWritesTail(t *testing.T) {
+	commit := func(pregrow bool) (*CommitResult, Stats, map[string][]uint64) {
+		// Eight documents fill their packed root's eight slots.
+		s, err := Open(Config{DBPath: buildBaseDB(t, t.TempDir(), libraryDocs(8, 700)), GapAware: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close() //nolint:errcheck
+		if si := rootSlots(t, s); si.Used.Next() != si.Capacity {
+			t.Fatalf("the base's root has %d of %d slots before its last free", si.Used.Next(), si.Capacity)
+		}
+		if pregrow {
+			s.mu.Lock()
+			err := s.forest.GrowRoot()
+			s.mu.Unlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := s.Apply([]Op{{Op: "insert_doc", Doc: "small", XML: smallDoc}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertStoreMatchesEpoch(t, s)
+		return res, s.Stats(), storedTagCodes(t, s)
+	}
+	grew, st, codes := commit(false)
+	pre, preSt, preCodes := commit(true)
+	if st.RootGrows != 1 || preSt.RootGrows != 0 || grew.RenumbersGlobal+grew.RenumbersScoped != 0 || st.TreeHeight != preSt.TreeHeight {
+		t.Fatalf("growing in the commit: %+v; grown before it: %+v", st, preSt)
+	}
+	sameTagCodes(t, "the grown commit against the pre-grown one", codes, preCodes)
+	pages, _, err := storage.VerifyDelta(grew.Path + ".delta")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prePages, _, err := storage.VerifyDelta(pre.Path + ".delta")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pages != prePages || st.DeltaPages != preSt.DeltaPages || st.SharedPages != preSt.SharedPages || pages > 2*smallDocTags+2 {
+		t.Fatalf("growing in the commit: %d-page delta, %d shared pages; grown before it: %d, %d; want equal and at most %d",
+			pages, st.SharedPages, prePages, preSt.SharedPages, 2*smallDocTags+2)
+	}
+}
+
 // TestEpochChainFsckClean: every epoch of a 20-commit chain of mixed
 // batches, folded by a compaction half way, passes Fsck and stores exactly
 // the forest — the sharing of pages across deltas, and across the fold,

@@ -38,12 +38,27 @@ func rootSlot(t *testing.T, s *Store, name string) uint64 {
 	return alpha - si.Base
 }
 
+// elementCodes returns the code of every element below the collection
+// root, by identity.
+func elementCodes(s *Store) map[*xmltree.Element]pbicode.Code {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := map[*xmltree.Element]pbicode.Code{}
+	s.forest.Walk(func(e *xmltree.Element) bool {
+		if e != s.forest.Root {
+			out[e] = e.Code
+		}
+		return true
+	})
+	return out
+}
+
 // TestChurnKeepsDocumentOrder: documents are inserted one batch at a
 // time, every fifth batch replacing an earlier document (delete_doc and
 // insert_doc in one batch, the ingest_mix write), under the gap-aware
-// coder. Next-fit puts each new document after every live one, so until
-// the collection root's primary region wraps — through the global
-// re-encode the base's packed root forces first — every stored tag
+// coder, from a base whose collection root is full. Next-fit puts each new
+// document after every live one and the root grows whenever that runs past
+// its range, so through four grows and no re-encode every stored tag
 // relation is in document order and claims it, every epoch is Fsck-clean,
 // and its joins answer what the nested-loop oracle counts.
 func TestChurnKeepsDocumentOrder(t *testing.T) {
@@ -55,14 +70,7 @@ func TestChurnKeepsDocumentOrder(t *testing.T) {
 	defer s.Close() //nolint:errcheck // test teardown
 	rng := rand.New(rand.NewSource(41))
 	var live []string
-	commits := 0
-	for i := 0; ; i++ {
-		if si := rootSlots(t, s); si.Used.Next() >= si.Capacity-si.Capacity/4 && si.Used.Len() < int(si.Capacity) {
-			break // the next insert takes a slot before the last document's
-		}
-		if i == 200 {
-			t.Fatal("the primary region never wrapped")
-		}
+	for i := 0; i < 40; i++ {
 		var ops []Op
 		if i%5 == 4 {
 			j := rng.Intn(len(live))
@@ -75,7 +83,6 @@ func TestChurnKeepsDocumentOrder(t *testing.T) {
 		if _, err := s.Apply(ops); err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
-		commits++
 
 		what := fmt.Sprintf("after batch %d", i)
 		_, path := s.CurrentEpoch()
@@ -102,77 +109,116 @@ func TestChurnKeepsDocumentOrder(t *testing.T) {
 		checkEpochAnswers(t, what, eng, rels, forestTagCodes(s))
 		eng.Close()
 	}
-	if st := s.Stats(); commits < 20 || st.RenumbersGlobal == 0 || st.OverflowInserts != 0 {
-		t.Fatalf("the churn was not what the test set out to build: %d commits, %+v", commits, st)
+	if st := s.Stats(); st.RootGrows < 4 || st.RenumbersGlobal != 0 || st.RenumbersScoped != 0 || st.OverflowInserts != 0 {
+		t.Fatalf("the churn was not what the test set out to build: %+v", st)
 	}
 }
 
-// TestRootSlotOrder drives a small collection root to exhaustion and pins
-// the slot each document takes: next-fit up to the end of the primary
-// region, then first-fit within it, then the overflow quarter, then a
-// global re-encode. Only the slots of the overflow quarter count as
-// overflow inserts.
+// TestRootSlotOrder pins the slot each document takes at the collection
+// root: next-fit to the end of its range; then, with freed slots left
+// behind as holes, a grow — a PBiTree level above the root, which doubles
+// the range and moves no other code — and next-fit on in the new half. A
+// global re-encode comes only for a document too deep for the root's
+// slots, or from a forest at pbicode.MaxHeight.
 func TestRootSlotOrder(t *testing.T) {
-	base := buildBaseDB(t, t.TempDir(), libraryDocs(5, 2))
-	s, err := Open(Config{DBPath: base, GapAware: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close() //nolint:errcheck // test teardown
-	n := 0
-	insert := func(del ...string) string {
-		t.Helper()
-		var ops []Op
-		for _, d := range del {
-			ops = append(ops, Op{Op: "delete_doc", Doc: d})
-		}
-		name := fmt.Sprintf("d%02d", n)
-		n++
-		if _, err := s.Apply(append(ops, Op{Op: "insert_doc", Doc: name, XML: smallDoc})); err != nil {
+	open := func(docs map[string]string) (*Store, func(del ...string) string) {
+		s, err := Open(Config{DBPath: buildBaseDB(t, t.TempDir(), docs), GapAware: true})
+		if err != nil {
 			t.Fatal(err)
 		}
-		return name
+		t.Cleanup(func() { s.Close() }) //nolint:errcheck // test teardown
+		n := 0
+		return s, func(del ...string) string {
+			t.Helper()
+			var ops []Op
+			for _, d := range del {
+				ops = append(ops, Op{Op: "delete_doc", Doc: d})
+			}
+			name := fmt.Sprintf("d%02d", n)
+			n++
+			if _, err := s.Apply(append(ops, Op{Op: "insert_doc", Doc: name, XML: smallDoc})); err != nil {
+				t.Fatal(err)
+			}
+			return name
+		}
 	}
-	// The base is packed: its free root slots are too shallow for a
-	// document binarized with headroom, so the first insert re-encodes the
-	// collection, and the six documents take the first slots of a range
-	// four times what they need.
+	s, insert := open(libraryDocs(5, 2))
+	// The base is packed: its root's slots are too shallow for the new
+	// document, so the first insert re-encodes the collection, and the six
+	// documents take the first slots of a range four times what they need.
 	insert()
 	si := rootSlots(t, s)
-	if st := s.Stats(); st.RenumbersGlobal != 1 || si.Capacity != 32 || si.Used.Next() != 6 {
+	if st := s.Stats(); st.RenumbersGlobal != 1 || st.RootGrows != 0 || si.Capacity != 32 || si.Used.Next() != 6 {
 		t.Fatalf("after the re-encode: %d slots, next %d, %+v; want 32, 6, one global renumber", si.Capacity, si.Used.Next(), st)
 	}
-	primary := si.Capacity - si.Capacity/4
 	var names []string
-	for slot := si.Used.Next(); slot < primary; slot++ {
+	for slot := si.Used.Next(); slot < si.Capacity; slot++ {
 		name := insert()
 		if got := rootSlot(t, s, name); got != slot {
 			t.Fatalf("next-fit: %s took slot %d, want %d", name, got, slot)
 		}
 		names = append(names, name)
 	}
-	// The primary region is full to its end: freed slots in it are taken
-	// lowest first, before any of the overflow quarter.
-	low, high := rootSlot(t, s, names[1]), rootSlot(t, s, names[3])
-	if got := rootSlot(t, s, insert(names[3], names[1])); got != low {
-		t.Fatalf("first-fit: took slot %d, want %d", got, low)
+	// The range is full to its end. The batch that frees two slots in it
+	// grows the root instead of reusing them, and every element the batch
+	// leaves in place keeps its code.
+	before, height := elementCodes(s), s.Stats().TreeHeight
+	name := insert(names[3], names[1])
+	grown := rootSlots(t, s)
+	if st := s.Stats(); st.RootGrows != 1 || st.RenumbersGlobal != 1 || st.TreeHeight != height+1 ||
+		grown.Capacity != 2*si.Capacity || grown.Level != si.Level+1 {
+		t.Fatalf("the grow: %d slots at level %d, %+v; want %d at %d, height %d, one grow, no second renumber",
+			grown.Capacity, grown.Level, st, 2*si.Capacity, si.Level+1, height+1)
 	}
-	if got := rootSlot(t, s, insert()); got != high {
-		t.Fatalf("first-fit: took slot %d, want %d", got, high)
+	if got := rootSlot(t, s, name); got != si.Capacity {
+		t.Fatalf("after the grow: took slot %d, want %d", got, si.Capacity)
 	}
-	if st := s.Stats(); st.OverflowInserts != 0 {
-		t.Fatalf("%d overflow inserts before the primary region filled", st.OverflowInserts)
+	after := elementCodes(s)
+	kept := 0
+	for e, c := range before {
+		if now, ok := after[e]; ok {
+			kept++
+			if now != c {
+				t.Fatalf("the grow moved %s from %v to %v", e.Tag, c, now)
+			}
+		}
 	}
-	for slot := primary; slot < si.Capacity; slot++ {
+	if want := len(before) - 2*12; kept != want {
+		t.Fatalf("%d elements kept through the batch, want %d", kept, want)
+	}
+	for slot := si.Capacity + 1; slot < si.Capacity+4; slot++ {
 		if got := rootSlot(t, s, insert()); got != slot {
-			t.Fatalf("overflow: took slot %d, want %d", got, slot)
-		}
-		if st := s.Stats(); st.OverflowInserts != slot-primary+1 {
-			t.Fatalf("after slot %d: %d overflow inserts, want %d", slot, st.OverflowInserts, slot-primary+1)
+			t.Fatalf("next-fit in the new half: took slot %d, want %d", got, slot)
 		}
 	}
-	insert()
-	if st := s.Stats(); st.RenumbersGlobal != 2 || st.OverflowInserts != si.Capacity-primary {
-		t.Fatalf("a full root: %+v; want a second global renumber and %d overflow inserts", st, si.Capacity-primary)
+	if st := s.Stats(); st.RootGrows != 1 || st.RenumbersGlobal != 1 || st.OverflowInserts != 0 {
+		t.Fatalf("after next-fit in the new half: %+v", st)
 	}
+
+	// A 60-element chain puts the forest two levels below MaxHeight with
+	// its two-slot root range full: two grows reach MaxHeight, and once
+	// that range is full too, the next insert re-encodes, packing the
+	// documents the batch leaves.
+	s, insert = open(map[string]string{
+		"deep": strings.Repeat("<x>", 60) + strings.Repeat("</x>", 60),
+		"lib":  libraryDocs(1, 1)["lib00"],
+	})
+	if st := s.Stats(); st.TreeHeight != pbicode.MaxHeight-2 {
+		t.Fatalf("the deep base is %d high, want %d", st.TreeHeight, pbicode.MaxHeight-2)
+	}
+	names = names[:0]
+	for range 6 {
+		names = append(names, insert())
+	}
+	if st, si := s.Stats(), rootSlots(t, s); st.RootGrows != 2 || st.RenumbersGlobal != 0 || st.TreeHeight != pbicode.MaxHeight ||
+		si.Used.Next() != si.Capacity {
+		t.Fatalf("at MaxHeight: next %d of %d slots, %+v; want a full range, two grows, no renumber", si.Used.Next(), si.Capacity, st)
+	}
+	insert(names[:5]...)
+	if st, si := s.Stats(), rootSlots(t, s); st.RootGrows != 2 || st.RenumbersGlobal != 1 || st.TreeHeight >= pbicode.MaxHeight ||
+		si.Used.Len() != 4 || si.Used.Next() != 4 {
+		t.Fatalf("a full range at MaxHeight: %d of %d slots taken, next %d, %+v; want one re-encode packing the four documents",
+			si.Used.Len(), si.Capacity, si.Used.Next(), st)
+	}
+	assertStoreMatchesEpoch(t, s)
 }

@@ -16,13 +16,14 @@ import (
 )
 
 // TestStoredOrderAfterSlotReuse pins the order tag relations are stored
-// in: the order of insertion, not document order, once an insert reuses a
-// freed slot. Documents a and b are inserted, then single-element memo
-// documents take every root slot after b's up to the end of the primary
-// region, so next-fit has nowhere left to append; then one batch deletes a
-// and inserts c, which first-fit puts in a's root slot, before b's. The
-// stored book relation lists the base's books, b's and then c's, so c's
-// first book comes after b's last while it starts before it — and the
+// in: the order of insertion, not document order, once an insert takes a
+// free slot before a later document's region. Document inserts never do —
+// the collection root only appends — but an element insert inside an
+// earlier document does. Documents a and b of three books are inserted,
+// then a fourth book under a's lib, which takes the free slot of its
+// four-slot range, in a's region, before b's. The stored
+// book relation lists the base's books, a's, b's and then the new one, so
+// its last book comes after b's while it starts before them — and the
 // relation claims neither to be sorted nor to be in document order.
 func TestStoredOrderAfterSlotReuse(t *testing.T) {
 	base := buildBaseDB(t, t.TempDir(), libraryDocs(1, 4))
@@ -31,7 +32,7 @@ func TestStoredOrderAfterSlotReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close() //nolint:errcheck // test teardown
-	books := "<lib>" + strings.Repeat("<book><title/></book>", 4) + "</lib>"
+	books := "<lib>" + strings.Repeat("<book><title/></book>", 3) + "</lib>"
 	apply := func(batch ...Op) {
 		t.Helper()
 		if _, err := s.Apply(batch); err != nil {
@@ -40,21 +41,12 @@ func TestStoredOrderAfterSlotReuse(t *testing.T) {
 	}
 	apply(Op{Op: "insert_doc", Doc: "a", XML: books})
 	apply(Op{Op: "insert_doc", Doc: "b", XML: books})
-	for i := 0; ; i++ {
-		s.mu.Lock()
-		si, err := s.forest.Slots(s.forest.Root)
-		s.mu.Unlock()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if si.Used.Next() >= si.Capacity-si.Capacity/4 {
-			break
-		}
-		apply(Op{Op: "insert_doc", Doc: fmt.Sprintf("memo%d", i), XML: "<memo/>"})
-	}
-	apply(Op{Op: "delete_doc", Doc: "a"}, Op{Op: "insert_doc", Doc: "c", XML: books})
-	if b, c := docRootCode(t, s, "b"), docRootCode(t, s, "c"); c.Start() >= b.Start() {
-		t.Fatalf("c's root starts at %d, b's at %d: c did not reuse a's slot", c.Start(), b.Start())
+	apply(Op{Op: "insert_element", Parent: uint64(docRootCode(t, s, "a")), Tag: "book"})
+	s.mu.Lock()
+	added := s.forest.Elements("book")[10].Code
+	s.mu.Unlock()
+	if b := docRootCode(t, s, "b"); added.Start() >= b.Start() {
+		t.Fatalf("the new book starts at %d, b's root at %d: it did not land before b", added.Start(), b.Start())
 	}
 	_, path := s.CurrentEpoch()
 	eng, rels := openEpoch(t, path)
@@ -76,9 +68,9 @@ func TestStoredOrderAfterSlotReuse(t *testing.T) {
 			descents++
 		}
 	}
-	if len(codes) != 12 || descents != 1 || r.Sorted() || r.Ordered() {
-		t.Fatalf("book: %d codes, %d out of start order, Sorted() %v, Ordered() %v; want 12, 1, false, false",
-			len(codes), descents, r.Sorted(), r.Ordered())
+	if st := s.Stats(); len(codes) != 11 || descents != 1 || r.Sorted() || r.Ordered() || st.RenumbersScoped+st.RenumbersGlobal != 0 {
+		t.Fatalf("book: %d codes, %d out of start order, Sorted() %v, Ordered() %v, %+v; want 11, 1, false, false, no renumber",
+			len(codes), descents, r.Sorted(), r.Ordered(), st)
 	}
 }
 

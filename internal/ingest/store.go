@@ -32,11 +32,12 @@ type Config struct {
 	DBPath string
 	// GapAware enables the gap-aware coding scheme: re-encodes reserve
 	// Headroom extra slot levels (2^Headroom× the minimal sibling ranges)
-	// and per-parent slot ranges keep their last quarter as an overflow
-	// region, taken only when the primary region is exhausted. Off, the
-	// naive scheme packs minimally (headroom 0, no reserved region) — the
-	// baseline the sustained-ingest benchmark compares against. Both choose
-	// slots next-fit (pickSlot).
+	// and the slot ranges of element parents keep their last quarter as an
+	// overflow region, taken only when the primary region is exhausted.
+	// Off, the naive scheme packs minimally (headroom 0, no reserved
+	// region) — the baseline the sustained-ingest benchmark compares
+	// against. Both choose slots next-fit (pickSlot), and under both the
+	// collection root grows instead of renumbering (graft).
 	GapAware bool
 	// Headroom is the slot headroom used by gap-aware re-encodes
 	// (default 2; ignored when GapAware is off).
@@ -124,6 +125,11 @@ type Stats struct {
 	// by page ID from the previous epoch instead of writing them again.
 	DeltaPages  uint64 `json:"delta_pages"`
 	SharedPages uint64 `json:"shared_pages"`
+	// RootGrows counts the levels document inserts added above the
+	// collection root (xmltree.Document.GrowRoot); TreeHeight is the
+	// forest's PBiTree height now.
+	RootGrows  uint64 `json:"root_grows"`
+	TreeHeight int    `json:"tree_height"`
 }
 
 // docState tracks one live document of the forest by identity (codes may
@@ -189,6 +195,7 @@ type Store struct {
 
 	commits, inserts, updates, deletes  atomic.Uint64
 	renumScoped, renumGlobal, overflow  atomic.Uint64
+	rootGrows                           atomic.Uint64
 	compactions, compactAborts          atomic.Uint64
 	compactedPages                      atomic.Uint64
 	idxInserts, idxDeletes, idxRebuilds atomic.Uint64
@@ -382,6 +389,7 @@ func (s *Store) Stats() Stats {
 	}
 	if s.forest != nil {
 		st.Elements = s.forest.NumElements() - 1 // minus the synthetic root
+		st.TreeHeight = s.forest.Height
 	}
 	s.mu.Unlock()
 	st.Commits = s.commits.Load()
@@ -391,6 +399,7 @@ func (s *Store) Stats() Stats {
 	st.RenumbersScoped = s.renumScoped.Load()
 	st.RenumbersGlobal = s.renumGlobal.Load()
 	st.OverflowInserts = s.overflow.Load()
+	st.RootGrows = s.rootGrows.Load()
 	st.Compactions = s.compactions.Load()
 	st.CompactAborts = s.compactAborts.Load()
 	st.CompactedPages = s.compactedPages.Load()
@@ -584,21 +593,28 @@ func (s *Store) headroom() int {
 	return 0
 }
 
-// pickSlot chooses a sibling slot under the active coding scheme, next-fit
-// within the primary region: the slot after the highest taken one, so an
-// insert lands after every sibling and a relation that appends its codes
-// stays in document order; once that runs past the primary region, the
-// lowest free slot in it. Gap-aware, the primary region is the first three
-// quarters and the last quarter is reserved as overflow, taken (first-fit)
-// only when the primary is full, so bursts on a hot parent defer
-// renumbering instead of forcing it; naive, the primary region is the
-// whole range. overflow reports a slot of the reserved quarter.
-func (s *Store) pickSlot(si xmltree.SlotInfo) (slot uint64, overflow, ok bool) {
+// pickSlot chooses a sibling slot under parent, next-fit: the slot after
+// the highest taken one, so an insert lands after every sibling and a
+// relation that appends its codes stays in document order. At the
+// collection root that is the only choice — ok is false once it runs past
+// the range, and graft grows the root. Under an element parent, once
+// next-fit runs past the primary region, the lowest free slot in it.
+// Gap-aware, an element parent's primary region is the first three
+// quarters of its range and the last quarter is reserved as overflow,
+// taken (first-fit) only when the primary is full, so bursts on a hot
+// parent defer renumbering instead of forcing it; naive, the primary
+// region is the whole range. overflow reports a slot of the reserved
+// quarter.
+func (s *Store) pickSlot(parent *xmltree.Element, si xmltree.SlotInfo) (slot uint64, overflow, ok bool) {
+	next := si.Used.Next()
+	if parent == s.forest.Root {
+		return next, false, next < si.Capacity
+	}
 	primary := si.Capacity
 	if s.cfg.GapAware && si.Capacity >= 4 {
 		primary = si.Capacity - si.Capacity/4
 	}
-	if next := si.Used.Next(); next < primary {
+	if next < primary {
 		return next, false, true
 	}
 	if slot, ok := si.Used.FirstFree(0, primary); ok {
@@ -611,11 +627,14 @@ func (s *Store) pickSlot(si xmltree.SlotInfo) (slot uint64, overflow, ok bool) {
 }
 
 // graft inserts a detached subtree under parent, walking the renumber
-// ladder on exhaustion: free virtual slots first, then a scoped subtree
-// renumbering of the parent, then a whole-forest re-encode with the
-// subtree structurally attached (the only rung that can add PBiTree levels
-// below a parent at the bottom of the tree). Gap-aware, the subtree itself
-// is binarized with headroom (so inserts inside it later find slots),
+// ladder on exhaustion: free virtual slots first; then, at the collection
+// root, a level added above it (GrowRoot), which doubles its range and
+// moves no code, and under an element parent a scoped subtree renumbering
+// of the parent; then a whole-forest re-encode with the subtree
+// structurally attached (the only rung that can add PBiTree levels below a
+// parent, so the one a document too deep for the root's slots, or a root
+// at pbicode.MaxHeight, still takes). Gap-aware, the subtree itself is
+// binarized with headroom (so inserts inside it later find slots),
 // dropping to minimal packing before resorting to renumbering.
 func (s *Store) graft(parent *xmltree.Element, root *xmltree.Element) error {
 	headrooms := []int{s.headroom()}
@@ -628,7 +647,7 @@ func (s *Store) graft(parent *xmltree.Element, root *xmltree.Element) error {
 			if err != nil {
 				return false, err
 			}
-			if slot, overflow, ok := s.pickSlot(si); ok {
+			if slot, overflow, ok := s.pickSlot(parent, si); ok {
 				err := s.forest.InsertSubtreeSlot(parent, root, hr, slot)
 				if err == nil {
 					if overflow {
@@ -649,14 +668,23 @@ func (s *Store) graft(parent *xmltree.Element, root *xmltree.Element) error {
 	if ok, err := trySlots(); ok || err != nil {
 		return err
 	}
-	if parent.Parent != nil {
-		if err := s.renumberScoped(parent); err == nil {
+	if parent == s.forest.Root {
+		// Only a range full to its end grows: a growth adds no depth
+		// below the slots, so it cannot help a document too deep for them.
+		if si, err := s.forest.Slots(parent); err != nil {
+			return err
+		} else if si.Used.Next() >= si.Capacity && s.forest.GrowRoot() == nil {
+			s.rootGrows.Add(1)
 			if ok, err := trySlots(); ok || err != nil {
 				return err
 			}
-		} else if !errors.Is(err, xmltree.ErrNoFreeSlot) {
+		}
+	} else if err := s.renumberScoped(parent); err == nil {
+		if ok, err := trySlots(); ok || err != nil {
 			return err
 		}
+	} else if !errors.Is(err, xmltree.ErrNoFreeSlot) {
+		return err
 	}
 	// Final rung: attach structurally and re-encode the whole forest.
 	// Reencode derives codes and indexes from the element structure alone,

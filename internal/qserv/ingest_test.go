@@ -382,6 +382,9 @@ func TestIngestEndpoints(t *testing.T) {
 	if stats.Ingest.DeltaPages == 0 {
 		t.Fatalf("/stats ingest: one commit, no delta pages counted: %+v", stats.Ingest)
 	}
+	if stats.Ingest.TreeHeight == 0 || !strings.Contains(string(body), `"root_grows":`) {
+		t.Fatalf("/stats ingest: no tree height or root grows: %s", body)
+	}
 	resp, err = client.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -396,6 +399,7 @@ func TestIngestEndpoints(t *testing.T) {
 		"pbiserve_ingest_renumbers_total{scope=\"scoped\"}",
 		"pbiserve_ingest_delta_pages_total",
 		"pbiserve_ingest_shared_pages_total",
+		"pbiserve_ingest_root_grows_total",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics: missing %q", want)

@@ -121,6 +121,7 @@ func (s *Server) writeMetrics(w io.Writer, om bool) {
 	fmt.Fprintf(w, "pbiserve_ingest_renumbers_total{scope=\"scoped\"} %d\n", ig.RenumbersScoped)
 	fmt.Fprintf(w, "pbiserve_ingest_renumbers_total{scope=\"global\"} %d\n", ig.RenumbersGlobal)
 	serve.Metric(w, "pbiserve_ingest_overflow_inserts_total", "Inserts placed in a parent's reserved overflow slot region.", "counter", ig.OverflowInserts)
+	serve.Metric(w, "pbiserve_ingest_root_grows_total", "PBiTree levels document inserts added above the collection root.", "counter", ig.RootGrows)
 	serve.Metric(w, "pbiserve_ingest_delta_pages_total", "Pages ingest commits wrote into epoch deltas.", "counter", ig.DeltaPages)
 	serve.Metric(w, "pbiserve_ingest_shared_pages_total", "Pages of re-stored relations that commits shared by page ID with the previous epoch instead of writing.", "counter", ig.SharedPages)
 	serve.Metric(w, "pbiserve_compactions_total", "Delta chains folded into fresh bases by the compaction daemon.", "counter", ig.Compactions)

@@ -223,15 +223,18 @@ func TestSlots(t *testing.T) {
 	}
 }
 
+// TestRenumberSubtreeScoped: a scoped renumber of a full parent reopens
+// its slot range inside its own region. b's chain leaves the PBiTree a
+// level to spare below a, room for a's children with headroom 1.
 func TestRenumberSubtreeScoped(t *testing.T) {
-	doc, err := ParseString(`<r><a><p/><q/></a><b><u/></b></r>`, Options{})
+	doc, err := ParseString(`<r><a><p/><q/></a><b><u><v><w/></v></u></b></r>`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := doc.Elements("a")[0]
 	aCode := a.Code
 	outside := map[string]pbicode.Code{}
-	for _, tag := range []string{"r", "b", "u"} {
+	for _, tag := range []string{"r", "b", "u", "v", "w"} {
 		outside[tag] = doc.Elements(tag)[0].Code
 	}
 
@@ -245,15 +248,8 @@ func TestRenumberSubtreeScoped(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	err = doc.RenumberSubtree(a, 1)
-	if errors.Is(err, ErrNoFreeSlot) {
-		// Not enough depth below a in this embedding for headroom 1 —
-		// escalate exactly as the ingest path would, then stop: the global
-		// path is covered elsewhere.
-		t.Skip("embedding too shallow for scoped renumber with headroom")
-	}
-	if err != nil {
-		t.Fatal(err)
+	if err := doc.RenumberSubtree(a, 1); err != nil {
+		t.Fatalf("scoped renumber with headroom 1 (height %d, a at level %d): %v", doc.Height, a.Code.Level(doc.Height), err)
 	}
 	if a.Code != aCode {
 		t.Fatalf("renumber moved the subtree root: %v -> %v", aCode, a.Code)

@@ -13,7 +13,8 @@ import (
 // document must satisfy the encoding invariants and round-trip through the
 // serializer.
 // FuzzUpdates interprets arbitrary bytes as a stream of dynamic-update
-// operations (insert, delete, subtree graft, scoped renumber, re-encode)
+// operations (insert, delete, subtree graft, scoped renumber, re-encode,
+// root growth)
 // against a parsed document and asserts the PBiTree containment invariant
 // after every step: unique codes, parents strictly enclosing children, and
 // indexes in agreement with the tree — the update-path counterpart of
@@ -22,6 +23,7 @@ func FuzzUpdates(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5})
 	f.Add([]byte{10, 10, 10, 40, 41, 42, 90, 10})
 	f.Add(bytes.Repeat([]byte{7}, 64))
+	f.Add([]byte{5, 0, 2, 0, 2, 0, 5, 0, 0, 0, 2, 1, 3, 3})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 256 {
 			ops = ops[:256]
@@ -63,7 +65,7 @@ func FuzzUpdates(f *testing.F) {
 		}
 		for i := 0; i+1 < len(ops); i += 2 {
 			op, arg := ops[i], ops[i+1]
-			switch op % 5 {
+			switch op % 6 {
 			case 0: // insert a child; exhaustion walks the renumber ladder
 				p := pick(arg)
 				_, err := doc.InsertChild(p, "t")
@@ -101,6 +103,10 @@ func FuzzUpdates(f *testing.F) {
 				}
 			case 4: // global re-encode
 				if err := doc.Reencode(int(arg) % 3); err != nil {
+					t.Fatal(err)
+				}
+			case 5: // a level above the root
+				if err := doc.GrowRoot(); err != nil && !errors.Is(err, ErrNoFreeSlot) {
 					t.Fatal(err)
 				}
 			}

@@ -15,7 +15,8 @@ import (
 // new element can take an unused sibling slot without renumbering anything.
 // When a parent's slot range is exhausted, ErrNoFreeSlot is returned and
 // the caller re-encodes (Reencode), the same trade-off durable numbering
-// schemes make.
+// schemes make — except at the root, whose range GrowRoot doubles without
+// changing any other code.
 
 // ErrNoFreeSlot reports that a parent's sibling slot range is full (or the
 // PBiTree has no level left below a leaf parent); Reencode the document to
@@ -145,9 +146,10 @@ type SlotInfo struct {
 // SlotSet is the occupancy of one parent's slot range: the taken slot
 // indices, ascending. The Document keeps it for each parent it has been
 // asked about — a graft or InsertChild adds the slot, a Delete removes it,
-// RenumberSubtree and Reencode drop it — so reading it costs no walk of
-// the parent's children. A SlotSet is a view, valid until the document's
-// next update.
+// RenumberSubtree and Reencode drop it, GrowRoot keeps every one (the
+// root's slot indices are the same in its doubled range) — so reading it
+// costs no walk of the parent's children. A SlotSet is a view, valid until
+// the document's next update.
 type SlotSet struct{ taken []uint64 }
 
 // Len returns the number of taken slots.
@@ -247,6 +249,26 @@ func (d *Document) release(e *Element) {
 	if i, ok := slices.BinarySearch(taken, alpha-pAlpha<<uint(level-pLevel)); ok {
 		d.slots[e.Parent] = slices.Delete(taken, i, i+1)
 	}
+}
+
+// GrowRoot adds one PBiTree level above the root: the tree's height rises
+// by one and the root takes the taller tree's root code. A code is an
+// in-order number, so the old tree, now the new root's left subtree, keeps
+// every code it had: no other element, tag-index entry or SlotSet changes,
+// while the root's child slots move one level down and double in number,
+// the new right half all free. At pbicode.MaxHeight there is no level to
+// add, and GrowRoot returns ErrNoFreeSlot.
+func (d *Document) GrowRoot() error {
+	if d.Height >= pbicode.MaxHeight {
+		return ErrNoFreeSlot
+	}
+	root := d.Root
+	delete(d.byCode, root.Code)
+	d.Height++
+	root.Code = pbicode.Root(d.Height)
+	d.byCode[root.Code] = root
+	d.note(root.Tag, slices.Index(d.byTag[root.Tag], root))
+	return nil
 }
 
 // InsertSubtreeSlot grafts a whole element tree (root and its

@@ -2,7 +2,9 @@ package xmltree
 
 import (
 	"errors"
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/pbitree/pbitree/pbicode"
@@ -266,5 +268,104 @@ func TestSlotsAfterRenumber(t *testing.T) {
 	}
 	if si.Used.Len() != 2 || !si.Used.Has(0) || si.Used.Next() != 2 {
 		t.Fatalf("after the renumber a's slots are %v, want 0 and 1", si.Used)
+	}
+}
+
+// TestGrowRoot: a level added above the root of a collection forest leaves
+// every code but the root's, every kept slot set and every tag-index entry
+// as it was, doubles the root's slot range with the old slots its first
+// half, and is what FromCodes rebuilds from the stored codes at the taller
+// height. At pbicode.MaxHeight there is no level to add.
+func TestGrowRoot(t *testing.T) {
+	col := NewCollection()
+	for i, src := range []string{`<a><b/><c><d/></c></a>`, `<a><c/></a>`, `<e><b/><b/><b/></e>`} {
+		if err := col.AddDocument(fmt.Sprintf("d%d", i), strings.NewReader(src), Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	doc := col.Document()
+	codes := map[*Element]pbicode.Code{}
+	slots := map[*Element]SlotInfo{}
+	doc.Walk(func(e *Element) bool {
+		codes[e] = e.Code
+		si, err := doc.Slots(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slots[e] = si
+		return true
+	})
+	tags := map[string][]*Element{}
+	for tag := range doc.Tags() {
+		tags[tag] = slices.Clone(doc.Elements(tag))
+	}
+	doc.ResetChanges()
+	h := doc.Height
+
+	if err := doc.GrowRoot(); err != nil {
+		t.Fatal(err)
+	}
+	checkInvariants(t, doc)
+	if doc.Height != h+1 || doc.Root.Code != pbicode.Root(h+1) || doc.ByCode(pbicode.Root(h+1)) != doc.Root {
+		t.Fatalf("grown: height %d, root %v; want %d, %v", doc.Height, doc.Root.Code, h+1, pbicode.Root(h+1))
+	}
+	doc.Walk(func(e *Element) bool {
+		si, err := doc.Slots(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := slots[e]
+		switch {
+		case e == doc.Root:
+			if si.Level != old.Level+1 || si.Capacity != 2*old.Capacity || si.Base != 0 || si.Depth != old.Depth ||
+				!slices.Equal(si.Used.taken, old.Used.taken) {
+				t.Fatalf("root slots %+v, were %+v: want one level down, twice the range, the same slots taken", si, old)
+			}
+		case e.Code != codes[e]:
+			t.Fatalf("%s moved from %v to %v", e.Tag, codes[e], e.Code)
+		case si.Level != old.Level+1 || si.Base != old.Base || si.Capacity != old.Capacity || si.Depth != old.Depth ||
+			!slices.Equal(si.Used.taken, old.Used.taken):
+			t.Fatalf("%s's slots %+v, were %+v", e.Tag, si, old)
+		}
+		return true
+	})
+	for tag, es := range tags {
+		if !slices.Equal(doc.Elements(tag), es) {
+			t.Fatalf("tag index of %s changed", tag)
+		}
+	}
+	if got := doc.ChangedTags(); !slices.Equal(got, []string{collectionRootTag}) {
+		t.Fatalf("changed tags %v, want only the root's", got)
+	}
+	rebuilt, err := FromCodes(h+1, taggedCodes(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameShape(doc.Root, rebuilt.Root); err != nil {
+		t.Fatalf("FromCodes at the grown height: %v", err)
+	}
+
+	// The new half takes grafts after every document.
+	si, _ := doc.Slots(doc.Root)
+	sub, err := ParseString(`<f><g/></f>`, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := doc.InsertSubtreeSlot(doc.Root, sub.Root, 0, si.Used.Next()); err != nil {
+		t.Fatal(err)
+	}
+	checkInvariants(t, doc)
+	if last := doc.Root.Children[len(doc.Root.Children)-2]; sub.Root.Code.Start() <= last.Code.End() {
+		t.Fatalf("graft at %v does not follow the last document %v", sub.Root.Code, last.Code)
+	}
+
+	for doc.Height < pbicode.MaxHeight {
+		if err := doc.GrowRoot(); err != nil {
+			t.Fatalf("grow to height %d: %v", doc.Height+1, err)
+		}
+	}
+	checkInvariants(t, doc)
+	if err := doc.GrowRoot(); !errors.Is(err, ErrNoFreeSlot) || doc.Height != pbicode.MaxHeight {
+		t.Fatalf("grow at MaxHeight: %v, height %d; want ErrNoFreeSlot at %d", err, doc.Height, pbicode.MaxHeight)
 	}
 }
