@@ -45,7 +45,9 @@ loc:
 # (documents and path expressions), the coding identities, document
 # update streams, the packed appender round trip, the heap page decoders
 # (arbitrary page bytes under every format byte) and the persisted epoch
-# formats (catalogs at every link of a chain, delta files). Each -fuzz
+# formats (catalogs at every link of a chain, delta files), and the fence
+# index of ADB+ and INLJN (seeks against a linear search, the joins against
+# the nested loop). Each -fuzz
 # regex is anchored, since go test refuses one that matches two targets.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzCodeRoundtrips$$' -fuzztime=30s ./pbicode
@@ -56,6 +58,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzParsePath$$' -fuzztime=30s ./internal/qserv
 	$(GO) test -run='^$$' -fuzz='^FuzzCatalog$$' -fuzztime=30s ./containment
 	$(GO) test -run='^$$' -fuzz='^FuzzReadDelta$$' -fuzztime=30s ./internal/storage
+	$(GO) test -run='^$$' -fuzz='^FuzzStartIndexJoins$$' -fuzztime=30s ./internal/core
 
 # Quick interactive experiment sweep (about a minute).
 experiments:

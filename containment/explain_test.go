@@ -224,10 +224,11 @@ func TestAutoRunsWhatExplainStars(t *testing.T) {
 // TestAutoNamedPlans pins AUTO on the two shapes where the cost model and
 // Table 1 meet on the benchmark's corpus. D4's shape: inputs stored in
 // document order that spill the pool in records but not in packed pages,
-// so that the partitioning joins and STACKTREE all read ‖A‖+‖D‖ once —
-// Table 1 breaks the three-way tie for its sorted row, STACKTREE. D7's shape: ordered inputs
-// whose partitions would spill too, where STACKTREE's one merge is
-// cheapest and runs without sorting.
+// so that the partitioning joins and STACKTREE all read ‖A‖+‖D‖ once, and
+// so do ADB+ and INLJN, which index the ordered inputs by their own pages —
+// Table 1 breaks the five-way tie for its sorted row, STACKTREE. D7's
+// shape: ordered inputs whose partitions would spill too, where STACKTREE's
+// one merge ties only with ADB+ and INLJN and runs without sorting.
 func TestAutoNamedPlans(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -235,8 +236,8 @@ func TestAutoNamedPlans(t *testing.T) {
 		want string
 		tied int
 	}{
-		{"D4-shaped tie", 2000, "STACKTREE", 3},
-		{"D7-shaped spill", 6000, "STACKTREE", 1},
+		{"D4-shaped tie", 2000, "STACKTREE", 5},
+		{"D7-shaped spill", 6000, "STACKTREE", 3},
 	} {
 		rng := rand.New(rand.NewSource(int64(tc.n)))
 		aCodes, _ := docOrdered(t, rng, randCodes(rng, tc.n, 16))
@@ -274,5 +275,55 @@ func TestAutoNamedPlans(t *testing.T) {
 			}
 		}
 		e.Close()
+	}
+}
+
+// TestExplainPricesStartIndexOverOrderedInputs: over two inputs stored in
+// document order that fit the pool, ADB+ and INLJN index each input by its
+// own pages, so Explain predicts one checked scan of each and a cold run
+// reads exactly that and writes nothing: the prediction is the measured
+// page I/O. The plan still stars STACKTREE, which reads the same.
+func TestExplainPricesStartIndexOverOrderedInputs(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	aCodes, _ := docOrdered(t, rng, randCodes(rng, 1500, 16))
+	dCodes, _ := docOrdered(t, rng, randCodes(rng, 2500, 16))
+	e, err := NewEngine(Config{PageSize: 512, BufferPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	a, _ := e.Load("A", aCodes)
+	d, _ := e.Load("D", dCodes)
+	if !a.Ordered() || !d.Ordered() || a.Pages()+d.Pages() > 62 {
+		t.Fatalf("fixture: ordered %v %v, %d+%d pages; want ordered inputs within the pool", a.Ordered(), d.Ordered(), a.Pages(), d.Pages())
+	}
+	predicted := map[string]int64{}
+	for _, p := range e.Explain(a, d, Spec{}) {
+		predicted[p.Algorithm] = p.PredictedIO
+		if p.Chosen && p.Algorithm != "STACKTREE" {
+			t.Errorf("Explain stars %s, want STACKTREE:\n%s", p.Algorithm, e.ExplainString(a, d, Spec{}))
+		}
+	}
+	want, err := e.Join(a, d, JoinOptions{Algorithm: NestedLoop})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range []Algorithm{ADBPlus, INLJN} {
+		if err := e.DropCache(); err != nil {
+			t.Fatal(err)
+		}
+		an, err := e.Analyze(a, d, JoinOptions{Algorithm: alg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := an.Result
+		io := res.IO.Reads + res.IO.Writes
+		if res.PredictedIO != predicted[res.Algorithm] || io != res.PredictedIO || io != a.Pages()+d.Pages() || res.IO.Writes != 0 {
+			t.Errorf("%s: Explain predicted %d, Analyze %d; measured %d reads + %d writes; want all ‖A‖+‖D‖ = %d",
+				res.Algorithm, predicted[res.Algorithm], res.PredictedIO, res.IO.Reads, res.IO.Writes, a.Pages()+d.Pages())
+		}
+		if res.Count != want.Count {
+			t.Errorf("%s: %d pairs, the oracle has %d", res.Algorithm, res.Count, want.Count)
+		}
 	}
 }

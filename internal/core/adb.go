@@ -3,7 +3,6 @@ package core
 import (
 	"github.com/pbitree/pbitree/internal/btree"
 	"github.com/pbitree/pbitree/internal/relation"
-	"github.com/pbitree/pbitree/pbicode"
 )
 
 // This file implements the ADB+ baseline (Chien et al.'s Anc_Des_B+): a
@@ -20,50 +19,27 @@ import (
 //     Start >= a.Start.
 //
 // Both rules are safe for well-nested regions; Stats.IndexProbes counts
-// the seeks. The on-the-fly variant builds both indexes here, charging
-// sort + bulk-load I/O, matching the paper's unsorted/unindexed setting.
-
-// treeCursor walks B+-tree leaf entries as (Start, Code) records.
-type treeCursor struct {
-	t   *btree.Tree
-	it  btree.Iter // repositioned in place by every skip seek
-	rec relation.Rec
-	ok  bool
-	err error
-}
-
-// seek repositions the cursor at the first entry with Start >= k and
-// advances onto it.
-func (c *treeCursor) seek(k uint64) error {
-	if err := c.t.SeekInto(&c.it, k); err != nil {
-		c.ok = false
-		return err
-	}
-	c.advance()
-	return c.err
-}
-
-func (c *treeCursor) advance() {
-	if c.it.Next() {
-		c.rec = relation.Rec{Code: pbicode.Code(c.it.Val())}
-		c.ok = true
-		return
-	}
-	c.ok = false
-	c.err = c.it.Err()
-}
+// the seeks. The on-the-fly variant indexes both inputs here (startIndex):
+// an input in document order by one checked scan, any other by sort +
+// bulk-load, whose I/O is charged as in the paper's unsorted/unindexed
+// setting.
 
 // ADBPlus evaluates the index-assisted stack-tree join over existing
 // B+-trees on A.Start and D.Start (leaf order must be document order,
 // which BuildStartIndex guarantees).
 func ADBPlus(ctx *Context, aIdx, dIdx *btree.Tree, sink Sink) error {
+	return adbMerge(ctx, &treeIter{t: aIdx}, &treeIter{t: dIdx}, sink)
+}
+
+// adbMerge is ADB+'s merge over Start indexes on A and D, which it closes.
+func adbMerge(ctx *Context, aIdx, dIdx startIter, sink Sink) error {
 	sink = ctx.Wrap(sink)
 	sp := ctx.Trace.Start("merge-scan")
 	defer ctx.Trace.End(sp)
 	stats := ctx.stats()
-	ac, dc := treeCursor{t: aIdx}, treeCursor{t: dIdx}
-	defer ac.it.Close()
-	defer dc.it.Close()
+	ac, dc := cursor{it: aIdx}, cursor{it: dIdx}
+	defer aIdx.close()
+	defer dIdx.close()
 	if err := ac.seek(0); err != nil {
 		return err
 	}
@@ -71,7 +47,9 @@ func ADBPlus(ctx *Context, aIdx, dIdx *btree.Tree, sink Sink) error {
 		return err
 	}
 
-	var st stack
+	sc := ctx.scratch()
+	st := sc.stack[:0]
+	defer func() { sc.stack = st[:0] }()
 	for dc.ok {
 		if ac.ok && !relation.DocLess(dc.rec.Code, ac.rec.Code) {
 			ar := ac.rec
@@ -120,17 +98,20 @@ func ADBPlus(ctx *Context, aIdx, dIdx *btree.Tree, sink Sink) error {
 	return dc.err
 }
 
-// ADBPlusOnTheFly builds both Start indexes (sort + bulk-load, cost
-// charged) and runs ADBPlus — the paper's ADB+ baseline in the
+// ADBPlusOnTheFly indexes both inputs on Start (startIndex: fences over
+// an input in document order, sort + bulk-load otherwise, cost charged)
+// and runs ADB+'s merge — the paper's ADB+ baseline in the
 // neither-sorted-nor-indexed setting.
 func ADBPlusOnTheFly(ctx *Context, a, d *relation.Relation, sink Sink) error {
-	aIdx, err := BuildStartIndex(ctx, a, "adb.a")
+	sc := ctx.scratch()
+	aIdx, err := startIndex(ctx, a, "adb.a", &sc.fences[0])
 	if err != nil {
 		return err
 	}
-	dIdx, err := BuildStartIndex(ctx, d, "adb.d")
+	dIdx, err := startIndex(ctx, d, "adb.d", &sc.fences[1])
 	if err != nil {
+		aIdx.close()
 		return err
 	}
-	return ADBPlus(ctx, aIdx, dIdx, sink)
+	return adbMerge(ctx, aIdx, dIdx, sink)
 }

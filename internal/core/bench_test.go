@@ -34,23 +34,26 @@ func drawCodes(n, h int) (aCodes, dCodes []pbicode.Code) {
 }
 
 // benchOrders runs fn over the records as drawn, which no relation claims
-// is in document order (the hash kernels), and over the same records in
-// document order (the merge kernels, on the input and on the partitions it
-// writes) as sub-benchmarks, each reporting ns per result pair besides ns
-// per join.
+// is in document order (the hash kernels, the sorts and B+-tree builds),
+// and over the same records in document order (the merge kernels, on the
+// input and on the partitions it writes; the fence indexes) as
+// sub-benchmarks, each reporting ns per result pair and pages per join
+// besides ns per join.
 func benchOrders(b *testing.B, fn joinFunc, h, frames int, aCodes, dCodes []pbicode.Code) {
 	b.Run("shuffled", func(b *testing.B) { benchInputs(b, fn, h, frames, aCodes, dCodes, false) })
 	b.Run("ordered", func(b *testing.B) { benchInputs(b, fn, h, frames, aCodes, dCodes, true) })
 }
 
 // benchInputs measures fn over aCodes and dCodes, stored as given or in
-// document order, on a fresh disk and pool each iteration.
+// document order, on a fresh disk and pool each iteration. The loaded pages
+// are written out before the clock starts, so pages/op counts the join's
+// own reads and writes.
 func benchInputs(b *testing.B, fn joinFunc, h, frames int, aCodes, dCodes []pbicode.Code, inOrder bool) {
 	b.Helper()
 	if inOrder {
 		aCodes, dCodes = docOrder(aCodes), docOrder(dCodes)
 	}
-	var pairs int64
+	var pairs, pages int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -66,19 +69,25 @@ func benchInputs(b *testing.B, fn joinFunc, h, frames int, aCodes, dCodes []pbic
 		if err != nil {
 			b.Fatal(err)
 		}
+		if err := pool.FlushAll(); err != nil {
+			b.Fatal(err)
+		}
+		before := d.Stats()
 		b.StartTimer()
 		var sink CountSink
 		if err := fn(ctx, a, dd, &sink); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		pairs = sink.N
+		io := d.Stats().Sub(before)
+		pairs, pages = sink.N, pages+io.Reads+io.Writes
 		d.Close()
 		b.StartTimer()
 	}
 	if pairs > 0 {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*pairs), "ns/pair")
 	}
+	b.ReportMetric(float64(pages)/float64(b.N), "pages/op")
 }
 
 // BenchmarkMHCJRollup100k joins two multi-height sets through the rollup,
@@ -104,7 +113,22 @@ func BenchmarkStackTree100k(b *testing.B) {
 
 func BenchmarkMPMGJN100k(b *testing.B) { benchJoin(b, MPMGJNOnTheFly, 100_000, 64) }
 
-func BenchmarkADBPlus100k(b *testing.B) { benchJoin(b, ADBPlusOnTheFly, 100_000, 64) }
+// BenchmarkADBPlus100k runs ADB+ over records as drawn, which it sorts and
+// bulk-loads into B+-trees, and over the same records in document order,
+// which it indexes by their own pages.
+func BenchmarkADBPlus100k(b *testing.B) {
+	const h = 22
+	aCodes, dCodes := drawCodes(100_000, h)
+	benchOrders(b, ADBPlusOnTheFly, h, 64, aCodes, dCodes)
+}
+
+// BenchmarkINLJN100k runs the index nested loop join the same two ways;
+// with equal sides it probes an index on D.
+func BenchmarkINLJN100k(b *testing.B) {
+	const h = 22
+	aCodes, dCodes := drawCodes(100_000, h)
+	benchOrders(b, INLJN, h, 64, aCodes, dCodes)
+}
 
 // BenchmarkSHCJ100k joins a single-height ancestor set, as drawn and in
 // document order.

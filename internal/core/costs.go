@@ -152,18 +152,43 @@ func EstimateIO(alg Algorithm, in CostInputs) int64 {
 		}
 		return cost
 	case AlgADBPlus:
-		cost := ma + md // the merge walks the index leaves
-		if !in.SortedA || !in.IndexedA {
-			cost += in.sortIO(a, ma, in.OrderedA) + ma // sort + bulk-load writes
+		// A side with an index is read at its leaves. A side in document
+		// order is its own index (startIndex): one checked scan reads it
+		// for its fences, and the merge re-reads its pages, from the pool
+		// when the ordered sides fit it together. Any other side is sorted
+		// and bulk-loaded, and the merge walks the leaves it wrote.
+		var cost, fenced int64
+		side := func(pages, mem int64, indexed, ordered bool) {
+			switch {
+			case indexed:
+				cost += mem
+			case ordered:
+				cost += pages
+				fenced += pages
+			default:
+				cost += sortCost(pages, mem, in.B) + 2*mem
+			}
 		}
-		if !in.SortedD || !in.IndexedD {
-			cost += in.sortIO(d, md, in.OrderedD) + md
+		side(a, ma, in.SortedA && in.IndexedA, in.OrderedA)
+		side(d, md, in.SortedD && in.IndexedD, in.OrderedD)
+		if fenced > mem {
+			cost += fenced
 		}
 		return cost
 	case AlgINLJN:
 		// Outer = smaller set. When the inner index fits the buffer pool
 		// it is read at most once across all probes; otherwise each probe
 		// pays a root-to-leaf descent (~4 random pages).
+		if md >= ma && !in.IndexedD && in.OrderedD {
+			// An inner D in document order is its own index: one checked
+			// scan reads it for its fences, and a probe that misses the
+			// pool reads one page.
+			cost := a + d
+			if d > mem {
+				cost += in.ARecs
+			}
+			return cost
+		}
 		outerPages, outerRecs := a, in.ARecs
 		innerPages, innerIdx := d, md
 		innerIndexed, innerOrdered := in.IndexedD, in.OrderedD

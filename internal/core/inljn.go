@@ -12,8 +12,9 @@ import (
 // built on the fly when absent (the paper's experimental setting), with
 // the sort and build I/O charged through the shared pool:
 //
-//   - inner = D: a B+-tree on D.Start; each ancestor probes the range
-//     [a.Start, a.End].
+//   - inner = D: an index on D.Start (startIndex: D's own pages behind
+//     in-memory fences when D is in document order, a B+-tree otherwise);
+//     each ancestor probes the range [a.Start, a.End].
 //   - inner = A: a disk interval tree on A's regions (a B+-tree handles
 //     this direction poorly — the paper proposes the interval tree); each
 //     descendant stabs with d.Start.
@@ -87,11 +88,11 @@ func BuildIntervalIndex(ctx *Context, rel *relation.Relation) (*itree.Tree, erro
 func INLJN(ctx *Context, a, d *relation.Relation, sink Sink) error {
 	sink = ctx.Wrap(sink)
 	if inlCost(a, d) <= inlCost(d, a) {
-		idx, err := BuildStartIndex(ctx, d, "inl.d")
+		idx, err := startIndex(ctx, d, "inl.d", &ctx.scratch().fences[1])
 		if err != nil {
 			return err
 		}
-		return INLJNProbeDescendants(ctx, a, idx, sink)
+		return probeDescendants(ctx, a, idx, sink)
 	}
 	idx, err := BuildIntervalIndex(ctx, a)
 	if err != nil {
@@ -110,28 +111,38 @@ func inlCost(outer, inner *relation.Relation) int64 {
 	return outer.NumPages() + outer.NumRecords()*logInner/8
 }
 
-// INLJNProbeDescendants joins with an existing B+-tree on D.Start: for
+// INLJNProbeDescendants joins with an existing B+-tree on D.Start.
+func INLJNProbeDescendants(ctx *Context, a *relation.Relation, dIdx *btree.Tree, sink Sink) error {
+	return probeDescendants(ctx, a, &treeIter{t: dIdx}, sink)
+}
+
+// probeDescendants joins through a Start index on D, which it closes: for
 // each ancestor, the descendants are the entries with Start in
 // [a.Start, a.End] and lower height.
-func INLJNProbeDescendants(ctx *Context, a *relation.Relation, dIdx *btree.Tree, sink Sink) error {
+func probeDescendants(ctx *Context, a *relation.Relation, dIdx startIter, sink Sink) error {
 	sp := ctx.Trace.StartDetail("probe", "index=D")
 	defer ctx.Trace.End(sp)
 	stats := ctx.stats()
+	dc := cursor{it: dIdx}
+	defer dIdx.close()
 	s := a.Scan()
 	defer s.Close()
 	for s.Next() {
 		ar := s.Rec()
-		ha := ar.Code.Height()
+		ha, end := ar.Code.Height(), ar.Code.End()
 		stats.IndexProbes++
-		err := dIdx.Range(ar.Code.Start(), ar.Code.End(), func(key, val uint64) error {
-			dc := pbicode.Code(val)
-			if dc.Height() < ha {
-				return sink.Emit(ar, relation.Rec{Code: dc})
-			}
-			return nil
-		})
-		if err != nil {
+		if err := dc.seek(ar.Code.Start()); err != nil {
 			return err
+		}
+		for ; dc.ok && dc.rec.Code.Start() <= end; dc.advance() {
+			if dc.rec.Code.Height() < ha {
+				if err := sink.Emit(ar, dc.rec); err != nil {
+					return err
+				}
+			}
+		}
+		if dc.err != nil {
+			return dc.err
 		}
 	}
 	return s.Err()

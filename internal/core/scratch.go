@@ -9,10 +9,12 @@ import (
 // to every join it runs through Context.Scratch: the hash table of the
 // equijoins, the key and region slabs of its kernels, the record chunk of
 // the memory joins, the stack-tree join's stack, the pending-pair arena of
-// the stack-tree-anc join and the external sort's buffers. The algorithms already size each
+// the stack-tree-anc join, the fence indexes of ADB+ and INLJN and the
+// external sort's buffers. The algorithms already size each
 // of these by the b-page budget — a build side never exceeds
 // memRecs(b-2) records, a sort run never exceeds b pages — so what stays
-// resident is bounded by b and the page size, whatever the inputs. Nothing
+// resident is bounded by b and the page size, whatever the inputs, but for
+// the fences: 16 bytes a page of the largest ordered input. Nothing
 // is allocated until a join first needs it; after that a warm join reuses
 // it and allocates only the small bookkeeping objects of its temporary
 // relations.
@@ -30,6 +32,7 @@ type Scratch struct {
 	dStart []uint64       // region starts of recs, for the memory join's probes
 	stack  stack          // StackTree's open ancestors
 	anc    ancArena
+	fences [2]fenceIndex // ADB+'s Start indexes on A and D, INLJN's on D
 	sort   extsort.Scratch
 }
 

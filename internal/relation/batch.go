@@ -88,6 +88,10 @@ func (s *BatchScanner) Next() bool {
 	}
 }
 
+// Page returns the index in the relation of the page the last true Next
+// decoded.
+func (s *BatchScanner) Page() int { return s.pageIdx - 1 }
+
 // Codes returns the code column of the current page. Valid after a true
 // Next, until the following Next, Reset or Close.
 func (s *BatchScanner) Codes() []uint64 { return s.page.codes }

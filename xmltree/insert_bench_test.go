@@ -28,11 +28,14 @@ func collectionOf(tb testing.TB, n int) *Document {
 	return d
 }
 
-// insertDoc grafts a three-element document under d's root at the slot
-// after the highest taken one, and returns it.
-func insertDoc(tb testing.TB, d *Document) *Element {
-	w := &Element{Tag: "w"}
-	w.Children = []*Element{{Tag: "x", Parent: w}, {Tag: "x", Parent: w}}
+// insertDoc grafts a document under d's root at the slot after the highest
+// taken one, and returns it: a root tagged tag with a leaf child for each
+// of children.
+func insertDoc(tb testing.TB, d *Document, tag string, children ...string) *Element {
+	w := &Element{Tag: tag}
+	for _, c := range children {
+		w.Children = append(w.Children, &Element{Tag: c, Parent: w})
+	}
 	si, err := d.Slots(d.Root)
 	if err != nil {
 		tb.Fatal(err)
@@ -53,7 +56,7 @@ func BenchmarkInsertDoc(b *testing.B) {
 	for _, n := range []int{1_000, 10_000} {
 		b.Run(fmt.Sprintf("docs=%dk", n/1000), func(b *testing.B) {
 			d := collectionOf(b, n)
-			insertDoc(b, d) // the root's occupancy is built once, here
+			insertDoc(b, d, "w", "x", "x") // the root's occupancy is built once, here
 			var ms runtime.MemStats
 			var mallocs uint64
 			added := make([]*Element, 0, 256)
@@ -65,7 +68,7 @@ func BenchmarkInsertDoc(b *testing.B) {
 				m0 := ms.Mallocs
 				b.StartTimer()
 				for i := 0; i < k; i++ {
-					added = append(added, insertDoc(b, d))
+					added = append(added, insertDoc(b, d, "w", "x", "x"))
 				}
 				b.StopTimer()
 				runtime.ReadMemStats(&ms)
@@ -84,6 +87,39 @@ func BenchmarkInsertDoc(b *testing.B) {
 	}
 }
 
+// BenchmarkDeleteDoc deletes documents from a collection root of 1k and
+// 10k documents — the ingest write path's delete_doc. Each is a
+// two-element document of the tags every base document has, grafted off
+// the clock 256 at a time, so its elements leave tag indexes of 1k and 10k
+// entries. ns/delete does not grow with the number of documents: the tag
+// indexes and the root's children are in document order, and a delete
+// finds its elements in them by binary search.
+func BenchmarkDeleteDoc(b *testing.B) {
+	for _, n := range []int{1_000, 10_000} {
+		b.Run(fmt.Sprintf("docs=%dk", n/1000), func(b *testing.B) {
+			d := collectionOf(b, n)
+			added := make([]*Element, 0, 256)
+			b.ResetTimer()
+			for done := 0; done < b.N; {
+				b.StopTimer()
+				k := min(cap(added), b.N-done)
+				for i := 0; i < k; i++ {
+					added = append(added, insertDoc(b, d, "a", "b"))
+				}
+				b.StartTimer()
+				for _, e := range added {
+					if err := d.Delete(e); err != nil {
+						b.Fatal(err)
+					}
+				}
+				added = added[:0]
+				done += k
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/delete")
+		})
+	}
+}
+
 // TestInsertDocAllocsFlat: grafting a document under the collection root
 // and deleting it again allocates as much under 10k documents as under 1k
 // — no per-insert walk or map of the root's children.
@@ -92,7 +128,7 @@ func TestInsertDocAllocsFlat(t *testing.T) {
 	for _, n := range []int{1_000, 10_000} {
 		d := collectionOf(t, n)
 		allocs[n] = testing.AllocsPerRun(100, func() {
-			if err := d.Delete(insertDoc(t, d)); err != nil {
+			if err := d.Delete(insertDoc(t, d, "w", "x", "x")); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -1,6 +1,7 @@
 package xmltree
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -65,27 +66,15 @@ func (d *Document) Delete(e *Element) error {
 		return fmt.Errorf("xmltree: cannot delete the document root")
 	}
 	d.release(e)
-	// Unlink from the parent.
-	siblings := e.Parent.Children
-	for i, c := range siblings {
-		if c == e {
-			e.Parent.Children = append(siblings[:i], siblings[i+1:]...)
-			break
-		}
+	if i := indexOf(e.Parent.Children, e); i >= 0 {
+		e.Parent.Children = slices.Delete(e.Parent.Children, i, i+1)
 	}
 	// Drop the subtree from the indexes.
 	var drop func(*Element)
 	drop = func(x *Element) {
 		delete(d.byCode, x.Code)
 		delete(d.slots, x)
-		tagged := d.byTag[x.Tag]
-		for i, c := range tagged {
-			if c == x {
-				d.byTag[x.Tag] = append(tagged[:i], tagged[i+1:]...)
-				d.note(x.Tag, i)
-				break
-			}
-		}
+		d.unindex(x)
 		d.count--
 		for _, c := range x.Children {
 			drop(c)
@@ -93,6 +82,35 @@ func (d *Document) Delete(e *Element) error {
 	}
 	drop(e)
 	return nil
+}
+
+// unindex removes e from its tag's index and notes the ordinal it left.
+func (d *Document) unindex(e *Element) {
+	if i := indexOf(d.byTag[e.Tag], e); i >= 0 {
+		d.byTag[e.Tag] = slices.Delete(d.byTag[e.Tag], i, i+1)
+		d.note(e.Tag, i)
+	}
+}
+
+// indexOf returns the position of e in list, a tag index or a Children
+// slice. Such a list is in document order wherever updates kept it so —
+// document inserts append to the collection root's Children and to the
+// tag indexes, and a Reencode restores the order everywhere — and there a
+// binary search on code finds e. A list out of order may miss it, and is
+// scanned instead.
+func indexOf(list []*Element, e *Element) int {
+	i, _ := slices.BinarySearchFunc(list, e.Code, func(x *Element, c pbicode.Code) int {
+		// Document order: Start ascending, and of two regions that start
+		// together the longer, which has the larger code, first.
+		if sx, sc := x.Code.Start(), c.Start(); sx != sc {
+			return cmp.Compare(sx, sc)
+		}
+		return cmp.Compare(c, x.Code)
+	})
+	if i < len(list) && list[i] == e {
+		return i
+	}
+	return slices.Index(list, e)
 }
 
 // Retag renames an element in place: its code, position and subtree are
@@ -110,14 +128,7 @@ func (d *Document) Retag(e *Element, tag string) error {
 		d.note(tag, len(d.byTag[tag]))
 		return nil
 	}
-	tagged := d.byTag[e.Tag]
-	for i, c := range tagged {
-		if c == e {
-			d.byTag[e.Tag] = append(tagged[:i], tagged[i+1:]...)
-			d.note(e.Tag, i)
-			break
-		}
-	}
+	d.unindex(e)
 	e.Tag = tag
 	d.note(tag, len(d.byTag[tag]))
 	d.byTag[tag] = append(d.byTag[tag], e)

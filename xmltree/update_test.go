@@ -218,6 +218,47 @@ func TestDelete(t *testing.T) {
 	}
 }
 
+// TestDeleteNotesExactOrdinal: a delete records the ordinal its element
+// left in the tag index, both in an index in document order, which it
+// searches, and in one an insert into a freed slot put out of order, which
+// it scans.
+func TestDeleteNotesExactOrdinal(t *testing.T) {
+	doc, err := ParseString(`<r><a/><a/><a/><a/></r>`, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	as := slices.Clone(doc.Elements("a"))
+	if err := doc.Delete(as[2]); err != nil {
+		t.Fatal(err)
+	}
+	if from, ok := doc.ChangedFrom("a"); !ok || from != 2 {
+		t.Fatalf("ordered index: changed from %d (%v), want 2", from, ok)
+	}
+	// The freed slot lies before the last a: the new a is listed after
+	// an element it precedes in document order.
+	late, err := doc.InsertChild(doc.Root, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l := doc.Elements("a"); l[2].Code.Start() < late.Code.Start() {
+		t.Fatalf("insert did not reuse the freed slot: %v after %v", late.Code, l[2].Code)
+	}
+	for _, e := range []*Element{as[3], late, as[0]} {
+		doc.ResetChanges()
+		want := slices.Index(doc.Elements("a"), e)
+		if err := doc.Delete(e); err != nil {
+			t.Fatal(err)
+		}
+		if from, ok := doc.ChangedFrom("a"); !ok || from != want {
+			t.Fatalf("delete %v: changed from %d (%v), want %d", e.Code, from, ok, want)
+		}
+		if slices.Contains(doc.Elements("a"), e) || slices.Contains(doc.Root.Children, e) {
+			t.Fatalf("delete %v: still indexed", e.Code)
+		}
+		checkInvariants(t, doc)
+	}
+}
+
 func TestInsertedElementsJoinCorrectly(t *testing.T) {
 	doc, err := ParseString(`<lib><shelf><book/></shelf><shelf/></lib>`, Options{})
 	if err != nil {
