@@ -211,10 +211,10 @@ func tags(args []string) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	fmt.Printf("%-24s %10s %8s %8s\n", "tag", "elements", "pages", "sorted")
+	fmt.Printf("%-24s %10s %8s %8s\n", "tag", "elements", "pages", "ordered")
 	for _, name := range names {
 		r := rels[name]
-		fmt.Printf("%-24s %10d %8d %8v\n", strings.TrimPrefix(name, relPrefix), r.Len(), r.Pages(), r.Sorted())
+		fmt.Printf("%-24s %10d %8d %8v\n", strings.TrimPrefix(name, relPrefix), r.Len(), r.Pages(), r.Ordered())
 	}
 }
 

@@ -19,14 +19,19 @@
 // Usage:
 //
 //	pbifsck db.pbidb [db2.pbidb ...]      verify page checksums (+ epoch family)
-//	pbifsck -add legacy.pbidb             backfill checksums on a pre-checksum database
+//	pbifsck -add legacy.pbidb             backfill checksums and page fences on an older database
 //	pbifsck -json db.pbidb                machine-readable report
 //	pbifsck -noepochs db.pbidb            skip the epoch family
 //
 // Exit status: 0 when every database verifies clean, 1 on corruption, a
 // broken epoch chain or an unverifiable (legacy, no-checksum) database, 2 on usage or I/O errors.
 // -add trusts the page file as it stands, so run it only on a database
-// believed intact — there is nothing older to verify against.
+// believed intact — there is nothing older to verify against. After the
+// checksums it verifies the database, then writes the fences (each page's
+// first Start) of every relation whose catalog claims document order
+// without them, as catalogs written before fences do: such relations reopen
+// with the loader's claim, so STACKTREE, ADB+ and INLJN seek over their
+// pages instead of reading them to the end or bulk-loading a B+-tree.
 package main
 
 import (
@@ -43,7 +48,7 @@ import (
 
 func main() {
 	var (
-		add      = flag.Bool("add", false, "backfill a checksum sidecar onto a legacy (pre-checksum) database")
+		add      = flag.Bool("add", false, "backfill a checksum sidecar, and the page fences of ordered relations, onto an older database")
 		jsonOut  = flag.Bool("json", false, "emit one JSON report per database instead of text")
 		noEpochs = flag.Bool("noepochs", false, "scan only the named files, not their epoch families")
 	)
@@ -60,6 +65,12 @@ func main() {
 				os.Exit(2)
 			}
 			fmt.Printf("%s: checksum sidecar written\n", path)
+			n, err := containment.AddFences(path)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "pbifsck: %s: %v\n", path, err)
+				os.Exit(2)
+			}
+			fmt.Printf("%s: fences written for %d ordered relations\n", path, n)
 		}
 		return
 	}

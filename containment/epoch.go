@@ -178,11 +178,20 @@ func (at *epochState) fold(ch *epochChain) error {
 		}
 		for _, ent := range d.Relations {
 			var prev []storage.PageID
+			var prevFences []uint64
 			if old := at.rels[ent.Name]; old != nil {
-				prev = old.entry.Pages
+				prev, prevFences = old.entry.Pages, old.entry.Fences
 			}
 			if ent.Keep < 0 || ent.Keep > len(prev) {
 				return fmt.Errorf("containment: diff catalog %s keeps %d pages of relation %q, which has %d", catalogPath(path), ent.Keep, ent.Name, len(prev))
+			}
+			// The kept pages' fences are the parent's, when the entry lists
+			// one for each page of its own. Otherwise the relation has none,
+			// and its claim of order is taken on trust.
+			if !ent.Ordered || len(ent.Fences) != len(ent.Pages) || len(prevFences) < ent.Keep {
+				ent.Fences = nil
+			} else if ent.Keep > 0 {
+				ent.Fences = append(prevFences[:ent.Keep:ent.Keep], ent.Fences...)
 			}
 			pages := make([]storage.PageID, 0, ent.Keep+len(ent.Pages))
 			ent.Pages = append(append(pages, prev[:ent.Keep]...), ent.Pages...)
@@ -267,6 +276,9 @@ func (e *Engine) SaveEpoch(path string, epoch int64, docs []DocInfo, relations .
 				diff.Keep++
 			}
 			diff.Pages = diff.Pages[diff.Keep:]
+		}
+		if len(diff.Fences) > 0 {
+			diff.Fences = diff.Fences[diff.Keep:]
 		}
 		cat.Relations = append(cat.Relations, diff)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 
 	"github.com/pbitree/pbitree/internal/relation"
@@ -80,9 +81,11 @@ type FsckReport struct {
 	Chain string `json:"chain,omitempty"`
 	// Entries lists the relations whose catalog entry says other than their
 	// decoded pages do: record count, region span, a non-zero height mask
-	// (zero is "unknown"), or a claim of document order (the sorts on the
-	// fly trust it, so a false one would lose pairs). Only relations whose
-	// every page decodes are compared.
+	// (zero is "unknown"), a claim of document order (the sorts on the fly
+	// trust it, so a false one would lose pairs), or fences (the merges
+	// seek over them, so a false one would skip pairs): one per page, each
+	// its page's first Start, ascending. Only relations whose every page
+	// decodes are compared.
 	Entries []FsckEntry `json:"entries,omitempty"`
 	// NoChecksums marks a database saved before page integrity landed
 	// (catalog flag absent): there is nothing to verify against. Use
@@ -113,18 +116,24 @@ func (r *FsckReport) OK() bool {
 // additionally verified whole against its trailing CRC. Every page a
 // catalogued relation owns — in the base file or in a delta — is also
 // decoded as a scan would decode it, and each relation's catalog entry —
-// its record count, region span, height mask and order claim — compared
+// its record count, region span, height mask, order claim and fences — compared
 // with what its decoded pages hold (Entries). Databases saved before
 // checksums existed return a report with NoChecksums set and no error —
 // they are legacy, not broken.
 func Fsck(path string) (*FsckReport, error) {
+	rep, _, err := fsck(path)
+	return rep, err
+}
+
+// fsck is Fsck, which also returns what each page that decodes holds.
+func fsck(path string) (*FsckReport, map[int64]pageHolds, error) {
 	cat, err := readCatalog(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	at, err := readEpoch(path)
 	if err != nil {
-		return &FsckReport{Path: path, PageSize: cat.PageSize, Epoch: cat.Epoch, Chain: err.Error()}, nil
+		return &FsckReport{Path: path, PageSize: cat.PageSize, Epoch: cat.Epoch, Chain: err.Error()}, nil, nil
 	}
 	pageSize := at.pageSize
 	if pageSize <= 0 {
@@ -199,24 +208,24 @@ func Fsck(path string) (*FsckReport, error) {
 	}
 	if !at.checksums {
 		rep.NoChecksums = true
-		return rep, nil
+		return rep, held, nil
 	}
 	sums, err := storage.LoadChecksums(pagePath)
 	if err != nil {
-		return nil, fmt.Errorf("containment: %w", err)
+		return nil, nil, fmt.Errorf("containment: %w", err)
 	}
 
 	f, err := os.Open(pagePath)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if st.Size()%int64(pageSize) != 0 {
-		return nil, fmt.Errorf("containment: page file size %d is not a multiple of page size %d (truncated?)", st.Size(), pageSize)
+		return nil, nil, fmt.Errorf("containment: page file size %d is not a multiple of page size %d (truncated?)", st.Size(), pageSize)
 	}
 	rep.Pages = st.Size() / int64(pageSize)
 
@@ -224,7 +233,7 @@ func Fsck(path string) (*FsckReport, error) {
 	page := make([]byte, pageSize)
 	for id := int64(0); id < rep.Pages; id++ {
 		if _, err := io.ReadFull(br, page); err != nil {
-			return nil, fmt.Errorf("containment: read page %d: %w", id, err)
+			return nil, nil, fmt.Errorf("containment: read page %d: %w", id, err)
 		}
 		if int(id) >= sums.Pages() {
 			// The file grew after the sidecar was written (a writable
@@ -248,7 +257,7 @@ func Fsck(path string) (*FsckReport, error) {
 		}
 	}
 	sort.Slice(rep.Entries, func(i, j int) bool { return rep.Entries[i].Relation < rep.Entries[j].Relation })
-	return rep, nil
+	return rep, held, nil
 }
 
 // pageHolds is what one decoded page holds: its record count and their
@@ -293,7 +302,84 @@ func checkEntry(ent catalogEntry, held map[int64]pageHolds) (string, bool) {
 	case ent.Ordered && disorder >= 0:
 		return fmt.Sprintf("catalog claims document order, records leave it on page %d of %d", disorder+1, len(ent.Pages)), true
 	}
-	return "", true
+	return checkFences(ent, held), true
+}
+
+// checkFences says how an entry's fences disagree with its pages: each must
+// be its page's first Start — an empty page's the next non-empty page's,
+// the largest Start after the last — and they must ascend under a claim of
+// order. Empty when they agree, or when the entry records none.
+func checkFences(ent catalogEntry, held map[int64]pageHolds) string {
+	f := ent.Fences
+	switch {
+	case len(f) == 0:
+		return ""
+	case !ent.Ordered:
+		return fmt.Sprintf("catalog records %d fences but no claim of document order", len(f))
+	case len(f) != len(ent.Pages):
+		return fmt.Sprintf("catalog records %d fences for %d pages", len(f), len(ent.Pages))
+	case !slices.IsSorted(f):
+		return "catalog fences do not ascend"
+	}
+	for i, want := range pageFences(ent.Pages, held) {
+		if f[i] != want {
+			return fmt.Sprintf("catalog fence of page %d of %d is %d, its records start at %d", i+1, len(f), f[i], want)
+		}
+	}
+	return ""
+}
+
+// pageFences returns the fences of pages as their decoded records give
+// them: each page's first Start, an empty page's the next non-empty
+// page's, the largest Start after the last.
+func pageFences(pages []storage.PageID, held map[int64]pageHolds) []uint64 {
+	fences, next := make([]uint64, len(pages)), ^uint64(0)
+	for i := len(pages) - 1; i >= 0; i-- {
+		if h := held[int64(pages[i])]; h.n > 0 {
+			next = h.first.Start()
+		}
+		fences[i] = next
+	}
+	return fences
+}
+
+// AddFences writes the fences of each relation that claims document order
+// without them — as catalogs written before fences existed record it —
+// into the catalog of the database at path: each page's first Start, as
+// its decoded records give it. The database must verify first (Fsck: page
+// checksums, decoding, and every catalog entry, order claims included), so
+// only claims its pages bear out gain fences; such a relation then reopens
+// with its claim as the loader's, and the merges seek over it instead of
+// reading it to the end. It returns how many relations gained fences. Like
+// AddChecksums it works on a full catalog: the diff catalogs of an epoch
+// list the fences of the pages they write, and a diff over a relation
+// whose parent has none leaves it without.
+func AddFences(path string) (int, error) {
+	cat, err := readCatalog(path)
+	if err != nil {
+		return 0, err
+	}
+	if cat.Version == catalogVersionDiff {
+		return 0, fmt.Errorf("containment: %s is a diff catalog; run AddFences on the full catalog its chain ends at", catalogPath(path))
+	}
+	rep, held, err := fsck(path)
+	if err != nil {
+		return 0, err
+	}
+	if !rep.OK() {
+		return 0, fmt.Errorf("containment: %s does not verify (see pbifsck); fences are added only to a database that does", path)
+	}
+	added := 0
+	for i := range cat.Relations {
+		if ent := &cat.Relations[i]; ent.Ordered && len(ent.Fences) == 0 && len(ent.Pages) > 0 {
+			ent.Fences = pageFences(ent.Pages, held)
+			added++
+		}
+	}
+	if added == 0 {
+		return 0, nil
+	}
+	return added, writeCatalog(path, cat)
 }
 
 // AddChecksums computes and writes the checksum sidecar for a database

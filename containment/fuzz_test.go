@@ -2,6 +2,8 @@ package containment
 
 import (
 	"bytes"
+	"encoding/base64"
+	"math"
 	"os"
 	"testing"
 )
@@ -29,6 +31,18 @@ func FuzzCatalog(f *testing.F) {
 	f.Add(uint8(3), bytes.ReplaceAll(originals[3], []byte(`"sorted":`), []byte(`"ordered":true,"sorted":`)))
 	f.Add(uint8(0), bytes.Replace(originals[0], []byte(`{"version"`), []byte(`{"dropped":["Z"],"version"`), 1))
 	f.Add(uint8(0), []byte(`{"version":3,"page_size":512,"epoch":3,"parent":"epoch-000002.pbidb","parent_epoch":2,"delta":"epoch-000003.pbidb.delta","relations":[{"name":"A","keep":1,"pages":[99999]}],"documents":{"runs":[0,5]}}`))
+	// Fences: claimed over pages out of order, fewer than the pages, past
+	// the largest Start, in a diff over a parent that records none, and
+	// ones that do not decode.
+	fences := func(f ...uint64) []byte {
+		return []byte(`"ordered":true,"fences":"` + base64.StdEncoding.EncodeToString(packFences(f, 0)) + `",`)
+	}
+	f.Add(uint8(3), bytes.ReplaceAll(originals[3], []byte(`"sorted":`), append(fences(1, 0, 0, 0, 0, 0), `"sorted":`...)))
+	f.Add(uint8(3), bytes.ReplaceAll(originals[3], []byte(`"sorted":`), append(fences(7), `"sorted":`...)))
+	f.Add(uint8(0), bytes.Replace(originals[0], []byte(`"sorted":`), append(fences(math.MaxUint64, 1), `"sorted":`...), 1))
+	f.Add(uint8(1), bytes.Replace(originals[1], []byte(`"keep":`), append(fences(3), `"keep":`...), 1))
+	f.Add(uint8(3), bytes.ReplaceAll(originals[3], []byte(`"sorted":`), []byte(`"ordered":true,"fences":"gA==","sorted":`)))
+	f.Add(uint8(3), bytes.ReplaceAll(originals[3], []byte(`"sorted":`), []byte(`"ordered":true,"fences":"!!","sorted":`)))
 
 	f.Fuzz(func(t *testing.T, link uint8, data []byte) {
 		i := int(link) % len(links)

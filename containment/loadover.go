@@ -192,9 +192,14 @@ func (e *Engine) LoadOver(old *Relation, name string, from int, tail []pbicode.C
 			return nil, err
 		}
 		// The appended pages start on a fresh page of their own, so the
-		// result is the shared page IDs followed by the new ones.
+		// result is the shared page IDs followed by the new ones, and its
+		// fences old's for the shared pages and the appender's for the rest.
+		var fences []uint64
+		if of, nf := old.rel.Fences(), rel.Fences(); ordered && of != nil && nf != nil {
+			fences = append(of[:k:k], nf...)
+		}
 		rel = relation.Attach(e.pool, name, append(shared, rel.Pages()...), int64(from+len(tail)),
-			pbicode.Region{Start: total.minStart, End: total.maxEnd}, ordered)
+			pbicode.Region{Start: total.minStart, End: total.maxEnd}, ordered, fences)
 		rel.SetPaperLayout(e.cfg.PaperLayout)
 	}
 	// Grow the engine's PBiTree height to cover every loaded code. A

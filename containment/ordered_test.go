@@ -243,7 +243,7 @@ func kernelsAgree(t *testing.T, name string, e *Engine, a, d *Relation, algs []A
 	want := oracle(aCodes, dCodes)
 	twin := func(r *Relation, ordered bool) *Relation {
 		span, _ := r.rel.Span()
-		tw := &Relation{rel: relation.Attach(e.pool, r.Name(), r.rel.Pages(), r.rel.NumRecords(), span, ordered)}
+		tw := &Relation{rel: relation.Attach(e.pool, r.Name(), r.rel.Pages(), r.rel.NumRecords(), span, ordered, nil)}
 		if stats {
 			tw.heights = r.heights
 		}

@@ -1,7 +1,9 @@
 package containment
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -139,6 +141,17 @@ type catalogEntry struct {
 	// (Relation.Ordered), which the sorts on the fly then trust: Fsck
 	// verifies the claim. Additive: earlier catalogs read as unordered.
 	Ordered bool `json:"ordered,omitempty"`
+	// Fences is the first Start of each page (relation.Fences), in a diff
+	// catalog of each page it lists after Keep, the parent's entry giving
+	// the kept pages'. The appends that wrote the pages checked their order
+	// and recorded them, so a relation with fences claims order as its
+	// loader made it, and the merges seek over them past pages they never
+	// read; Fsck verifies them. Additive: an order claim without fences, as
+	// earlier catalogs hold, is taken on trust and read to the end.
+	Fences []uint64 `json:"-"`
+	// FenceGaps is Fences as the catalog file holds them (packFences),
+	// which the JSON encoding writes in base64.
+	FenceGaps []byte `json:"fences,omitempty"`
 	// Earlier catalogs also carry "compressed", the layout the relation
 	// was last appended in. It is neither written nor read any more: every
 	// page carries its own format byte, the only authority on how it is
@@ -229,7 +242,7 @@ func (e *Engine) newCatalog(docs []DocInfo, relations []*Relation) (*catalogFile
 // entry returns the full catalog entry that records r.
 func (r *Relation) entry() catalogEntry {
 	span, _ := r.rel.Span()
-	return catalogEntry{
+	ent := catalogEntry{
 		Name:     r.rel.Name(),
 		Pages:    r.rel.Pages(),
 		Count:    r.rel.NumRecords(),
@@ -239,6 +252,21 @@ func (r *Relation) entry() catalogEntry {
 		Sorted:   r.sorted,
 		Ordered:  r.rel.Ordered(),
 	}
+	if f := r.rel.Fences(); len(f) > 0 {
+		ent.Fences = f
+	}
+	return ent
+}
+
+// fences returns the entry's fences when they can be used: one per page,
+// ascending, under a claim of order. Any others — none recorded, or ones
+// Fsck reports — leave the relation without fences, and its claim of order
+// taken on trust.
+func (ent *catalogEntry) fences() []uint64 {
+	if !ent.Ordered || len(ent.Fences) != len(ent.Pages) || !slices.IsSorted(ent.Fences) {
+		return nil
+	}
+	return ent.Fences
 }
 
 // normalize rewrites an entry read from an earlier catalog the way current
@@ -251,10 +279,58 @@ func (ent *catalogEntry) normalize() {
 	ent.MaxHeight, ent.SingleHeight = 0, false
 }
 
+// packFences returns fences as a catalog file holds them: from the last
+// to the first, each one's distance below the one after it — the last's
+// below end, the relation's largest End — as uvarints. The pages a commit
+// writes lie at a relation's end, so a diff catalog holds distances of
+// about a page's span of Starts, however large the Starts of a collection
+// grow. The distances wrap, so any list round-trips.
+func packFences(fences []uint64, end uint64) []byte {
+	if len(fences) == 0 {
+		return nil
+	}
+	buf := make([]byte, 0, 3*len(fences))
+	for i := len(fences) - 1; i >= 0; i-- {
+		buf = binary.AppendUvarint(buf, end-fences[i])
+		end = fences[i]
+	}
+	return buf
+}
+
+// unpackFences returns the fences packFences packed over end.
+func unpackFences(buf []byte, end uint64) ([]uint64, error) {
+	if len(buf) == 0 {
+		return nil, nil
+	}
+	n := 0
+	for _, b := range buf {
+		if b < 0x80 {
+			n++
+		}
+	}
+	fences := make([]uint64, n)
+	for i := n - 1; i >= 0; i-- {
+		gap, w := binary.Uvarint(buf)
+		if w <= 0 {
+			return nil, errors.New("fences: malformed distance")
+		}
+		end -= gap
+		fences[i], buf = end, buf[w:]
+	}
+	if len(buf) > 0 {
+		return nil, errors.New("fences: trailing bytes")
+	}
+	return fences, nil
+}
+
 // writeCatalog writes cat as the catalog sidecar of the database at path,
 // via tmp+rename. The JSON is compact: catalogs are read by programs, and
 // jq pretty-prints one for a reader.
 func writeCatalog(path string, cat *catalogFile) error {
+	for i := range cat.Relations {
+		ent := &cat.Relations[i]
+		ent.FenceGaps = packFences(ent.Fences, ent.MaxEnd)
+	}
 	data, err := json.Marshal(cat)
 	if err != nil {
 		return err
@@ -278,6 +354,13 @@ func readCatalog(path string) (*catalogFile, error) {
 	}
 	if cat.Version != catalogVersion && cat.Version != catalogVersionEpoch && cat.Version != catalogVersionDiff {
 		return nil, fmt.Errorf("containment: catalog %s: version %d unsupported", catalogPath(path), cat.Version)
+	}
+	for i := range cat.Relations {
+		ent := &cat.Relations[i]
+		if ent.Fences, err = unpackFences(ent.FenceGaps, ent.MaxEnd); err != nil {
+			return nil, fmt.Errorf("containment: catalog %s: relation %q: %w", catalogPath(path), ent.Name, err)
+		}
+		ent.FenceGaps = nil
 	}
 	return &cat, nil
 }
@@ -315,7 +398,7 @@ func (e *Engine) attach(rels map[string]*storedRel, extent storage.PageID) error
 			}
 		}
 		rel := relation.Attach(e.pool, name, sr.entry.Pages, sr.entry.Count,
-			pbicode.Region{Start: sr.entry.MinStart, End: sr.entry.MaxEnd}, sr.entry.Ordered)
+			pbicode.Region{Start: sr.entry.MinStart, End: sr.entry.MaxEnd}, sr.entry.Ordered, sr.entry.fences())
 		rel.SetPaperLayout(e.cfg.PaperLayout)
 		sr.r = &Relation{rel: rel, heights: sr.entry.Heights, sorted: sr.entry.Sorted}
 	}

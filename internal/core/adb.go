@@ -20,8 +20,9 @@ import (
 //
 // Both rules are safe for well-nested regions; Stats.IndexProbes counts
 // the seeks. The on-the-fly variant indexes both inputs here (startIndex):
-// an input in document order by one checked scan, any other by sort +
-// bulk-load, whose I/O is charged as in the paper's unsorted/unindexed
+// an input with fences (relation.Fences) is its own index; any other, an
+// ordered one whose claim is taken on trust included, is sorted and
+// bulk-loaded, whose I/O is charged as in the paper's unsorted/unindexed
 // setting.
 
 // ADBPlus evaluates the index-assisted stack-tree join over existing
@@ -40,10 +41,11 @@ func adbMerge(ctx *Context, aIdx, dIdx startIter, sink Sink) error {
 	ac, dc := cursor{it: aIdx}, cursor{it: dIdx}
 	defer aIdx.close()
 	defer dIdx.close()
-	if err := ac.seek(0); err != nil {
+	if err := ac.seek(0); err != nil || !ac.ok {
 		return err
 	}
-	if err := dc.seek(0); err != nil {
+	// No descendant before the first ancestor's Start joins.
+	if err := dc.seek(ac.rec.Code.Start()); err != nil {
 		return err
 	}
 
@@ -67,6 +69,11 @@ func adbMerge(ctx *Context, aIdx, dIdx startIter, sink Sink) error {
 			ac.advance()
 			if ac.err != nil {
 				return ac.err
+			}
+			if !ac.ok {
+				// The outermost open ancestor ends the descendants
+				// that can still join.
+				dIdx.bound(st[0].Code.End())
 			}
 			continue
 		}
@@ -98,10 +105,11 @@ func adbMerge(ctx *Context, aIdx, dIdx startIter, sink Sink) error {
 	return dc.err
 }
 
-// ADBPlusOnTheFly indexes both inputs on Start (startIndex: fences over
-// an input in document order, sort + bulk-load otherwise, cost charged)
-// and runs ADB+'s merge — the paper's ADB+ baseline in the
-// neither-sorted-nor-indexed setting.
+// ADBPlusOnTheFly indexes both inputs on Start (startIndex: an input with
+// fences is its own index; any other, an ordered one whose claim is taken
+// on trust included, is sorted and bulk-loaded, cost charged) and runs
+// ADB+'s merge — the paper's ADB+ baseline in the neither-sorted-nor-indexed
+// setting.
 func ADBPlusOnTheFly(ctx *Context, a, d *relation.Relation, sink Sink) error {
 	sc := ctx.scratch()
 	aIdx, err := startIndex(ctx, a, "adb.a", &sc.fences[0])

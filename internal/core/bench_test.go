@@ -6,6 +6,7 @@ import (
 
 	"github.com/pbitree/pbitree/internal/buffer"
 	"github.com/pbitree/pbitree/internal/relation"
+	"github.com/pbitree/pbitree/internal/relation/relationtest"
 	"github.com/pbitree/pbitree/internal/storage"
 	"github.com/pbitree/pbitree/pbicode"
 )
@@ -16,7 +17,7 @@ func benchJoin(b *testing.B, fn joinFunc, n, frames int) {
 	b.Helper()
 	const h = 22
 	aCodes, dCodes := drawCodes(n, h)
-	benchInputs(b, fn, h, frames, aCodes, dCodes, false)
+	benchInputs(b, fn, h, frames, aCodes, dCodes, false, "")
 }
 
 // drawCodes draws the ancestor and descendant codes of the multi-height
@@ -40,15 +41,17 @@ func drawCodes(n, h int) (aCodes, dCodes []pbicode.Code) {
 // sub-benchmarks, each reporting ns per result pair and pages per join
 // besides ns per join.
 func benchOrders(b *testing.B, fn joinFunc, h, frames int, aCodes, dCodes []pbicode.Code) {
-	b.Run("shuffled", func(b *testing.B) { benchInputs(b, fn, h, frames, aCodes, dCodes, false) })
-	b.Run("ordered", func(b *testing.B) { benchInputs(b, fn, h, frames, aCodes, dCodes, true) })
+	b.Run("shuffled", func(b *testing.B) { benchInputs(b, fn, h, frames, aCodes, dCodes, false, "") })
+	b.Run("ordered", func(b *testing.B) { benchInputs(b, fn, h, frames, aCodes, dCodes, true, "") })
 }
 
 // benchInputs measures fn over aCodes and dCodes, stored as given or in
-// document order, on a fresh disk and pool each iteration. The loaded pages
-// are written out before the clock starts, so pages/op counts the join's
-// own reads and writes.
-func benchInputs(b *testing.B, fn joinFunc, h, frames int, aCodes, dCodes []pbicode.Code, inOrder bool) {
+// document order, on a fresh disk and pool each iteration; a non-empty
+// claim re-attaches D under it (relationtest.Claims). The loaded pages are
+// written out before the clock starts, so pages/op counts the join's own
+// reads and writes — under a claim, from a cold pool, so that it counts
+// every page the join fetches.
+func benchInputs(b *testing.B, fn joinFunc, h, frames int, aCodes, dCodes []pbicode.Code, inOrder bool, claim string) {
 	b.Helper()
 	if inOrder {
 		aCodes, dCodes = docOrder(aCodes), docOrder(dCodes)
@@ -69,8 +72,18 @@ func benchInputs(b *testing.B, fn joinFunc, h, frames int, aCodes, dCodes []pbic
 		if err != nil {
 			b.Fatal(err)
 		}
+		if claim != "" {
+			if dd, err = relationtest.Claim(dd, claim); err != nil {
+				b.Fatal(err)
+			}
+		}
 		if err := pool.FlushAll(); err != nil {
 			b.Fatal(err)
+		}
+		if claim != "" {
+			if err := pool.EvictAll(); err != nil {
+				b.Fatal(err)
+			}
 		}
 		before := d.Stats()
 		b.StartTimer()
@@ -104,11 +117,24 @@ func BenchmarkVPJ100k(b *testing.B) { benchJoin(b, VPJ, 100_000, 64) }
 
 // BenchmarkStackTree100k runs the stack-tree join over records as drawn,
 // which it sorts on the fly, and over the same records in document order,
-// which the batched merge reads as they are.
+// which the batched merge reads as they are; and a selective pair in
+// document order — the ancestors that fall in one sixty-fourth of the tree,
+// |A| ≪ |D| — whose D has fences, which the merge seeks over, or claims its
+// order on trust, which the merge reads to the end.
 func BenchmarkStackTree100k(b *testing.B) {
 	const h = 22
 	aCodes, dCodes := drawCodes(100_000, h)
 	benchOrders(b, StackTreeOnTheFly, h, 64, aCodes, dCodes)
+	x := pbicode.Root(h).LeftChild().RightChild().LeftChild().RightChild().LeftChild().RightChild()
+	var few []pbicode.Code
+	for _, c := range aCodes {
+		if pbicode.IsAncestor(x, c) {
+			few = append(few, c)
+		}
+	}
+	for _, claim := range []string{"fenced", "trusted"} {
+		b.Run("selective/"+claim, func(b *testing.B) { benchInputs(b, StackTree, h, 64, few, dCodes, true, claim) })
+	}
 }
 
 func BenchmarkMPMGJN100k(b *testing.B) { benchJoin(b, MPMGJNOnTheFly, 100_000, 64) }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 
 	"github.com/pbitree/pbitree/internal/relation"
 )
@@ -40,6 +41,14 @@ type CostInputs struct {
 	// (relation.Ordered): a sort on the fly of it reads nothing and writes
 	// nothing (SortByDoc), so no sort of it is priced.
 	OrderedA, OrderedD bool
+	// FencedA / FencedD say an input's order claim is the loader's, with
+	// fences (relation.Fences): it is its own Start index, and the merges
+	// seek over it.
+	FencedA, FencedD bool
+	// DMeet is, for a D with fences, how many of its pages hold Starts —
+	// from the page's fence to the next page's — that meet A's span: the
+	// pages a merge seeking over the fences may read. DPages otherwise.
+	DMeet int64
 }
 
 // Gather fills CostInputs from relations and the context's ancestor
@@ -54,7 +63,27 @@ func Gather(ctx *Context, spec InputSpec, a, d *relation.Relation) CostInputs {
 		SortedA:  spec.SortedA, SortedD: spec.SortedD,
 		IndexedA: spec.IndexedA, IndexedD: spec.IndexedD,
 		OrderedA: a.Ordered(), OrderedD: d.Ordered(),
+		FencedA: a.Fences() != nil, FencedD: d.Fences() != nil,
+		DMeet: meetPages(d, a),
 	}
+}
+
+// meetPages counts the pages of d whose Starts, from each page's fence to
+// the next page's, meet a's span; d's pages when d has no fences. The seeks
+// of a merge start at the page before the first fence at or past a's first
+// Start (fencePage) and end at the last page whose fence is within a's
+// last End.
+func meetPages(d, a *relation.Relation) int64 {
+	fences := d.Fences()
+	if fences == nil {
+		return d.NumPages()
+	}
+	span, ok := a.Span()
+	if !ok || len(fences) == 0 {
+		return 0
+	}
+	hi, _ := slices.BinarySearch(fences, span.End+1)
+	return int64(max(0, hi-fencePage(fences, span.Start)))
 }
 
 // memPages returns the size of an input in pages of working memory: the
@@ -144,6 +173,9 @@ func EstimateIO(alg Algorithm, in CostInputs) int64 {
 		return 5*a + 3*k*d
 	case AlgStackTree, AlgStackTreeAnc, AlgMPMGJN:
 		cost := a + d // the merge (MPMGJN rescans extra; lower bound)
+		if alg == AlgStackTree && in.FencedD {
+			cost = a + in.DMeet // it seeks over D's fences
+		}
 		if !in.SortedA {
 			cost += in.sortIO(a, ma, in.OrderedA)
 		}
@@ -152,42 +184,36 @@ func EstimateIO(alg Algorithm, in CostInputs) int64 {
 		}
 		return cost
 	case AlgADBPlus:
-		// A side with an index is read at its leaves. A side in document
-		// order is its own index (startIndex): one checked scan reads it
-		// for its fences, and the merge re-reads its pages, from the pool
-		// when the ordered sides fit it together. Any other side is sorted
-		// and bulk-loaded, and the merge walks the leaves it wrote.
-		var cost, fenced int64
-		side := func(pages, mem int64, indexed, ordered bool) {
+		// A side with an index is read at its leaves. A side with fences is
+		// its own index (startIndex): the merge reads its pages as it
+		// seeks forward, once each, D's only where they meet A's span. Any
+		// other side is sorted (an ordered one only read) and bulk-loaded,
+		// and the merge walks the leaves it wrote.
+		var cost int64
+		side := func(pages, read, mem int64, indexed, ordered, hasFences bool) {
 			switch {
 			case indexed:
 				cost += mem
+			case hasFences:
+				cost += read
 			case ordered:
-				cost += pages
-				fenced += pages
+				cost += pages + 2*mem
 			default:
 				cost += sortCost(pages, mem, in.B) + 2*mem
 			}
 		}
-		side(a, ma, in.SortedA && in.IndexedA, in.OrderedA)
-		side(d, md, in.SortedD && in.IndexedD, in.OrderedD)
-		if fenced > mem {
-			cost += fenced
-		}
+		side(a, a, ma, in.SortedA && in.IndexedA, in.OrderedA, in.FencedA)
+		side(d, in.DMeet, md, in.SortedD && in.IndexedD, in.OrderedD, in.FencedD)
 		return cost
 	case AlgINLJN:
 		// Outer = smaller set. When the inner index fits the buffer pool
 		// it is read at most once across all probes; otherwise each probe
 		// pays a root-to-leaf descent (~4 random pages).
-		if md >= ma && !in.IndexedD && in.OrderedD {
-			// An inner D in document order is its own index: one checked
-			// scan reads it for its fences, and a probe that misses the
-			// pool reads one page.
-			cost := a + d
-			if d > mem {
-				cost += in.ARecs
-			}
-			return cost
+		if md >= ma && !in.IndexedD && in.FencedD {
+			// An inner D with fences is its own index: the probes read the
+			// pages that meet A's span, and a nested ancestor's probe reads
+			// again what the pool could not keep of them.
+			return a + in.DMeet + max(0, in.DMeet-mem)
 		}
 		outerPages, outerRecs := a, in.ARecs
 		innerPages, innerIdx := d, md

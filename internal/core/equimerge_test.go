@@ -28,7 +28,7 @@ func docOrder(codes []pbicode.Code) []pbicode.Code {
 // or not, as ordered says: the same pages, read by the other kernel.
 func attachAs(rel *relation.Relation, ordered bool) *relation.Relation {
 	span, _ := rel.Span()
-	return relation.Attach(rel.Pool(), rel.Name()+"'", rel.Pages(), rel.NumRecords(), span, ordered)
+	return relation.Attach(rel.Pool(), rel.Name()+"'", rel.Pages(), rel.NumRecords(), span, ordered, nil)
 }
 
 // kernelRun is what one run of a join over one pair of inputs showed.

@@ -12,9 +12,10 @@ import (
 // built on the fly when absent (the paper's experimental setting), with
 // the sort and build I/O charged through the shared pool:
 //
-//   - inner = D: an index on D.Start (startIndex: D's own pages behind
-//     in-memory fences when D is in document order, a B+-tree otherwise);
-//     each ancestor probes the range [a.Start, a.End].
+//   - inner = D: an index on D.Start (startIndex: a D with fences,
+//     relation.Fences, is its own index; any other, an ordered one whose
+//     claim is taken on trust included, is sorted and bulk-loaded into a
+//     B+-tree); each ancestor probes the range [a.Start, a.End].
 //   - inner = A: a disk interval tree on A's regions (a B+-tree handles
 //     this direction poorly — the paper proposes the interval tree); each
 //     descendant stabs with d.Start.
@@ -131,6 +132,7 @@ func probeDescendants(ctx *Context, a *relation.Relation, dIdx startIter, sink S
 		ar := s.Rec()
 		ha, end := ar.Code.Height(), ar.Code.End()
 		stats.IndexProbes++
+		dIdx.bound(end)
 		if err := dc.seek(ar.Code.Start()); err != nil {
 			return err
 		}

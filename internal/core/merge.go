@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sort"
+
 	"github.com/pbitree/pbitree/internal/extsort"
 	"github.com/pbitree/pbitree/internal/relation"
 	"github.com/pbitree/pbitree/pbicode"
@@ -150,8 +152,16 @@ func (c *docScan) close() { c.s.Close() }
 // StackTree evaluates the stack-tree-desc join over document-ordered
 // inputs: the optimal one-pass merge, output ordered by descendant. Both
 // inputs are read a page at a time and checked to be in the order they
-// claim (docScan); a false claim fails the join with ErrOrderClaim. D is
-// read in full, and A too when its order was taken on trust (drain).
+// claim (docScan); a false claim fails the join with ErrOrderClaim. A is
+// read in full when its order was taken on trust (drain).
+//
+// D is read in full unless it has fences (relation.Fences), which ADB+'s
+// D-side rule then seeks over: with no ancestor open, the descendants
+// before the next ancestor's Start join nothing, so the merge moves on to
+// that Start — by binary search when it lies on the page in hand, through
+// the fences to its page otherwise — and pages in between are never
+// fetched; with no ancestor open and none to come, it stops. Each page the
+// fences lead to must begin at its fence.
 //
 // A sink that takes a descendant's ancestors in one call (ChainSink) gets
 // each matched descendant once, with the stack prefix that contains it;
@@ -193,11 +203,42 @@ func StackTree(ctx *Context, a, d *relation.Relation, sink Sink) error {
 		}
 	}
 	prevS, prevC := uint64(0), uint64(noneBefore)
-	ds := d.BatchScan()
+	fences := d.Fences()
+	var ds relation.BatchScanner
 	defer ds.Close()
-	for ds.Next() {
+	ds.Reset(d)
+	at := 0 // with fences, the first page not yet read or skipped
+pages:
+	for {
+		if fences != nil {
+			// Between pages: the stack drops what ends before the next
+			// page, and with nothing left open, D goes on from the page the
+			// next ancestor's Start lies on, or ends with A.
+			if at >= len(fences) {
+				break
+			}
+			pop(fences[at] - 1)
+			if len(st) == 0 {
+				if aS == ^uint64(0) {
+					break
+				}
+				if p := fencePage(fences, aS+1); p > at {
+					ds.ResetPages(d, p, len(fences))
+					at, prevS, prevC = p, 0, noneBefore
+				}
+			}
+		}
+		if !ds.Next() {
+			break
+		}
 		codes, aux := ds.Codes(), ds.Aux()
-		for i, c := range codes {
+		if fences != nil {
+			if at = ds.Page() + 1; pbicode.Code(codes[0]).Start() != fences[at-1] {
+				return orderError(d)
+			}
+		}
+		for i := 0; i < len(codes); i++ {
+			c := codes[i]
 			s := c & (c - 1)
 			if s < prevS || s == prevS && c > prevC {
 				return orderError(d)
@@ -228,6 +269,23 @@ func StackTree(ctx *Context, a, d *relation.Relation, sink Sink) error {
 			}
 			pop(s)
 			if len(st) == 0 {
+				if fences == nil {
+					continue
+				}
+				if aS == ^uint64(0) {
+					break pages
+				}
+				// The descendants before the next ancestor's Start join
+				// nothing: go on from the first that does not start
+				// before it, on this page or past it.
+				j := i + 1 + sort.Search(len(codes)-i-1, func(k int) bool {
+					x := codes[i+1+k]
+					return x&(x-1) >= aS
+				})
+				if j == len(codes) {
+					break
+				}
+				i, prevS, prevC = j-1, codes[j-1]&(codes[j-1]-1), codes[j-1]
 				continue
 			}
 			dc := pbicode.Code(c)

@@ -32,7 +32,7 @@ type Scratch struct {
 	dStart []uint64       // region starts of recs, for the memory join's probes
 	stack  stack          // StackTree's open ancestors
 	anc    ancArena
-	fences [2]fenceIndex // ADB+'s Start indexes on A and D, INLJN's on D
+	fences [2]fenceIndex // ADB+'s cursors on A's and D's fences, INLJN's on D's
 	sort   extsort.Scratch
 }
 

@@ -215,17 +215,21 @@ func TestFenceSeekMatchesLinear(t *testing.T) {
 	checkFenceSeeks(t, ctx, load(t, ctx, "R", codes), codes, rng, 300)
 }
 
-// checkFenceSeeks indexes rel, which holds codes in document order, and
-// holds n seeks to random keys, and to each record's Start, to a linear
+// checkFenceSeeks indexes rel, which holds codes in document order behind
+// its fences, and holds n seeks to random keys, and to each record's Start, to a linear
 // search over codes.
 func checkFenceSeeks(t *testing.T, ctx *Context, rel *relation.Relation, codes []pbicode.Code, rng *rand.Rand, n int) {
 	t.Helper()
 	var f fenceIndex
-	if err := f.build(ctx, rel, "r"); err != nil {
+	it, err := startIndex(ctx, rel, "r", &f)
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.close()
-	c := cursor{it: &f}
+	defer it.close()
+	if it != startIter(&f) {
+		t.Fatal("a relation with fences was not indexed by them")
+	}
+	c := cursor{it: it}
 	var keys []uint64
 	for _, code := range codes {
 		keys = append(keys, code.Start(), code.Start()+1)
@@ -276,9 +280,10 @@ func TestChooseKeepsStackTreeOverOrderedInputs(t *testing.T) {
 	}
 }
 
-// FuzzStartIndexJoins holds the fence index to a linear search and ADB+
-// and INLJN over it to the nested loop, on random multi-height codes with
-// runs of equal Starts, random page sizes and pool sizes.
+// FuzzStartIndexJoins holds the fence index to a linear search, and ADB+,
+// INLJN and STACKTREE, which seek over the fences, to the nested loop, on
+// random multi-height codes with runs of equal Starts, random page sizes
+// and pool sizes.
 func FuzzStartIndexJoins(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(4), uint16(200), uint16(300))
 	f.Add(int64(2), uint8(1), uint8(3), uint16(0), uint16(40))
@@ -301,7 +306,7 @@ func FuzzStartIndexJoins(f *testing.F) {
 		a, d := load(t, ctx, "A", aCodes), load(t, ctx, "D", dCodes)
 		checkFenceSeeks(t, ctx, d, dCodes, rng, 50)
 		want := oracle(aCodes, dCodes)
-		for name, fn := range startIndexJoins() {
+		for name, fn := range seekJoins() {
 			var sink PairSink
 			if err := fn(ctx, a, d, &sink); err != nil {
 				t.Fatalf("%s: %v", name, err)

@@ -150,7 +150,10 @@ type RelationInfo struct {
 	Tag      string `json:"tag"`
 	Elements int64  `json:"elements"`
 	Pages    int64  `json:"pages"`
-	Sorted   bool   `json:"sorted"`
+	// Ordered is whether the relation is stored in document order
+	// (containment.Relation.Ordered): AUTO runs Table 1's sorted row on
+	// ordered inputs.
+	Ordered bool `json:"ordered"`
 }
 
 // Server is a concurrent containment-join query server over one database.

@@ -284,5 +284,8 @@ func TestRelationsEndpoint(t *testing.T) {
 		if r.Elements == 0 || r.Tag == r.Name {
 			t.Errorf("relation %+v: missing metadata or unstripped tag", r)
 		}
+		if !r.Ordered {
+			t.Errorf("relation %+v: bulk-loaded in document order, reported unordered", r)
+		}
 	}
 }

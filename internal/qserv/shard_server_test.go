@@ -161,7 +161,7 @@ func TestShardedServingEquivalence(t *testing.T) {
 	}
 	for i := range rl1 {
 		a, b := rl1[i], rl2[i]
-		if a.Name != b.Name || a.Tag != b.Tag || a.Elements != b.Elements || a.Sorted != b.Sorted {
+		if a.Name != b.Name || a.Tag != b.Tag || a.Elements != b.Elements || a.Ordered != b.Ordered {
 			t.Errorf("/relations[%d] differs: solo %+v sharded %+v", i, a, b)
 		}
 	}

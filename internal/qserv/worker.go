@@ -85,7 +85,7 @@ func (wk *soloWorker) relationInfos() []RelationInfo {
 	for name, r := range wk.rels {
 		out = append(out, RelationInfo{
 			Name: name, Tag: strings.TrimPrefix(name, "tag:"),
-			Elements: r.Len(), Pages: r.Pages(), Sorted: r.Sorted(),
+			Elements: r.Len(), Pages: r.Pages(), Ordered: r.Ordered(),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
@@ -153,7 +153,7 @@ func (wk *shardWorker) relationInfos() []RelationInfo {
 		r, _ := wk.se.Relation(name)
 		out = append(out, RelationInfo{
 			Name: name, Tag: strings.TrimPrefix(name, "tag:"),
-			Elements: r.Len(), Pages: r.Pages(), Sorted: r.Sorted(),
+			Elements: r.Len(), Pages: r.Pages(), Ordered: r.Ordered(),
 		})
 	}
 	return out

@@ -352,7 +352,7 @@ func FuzzPageDecode(f *testing.F) {
 		fr.Data[2] = format
 		count := int(fr.Data[0]) | int(fr.Data[1])<<8
 		pool.Unpin(fr, true)
-		r := relation.Attach(pool, "fuzz", []storage.PageID{fr.ID}, int64(count), pbicode.Region{}, false)
+		r := relation.Attach(pool, "fuzz", []storage.PageID{fr.ID}, int64(count), pbicode.Region{}, false, nil)
 		recs, err := r.ReadAll()
 		if err != nil {
 			return

@@ -64,6 +64,11 @@ type Relation struct {
 	// trusted is set when the ordered bit came from Attach's caller rather
 	// than from appends that checked it (OrderTrusted).
 	trusted bool
+	// fences[j] is the first Start of page j (Fences), kept while fenced:
+	// by the appends that wrote the pages, for as long as the order they
+	// check holds, or given to Attach as the loader recorded them.
+	fences []uint64
+	fenced bool
 	// borrowed relations read another relation's pages without owning
 	// them (Borrow): Free forgets the pages instead of discarding them.
 	borrowed bool
@@ -97,6 +102,23 @@ func (r *Relation) Ordered() bool { return r.ordered && !r.paper }
 // claim; a claim its appends made needs neither.
 func (r *Relation) OrderTrusted() bool { return r.Ordered() && r.trusted }
 
+// Fences returns the Start of each page's first record, one per page and
+// ascending — an empty page takes the next non-empty page's, or the
+// largest Start if none follows — when the relation's order claim was made
+// by the appends that wrote it: its own, or the loader's, whose fences a
+// catalog recorded and Attach was given. A merge may seek over them past
+// pages it never reads. Nil for a relation that does not claim document
+// order, or whose claim was taken on trust (OrderTrusted).
+func (r *Relation) Fences() []uint64 {
+	if !r.Ordered() || !r.fenced {
+		return nil
+	}
+	if r.fences == nil {
+		return []uint64{}
+	}
+	return r.fences[:len(r.fences):len(r.fences)]
+}
+
 // SetPaperLayout makes subsequent appends write the paper's layout, 16-byte
 // records at 255 per 4 KiB page, instead of packed pages. Existing pages
 // keep their format; scans read every format transparently.
@@ -118,7 +140,7 @@ func (r *Relation) Span() (pbicode.Region, bool) {
 
 // New returns an empty relation using pool for all its I/O.
 func New(pool *buffer.Pool, name string) *Relation {
-	return &Relation{name: name, pool: pool, perPage: PerPage(pool.PageSize()), ordered: true}
+	return &Relation{name: name, pool: pool, perPage: PerPage(pool.PageSize()), ordered: true, fenced: true}
 }
 
 // Borrow returns a relation named name over r's pages, which it reads
@@ -133,10 +155,11 @@ func (r *Relation) Borrow(name string) *Relation {
 
 // NewLike returns an empty relation on pool that writes the page layout src
 // writes: the partitions, sort runs and rolled-up copies of a join inherit
-// their input's.
+// their input's. Such temporaries are read by scans, not seeks, and keep no
+// fences.
 func NewLike(src *Relation, pool *buffer.Pool, name string) *Relation {
 	r := New(pool, name)
-	r.paper = src.paper
+	r.paper, r.fenced = src.paper, false
 	return r
 }
 
@@ -169,7 +192,7 @@ func (r *Relation) Free() error {
 			}
 		}
 	}
-	r.pages = nil
+	r.pages, r.fences = nil, nil
 	r.count = 0
 	r.ordered, r.trusted = true, false
 	return nil
@@ -265,6 +288,9 @@ func (a *Appender) Append(rec Rec) error {
 		}
 	}
 	if a.r.paper {
+		if a.n == 0 && a.r.fenced {
+			a.r.fences = append(a.r.fences, rec.Code.Start())
+		}
 		putRec(a.frame.Data, a.n, rec)
 		a.n++
 		setPageCount(a.frame.Data, a.n)
@@ -289,7 +315,7 @@ func (a *Appender) Append(rec Rec) error {
 		a.dirty = true
 	}
 	if a.r.ordered && a.r.count > 0 && (!a.r.lastKnown || DocLess(rec.Code, a.r.last)) {
-		a.r.ordered = false
+		a.r.ordered, a.r.fenced, a.r.fences = false, false, nil
 	}
 	a.r.last, a.r.lastKnown = rec.Code, true
 	if s := rec.Code.Start(); a.r.count == 0 || s < a.r.minStart {
@@ -321,6 +347,7 @@ func (a *Appender) open() error {
 			}
 			if c := pageCount(f.Data); pageFormat(f.Data) == pageFixed && c < a.r.perPage {
 				a.frame, a.n, a.active = f, c, true
+				a.r.fenced = a.r.fenced && c > 0 // an empty tail's fence is not its first record's
 				return nil
 			}
 			a.r.pool.Unpin(f, false)
@@ -345,6 +372,8 @@ func (a *Appender) open() error {
 	}
 	if n := len(tail.codes); n > 0 {
 		a.r.last, a.r.lastKnown = pbicode.Code(tail.codes[n-1]), true
+	} else {
+		a.r.fenced = false // records after an empty page would move its fence
 	}
 	if tail.format != pagePacked {
 		return nil
@@ -373,6 +402,9 @@ func (a *Appender) flush() error {
 			f, err = a.r.pool.Fetch(a.r.pages[len(a.r.pages)-1])
 		} else if f, err = a.r.pool.NewPage(); err == nil {
 			a.r.pages = append(a.r.pages, f.ID)
+			if a.r.fenced {
+				a.r.fences = append(a.r.fences, pbicode.Code(a.buf[0]).Start())
+			}
 		}
 		if err != nil {
 			return err
@@ -424,12 +456,18 @@ func (r *Relation) Pages() []storage.PageID {
 }
 
 // Attach reconstructs a relation from a persisted catalog entry: the page
-// list plus the cached statistics, ordered among them — which the relation
-// then claims on the caller's word, so a caller must have checked it. The
-// pages must exist on the pool's disk and hold valid heap pages. The
-// relation takes pages over; the caller must not modify the slice
-// afterwards.
-func Attach(pool *buffer.Pool, name string, pages []storage.PageID, count int64, span pbicode.Region, ordered bool) *Relation {
+// list plus the cached statistics, ordered among them. With fences, one per
+// page as Fences describes them, the order claim is the loader's: its
+// appends checked it and recorded the fences, which the relation keeps. An
+// order claim without fences the relation takes on the caller's word
+// (OrderTrusted), so a caller must have checked it. The pages must exist on
+// the pool's disk and hold valid heap pages. The relation takes pages and
+// fences over; the caller must not modify the slices afterwards.
+func Attach(pool *buffer.Pool, name string, pages []storage.PageID, count int64, span pbicode.Region, ordered bool, fences []uint64) *Relation {
+	fenced := len(pages) == 0 || ordered && fences != nil && len(fences) == len(pages)
+	if !fenced {
+		fences = nil
+	}
 	return &Relation{
 		name:     name,
 		pool:     pool,
@@ -439,7 +477,9 @@ func Attach(pool *buffer.Pool, name string, pages []storage.PageID, count int64,
 		minStart: span.Start,
 		maxEnd:   span.End,
 		ordered:  ordered || count == 0,
-		trusted:  ordered && count > 0,
+		trusted:  ordered && count > 0 && !fenced,
+		fences:   fences,
+		fenced:   fenced,
 	}
 }
 

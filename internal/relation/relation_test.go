@@ -484,7 +484,7 @@ func TestOrderedAfterAttach(t *testing.T) {
 			t.Fatal(err)
 		}
 		span, _ := src.Span()
-		r := Attach(pool, "r", src.Pages(), src.NumRecords(), span, tc.claim)
+		r := Attach(pool, "r", src.Pages(), src.NumRecords(), span, tc.claim, nil)
 		if r.Ordered() != tc.claim {
 			t.Fatalf("Attach(%v): Ordered() = %v", tc.claim, r.Ordered())
 		}
@@ -528,5 +528,98 @@ func TestBorrowLeavesLenderReadable(t *testing.T) {
 		if got[i] != recs[i] {
 			t.Fatalf("lender record %d = %+v, want %+v", i, got[i], recs[i])
 		}
+	}
+}
+
+// checkFences fails unless r has one fence a page, each its page's first
+// Start.
+func checkFences(t *testing.T, label string, r *Relation) {
+	t.Helper()
+	f := r.Fences()
+	if f == nil || len(f) != int(r.NumPages()) {
+		t.Fatalf("%s: %d fences for %d pages", label, len(f), r.NumPages())
+	}
+	for i := range f {
+		rec, err := r.FirstRecord(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f[i] != rec.Code.Start() {
+			t.Fatalf("%s: fence of page %d is %d, the page starts at %d", label, i, f[i], rec.Code.Start())
+		}
+	}
+}
+
+// TestAppendRecordsFences: appends in document order record each page's
+// first Start, across appenders that resume the tail; a record out of
+// order drops them with the order claim; temporaries keep none; and the
+// paper's layout, which never claims order, has none.
+func TestAppendRecordsFences(t *testing.T) {
+	bothLayouts(t, func(t *testing.T, paper bool) {
+		pool := newPool(t, 8)
+		recs := spread(2000)
+		r := New(pool, "r")
+		r.SetPaperLayout(paper)
+		for _, part := range [][]Rec{recs[:700], recs[700:701], recs[701:]} {
+			if err := r.Append(part...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if paper {
+			if r.Fences() != nil {
+				t.Fatal("the paper's layout claims fences")
+			}
+			return
+		}
+		checkFences(t, "ordered", r)
+		if err := r.Append(recs[0]); err != nil {
+			t.Fatal(err)
+		}
+		if r.Ordered() || r.Fences() != nil {
+			t.Fatalf("after a record out of order: ordered %v, %d fences", r.Ordered(), len(r.Fences()))
+		}
+		tmp := NewLike(r, pool, "tmp")
+		if err := tmp.Append(recs...); err != nil {
+			t.Fatal(err)
+		}
+		if !tmp.Ordered() || tmp.Fences() != nil {
+			t.Fatalf("temporary: ordered %v, %d fences", tmp.Ordered(), len(tmp.Fences()))
+		}
+	})
+}
+
+// TestAttachWithFences: Attach with one fence a page makes the loader's
+// order claim, not one taken on trust, and appends then extend the fences;
+// an order claim without them, or with a fence count that is not the page
+// count, is taken on trust.
+func TestAttachWithFences(t *testing.T) {
+	pool := newPool(t, 8)
+	recs := spread(1500)
+	src := New(pool, "src")
+	if err := src.Append(recs[:1000]...); err != nil {
+		t.Fatal(err)
+	}
+	span, _ := src.Span()
+	fences := src.Fences()
+	for _, tc := range []struct {
+		name    string
+		fences  []uint64
+		trusted bool
+	}{
+		{"fences", fences, false},
+		{"none", nil, true},
+		{"one short", fences[1:], true},
+	} {
+		r := Attach(pool, "r", src.Pages(), src.NumRecords(), span, true, tc.fences)
+		if !r.Ordered() || r.OrderTrusted() != tc.trusted || (r.Fences() == nil) != tc.trusted {
+			t.Fatalf("%s: ordered %v, trusted %v, %d fences", tc.name, r.Ordered(), r.OrderTrusted(), len(r.Fences()))
+		}
+		if tc.trusted {
+			continue
+		}
+		if err := r.Append(recs[1000:]...); err != nil {
+			t.Fatal(err)
+		}
+		checkFences(t, tc.name+", appended to", r)
 	}
 }

@@ -68,5 +68,45 @@ func Varint(pool *buffer.Pool, name string, recs []relation.Rec) (*relation.Rela
 		binary.LittleEndian.PutUint16(p[4:], uint16(off-header))
 		pool.Unpin(f, true)
 	}
-	return relation.Attach(pool, name, pages, int64(len(recs)), span, false), nil
+	return relation.Attach(pool, name, pages, int64(len(recs)), span, false, nil), nil
+}
+
+// Claims names the order claims a stored relation can carry: the loader's,
+// with fences (relation.Fences), the one a catalog without fences makes,
+// taken on trust (relation.OrderTrusted), and none.
+var Claims = []string{"fenced", "trusted", "unordered"}
+
+// Claim re-attaches r's pages under the named claim, whatever order its
+// records are in: under "fenced" with the fences its pages hold, read from
+// each page's first record, as a catalog the loader wrote records them.
+func Claim(r *relation.Relation, claim string) (*relation.Relation, error) {
+	var fences []uint64
+	if claim == "fenced" {
+		fences = make([]uint64, r.NumPages())
+		next := ^uint64(0) // an empty page takes the next one's fence
+		for i := len(fences) - 1; i >= 0; i-- {
+			rec, err := r.FirstRecord(i)
+			if err != nil {
+				return nil, err
+			}
+			if rec.Code != 0 {
+				next = rec.Code.Start()
+			}
+			fences[i] = next
+		}
+	}
+	span, _ := r.Span()
+	return relation.Attach(r.Pool(), r.Name(), r.Pages(), r.NumRecords(), span, claim != "unordered", fences), nil
+}
+
+// EmptyTail returns r with an empty page after its last, attached with no
+// claim of order: Claim gives it one.
+func EmptyTail(r *relation.Relation) (*relation.Relation, error) {
+	f, err := r.Pool().NewPage()
+	if err != nil {
+		return nil, err
+	}
+	r.Pool().Unpin(f, true)
+	span, _ := r.Span()
+	return relation.Attach(r.Pool(), r.Name(), append(r.Pages(), f.ID), r.NumRecords(), span, false, nil), nil
 }

@@ -396,7 +396,7 @@ func (rt *Router) handleRelations(w http.ResponseWriter, r *http.Request) {
 			}
 			a.info.Elements += ri.Elements
 			a.info.Pages += ri.Pages
-			a.info.Sorted = a.info.Sorted && ri.Sorted
+			a.info.Ordered = a.info.Ordered && ri.Ordered
 		}
 	}
 	out := make([]qserv.RelationInfo, 0, len(merged))

@@ -280,6 +280,9 @@ func TestRouterEquivalence(t *testing.T) {
 		if ri.Elements != or.Len() {
 			t.Errorf("/relations %s: elements %d, oracle %d", ri.Name, ri.Elements, or.Len())
 		}
+		if ri.Ordered != or.Ordered() || !ri.Ordered {
+			t.Errorf("/relations %s: ordered %v, oracle %v; every bulk-loaded relation is", ri.Name, ri.Ordered, or.Ordered())
+		}
 	}
 
 	// The 404 vocabulary is the nodes' own, forwarded verbatim.

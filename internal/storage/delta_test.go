@@ -416,6 +416,12 @@ func TestDeltaRejectsInconsistentLengths(t *testing.T) {
 	}
 }
 
+// CommitDelta writes, under dir, an epoch commit that re-stores relations
+// with fences over a saved database, and returns the bytes of its delta.
+// Building one takes the layers above this package, so the external test
+// package sets it (commitdelta_test.go).
+var CommitDelta func(dir string) ([]byte, error)
+
 // FuzzReadDelta feeds arbitrary bytes to ReadDelta as a delta file, as they
 // are and with their trailing CRC32-C made to match, so that the header and
 // entries are parsed instead of the checksum rejecting them. ReadDelta must
@@ -442,6 +448,13 @@ func FuzzReadDelta(f *testing.F) {
 	v1 = binary.LittleEndian.AppendUint64(v1, 3)
 	v1 = append(v1, page(0x5A)...)
 	f.Add(binary.LittleEndian.AppendUint32(v1, crc32.Checksum(v1, crc32.MakeTable(crc32.Castagnoli))))
+	// The delta of an epoch commit: the pages of relations it re-stored,
+	// whose catalog entries carry fences.
+	data, err := CommitDelta(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sealed := data

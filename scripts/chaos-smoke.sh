@@ -9,9 +9,9 @@
 #     with the "corrupt" failure class (never a silent wrong answer),
 #     pbifsck pinpoints the damaged pages, and the router degrades around
 #     the corrupted shard the same way,
-# (d) strip a shard's checksums to simulate a pre-checksum database —
-#     it still serves correct answers, and pbifsck -add backfills
-#     protection. CI runs this via `make chaos-smoke`.
+# (d) strip a shard's checksums and page fences to simulate an older
+#     database — it still serves correct answers, and pbifsck -add
+#     backfills both. CI runs this via `make chaos-smoke`.
 set -euo pipefail
 
 tmp=$(mktemp -d)
@@ -161,6 +161,8 @@ path = sys.argv[1]
 with open(path) as f:
     cat = json.load(f)
 cat.pop("checksums", None)
+for rel in cat["relations"]:
+    rel.pop("fences", None)
 with open(path, "w") as f:
     json.dump(cat, f)
 EOF
@@ -180,6 +182,9 @@ grep -q "no checksum sidecar" "$tmp/legacy-fsck.out" || {
 "$tmp/bin/pbifsck" -add "$legacy"
 "$tmp/bin/pbifsck" "$legacy" || {
     echo "chaos-smoke: backfilled database does not verify" >&2; exit 1; }
+unfenced=$(jq '[.relations[] | select(.ordered and (.pages | length) > 0 and .fences == null)] | length' "$legacy.catalog")
+[ "$unfenced" = 0 ] || {
+    echo "chaos-smoke: $unfenced ordered relations still lack fences after pbifsck -add" >&2; exit 1; }
 
 kill -0 "$router" 2>/dev/null || { echo "chaos-smoke: pbirouter crashed" >&2; exit 1; }
 echo "chaos-smoke: OK"
