@@ -168,9 +168,9 @@ func TestAnalyzeRenderGolden(t *testing.T) {
 		"join                                      0        0        0           0s         -          0",
 		"  partition [heights=2]                   0        0        0           0s    100.0%          0",
 		"  equijoin [h=1]                          0        0        0           0s         -          0",
-		"    hash-join [build=A merge]             0        0        0           0s    100.0%         16",
+		"    hash-join [build=A]                   0        0        0           0s    100.0%         16",
 		"  equijoin [h=2]                          0        0        0           0s         -          0",
-		"    hash-join [build=A merge]             0        0        0           0s    100.0%         16",
+		"    hash-join [build=A]                   0        0        0           0s    100.0%         16",
 		"TOTAL                                     0        0        0           0s    100.0%         32",
 		"",
 	}, "\n")

@@ -102,15 +102,6 @@ func AlgorithmNames() []string {
 	return names
 }
 
-// Spec describes what is known about the inputs, steering Auto selection
-// (Table 1 of the paper, and the sorts the cost model prices).
-type Spec struct {
-	// SortedA / SortedD: inputs are already in document order.
-	SortedA, SortedD bool
-	// IndexedA / IndexedD: persistent Start indexes exist.
-	IndexedA, IndexedD bool
-}
-
 // Join evaluates the containment join of two code sets in memory and
 // returns the result pairs (order unspecified). TreeHeight-dependent
 // algorithms infer the height from the largest code seen.

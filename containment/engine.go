@@ -10,7 +10,6 @@ import (
 	"github.com/pbitree/pbitree/internal/btree"
 	"github.com/pbitree/pbitree/internal/buffer"
 	"github.com/pbitree/pbitree/internal/core"
-	"github.com/pbitree/pbitree/internal/itree"
 	"github.com/pbitree/pbitree/internal/relation"
 	"github.com/pbitree/pbitree/internal/storage"
 	"github.com/pbitree/pbitree/internal/trace"
@@ -133,12 +132,8 @@ type Relation struct {
 	// Zero for an empty relation, and for one read from a catalog that
 	// predates the statistic: joins then pre-scan it.
 	heights uint64
-	// sorted is true when the relation is stored in document order
-	// (after Engine.Sort).
-	sorted bool
-	// startIdx / intervalIdx are persistent access paths (see index.go).
-	startIdx    *btree.Tree
-	intervalIdx *itree.Tree
+	// startIdx is the persistent Start index (see index.go).
+	startIdx *btree.Tree
 	// shared counts the leading pages LoadOver took over by ID from the
 	// relation it superseded (0 for every other relation).
 	shared int
@@ -246,9 +241,6 @@ type JoinOptions struct {
 	// Algorithm to run; Auto prices Table 1's candidates and runs the
 	// cheapest, Table 1's own pick on a tie (see Engine.Explain).
 	Algorithm Algorithm
-	// Spec describes the inputs for Auto selection and lets the sorted
-	// merge joins skip their on-the-fly sorts.
-	Spec Spec
 	// Collect materializes result pairs into Result.Pairs. Leave false
 	// for large joins; Result.Count is always filled.
 	Collect bool
@@ -493,7 +485,7 @@ func (e *Engine) join(goCtx context.Context, a, d *Relation, opts JoinOptions, t
 	if goCtx != nil && goCtx != context.Background() {
 		ctx.Ctx = goCtx
 	}
-	spec := effectiveSpec(&opts, a, d)
+	spec := inputSpec(a, d)
 	res := &Result{}
 	*sink = optSink{res: res, opts: &st.opts}
 	// A join whose pairs no option reads takes the stack merge's chains
@@ -533,9 +525,9 @@ func (e *Engine) join(goCtx context.Context, a, d *Relation, opts JoinOptions, t
 	case opts.Algorithm == MHCJRollup && opts.RollupTarget > 0:
 		err = core.MHCJRollup(ctx, a.rel, d.rel, opts.RollupTarget, out)
 	default:
-		// Persistent access paths serve the index algorithms without the
+		// Persistent indexes serve the index algorithms without the
 		// on-the-fly build cost; otherwise the framework runs normally
-		// (the merge joins already skip sorting via spec.Sorted*).
+		// (the merge joins skip the sorts of ordered inputs).
 		var handled bool
 		handled, err = e.runIndexed(ctx, alg, a, d, out)
 		if !handled && err == nil {

@@ -263,8 +263,8 @@ func (e *Engine) SaveEpoch(path string, epoch int64, docs []DocInfo, relations .
 			return fmt.Errorf("containment: duplicate relation name %q in catalog", name)
 		}
 		old := e.at.rels[name]
-		// The relation the engine holds, unless Sort replaced its pages.
-		if old != nil && old.r == r && old.entry.Sorted == r.sorted {
+		// The relation the engine holds, unless Sort wrote it anew.
+		if old != nil && old.r == r && (len(old.entry.Pages) == 0 || r.Pages() > 0 && r.rel.Page(0) == old.entry.Pages[0]) {
 			rels[name] = old
 			continue
 		}
@@ -384,7 +384,7 @@ func (e *Engine) Advance(path string) (map[string]*Relation, error) {
 	// lived on.
 	for name, sr := range next.rels {
 		if e.at.rels[name] == sr {
-			sr.r.startIdx, sr.r.intervalIdx = nil, nil
+			sr.r.startIdx = nil
 		}
 	}
 	e.at = next

@@ -18,7 +18,7 @@ func TestExplain(t *testing.T) {
 	defer e.Close()
 	a, _ := e.Load("A", randCodes(rng, 3000, 12))
 	d, _ := e.Load("D", randCodes(rng, 3000, 12))
-	plan := e.Explain(a, d, Spec{})
+	plan := e.Explain(a, d)
 	if len(plan) < 5 {
 		t.Fatalf("plan entries = %d", len(plan))
 	}
@@ -40,7 +40,7 @@ func TestExplain(t *testing.T) {
 		t.Fatalf("chosen count = %d", chosen)
 	}
 	// The rendered table mentions the inputs and the winner.
-	s := e.ExplainString(a, d, Spec{})
+	s := e.ExplainString(a, d)
 	if !strings.Contains(s, "pages") || !strings.Contains(s, "*") {
 		t.Fatalf("ExplainString = %q", s)
 	}
@@ -116,7 +116,7 @@ func TestExplainSingleHeight(t *testing.T) {
 	defer e.Close()
 	a, _ := e.Load("A", randCodesFixedHeight(200, 3, 10))
 	d, _ := e.Load("D", randCodesFixedHeight(200, 0, 10))
-	plan := e.Explain(a, d, Spec{})
+	plan := e.Explain(a, d)
 	found := false
 	for _, p := range plan {
 		if p.Algorithm == "SHCJ" {
@@ -191,7 +191,7 @@ func TestAutoRunsWhatExplainStars(t *testing.T) {
 						table1 = "VPJ"
 					}
 					starred, ruleIO := "", int64(-1)
-					plan := e.Explain(a, d, Spec{})
+					plan := e.Explain(a, d)
 					for _, p := range plan {
 						if p.Chosen {
 							starred = p.Algorithm
@@ -201,7 +201,7 @@ func TestAutoRunsWhatExplainStars(t *testing.T) {
 						}
 					}
 					if ruleIO == plan[0].PredictedIO && starred != table1 {
-						t.Errorf("%s: Explain stars %s, Table 1's %s is among the cheapest:\n%s", cell, starred, table1, e.ExplainString(a, d, Spec{}))
+						t.Errorf("%s: Explain stars %s, Table 1's %s is among the cheapest:\n%s", cell, starred, table1, e.ExplainString(a, d))
 					}
 					res, err := e.Join(a, d, JoinOptions{})
 					if err != nil {
@@ -248,7 +248,7 @@ func TestAutoNamedPlans(t *testing.T) {
 		}
 		a, _ := e.Load("A", aCodes)
 		d, _ := e.Load("D", dCodes)
-		plan := e.Explain(a, d, Spec{})
+		plan := e.Explain(a, d)
 		tied := 0
 		for _, p := range plan {
 			if p.PredictedIO == plan[0].PredictedIO {
@@ -257,7 +257,7 @@ func TestAutoNamedPlans(t *testing.T) {
 		}
 		if tied != tc.tied || plan[0].PredictedIO != a.Pages()+d.Pages() {
 			t.Fatalf("%s: %d candidates at the least cost %d, want %d at ‖A‖+‖D‖ = %d:\n%s",
-				tc.name, tied, plan[0].PredictedIO, tc.tied, a.Pages()+d.Pages(), e.ExplainString(a, d, Spec{}))
+				tc.name, tied, plan[0].PredictedIO, tc.tied, a.Pages()+d.Pages(), e.ExplainString(a, d))
 		}
 		if err := e.DropCache(); err != nil {
 			t.Fatal(err)
@@ -298,10 +298,10 @@ func TestExplainPricesStartIndexOverOrderedInputs(t *testing.T) {
 		t.Fatalf("fixture: ordered %v %v, %d+%d pages; want ordered inputs within the pool", a.Ordered(), d.Ordered(), a.Pages(), d.Pages())
 	}
 	predicted := map[string]int64{}
-	for _, p := range e.Explain(a, d, Spec{}) {
+	for _, p := range e.Explain(a, d) {
 		predicted[p.Algorithm] = p.PredictedIO
 		if p.Chosen && p.Algorithm != "STACKTREE" {
-			t.Errorf("Explain stars %s, want STACKTREE:\n%s", p.Algorithm, e.ExplainString(a, d, Spec{}))
+			t.Errorf("Explain stars %s, want STACKTREE:\n%s", p.Algorithm, e.ExplainString(a, d))
 		}
 	}
 	want, err := e.Join(a, d, JoinOptions{Algorithm: NestedLoop})

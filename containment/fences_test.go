@@ -459,10 +459,10 @@ func TestExplainPricesSeeksOverFences(t *testing.T) {
 			t.Fatalf("%s: fixture of %d+%d pages, fences %v %v", fx.name, a.Pages(), d.Pages(), a.rel.Fences() != nil, d.rel.Fences() != nil)
 		}
 		predicted := map[string]int64{}
-		for _, p := range e.Explain(a, d, Spec{}) {
+		for _, p := range e.Explain(a, d) {
 			predicted[p.Algorithm] = p.PredictedIO
 			if p.Chosen && p.Algorithm != "STACKTREE" {
-				t.Errorf("%s: Explain stars %s, want STACKTREE:\n%s", fx.name, p.Algorithm, e.ExplainString(a, d, Spec{}))
+				t.Errorf("%s: Explain stars %s, want STACKTREE:\n%s", fx.name, p.Algorithm, e.ExplainString(a, d))
 			}
 		}
 		want, err := e.Join(a, d, JoinOptions{Algorithm: NestedLoop})

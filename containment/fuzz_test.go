@@ -28,7 +28,7 @@ func FuzzCatalog(f *testing.F) {
 		f.Add(uint8(i), data)
 	}
 	f.Add(uint8(1), bytes.Replace(originals[1], []byte(`"keep":`), []byte(`"keep":9`), 1))
-	f.Add(uint8(3), bytes.ReplaceAll(originals[3], []byte(`"sorted":`), []byte(`"ordered":true,"sorted":`)))
+	f.Add(uint8(3), bytes.ReplaceAll(originals[3], []byte(`"count":`), []byte(`"ordered":true,"count":`)))
 	f.Add(uint8(0), bytes.Replace(originals[0], []byte(`{"version"`), []byte(`{"dropped":["Z"],"version"`), 1))
 	f.Add(uint8(0), []byte(`{"version":3,"page_size":512,"epoch":3,"parent":"epoch-000002.pbidb","parent_epoch":2,"delta":"epoch-000003.pbidb.delta","relations":[{"name":"A","keep":1,"pages":[99999]}],"documents":{"runs":[0,5]}}`))
 	// Fences: claimed over pages out of order, fewer than the pages, past
@@ -37,12 +37,14 @@ func FuzzCatalog(f *testing.F) {
 	fences := func(f ...uint64) []byte {
 		return []byte(`"ordered":true,"fences":"` + base64.StdEncoding.EncodeToString(packFences(f, 0)) + `",`)
 	}
-	f.Add(uint8(3), bytes.ReplaceAll(originals[3], []byte(`"sorted":`), append(fences(1, 0, 0, 0, 0, 0), `"sorted":`...)))
-	f.Add(uint8(3), bytes.ReplaceAll(originals[3], []byte(`"sorted":`), append(fences(7), `"sorted":`...)))
-	f.Add(uint8(0), bytes.Replace(originals[0], []byte(`"sorted":`), append(fences(math.MaxUint64, 1), `"sorted":`...), 1))
+	f.Add(uint8(3), bytes.ReplaceAll(originals[3], []byte(`"count":`), append(fences(1, 0, 0, 0, 0, 0), `"count":`...)))
+	f.Add(uint8(3), bytes.ReplaceAll(originals[3], []byte(`"count":`), append(fences(7), `"count":`...)))
+	f.Add(uint8(0), bytes.Replace(originals[0], []byte(`"count":`), append(fences(math.MaxUint64, 1), `"count":`...), 1))
 	f.Add(uint8(1), bytes.Replace(originals[1], []byte(`"keep":`), append(fences(3), `"keep":`...), 1))
-	f.Add(uint8(3), bytes.ReplaceAll(originals[3], []byte(`"sorted":`), []byte(`"ordered":true,"fences":"gA==","sorted":`)))
-	f.Add(uint8(3), bytes.ReplaceAll(originals[3], []byte(`"sorted":`), []byte(`"ordered":true,"fences":"!!","sorted":`)))
+	f.Add(uint8(3), bytes.ReplaceAll(originals[3], []byte(`"count":`), []byte(`"ordered":true,"fences":"gA==","count":`)))
+	f.Add(uint8(3), bytes.ReplaceAll(originals[3], []byte(`"count":`), []byte(`"ordered":true,"fences":"!!","count":`)))
+	// The key an older Engine.Sort wrote, which is read and ignored.
+	f.Add(uint8(3), bytes.ReplaceAll(originals[3], []byte(`"count":`), []byte(`"sorted":true,"count":`)))
 
 	f.Fuzz(func(t *testing.T, link uint8, data []byte) {
 		i := int(link) % len(links)

@@ -2,12 +2,15 @@ package containment
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
 	"time"
 
 	"github.com/pbitree/pbitree/internal/core"
+	"github.com/pbitree/pbitree/internal/relation"
+	"github.com/pbitree/pbitree/pbicode"
 )
 
 // PlanEntry is one candidate algorithm with its predicted cost.
@@ -21,11 +24,10 @@ type PlanEntry struct {
 // it prices, each with its §3.4 page I/O prediction, cheapest first, and
 // the one a Join under Auto runs marked — Table 1's pick whenever that is
 // among the cheapest (core.Choose).
-func (e *Engine) Explain(a, d *Relation, spec Spec) []PlanEntry {
-	opts := JoinOptions{Spec: spec}
+func (e *Engine) Explain(a, d *Relation) []PlanEntry {
 	ctx := e.coreContext()
 	ctx.AncestorHeights = a.heights
-	p := core.Choose(ctx, effectiveSpec(&opts, a, d), a.rel, d.rel)
+	p := core.Choose(ctx, inputSpec(a, d), a.rel, d.rel)
 	out := make([]PlanEntry, p.N)
 	for i, alg := range p.Algs[:p.N] {
 		out[i] = PlanEntry{Algorithm: alg.String(), PredictedIO: p.IO[i], Chosen: alg == p.Chosen}
@@ -56,10 +58,10 @@ func InputHeader(a, d JoinInput) string {
 }
 
 // ExplainString renders Explain as a small table.
-func (e *Engine) ExplainString(a, d *Relation, spec Spec) string {
+func (e *Engine) ExplainString(a, d *Relation) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s  b=%d\n", InputHeader(a, d), e.pool.Size())
-	for _, p := range e.Explain(a, d, spec) {
+	for _, p := range e.Explain(a, d) {
 		mark := " "
 		if p.Chosen {
 			mark = "*"
@@ -69,39 +71,60 @@ func (e *Engine) ExplainString(a, d *Relation, spec Spec) string {
 	return sb.String()
 }
 
-// This file adds persistent per-relation access paths: a document-order
-// sorted copy, a B+-tree on region Start, and an interval tree over
-// regions. With them, the framework's Table 1 rows that assume "sorted" or
-// "indexed" inputs run without the on-the-fly preparation cost the
-// unsorted/unindexed setting pays — the situation of base relations in a
-// stored XML database, as opposed to intermediate results.
+// This file adds persistent per-relation access paths: a copy in document
+// order and a B+-tree on region Start. With them, the framework's Table 1
+// rows that assume "sorted" or "indexed" inputs run without the on-the-fly
+// preparation cost the unsorted/unindexed setting pays — the situation of
+// base relations in a stored XML database, as opposed to intermediate
+// results.
 
 // Sort replaces the relation's storage order with document order (region
-// Start ascending, ancestors first on ties). Subsequent joins treat it as
-// sorted input: the merge joins skip their on-the-fly sorts. The external
-// sort I/O is charged when Sort runs; a relation stored in document order
-// already (Ordered) is only marked sorted, and nothing is written.
+// Start ascending, ancestors first on ties), which it then claims
+// (Ordered): the merge joins skip their on-the-fly sorts. The copy holds
+// what Load of the sorted code list would store, ordinals and page fences
+// included, so LoadOver and the seeking merges read it as they read a
+// loaded relation. The external sort's I/O, and that of writing the copy,
+// is charged when Sort runs; a relation already in document order is left
+// as it is, and nothing is written. A Config.PaperLayout engine writes the
+// copy in the paper's layout, and the copy claims its order all the same:
+// a sort's output is in order by construction, whereas the paper's loads
+// are not assumed to be. The relations a join derives from the copy are
+// then packed.
 func (e *Engine) Sort(r *Relation) error {
-	if r.sorted {
-		return nil
-	}
 	if r.rel.Ordered() {
-		r.sorted = true
 		return nil
 	}
-	// Keep the relation's name: the sorted copy replaces it (catalog
-	// identity must survive).
 	ctx := e.coreContext()
 	sorted, err := core.SortByDoc(ctx, r.rel, r.rel.Name())
 	if err != nil {
 		return err
 	}
-	sorted.Rename(r.rel.Name()) // sort intermediates carry suffixes
-	if err := r.rel.Free(); err != nil {
+	defer sorted.Free() //nolint:errcheck // cleanup
+	// Keep the relation's name: the copy replaces it (catalog identity must
+	// survive).
+	out := relation.New(e.pool, r.rel.Name())
+	out.SetPaperLayout(e.cfg.PaperLayout)
+	app := out.NewAppender()
+	var ord uint64
+	s := sorted.BatchScan()
+	for err == nil && s.Next() {
+		for _, c := range s.Codes() {
+			if err = app.Append(relation.Rec{Code: pbicode.Code(c), Aux: ord}); err != nil {
+				break
+			}
+			ord++
+		}
+	}
+	s.Close()
+	if err = errors.Join(err, s.Err(), app.Close()); err == nil {
+		err = r.rel.Free()
+	}
+	if err != nil {
+		out.Free() //nolint:errcheck // cleanup after earlier error
 		return err
 	}
-	r.rel = sorted
-	r.sorted = true
+	out.SetPaperLayout(false)
+	r.rel, r.stats, r.shared = out, nil, 0
 	return nil
 }
 
@@ -121,33 +144,17 @@ func (e *Engine) BuildStartIndex(r *Relation) error {
 	return nil
 }
 
-// BuildIntervalIndex builds and attaches a persistent interval tree over
-// the relation's regions (the index INLJN probes ancestor sets with).
-func (e *Engine) BuildIntervalIndex(r *Relation) error {
-	if r.intervalIdx != nil {
-		return nil
-	}
-	ctx := e.coreContext()
-	idx, err := core.BuildIntervalIndex(ctx, r.rel)
-	if err != nil {
-		return err
-	}
-	r.intervalIdx = idx
-	return nil
-}
-
-// Sorted reports whether the relation was sorted into document order
-// (Engine.Sort), which the Table 1 choice of AUTO treats as a sorted input.
-func (r *Relation) Sorted() bool { return r.sorted }
-
 // Ordered reports whether the relation's records are stored in document
-// order, as loading them found and the catalog records: the sorts on the
-// fly of the merge and index joins then read it as it is. A relation of a
-// Config.PaperLayout engine never claims it.
+// order, as loading or sorting them found and the catalog records: the
+// sorts on the fly of the merge and index joins then read it as it is, and
+// AUTO takes Table 1's sorted row for two such inputs. A relation a
+// Config.PaperLayout engine loads or opens never claims it; one Sort wrote
+// does.
 func (r *Relation) Ordered() bool { return r.rel.Ordered() }
 
-// Indexed reports whether the relation has any persistent index.
-func (r *Relation) Indexed() bool { return r.startIdx != nil || r.intervalIdx != nil }
+// Indexed reports whether the relation has a persistent Start index
+// (BuildStartIndex).
+func (r *Relation) Indexed() bool { return r.startIdx != nil }
 
 // coreContext returns an execution context over the engine's pool, tree
 // height and working memory, for the operations that run outside Join
@@ -156,19 +163,10 @@ func (e *Engine) coreContext() *core.Context {
 	return &core.Context{Pool: e.pool, TreeHeight: e.cfg.TreeHeight, Scratch: &e.scratch}
 }
 
-// effectiveSpec folds the relations' physical properties into the
-// caller-declared spec: a relation sorted by Engine.Sort or stored in
-// document order (Ordered) is a sorted input, so AUTO takes Table 1's
-// sorted row for two of them — the cost model prices their merge at
-// ‖A‖+‖D‖, no more than any other candidate — and the merge joins read
-// them as they are, checking the order as they go.
-func effectiveSpec(opts *JoinOptions, a, d *Relation) core.InputSpec {
-	return core.InputSpec{
-		SortedA:  opts.Spec.SortedA || a.sorted || a.rel.Ordered(),
-		SortedD:  opts.Spec.SortedD || d.sorted || d.rel.Ordered(),
-		IndexedA: opts.Spec.IndexedA || a.Indexed(),
-		IndexedD: opts.Spec.IndexedD || d.startIdx != nil,
-	}
+// inputSpec reports the persistent indexes of a join's inputs, which AUTO
+// and the cost model read beside each relation's own order claim.
+func inputSpec(a, d *Relation) core.InputSpec {
+	return core.InputSpec{IndexedA: a.Indexed(), IndexedD: d.Indexed()}
 }
 
 // JoinRegionNative runs the *native region-coded* stack-tree join over
@@ -219,15 +217,8 @@ func (e *Engine) JoinRegionNative(a, d *Relation) (*Result, error) {
 func (e *Engine) runIndexed(ctx *core.Context, alg core.Algorithm, a, d *Relation, sink core.Sink) (bool, error) {
 	switch alg {
 	case core.AlgINLJN:
-		// Prefer the cheaper probe direction among available indexes,
-		// mirroring core.INLJN's smaller-outer heuristic.
-		aFirst := a.rel.NumRecords() <= d.rel.NumRecords()
-		if aFirst && d.startIdx != nil {
-			return true, core.INLJNProbeDescendants(ctx, a.rel, d.startIdx, ctx.Wrap(sink))
-		}
-		if a.intervalIdx != nil {
-			return true, core.INLJNProbeAncestors(ctx, a.intervalIdx, d.rel, ctx.Wrap(sink))
-		}
+		// A persistent Start index on D is probed with each ancestor;
+		// otherwise INLJN builds its index on the fly, on the smaller side.
 		if d.startIdx != nil {
 			return true, core.INLJNProbeDescendants(ctx, a.rel, d.startIdx, ctx.Wrap(sink))
 		}

@@ -64,36 +64,6 @@ func TestPersistentStartIndexServesINLJN(t *testing.T) {
 	}
 }
 
-func TestPersistentIntervalIndexServesINLJN(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	aCodes := randCodes(rng, 3000, 12)
-	dCodes := randCodes(rng, 150, 12)
-	want := oracle(aCodes, dCodes)
-	e, err := NewEngine(Config{PageSize: 512, BufferPages: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	a, _ := e.Load("A", aCodes)
-	d, _ := e.Load("D", dCodes)
-	if err := e.BuildIntervalIndex(a); err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Join(a, d, JoinOptions{Algorithm: INLJN, Collect: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sortPairs(res.Pairs)
-	if len(res.Pairs) != len(want) {
-		t.Fatalf("pairs = %d, want %d", len(res.Pairs), len(want))
-	}
-	for i := range want {
-		if res.Pairs[i] != want[i] {
-			t.Fatalf("pair %d mismatch", i)
-		}
-	}
-}
-
 func TestPersistentIndexesServeADBPlus(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	aCodes := randCodes(rng, 1500, 12)
@@ -143,8 +113,8 @@ func TestSortedRelationSkipsOnTheFlySort(t *testing.T) {
 	if err := e.Sort(d); err != nil {
 		t.Fatal(err)
 	}
-	if !a.Sorted() || !d.Sorted() {
-		t.Fatal("sorted flag lost")
+	if !a.Ordered() || !d.Ordered() {
+		t.Fatal("sorted relations do not claim document order")
 	}
 	if err := e.Sort(a); err != nil { // idempotent
 		t.Fatal(err)

@@ -59,10 +59,9 @@ func (s codeStats) merge(o codeStats) codeStats {
 // Only closed pages are shared, never old's tail, so no stored page is
 // written again: old stays valid, and an epoch that still references those
 // page IDs keeps reading the same bytes (SharedPages reports how many). A
-// nil old, with from 0, is a plain load, and so is a sorted old, whose
-// records do not carry their ordinals: its first from records are read and
-// stored anew. The result is in document order (Relation.Ordered) exactly
-// when a plain Load of the list would find it so.
+// nil old, with from 0, is a plain load. The result is in document order
+// (Relation.Ordered) exactly when a plain Load of the list would find it
+// so.
 func (e *Engine) LoadOver(old *Relation, name string, from int, tail []pbicode.Code) (*Relation, error) {
 	var oldLen int64
 	if old != nil {
@@ -74,14 +73,6 @@ func (e *Engine) LoadOver(old *Relation, name string, from int, tail []pbicode.C
 	if from < 0 || int64(from) > oldLen {
 		return nil, fmt.Errorf("containment: LoadOver: keeps %d records of relation %s, which has %d", from, name, oldLen)
 	}
-	if old != nil && old.sorted {
-		codes, err := old.Codes()
-		if err != nil {
-			return nil, err
-		}
-		return e.LoadOver(nil, name, 0, append(codes[:from:from], tail...))
-	}
-
 	var (
 		shared []storage.PageID
 		kept   int      // ordinal of the first record stored anew

@@ -276,9 +276,9 @@ func checkLoadOver(t *testing.T, e *Engine, old *Relation, next []pbicode.Code, 
 }
 
 // TestLoadOverComparesOrdinals: a page is shared only if its records carry
-// the ordinals a load would give them. A sorted relation keeps each record's
-// pre-sort ordinal, so loading its own code sequence over it shares nothing
-// and still stores what a plain Load stores.
+// the ordinals a load would give them. Engine.Sort's copy carries its own
+// positions, as a load does, so loading its code sequence over it shares
+// its pages below from and stores what a plain Load stores.
 func TestLoadOverComparesOrdinals(t *testing.T) {
 	e, err := NewEngine(Config{PageSize: 8 + 3*16, BufferPages: 16})
 	if err != nil {
@@ -296,8 +296,9 @@ func TestLoadOverComparesOrdinals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := checkLoadOver(t, e, old, codes, len(codes)/2, "sorted old"); got.SharedPages() != 0 {
-		t.Fatalf("shared %d pages whose records carry other ordinals", got.SharedPages())
+	from := len(codes) / 2
+	if got := checkLoadOver(t, e, old, codes, from, "sorted old"); got.SharedPages() == 0 {
+		t.Fatalf("shared no page of a sorted relation below ordinal %d", from)
 	}
 }
 

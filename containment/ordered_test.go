@@ -170,9 +170,10 @@ func TestCountOnlyMatchesCollect(t *testing.T) {
 // differential at b = 4, where a build side holds 62 records: joins over
 // relations in document order partition (Grace and VPJ), build on D, probe
 // rollup's tail and, without height statistics, split the rollup and
-// probe its high records in one pass — each kernel a merge, and each giving
-// the oracle's pairs with the false hits, partitions and page I/O of the
-// hash kernels over the same pages.
+// probe its high records in one pass — each an in-memory hash join, as the
+// paper's are, and each giving the oracle's pairs with the false hits,
+// partitions and page I/O of the same joins over relations on the same
+// pages that claim no order.
 func TestMergeKernelsSmallPool(t *testing.T) {
 	rng := rand.New(rand.NewSource(39))
 	const h = 12
@@ -214,8 +215,8 @@ func TestMergeKernelsSmallPool(t *testing.T) {
 		}
 		e.Close()
 	}
-	for _, ph := range []string{"grace-partition", "hash-join[build=A merge]", "hash-join[build=D merge]",
-		"equijoin[rollup h=2 tail=6,7,8]", "rollup-split", "multi-probe[merge]", "vpartition", "mem-join"} {
+	for _, ph := range []string{"grace-partition", "hash-join[build=A]", "hash-join[build=D]",
+		"equijoin[rollup h=2 tail=6,7,8]", "rollup-split", "multi-probe", "vpartition", "mem-join"} {
 		if !reached[ph] {
 			t.Errorf("no join over ordered relations ran %s", ph)
 		}
@@ -224,12 +225,12 @@ func TestMergeKernelsSmallPool(t *testing.T) {
 
 // kernelsAgree joins a and d, both in document order, with each of the
 // partitioning joins among algs twice from a cold pool: over relations
-// that claim the order (the merge kernels) and over relations on the same
-// pages that do not (the hash kernels). Both must give the oracle's pairs,
-// the same false hits and partitions, and read and write the same pages.
-// stats keeps the relations' height statistics; without them the rollup
-// pre-scans its ancestors. It returns the phases of the merge runs, as
-// "name[detail]" or "name".
+// that claim the order and over relations on the same pages that do not.
+// Both must give the oracle's pairs, the same false hits and partitions,
+// and read and write the same pages. stats keeps the relations' height
+// statistics; without them the rollup pre-scans its ancestors. It returns
+// the phases of the runs over the claiming relations, as "name[detail]" or
+// "name".
 func kernelsAgree(t *testing.T, name string, e *Engine, a, d *Relation, algs []Algorithm, stats bool) []string {
 	t.Helper()
 	aCodes, err := a.Codes()
@@ -279,7 +280,7 @@ func kernelsAgree(t *testing.T, name string, e *Engine, a, d *Relation, algs []A
 		}
 		m, s := runs[0], runs[1]
 		if m.FalseHits != s.FalseHits || m.Partitions != s.Partitions || m.IO.Reads != s.IO.Reads || m.IO.Writes != s.IO.Writes {
-			t.Errorf("%s: %v: merge kernels %d false hits, %d partitions, %d+%d page I/O; hash kernels %d, %d, %d+%d",
+			t.Errorf("%s: %v: ordered %d false hits, %d partitions, %d+%d page I/O; unclaimed %d, %d, %d+%d",
 				name, alg, m.FalseHits, m.Partitions, m.IO.Reads, m.IO.Writes, s.FalseHits, s.Partitions, s.IO.Reads, s.IO.Writes)
 		}
 	}
@@ -343,8 +344,8 @@ func chainOracle(a, d []pbicode.Code) []pbicode.Code {
 }
 
 // TestSortOfOrderedRelationWritesNothing: Engine.Sort of a relation stored
-// in document order marks it sorted and allocates no page; the relation
-// keeps its pages.
+// in document order allocates no page; the relation keeps its pages and
+// its claim.
 func TestSortOfOrderedRelationWritesNothing(t *testing.T) {
 	e, err := NewEngine(Config{PageSize: 512, BufferPages: 16})
 	if err != nil {
@@ -360,9 +361,9 @@ func TestSortOfOrderedRelationWritesNothing(t *testing.T) {
 	if err := e.Sort(r); err != nil {
 		t.Fatal(err)
 	}
-	if !r.Sorted() || !r.Ordered() || e.disk.NumPages() != extent || !slices.Equal(r.rel.Pages(), pages) {
-		t.Fatalf("Sort: sorted %v ordered %v, disk %d -> %d pages, pages kept %v",
-			r.Sorted(), r.Ordered(), extent, e.disk.NumPages(), slices.Equal(r.rel.Pages(), pages))
+	if !r.Ordered() || e.disk.NumPages() != extent || !slices.Equal(r.rel.Pages(), pages) {
+		t.Fatalf("Sort: ordered %v, disk %d -> %d pages, pages kept %v",
+			r.Ordered(), extent, e.disk.NumPages(), slices.Equal(r.rel.Pages(), pages))
 	}
 }
 
@@ -408,7 +409,7 @@ func TestAnalyzePricesOnlySortsThatRun(t *testing.T) {
 		case !inOrder && res.PredictedIO <= scan:
 			t.Fatalf("shuffled: predicted %d, want more than ‖A‖+‖D‖ = %d for the sorts", res.PredictedIO, scan)
 		}
-		plan := e.ExplainString(a, d, Spec{})
+		plan := e.ExplainString(a, d)
 		if inOrder != strings.Contains(plan, "pages, ordered)") {
 			t.Fatalf("ordered=%v: EXPLAIN header does not say so:\n%s", inOrder, plan)
 		}
@@ -418,13 +419,11 @@ func TestAnalyzePricesOnlySortsThatRun(t *testing.T) {
 
 // TestFalseOrderClaimNeverAnswersWrongly: relations whose catalog entries
 // claim document order over shuffled pages — the claim Attach takes on
-// trust — make every join that trusts the claim (the partitioning joins'
-// equijoin merge, the stack, merge and index joins that skip their sort)
-// and AUTO give either the oracle's pairs or an error Classify reports as
-// corrupt, never other pairs. A shuffled build side is hashed from memory;
-// a shuffled side streamed through a merge fails the join (SHCJ over the
-// shuffled D builds on A and streams D), and so does one the stack merge,
-// MPMGJN or an index build reads.
+// trust — make every join and AUTO give either the oracle's pairs or an
+// error Classify reports as corrupt, never other pairs. The partitioning
+// joins hash and read no order; the stack merge, MPMGJN and the index
+// builds that skip their sort fail the join when they read a record out of
+// the order claimed.
 func TestFalseOrderClaimNeverAnswersWrongly(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	const h = 12

@@ -136,7 +136,6 @@ type catalogEntry struct {
 	Heights      uint64 `json:"heights,omitempty"`
 	MaxHeight    int    `json:"max_height,omitempty"`
 	SingleHeight bool   `json:"single_height,omitempty"`
-	Sorted       bool   `json:"sorted"`
 	// Ordered records that the relation's records are in document order
 	// (Relation.Ordered), which the sorts on the fly then trust: Fsck
 	// verifies the claim. Additive: earlier catalogs read as unordered.
@@ -153,9 +152,11 @@ type catalogEntry struct {
 	// which the JSON encoding writes in base64.
 	FenceGaps []byte `json:"fences,omitempty"`
 	// Earlier catalogs also carry "compressed", the layout the relation
-	// was last appended in. It is neither written nor read any more: every
-	// page carries its own format byte, the only authority on how it is
-	// decoded, and the JSON decoder skips the field.
+	// was last appended in, and "sorted", set by an Engine.Sort that kept
+	// each record's pre-sort ordinal. Neither is written nor read any more:
+	// every page carries its own format byte, the only authority on how it
+	// is decoded; a sorted relation also recorded "ordered", the one order
+	// claim, which Fsck checks. The JSON decoder skips both fields.
 }
 
 // catalogPath returns the sidecar path for a page file.
@@ -249,7 +250,6 @@ func (r *Relation) entry() catalogEntry {
 		MinStart: span.Start,
 		MaxEnd:   span.End,
 		Heights:  r.heights,
-		Sorted:   r.sorted,
 		Ordered:  r.rel.Ordered(),
 	}
 	if f := r.rel.Fences(); len(f) > 0 {
@@ -400,7 +400,7 @@ func (e *Engine) attach(rels map[string]*storedRel, extent storage.PageID) error
 		rel := relation.Attach(e.pool, name, sr.entry.Pages, sr.entry.Count,
 			pbicode.Region{Start: sr.entry.MinStart, End: sr.entry.MaxEnd}, sr.entry.Ordered, sr.entry.fences())
 		rel.SetPaperLayout(e.cfg.PaperLayout)
-		sr.r = &Relation{rel: rel, heights: sr.entry.Heights, sorted: sr.entry.Sorted}
+		sr.r = &Relation{rel: rel, heights: sr.entry.Heights}
 	}
 	return nil
 }

@@ -63,8 +63,8 @@ func TestSaveAndOpen(t *testing.T) {
 	if a2.Len() != int64(len(aCodes)) || d2.Len() != int64(len(dCodes)) {
 		t.Fatalf("sizes %d/%d", a2.Len(), d2.Len())
 	}
-	if !d2.Sorted() || a2.Sorted() {
-		t.Fatal("sorted flags lost")
+	if !d2.Ordered() || a2.Ordered() {
+		t.Fatal("order claims lost")
 	}
 	for _, alg := range []Algorithm{Auto, VPJ, StackTree} {
 		res, err := e2.Join(a2, d2, JoinOptions{Algorithm: alg, Collect: true})
@@ -330,5 +330,72 @@ func writeFullCatalog(t testing.TB, path string) {
 	}
 	if err := writeCatalog(path, cat); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCatalogReadsLegacySortedKey: catalogs written before the key was
+// retired carry "sorted", which an older Engine.Sort set. An entry with
+// "sorted":true still opens, the key ignored: the same entry's "ordered"
+// is the order claim, which Fsck checks, and a re-save no longer writes
+// the key.
+func TestCatalogReadsLegacySortedKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	ordCodes, shufCodes := docOrdered(t, rng, randCodes(rng, 600, 12))
+	for _, tc := range []struct {
+		name    string
+		codes   []pbicode.Code
+		ordered bool // the entry's "ordered", which stands
+	}{
+		{"sorted and ordered", ordCodes, true},
+		{"sorted, not ordered", shufCodes, false},
+	} {
+		path := filepath.Join(t.TempDir(), "db.pages")
+		cfg := Config{Path: path, PageSize: 512, BufferPages: 16}
+		e, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := e.Load("R", tc.codes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Save(r); err != nil {
+			t.Fatal(err)
+		}
+		e.Close()
+		data, err := os.ReadFile(catalogPath(path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(data, []byte(`"sorted"`)) {
+			t.Fatalf("%s: the catalog still writes \"sorted\": %s", tc.name, data)
+		}
+		legacy := bytes.Replace(data, []byte(`"count":`), []byte(`"sorted":true,"count":`), 1)
+		if err := os.WriteFile(catalogPath(path), legacy, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if rep, err := Fsck(path); err != nil || !rep.OK() {
+			t.Fatalf("%s: Fsck of the legacy catalog: OK %v, entries %+v (%v)", tc.name, rep.OK(), rep.Entries, err)
+		}
+		e, rels, err := Open(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := rels["R"].Ordered(); got != tc.ordered {
+			t.Fatalf("%s: Ordered() = %v, want the entry's %v", tc.name, got, tc.ordered)
+		}
+		if codes, err := rels["R"].Codes(); err != nil || !slices.Equal(codes, tc.codes) {
+			t.Fatalf("%s: reopened relation reads %d codes (%v)", tc.name, len(codes), err)
+		}
+		if err := e.Save(rels["R"]); err != nil {
+			t.Fatal(err)
+		}
+		e.Close()
+		if data, err = os.ReadFile(catalogPath(path)); err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(data, []byte(`"sorted"`)) {
+			t.Fatalf("%s: a re-save wrote \"sorted\" again: %s", tc.name, data)
+		}
 	}
 }

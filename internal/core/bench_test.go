@@ -35,10 +35,9 @@ func drawCodes(n, h int) (aCodes, dCodes []pbicode.Code) {
 }
 
 // benchOrders runs fn over the records as drawn, which no relation claims
-// is in document order (the hash kernels, the sorts and B+-tree builds),
-// and over the same records in document order (the merge kernels, on the
-// input and on the partitions it writes; the fence indexes) as
-// sub-benchmarks, each reporting ns per result pair and pages per join
+// is in document order (the sorts and B+-tree builds), and over the same
+// records in document order (no sort; the fence indexes; the partitioning
+// joins hash either way) as sub-benchmarks, each reporting ns per result pair and pages per join
 // besides ns per join.
 func benchOrders(b *testing.B, fn joinFunc, h, frames int, aCodes, dCodes []pbicode.Code) {
 	b.Run("shuffled", func(b *testing.B) { benchInputs(b, fn, h, frames, aCodes, dCodes, false, "") })

@@ -576,6 +576,10 @@ func TestChooseImplementsTable1(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	big := load(t, ctx, "big", randCodes(rng, 2000, 10, -1))
 	small := load(t, ctx, "small", randCodes(rng, 5, 10, -1))
+	sorted := load(t, ctx, "sorted", docOrder(randCodes(rng, 2000, 10, -1)))
+	if big.Ordered() || !sorted.Ordered() {
+		t.Fatalf("big ordered %v, sorted ordered %v", big.Ordered(), sorted.Ordered())
+	}
 	cases := []struct {
 		spec    InputSpec
 		heights uint64 // Context.AncestorHeights
@@ -583,13 +587,13 @@ func TestChooseImplementsTable1(t *testing.T) {
 		want    Algorithm
 	}{
 		{InputSpec{IndexedA: true, IndexedD: true}, 0, big, big, AlgINLJN},
-		{InputSpec{SortedA: true, SortedD: true}, 0, big, big, AlgStackTree},
-		{InputSpec{SortedA: true, SortedD: true, IndexedA: true, IndexedD: true}, 0, big, big, AlgADBPlus},
+		{InputSpec{}, 0, sorted, sorted, AlgStackTree},
+		{InputSpec{IndexedA: true, IndexedD: true}, 0, sorted, sorted, AlgADBPlus},
 		{InputSpec{}, 1 << 3, big, big, AlgSHCJ},
 		{InputSpec{}, 1<<3 | 1<<5, big, big, AlgVPJ},
 		{InputSpec{}, 0, big, big, AlgVPJ},
 		{InputSpec{}, 0, big, small, AlgMHCJRollup},
-		{InputSpec{SortedA: true}, 0, big, big, AlgVPJ}, // one-sided sort is no sort
+		{InputSpec{}, 0, sorted, big, AlgVPJ}, // one-sided sort is no sort
 	}
 	for i, tc := range cases {
 		ctx.AncestorHeights = tc.heights
@@ -623,22 +627,19 @@ func TestRunAutoMatchesOracle(t *testing.T) {
 	aCodes := randCodes(rng, 600, h, -1)
 	dCodes := randCodes(rng, 600, h, -1)
 	want := oracle(aCodes, dCodes)
-	for _, spec := range []InputSpec{
-		{},
-		{SortedA: true, SortedD: true}, // claims sorted: Run must sort on the fly anyway? No — spec says inputs ARE sorted.
-		{IndexedA: true, IndexedD: true},
+	for _, tc := range []struct {
+		spec   InputSpec
+		sorted bool // the inputs are stored in document order
+	}{
+		{InputSpec{}, false},
+		{InputSpec{}, true},
+		{InputSpec{IndexedA: true, IndexedD: true}, false},
 	} {
+		spec := tc.spec
 		ctx := newCtx(t, 6, h)
 		aIn, dIn := aCodes, dCodes
-		if spec.SortedA && spec.SortedD {
-			aIn = append([]pbicode.Code(nil), aCodes...)
-			dIn = append([]pbicode.Code(nil), dCodes...)
-			sort.Slice(aIn, func(i, j int) bool {
-				return relation.DocLess(aIn[i], aIn[j])
-			})
-			sort.Slice(dIn, func(i, j int) bool {
-				return relation.DocLess(dIn[i], dIn[j])
-			})
+		if tc.sorted {
+			aIn, dIn = docOrder(aCodes), docOrder(dCodes)
 		}
 		a := load(t, ctx, "A", aIn)
 		d := load(t, ctx, "D", dIn)

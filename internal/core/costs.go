@@ -33,9 +33,8 @@ type CostInputs struct {
 	// HeightsA is the number of distinct ancestor heights (k of MHCJ);
 	// 0 means unknown (assume four).
 	HeightsA int
-	// SortedA / SortedD and IndexedA / IndexedD describe what already
-	// exists, removing the corresponding on-the-fly costs.
-	SortedA, SortedD   bool
+	// IndexedA / IndexedD say a persistent Start index exists on an input,
+	// removing the on-the-fly cost of building one.
 	IndexedA, IndexedD bool
 	// OrderedA / OrderedD say an input is stored in document order
 	// (relation.Ordered): a sort on the fly of it reads nothing and writes
@@ -60,7 +59,6 @@ func Gather(ctx *Context, spec InputSpec, a, d *relation.Relation) CostInputs {
 		B:        ctx.b(),
 		PerPage:  relation.PerPage(ctx.Pool.PageSize()),
 		HeightsA: bits.OnesCount64(ctx.AncestorHeights),
-		SortedA:  spec.SortedA, SortedD: spec.SortedD,
 		IndexedA: spec.IndexedA, IndexedD: spec.IndexedD,
 		OrderedA: a.Ordered(), OrderedD: d.Ordered(),
 		FencedA: a.Fences() != nil, FencedD: d.Fences() != nil,
@@ -176,17 +174,12 @@ func EstimateIO(alg Algorithm, in CostInputs) int64 {
 		if alg == AlgStackTree && in.FencedD {
 			cost = a + in.DMeet // it seeks over D's fences
 		}
-		if !in.SortedA {
-			cost += in.sortIO(a, ma, in.OrderedA)
-		}
-		if !in.SortedD {
-			cost += in.sortIO(d, md, in.OrderedD)
-		}
-		return cost
+		return cost + in.sortIO(a, ma, in.OrderedA) + in.sortIO(d, md, in.OrderedD)
 	case AlgADBPlus:
-		// A side with an index is read at its leaves. A side with fences is
-		// its own index (startIndex): the merge reads its pages as it
-		// seeks forward, once each, D's only where they meet A's span. Any
+		// With an index on both sides, each is read at its leaves (ADB+ runs
+		// over persistent indexes only when both have one). A side with
+		// fences is its own index (startIndex): the merge reads its pages as
+		// it seeks forward, once each, D's only where they meet A's span. Any
 		// other side is sorted (an ordered one only read) and bulk-loaded,
 		// and the merge walks the leaves it wrote.
 		var cost int64
@@ -202,8 +195,9 @@ func EstimateIO(alg Algorithm, in CostInputs) int64 {
 				cost += sortCost(pages, mem, in.B) + 2*mem
 			}
 		}
-		side(a, a, ma, in.SortedA && in.IndexedA, in.OrderedA, in.FencedA)
-		side(d, in.DMeet, md, in.SortedD && in.IndexedD, in.OrderedD, in.FencedD)
+		indexed := in.IndexedA && in.IndexedD
+		side(a, a, ma, indexed, in.OrderedA, in.FencedA)
+		side(d, in.DMeet, md, indexed, in.OrderedD, in.FencedD)
 		return cost
 	case AlgINLJN:
 		// Outer = smaller set. When the inner index fits the buffer pool

@@ -60,7 +60,7 @@ func TestEstimateIOShapes(t *testing.T) {
 		t.Fatalf("packed rollup, partitions partly resident = %d", got)
 	}
 	// Pre-sorted inputs flip the comparison.
-	in.SortedA, in.SortedD = true, true
+	in.OrderedA, in.OrderedD = true, true
 	if got := EstimateIO(AlgStackTree, in); got != 8000 || got >= rollup {
 		t.Fatalf("sorted stacktree = %d", got)
 	}
@@ -104,7 +104,8 @@ func TestChooseByCost(t *testing.T) {
 		t.Fatalf("unsorted big x big chose %v", alg)
 	}
 	// Sorted inputs: the merge join is free of sort cost and wins.
-	if alg := Choose(ctx, InputSpec{SortedA: true, SortedD: true}, big, big).Chosen; alg != AlgStackTree && alg != AlgADBPlus {
+	sorted := load(t, ctx, "sorted", docOrder(randCodes(rng, 4000, 12, -1)))
+	if alg := Choose(ctx, InputSpec{}, sorted, sorted).Chosen; alg != AlgStackTree && alg != AlgADBPlus {
 		t.Fatalf("sorted chose %v", alg)
 	}
 	// Tiny inputs: every partitioning candidate reads ‖A‖+‖D‖ once, and

@@ -67,26 +67,6 @@ type flatTable struct {
 // a large one pays for its own size. The table lives in the engine's
 // Scratch; equiJoin caps build sides at memRecs(b-2), which bounds it.
 func (t *flatTable) init(capacity int64) {
-	t.arena(capacity)
-	t.sizeSlots(capacity)
-}
-
-// arena empties the record arena and sizes it for capacity records, leaving
-// the slots alone: the merge kernels (equimerge.go) hold their build side
-// in the arena and hash nothing.
-func (t *flatTable) arena(capacity int64) {
-	if capacity < 0 || capacity > 1<<30 {
-		capacity = 0
-	}
-	if cap(t.recs) < int(capacity) {
-		t.recs = make([]relation.Rec, 0, capacity)
-		t.next = make([]int32, 0, capacity)
-	}
-	t.recs, t.next = t.recs[:0], t.next[:0]
-}
-
-// sizeSlots empties the slots, at least twice capacity of them.
-func (t *flatTable) sizeSlots(capacity int64) {
 	if capacity < 0 || capacity > 1<<30 {
 		capacity = 0
 	}
@@ -101,20 +81,11 @@ func (t *flatTable) sizeSlots(capacity int64) {
 		clear(t.slots)
 	}
 	t.mask = uint64(size - 1)
-	t.used = 0
-}
-
-// index hashes the records already in the arena, each under k applied to
-// its code (identityKey: the code itself), and makes the table ready for
-// more adds: how a merge build whose input breaks its order claim turns
-// into a hash build without reading the input again.
-func (t *flatTable) index(capacity int64, k fKey) {
-	t.sizeSlots(capacity)
-	t.next = t.next[:len(t.recs)]
-	clear(t.next)
-	for i, r := range t.recs {
-		t.link(uint64(r.Code)&k.mask|k.bit, int32(i+1))
+	if cap(t.recs) < int(capacity) {
+		t.recs = make([]relation.Rec, 0, capacity)
+		t.next = make([]int32, 0, capacity)
 	}
+	t.recs, t.next, t.used = t.recs[:0], t.next[:0], 0
 }
 
 // grow doubles the slot array and rehashes. Chains live in the arena and
@@ -138,16 +109,12 @@ func (t *flatTable) grow() {
 
 // add stores r under key.
 func (t *flatTable) add(key uint64, r relation.Rec) {
-	t.recs = append(t.recs, r)
-	t.next = append(t.next, 0)
-	t.link(key, int32(len(t.recs)))
-}
-
-// link files arena entry idx (1-based) under key.
-func (t *flatTable) link(key uint64, idx int32) {
 	if (t.used+1)*2 > len(t.slots) {
 		t.grow()
 	}
+	t.recs = append(t.recs, r)
+	t.next = append(t.next, 0)
+	idx := int32(len(t.recs))
 	i := splitmix64(key) & t.mask
 	for {
 		s := &t.slots[i]
@@ -259,40 +226,24 @@ func equiJoin(ctx *Context, a, d *relation.Relation, h int, prep aPrep, sink Sin
 	}
 }
 
-// hashJoinBuildA builds on the (prepped) ancestor side and streams D
-// against it, probing F(d, h) and then F(d, t) for every height t in the
-// mask tail, ascending: records prep leaves above h (rollup's tail) are
-// keyed by their own codes and meet exactly their descendants. The build is
-// a merge's height runs when both inputs are in document order, a hash
-// table otherwise; the span's detail names the kernel that ran.
+// hashJoinBuildA builds the table on the (prepped) ancestor side and
+// streams D through it, probing F(d, h) and then F(d, t) for every height t
+// in the mask tail, ascending: records prep leaves above h (rollup's tail)
+// are keyed by their own codes and meet exactly their descendants.
 func hashJoinBuildA(ctx *Context, a, d *relation.Relation, h int, tail uint64, prep aPrep, sink Sink) error {
 	sp := ctx.Trace.StartDetail("hash-join", "build=A")
 	defer ctx.Trace.End(sp)
-	merged, err := joinBuildA(ctx, a, d, 1<<uint(h)|tail, prep, sink)
-	if merged && sp != nil {
-		sp.Detail = "build=A merge"
-	}
-	return err
+	return joinBuildA(ctx, a, d, 1<<uint(h)|tail, prep, sink)
 }
 
-// joinBuildA reads a, prepped, into memory and streams d against it,
+// joinBuildA hashes a, prepped, by code and streams d through the table,
 // probing F(d, t) for every height t in heights, ascending. With heights 0
 // it probes every key height a holds: the multi-height probe join, the
 // ancestor-enumeration join only PBiTree codes make possible (each probe
-// key is computed from the descendant's code alone). Over two ordered
-// inputs the records are threaded into one run per key height and d merges
-// against the runs (mergeProbeD); otherwise, or when a run's keys turn out
-// to decrease, they are hashed. merged reports which kernel ran.
-func joinBuildA(ctx *Context, a, d *relation.Relation, heights uint64, prep aPrep, sink Sink) (merged bool, err error) {
+// key is computed from the descendant's code alone).
+func joinBuildA(ctx *Context, a, d *relation.Relation, heights uint64, prep aPrep, sink Sink) error {
 	table := &ctx.scratch().table
-	n := a.NumRecords()
-	merge := a.Ordered() && d.Ordered()
-	var rs runs
-	if merge {
-		table.arena(n)
-	} else {
-		table.init(n)
-	}
+	table.init(a.NumRecords())
 	var present uint64 // key heights a holds, one bit each
 	as := a.BatchScan()
 	for as.Next() {
@@ -304,45 +255,28 @@ func joinBuildA(ctx *Context, a, d *relation.Relation, heights uint64, prep aPre
 			}
 			key := uint64(r.Code)
 			present |= key & -key
-			if !merge {
-				table.add(key, r)
-			} else if !rs.add(table, r) {
-				merge = false // a false order claim: hash what is held
-				table.index(n, identityKey)
-			}
+			table.add(key, r)
 		}
 	}
 	if err := as.Err(); err != nil {
-		return merge, err
+		return err
 	}
 	if heights == 0 {
 		heights = present
 	}
 	var buf [64]fKey
-	keys := appendKeys(buf[:0], heights)
-	if merge {
-		return true, mergeProbeD(table, &rs, d, keys, sink)
-	}
-	return false, probeD(table, d.BatchScan(), keys, sink)
+	return probeD(table, d.BatchScan(), appendKeys(buf[:0], heights), sink)
 }
 
-// hashJoinBuildD builds on the descendant side, keyed by the
-// FBatch-derived codes of the eligible records, and streams (prepped) A:
-// a merge over two ordered inputs (mergeProbeA), a hash table otherwise.
+// hashJoinBuildD builds the table on the descendant side, keyed by the
+// FBatch-derived codes of the eligible records, and streams (prepped) A.
 func hashJoinBuildD(ctx *Context, a, d *relation.Relation, h int, prep aPrep, sink Sink) error {
 	sp := ctx.Trace.StartDetail("hash-join", "build=D")
 	defer ctx.Trace.End(sp)
 	sc := ctx.scratch()
 	table := &sc.table
-	n := d.NumRecords()
-	merge := a.Ordered() && d.Ordered()
-	if merge {
-		table.arena(n)
-	} else {
-		table.init(n)
-	}
-	k := fKeyAt(h)
-	var last uint64 // the merge's last key: F(d, h) must not decrease along d
+	table.init(d.NumRecords())
+	low := fKeyAt(h).low
 	ds := d.BatchScan()
 	for ds.Next() {
 		codes, aux := ds.Codes(), ds.Aux()
@@ -350,30 +284,13 @@ func hashJoinBuildD(ctx *Context, a, d *relation.Relation, h int, prep aPrep, si
 		fkeys := sc.fkeys
 		pbicode.FBatch(fkeys, codes, h)
 		for i, c := range codes {
-			if c&k.low == 0 {
-				continue
+			if c&low != 0 {
+				table.add(fkeys[i], relation.Rec{Code: pbicode.Code(c), Aux: aux[i]})
 			}
-			r := relation.Rec{Code: pbicode.Code(c), Aux: aux[i]}
-			if !merge {
-				table.add(fkeys[i], r)
-				continue
-			}
-			table.recs = append(table.recs, r)
-			if fkeys[i] < last {
-				merge = false // a false order claim: hash what is held
-				table.index(n, k)
-			}
-			last = fkeys[i]
 		}
 	}
 	if err := ds.Err(); err != nil {
 		return err
-	}
-	if merge {
-		if sp != nil {
-			sp.Detail = "build=D merge"
-		}
-		return mergeProbeA(table.recs, a, k, prep, sink)
 	}
 	as := a.BatchScan()
 	for as.Next() {

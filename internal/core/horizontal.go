@@ -312,10 +312,7 @@ func mhcjRollup(ctx *Context, a, d *relation.Relation, targetH int, sink Sink) e
 		// The multi-height probe join: every height high occupies probed in
 		// one pass over d, exact, so no verification.
 		sp := ctx.Trace.Start("multi-probe")
-		merged, err := joinBuildA(ctx, high, d, 0, nil, sink)
-		if merged && sp != nil {
-			sp.Detail = "merge"
-		}
+		err := joinBuildA(ctx, high, d, 0, nil, sink)
 		ctx.Trace.End(sp)
 		return err
 	}

@@ -70,19 +70,6 @@ func BuildStartIndex(ctx *Context, rel *relation.Relation, name string) (*btree.
 	return btree.BulkLoad(ctx.Pool, &btreeSource{rel: rel, s: s, prev: noneBefore}, 1.0)
 }
 
-// BuildIntervalIndex builds the disk interval tree over rel's regions. The
-// input is scanned once (cost charged); construction state is in memory,
-// like a bulk load (see DESIGN.md's substitution notes).
-func BuildIntervalIndex(ctx *Context, rel *relation.Relation) (*itree.Tree, error) {
-	sp := ctx.Trace.StartDetail("index-build", "itree")
-	defer ctx.Trace.End(sp)
-	recs, err := rel.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	return itree.Build(ctx.Pool, recs)
-}
-
 // INLJN evaluates the index nested loop join, building the inner index on
 // the fly. The probe direction follows the paper's §3.1 heuristic,
 // minimizing ‖outer‖ + |outer|·O(log |inner|) across the two choices.
@@ -95,11 +82,20 @@ func INLJN(ctx *Context, a, d *relation.Relation, sink Sink) error {
 		}
 		return probeDescendants(ctx, a, idx, sink)
 	}
-	idx, err := BuildIntervalIndex(ctx, a)
+	// The disk interval tree over A's regions: A is scanned once (cost
+	// charged); construction state is in memory, like a bulk load (see
+	// DESIGN.md's substitution notes).
+	sp := ctx.Trace.StartDetail("index-build", "itree")
+	recs, err := a.ReadAll()
+	var idx *itree.Tree
+	if err == nil {
+		idx, err = itree.Build(ctx.Pool, recs)
+	}
+	ctx.Trace.End(sp)
 	if err != nil {
 		return err
 	}
-	return INLJNProbeAncestors(ctx, idx, d, sink)
+	return probeAncestors(ctx, idx, d, sink)
 }
 
 // inlCost estimates the paper's ‖outer‖ + |outer|·O(log |inner|) cost of
@@ -150,10 +146,10 @@ func probeDescendants(ctx *Context, a *relation.Relation, dIdx startIter, sink S
 	return s.Err()
 }
 
-// INLJNProbeAncestors joins with an existing interval tree on A's regions:
-// each descendant stabs with its Start; results above its height are its
+// probeAncestors joins through an interval tree on A's regions: each
+// descendant stabs with its Start; results above its height are its
 // ancestors.
-func INLJNProbeAncestors(ctx *Context, aIdx *itree.Tree, d *relation.Relation, sink Sink) error {
+func probeAncestors(ctx *Context, aIdx *itree.Tree, d *relation.Relation, sink Sink) error {
 	sp := ctx.Trace.StartDetail("probe", "index=A")
 	defer ctx.Trace.End(sp)
 	stats := ctx.stats()

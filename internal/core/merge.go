@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"sort"
 
 	"github.com/pbitree/pbitree/internal/extsort"
@@ -15,6 +17,15 @@ import (
 // leftmost descendant). The *OnTheFly variants sort unsorted inputs first,
 // charging the external-sort I/O exactly as the paper's experiments do; an
 // input stored in document order is read as it is.
+
+// ErrOrderClaim matches the error of a join whose input claims document
+// order (Relation.Ordered) but is not in it: the catalog's claim is false,
+// which Fsck reports; the join fails rather than answer wrongly.
+var ErrOrderClaim = errors.New("core: relation is not in the document order it claims")
+
+func orderError(r *relation.Relation) error {
+	return fmt.Errorf("%w: %s", ErrOrderClaim, r.Name())
+}
 
 // SortByDoc sorts rel into document order with the context's memory
 // budget. Baselines use it to sort inputs on the fly. Run generation and

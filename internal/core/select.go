@@ -60,10 +60,10 @@ func (a Algorithm) String() string {
 	}
 }
 
-// InputSpec describes what the optimizer knows about the join inputs.
+// InputSpec describes the access paths the join inputs carry besides their
+// pages. Whether an input is sorted is not part of it: an input in
+// document order says so itself (relation.Ordered).
 type InputSpec struct {
-	// SortedA / SortedD: the inputs are already in document order.
-	SortedA, SortedD bool
 	// IndexedA / IndexedD: persistent Start indexes exist on the inputs.
 	IndexedA, IndexedD bool
 }
@@ -83,13 +83,11 @@ type Plan struct {
 // model and runs Table 1's own choice whenever that is among the cheapest,
 // the cheapest candidate (the first of equals) otherwise. The candidates
 // are SHCJ when the ancestor set is single-height, MHCJ+Rollup, VPJ when
-// the tree height is known, STACKTREE, ADB+ and INLJN. The model prices an
-// input stored in document order (relation.Ordered) without its sort, and
-// the caller's spec reports such an input as sorted (containment folds
-// the bit into SortedA/SortedD), so Table 1 takes its sorted row for two
-// of them: STACKTREE, priced at the ‖A‖+‖D‖ of its merge, which no
-// candidate undercuts. Table 1 breaks the model's ties, which page counts
-// cannot.
+// the tree height is known, STACKTREE, ADB+ and INLJN. An input stored in
+// document order (relation.Ordered) is a sorted input: the model prices no
+// sort of it, and Table 1 takes its sorted row for two of them: STACKTREE,
+// priced at the ‖A‖+‖D‖ of its merge, which no candidate undercuts. Table 1
+// breaks the model's ties, which page counts cannot.
 func Choose(ctx *Context, spec InputSpec, a, d *relation.Relation) Plan {
 	in := Gather(ctx, spec, a, d)
 	rule := table1(ctx, spec, a, d)
@@ -116,7 +114,7 @@ func Choose(ctx *Context, spec InputSpec, a, d *relation.Relation) Plan {
 // tree height is known and neither input fits memory, since it adapts to
 // skew without false hits; rollup otherwise).
 func table1(ctx *Context, spec InputSpec, a, d *relation.Relation) Algorithm {
-	sorted := spec.SortedA && spec.SortedD
+	sorted := a.Ordered() && d.Ordered()
 	indexed := spec.IndexedA && spec.IndexedD
 	switch {
 	case sorted && indexed:
@@ -145,6 +143,7 @@ func Run(ctx *Context, alg Algorithm, spec InputSpec, a, d *relation.Relation, s
 	if alg == AlgAuto {
 		alg = Choose(ctx, spec, a, d).Chosen
 	}
+	sorted := a.Ordered() && d.Ordered()
 	switch alg {
 	case AlgNestedLoop:
 		return alg, NestedLoop(ctx, a, d, sink)
@@ -159,19 +158,19 @@ func Run(ctx *Context, alg Algorithm, spec InputSpec, a, d *relation.Relation, s
 	case AlgINLJN:
 		return alg, INLJN(ctx, a, d, sink)
 	case AlgStackTree:
-		if spec.SortedA && spec.SortedD {
+		if sorted {
 			return alg, StackTree(ctx, a, d, sink)
 		}
 		return alg, StackTreeOnTheFly(ctx, a, d, sink)
 	case AlgMPMGJN:
-		if spec.SortedA && spec.SortedD {
+		if sorted {
 			return alg, MPMGJN(ctx, a, d, sink)
 		}
 		return alg, MPMGJNOnTheFly(ctx, a, d, sink)
 	case AlgADBPlus:
 		return alg, ADBPlusOnTheFly(ctx, a, d, sink)
 	case AlgStackTreeAnc:
-		if spec.SortedA && spec.SortedD {
+		if sorted {
 			return alg, StackTreeAnc(ctx, a, d, sink)
 		}
 		sa, err := SortByDoc(ctx, a, "sta.a")

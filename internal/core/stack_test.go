@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"math/rand"
@@ -11,6 +12,25 @@ import (
 	"github.com/pbitree/pbitree/internal/relation"
 	"github.com/pbitree/pbitree/pbicode"
 )
+
+// docOrder returns codes sorted into document order.
+func docOrder(codes []pbicode.Code) []pbicode.Code {
+	out := slices.Clone(codes)
+	slices.SortFunc(out, func(x, y pbicode.Code) int {
+		if c := cmp.Compare(x.Start(), y.Start()); c != 0 {
+			return c
+		}
+		return cmp.Compare(y.Height(), x.Height())
+	})
+	return out
+}
+
+// attachAs returns a relation over rel's pages that claims document order
+// or not, as ordered says: the same pages, taken on the caller's word.
+func attachAs(rel *relation.Relation, ordered bool) *relation.Relation {
+	span, _ := rel.Span()
+	return relation.Attach(rel.Pool(), rel.Name()+"'", rel.Pages(), rel.NumRecords(), span, ordered, nil)
+}
 
 // chainRecorder is a ChainSink that keeps what the stack merge hands it:
 // each descendant once, with its ancestor chain.
@@ -164,7 +184,7 @@ func TestMergeJoinsCheckOrderClaims(t *testing.T) {
 			a := attachAs(load(t, ctx, "A", tc.a), true)
 			d := attachAs(load(t, ctx, "D", tc.d), true)
 			var sink PairSink
-			_, err := Run(ctx, alg, InputSpec{SortedA: true, SortedD: true}, a, d, &sink)
+			_, err := Run(ctx, alg, InputSpec{}, a, d, &sink)
 			switch {
 			case err != nil && !errors.Is(err, ErrOrderClaim):
 				t.Errorf("%s: %v: %v, want the oracle's pairs or ErrOrderClaim", tc.name, alg, err)

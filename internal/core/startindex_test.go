@@ -273,7 +273,7 @@ func TestChooseKeepsStackTreeOverOrderedInputs(t *testing.T) {
 		if fits := a.NumPages()+d.NumPages() <= 14; fits != (n == 300) {
 			t.Fatalf("n=%d: %d+%d pages; the premise on b = 16 is broken", n, a.NumPages(), d.NumPages())
 		}
-		p := Choose(ctx, InputSpec{SortedA: true, SortedD: true}, a, d)
+		p := Choose(ctx, InputSpec{}, a, d)
 		if p.Chosen != AlgStackTree {
 			t.Fatalf("n=%d: AUTO chose %v: %v %v", n, p.Chosen, p.Algs[:p.N], p.IO[:p.N])
 		}

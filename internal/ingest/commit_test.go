@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -574,5 +575,50 @@ func TestCommitCatalogBytes(t *testing.T) {
 		if got > small+64 {
 			t.Errorf("catalog of a one-document commit: %d bytes at %d documents and %d untouched tags, %d at 16 and 8", got, c[0], c[1], small)
 		}
+	}
+}
+
+// TestCommitRestoresTailPages: a one-document commit re-stores each tag it
+// touches from its tail page, so its diff catalog lists at most two pages
+// per relation — the old tail page rewritten and one new — however many
+// documents the collection holds. tag:lib, the library documents' root
+// tag, gets one record per document, so at 256 documents its changed
+// ordinal is the old relation's length, and its one packed page is the
+// tail page.
+func TestCommitRestoresTailPages(t *testing.T) {
+	for _, docs := range []int{16, 256} {
+		base := buildBaseDB(t, t.TempDir(), libraryDocs(docs, 20))
+		s, err := Open(Config{DBPath: base, GapAware: true, BufferPages: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Apply([]Op{{Op: "insert_doc", Doc: "new", XML: smallDoc}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(res.Path + ".catalog")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cat struct {
+			Relations []struct {
+				Name  string  `json:"name"`
+				Keep  int     `json:"keep"`
+				Pages []int64 `json:"pages"`
+			} `json:"relations"`
+		}
+		if err := json.Unmarshal(data, &cat); err != nil {
+			t.Fatal(err)
+		}
+		if len(cat.Relations) == 0 {
+			t.Fatalf("%d documents: the commit re-stored no relation", docs)
+		}
+		for _, r := range cat.Relations {
+			t.Logf("%d documents: %s keeps %d pages, writes %d", docs, r.Name, r.Keep, len(r.Pages))
+			if len(r.Pages) > 2 {
+				t.Errorf("%d documents: %s lists %d pages after keep %d, want at most 2", docs, r.Name, len(r.Pages), r.Keep)
+			}
+		}
+		s.Close() //nolint:errcheck // test teardown
 	}
 }

@@ -68,9 +68,9 @@ func TestStoredOrderAfterSlotReuse(t *testing.T) {
 			descents++
 		}
 	}
-	if st := s.Stats(); len(codes) != 11 || descents != 1 || r.Sorted() || r.Ordered() || st.RenumbersScoped+st.RenumbersGlobal != 0 {
-		t.Fatalf("book: %d codes, %d out of start order, Sorted() %v, Ordered() %v, %+v; want 11, 1, false, false, no renumber",
-			len(codes), descents, r.Sorted(), r.Ordered(), st)
+	if st := s.Stats(); len(codes) != 11 || descents != 1 || r.Ordered() || st.RenumbersScoped+st.RenumbersGlobal != 0 {
+		t.Fatalf("book: %d codes, %d out of start order, Ordered() %v, %+v; want 11, 1, false, no renumber",
+			len(codes), descents, r.Ordered(), st)
 	}
 }
 

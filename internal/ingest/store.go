@@ -14,9 +14,6 @@ import (
 	"time"
 
 	"github.com/pbitree/pbitree/containment"
-	"github.com/pbitree/pbitree/internal/btree"
-	"github.com/pbitree/pbitree/internal/buffer"
-	"github.com/pbitree/pbitree/internal/storage"
 	"github.com/pbitree/pbitree/pbicode"
 	"github.com/pbitree/pbitree/xmltree"
 )
@@ -117,9 +114,6 @@ type Stats struct {
 	Compactions     uint64 `json:"compactions"`
 	CompactAborts   uint64 `json:"compact_aborts"`
 	CompactedPages  uint64 `json:"compacted_pages"`
-	IdxInserts      uint64 `json:"idx_inserts"`
-	IdxDeletes      uint64 `json:"idx_deletes"`
-	IdxRebuilds     uint64 `json:"idx_rebuilds"`
 	// DeltaPages counts the pages commits wrote into epoch deltas;
 	// SharedPages the pages of re-stored relations that commits took over
 	// by page ID from the previous epoch instead of writing them again.
@@ -164,15 +158,7 @@ type Store struct {
 	docs     []*docState
 	byName   map[string]*docState
 	docSpans []docSpan
-	// startIdx is the incrementally-maintained B+-tree over every stored
-	// element (key = region start, value = code), the live counterpart of
-	// the serving side's start index: per-op inserts and deletes keep it
-	// current, scoped renumbers patch the affected subtree, and only a
-	// global re-encode rebuilds it from scratch.
-	idxDisk *storage.MemDisk
-	idxPool *buffer.Pool
-	idx     *btree.Tree
-	closed  bool
+	closed   bool
 	// eng is the commit engine, a read-only engine at the epoch database
 	// engPath with that epoch's relations rels. It is kept across commits —
 	// each commit's SaveEpoch leaves it at the epoch it published — so a
@@ -193,13 +179,12 @@ type Store struct {
 	stop chan struct{}
 	done chan struct{}
 
-	commits, inserts, updates, deletes  atomic.Uint64
-	renumScoped, renumGlobal, overflow  atomic.Uint64
-	rootGrows                           atomic.Uint64
-	compactions, compactAborts          atomic.Uint64
-	compactedPages                      atomic.Uint64
-	idxInserts, idxDeletes, idxRebuilds atomic.Uint64
-	deltaPages, sharedPages             atomic.Uint64
+	commits, inserts, updates, deletes atomic.Uint64
+	renumScoped, renumGlobal, overflow atomic.Uint64
+	rootGrows                          atomic.Uint64
+	compactions, compactAborts         atomic.Uint64
+	compactedPages                     atomic.Uint64
+	deltaPages, sharedPages            atomic.Uint64
 }
 
 type docSpan struct {
@@ -403,9 +388,6 @@ func (s *Store) Stats() Stats {
 	st.Compactions = s.compactions.Load()
 	st.CompactAborts = s.compactAborts.Load()
 	st.CompactedPages = s.compactedPages.Load()
-	st.IdxInserts = s.idxInserts.Load()
-	st.IdxDeletes = s.idxDeletes.Load()
-	st.IdxRebuilds = s.idxRebuilds.Load()
 	st.DeltaPages = s.deltaPages.Load()
 	st.SharedPages = s.sharedPages.Load()
 	return st
@@ -462,7 +444,6 @@ func (s *Store) reload() error {
 	s.forest = forest
 	s.chain = len(eng.DeltaChain())
 	s.rebuildDocSpans()
-	s.rebuildIndex()
 	return nil
 }
 
@@ -514,58 +495,6 @@ func (s *Store) docFor(c pbicode.Code) *docState {
 	return nil
 }
 
-// rebuildIndex reconstructs the start B+-tree from the whole forest (open
-// and global-re-encode path).
-func (s *Store) rebuildIndex() {
-	if s.idxDisk != nil {
-		s.idxDisk.Close()
-	}
-	s.idxDisk = storage.NewMemDisk(0, storage.CostModel{})
-	s.idxPool = buffer.New(s.idxDisk, 256)
-	t, err := btree.New(s.idxPool)
-	if err != nil {
-		// MemDisk with the default page size cannot fail page allocation.
-		panic(fmt.Sprintf("ingest: start index: %v", err))
-	}
-	s.idx = t
-	s.forest.Walk(func(e *xmltree.Element) bool {
-		if e.Parent != nil {
-			if err := s.idx.Insert(e.Code.Start(), uint64(e.Code)); err != nil {
-				panic(fmt.Sprintf("ingest: start index insert: %v", err))
-			}
-		}
-		return true
-	})
-	s.idxRebuilds.Add(1)
-}
-
-// idxInsertSubtree / idxDeleteCodes maintain the start index around
-// forest mutations.
-func (s *Store) idxInsertSubtree(e *xmltree.Element) error {
-	var err error
-	walk(e, func(x *xmltree.Element) {
-		if err == nil {
-			err = s.idx.Insert(x.Code.Start(), uint64(x.Code))
-			s.idxInserts.Add(1)
-		}
-	})
-	return err
-}
-
-func (s *Store) idxDeleteCodes(codes []pbicode.Code) error {
-	for _, c := range codes {
-		ok, err := s.idx.Delete(c.Start(), uint64(c))
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("ingest: start index lost code %v", c)
-		}
-		s.idxDeletes.Add(1)
-	}
-	return nil
-}
-
 func walk(e *xmltree.Element, fn func(*xmltree.Element)) {
 	fn(e)
 	for _, c := range e.Children {
@@ -577,12 +506,6 @@ func subtreeSize(e *xmltree.Element) int64 {
 	n := int64(0)
 	walk(e, func(*xmltree.Element) { n++ })
 	return n
-}
-
-func subtreeCodes(e *xmltree.Element) []pbicode.Code {
-	var out []pbicode.Code
-	walk(e, func(x *xmltree.Element) { out = append(out, x.Code) })
-	return out
 }
 
 // headroom is the re-encode slot headroom under the active coding scheme.
@@ -653,7 +576,7 @@ func (s *Store) graft(parent *xmltree.Element, root *xmltree.Element) error {
 					if overflow {
 						s.overflow.Add(1)
 					}
-					return true, s.idxInsertSubtree(root)
+					return true, nil
 				}
 				if !errors.Is(err, xmltree.ErrNoFreeSlot) {
 					return false, err
@@ -704,7 +627,6 @@ func (s *Store) graft(parent *xmltree.Element, root *xmltree.Element) error {
 	}
 	s.renumGlobal.Add(1)
 	s.rebuildDocSpans()
-	s.rebuildIndex()
 	return nil
 }
 
@@ -720,20 +642,15 @@ func (s *Store) renumberHeadroom() int {
 	return 1
 }
 
-// renumberScoped re-encodes parent's subtree in place with headroom and
-// patches the start index; parent keeps its code, so no document region
-// moves. ErrNoFreeSlot propagates when parent's region is too shallow for
+// renumberScoped re-encodes parent's subtree in place with headroom;
+// parent keeps its code, so no document region moves. ErrNoFreeSlot propagates when parent's region is too shallow for
 // the widened subtree — the caller escalates to a global re-encode.
 func (s *Store) renumberScoped(parent *xmltree.Element) error {
-	old := subtreeCodes(parent)
 	if err := s.forest.RenumberSubtree(parent, s.renumberHeadroom()); err != nil {
 		return err
 	}
 	s.renumScoped.Add(1)
-	if err := s.idxDeleteCodes(old); err != nil {
-		return err
-	}
-	return s.idxInsertSubtree(parent)
+	return nil
 }
 
 // resolvedOp pairs an operation with its target element, looked up before
@@ -803,11 +720,7 @@ func (s *Store) apply(rop resolvedOp) error {
 		if d == nil {
 			return fmt.Errorf("delete_doc: unknown document %q", op.Doc)
 		}
-		codes := subtreeCodes(d.root)
 		if err := s.forest.Delete(d.root); err != nil {
-			return err
-		}
-		if err := s.idxDeleteCodes(codes); err != nil {
 			return err
 		}
 		s.removeDoc(d)
@@ -852,14 +765,11 @@ func (s *Store) apply(rop resolvedOp) error {
 		if doc == nil {
 			return fmt.Errorf("delete_element: code %d lies in no document", op.Code)
 		}
-		codes := subtreeCodes(e)
+		n := subtreeSize(e)
 		if err := s.forest.Delete(e); err != nil {
 			return err
 		}
-		if err := s.idxDeleteCodes(codes); err != nil {
-			return err
-		}
-		doc.elems -= int64(len(codes))
+		doc.elems -= n
 		s.deletes.Add(1)
 		return nil
 
@@ -1104,13 +1014,4 @@ func (s *Store) DocFor(code uint64) string {
 		return d.name
 	}
 	return ""
-}
-
-// IndexKeys returns the number of entries in the incrementally-maintained
-// start index (equals the stored element count; exposed for invariant
-// checks in tests and fsck-style tooling).
-func (s *Store) IndexKeys() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.idx.NumKeys()
 }

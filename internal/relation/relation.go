@@ -449,6 +449,9 @@ func (r *Relation) Append(recs ...Rec) error {
 	return a.Close()
 }
 
+// Page returns the ID of the relation's i-th page, 0 <= i < NumPages.
+func (r *Relation) Page(i int) storage.PageID { return r.pages[i] }
+
 // Pages returns the relation's page list, in storage order (catalog
 // persistence).
 func (r *Relation) Pages() []storage.PageID {

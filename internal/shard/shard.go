@@ -79,10 +79,6 @@ func (r *Relation) Pages() int64 {
 	return n
 }
 
-// Sorted reports whether every present shard piece was sorted into
-// document order (false when the relation is absent everywhere).
-func (r *Relation) Sorted() bool { return r.every((*containment.Relation).Sorted) }
-
 // Ordered reports whether every present shard piece is stored in document
 // order (false when the relation is absent everywhere).
 func (r *Relation) Ordered() bool { return r.every((*containment.Relation).Ordered) }
